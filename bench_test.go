@@ -1,5 +1,6 @@
 // Package repro's benchmark suite: one benchmark per reproduction
-// experiment (DESIGN.md §2) plus engine and substrate microbenchmarks.
+// experiment (`ccbench -list`; docs/architecture.md) plus engine and
+// substrate microbenchmarks.
 // Run with:
 //
 //	go test -bench=. -benchmem

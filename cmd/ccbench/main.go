@@ -1,5 +1,5 @@
-// Command ccbench runs the reproduction experiments (DESIGN.md §2) and
-// prints their tables as markdown. The full suite regenerates every
+// Command ccbench runs the reproduction experiments (docs/paper-map.md)
+// and prints their tables as markdown. The full suite regenerates every
 // figure and analytic result of the paper:
 //
 //	ccbench -exp all            # everything (parallel across the pool)
@@ -36,17 +36,15 @@ import (
 
 func main() {
 	var (
-		exp          = flag.String("exp", "all", "experiment ID or 'all'")
-		seed         = flag.Int64("seed", 1, "base random seed")
-		quick        = flag.Bool("quick", false, "reduced sizes")
-		list         = flag.Bool("list", false, "list experiments and exit")
-		parallel     = flag.Bool("parallel", true, "fan experiments and their cells across the worker pool")
-		workers      = cliutil.Workers(flag.CommandLine, "j", 0, "worker-pool width (0 = GOMAXPROCS)")
-		cacheDir     = flag.String("cache", "", "verdict-store directory: serve the MC experiment's exhaustive cells from cache and persist fresh ones (shared with cccheck -cache and ccserve)")
-		storeEngine  = flag.String("store-engine", "dir", "store backend for -cache: dir or log")
-		benchJSON    = flag.String("bench-json", "", "run the engine-step microbenchmark and write JSON to this path")
-		exploreJSON  = flag.String("explore-json", "", "run the explorer throughput benchmark (binary engine vs PR 2 string-codec oracle) and write JSON to this path")
-		exploreCheck = flag.String("explore-check", "", "compare a fresh explorer benchmark against this committed BENCH_explore.json; exit 1 on a >2x speedup regression")
+		exp         = flag.String("exp", "all", "experiment ID or 'all'")
+		seed        = flag.Int64("seed", 1, "base random seed")
+		quick       = flag.Bool("quick", false, "reduced sizes")
+		list        = flag.Bool("list", false, "list experiments and exit")
+		parallel    = flag.Bool("parallel", true, "fan experiments and their cells across the worker pool")
+		workers     = cliutil.Workers(flag.CommandLine, "j", 0, "worker-pool width (0 = GOMAXPROCS)")
+		cacheDir    = flag.String("cache", "", "verdict-store directory: serve the MC experiment's exhaustive cells from cache and persist fresh ones (shared with cccheck -cache and ccserve)")
+		storeEngine = flag.String("store-engine", "dir", "store backend for -cache: dir or log")
+		benchJSON   = flag.String("bench-json", "", "run the engine-step microbenchmark and write JSON to this path")
 	)
 	flag.Parse()
 
@@ -75,14 +73,6 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Printf("wrote engine-step benchmark to %s\n", *benchJSON)
-	}
-	if *exploreJSON != "" || *exploreCheck != "" {
-		if err := runExploreBench(*exploreJSON, *exploreCheck); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *benchJSON != "" || *exploreJSON != "" || *exploreCheck != "" {
 		// Bench-only unless the user explicitly asked for experiments too.
 		expSet := false
 		flag.Visit(func(f *flag.Flag) {
@@ -174,78 +164,4 @@ func writeStepBench(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// exploreBenchFile is the BENCH_explore.json schema: the explorer's
-// throughput trajectory (binary sharded engine vs the preserved PR 2
-// string-codec oracle, measured back to back on the same machine).
-type exploreBenchFile struct {
-	GoVersion  string                     `json:"go_version"`
-	GOMAXPROCS int                        `json:"gomaxprocs"`
-	Workers    int                        `json:"workers"`
-	Workloads  []experiments.ExploreBench `json:"workloads"`
-}
-
-// runExploreBench measures, optionally writes jsonPath, and optionally
-// enforces no >2x speedup regression against checkPath. The check
-// compares speedup ratios, not absolute states/sec: engine and oracle
-// run on the same machine, so their ratio transfers across hardware.
-func runExploreBench(jsonPath, checkPath string) error {
-	workloads, err := experiments.RunExploreBench()
-	if err != nil {
-		return err
-	}
-	for _, w := range workloads {
-		fmt.Printf("explore bench %-34s %9d states  engine %9.0f st/s %5.1f B/st  oracle %9.0f st/s %5.1f B/st  speedup %.2fx  bytes %.2fx\n",
-			w.Workload, w.States, w.EngineStatesPerSec, w.EngineBytesPerState,
-			w.BaselineStatesPerSec, w.BaselineBytesPerState, w.Speedup, w.BytesRatio)
-	}
-	if jsonPath != "" {
-		out := exploreBenchFile{
-			GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Workers: par.Workers, Workloads: workloads,
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote explorer benchmark to %s\n", jsonPath)
-	}
-	if checkPath != "" {
-		data, err := os.ReadFile(checkPath)
-		if err != nil {
-			return err
-		}
-		var committed exploreBenchFile
-		if err := json.Unmarshal(data, &committed); err != nil {
-			return fmt.Errorf("%s: %v", checkPath, err)
-		}
-		fresh := make(map[string]experiments.ExploreBench, len(workloads))
-		for _, w := range workloads {
-			fresh[w.Workload] = w
-		}
-		for _, want := range committed.Workloads {
-			got, ok := fresh[want.Workload]
-			if !ok {
-				return fmt.Errorf("explore bench: committed workload %q no longer measured", want.Workload)
-			}
-			if got.Speedup < want.Speedup/2 {
-				return fmt.Errorf("explore bench %s: speedup regressed >2x: %.2fx now vs %.2fx committed",
-					want.Workload, got.Speedup, want.Speedup)
-			}
-			// Spill cells measure the out-of-core tax against the same
-			// engine in-memory, a ratio pinned near 1.0 — the relative
-			// /2 rule alone would let it rot to half speed unnoticed, so
-			// they also carry an absolute floor.
-			if strings.Contains(want.Workload, "/spill-") && got.Speedup < 0.8 {
-				return fmt.Errorf("explore bench %s: spill-mode throughput ratio %.2fx below the 0.80x floor",
-					want.Workload, got.Speedup)
-			}
-		}
-		fmt.Printf("explore bench: no >2x speedup regression vs %s\n", checkPath)
-	}
-	return nil
 }

@@ -92,7 +92,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -118,7 +117,7 @@ func main() {
 	var (
 		algName    = flag.String("alg", "cc2", "algorithm: cc1 | cc2 | cc3 | dining | token-ring (campaign mode: comma list)")
 		topo       = flag.String("topo", "", "topology spec (see internal/hypergraph.Parse); default ring:3 in exhaustive/campaign mode, random scenarios in random mode (campaign mode: comma list)")
-		mode       = flag.String("mode", "exhaustive", "exhaustive | random | campaign")
+		mode       = flag.String("mode", "exhaustive", "exhaustive | random | campaign | query")
 		daemons    = flag.String("daemon", "", "comma list; exhaustive/campaign: central|synchronous|all (default all three); random: weakly-fair|central|synchronous|random")
 		initMode   = flag.String("init", "", "initial-configuration family: legit | cc | cc-full | random (default cc-full for CC, legit for the baselines; campaign mode: comma list)")
 		randInits  = flag.Int("random-inits", 256, "initial configurations for -init random")
@@ -146,7 +145,6 @@ func main() {
 		maxN       = flag.Int("max-n", 14, "random mode: professor bound for random scenarios")
 		traces     = flag.Int("traces", 3, "max violations to collect and print per run")
 		workers    = cliutil.Workers(flag.CommandLine, "j", 0, "worker-pool width (0 = GOMAXPROCS)")
-		scalar     = flag.Bool("scalar", false, "force the scalar (non-batch) expansion path; the verdict is byte-identical by contract — this flag exists for differential drills and perf comparison")
 		peersSpec  = flag.String("peers", "", "exhaustive mode: distribute each job across this comma-separated list of ccserve peer base URLs (one visited-set shard per peer; the peers must share one -cache directory); the verdict is byte-identical to a single-node run by the cluster differential battery's contract")
 	)
 	flag.Parse()
@@ -223,26 +221,26 @@ func main() {
 		}
 	}
 	exec := execConfig{
-		cacheDir: *cacheDir, engine: *storeEng, memBudget: budget, checkpointEvery: *ckptEvery,
-		spillDir: *spillDir, fs: fsys, scalar: *scalar, peers: peers,
+		cacheDir: *cacheDir, engine: *storeEng,
+		ExecOptions: campaign.ExecOptions{
+			MemBudget: budget, SpillDir: *spillDir, FS: fsys,
+			CheckpointEvery: *ckptEvery, Peers: peers,
+		},
 	}
 
-	switch *mode {
-	case "exhaustive":
+	if *mode == "exhaustive" || *mode == "random" {
 		switch *algName {
 		case "cc1", "cc2", "cc3", "dining", "token-ring":
 		default:
 			fatalf("unknown algorithm %q (cc1 | cc2 | cc3 | dining | token-ring)", *algName)
 		}
+	}
+	switch *mode {
+	case "exhaustive":
 		runExhaustive(*algName, *topo, *daemons, *initMode, *mutate, scalars, exec)
 	case "campaign":
 		runCampaign(*algName, *topo, *daemons, *initMode, *mutate, scalars, exec, *campJSON)
 	case "random":
-		switch *algName {
-		case "cc1", "cc2", "cc3", "dining", "token-ring":
-		default:
-			fatalf("unknown algorithm %q (cc1 | cc2 | cc3 | dining | token-ring)", *algName)
-		}
 		runRandom(*algName, *topo, *daemons, *runs, *steps, *maxN, *seed, *mutate)
 	case "query":
 		runQuery(exec, *filterStr, *summaryID, *diffSpec)
@@ -271,11 +269,11 @@ func exitIO(err error) {
 // checkpoints and spill scratch left by a killed process are swept and
 // their counts reported. stderr only — stdout carries verdicts and
 // must stay byte-stable.
-func (e execConfig) openStore() store.Interface {
+func (e *execConfig) openStore() store.Interface {
 	if e.cacheDir == "" {
-		return nil // untyped nil: campaign.Run and the nil checks below rely on it
+		return nil // untyped nil: campaign.Cell's nil check relies on it
 	}
-	st, err := store.OpenEngine(e.engine, e.cacheDir, e.fs)
+	st, err := store.OpenEngine(e.engine, e.cacheDir, e.FS)
 	if err != nil {
 		exitIO(err)
 	}
@@ -285,28 +283,33 @@ func (e execConfig) openStore() store.Interface {
 	if n := st.GCCheckpoints(); n > 0 {
 		fmt.Fprintf(os.Stderr, "cccheck: removed %d orphaned checkpoint file(s)\n", n)
 	}
-	if n := explore.GCSpill(e.spillDir); n > 0 {
+	if n := explore.GCSpill(e.SpillDir); n > 0 {
 		fmt.Fprintf(os.Stderr, "cccheck: removed %d orphaned spill scratch entr(ies)\n", n)
 	}
 	st.SetLog(func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "cccheck: "+format+"\n", args...)
 	})
+	if e.CheckpointEvery >= 0 && len(e.Peers) == 0 {
+		// In-flight snapshots: an interrupted job resumes mid-exploration
+		// on the next run (0 = snapshot on interruption only). A
+		// distributed job recovers from the peers' per-shard barrier
+		// snapshots in the shared store instead.
+		e.Checkpoints = st
+	}
 	return st
 }
 
 // --- Exhaustive mode ----------------------------------------------------------
 
-// execConfig carries the result-irrelevant execution knobs (cache,
-// out-of-core budget, checkpoint cadence) from the flags to the modes.
+// execConfig carries the cache location and the result-irrelevant
+// execution knobs (out-of-core budget, checkpoint cadence, fault
+// injector, peers) from the flags to the modes. CheckpointEvery holds
+// the raw flag value: negative means disabled, and openStore leaves
+// Checkpoints nil.
 type execConfig struct {
-	cacheDir        string
-	engine          string // -store-engine: dir | log
-	memBudget       int64
-	checkpointEvery int
-	spillDir        string
-	fs              chaos.FS // -chaos fault injector (nil = host filesystem)
-	scalar          bool     // -scalar: force the non-batch expansion path
-	peers           []string // -peers: distribute jobs across these ccserve peers
+	cacheDir string
+	engine   string // -store-engine: dir | log
+	campaign.ExecOptions
 }
 
 // runExhaustive checks one (alg, topo, init) instance under each of the
@@ -344,54 +347,32 @@ func runExhaustive(algName, topoSpec, daemons, initName, mutation string, scalar
 
 	failed := false
 	bounded := false
+	eo := exec.ExecOptions
+	eo.Workers = par.Workers
 	for _, s := range specs {
-		var res *explore.Result
-		cached := false
-		if st != nil {
-			res, _, cached = st.Get(s)
-		}
-		var stats explore.RunStats
-		if res == nil {
-			eo := campaign.ExecOptions{
-				Workers: par.Workers, Stats: &stats,
-				MemBudget: exec.memBudget, SpillDir: exec.spillDir,
-				FS: exec.fs, Scalar: exec.scalar,
+		out := campaign.Cell(ctx, st, s, eo)
+		res := out.Result
+		switch out.Status {
+		case campaign.StatusSkipped:
+			states := 0
+			if res != nil {
+				states = res.States
 			}
-			if st != nil && exec.checkpointEvery >= 0 && len(exec.peers) == 0 {
-				eo.Checkpoints = st
-				eo.CheckpointEvery = exec.checkpointEvery
-			}
-			if len(exec.peers) > 0 {
-				// Distributed: the peers shard the visited set; recovery
-				// runs on per-shard barrier snapshots in the shared store
-				// instead of the single-node checkpoint.
-				res, err = campaign.ExecuteCluster(ctx, s, exec.peers, eo)
+			if eo.Checkpoints != nil {
+				fmt.Printf("interrupted at %d states — checkpoint saved; re-run the same command to resume\n", states)
 			} else {
-				res, err = campaign.ExecuteOpts(ctx, s, eo)
+				fmt.Printf("interrupted at %d states\n", states)
 			}
-			if errors.Is(err, campaign.ErrInterrupted) {
-				if eo.Checkpoints != nil {
-					fmt.Printf("interrupted at %d states — checkpoint saved; re-run the same command to resume\n", res.States)
-				} else {
-					fmt.Printf("interrupted at %d states\n", res.States)
-				}
-				os.Exit(3)
-			}
-			if err != nil {
-				exitIO(err)
-			}
-			if st != nil {
-				if _, err := st.Put(s, res); err != nil {
-					exitIO(err)
-				}
-			}
+			os.Exit(3)
+		case campaign.StatusFailed:
+			exitIO(out.Failure())
 		}
 		tag := ""
-		if cached {
+		if out.Status == campaign.StatusHit {
 			tag = "  [cache hit]"
 		}
-		if stats.ResumedStates > 0 {
-			tag += fmt.Sprintf("  [resumed from %d states]", stats.ResumedStates)
+		if out.Resumed > 0 {
+			tag += fmt.Sprintf("  [resumed from %d states]", out.Resumed)
 		}
 		fmt.Println(res.Summary() + tag)
 		if res.MaxIncorrectDepth >= 0 {
@@ -484,11 +465,8 @@ func runCampaign(algs, topos, daemons, inits, mutations string, scalars store.Jo
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	ropts := campaign.RunOptions{
-		Workers:   par.Workers,
-		MemBudget: exec.memBudget,
-		SpillDir:  exec.spillDir,
-		FS:        exec.fs,
-		Scalar:    exec.scalar,
+		Workers: par.Workers,
+		Exec:    exec.ExecOptions,
 		Progress: func(ev campaign.Event) {
 			resumed := ""
 			if ev.Resumed > 0 {
@@ -509,13 +487,6 @@ func runCampaign(algs, topos, daemons, inits, mutations string, scalars store.Jo
 				fmt.Printf("  [%d/%d] %-44s  %s (%d states, %v%s)%s\n", ev.Index+1, ev.Total, ev.Spec, ev.Verdict, ev.States, ev.Elapsed.Round(time.Millisecond), resumed, retried)
 			}
 		},
-	}
-	if st != nil && exec.checkpointEvery >= 0 {
-		// In-flight cell snapshots: an interrupted cell resumes
-		// mid-exploration on the next run, not just cell-granular
-		// (0 = snapshot on interruption only, same as exhaustive mode).
-		ropts.Checkpoint = true
-		ropts.CheckpointEvery = exec.checkpointEvery
 	}
 	rep := campaign.Run(ctx, st, cells, ropts)
 	fmt.Println()

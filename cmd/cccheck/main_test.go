@@ -196,6 +196,44 @@ func TestCCCheckCampaignMode(t *testing.T) {
 	}
 }
 
+// TestCCCheckExhaustiveCampaignParity: exhaustive mode and a one-row
+// campaign run the same cell lifecycle, so they leave byte-identical
+// store entries — and each serves the other's from the cache.
+func TestCCCheckExhaustiveCampaignParity(t *testing.T) {
+	bin := cmdtest.Build(t, ".")
+	cell := []string{"-alg", "cc2", "-topo", "ring:3", "-init", "legit", "-daemon", "central"}
+	entry := func(mode, dir string) (name, data string) {
+		t.Helper()
+		args := append([]string{"-mode", mode, "-cache", dir}, cell...)
+		if out, code := cmdtest.Run(t, bin, 2*time.Minute, args...); code != 0 {
+			t.Fatalf("-mode %s: exit %d:\n%s", mode, code, out)
+		}
+		paths, err := filepath.Glob(filepath.Join(dir, "??", "*.json"))
+		if err != nil || len(paths) != 1 {
+			t.Fatalf("-mode %s left %d entries (%v), want 1", mode, len(paths), err)
+		}
+		raw, err := os.ReadFile(paths[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return filepath.Base(paths[0]), string(raw)
+	}
+	exhDir, campDir := t.TempDir(), t.TempDir()
+	exhName, exhData := entry("exhaustive", exhDir)
+	campName, campData := entry("campaign", campDir)
+	if exhName != campName || exhData != campData {
+		t.Fatalf("entries differ between the modes:\nexhaustive %s: %s\ncampaign   %s: %s", exhName, exhData, campName, campData)
+	}
+	out, code := cmdtest.Run(t, bin, 2*time.Minute, append([]string{"-mode", "campaign", "-cache", exhDir}, cell...)...)
+	if code != 0 || !strings.Contains(out, "(1 cache hits, 0 explored)") {
+		t.Fatalf("campaign did not hit the exhaustive run's entry (exit %d):\n%s", code, out)
+	}
+	out, code = cmdtest.Run(t, bin, 2*time.Minute, append([]string{"-cache", campDir}, cell...)...)
+	if code != 0 || !strings.Contains(out, "[cache hit]") {
+		t.Fatalf("exhaustive did not hit the campaign's entry (exit %d):\n%s", code, out)
+	}
+}
+
 // TestCCCheckCampaignJSON: the grid round-trips through a JSON spec
 // file, and a violated cell exits 1.
 func TestCCCheckCampaignJSON(t *testing.T) {

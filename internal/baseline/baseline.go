@@ -15,7 +15,7 @@
 // The distributed baselines run in the same guarded-action engine as
 // CC1/CC2/CC3, over n professor processes plus m committee-agent
 // processes. Two deliberate infidelities, documented here and in
-// DESIGN.md: (1) committee agents read each other's variables even when
+// docs/paper-map.md: (1) committee agents read each other's variables even when
 // the corresponding professors are not adjacent (the original algorithms
 // are message-passing; manager-to-manager channels are modelled as
 // shared variables); (2) the baselines are *not* self-stabilizing — they

@@ -216,7 +216,7 @@ type Event struct {
 	// Report is byte-identical whether a cell resumed or not.
 	Resumed int
 	// Attempts is how many times the cell ran (1 = no retries needed;
-	// see RunOptions.Retries). Progress-only, like Resumed.
+	// see ExecOptions.Retries). Progress-only, like Resumed.
 	Attempts int
 	Elapsed  time.Duration
 }
@@ -293,66 +293,132 @@ func (r *Report) Render(w io.Writer) {
 		r.Cells, r.Verified, r.Bounded, r.Violated, r.Failed, r.Skipped, r.CacheHits, r.Explored)
 }
 
+// Outcome is what Cell reports for one cell: everything a caller needs
+// to print, aggregate or serve it, with the two ways a cell can fail
+// kept apart.
+type Outcome struct {
+	// Result is the verdict: the stored one on a hit, the computed one
+	// otherwise — still set when only persisting failed (PersistErr),
+	// and the partial exploration when the cell was interrupted.
+	Result *explore.Result
+	// Raw is the entry exactly as the store holds it (what a later Get
+	// returns); nil when nothing was stored.
+	Raw    []byte
+	Status string
+	// Attempts is how many times the cell ran (0 on a hit, 1 = no
+	// retries needed; see ExecOptions.Retries).
+	Attempts int
+	// Resumed is the state count restored from a checkpoint before the
+	// cell continued (0 = started fresh).
+	Resumed int
+	// Err is the exploration's error (wrapping ErrInterrupted when the
+	// cell reads as skipped); PersistErr is the store write's, with the
+	// verdict computed and in Result.
+	Err        error
+	PersistErr error
+}
+
+// Failure is the error behind a skipped or failed cell, nil otherwise.
+func (o Outcome) Failure() error {
+	if o.Err != nil {
+		return o.Err
+	}
+	return o.PersistErr
+}
+
+// Cell is the one lifecycle of a content-addressed cell, shared by
+// cccheck, campaigns, the MC experiment and ccserve: serve the verdict
+// from the store on a hit; otherwise explore it (locally or across
+// eo.Peers), persist it, and retry recoverable failures (transient
+// I/O, quarantined corruption) within eo.Retries — a fresh attempt
+// resumes from the cell's checkpoint if one was saved, rebuilds all
+// spill scratch and converges to the same verdict. Cancellation is not
+// a failure and never retried: the snapshot (if eo.Checkpoints is set)
+// is saved and the cell reads as skipped, exactly like a cell never
+// scheduled, so the next run resumes it. st may be nil (no caching:
+// the cell always explores and nothing is persisted). eo.Stats, when
+// set, must not be shared between concurrent cells.
+func Cell(ctx context.Context, st store.Interface, spec store.JobSpec, eo ExecOptions) Outcome {
+	spec = spec.Canonical()
+	if st != nil {
+		if res, raw, ok := st.Get(spec); ok {
+			return Outcome{Result: res, Raw: raw, Status: StatusHit}
+		}
+	}
+	if eo.Stats == nil {
+		eo.Stats = &explore.RunStats{}
+	}
+	retries := eo.Retries
+	if retries == 0 {
+		retries = 2
+	}
+	delay := eo.RetryBackoff
+	if delay <= 0 {
+		delay = 50 * time.Millisecond
+	}
+	var out Outcome
+	for {
+		out.Attempts++
+		out.Raw, out.PersistErr = nil, nil
+		out.Result, out.Err = ExecuteOpts(ctx, spec, eo)
+		if out.Err == nil && st != nil {
+			out.Raw, out.PersistErr = st.Put(spec, out.Result)
+		}
+		err := out.Failure()
+		if err == nil || errors.Is(err, ErrInterrupted) || out.Attempts > retries || !chaos.Recoverable(err) {
+			break
+		}
+		select {
+		case <-ctx.Done():
+			out.Err = fmt.Errorf("campaign: %w during retry backoff (%v)", ErrInterrupted, context.Cause(ctx))
+		case <-time.After(delay):
+			delay *= 2
+			continue
+		}
+		break
+	}
+	out.Resumed = eo.Stats.ResumedStates
+	switch {
+	case errors.Is(out.Err, ErrInterrupted):
+		out.Status = StatusSkipped
+	case out.Failure() != nil:
+		out.Status = StatusFailed
+	default:
+		out.Status = StatusDone
+	}
+	return out
+}
+
 // RunOptions parameterize a campaign run.
 type RunOptions struct {
 	// Workers is the cell-pool width (0 = par.Workers): how many cells
 	// explore concurrently.
 	Workers int
-	// JobWorkers is the explorer width per cell (0 = 1; cells already
-	// fan across the pool).
-	JobWorkers int
-	// Checkpoint enables in-flight cell checkpointing (snapshots to
-	// the campaign's store), so an interrupted cell resumes
-	// mid-exploration on the next run instead of restarting. Requires
-	// a store. CheckpointEvery sets the periodic cadence in expanded
-	// states; 0 snapshots on cancellation only.
-	Checkpoint      bool
-	CheckpointEvery int
-	// MemBudget bounds each cell's in-memory explorer footprint
-	// (bytes; 0 = fully in-memory), spilling to SpillDir past it.
-	MemBudget int64
-	SpillDir  string
-	// Scalar forces every cell down the scalar expansion path
-	// (see ExecOptions.Scalar).
-	Scalar bool
-	// Retries is the per-cell retry budget for recoverable failures
-	// (transient I/O, quarantined corruption): a failing cell is
-	// re-executed up to this many extra times, with exponential
-	// backoff, before it is marked failed — the campaign never aborts
-	// on one bad cell. 0 means the default (2); negative disables
-	// retries.
-	Retries int
-	// RetryBackoff is the delay before the first cell retry, doubling
-	// per attempt (0 = 50ms).
-	RetryBackoff time.Duration
-	// FS routes each cell's spill I/O through a chaos.FS (nil = the
-	// host filesystem); see ExecOptions.FS.
-	FS chaos.FS
+	// Exec is how each cell executes (see ExecOptions; its Workers is
+	// the explorer width per cell, 0 = 1 since cells already fan across
+	// the pool). Setting Exec.Checkpoints to the campaign's store
+	// enables in-flight cell checkpointing, so an interrupted cell
+	// resumes mid-exploration on the next run instead of restarting.
+	// Exec.Stats is per cell and ignored here; Event carries its
+	// progress-relevant part.
+	Exec ExecOptions
 	// Progress, if non-nil, receives one event per finished cell.
 	// Calls are serialized.
 	Progress func(Event)
 }
 
-// Run executes the cells (from Expand) against the store: cache hits
-// are served without recomputation, misses are explored and persisted
-// before the cell completes, and a cancelled context marks the
-// remaining cells skipped — re-running the same campaign later resumes
-// from the store. st may be nil (no caching, everything explores).
-// The returned report is byte-identical at any opts.Workers for a
-// given starting cache state.
+// Run executes the cells (from Expand) against the store, each through
+// Cell: cache hits are served without recomputation, misses are
+// explored and persisted before the cell completes — the campaign never
+// aborts on one bad cell — and a cancelled context marks the remaining
+// cells skipped: re-running the same campaign later resumes from the
+// store. st may be nil (no caching, everything explores). The returned
+// report is byte-identical at any opts.Workers for a given starting
+// cache state.
 func Run(ctx context.Context, st store.Interface, cells []store.JobSpec, opts RunOptions) *Report {
 	rep := &Report{Cells: len(cells), Results: make([]CellResult, len(cells))}
-	retries := opts.Retries
-	switch {
-	case retries == 0:
-		retries = 2
-	case retries < 0:
-		retries = 0
-	}
-	backoff := opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
+	eo := opts.Exec
+	eo.Stats = nil
 	var progMu sync.Mutex
 	emit := func(ev Event) {
 		if opts.Progress == nil {
@@ -367,89 +433,35 @@ func Run(ctx context.Context, st store.Interface, cells []store.JobSpec, opts Ru
 		spec := cells[i].Canonical()
 		cell := CellResult{Spec: spec, Key: spec.Key()}
 		start := time.Now()
-		var stats explore.RunStats
-		attempts := 0
-		switch {
-		case ctx.Err() != nil:
-			cell.Status = StatusSkipped
-		default:
-			var res *explore.Result
-			if st != nil {
-				if hit, _, ok := st.Get(spec); ok {
-					res = hit
-					cell.Status = StatusHit
-				}
+		out := Outcome{Status: StatusSkipped}
+		if ctx.Err() == nil {
+			out = Cell(ctx, st, spec, eo)
+		}
+		cell.Status = out.Status
+		switch out.Status {
+		case StatusFailed:
+			err := out.Failure()
+			cell.Error = err.Error()
+			if out.Attempts > 1 {
+				cell.Error = fmt.Sprintf("%v (after %d attempts)", err, out.Attempts)
 			}
-			if res == nil {
-				eo := ExecOptions{
-					Workers: opts.JobWorkers, Stats: &stats,
-					MemBudget: opts.MemBudget, SpillDir: opts.SpillDir,
-					FS: opts.FS, Scalar: opts.Scalar,
-				}
-				if st != nil && opts.Checkpoint {
-					eo.Checkpoints = st
-					eo.CheckpointEvery = opts.CheckpointEvery
-				}
-				var err error
-				delay := backoff
-				for {
-					attempts++
-					res, err = ExecuteOpts(ctx, spec, eo)
-					if err == nil && st != nil {
-						_, err = st.Put(spec, res)
-					}
-					// Retry only recoverable failures (transient I/O,
-					// quarantined corruption) within the cell's budget; a
-					// fresh attempt re-reads the store, rebuilds all spill
-					// scratch and converges to the same verdict.
-					// Cancellation is not a failure and never retried.
-					if err == nil || errors.Is(err, ErrInterrupted) || attempts > retries || !chaos.Recoverable(err) {
-						break
-					}
-					select {
-					case <-ctx.Done():
-						err = fmt.Errorf("campaign: %w during retry backoff (%v)", ErrInterrupted, context.Cause(ctx))
-					case <-time.After(delay):
-						delay *= 2
-						res = nil
-						continue
-					}
-					break
-				}
-				switch {
-				case errors.Is(err, ErrInterrupted):
-					// Mid-cell cancellation: the snapshot (if enabled) is
-					// saved; the cell reads as skipped, exactly like a cell
-					// never scheduled, and the next run resumes it.
-					cell.Status = StatusSkipped
-					res = nil
-				case err != nil:
-					cell.Status = StatusFailed
-					cell.Error = err.Error()
-					if attempts > 1 {
-						cell.Error = fmt.Sprintf("%v (after %d attempts)", err, attempts)
-					}
-					if cls := chaos.Classify(err); cls != chaos.Unknown {
-						cell.ErrorClass = cls.String()
-					}
-				default:
-					cell.Status = StatusDone
-				}
+			if cls := chaos.Classify(err); cls != chaos.Unknown {
+				cell.ErrorClass = cls.String()
 			}
-			if res != nil && cell.Status != StatusFailed {
-				cell.Verdict = res.Verdict()
-				cell.Inits = res.Inits
-				cell.States = res.States
-				cell.Transitions = res.Transitions
-				cell.Deadlocks = res.Deadlocks
-				cell.Violations = len(res.Violations)
-			}
+		case StatusHit, StatusDone:
+			res := out.Result
+			cell.Verdict = res.Verdict()
+			cell.Inits = res.Inits
+			cell.States = res.States
+			cell.Transitions = res.Transitions
+			cell.Deadlocks = res.Deadlocks
+			cell.Violations = len(res.Violations)
 		}
 		rep.Results[i] = cell
 		emit(Event{
 			Index: i, Total: len(cells), Spec: spec, Key: cell.Key,
 			Status: cell.Status, Verdict: cell.Verdict, States: cell.States,
-			Resumed: stats.ResumedStates, Attempts: attempts, Elapsed: time.Since(start),
+			Resumed: out.Resumed, Attempts: out.Attempts, Elapsed: time.Since(start),
 		})
 	})
 

@@ -98,7 +98,7 @@ func TestChaosBatteryEscalating(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
 			rep := campaign.Run(ctx, st, cells, campaign.RunOptions{
-				Workers: 4, FS: ffs, RetryBackoff: time.Millisecond,
+				Workers: 4, Exec: campaign.ExecOptions{FS: ffs, RetryBackoff: time.Millisecond},
 			})
 			if rep.Skipped != 0 {
 				t.Fatalf("campaign hung under faults (deadline hit):\n%s", rep.JSON())
@@ -166,7 +166,7 @@ func TestChaosENOSPCMidCampaignRecovers(t *testing.T) {
 	// lands inside an early cell's Put, mid-campaign.
 	ffs.SetFaults(chaos.Faults{FailWriteAt: 6})
 	rep := campaign.Run(context.Background(), st, cells, campaign.RunOptions{
-		Workers: 1, RetryBackoff: time.Millisecond,
+		Workers: 1, Exec: campaign.ExecOptions{RetryBackoff: time.Millisecond},
 	})
 	if ffs.Stats()["write"] != 1 {
 		t.Fatalf("injected %d write faults, want exactly 1", ffs.Stats()["write"])
@@ -250,7 +250,7 @@ func TestChaosCorruptCheckpointFreshRun(t *testing.T) {
 	}
 
 	rep := campaign.Run(context.Background(), st, cells, campaign.RunOptions{
-		Workers: 1, Checkpoint: true,
+		Workers: 1, Exec: campaign.ExecOptions{Checkpoints: st},
 	})
 	if !rep.Ok() || !rep.Complete() {
 		t.Fatalf("run over a corrupt checkpoint not clean:\n%s", rep.JSON())

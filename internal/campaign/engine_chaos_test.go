@@ -93,7 +93,7 @@ func TestLogEngineMidCampaignCompactionChaos(t *testing.T) {
 	}()
 
 	rep := campaign.Run(ctx, lg, cells, campaign.RunOptions{
-		Workers: 4, FS: ffs, RetryBackoff: time.Millisecond,
+		Workers: 4, Exec: campaign.ExecOptions{FS: ffs, RetryBackoff: time.Millisecond},
 	})
 	cancel()
 	<-compacted

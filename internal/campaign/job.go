@@ -10,8 +10,9 @@
 //
 // This file is the shared single-job runner: the one place that maps a
 // store.JobSpec onto an explore.Model and explore.Options. cccheck,
-// ccbench and ccserve all execute jobs through it, which is what makes
-// their cached verdicts interchangeable.
+// ccbench and ccserve all execute jobs through it — by way of Cell
+// (campaign.go), the one lookup → explore → persist → retry lifecycle —
+// which is what makes their cached verdicts interchangeable.
 package campaign
 
 import (
@@ -20,6 +21,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/chaos"
@@ -132,21 +134,9 @@ func newFactoryChecked(c store.JobSpec, h *hypergraph.H) (*checkedFactory, error
 		if err != nil {
 			return nil, fmt.Errorf("campaign: %v", err)
 		}
-		return &checkedFactory{
-			hasSyms: factory().Syms != nil,
-			whySymEmpty: "the CC algorithms read the identifier order (maxByID tie-breaks, min-id leader election), " +
-				"so nontrivial rotations are not automorphisms of CC ∘ TC on connected topologies; -symmetry is exact " +
-				"for CC only on block-symmetric disjoint:K,S topologies with a non-random init family",
-			run: func(ctx context.Context, opts explore.Options) (*explore.Result, error) {
-				return explore.ExploreCtx(ctx, factory, opts)
-			},
-			runCluster: func(ctx context.Context, opts explore.Options, tr cluster.Transport) (*explore.Result, error) {
-				return cluster.Run(ctx, factory, opts, tr)
-			},
-			newPeer: func(opts explore.Options, cfg explore.PeerConfig) (explore.PeerEngine, error) {
-				return explore.NewPeer(factory, opts, cfg)
-			},
-		}, nil
+		return checked(factory, "the CC algorithms read the identifier order (maxByID tie-breaks, min-id leader election), "+
+			"so nontrivial rotations are not automorphisms of CC ∘ TC on connected topologies; -symmetry is exact "+
+			"for CC only on block-symmetric disjoint:K,S topologies with a non-random init family"), nil
 	}
 	kind := baseline.Dining
 	if c.Alg == "token-ring" {
@@ -156,10 +146,16 @@ func newFactoryChecked(c store.JobSpec, h *hypergraph.H) (*checkedFactory, error
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %v", err)
 	}
+	return checked(factory, "-symmetry needs a declared automorphism group: the token-ring baseline declares ring rotations; "+
+		"dining does not (its fork orientation and request tie-break read the committee index order)"), nil
+}
+
+// checked erases a model factory's state type behind the three ways a
+// job can run it.
+func checked[S sim.Cloneable[S]](factory func() *explore.Model[S], whySymEmpty string) *checkedFactory {
 	return &checkedFactory{
-		hasSyms: factory().Syms != nil,
-		whySymEmpty: "-symmetry needs a declared automorphism group: the token-ring baseline declares ring rotations; " +
-			"dining does not (its fork orientation and request tie-break read the committee index order)",
+		hasSyms:     factory().Syms != nil,
+		whySymEmpty: whySymEmpty,
 		run: func(ctx context.Context, opts explore.Options) (*explore.Result, error) {
 			return explore.ExploreCtx(ctx, factory, opts)
 		},
@@ -169,19 +165,28 @@ func newFactoryChecked(c store.JobSpec, h *hypergraph.H) (*checkedFactory, error
 		newPeer: func(opts explore.Options, cfg explore.PeerConfig) (explore.PeerEngine, error) {
 			return explore.NewPeer(factory, opts, cfg)
 		},
-	}, nil
+	}
 }
 
 // ExecOptions parameterize one job execution beyond the spec. Every
 // field is result-irrelevant: the verdict bytes are a pure function of
-// the canonical spec at any worker count, memory budget or checkpoint
-// cadence, which is what makes the cache (and resuming) sound.
+// the canonical spec at any worker count, memory budget, checkpoint
+// cadence or cluster size, which is what makes the cache (and resuming)
+// sound.
 type ExecOptions struct {
 	// Workers is the explorer pool width for this job (0 = 1: campaign
 	// and server schedulers parallelize across jobs, so each job
 	// defaults to one worker; pass par.Workers for a lone interactive
 	// run).
 	Workers int
+	// Peers, when non-empty, distributes the job across these ccserve
+	// peers (base URLs) instead of exploring in this process: the spec
+	// is forwarded to every peer verbatim, each peer owns one
+	// contiguous shard of the state-hash space, and shard snapshots
+	// land in the peers' (shared) verdict store so a lost peer's work
+	// migrates instead of restarting. The single-node checkpoint
+	// (Checkpoints) does not apply.
+	Peers []string
 	// Checkpoints, if non-nil, enables checkpoint/restore through this
 	// store: the job resumes from an existing snapshot under its
 	// content key, persists one every CheckpointEvery expanded states
@@ -205,17 +210,19 @@ type ExecOptions struct {
 	// classified error, or quarantine an artifact — never change the
 	// verdict bytes.
 	FS chaos.FS
-	// Scalar forces the scalar expansion path even when the model
-	// declares a batch kernel (explore.Options.DisableBatch).
-	// Result-irrelevant by the batch pipeline's byte-identity
-	// contract; differential drills use it to pit the two paths
-	// against each other on cached cells.
-	Scalar bool
 	// Progress, if non-nil, receives the explorer's chunk-boundary
 	// counter snapshots (see explore.Options.Progress) — the feed the
 	// serving tier publishes to /v1/jobs/{id}/watch subscribers.
-	// Result-irrelevant like everything else here.
 	Progress func(explore.Progress)
+	// Retries is Cell's retry budget for recoverable failures
+	// (transient I/O, quarantined corruption): the explore-and-persist
+	// step is re-run up to this many extra times, with exponential
+	// backoff, before the cell is marked failed. 0 means the default
+	// (2); negative disables retries.
+	Retries int
+	// RetryBackoff is the delay before the first retry, doubling per
+	// attempt (0 = 50ms).
+	RetryBackoff time.Duration
 }
 
 // ErrInterrupted reports that a job was cancelled mid-exploration; if
@@ -247,7 +254,6 @@ func jobOptions(c store.JobSpec, o ExecOptions) explore.Options {
 		FS:              o.FS,
 		CheckpointEvery: o.CheckpointEvery,
 		Stats:           o.Stats,
-		DisableBatch:    o.Scalar,
 		Progress:        o.Progress,
 	}
 	if o.Workers <= 0 {
@@ -276,52 +282,22 @@ func NewPeerEngine(spec store.JobSpec, o ExecOptions, cfg explore.PeerConfig) (e
 	return factory.newPeer(jobOptions(c, o), cfg)
 }
 
-// ExecuteCluster runs one job distributed across a set of ccserve
-// peers (base URLs) and returns a result byte-identical to ExecuteOpts
-// on a single node — that identity is pinned by the cluster
-// differential battery. The spec is forwarded to every peer verbatim;
-// each peer owns one contiguous shard of the state-hash space, and
-// shard snapshots land in the peers' (shared) verdict store so a lost
-// peer's work migrates instead of restarting.
-func ExecuteCluster(ctx context.Context, spec store.JobSpec, peers []string, o ExecOptions) (*explore.Result, error) {
-	c := spec.Canonical()
-	factory, err := prepare(c)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := json.Marshal(c)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: marshal spec: %w", err)
-	}
-	tr, err := cluster.DialHTTP(ctx, cluster.HTTPConfig{
-		Peers: peers, Job: c.Key(), Spec: raw, Workers: o.Workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer tr.Close()
-	res, err := factory.runCluster(ctx, jobOptions(c, o), tr)
-	if err != nil {
-		return res, err
-	}
-	res.StateBytes = 0
-	return res, nil
-}
-
 // Execute runs one job to completion and returns its result (see
-// ExecuteOpts; this is the no-frills form the CLIs used before
-// checkpointing existed and the tests still exercise).
+// ExecuteOpts; this is the no-frills form the tests and bench/
+// exercise).
 func Execute(spec store.JobSpec, workers int) (*explore.Result, error) {
 	return ExecuteOpts(context.Background(), spec, ExecOptions{Workers: workers})
 }
 
-// ExecuteOpts runs one job under a context, with optional
-// checkpoint/restore and an out-of-core memory budget. On cancellation
-// it returns an error wrapping ErrInterrupted (snapshot saved when
-// o.Checkpoints is set). On success the result's StateBytes is zeroed:
-// it measures this process's retained footprint — different between
-// resumed/fresh and spilled/in-memory runs of the same job — and the
-// persisted verdict must be byte-identical across all of them.
+// ExecuteOpts runs one job under a context — in this process, with
+// optional checkpoint/restore and an out-of-core memory budget, or
+// across o.Peers when set; the two are byte-identical by the cluster
+// differential battery's contract. On cancellation it returns an error
+// wrapping ErrInterrupted (snapshot saved when o.Checkpoints is set).
+// On success the result's StateBytes is zeroed: it measures this
+// process's retained footprint — different between resumed/fresh,
+// spilled/in-memory and local/distributed runs of the same job — and
+// the persisted verdict must be byte-identical across all of them.
 func ExecuteOpts(ctx context.Context, spec store.JobSpec, o ExecOptions) (*explore.Result, error) {
 	c := spec.Canonical()
 	factory, err := prepare(c)
@@ -329,12 +305,29 @@ func ExecuteOpts(ctx context.Context, spec store.JobSpec, o ExecOptions) (*explo
 		return nil, err
 	}
 	opts := jobOptions(c, o)
+	run := factory.run
 	var ckpt *store.Checkpoint
-	if o.Checkpoints != nil {
+	switch {
+	case len(o.Peers) > 0:
+		raw, err := json.Marshal(c)
+		if err != nil {
+			return nil, fmt.Errorf("campaign: marshal spec: %w", err)
+		}
+		tr, err := cluster.DialHTTP(ctx, cluster.HTTPConfig{
+			Peers: o.Peers, Job: c.Key(), Spec: raw, Workers: o.Workers,
+		})
+		if err != nil {
+			return nil, err
+		}
+		defer tr.Close()
+		run = func(ctx context.Context, opts explore.Options) (*explore.Result, error) {
+			return factory.runCluster(ctx, opts, tr)
+		}
+	case o.Checkpoints != nil:
 		ckpt = o.Checkpoints.Checkpoint(c.Key())
 		opts.Checkpoint = ckpt
 	}
-	res, err := factory.run(ctx, opts)
+	res, err := run(ctx, opts)
 	if err != nil {
 		return res, err
 	}

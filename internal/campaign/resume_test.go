@@ -3,15 +3,12 @@ package campaign_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/explore"
 	"repro/internal/store"
 )
 
@@ -23,15 +20,20 @@ func bigSpec() store.JobSpec {
 	}.Canonical()
 }
 
+// ckptPath is where the dir engine keeps spec's snapshot.
+func ckptPath(st store.Interface, spec store.JobSpec) string {
+	return filepath.Join(st.Dir(), "checkpoints", spec.Key()[:2], spec.Key()+".ckpt")
+}
+
 // interruptAfterCheckpoint cancels ctx as soon as a checkpoint file
 // for spec appears in the store.
 func interruptAfterCheckpoint(t *testing.T, st store.Interface, spec store.JobSpec, cancel context.CancelFunc) chan struct{} {
 	t.Helper()
 	stop := make(chan struct{})
-	glob := filepath.Join(st.Dir(), "checkpoints", spec.Key()[:2], spec.Key()+".ckpt")
+	path := ckptPath(st, spec)
 	go func() {
 		for i := 0; i < 30_000; i++ {
-			if _, err := os.Stat(glob); err == nil {
+			if _, err := os.Stat(path); err == nil {
 				cancel()
 				return
 			}
@@ -46,47 +48,6 @@ func interruptAfterCheckpoint(t *testing.T, st store.Interface, spec store.JobSp
 	return stop
 }
 
-// TestExecuteOptsMidJobResume: an ExecuteOpts cancelled mid-exploration
-// leaves a snapshot; the next identical call resumes it (stats prove
-// it) and returns a result byte-identical to an uninterrupted run's.
-func TestExecuteOptsMidJobResume(t *testing.T) {
-	spec := bigSpec()
-	clean, err := campaign.Execute(spec, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, _ := json.Marshal(clean)
-
-	st := openStore(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	watch := interruptAfterCheckpoint(t, st, spec, cancel)
-	eo := campaign.ExecOptions{Workers: 2, Checkpoints: st, CheckpointEvery: 2000}
-	_, err = campaign.ExecuteOpts(ctx, spec, eo)
-	close(watch)
-	if !errors.Is(err, campaign.ErrInterrupted) {
-		t.Fatalf("want ErrInterrupted, got %v", err)
-	}
-
-	var stats explore.RunStats
-	eo.Stats = &stats
-	res, err := campaign.ExecuteOpts(context.Background(), spec, eo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.ResumedStates == 0 {
-		t.Fatal("second run did not resume from the snapshot")
-	}
-	gotJSON, _ := json.Marshal(res)
-	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Fatalf("resumed result diverges:\n%s\nvs\n%s", gotJSON, wantJSON)
-	}
-	// Completion deletes the snapshot.
-	if _, err := os.Stat(filepath.Join(st.Dir(), "checkpoints", spec.Key()[:2], spec.Key()+".ckpt")); !os.IsNotExist(err) {
-		t.Fatalf("checkpoint not deleted after completion: %v", err)
-	}
-}
-
 // TestRunMidCellResume: a campaign interrupted mid-cell marks the cell
 // skipped (snapshot saved); re-running the campaign resumes the cell
 // from the snapshot (Event.Resumed proves it) and the final report is
@@ -97,14 +58,16 @@ func TestRunMidCellResume(t *testing.T) {
 
 	// Uninterrupted reference (its own store).
 	refStore := openStore(t)
-	ref := campaign.Run(context.Background(), refStore, cells, campaign.RunOptions{Workers: 1, JobWorkers: 2})
+	ref := campaign.Run(context.Background(), refStore, cells, campaign.RunOptions{Workers: 1, Exec: campaign.ExecOptions{Workers: 2}})
 	want := ref.JSON()
 
 	for _, workers := range []int{1, 8} {
 		st := openStore(t)
 		ctx, cancel := context.WithCancel(context.Background())
 		watch := interruptAfterCheckpoint(t, st, cells[0], cancel)
-		opts := campaign.RunOptions{Workers: workers, JobWorkers: 2, Checkpoint: true, CheckpointEvery: 2000}
+		opts := campaign.RunOptions{Workers: workers, Exec: campaign.ExecOptions{
+			Workers: 2, Checkpoints: st, CheckpointEvery: 2000,
+		}}
 		rep := campaign.Run(ctx, st, cells, opts)
 		close(watch)
 		cancel()

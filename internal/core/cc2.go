@@ -178,10 +178,10 @@ func (a *Alg) joinTokenHolder(cfg []State, p int) bool {
 }
 
 // joinTokenTarget picks the committee for Step12's body. The paper's
-// formula reads P_max(TPointingNodes_p); per DESIGN.md we implement its
-// evident intent — among TPointingEdges_p, the edge pointed at by the
-// looking token-holder with the greatest identifier — which coincides
-// with the formula whenever the token is unique.
+// formula reads P_max(TPointingNodes_p); per docs/paper-map.md we
+// implement its evident intent — among TPointingEdges_p, the edge
+// pointed at by the looking token-holder with the greatest identifier —
+// which coincides with the formula whenever the token is unique.
 func (a *Alg) joinTokenTarget(cfg []State, p int) int {
 	best, bestID := NoEdge, -1
 	for _, e := range a.tPointingEdges(cfg, p) {

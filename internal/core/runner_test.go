@@ -10,9 +10,9 @@ import (
 )
 
 // TestEnvTickUnblocksDiscussionTimers reproduces the simulation-model
-// subtlety documented in DESIGN.md: when every enabled transition waits
-// on RequestOut (application time), the runner must let the environment
-// advance rather than declare quiescence.
+// subtlety documented in docs/paper-map.md: when every enabled
+// transition waits on RequestOut (application time), the runner must
+// let the environment advance rather than declare quiescence.
 func TestEnvTickUnblocksDiscussionTimers(t *testing.T) {
 	h := hypergraph.CommitteePath(2) // single committee {0,1}
 	alg := core.New(core.CC2, h, nil)

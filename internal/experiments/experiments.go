@@ -1,7 +1,7 @@
 // Package experiments regenerates every figure and analytic result of
-// the paper as a runnable experiment (see DESIGN.md §2 for the index).
-// Each experiment produces one or more Tables; `cmd/ccbench` renders
-// them, and EXPERIMENTS.md records a reference run. Because the paper is
+// the paper as a runnable experiment (`ccbench -list` is the index;
+// docs/paper-map.md maps each to its claim). Each experiment produces
+// one or more Tables; `cmd/ccbench` renders them. Because the paper is
 // proof-driven (no empirical tables), the "paper vs measured" comparison
 // is: does the measured behaviour satisfy the theorem / exhibit the
 // figure's scenario?

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/campaign"
 	"repro/internal/explore"
 	"repro/internal/par"
@@ -20,10 +22,10 @@ import (
 // wedge on the 3-ring is reported but is not a failing claim (the
 // related-work algorithms make no stabilization promise).
 //
-// Every cell is a content-addressed job spec executed through
-// campaign.Execute — the same runner behind cccheck and ccserve — so
-// with Config.CacheDir set, verdicts flow through the shared store in
-// both directions.
+// Every cell is a content-addressed job spec run through campaign.Cell
+// — the same lifecycle behind cccheck and ccserve — so with
+// Config.CacheDir set, verdicts flow through the shared store in both
+// directions.
 func init() {
 	register(Experiment{
 		ID:   "MC",
@@ -46,26 +48,11 @@ func init() {
 				}
 				defer st.Close()
 			}
-			// runCell serves one content-addressed cell, through the
-			// store when configured. Cells fan across the pool, so each
-			// explores with one worker.
+			// Cells fan across the pool, so each explores with one worker
+			// (the ExecOptions zero value).
 			runCell := func(spec store.JobSpec) (*explore.Result, error) {
-				spec = spec.Canonical()
-				if st != nil {
-					if r, _, ok := st.Get(spec); ok {
-						return r, nil
-					}
-				}
-				r, err := campaign.Execute(spec, 1)
-				if err != nil {
-					return nil, err
-				}
-				if st != nil {
-					if _, err := st.Put(spec, r); err != nil {
-						return nil, err
-					}
-				}
-				return r, nil
+				out := campaign.Cell(context.Background(), st, spec, campaign.ExecOptions{})
+				return out.Result, out.Failure()
 			}
 
 			cell := func(alg, topo, init, daemon string) store.JobSpec {

@@ -56,10 +56,6 @@ func Baseline(kind baseline.Kind, h *hypergraph.H, disc int) (func() *Model[base
 			Prog:  prog,
 			Probe: a.Probe(),
 			Codec: baseCodec(layout),
-			Ref: StringCodec[baseline.BState]{
-				Encode: encodeBase,
-				Decode: func(key string) []baseline.BState { return decodeBase(key, n) },
-			},
 			Inits: func(yield func(cfg []baseline.BState) bool) {
 				cfg := make([]baseline.BState, n)
 				for p := 0; p < n; p++ {

@@ -8,9 +8,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Benchmarks mirroring the BENCH_explore.json cell definitions
-// (internal/experiments/explorebench.go), each measured through the
-// batch pipeline and through the forced-scalar path — so
+// Benchmarks over check-heavy CC cells (central and all-subsets
+// branching), each measured through the batch pipeline and through the
+// forced-scalar path — so
 //
 //	go test -bench 'BenchmarkCell' -benchtime 1x ./internal/explore/
 //

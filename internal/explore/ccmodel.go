@@ -136,14 +136,10 @@ func CC(variant core.Variant, h *hypergraph.H, opts CCOptions) (func() *Model[co
 			}
 		}
 		return &Model[core.State]{
-			Name:  name,
-			Prog:  prog,
-			Probe: alg.Probe(),
-			Codec: ccCodec(layout),
-			Ref: StringCodec[core.State]{
-				Encode: encodeCC,
-				Decode: func(key string) []core.State { return decodeCC(key, h.N()) },
-			},
+			Name:    name,
+			Prog:    prog,
+			Probe:   alg.Probe(),
+			Codec:   ccCodec(layout),
 			Inits:   ccInits(alg, opts),
 			Correct: alg.Correct,
 			Render:  func(cfg []core.State) string { return renderCC(alg, cfg) },

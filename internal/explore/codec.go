@@ -10,8 +10,8 @@ import "fmt"
 // core.Alg.Domains and the baseline topology; an out-of-domain value is
 // a codec bug and panics). The explorer stores states only in this
 // form — one append-only arena of Words-sized records — and decodes
-// into reusable buffers; the PR 2 string codecs survive solely as the
-// differential-test oracle (StringCodec) and for rendering traces.
+// into reusable buffers; the PR 2 string codecs survive solely in the
+// differential battery's oracle (stringcodec_test.go).
 type Codec[S any] struct {
 	// Words is the fixed encoded size, in 64-bit words.
 	Words int
@@ -62,14 +62,6 @@ func extractWords(src []uint64, off, width int) uint64 {
 		v &= uint64(1)<<width - 1
 	}
 	return v
-}
-
-// StringCodec is the PR 2 byte-per-field state codec, kept as the
-// differential oracle (Reference) and performance baseline; the binary
-// Codec is the engine's.
-type StringCodec[S any] struct {
-	Encode func(dst []byte, cfg []S) []byte
-	Decode func(key string) []S
 }
 
 // bitWriter packs little-endian bit fields into a fixed []uint64

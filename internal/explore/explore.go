@@ -37,7 +37,7 @@
 // canonicalized to the lexicographically least encoding in its orbit,
 // shrinking the space by up to the group order with the same verdict.
 // The PR 2 string-codec serial engine survives as Reference, the
-// differential-test oracle.
+// differential battery's oracle (reference_test.go).
 package explore
 
 import (
@@ -88,9 +88,6 @@ type Model[S sim.Cloneable[S]] struct {
 	// through. Two configurations are identified iff their encodings
 	// are equal.
 	Codec Codec[S]
-	// Ref is the PR 2 string codec, used only by Reference (the
-	// differential oracle) and the bench baseline.
-	Ref StringCodec[S]
 	// Inits streams the initial configurations; stop when yield returns
 	// false.
 	Inits func(yield func(cfg []S) bool)

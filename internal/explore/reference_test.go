@@ -10,8 +10,8 @@ import (
 )
 
 // Reference is the PR 2 exploration engine, preserved as the
-// differential-test oracle and performance baseline for the binary
-// engine: string-keyed canonical codecs (Model.Ref), one serial
+// differential-test oracle for the binary engine: string-keyed
+// canonical codecs (refCodec), one serial
 // map[string]int32 dedup loop, layer-parallel expansion with
 // merge-in-order. Explore must reproduce its states, transitions,
 // depths, verdicts and traces exactly (modulo the trace Key field,
@@ -37,6 +37,7 @@ func Reference[S sim.Cloneable[S]](newModel func() *Model[S], opts Options) *Res
 		models[i] = newModel()
 	}
 	m0 := models[0]
+	ref := refCodec(m0)
 
 	res := &Result{Model: m0.Name, Mode: opts.Mode, MaxIncorrectDepth: -1}
 
@@ -65,7 +66,7 @@ func Reference[S sim.Cloneable[S]](newModel func() *Model[S], opts Options) *Res
 	var layer []int32
 	var encBuf []byte
 	m0.Inits(func(cfg []S) bool {
-		encBuf = m0.Ref.Encode(encBuf[:0], cfg)
+		encBuf = ref.Encode(encBuf[:0], cfg)
 		if id, fresh := add(string(encBuf), -1, ""); fresh {
 			layer = append(layer, id)
 			res.Inits++
@@ -83,10 +84,10 @@ func Reference[S sim.Cloneable[S]](newModel func() *Model[S], opts Options) *Res
 		}
 		out := make([]TraceStep, 0, len(path)+1)
 		for i := len(path) - 1; i >= 0; i-- {
-			out = append(out, TraceStep{Sel: decodeSel(selOf[path[i]]), Config: m0.render(m0.Ref.Decode(keys[path[i]]))})
+			out = append(out, TraceStep{Sel: decodeSel(selOf[path[i]]), Config: m0.render(ref.Decode(keys[path[i]]))})
 		}
 		if v.nextKey != "" {
-			out = append(out, TraceStep{Sel: decodeSel(v.sel), Config: m0.render(m0.Ref.Decode(v.nextKey))})
+			out = append(out, TraceStep{Sel: decodeSel(v.sel), Config: m0.render(ref.Decode(v.nextKey))})
 		}
 		return out
 	}
@@ -104,7 +105,7 @@ func Reference[S sim.Cloneable[S]](newModel func() *Model[S], opts Options) *Res
 			model := models[w]
 			rng := rand.New(rand.NewSource(1))
 			for i := lo; i < hi; i++ {
-				exps[i] = refExpandOne(model, keys[layer[i]], depth, opts, rng)
+				exps[i] = refExpandOne(model, ref, keys[layer[i]], depth, opts, rng)
 			}
 		})
 		var next []int32
@@ -178,8 +179,8 @@ type refExpansion struct {
 	viols     []refViol
 }
 
-func refExpandOne[S sim.Cloneable[S]](model *Model[S], key string, depth int, opts Options, rng *rand.Rand) refExpansion {
-	cfg := model.Ref.Decode(key)
+func refExpandOne[S sim.Cloneable[S]](model *Model[S], ref stringCodec[S], key string, depth int, opts Options, rng *rand.Rand) refExpansion {
+	cfg := ref.Decode(key)
 	var ex refExpansion
 
 	wasMeets := spec.MeetsVector(model.Probe, cfg, nil)
@@ -200,7 +201,7 @@ func refExpandOne[S sim.Cloneable[S]](model *Model[S], key string, depth int, op
 	var encBuf []byte
 	var isMeets []bool
 	enabled, branches := refSuccessors(model.Prog, cfg, opts.Mode, rng, opts.MaxBranch, func(sel []int, nxt []S) bool {
-		encBuf = model.Ref.Encode(encBuf[:0], nxt)
+		encBuf = ref.Encode(encBuf[:0], nxt)
 		s := refSucc{key: string(encBuf), sel: string(appendSel(nil, sel))}
 		ex.succs = append(ex.succs, s)
 		isMeets = spec.MeetsVector(model.Probe, nxt, isMeets)

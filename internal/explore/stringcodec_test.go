@@ -5,12 +5,34 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
-// The PR 2 string codecs: canonical byte-per-field encodings, now used
-// only by the Reference oracle engine (differential battery, bench
-// baseline). The live engine stores bit-packed binary encodings — see
-// cccodec.go / basecodec.go.
+// The PR 2 string codecs: canonical byte-per-field encodings, used only
+// by the Reference oracle engine of the differential battery. The live
+// engine stores bit-packed binary encodings — see cccodec.go /
+// basecodec.go.
+
+// stringCodec is the oracle's state codec for one model.
+type stringCodec[S any] struct {
+	Encode func(dst []byte, cfg []S) []byte
+	Decode func(key string) []S
+}
+
+// refCodec picks the string codec matching a model's state type.
+func refCodec[S sim.Cloneable[S]](m *Model[S]) stringCodec[S] {
+	n := m.Prog.NumProcs
+	var c any
+	switch any(m).(type) {
+	case *Model[core.State]:
+		c = stringCodec[core.State]{Encode: encodeCC, Decode: func(key string) []core.State { return decodeCC(key, n) }}
+	case *Model[baseline.BState]:
+		c = stringCodec[baseline.BState]{Encode: encodeBase, Decode: func(key string) []baseline.BState { return decodeBase(key, n) }}
+	default:
+		panic(fmt.Sprintf("explore: no string codec for %T", m))
+	}
+	return c.(stringCodec[S])
+}
 
 // appendI16 encodes a small signed int (≥ -1) as two bytes.
 func appendI16(dst []byte, v int) []byte {

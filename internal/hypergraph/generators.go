@@ -34,11 +34,11 @@ func Figure2() *H {
 // Figure3 returns the 10-professor topology of the paper's Figure 3
 // example computation. The figure names committees {1,2,3}, {5,6}, {6,7},
 // {6,9}, {7,8}, {8,9}, {9,10}; professor 4's committees are not spelled
-// out in the text, so — as documented in DESIGN.md — we attach professor 4
-// via committees {3,4} and {4,5}. This keeps the network connected (the
-// token demonstrably travels 1→2→3→4→6 in the figure, so 3-4 and 4-5-6
-// must be communication paths) while professor 4 stays disinterested
-// ("idle") exactly as in the figure.
+// out in the text, so — as documented in docs/paper-map.md — we attach
+// professor 4 via committees {3,4} and {4,5}. This keeps the network
+// connected (the token demonstrably travels 1→2→3→4→6 in the figure, so
+// 3-4 and 4-5-6 must be communication paths) while professor 4 stays
+// disinterested ("idle") exactly as in the figure.
 func Figure3() *H {
 	h := MustNew(10, []Edge{
 		{0, 1, 2}, // {1,2,3}

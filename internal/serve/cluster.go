@@ -1,6 +1,6 @@
 // The cluster tier: ccserve as one peer of a distributed exploration.
-// A coordinator (cccheck -peers, or campaign.ExecuteCluster) opens a
-// job here with POST /v1/cluster/rpc {op:"open"}, after which this
+// A coordinator (cccheck -peers, i.e. campaign.ExecOptions.Peers) opens
+// a job here with POST /v1/cluster/rpc {op:"open"}, after which this
 // process hosts one shard of the partitioned visited set, expands its
 // slice of every BFS layer on command, ships successors it does not
 // own to the owning peers as binary frames (POST /v1/cluster/frontier

@@ -37,7 +37,7 @@ func TestClusterHTTPEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := campaign.ExecuteCluster(context.Background(), spec, peers, campaign.ExecOptions{Workers: 2})
+	got, err := campaign.ExecuteOpts(context.Background(), spec, campaign.ExecOptions{Workers: 2, Peers: peers})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -760,7 +760,13 @@ func (s *Server) run(j *job) {
 	s.mu.Unlock()
 	s.logf("job %s running: %s", j.key[:12], j.spec)
 
-	useStore := s.storeAvailable()
+	// With the breaker open the store is known bad: the cell runs
+	// compute-only — no lookup, no checkpoints (snapshots live in the
+	// same store that just failed), no write.
+	var st store.Interface
+	if s.storeAvailable() {
+		st = s.cfg.Store
+	}
 	eo := campaign.ExecOptions{
 		Workers:   s.cfg.JobWorkers,
 		MemBudget: s.cfg.MemBudget,
@@ -768,11 +774,12 @@ func (s *Server) run(j *job) {
 		FS:        s.cfg.FS,
 		Stats:     &explore.RunStats{},
 		Progress:  s.progressFunc(j.key),
+		// A failed job is terminal here: the client's resubmission is
+		// the retry, and the breaker counts every store-write failure.
+		Retries: -1,
 	}
-	if s.cfg.CheckpointEvery > 0 && useStore {
-		// Compute-only mode skips checkpointing too: snapshots live in
-		// the same store that just failed.
-		eo.Checkpoints = s.cfg.Store
+	if s.cfg.CheckpointEvery > 0 && st != nil {
+		eo.Checkpoints = st
 		eo.CheckpointEvery = s.cfg.CheckpointEvery
 	}
 	jobCtx, cancelJob := s.baseCtx, context.CancelFunc(func() {})
@@ -780,36 +787,34 @@ func (s *Server) run(j *job) {
 		jobCtx, cancelJob = context.WithTimeout(s.baseCtx, s.cfg.JobTimeout)
 	}
 	start := time.Now()
-	res, err := campaign.ExecuteOpts(jobCtx, j.spec, eo)
+	out := campaign.Cell(jobCtx, st, j.spec, eo)
 	cancelJob()
 	elapsed := time.Since(start)
-	interrupted := errors.Is(err, campaign.ErrInterrupted)
+	res, err := out.Result, out.Err
+	interrupted := out.Status == campaign.StatusSkipped
 	// A deadline on jobCtx with baseCtx still live is this job's own
 	// timeout, not a shutdown.
 	timedOut := interrupted && errors.Is(jobCtx.Err(), context.DeadlineExceeded) && s.baseCtx.Err() == nil
 
-	var raw []byte
-	if err == nil {
-		// Serve the exact bytes the store now holds; if persisting
-		// fails the verdict is still correct, so marshal it directly
-		// (the next identical submission will recompute).
-		if useStore {
-			var perr error
-			if raw, perr = s.cfg.Store.Put(j.spec, res); perr != nil {
-				s.storeFailed(perr)
-			} else {
-				s.storeOK()
-				if s.cfg.Gossip != nil {
-					// Announce the fresh verdict to the fleet: the peers'
-					// next identical submission is a store hit, not a
-					// recomputation.
-					s.cfg.Gossip.Committed(j.key)
-				}
+	// Serve the exact bytes the store now holds; if persisting failed
+	// the verdict is still correct, so marshal it directly (the next
+	// identical submission will recompute).
+	raw := out.Raw
+	if st != nil && err == nil && out.Status != campaign.StatusHit {
+		if out.PersistErr != nil {
+			s.storeFailed(out.PersistErr)
+		} else {
+			s.storeOK()
+			if s.cfg.Gossip != nil {
+				// Announce the fresh verdict to the fleet: the peers'
+				// next identical submission is a store hit, not a
+				// recomputation.
+				s.cfg.Gossip.Committed(j.key)
 			}
 		}
-		if raw == nil {
-			raw, _ = json.Marshal(res)
-		}
+	}
+	if err == nil && raw == nil {
+		raw, _ = json.Marshal(res)
 	}
 
 	s.mu.Lock()
@@ -842,6 +847,11 @@ func (s *Server) run(j *job) {
 		if cl := chaos.Classify(err); cl != chaos.Unknown {
 			j.errClass = cl.String()
 		}
+	case out.Status == campaign.StatusHit:
+		// The verdict landed between submit's probe and this job's turn
+		// (gossip, or another process sharing the cache directory).
+		s.cacheHits++
+		j.status, j.cached, j.res, j.result = StatusDone, true, res, raw
 	default:
 		s.executed++
 		s.statesExplored += int64(res.States)

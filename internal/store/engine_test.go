@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/campaign"
@@ -64,6 +65,51 @@ func TestEngineUnknown(t *testing.T) {
 	if _, err := store.OpenEngine(store.EngineLog, "", nil); err == nil {
 		t.Fatal("log engine accepted an empty directory")
 	}
+}
+
+// TestEngineRefusesOtherLayout: a directory holding one engine's
+// verdicts does not open under the other (it would read as an empty
+// cache and grow a second layout beside the first); the error names
+// the engine found on disk. A directory an engine opened but never
+// wrote a verdict to — manifests and checkpoints are shared — still
+// opens under either.
+func TestEngineRefusesOtherLayout(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, st store.Interface) {
+		other := store.EngineLog
+		if st.Engine() == store.EngineLog {
+			other = store.EngineDir
+		}
+		if err := st.PutCampaign("c0", []string{smallSpec().Key()}); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		empty, err := store.OpenEngine(other, st.Dir(), nil)
+		if err != nil {
+			t.Fatalf("verdict-free %s directory refused under %s: %v", st.Engine(), other, err)
+		}
+		empty.Close()
+
+		st, err = store.OpenEngine(st.Engine(), st.Dir(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Put(smallSpec(), fakeResult(7, false)); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		_, err = store.OpenEngine(other, st.Dir(), nil)
+		if err == nil || !strings.Contains(err.Error(), st.Engine()+"-engine") {
+			t.Fatalf("%s opened a %s directory: err = %v", other, st.Engine(), err)
+		}
+		same, err := store.OpenEngine(st.Engine(), st.Dir(), nil)
+		if err != nil {
+			t.Fatalf("reopen under the same engine: %v", err)
+		}
+		defer same.Close()
+		if _, _, ok := same.Get(smallSpec()); !ok {
+			t.Fatal("entry lost across the refused open")
+		}
+	})
 }
 
 // TestEngineRoundTrip: Put → Get byte identity, alias reads, re-Put

@@ -2,6 +2,9 @@ package store
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 
 	"repro/internal/chaos"
 	"repro/internal/explore"
@@ -141,14 +144,48 @@ type CompactStats struct {
 // OpenEngine opens the store rooted at dir under the named engine
 // ("dir", "log"; "" = dir), doing I/O through fsys (nil = the host
 // filesystem). This is the one constructor the CLIs' -store-engine
-// flag funnels into.
+// flag funnels into. A directory that already holds the other engine's
+// verdicts is refused: opened anyway it would read as an empty cache
+// and then grow a second layout beside the first.
 func OpenEngine(engine, dir string, fsys chaos.FS) (Interface, error) {
-	switch engine {
-	case "", EngineDir:
-		return OpenFS(dir, fsys)
-	case EngineLog:
-		return OpenLogFS(dir, fsys)
-	default:
+	if engine == "" {
+		engine = EngineDir
+	}
+	if engine != EngineDir && engine != EngineLog {
 		return nil, fmt.Errorf("store: unknown engine %q (want %s or %s)", engine, EngineDir, EngineLog)
 	}
+	if found := engineOnDisk(dir); found != "" && found != engine {
+		return nil, fmt.Errorf("store: %s holds %s-engine verdicts; open it with -store-engine %s, not %s", dir, found, found, engine)
+	}
+	if engine == EngineLog {
+		return OpenLogFS(dir, fsys)
+	}
+	return OpenFS(dir, fsys)
+}
+
+// engineOnDisk reports which engine's verdict layout dir already holds:
+// log segments, dir-engine entry files, or "" for neither (a fresh or
+// empty directory, or one holding only the shared campaigns /
+// checkpoints / quarantine trees). Metadata listing stays on the host
+// filesystem, like the engines' own walks.
+func engineOnDisk(dir string) string {
+	segs, _ := os.ReadDir(filepath.Join(dir, segmentsDir))
+	for _, e := range segs {
+		if segNameRe.MatchString(e.Name()) {
+			return EngineLog
+		}
+	}
+	shards, _ := os.ReadDir(dir)
+	for _, d := range shards {
+		if !d.IsDir() || len(d.Name()) != 2 {
+			continue
+		}
+		entries, _ := os.ReadDir(filepath.Join(dir, d.Name()))
+		for _, e := range entries {
+			if strings.HasSuffix(e.Name(), ".json") && !strings.HasPrefix(e.Name(), ".") {
+				return EngineDir
+			}
+		}
+	}
+	return ""
 }
