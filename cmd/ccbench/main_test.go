@@ -1,8 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -69,39 +67,5 @@ func TestCCBenchMCCache(t *testing.T) {
 	}
 	if out1 != out2 {
 		t.Fatalf("cached MC output differs:\n%s\nvs\n%s", out1, out2)
-	}
-}
-
-func TestCCBenchBenchJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark timing loop")
-	}
-	bin := cmdtest.Build(t, ".")
-	path := filepath.Join(t.TempDir(), "BENCH_step.json")
-	out, code := cmdtest.Run(t, bin, 5*time.Minute, "-bench-json", path)
-	if code != 0 {
-		t.Fatalf("exit %d:\n%s", code, out)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parsed struct {
-		GoVersion  string `json:"go_version"`
-		Benchmarks []struct {
-			Name      string  `json:"name"`
-			NsPerStep float64 `json:"ns_per_step"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(data, &parsed); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, data)
-	}
-	if parsed.GoVersion == "" || len(parsed.Benchmarks) == 0 {
-		t.Fatalf("empty benchmark file: %s", data)
-	}
-	for _, b := range parsed.Benchmarks {
-		if b.NsPerStep <= 0 {
-			t.Fatalf("non-positive timing for %s", b.Name)
-		}
 	}
 }

@@ -47,8 +47,8 @@ func goPackageDirs(t *testing.T) []string {
 	return out
 }
 
-// TestEveryPackageDocumented: each package (the 21 internal ones, the
-// 6 commands, the examples, and this root) must have a package-level
+// TestEveryPackageDocumented: each package (the 20 internal ones, the
+// 5 commands, the examples, and this root) must have a package-level
 // doc comment on at least one file — godoc is part of the interface.
 func TestEveryPackageDocumented(t *testing.T) {
 	fset := token.NewFileSet()

@@ -137,6 +137,11 @@ type pendTagged struct {
 	meta  explore.PendMeta
 }
 
+// interrupted is Run's error for a cancelled context.
+func interrupted(states int, cause error) error {
+	return fmt.Errorf("cluster: %w at %d states (%v)", explore.ErrInterrupted, states, cause)
+}
+
 // Run executes one exploration across the transport's peers and
 // returns a Result byte-identical to explore.ExploreCtx(newModel,
 // opts) — verdict, counts, counterexample traces — except StateBytes,
@@ -147,7 +152,15 @@ type pendTagged struct {
 // selection, owning shard per state) plus one layer of pending
 // metadata during a merge; the state encodings themselves live only on
 // the peers.
-func Run[S sim.Cloneable[S]](ctx context.Context, newModel func() *explore.Model[S], opts explore.Options, tr Transport) (*explore.Result, error) {
+func Run[S sim.Cloneable[S]](ctx context.Context, newModel func() *explore.Model[S], opts explore.Options, tr Transport) (_ *explore.Result, err error) {
+	totalStates := 0
+	defer func() {
+		// A transport bound to ctx fails whichever call the cancellation
+		// caught in flight; report the cause, not that symptom.
+		if cerr := ctx.Err(); err != nil && cerr != nil && !errors.Is(err, explore.ErrInterrupted) {
+			err = interrupted(totalStates, cerr)
+		}
+	}()
 	opts = opts.Defaulted()
 	m0 := newModel()
 	n := tr.Peers()
@@ -176,7 +189,6 @@ func Run[S sim.Cloneable[S]](ctx context.Context, newModel func() *explore.Model
 	var parentOf []int32
 	var selOf []string
 	var shardOf []uint16
-	totalStates := 0
 
 	// mergeCommit is the serial phase-B analogue: gather each shard's
 	// pos-sorted pending metadata, merge into the global discovery
@@ -288,7 +300,7 @@ func Run[S sim.Cloneable[S]](ctx context.Context, newModel func() *explore.Model
 	retries := 0
 	for frontLen > 0 && len(res.Violations) < opts.MaxViolations {
 		if cerr := ctx.Err(); cerr != nil {
-			return res, fmt.Errorf("cluster: %w at %d states (%v)", explore.ErrInterrupted, totalStates, cerr)
+			return res, interrupted(totalStates, cerr)
 		}
 		if opts.MaxDepth > 0 && depth >= opts.MaxDepth {
 			res.Truncated = true
@@ -311,6 +323,11 @@ func Run[S sim.Cloneable[S]](ctx context.Context, newModel func() *explore.Model
 			}(p)
 		}
 		wg.Wait()
+		// A cancelled run fails its in-flight Expands; those peers are
+		// not lost, so neither roll back nor migrate — just stop.
+		if cerr := ctx.Err(); cerr != nil {
+			return res, interrupted(totalStates, cerr)
+		}
 
 		var dead []int
 		sendFails := 0

@@ -96,17 +96,22 @@ type HTTPConfig struct {
 type HTTP struct {
 	cfg    HTTPConfig
 	client *http.Client
+	// ctx is the dial context. The Transport methods take none, so it
+	// rides here and bounds every call but Close: cancelling it
+	// interrupts an Expand that would otherwise block for its whole
+	// layer.
+	ctx context.Context
 }
 
 // DialHTTP opens the job on every peer (validating the spec and
-// building an engine there) and returns the connected transport. A
-// peer that fails to open fails the dial; already-opened peers are
-// closed best-effort.
+// building an engine there) and returns the connected transport, whose
+// later calls stay bound to ctx. A peer that fails to open fails the
+// dial; already-opened peers are closed best-effort.
 func DialHTTP(ctx context.Context, cfg HTTPConfig) (*HTTP, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("cluster: no peer URLs")
 	}
-	h := &HTTP{cfg: cfg, client: cfg.Client}
+	h := &HTTP{cfg: cfg, client: cfg.Client, ctx: ctx}
 	if h.client == nil {
 		h.client = &http.Client{Timeout: 10 * time.Minute}
 	}
@@ -125,30 +130,41 @@ func DialHTTP(ctx context.Context, cfg HTTPConfig) (*HTTP, error) {
 }
 
 func (h *HTTP) rpc(ctx context.Context, p int, req RPCRequest) (*RPCResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
+	var out RPCResponse
+	if err := h.post(ctx, p, "/v1/cluster/rpc", req.Op, req, &out); err != nil {
 		return nil, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		h.cfg.Peers[p]+"/v1/cluster/rpc", bytes.NewReader(body))
+	return &out, nil
+}
+
+// post sends one JSON control-plane call to peer p and decodes the 200
+// body into out (nil = no payload expected).
+func (h *HTTP) post(ctx context.Context, p int, path, op string, in, out any) error {
+	body, err := json.Marshal(in)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, h.cfg.Peers[p]+path, bytes.NewReader(body))
+	if err != nil {
+		return err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	resp, err := h.client.Do(hreq)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("peer %d: %s %s: %s", p, req.Op, resp.Status, bytes.TrimSpace(msg))
+		return fmt.Errorf("peer %d: %s %s: %s", p, op, resp.Status, bytes.TrimSpace(msg))
 	}
-	var out RPCResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("peer %d: decode %s response: %w", p, req.Op, err)
+	if out == nil {
+		return nil
 	}
-	return &out, nil
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("peer %d: decode %s response: %w", p, op, err)
+	}
+	return nil
 }
 
 // Peers implements Transport.
@@ -156,13 +172,13 @@ func (h *HTTP) Peers() int { return len(h.cfg.Peers) }
 
 // Seed implements Transport.
 func (h *HTTP) Seed(p int) error {
-	_, err := h.rpc(context.Background(), p, RPCRequest{Op: "seed", Job: h.cfg.Job})
+	_, err := h.rpc(h.ctx, p, RPCRequest{Op: "seed", Job: h.cfg.Job})
 	return err
 }
 
 // Expand implements Transport.
 func (h *HTTP) Expand(p int, depth int, firstGid int32, atCap bool) (*explore.LayerReport, error) {
-	out, err := h.rpc(context.Background(), p, RPCRequest{
+	out, err := h.rpc(h.ctx, p, RPCRequest{
 		Op: "expand", Job: h.cfg.Job, Depth: depth, FirstGid: firstGid, AtCap: atCap,
 	})
 	if err != nil {
@@ -176,7 +192,7 @@ func (h *HTTP) Expand(p int, depth int, firstGid int32, atCap bool) (*explore.La
 
 // FinishLayer implements Transport.
 func (h *HTTP) FinishLayer(p int) (bool, error) {
-	out, err := h.rpc(context.Background(), p, RPCRequest{Op: "finish", Job: h.cfg.Job})
+	out, err := h.rpc(h.ctx, p, RPCRequest{Op: "finish", Job: h.cfg.Job})
 	if err != nil {
 		return false, err
 	}
@@ -185,7 +201,7 @@ func (h *HTTP) FinishLayer(p int) (bool, error) {
 
 // PendMeta implements Transport.
 func (h *HTTP) PendMeta(p, shard int) ([]explore.PendMeta, error) {
-	out, err := h.rpc(context.Background(), p, RPCRequest{Op: "pendmeta", Job: h.cfg.Job, Shard: shard})
+	out, err := h.rpc(h.ctx, p, RPCRequest{Op: "pendmeta", Job: h.cfg.Job, Shard: shard})
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +210,7 @@ func (h *HTTP) PendMeta(p, shard int) ([]explore.PendMeta, error) {
 
 // Commit implements Transport.
 func (h *HTTP) Commit(p, shard, keep int, gids []int32, housekeep bool) error {
-	_, err := h.rpc(context.Background(), p, RPCRequest{
+	_, err := h.rpc(h.ctx, p, RPCRequest{
 		Op: "commit", Job: h.cfg.Job, Shard: shard, Keep: keep, Gids: gids, Housekeep: housekeep,
 	})
 	return err
@@ -202,7 +218,7 @@ func (h *HTTP) Commit(p, shard, keep int, gids []int32, housekeep bool) error {
 
 // Keys implements Transport.
 func (h *HTTP) Keys(p, shard int, gids []int32) ([][]uint64, error) {
-	out, err := h.rpc(context.Background(), p, RPCRequest{Op: "keys", Job: h.cfg.Job, Shard: shard, Gids: gids})
+	out, err := h.rpc(h.ctx, p, RPCRequest{Op: "keys", Job: h.cfg.Job, Shard: shard, Gids: gids})
 	if err != nil {
 		return nil, err
 	}
@@ -212,38 +228,25 @@ func (h *HTTP) Keys(p, shard int, gids []int32) ([][]uint64, error) {
 // Snapshot implements Transport: the peer persists the shard into its
 // own (shared) store under SnapshotKey.
 func (h *HTTP) Snapshot(p, shard int) error {
-	_, err := h.rpc(context.Background(), p, RPCRequest{Op: "snapshot", Job: h.cfg.Job, Shard: shard})
+	_, err := h.rpc(h.ctx, p, RPCRequest{Op: "snapshot", Job: h.cfg.Job, Shard: shard})
 	return err
 }
 
 // Adopt implements Transport: the peer restores the shard from the
 // shared store.
 func (h *HTTP) Adopt(p, shard int) error {
-	body, err := json.Marshal(AdoptRequest{Job: h.cfg.Job, Shard: shard})
-	if err != nil {
-		return err
-	}
-	resp, err := h.client.Post(h.cfg.Peers[p]+"/v1/cluster/adopt", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("peer %d: adopt %s: %s", p, resp.Status, bytes.TrimSpace(msg))
-	}
-	return nil
+	return h.post(h.ctx, p, "/v1/cluster/adopt", "adopt", AdoptRequest{Job: h.cfg.Job, Shard: shard}, nil)
 }
 
 // Rollback implements Transport.
 func (h *HTTP) Rollback(p int) error {
-	_, err := h.rpc(context.Background(), p, RPCRequest{Op: "rollback", Job: h.cfg.Job})
+	_, err := h.rpc(h.ctx, p, RPCRequest{Op: "rollback", Job: h.cfg.Job})
 	return err
 }
 
 // SetRoute implements Transport.
 func (h *HTTP) SetRoute(p int, route []int) error {
-	_, err := h.rpc(context.Background(), p, RPCRequest{Op: "route", Job: h.cfg.Job, Route: route})
+	_, err := h.rpc(h.ctx, p, RPCRequest{Op: "route", Job: h.cfg.Job, Route: route})
 	return err
 }
 

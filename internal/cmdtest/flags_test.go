@@ -24,7 +24,6 @@ func TestWorkerFlagAliases(t *testing.T) {
 		// defined".
 		{"ccbench", []string{"-j", "2", "-list"}, 0, "MC"},
 		{"cccheck", []string{"-j", "2", "-mode", "query"}, 2, "-mode query needs -cache"},
-		{"ccload", []string{"-j", "2"}, 2, "-targets is required"},
 		{"ccserve", []string{"-j", "2"}, 2, "-cache DIR is required"},
 		{"ccsim", []string{"-j", "2", "-topo", "bogus"}, 2, "bogus"},
 		{"cctrace", []string{"-j", "2", "-topo", "bogus"}, 2, "bogus"},
@@ -34,10 +33,6 @@ func TestWorkerFlagAliases(t *testing.T) {
 		{"ccserve", []string{"-job-workers", "2", "-j", "3"}, 2, "conflicting"},
 		{"ccserve", []string{"-job-workers", "2", "-j", "2"}, 2, "-cache DIR is required"},
 		{"ccserve", []string{"-job-workers", "4"}, 2, "-cache DIR is required"},
-
-		// ccload: -clients is its canonical worker-count spelling.
-		{"ccload", []string{"-clients", "8", "-j", "9"}, 2, "conflicting"},
-		{"ccload", []string{"-clients", "8", "-j", "8"}, 2, "-targets is required"},
 
 		// An unknown worker spelling still fails loudly everywhere.
 		{"cccheck", []string{"-jobs-wide", "2"}, 2, "flag provided but not defined"},

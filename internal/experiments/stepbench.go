@@ -6,18 +6,17 @@ import (
 	"repro/internal/sim"
 )
 
-// StepWorkload is one engine-step benchmark workload. The table below is
-// the single source of truth shared by the BenchmarkStep* suite
-// (bench_test.go) and `ccbench -bench-json`, so the JSON perf snapshots
-// stay comparable to the published `go test -bench` numbers.
+// StepWorkload is one engine-step benchmark workload. The table below
+// is what the bench/ module's `sim.step_ns.*` metrics time (its
+// paper-suite workload), so those numbers stay comparable to the PR 1
+// table in docs/benchmarks.md.
 type StepWorkload struct {
 	Name    string
 	Variant core.Variant
 	NewH    func() *hypergraph.H
 }
 
-// StepBenchWorkloads returns the workloads measured by ccbench
-// -bench-json (a representative subset of the BenchmarkStep* suite).
+// StepBenchWorkloads returns the engine-step workloads bench/ measures.
 func StepBenchWorkloads() []StepWorkload {
 	return []StepWorkload{
 		{"StepCC1_Ring32", core.CC1, func() *hypergraph.H { return hypergraph.CommitteeRing(32) }},

@@ -806,6 +806,36 @@ const exploreChunk = 4096
 // any other panic value passes through untouched.
 type ioPanic struct{ err error }
 
+// forEachWorkerIO is par.ForEachWorker for expansion bodies that may
+// raise an ioPanic (a cold arena read). The workers run in their own
+// goroutines, where an uncaught panic would crash the process instead
+// of unwinding to the caller's recover, so each is guarded here and the
+// first classified failure comes back as an error.
+func forEachWorkerIO(n, workers int, fn func(w, i int)) error {
+	var mu sync.Mutex
+	var first error
+	par.ForEachWorker(n, workers, func(w, i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				ip, ok := r.(ioPanic)
+				if !ok {
+					panic(r)
+				}
+				mu.Lock()
+				if first == nil {
+					first = ip.err
+				}
+				mu.Unlock()
+			}
+		}()
+		fn(w, i)
+	})
+	if first != nil {
+		return fmt.Errorf("explore: %w", first)
+	}
+	return nil
+}
+
 // ExploreCtx is Explore with cancellation, an out-of-core memory
 // budget and checkpoint/restore (Options.MemBudget, Options.Checkpoint).
 // On cancellation it returns the partial result and an error wrapping
@@ -823,28 +853,9 @@ type ioPanic struct{ err error }
 // continues uncheckpointed and the failure is counted in
 // RunStats.CheckpointErrors.
 func ExploreCtx[S sim.Cloneable[S]](ctx context.Context, newModel func() *Model[S], opts Options) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			ip, ok := r.(ioPanic)
-			if !ok {
-				panic(r)
-			}
-			err = fmt.Errorf("explore: %w", ip.err)
-		}
-	}()
-	if opts.MaxBranch == 0 {
-		opts.MaxBranch = 1 << 16
-	}
-	if opts.MaxViolations == 0 {
-		opts.MaxViolations = 5
-	}
+	defer catchIO(&err)
+	opts = opts.Defaulted()
 	workers := opts.Workers
-	if workers <= 0 {
-		workers = par.Workers
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	wss := make([]*workerState[S], workers)
 	for i := range wss {
 		wss[i] = newWorkerState(newModel(), &opts)
@@ -1068,30 +1079,10 @@ func ExploreCtx[S sim.Cloneable[S]](ctx context.Context, newModel func() *Model[
 				aggs[w].reset()
 			}
 			base := itemBase
-			// Workers run in their own goroutines (par.ForEachWorker), so
-			// an ioPanic from a cold arena read must be caught per worker
-			// — an uncaught panic there would crash the process, not
-			// unwind to this function's recover.
-			var expandMu sync.Mutex
-			var expandErr error
-			par.ForEachWorker(len(chunk), workers, func(w, i int) {
-				defer func() {
-					if r := recover(); r != nil {
-						ip, ok := r.(ioPanic)
-						if !ok {
-							panic(r)
-						}
-						expandMu.Lock()
-						if expandErr == nil {
-							expandErr = ip.err
-						}
-						expandMu.Unlock()
-					}
-				}()
+			if err := forEachWorkerIO(len(chunk), workers, func(w, i int) {
 				wss[w].expand(vs, &aggs[w], chunk[i], base+i, depth)
-			})
-			if expandErr != nil {
-				return res, fmt.Errorf("explore: %w", expandErr)
+			}); err != nil {
+				return res, err
 			}
 			itemBase += len(chunk)
 			expandedSince += len(chunk)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/bits"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/par"
@@ -55,10 +54,9 @@ func ShardOf(hash uint64, n int) int {
 	return int(hi)
 }
 
-// Defaulted returns a copy of o with the zero-value knobs resolved the
-// way ExploreCtx resolves them, so a cluster coordinator and its peer
-// engines agree on MaxBranch/MaxViolations/Workers without each
-// re-implementing the defaults.
+// Defaulted returns a copy of o with the zero-value knobs resolved:
+// the one place ExploreCtx, a cluster coordinator and its peer engines
+// get their MaxBranch/MaxViolations/Workers defaults from.
 func (o Options) Defaulted() Options {
 	if o.MaxBranch == 0 {
 		o.MaxBranch = 1 << 16
@@ -336,7 +334,7 @@ func (e *peerEngine[S]) Close() {
 }
 
 // catchIO converts the arena's ioPanic escape hatch into an error on
-// the engine's serial entry points (Expand guards per worker itself).
+// a serial entry point (worker goroutines go through forEachWorkerIO).
 func catchIO(err *error) {
 	if r := recover(); r != nil {
 		ip, ok := r.(ioPanic)
@@ -392,22 +390,7 @@ func (e *peerEngine[S]) Expand(depth int, firstGid int32, atCap bool) (rep *Laye
 	}
 	workers := len(e.wss)
 	aggs := make([]layerAgg, workers)
-	var mu sync.Mutex
-	var expandErr error
-	par.ForEachWorker(len(items), workers, func(w, i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				ip, ok := r.(ioPanic)
-				if !ok {
-					panic(r)
-				}
-				mu.Lock()
-				if expandErr == nil {
-					expandErr = ip.err
-				}
-				mu.Unlock()
-			}
-		}()
+	expandErr := forEachWorkerIO(len(items), workers, func(w, i int) {
 		it := items[i]
 		ws := e.wss[w]
 		ws.cl.atCap = atCap
@@ -418,7 +401,7 @@ func (e *peerEngine[S]) Expand(depth int, firstGid int32, atCap bool) (rep *Laye
 		ob.flushAll()
 	}
 	if expandErr != nil {
-		return nil, fmt.Errorf("explore: %w", expandErr)
+		return nil, expandErr
 	}
 	rep = &LayerReport{SendFailures: int(e.sendFails.Load())}
 	for w := range aggs {

@@ -12,8 +12,8 @@ import (
 )
 
 // Workers is the pool width. It defaults to GOMAXPROCS; set it to 1 to
-// force fully serial execution everywhere (ccbench -parallel=false,
-// ccsim/ccbench -j). Nested fan-outs may transiently exceed it in
+// force fully serial execution everywhere (ccsim/ccbench -j 1).
+// Nested fan-outs may transiently exceed it in
 // goroutine count; the Go scheduler still caps CPU parallelism at
 // GOMAXPROCS.
 var Workers = runtime.GOMAXPROCS(0)

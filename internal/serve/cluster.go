@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
@@ -42,6 +43,32 @@ type clusterPeer struct {
 	self   int
 	peers  []string
 	engine explore.PeerEngine
+
+	// refs counts the open job itself plus every handler inside the
+	// engine; whoever drops the last one closes it. A cancelled
+	// coordinator closes the job without waiting for its expand to
+	// return, and an engine must not be closed under its own workers.
+	refs atomic.Int32
+}
+
+// enter admits one engine call, to be ended with leave; false once
+// the engine is closed.
+func (cp *clusterPeer) enter() bool {
+	for {
+		n := cp.refs.Load()
+		if n == 0 {
+			return false
+		}
+		if cp.refs.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+func (cp *clusterPeer) leave() {
+	if cp.refs.Add(-1) == 0 {
+		cp.engine.Close()
+	}
 }
 
 // frameClient posts frontier frames peer-to-peer; expansion RPCs can
@@ -59,10 +86,16 @@ func (s *Server) clusterError(w http.ResponseWriter, code int, format string, ar
 	writeError(w, code, format, args...)
 }
 
-func (s *Server) getClusterJob(job string) *clusterPeer {
+// enterClusterJob returns the open job with one engine call admitted
+// (the caller owes a leave), or nil.
+func (s *Server) enterClusterJob(job string) *clusterPeer {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.clusterJobs[job]
+	cp := s.clusterJobs[job]
+	s.mu.Unlock()
+	if cp == nil || !cp.enter() {
+		return nil
+	}
+	return cp
 }
 
 // handleClusterRPC is the control plane: one op-discriminated POST per
@@ -89,11 +122,12 @@ func (s *Server) handleClusterRPC(w http.ResponseWriter, r *http.Request) {
 		s.clusterError(w, http.StatusBadRequest, "unknown cluster op %q", req.Op)
 		return
 	}
-	cp := s.getClusterJob(req.Job)
+	cp := s.enterClusterJob(req.Job)
 	if cp == nil {
 		s.clusterError(w, http.StatusNotFound, "no open cluster job %q on this peer", req.Job)
 		return
 	}
+	defer cp.leave()
 	var out cluster.RPCResponse
 	var err error
 	switch req.Op {
@@ -163,6 +197,7 @@ func (s *Server) handleClusterOpen(w http.ResponseWriter, req cluster.RPCRequest
 		return
 	}
 	cp := &clusterPeer{job: req.Job, self: req.Self, peers: req.Peers, engine: engine}
+	cp.refs.Store(1)
 	engine.SetSender(func(dst int, frame []byte) error { return cp.sendFrame(dst, frame) })
 
 	s.mu.Lock()
@@ -173,7 +208,7 @@ func (s *Server) handleClusterOpen(w http.ResponseWriter, req cluster.RPCRequest
 	if old != nil {
 		// A re-open replaces a stale engine (coordinator retry after a
 		// crash); the old one's shards are rebuilt from snapshots anyway.
-		old.engine.Close()
+		old.leave()
 	}
 	s.logf("cluster job %s open: shard %d of %d", shortKey(req.Job), req.Self, req.NShards)
 	writeJSON(w, http.StatusOK, cluster.RPCResponse{})
@@ -202,7 +237,7 @@ func (s *Server) closeClusterJob(job string) {
 	delete(s.clusterJobs, job)
 	s.mu.Unlock()
 	if cp != nil {
-		cp.engine.Close()
+		cp.leave() // the open job's own reference
 		s.logf("cluster job %s closed", shortKey(job))
 	}
 }
@@ -228,11 +263,12 @@ func (s *Server) handleClusterFrontier(w http.ResponseWriter, r *http.Request) {
 		s.clusterError(w, http.StatusBadRequest, "missing job query parameter")
 		return
 	}
-	cp := s.getClusterJob(job)
+	cp := s.enterClusterJob(job)
 	if cp == nil {
 		s.clusterError(w, http.StatusNotFound, "no open cluster job %q on this peer", job)
 		return
 	}
+	defer cp.leave()
 	frame, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxClusterFrameBytes))
 	if err != nil {
 		s.clusterError(w, http.StatusBadRequest, "reading frame: %v", err)
@@ -259,11 +295,12 @@ func (s *Server) handleClusterAdopt(w http.ResponseWriter, r *http.Request) {
 		s.clusterError(w, http.StatusBadRequest, "bad adopt request: %v", err)
 		return
 	}
-	cp := s.getClusterJob(req.Job)
+	cp := s.enterClusterJob(req.Job)
 	if cp == nil {
 		s.clusterError(w, http.StatusNotFound, "no open cluster job %q on this peer", req.Job)
 		return
 	}
+	defer cp.leave()
 	ck := s.cfg.Store.Checkpoint(cluster.SnapshotKey(req.Job, req.Shard))
 	rc, err := ck.Load()
 	if err != nil {

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,9 +32,9 @@ type fleetPeer struct {
 }
 
 // newFleet builds n full-mesh gossiping serve peers, each with an
-// empty store. The gossip loop is disabled (Interval -1); tests drive
-// convergence with syncFleet.
-func newFleet(t *testing.T, n int) []*fleetPeer {
+// empty store. interval is the background anti-entropy cadence; -1
+// disables the loop, and the test drives convergence with syncFleet.
+func newFleet(t *testing.T, n int, interval time.Duration) []*fleetPeer {
 	t.Helper()
 	peers := make([]*fleetPeer, n)
 	urls := make([]string, n)
@@ -62,7 +66,7 @@ func newFleet(t *testing.T, n int) []*fleetPeer {
 		}
 		pp := p
 		p.node = gossip.New(gossip.Config{
-			Self: urls[i], Neighbors: neighbors, Store: p.st, Interval: -1,
+			Self: urls[i], Neighbors: neighbors, Store: p.st, Interval: interval,
 			OnIngest: func(key string) {
 				if sv := pp.sv.Load(); sv != nil {
 					sv.GossipIngested(key)
@@ -115,7 +119,7 @@ func TestFleetGossipDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet battery")
 	}
-	peers := newFleet(t, 3)
+	peers := newFleet(t, 3, -1)
 
 	grid := map[string]any{
 		"algs": []string{"cc1", "cc2"}, "topos": []string{"ring:3"},
@@ -199,6 +203,152 @@ func TestFleetGossipDifferential(t *testing.T) {
 		if p.node.Corrupt() != 0 {
 			t.Fatalf("peer %d counted corrupt entries on a clean fleet", i)
 		}
+	}
+}
+
+// TestFleetLoadBattery: a 3-peer fleet on background gossip under
+// about a thousand mixed clients — more than one peer's in-flight cap
+// — each submitting, watching (resuming with Last-Event-ID when a
+// stream is closed under it) and polling against a random peer. The
+// push plane's invariant is enforced: every watch of a job the peer
+// knows ends in a terminal event; none is lost. Backpressure (429/503)
+// is tolerated and counted; any other failure is an error.
+func TestFleetLoadBattery(t *testing.T) {
+	clients, dur := 1000, 4*time.Second
+	if testing.Short() {
+		clients, dur = 128, 2*time.Second
+	}
+	const (
+		// watchRetries bounds the resumes after a server-closed stream
+		// before the terminal is scored lost. watchTimeout is orders of
+		// magnitude past any job here, so a stream still open when it
+		// fires is a terminal the server never pushed.
+		watchRetries = 5
+		watchTimeout = 30 * time.Second
+	)
+	peers := newFleet(t, 3, 100*time.Millisecond)
+	specs := make([]store.JobSpec, 6)
+	for i := range specs {
+		specs[i] = jobSpec([]string{"cc1", "cc2"}[i%2], "central")
+		specs[i].MaxStates = 5_000 + i
+	}
+	cl := &http.Client{Transport: &http.Transport{MaxIdleConns: clients, MaxIdleConnsPerHost: clients}}
+	defer cl.CloseIdleConnections()
+
+	var submits, cached, terminals, reconnects, shed, failures atomic.Int64
+	fail := func(format string, args ...any) {
+		if failures.Add(1) <= 10 { // a systemic failure repeats per client
+			t.Errorf(format, args...)
+		}
+	}
+	// answered sorts a response into served (true), shed, or failure;
+	// also lets 404 through for reads of an id still gossiping over.
+	answered := func(op string, resp *http.Response, err error, also int) bool {
+		switch {
+		case err != nil:
+			fail("%s: %v", op, err)
+		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
+			shed.Add(1)
+		case resp.StatusCode/100 == 2 || resp.StatusCode == also:
+			return true
+		default:
+			fail("%s: status %d", op, resp.StatusCode)
+		}
+		return false
+	}
+	watch := func(base, id string) {
+		url := base + "/v1/jobs/" + id + "/watch"
+		var after uint64
+		for attempt := 0; attempt <= watchRetries; attempt++ {
+			status, evs, err := openWatch(cl, url, after, watchTimeout)
+			switch status {
+			case 0:
+				fail("watch %s: %v", id[:12], err)
+				return
+			case http.StatusNotFound:
+				return // submitted elsewhere, not gossiped over yet
+			case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+				shed.Add(1)
+				return
+			case http.StatusOK:
+			default:
+				fail("watch %s: status %d", id[:12], status)
+				return
+			}
+			if err == nil {
+				terminals.Add(1)
+				return
+			}
+			if !errors.Is(err, io.EOF) {
+				fail("lost terminal: watch %s cut without one: %v", id[:12], err)
+				return
+			}
+			for _, ev := range evs {
+				after = max(after, ev.Seq)
+			}
+			reconnects.Add(1)
+		}
+		fail("lost terminal: watch %s closed without one %d times over", id[:12], watchRetries+1)
+	}
+
+	// Clients run for dur, and past it until some submit has come back
+	// cached: on two cores under -race the first thousand connections
+	// alone can outlast dur. hardStop bounds that wait, so a fleet that
+	// never dedups still fails below.
+	deadline := time.Now().Add(dur)
+	hardStop := deadline.Add(time.Minute)
+	running := func() bool {
+		now := time.Now()
+		return now.Before(deadline) || cached.Load() == 0 && now.Before(hardStop)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			var ids []string // what this client's own submits returned
+			for running() {
+				base := peers[rng.Intn(len(peers))].ts.URL
+				switch op := rng.Intn(4); { // submit : watch : status = 1 : 2 : 1
+				case len(ids) == 0 || op == 0:
+					resp, raw, err := roundTrip(cl, http.MethodPost, base+"/v1/jobs", specs[rng.Intn(len(specs))])
+					if !answered("submit", resp, err, 0) {
+						continue
+					}
+					var v struct {
+						ID     string `json:"id"`
+						Cached bool   `json:"cached"`
+					}
+					if err := json.Unmarshal(raw, &v); err != nil || v.ID == "" {
+						fail("submit: bad body %q (%v)", raw, err)
+						continue
+					}
+					submits.Add(1)
+					if v.Cached {
+						cached.Add(1)
+					}
+					ids = append(ids, v.ID)
+				case op <= 2:
+					watch(base, ids[rng.Intn(len(ids))])
+				default:
+					resp, _, err := roundTrip(cl, http.MethodGet, base+"/v1/jobs/"+ids[rng.Intn(len(ids))], nil)
+					answered("status", resp, err, http.StatusNotFound)
+				}
+			}
+		}(rand.New(rand.NewSource(42 + int64(i))))
+	}
+	wg.Wait()
+	t.Logf("battery: %d clients, %d submits (%d cached), %d watch terminals, %d reconnects, %d shed",
+		clients, submits.Load(), cached.Load(), terminals.Load(), reconnects.Load(), shed.Load())
+
+	if n := failures.Load(); n != 0 {
+		t.Fatalf("%d lost terminals and hard errors under load", n)
+	}
+	if terminals.Load() == 0 {
+		t.Fatal("no watch ever delivered a terminal event")
+	}
+	if cached.Load() == 0 {
+		t.Fatalf("mix did not exercise dedup: %d submits, none cached", submits.Load())
 	}
 }
 

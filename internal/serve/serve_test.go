@@ -42,19 +42,41 @@ func postJSON(t *testing.T, url string, body any) (int, map[string]any, []byte) 
 // (the body is already consumed and closed).
 func postResp(t *testing.T, url string, body any) (*http.Response, map[string]any, []byte) {
 	t.Helper()
-	data, err := json.Marshal(body)
+	resp, raw, err := roundTrip(http.DefaultClient, http.MethodPost, url, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
 	var v map[string]any
 	json.Unmarshal(raw, &v)
 	return resp, v, raw
+}
+
+// roundTrip is the t-free core of postResp and get: one request on cl
+// (a JSON body when body is non-nil), response read to the end and
+// closed. Client goroutines, which may not t.Fatal, call it directly.
+func roundTrip(cl *http.Client, method, url string, body any) (*http.Response, []byte, error) {
+	var rd io.Reader
+	if body != nil {
+		data, err := json.Marshal(body)
+		if err != nil {
+			return nil, nil, err
+		}
+		rd = bytes.NewReader(data)
+	}
+	req, err := http.NewRequest(method, url, rd)
+	if err != nil {
+		return nil, nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := cl.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	return resp, raw, err
 }
 
 // wantRetryAfter asserts a shed response carries a positive integer
@@ -72,12 +94,10 @@ func wantRetryAfter(t *testing.T, resp *http.Response) {
 
 func get(t *testing.T, url string) (int, []byte) {
 	t.Helper()
-	resp, err := http.Get(url)
+	resp, raw, err := roundTrip(http.DefaultClient, http.MethodGet, url, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
 	return resp.StatusCode, raw
 }
 

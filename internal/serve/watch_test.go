@@ -1,8 +1,10 @@
 package serve_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -22,35 +24,54 @@ import (
 // arrived.
 func watchStream(t *testing.T, url string, lastEventID uint64, timeout time.Duration) []pubsub.Event {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
+	status, evs, err := openWatch(http.DefaultClient, url, lastEventID, timeout)
+	if status == 0 {
 		t.Fatal(err)
+	}
+	if status != http.StatusOK {
+		t.Fatalf("watch %s: status %d", url, status)
+	}
+	return evs
+}
+
+// openWatch is the t-free core of watchStream, for client goroutines
+// that may not t.Fatal. Status 0 means no usable stream was opened and
+// err says why; a status other than 200 means the server refused the
+// watch. On a 200 it returns the events seen, and err is nil exactly
+// when the last one is terminal — otherwise it is what ended the
+// stream: io.EOF when the server closed it (eviction; resume with the
+// watermark), the context's deadline when the timeout cut it.
+func openWatch(cl *http.Client, url string, lastEventID uint64, timeout time.Duration) (status int, evs []pubsub.Event, err error) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return 0, nil, err
 	}
 	if lastEventID > 0 {
 		req.Header.Set("Last-Event-ID", fmt.Sprint(lastEventID))
 	}
-	cl := &http.Client{Timeout: timeout}
 	resp, err := cl.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("watch %s: status %d", url, resp.StatusCode)
+		io.Copy(io.Discard, resp.Body) // let the connection be reused
+		return resp.StatusCode, nil, nil
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("watch %s: content-type %q", url, ct)
+		return 0, nil, fmt.Errorf("watch %s: content-type %q", url, ct)
 	}
 	dec := pubsub.NewDecoder(resp.Body)
-	var evs []pubsub.Event
 	for {
 		ev, err := dec.Next()
 		if err != nil {
-			return evs // server closed the stream (eviction or terminal already sent)
+			return resp.StatusCode, evs, err
 		}
 		evs = append(evs, ev)
 		if pubsub.IsTerminal(ev.Type) {
-			return evs
+			return resp.StatusCode, evs, nil
 		}
 	}
 }
