@@ -22,7 +22,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/cliutil"
 	"repro/internal/experiments"
 	"repro/internal/par"
 )
@@ -33,7 +32,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "base random seed")
 		quick       = flag.Bool("quick", false, "reduced sizes")
 		list        = flag.Bool("list", false, "list experiments and exit")
-		workers     = cliutil.Workers(flag.CommandLine, "j", 0, "worker-pool width (0 = GOMAXPROCS)")
+		workers     = flag.Int("j", 0, "worker-pool width (0 = GOMAXPROCS)")
 		cacheDir    = flag.String("cache", "", "verdict-store directory: serve the MC experiment's exhaustive cells from cache and persist fresh ones (shared with cccheck -cache and ccserve)")
 		storeEngine = flag.String("store-engine", "dir", "store backend for -cache: dir or log")
 	)
@@ -46,13 +45,8 @@ func main() {
 		return
 	}
 
-	nworkers, err := workers.Value()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if nworkers > 0 {
-		par.Workers = nworkers
+	if *workers > 0 {
+		par.Workers = *workers
 	}
 
 	var ids []string

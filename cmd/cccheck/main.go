@@ -56,9 +56,6 @@
 // segments with background compaction). Both serve byte-identical
 // entries and share the same directory layout for campaign manifests,
 // checkpoints and quarantine; pick one per directory and stay with it.
-// Every CLI in this module accepts -j as the worker-count spelling
-// (ccserve also keeps -job-workers; giving both different values is a
-// usage error).
 //
 // The query grammar: -filter takes comma-separated key=value pairs over
 // alg, topo, daemon, init, mutation and verdict (verified | bounded |
@@ -103,7 +100,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/chaos"
-	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/hypergraph"
@@ -144,17 +140,15 @@ func main() {
 		steps      = flag.Int("steps", 4000, "random mode: steps per scenario")
 		maxN       = flag.Int("max-n", 14, "random mode: professor bound for random scenarios")
 		traces     = flag.Int("traces", 3, "max violations to collect and print per run")
-		workers    = cliutil.Workers(flag.CommandLine, "j", 0, "worker-pool width (0 = GOMAXPROCS)")
+		workers    = flag.Int("j", 0, "worker-pool width (0 = GOMAXPROCS)")
 		peersSpec  = flag.String("peers", "", "exhaustive mode: distribute each job across this comma-separated list of ccserve peer base URLs (one visited-set shard per peer; the peers must share one -cache directory); the verdict is byte-identical to a single-node run by the cluster differential battery's contract")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fatalf("unexpected arguments %v", flag.Args())
 	}
-	if w, err := workers.Value(); err != nil {
-		fatalf("%v", err)
-	} else if w > 0 {
-		par.Workers = w
+	if *workers > 0 {
+		par.Workers = *workers
 	}
 	if *maxStates == 0 {
 		// The flag has always meant "0 = unlimited"; JobSpec encodes

@@ -47,9 +47,8 @@
 //
 // Concurrency: at most -jobs explorations run at once, each with
 // -job-workers explorer goroutines (default: jobs × workers ≈
-// GOMAXPROCS; -j is accepted as an alias, and conflicting values for
-// the two spellings are a usage error), so any number of concurrent
-// clients shares a bounded pool. Specs whose state bound exceeds -max-states-cap are rejected
+// GOMAXPROCS), so any number of concurrent clients shares a bounded
+// pool. Specs whose state bound exceeds -max-states-cap are rejected
 // with 400.
 //
 // Degradation (see docs/robustness.md): submissions past -max-queue or
@@ -81,7 +80,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/chaos"
-	"repro/internal/cliutil"
 	"repro/internal/explore"
 	"repro/internal/gossip"
 	"repro/internal/serve"
@@ -93,7 +91,7 @@ func main() {
 		addr       = flag.String("addr", ":8344", "listen address")
 		cacheDir   = flag.String("cache", "", "verdict-store directory (required; shared with cccheck/ccbench -cache)")
 		jobs       = flag.Int("jobs", 2, "explorations running concurrently")
-		jobWorkers = cliutil.Workers(flag.CommandLine, "job-workers", 0, "explorer goroutines per job (0 = GOMAXPROCS/jobs)")
+		jobWorkers = flag.Int("job-workers", 0, "explorer goroutines per job (0 = GOMAXPROCS/jobs)")
 		storeEng   = flag.String("store-engine", "dir", "store backend for -cache: dir (one file per verdict) or log (append-only segments with compaction); Get bytes are identical either way")
 		maxStates  = flag.Int("max-states-cap", 6_000_000, "reject jobs whose state bound exceeds this (negative = uncapped)")
 		retain     = flag.Int("retain-jobs", 1024, "finished jobs kept in memory; older ones re-hydrate from the store on demand (negative = unlimited)")
@@ -112,12 +110,6 @@ func main() {
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fatalf("unexpected arguments %v", flag.Args())
-	}
-	// Flag grammar first: a conflicting -job-workers/-j pair is a usage
-	// error even when other required flags are also missing.
-	workers, err := jobWorkers.Value()
-	if err != nil {
-		fatalf("%v", err)
 	}
 	if *cacheDir == "" {
 		fatalf("-cache DIR is required (the verdict store shared with cccheck/ccbench)")
@@ -189,7 +181,7 @@ func main() {
 		})
 	}
 	srv, err := serve.New(serve.Config{
-		Store: st, Jobs: *jobs, JobWorkers: workers,
+		Store: st, Jobs: *jobs, JobWorkers: *jobWorkers,
 		MaxStatesCap: *maxStates, RetainJobs: *retain, MaxQueue: *maxQueue,
 		CheckpointEvery: *ckptEvery, MemBudget: budget, SpillDir: *spillDir,
 		JobTimeout: *jobTimeout, MaxInFlight: *maxInFl, Peers: peers,

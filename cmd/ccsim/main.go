@@ -22,7 +22,6 @@ import (
 	"sort"
 
 	"repro/internal/baseline"
-	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/hypergraph"
 	"repro/internal/par"
@@ -40,7 +39,7 @@ func main() {
 		randomInit = flag.Bool("random-init", false, "start from an arbitrary configuration (CC only)")
 		daemonName = flag.String("daemon", "weakly-fair", "weakly-fair | synchronous | central | random")
 		runs       = flag.Int("runs", 1, "independent replicas fanned across the worker pool")
-		workers    = cliutil.Workers(flag.CommandLine, "j", 0, "worker-pool width (0 = GOMAXPROCS)")
+		workers    = flag.Int("j", 0, "worker-pool width (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -72,8 +71,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if w, _ := workers.Value(); w > 0 {
-		par.Workers = w
+	if *workers > 0 {
+		par.Workers = *workers
 	}
 
 	fmt.Printf("topology: %s\n", h)

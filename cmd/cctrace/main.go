@@ -14,10 +14,8 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/hypergraph"
-	"repro/internal/par"
 	"repro/internal/sim"
 )
 
@@ -30,12 +28,8 @@ func main() {
 		steps    = flag.Int("steps", 20000, "max steps")
 		seed     = flag.Int64("seed", 1, "random seed")
 		idleMask = flag.String("idle", "", "comma-separated professor ids (paper ids) that never request (CC1 only)")
-		workers  = cliutil.Workers(flag.CommandLine, "j", 0, "worker-pool width (0 = GOMAXPROCS; a trace renders sequentially, but every CLI in this module takes -j)")
 	)
 	flag.Parse()
-	if w, _ := workers.Value(); w > 0 {
-		par.Workers = w
-	}
 
 	h, err := hypergraph.Parse(*topo, rand.New(rand.NewSource(*seed)))
 	if err != nil {

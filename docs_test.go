@@ -47,7 +47,7 @@ func goPackageDirs(t *testing.T) []string {
 	return out
 }
 
-// TestEveryPackageDocumented: each package (the 20 internal ones, the
+// TestEveryPackageDocumented: each package (the 19 internal ones, the
 // 5 commands, the examples, and this root) must have a package-level
 // doc comment on at least one file — godoc is part of the interface.
 func TestEveryPackageDocumented(t *testing.T) {

@@ -5,10 +5,11 @@
 // BFS layer and ships successors it does not own to the owning peer as
 // binary frontier frames, and the coordinator in this package drives
 // the layer barriers — merging the per-shard pending metadata into the
-// exact single-node promotion order, assigning dense global ids, and
-// folding the per-peer layer reports into a Result that is
-// byte-identical to explore.ExploreCtx at any peer count (the cluster
-// differential battery in this package pins that, traces included).
+// exact single-node promotion order and assigning dense global ids —
+// as the backend of the same layer loop explore.ExploreCtx runs
+// (explore.RunLayers), so the Result is byte-identical to the
+// single-node one at any peer count (the cluster differential battery
+// in this package pins that, traces included).
 //
 // Fault tolerance reuses the checkpoint machinery at shard
 // granularity: after every layer commit each hosted shard is
@@ -148,329 +149,250 @@ func interrupted(states int, cause error) error {
 // which is zero (it measures one process's footprint; a cluster has
 // none). newModel and opts must match what the peers were built with.
 //
-// The coordinator holds only O(states) trace metadata (parent gid,
-// selection, owning shard per state) plus one layer of pending
-// metadata during a merge; the state encodings themselves live only on
-// the peers.
+// The layer loop is explore.RunLayers, the same one ExploreCtx runs;
+// what this package adds is the coordinator below, a LayerBackend whose
+// states live on the peers. It holds only O(states) placement metadata
+// (the owning shard per state) plus one layer of pending metadata
+// during a merge; the state encodings themselves live only on the
+// peers.
 func Run[S sim.Cloneable[S]](ctx context.Context, newModel func() *explore.Model[S], opts explore.Options, tr Transport) (_ *explore.Result, err error) {
-	totalStates := 0
-	defer func() {
-		// A transport bound to ctx fails whichever call the cancellation
-		// caught in flight; report the cause, not that symptom.
-		if cerr := ctx.Err(); err != nil && cerr != nil && !errors.Is(err, explore.ErrInterrupted) {
-			err = interrupted(totalStates, cerr)
-		}
-	}()
-	opts = opts.Defaulted()
-	m0 := newModel()
 	n := tr.Peers()
 	if n < 1 {
 		return nil, errors.New("cluster: no peers")
 	}
-	nShards := n
-	route := make([]int, nShards)
-	hostCount := make([]int, n)
-	for s := range route {
-		route[s] = s
-		hostCount[s]++
+	c := &coordinator{
+		tr: tr, maxStates: opts.MaxStates,
+		route: make([]int, n), hostCount: make([]int, n), alive: make([]bool, n),
 	}
-	alive := make([]bool, n)
-	for p := range alive {
-		alive[p] = true
-	}
-	res := &explore.Result{
-		Model: m0.Name, Mode: opts.Mode, MaxIncorrectDepth: -1,
-		Symmetry: opts.Symmetry && len(m0.Syms) > 0,
-	}
-
-	// Coordinator-side trace state, indexed by gid: mirror of the
-	// single-node parentOf/selOf plus the owning shard (keys are
-	// fetched from the owner when a trace is built).
-	var parentOf []int32
-	var selOf []string
-	var shardOf []uint16
-
-	// mergeCommit is the serial phase-B analogue: gather each shard's
-	// pos-sorted pending metadata, merge into the global discovery
-	// order, enforce the state bound, assign gids, and commit each
-	// shard's kept prefix back. Returns the number of states promoted.
-	mergeCommit := func(housekeep bool) (int, error) {
-		var all []pendTagged
-		for s := 0; s < nShards; s++ {
-			meta, err := tr.PendMeta(route[s], s)
-			if err != nil {
-				return 0, fmt.Errorf("cluster: pending metadata for shard %d: %w", s, err)
-			}
-			for _, m := range meta {
-				all = append(all, pendTagged{shard: s, meta: m})
-			}
-		}
-		// pos values are globally unique — each (item, branch) probes
-		// one key at one owner — so this sort is a strict total order:
-		// exactly the single-node Drain order.
-		slices.SortFunc(all, func(a, b pendTagged) int { return cmp.Compare(a.meta.Pos, b.meta.Pos) })
-		keep := len(all)
-		if opts.MaxStates > 0 {
-			if room := opts.MaxStates - totalStates; keep > room {
-				keep = max(room, 0)
-				res.Truncated = true
-			}
-		}
-		gids := make([][]int32, nShards)
-		for i := 0; i < keep; i++ {
-			t := all[i]
-			gid := int32(totalStates + i)
-			parentOf = append(parentOf, t.meta.Parent)
-			selOf = append(selOf, string(t.meta.Sel))
-			shardOf = append(shardOf, uint16(t.shard))
-			gids[t.shard] = append(gids[t.shard], gid)
-		}
-		for s := 0; s < nShards; s++ {
-			if err := tr.Commit(route[s], s, len(gids[s]), gids[s], housekeep); err != nil {
-				return 0, fmt.Errorf("cluster: commit shard %d: %w", s, err)
-			}
-		}
-		totalStates += keep
-		return keep, nil
-	}
-
-	snapshotAll := func() error {
-		for s := 0; s < nShards; s++ {
-			if err := tr.Snapshot(route[s], s); err != nil {
-				return fmt.Errorf("cluster: snapshot shard %d: %w", s, err)
-			}
-		}
-		return nil
-	}
-
-	// buildTrace mirrors the single-node trace builder with the keys
-	// fetched from the owning shards in one batch per shard.
-	buildTrace := func(gid int32, wv explore.LayerViol) ([]explore.TraceStep, error) {
-		var path []int32
-		for x := gid; x >= 0; x = parentOf[x] {
-			path = append(path, x)
-		}
-		byShard := make(map[int][]int32)
-		for _, x := range path {
-			s := int(shardOf[x])
-			byShard[s] = append(byShard[s], x)
-		}
-		keyOf := make(map[int32][]uint64, len(path))
-		for s, gs := range byShard {
-			slices.Sort(gs)
-			keys, err := tr.Keys(route[s], s, gs)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: trace keys from shard %d: %w", s, err)
-			}
-			for i, g := range gs {
-				keyOf[g] = keys[i]
-			}
-		}
-		out := make([]explore.TraceStep, 0, len(path)+1)
-		for i := len(path) - 1; i >= 0; i-- {
-			x := path[i]
-			key := keyOf[x]
-			out = append(out, explore.TraceStep{Sel: explore.DecodeSel(selOf[x]), Config: m0.RenderKey(key), Key: key})
-		}
-		if wv.Key != nil {
-			out = append(out, explore.TraceStep{Sel: wv.Sel, Config: m0.RenderKey(wv.Key), Key: wv.Key})
-		}
-		return out, nil
-	}
-
-	// --- seed ------------------------------------------------------------------
 	for p := 0; p < n; p++ {
-		if err := tr.Seed(p); err != nil {
-			return res, fmt.Errorf("cluster: seed peer %d: %w", p, err)
+		c.route[p] = p // one shard per initial peer
+		c.hostCount[p] = 1
+		c.alive[p] = true
+	}
+	defer func() {
+		// A transport bound to ctx fails whichever call the cancellation
+		// caught in flight; report the cause, not that symptom.
+		if cerr := ctx.Err(); err != nil && cerr != nil && !errors.Is(err, explore.ErrInterrupted) {
+			err = interrupted(len(c.shardOf), cerr)
+		}
+	}()
+	return explore.RunLayers(ctx, newModel(), opts, c)
+}
+
+// coordinator is the cluster LayerBackend: it fans a layer out to the
+// peers and recovers from their loss, merges the shards' pending
+// entries into the global promotion order, and snapshots every shard
+// at each barrier.
+type coordinator struct {
+	tr        Transport
+	maxStates int
+
+	route     []int  // shard -> hosting peer; one shard per initial peer
+	hostCount []int  // peer -> shards hosted
+	alive     []bool // peer -> not yet lost
+
+	// shardOf is where each promoted state lives, indexed by gid (keys
+	// are fetched from the owner when a trace is built); its length is
+	// the cluster-wide state count.
+	shardOf []uint16
+}
+
+// Seed implements explore.LayerBackend.
+func (c *coordinator) Seed() error {
+	for p := range c.alive {
+		if err := c.tr.Seed(p); err != nil {
+			return fmt.Errorf("cluster: seed peer %d: %w", p, err)
 		}
 	}
-	inits, err := mergeCommit(false)
-	if err != nil {
-		return res, err
-	}
-	res.Inits = inits
-	res.States = totalStates
-	if err := snapshotAll(); err != nil {
-		return res, err
-	}
+	return nil
+}
 
-	// --- layer loop ------------------------------------------------------------
-	depth := 0
-	frontLen := inits
-	retries := 0
-	for frontLen > 0 && len(res.Violations) < opts.MaxViolations {
+// Expand implements explore.LayerBackend: every alive peer expands its
+// slice of the layer concurrently; a lost peer or a failed frame send
+// rolls the layer back to the barrier and retries it.
+func (c *coordinator) Expand(ctx context.Context, depth int, first int32, rep *explore.LayerReport) error {
+	n := len(c.alive)
+	atCap := c.maxStates > 0 && len(c.shardOf) >= c.maxStates
+	for retries := 0; ; {
 		if cerr := ctx.Err(); cerr != nil {
-			return res, interrupted(totalStates, cerr)
+			return interrupted(len(c.shardOf), cerr)
 		}
-		if opts.MaxDepth > 0 && depth >= opts.MaxDepth {
-			res.Truncated = true
-			break
-		}
-		atCap := opts.MaxStates > 0 && totalStates >= opts.MaxStates
-		firstGid := int32(totalStates - frontLen)
-
 		reports := make([]*explore.LayerReport, n)
 		errs := make([]error, n)
 		var wg sync.WaitGroup
 		for p := 0; p < n; p++ {
-			if !alive[p] {
+			if !c.alive[p] {
 				continue
 			}
 			wg.Add(1)
 			go func(p int) {
 				defer wg.Done()
-				reports[p], errs[p] = tr.Expand(p, depth, firstGid, atCap)
+				reports[p], errs[p] = c.tr.Expand(p, depth, first, atCap)
 			}(p)
 		}
 		wg.Wait()
 		// A cancelled run fails its in-flight Expands; those peers are
 		// not lost, so neither roll back nor migrate — just stop.
 		if cerr := ctx.Err(); cerr != nil {
-			return res, interrupted(totalStates, cerr)
+			return interrupted(len(c.shardOf), cerr)
 		}
 
 		var dead []int
-		sendFails := 0
+		var acc explore.LayerReport
 		for p := 0; p < n; p++ {
-			if !alive[p] {
+			if !c.alive[p] {
 				continue
 			}
 			if errs[p] != nil {
 				dead = append(dead, p)
 			} else if reports[p] != nil {
-				sendFails += reports[p].SendFailures
+				acc.Merge(reports[p])
 			}
 		}
-		if len(dead) > 0 || sendFails > 0 {
-			retries++
-			if retries > maxLayerRetries {
-				return res, fmt.Errorf("cluster: layer %d failed %d times (last peer errors: %v)", depth, retries, errs)
-			}
-			// Roll every survivor back to the barrier; the failed
-			// layer's reports and half-delivered frames are discarded
-			// wholesale, so the retry re-derives them deterministically.
+		if len(dead) == 0 && acc.SendFailures == 0 {
+			// FinishLayer runs only after every peer returned, so
+			// late-arriving at-cap membership frames are all accounted
+			// for.
 			for p := 0; p < n; p++ {
-				if !alive[p] || slices.Contains(dead, p) {
+				if !c.alive[p] {
 					continue
 				}
-				if err := tr.Rollback(p); err != nil {
-					return res, fmt.Errorf("cluster: rollback peer %d: %w", p, err)
-				}
-			}
-			for _, p := range dead {
-				alive[p] = false
-				hostCount[p] = 0
-			}
-			anyAlive := false
-			for p := 0; p < n; p++ {
-				anyAlive = anyAlive || alive[p]
-			}
-			if !anyAlive {
-				return res, fmt.Errorf("cluster: all peers lost at layer %d", depth)
-			}
-			// Migrate each orphaned shard to the deterministic adopter:
-			// the alive peer hosting the fewest shards, lowest index on
-			// ties — keeps the load balanced without coordination state.
-			for s := 0; s < nShards; s++ {
-				if alive[route[s]] {
-					continue
-				}
-				adopter := -1
-				for p := 0; p < n; p++ {
-					if alive[p] && (adopter < 0 || hostCount[p] < hostCount[adopter]) {
-						adopter = p
-					}
-				}
-				if err := tr.Adopt(adopter, s); err != nil {
-					return res, fmt.Errorf("cluster: peer %d adopting shard %d: %w", adopter, s, err)
-				}
-				route[s] = adopter
-				hostCount[adopter]++
-			}
-			for p := 0; p < n; p++ {
-				if alive[p] {
-					if err := tr.SetRoute(p, route); err != nil {
-						return res, fmt.Errorf("cluster: route update to peer %d: %w", p, err)
-					}
-				}
-			}
-			continue // retry the layer from the barrier
-		}
-		retries = 0
-
-		// Fold the per-peer aggregates; FinishLayer runs only after
-		// every peer returned, so late-arriving at-cap membership
-		// frames are all accounted for.
-		var acc explore.LayerReport
-		for p := 0; p < n; p++ {
-			if !alive[p] {
-				continue
-			}
-			capT, err := tr.FinishLayer(p)
-			if err != nil {
-				return res, fmt.Errorf("cluster: finish layer on peer %d: %w", p, err)
-			}
-			acc.Truncated = acc.Truncated || capT
-			r := reports[p]
-			acc.Deadlocks += r.Deadlocks
-			acc.Transitions += r.Transitions
-			acc.Truncated = acc.Truncated || r.Truncated
-			acc.Incorrect = acc.Incorrect || r.Incorrect
-			if r.MaxEnabled > acc.MaxEnabled {
-				acc.MaxEnabled = r.MaxEnabled
-			}
-			acc.Viols = append(acc.Viols, r.Viols...)
-		}
-
-		kept, err := mergeCommit(true)
-		if err != nil {
-			return res, err
-		}
-
-		res.Deadlocks += acc.Deadlocks
-		res.Transitions += acc.Transitions
-		if acc.Truncated {
-			res.Truncated = true
-		}
-		if acc.Incorrect && depth > res.MaxIncorrectDepth {
-			res.MaxIncorrectDepth = depth
-		}
-		if acc.MaxEnabled > res.MaxEnabled {
-			res.MaxEnabled = acc.MaxEnabled
-		}
-		if len(acc.Viols) > 0 {
-			// Stable by global item: one item is expanded by one worker
-			// on one peer, which appends its violations in detection
-			// order — the single-node report order.
-			slices.SortStableFunc(acc.Viols, func(a, b explore.LayerViol) int { return cmp.Compare(a.Item, b.Item) })
-			for _, v := range acc.Viols {
-				if len(res.Violations) >= opts.MaxViolations {
-					break
-				}
-				d := depth
-				if v.Key != nil {
-					d++
-				}
-				trace, err := buildTrace(firstGid+int32(v.Item), v)
+				capT, err := c.tr.FinishLayer(p)
 				if err != nil {
-					return res, err
+					return fmt.Errorf("cluster: finish layer on peer %d: %w", p, err)
 				}
-				res.Violations = append(res.Violations, explore.Violation{
-					Kind: v.Kind, Msg: v.Msg, Depth: d, Trace: trace,
-				})
+				acc.Truncated = acc.Truncated || capT
+			}
+			rep.Merge(&acc)
+			return nil
+		}
+		retries++
+		if retries > maxLayerRetries {
+			return fmt.Errorf("cluster: layer %d failed %d times (last peer errors: %v)", depth, retries, errs)
+		}
+		if err := c.recover(depth, dead); err != nil {
+			return err
+		}
+	}
+}
+
+// recover returns the cluster to the last barrier after a failed
+// layer: the survivors roll back, the lost peers' shards migrate, and
+// the new routing table is broadcast.
+func (c *coordinator) recover(depth int, dead []int) error {
+	n := len(c.alive)
+	// Roll every survivor back to the barrier; the failed
+	// layer's reports and half-delivered frames are discarded
+	// wholesale, so the retry re-derives them deterministically.
+	for p := 0; p < n; p++ {
+		if !c.alive[p] || slices.Contains(dead, p) {
+			continue
+		}
+		if err := c.tr.Rollback(p); err != nil {
+			return fmt.Errorf("cluster: rollback peer %d: %w", p, err)
+		}
+	}
+	for _, p := range dead {
+		c.alive[p] = false
+		c.hostCount[p] = 0
+	}
+	if !slices.Contains(c.alive, true) {
+		return fmt.Errorf("cluster: all peers lost at layer %d", depth)
+	}
+	// Migrate each orphaned shard to the deterministic adopter:
+	// the alive peer hosting the fewest shards, lowest index on
+	// ties — keeps the load balanced without coordination state.
+	for s := range c.route {
+		if c.alive[c.route[s]] {
+			continue
+		}
+		adopter := -1
+		for p := 0; p < n; p++ {
+			if c.alive[p] && (adopter < 0 || c.hostCount[p] < c.hostCount[adopter]) {
+				adopter = p
 			}
 		}
-		res.States = totalStates
-		depth++
-		res.Depth = depth
-		frontLen = kept
-		if err := snapshotAll(); err != nil {
-			return res, err
+		if err := c.tr.Adopt(adopter, s); err != nil {
+			return fmt.Errorf("cluster: peer %d adopting shard %d: %w", adopter, s, err)
+		}
+		c.route[s] = adopter
+		c.hostCount[adopter]++
+	}
+	for p := 0; p < n; p++ {
+		if c.alive[p] {
+			if err := c.tr.SetRoute(p, c.route); err != nil {
+				return fmt.Errorf("cluster: route update to peer %d: %w", p, err)
+			}
 		}
 	}
-	if len(res.Violations) >= opts.MaxViolations {
-		res.Truncated = true
+	return nil
+}
+
+// Commit implements explore.LayerBackend, the serial phase-B analogue:
+// gather each shard's pos-sorted pending metadata, merge into the
+// global discovery order, assign gids to the kept prefix, commit each
+// shard's share of it back, and snapshot every shard at the new
+// barrier.
+func (c *coordinator) Commit(room int, housekeep bool, keep func(parent int32, sel string)) (int, bool, error) {
+	var all []pendTagged
+	for s, p := range c.route {
+		meta, err := c.tr.PendMeta(p, s)
+		if err != nil {
+			return 0, false, fmt.Errorf("cluster: pending metadata for shard %d: %w", s, err)
+		}
+		for _, m := range meta {
+			all = append(all, pendTagged{shard: s, meta: m})
+		}
 	}
-	res.StateBytes = 0
-	return res, nil
+	// pos values are globally unique — each (item, branch) probes
+	// one key at one owner — so this sort is a strict total order:
+	// exactly the single-node Drain order.
+	slices.SortFunc(all, func(a, b pendTagged) int { return cmp.Compare(a.meta.Pos, b.meta.Pos) })
+	kept := len(all)
+	if room >= 0 {
+		kept = min(kept, room)
+	}
+	gids := make([][]int32, len(c.route))
+	for _, t := range all[:kept] {
+		keep(t.meta.Parent, string(t.meta.Sel))
+		gids[t.shard] = append(gids[t.shard], int32(len(c.shardOf)))
+		c.shardOf = append(c.shardOf, uint16(t.shard))
+	}
+	for s, p := range c.route {
+		if err := c.tr.Commit(p, s, len(gids[s]), gids[s], housekeep); err != nil {
+			return 0, false, fmt.Errorf("cluster: commit shard %d: %w", s, err)
+		}
+	}
+	for s, p := range c.route {
+		if err := c.tr.Snapshot(p, s); err != nil {
+			return 0, false, fmt.Errorf("cluster: snapshot shard %d: %w", s, err)
+		}
+	}
+	return kept, kept < len(all), nil
+}
+
+// Keys implements explore.LayerBackend, fetching from the owning
+// shards in one batch per shard.
+func (c *coordinator) Keys(gids []int32) ([][]uint64, error) {
+	byShard := make(map[int][]int32)
+	for _, g := range gids {
+		s := int(c.shardOf[g])
+		byShard[s] = append(byShard[s], g)
+	}
+	keyOf := make(map[int32][]uint64, len(gids))
+	for s, gs := range byShard {
+		slices.Sort(gs)
+		keys, err := c.tr.Keys(c.route[s], s, gs)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: trace keys from shard %d: %w", s, err)
+		}
+		for i, g := range gs {
+			keyOf[g] = keys[i]
+		}
+	}
+	out := make([][]uint64, len(gids))
+	for i, g := range gids {
+		out[i] = keyOf[g]
+	}
+	return out, nil
 }

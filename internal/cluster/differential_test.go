@@ -146,6 +146,7 @@ func TestClusterDifferentialBattery(t *testing.T) {
 					if heavy && testing.Short() {
 						t.Skip("heavy exhaustive cell: skipped in -short")
 					}
+					t.Parallel() // cells share no state; reports are identical at any width
 					factory := mustCC(t, variant, mkH(), explore.CCOptions{Init: init})
 					opts := explore.Options{
 						Mode: mode, MaxStates: maxStates, Workers: workers,
@@ -168,6 +169,7 @@ func TestClusterDifferentialBattery(t *testing.T) {
 				if testing.Short() && modeName == "all-subsets" {
 					t.Skip("heavy cell: skipped in -short")
 				}
+				t.Parallel()
 				factory, err := explore.Baseline(kind, hypergraph.CommitteeRing(3), 1)
 				if err != nil {
 					t.Fatal(err)
@@ -179,6 +181,52 @@ func TestClusterDifferentialBattery(t *testing.T) {
 			})
 		}
 	}
+
+	// Two cells off the cross, on the bounds the shared layer driver
+	// owns. A depth-truncated run pins the depth bookkeeping across the
+	// peer barrier; a run under a memory budget far below its arena
+	// pins that every peer shard honours the budget — the spill must be
+	// observable, not just harmless — with the verdict unchanged.
+	t.Run("cc2/ring:3/central/max-depth", func(t *testing.T) {
+		t.Parallel()
+		factory := mustCC(t, core.CC2, hypergraph.CommitteeRing(3), explore.CCOptions{Init: explore.InitCC})
+		opts := explore.Options{
+			Mode: sim.SelectCentral, MaxDepth: 3, Workers: 2,
+			CheckDeadlock: true, CheckClosure: true,
+		}
+		assertClusterGrid(t, factory, opts, []int{1, 2, 3})
+	})
+	t.Run("cc2/ring:4/central/mem-budget", func(t *testing.T) {
+		t.Parallel()
+		factory := mustCC(t, core.CC2, hypergraph.CommitteeRing(4), explore.CCOptions{Init: explore.InitCC})
+		ref := oracleJSON(t, factory, ring4Opts)
+		got, spilled := runClusterSpilling(t, factory, ring4Opts, 3, nil)
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("cluster report under a memory budget differs from single-node:\n%s\nvs\n%s", got, ref)
+		}
+		if spilled == 0 {
+			t.Fatal("peers ran under a 16 KiB budget without spilling a byte of arena: MemBudget is not reaching the shards")
+		}
+	})
+}
+
+// ring4Opts is the out-of-core cell: 30k states of cc2 on ring:4 span
+// 14 layers, so under runClusterSpilling's budget every shard's arena
+// outgrows its share many times over.
+var ring4Opts = explore.Options{
+	Mode: sim.SelectCentral, MaxStates: 30_000, Workers: 2,
+	CheckDeadlock: true, CheckClosure: true,
+}
+
+// runClusterSpilling is runCluster with each peer held to a 16 KiB
+// memory budget; it also returns the arena bytes the peers had on disk
+// when they closed.
+func runClusterSpilling[S sim.Cloneable[S]](t *testing.T, factory func() *explore.Model[S], opts explore.Options, npeers int, loss []chaos.PeerLoss) ([]byte, int64) {
+	t.Helper()
+	stats := &explore.RunStats{}
+	opts.MemBudget, opts.SpillDir, opts.Stats = 16<<10, t.TempDir(), stats
+	got := runCluster(t, factory, opts, npeers, loss)
+	return got, stats.ArenaSpilledBytes
 }
 
 // TestClusterMutations: seeded guard mutations must yield the same
@@ -240,6 +288,21 @@ func TestClusterPeerLossAdoption(t *testing.T) {
 			}
 		})
 	}
+
+	// Adoption under a memory budget: the adopted shard restores an
+	// arena whose cold prefix goes straight back to disk, and the
+	// survivors roll back over spilled prefixes of their own.
+	t.Run("kill1@3+2frames/3peers/mem-budget", func(t *testing.T) {
+		factory := mustCC(t, core.CC2, hypergraph.CommitteeRing(4), explore.CCOptions{Init: explore.InitCC})
+		ref := oracleJSON(t, factory, ring4Opts)
+		got, spilled := runClusterSpilling(t, factory, ring4Opts, 3, []chaos.PeerLoss{{Peer: 1, Depth: 3, FramesBeforeDeath: 2}})
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("post-adoption cluster report under a memory budget differs from single-node:\n%s\nvs\n%s", got, ref)
+		}
+		if spilled == 0 {
+			t.Fatal("no arena bytes spilled: MemBudget is not reaching the shards")
+		}
+	})
 
 	// Violations through adoption: the kill lands while a mutated run
 	// is producing counterexamples, so the retried layer's traces are

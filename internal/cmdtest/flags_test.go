@@ -8,10 +8,10 @@ import (
 	"repro/internal/cmdtest"
 )
 
-// The -j contract, table-tested across every CLI in the module: each
-// binary accepts -j as the worker-count spelling, ccserve additionally
-// keeps its historical -job-workers name, and giving both spellings
-// different values is a usage error rather than a silent coin flip.
+// The worker-count contract, table-tested across the module: the
+// three CLIs with a worker pool spell it -j, ccserve's per-job width is
+// -job-workers only (-jobs is its other axis), and cctrace, which
+// renders sequentially, has no such knob.
 func TestWorkerFlagAliases(t *testing.T) {
 	for _, tc := range []struct {
 		cmd      string
@@ -19,22 +19,16 @@ func TestWorkerFlagAliases(t *testing.T) {
 		wantExit int
 		wantOut  string // substring of combined output
 	}{
-		// -j parses on every CLI: each invocation reaches the command's
-		// own validation (or succeeds), never "flag provided but not
-		// defined".
+		// -j parses where it means something: each invocation reaches
+		// the command's own validation (or succeeds).
 		{"ccbench", []string{"-j", "2", "-list"}, 0, "MC"},
 		{"cccheck", []string{"-j", "2", "-mode", "query"}, 2, "-mode query needs -cache"},
-		{"ccserve", []string{"-j", "2"}, 2, "-cache DIR is required"},
 		{"ccsim", []string{"-j", "2", "-topo", "bogus"}, 2, "bogus"},
-		{"cctrace", []string{"-j", "2", "-topo", "bogus"}, 2, "bogus"},
-
-		// ccserve: conflicting spellings are a usage error; agreeing
-		// duplicates are accepted and parsing proceeds.
-		{"ccserve", []string{"-job-workers", "2", "-j", "3"}, 2, "conflicting"},
-		{"ccserve", []string{"-job-workers", "2", "-j", "2"}, 2, "-cache DIR is required"},
 		{"ccserve", []string{"-job-workers", "4"}, 2, "-cache DIR is required"},
 
-		// An unknown worker spelling still fails loudly everywhere.
+		// Everywhere else a worker spelling fails loudly.
+		{"ccserve", []string{"-j", "2"}, 2, "flag provided but not defined"},
+		{"cctrace", []string{"-j", "2", "-topo", "bogus"}, 2, "flag provided but not defined"},
 		{"cccheck", []string{"-jobs-wide", "2"}, 2, "flag provided but not defined"},
 	} {
 		name := tc.cmd + " " + strings.Join(tc.args, " ")

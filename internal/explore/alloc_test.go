@@ -47,7 +47,7 @@ func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 		vs.Reset()
 		return ids
 	}
-	agg := &layerAgg{}
+	agg := &LayerReport{}
 	depth := 0
 	var mid int32
 	for layer := promote(); len(layer) > 0; layer = promote() {
@@ -57,8 +57,8 @@ func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 		}
 		depth++
 	}
-	if len(agg.viols) != 0 {
-		t.Fatalf("clean model produced %d violations", len(agg.viols))
+	if len(agg.Viols) != 0 {
+		t.Fatalf("clean model produced %d violations", len(agg.Viols))
 	}
 	if vs.States() == 0 || vs.Pending() != 0 {
 		t.Fatalf("BFS did not converge: %d states, %d pending", vs.States(), vs.Pending())

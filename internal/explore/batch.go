@@ -194,8 +194,9 @@ func (ws *workerState[S]) postCorrectMemo(bk batchEval[S], p int, eff uint64) bo
 }
 
 // batchViol records a violation against the expansion in flight.
-func (ws *workerState[S]) batchViol(wv workerViol) {
-	ws.curAgg.viols = append(ws.curAgg.viols, itemViol{item: ws.curItem, id: ws.curID, wv: wv})
+func (ws *workerState[S]) batchViol(v LayerViol) {
+	v.Item = ws.curItem
+	ws.curAgg.Viols = append(ws.curAgg.Viols, v)
 }
 
 // batchSel is the per-selection body of expandBatch: key patching, the
@@ -230,11 +231,11 @@ func (ws *workerState[S]) batchSel(selMask uint64) bool {
 	switch {
 	case ws.curAtCap && ws.cl != nil:
 		if ws.cl.capMiss(key, hashWords(key)) {
-			ws.curAgg.truncated = true
+			ws.curAgg.Truncated = true
 		}
 	case ws.curAtCap:
 		if !vs.Contains(key, hashWords(key)) {
-			ws.curAgg.truncated = true
+			ws.curAgg.Truncated = true
 		}
 	case ws.cl != nil:
 		pos := uint64(ws.curItem)<<32 | uint64(ws.curBranch)
@@ -317,9 +318,9 @@ func (ws *workerState[S]) batchSel(selMask uint64) bool {
 					if sel == nil {
 						sel = selFromMask(selMask)
 					}
-					ws.batchViol(workerViol{kind: spec.KindSync,
-						msg: fmt.Sprintf("committee %s convened but professor %d was not waiting", edge, q),
-						sel: sel, key: copyWords(key)})
+					ws.batchViol(LayerViol{Kind: spec.KindSync,
+						Msg: fmt.Sprintf("committee %s convened but professor %d was not waiting", edge, q),
+						Sel: sel, Key: copyWords(key)})
 				}
 			}
 		} else { // terminated
@@ -328,9 +329,9 @@ func (ws *workerState[S]) batchSel(selMask uint64) bool {
 					if sel == nil {
 						sel = selFromMask(selMask)
 					}
-					ws.batchViol(workerViol{kind: spec.KindEssential,
-						msg: fmt.Sprintf("committee %s terminated but professor %d had not finished its essential discussion", edge, q),
-						sel: sel, key: copyWords(key)})
+					ws.batchViol(LayerViol{Kind: spec.KindEssential,
+						Msg: fmt.Sprintf("committee %s terminated but professor %d had not finished its essential discussion", edge, q),
+						Sel: sel, Key: copyWords(key)})
 				}
 			}
 		}
@@ -373,10 +374,10 @@ func (ws *workerState[S]) batchSel(selMask uint64) bool {
 				if sel == nil {
 					sel = selFromMask(selMask)
 				}
-				ws.batchViol(workerViol{
-					kind: KindClosure,
-					msg:  fmt.Sprintf("process %d was Correct but is not after selection %v", p, sel),
-					sel:  sel, key: copyWords(key),
+				ws.batchViol(LayerViol{
+					Kind: KindClosure,
+					Msg:  fmt.Sprintf("process %d was Correct but is not after selection %v", p, sel),
+					Sel:  sel, Key: copyWords(key),
 				})
 			}
 		} else {
@@ -410,20 +411,20 @@ func (ws *workerState[S]) batchSel(selMask uint64) bool {
 					if sel == nil {
 						sel = selFromMask(selMask)
 					}
-					ws.batchViol(workerViol{
-						kind: KindClosure,
-						msg:  fmt.Sprintf("process %d was Correct but is not after selection %v", p, sel),
-						sel:  sel, key: copyWords(key),
+					ws.batchViol(LayerViol{
+						Kind: KindClosure,
+						Msg:  fmt.Sprintf("process %d was Correct but is not after selection %v", p, sel),
+						Sel:  sel, Key: copyWords(key),
 					})
 				}
 				if opts.CheckConvergence && !correctNow {
 					if sel == nil {
 						sel = selFromMask(selMask)
 					}
-					ws.batchViol(workerViol{
-						kind: KindConvergence,
-						msg:  fmt.Sprintf("process %d is still incorrect after a full round (selection %v)", p, sel),
-						sel:  sel, key: copyWords(key),
+					ws.batchViol(LayerViol{
+						Kind: KindConvergence,
+						Msg:  fmt.Sprintf("process %d is still incorrect after a full round (selection %v)", p, sel),
+						Sel:  sel, Key: copyWords(key),
 					})
 				}
 			}
@@ -438,7 +439,7 @@ func (ws *workerState[S]) batchSel(selMask uint64) bool {
 // visited probe, and incremental merged-view spec checks. Every
 // observable — keys, discovery positions, truncation, violation
 // messages — matches expand exactly.
-func (ws *workerState[S]) expandBatch(vs *Visited, agg *layerAgg, id int32, item, depth int) {
+func (ws *workerState[S]) expandBatch(vs *Visited, agg *LayerReport, id int32, item, depth int) {
 	m := ws.model
 	opts := ws.opts
 	bk := ws.bkern
@@ -476,7 +477,7 @@ func (ws *workerState[S]) expandBatch(vs *Visited, agg *layerAgg, id int32, item
 	}
 	if clash {
 		for _, v := range spec.ExclusionViolationsMeets(m.Probe, ws.was, depth, nil) {
-			ws.batchViol(workerViol{kind: v.Kind, msg: v.Msg})
+			ws.batchViol(LayerViol{Kind: v.Kind, Msg: v.Msg})
 		}
 	}
 	var correctPrev []bool
@@ -488,7 +489,7 @@ func (ws *workerState[S]) expandBatch(vs *Visited, agg *layerAgg, id int32, item
 			allCorrect = allCorrect && correctPrev[p]
 		}
 		if !allCorrect {
-			agg.incorrect = true
+			agg.Incorrect = true
 		}
 	}
 
@@ -530,22 +531,22 @@ func (ws *workerState[S]) expandBatch(vs *Visited, agg *layerAgg, id int32, item
 	ws.curNeutral = neutral
 	ws.curCorrectPrev = correctPrev
 	branches := sim.MaskSuccessors(enabledMask, opts.Mode, opts.MaxBranch, ws.selCB)
-	agg.transitions += int64(branches)
+	agg.Transitions += int64(branches)
 	enabled := bits.OnesCount64(enabledMask)
-	if enabled > agg.maxEnabled {
-		agg.maxEnabled = enabled
+	if enabled > agg.MaxEnabled {
+		agg.MaxEnabled = enabled
 	}
 	if enabled == 0 {
-		agg.deadlocks++
+		agg.Deadlocks++
 		if opts.CheckDeadlock {
-			ws.batchViol(workerViol{kind: KindDeadlock, msg: "no process is enabled"})
+			ws.batchViol(LayerViol{Kind: KindDeadlock, Msg: "no process is enabled"})
 		}
 	}
 	if opts.Mode == sim.SelectAllSubsets && enabled > 0 {
 		if enabled > 62 {
-			agg.truncated = true
+			agg.Truncated = true
 		} else if want := (int64(1) << enabled) - 1; int64(branches) < want {
-			agg.truncated = true
+			agg.Truncated = true
 		}
 	}
 }

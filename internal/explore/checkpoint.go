@@ -66,14 +66,14 @@ type RunStats struct {
 	FrontierSpillSegments int
 	FrontierSpilledBytes  int64
 	// ArenaSpilledBytes is the visited-arena bytes resident on disk at
-	// the end of the run.
+	// the end of the run (a cluster peer adds its shards' at Close).
 	ArenaSpilledBytes int64
 	// CheckpointErrors counts periodic snapshot saves that failed; the
 	// run degraded to continuing uncheckpointed instead of aborting.
 	CheckpointErrors int
 }
 
-const checkpointVersion = 1
+const checkpointVersion = 2
 
 var checkpointMagic = [8]byte{'C', 'C', 'K', 'P', 'T', '0' + checkpointVersion, '\r', '\n'}
 
@@ -90,41 +90,16 @@ func optionsHash(name string, words, nprocs int, o *Options) [32]byte {
 }
 
 // snapshot is the serial-phase state of a paused exploration (see the
-// package comment above for the inventory).
+// package comment above for the inventory): the layer driver's state,
+// serialised as it stands, plus the local backend's open queue and
+// pending set. The arena streams separately, straight out of and into
+// the visited set.
 type snapshot struct {
-	hash    [32]byte
-	words   int
-	nstates int
-
-	inits             int
-	transitions       int64
-	resDepth          int
-	maxEnabled        int
-	deadlocks         int
-	maxIncorrectDepth int
-	truncated         bool
-
-	violations []Violation
-
-	curDepth int
-	itemBase int
-	agg      layerAgg
-
+	hash  [32]byte
+	words int
+	layerState
 	frontier []int32
-	parentOf []int32
-	selOf    []string
 	pending  []PendSnap
-}
-
-// wireViol is the JSON shape of an in-progress layer violation
-// (itemViol has no exported fields).
-type wireViol struct {
-	Item int      `json:"item"`
-	ID   int32    `json:"id"`
-	Kind string   `json:"kind"`
-	Msg  string   `json:"msg"`
-	Sel  []int    `json:"sel,omitempty"`
-	Key  []uint64 `json:"key,omitempty"`
 }
 
 // --- encoding helpers ---------------------------------------------------------
@@ -168,6 +143,16 @@ func (c *ckptWriter) blob(p []byte) {
 	c.bytes(p)
 }
 func (c *ckptWriter) str(s string) { c.blob([]byte(s)) }
+
+// json writes v as a length-prefixed JSON section.
+func (c *ckptWriter) json(v any) error {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("explore: checkpoint: %v", err)
+	}
+	c.blob(b)
+	return nil
+}
 
 type ckptReader struct {
 	r   *bufio.Reader
@@ -229,6 +214,16 @@ func (c *ckptReader) blob(limit int) []byte {
 	return p
 }
 
+// json reads a length-prefixed JSON section into v.
+func (c *ckptReader) json(v any, what string) error {
+	if b := c.blob(snapLimit); c.err == nil {
+		if err := json.Unmarshal(b, v); err != nil {
+			return fmt.Errorf("explore: checkpoint %s: %v", what, err)
+		}
+	}
+	return nil
+}
+
 // i32s reads a counted []int32 section, growing with the values
 // actually decoded for the same torn-header reason as blob.
 func (c *ckptReader) i32s(n int) []int32 {
@@ -253,43 +248,19 @@ func writeSnapshot(w io.Writer, s *snapshot, vs *Visited) error {
 	c.bytes(checkpointMagic[:])
 	c.bytes(s.hash[:])
 	c.int(s.words)
-	c.int(s.nstates)
-	c.int(s.inits)
-	c.i64(s.transitions)
-	c.int(s.resDepth)
-	c.int(s.maxEnabled)
-	c.int(s.deadlocks)
-	c.int(s.maxIncorrectDepth)
-	c.bool(s.truncated)
-
-	viols, err := json.Marshal(s.violations)
-	if err != nil {
-		return fmt.Errorf("explore: checkpoint: %v", err)
+	if err := c.json(s.res); err != nil {
+		return err
 	}
-	c.blob(viols)
-
-	c.int(s.curDepth)
-	c.int(s.itemBase)
-	c.int(s.agg.deadlocks)
-	c.i64(s.agg.transitions)
-	c.int(s.agg.maxEnabled)
-	c.bool(s.agg.truncated)
-	c.bool(s.agg.incorrect)
-	wv := make([]wireViol, len(s.agg.viols))
-	for i, iv := range s.agg.viols {
-		wv[i] = wireViol{Item: iv.item, ID: iv.id, Kind: iv.wv.kind, Msg: iv.wv.msg, Sel: iv.wv.sel, Key: iv.wv.key}
+	c.int(s.depth)
+	c.int(s.done)
+	if err := c.json(&s.layer); err != nil {
+		return err
 	}
-	aggViols, err := json.Marshal(wv)
-	if err != nil {
-		return fmt.Errorf("explore: checkpoint: %v", err)
-	}
-	c.blob(aggViols)
 
 	c.int(len(s.frontier))
 	for _, id := range s.frontier {
 		c.i32(id)
 	}
-	c.int(len(s.parentOf))
 	for _, p := range s.parentOf {
 		c.i32(p)
 	}
@@ -305,35 +276,31 @@ func writeSnapshot(w io.Writer, s *snapshot, vs *Visited) error {
 			c.u64(w)
 		}
 	}
-	if c.err == nil {
-		if c.err = vs.writeArenaHashed(c); c.err != nil {
-			return c.err
-		}
-	}
-	// Trailing checksum (not itself summed).
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], c.sum.Sum64())
-	if c.err == nil {
-		_, c.err = c.w.Write(b[:])
-	}
-	if c.err == nil {
-		c.err = c.w.Flush()
-	}
-	return c.err
+	return c.finishArena(vs)
 }
 
-// writeArenaHashed streams the arena through the checkpoint writer so
-// the checksum covers it.
-func (v *Visited) writeArenaHashed(c *ckptWriter) error {
+// finishArena ends a snapshot stream: the arena, through the writer so
+// the checksum covers it, then the trailing checksum (not itself
+// summed), then the flush.
+func (c *ckptWriter) finishArena(vs *Visited) error {
+	if c.err != nil {
+		return c.err
+	}
 	var scratch [8]byte
-	err := v.scanArena(func(id int32, key []uint64) {
+	if err := vs.scanArena(func(id int32, key []uint64) {
 		for _, word := range key {
 			binary.LittleEndian.PutUint64(scratch[:], word)
 			c.bytes(scratch[:])
 		}
-	})
-	if err != nil {
+	}); err != nil {
 		return err
+	}
+	binary.LittleEndian.PutUint64(scratch[:], c.sum.Sum64())
+	if c.err == nil {
+		_, c.err = c.w.Write(scratch[:])
+	}
+	if c.err == nil {
+		c.err = c.w.Flush()
 	}
 	return c.err
 }
@@ -350,6 +317,7 @@ func readSnapshot(r io.Reader, wantHash [32]byte, words int, vs *Visited) (*snap
 		return nil, fmt.Errorf("explore: not a checkpoint (or version drift)")
 	}
 	s := &snapshot{}
+	s.res = &Result{}
 	c.bytes(s.hash[:])
 	if c.err == nil && s.hash != wantHash {
 		return nil, fmt.Errorf("explore: checkpoint is for a different (model, options) tuple")
@@ -358,61 +326,34 @@ func readSnapshot(r io.Reader, wantHash [32]byte, words int, vs *Visited) (*snap
 	if c.err == nil && s.words != words {
 		return nil, fmt.Errorf("explore: checkpoint word width %d != codec %d", s.words, words)
 	}
-	s.nstates = c.int()
-	if c.err == nil && (s.nstates < 0 || s.nstates > 1<<31-1) {
+	if err := c.json(s.res, "result"); err != nil {
+		return nil, err
+	}
+	nstates := s.res.States
+	if c.err == nil && (nstates < 0 || nstates > 1<<31-1) {
 		// Ids are int32; anything past that is a corrupted header, and
 		// it must fail here rather than size the visited set from it.
-		return nil, fmt.Errorf("explore: checkpoint state count %d out of range", s.nstates)
+		return nil, fmt.Errorf("explore: checkpoint state count %d out of range", nstates)
 	}
-	s.inits = c.int()
-	s.transitions = c.i64()
-	s.resDepth = c.int()
-	s.maxEnabled = c.int()
-	s.deadlocks = c.int()
-	s.maxIncorrectDepth = c.int()
-	s.truncated = c.bool()
-
-	if b := c.blob(snapLimit); c.err == nil {
-		if err := json.Unmarshal(b, &s.violations); err != nil {
-			return nil, fmt.Errorf("explore: checkpoint violations: %v", err)
-		}
-	}
-
-	s.curDepth = c.int()
-	s.itemBase = c.int()
-	s.agg.deadlocks = c.int()
-	s.agg.transitions = c.i64()
-	s.agg.maxEnabled = c.int()
-	s.agg.truncated = c.bool()
-	s.agg.incorrect = c.bool()
-	if b := c.blob(snapLimit); c.err == nil {
-		var wv []wireViol
-		if err := json.Unmarshal(b, &wv); err != nil {
-			return nil, fmt.Errorf("explore: checkpoint layer violations: %v", err)
-		}
-		s.agg.viols = make([]itemViol, len(wv))
-		for i, v := range wv {
-			s.agg.viols[i] = itemViol{item: v.Item, id: v.ID, wv: workerViol{kind: v.Kind, msg: v.Msg, sel: v.Sel, key: v.Key}}
-		}
+	s.depth = c.int()
+	s.done = c.int()
+	if err := c.json(&s.layer, "layer report"); err != nil {
+		return nil, err
 	}
 
 	nf := c.int()
-	if c.err == nil && (nf < 0 || nf > s.nstates) {
+	if c.err == nil && (nf < 0 || nf > nstates) {
 		return nil, fmt.Errorf("explore: checkpoint frontier length %d out of range", nf)
 	}
 	if c.err == nil {
 		s.frontier = c.i32s(nf)
 	}
-	np := c.int()
-	if c.err == nil && np != s.nstates {
-		return nil, fmt.Errorf("explore: checkpoint parent table length %d != %d states", np, s.nstates)
+	if c.err == nil {
+		s.parentOf = c.i32s(nstates)
 	}
 	if c.err == nil {
-		s.parentOf = c.i32s(np)
-	}
-	if c.err == nil {
-		s.selOf = make([]string, 0, min(np, 1<<14))
-		for i := 0; i < np; i++ {
+		s.selOf = make([]string, 0, min(nstates, 1<<14))
+		for i := 0; i < nstates; i++ {
 			sel := string(c.blob(1 << 16))
 			if c.err != nil {
 				break
@@ -448,50 +389,75 @@ func readSnapshot(r io.Reader, wantHash [32]byte, words int, vs *Visited) (*snap
 	// Semantic bounds the resume path indexes by: a file that passes
 	// the checksum but violates these would walk the engine out of its
 	// own tables.
-	if s.inits < 0 || s.inits > s.nstates {
-		return nil, fmt.Errorf("explore: checkpoint init count %d out of range", s.inits)
+	if s.res.Inits < 0 || s.res.Inits > nstates {
+		return nil, fmt.Errorf("explore: checkpoint init count %d out of range", s.res.Inits)
 	}
 	for _, id := range s.frontier {
-		if id < 0 || int(id) >= s.nstates {
+		if id < 0 || int(id) >= nstates {
 			return nil, fmt.Errorf("explore: checkpoint frontier id %d out of range", id)
 		}
 	}
 	for _, p := range s.parentOf {
-		if p < -1 || int(p) >= s.nstates {
+		if p < -1 || int(p) >= nstates {
 			return nil, fmt.Errorf("explore: checkpoint parent id %d out of range", p)
 		}
 	}
 	for _, p := range s.pending {
-		if p.Parent < -1 || int(p.Parent) >= s.nstates {
+		if p.Parent < -1 || int(p.Parent) >= nstates {
 			return nil, fmt.Errorf("explore: checkpoint pending parent %d out of range", p.Parent)
 		}
 	}
-	if s.curDepth < 0 || s.resDepth < 0 || s.transitions < 0 {
+	if s.depth < 0 || s.res.Depth < 0 || s.res.Transitions < 0 {
 		return nil, fmt.Errorf("explore: checkpoint counters out of range (depth %d/%d, transitions %d)",
-			s.curDepth, s.resDepth, s.transitions)
+			s.depth, s.res.Depth, s.res.Transitions)
+	}
+	// The layer in flight is the expanded prefix plus the open queue; a
+	// violating item's state id is its layer position past the layer
+	// start, so both must stay inside the id space.
+	if s.done < 0 || s.done > nstates {
+		return nil, fmt.Errorf("explore: checkpoint layer position %d out of range", s.done)
+	}
+	s.width = s.done + len(s.frontier)
+	if s.width > nstates {
+		return nil, fmt.Errorf("explore: checkpoint layer position %d+%d out of range", s.done, len(s.frontier))
+	}
+	for _, v := range s.layer.Viols {
+		if v.Item < 0 || v.Item >= s.done {
+			return nil, fmt.Errorf("explore: checkpoint layer violation item %d out of range", v.Item)
+		}
 	}
 
 	// Arena: stream straight into the visited set, keeping the ids the
 	// resumed layer still expands hot.
-	hotFrom := int32(s.nstates)
+	hotFrom := int32(nstates)
 	if len(s.frontier) > 0 {
 		hotFrom = s.frontier[0]
 	}
+	if err := c.restoreArena(vs, nstates, words, hotFrom); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// restoreArena ends a snapshot read: the arena section streams into the
+// fresh set vs (ids below hotFrom may go straight back to disk under
+// its budget), then the trailing checksum must match everything read.
+func (c *ckptReader) restoreArena(vs *Visited, nstates, words int, hotFrom int32) error {
 	// LimitReader keeps RestoreArena's internal buffering from reading
 	// past the arena section into the trailing checksum.
-	arenaBytes := int64(s.nstates) * int64(words) * 8
-	if err := vs.RestoreArena(io.LimitReader(hashedReader{c}, arenaBytes), s.nstates, hotFrom); err != nil {
-		return nil, err
+	arenaBytes := int64(nstates) * int64(words) * 8
+	if err := vs.RestoreArena(io.LimitReader(hashedReader{c}, arenaBytes), nstates, hotFrom); err != nil {
+		return err
 	}
 	want := c.sum.Sum64()
 	var b [8]byte
 	if _, err := io.ReadFull(c.r, b[:]); err != nil {
-		return nil, fmt.Errorf("explore: checkpoint checksum: %v", err)
+		return fmt.Errorf("explore: snapshot checksum: %v", err)
 	}
 	if got := binary.LittleEndian.Uint64(b[:]); got != want {
-		return nil, fmt.Errorf("explore: checkpoint checksum mismatch (torn or corrupted file)")
+		return fmt.Errorf("explore: snapshot checksum mismatch (torn or corrupted file)")
 	}
-	return s, nil
+	return nil
 }
 
 // hashedReader exposes the checkpoint reader as an io.Reader that

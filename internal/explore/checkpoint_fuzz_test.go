@@ -75,28 +75,29 @@ func FuzzCheckpointDecode(f *testing.F) {
 		if snap.words != words {
 			t.Fatalf("accepted word width %d, want %d", snap.words, words)
 		}
-		if snap.nstates != vs.States() {
-			t.Fatalf("snapshot claims %d states but restored %d into the visited set", snap.nstates, vs.States())
+		nstates := snap.res.States
+		if nstates != vs.States() {
+			t.Fatalf("snapshot claims %d states but restored %d into the visited set", nstates, vs.States())
 		}
-		if len(snap.parentOf) != snap.nstates || len(snap.selOf) != snap.nstates {
+		if len(snap.parentOf) != nstates || len(snap.selOf) != nstates {
 			t.Fatalf("trace arrays (%d parents, %d selections) do not cover %d states",
-				len(snap.parentOf), len(snap.selOf), snap.nstates)
+				len(snap.parentOf), len(snap.selOf), nstates)
 		}
 		for _, id := range snap.frontier {
-			if id < 0 || int(id) >= snap.nstates {
-				t.Fatalf("frontier id %d outside [0,%d)", id, snap.nstates)
+			if id < 0 || int(id) >= nstates {
+				t.Fatalf("frontier id %d outside [0,%d)", id, nstates)
 			}
 		}
 		for i, p := range snap.parentOf {
-			if p < -1 || int(p) >= snap.nstates {
-				t.Fatalf("parentOf[%d] = %d outside [-1,%d)", i, p, snap.nstates)
+			if p < -1 || int(p) >= nstates {
+				t.Fatalf("parentOf[%d] = %d outside [-1,%d)", i, p, nstates)
 			}
 		}
-		if snap.inits < 0 || snap.inits > snap.nstates {
-			t.Fatalf("inits %d outside [0,%d]", snap.inits, snap.nstates)
+		if snap.res.Inits < 0 || snap.res.Inits > nstates {
+			t.Fatalf("inits %d outside [0,%d]", snap.res.Inits, nstates)
 		}
-		if snap.curDepth < 0 || snap.resDepth < 0 || snap.transitions < 0 {
-			t.Fatalf("negative counters: depth %d/%d transitions %d", snap.curDepth, snap.resDepth, snap.transitions)
+		if snap.depth < 0 || snap.res.Depth < 0 || snap.res.Transitions < 0 {
+			t.Fatalf("negative counters: depth %d/%d transitions %d", snap.depth, snap.res.Depth, snap.res.Transitions)
 		}
 	})
 }

@@ -154,6 +154,7 @@ func TestDifferentialBattery(t *testing.T) {
 					if heavy && testing.Short() {
 						t.Skip("heavy cell: skipped in -short")
 					}
+					t.Parallel() // cells share no state; reports are identical at any width
 					factory := mustCC(t, variant, mkH(), CCOptions{Init: init})
 					opts := Options{
 						Mode: mode, MaxStates: maxStates,
@@ -178,6 +179,7 @@ func TestDifferentialBattery(t *testing.T) {
 					if testing.Short() && (topoName == "triples:3" || modeName == "all-subsets") {
 						t.Skip("heavy cell: skipped in -short")
 					}
+					t.Parallel()
 					factory, err := Baseline(kind, mkH(), 1)
 					if err != nil {
 						t.Fatal(err)

@@ -41,14 +41,12 @@
 package explore
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math/bits"
 	"math/rand"
-	"slices"
 	"strings"
 	"sync"
 
@@ -289,41 +287,6 @@ func (r *Result) Summary() string {
 		r.Model, r.Mode, r.Inits, r.States, sym, r.Transitions, r.Depth, r.Deadlocks, len(r.Violations), r.Verdict())
 }
 
-// workerViol is a violation as detected inside a worker, before its
-// trace is reconstructed.
-type workerViol struct {
-	kind, msg string
-	sel       []int    // selection of the offending transition (nil = state property)
-	key       []uint64 // successor encoding (nil = state property)
-}
-
-// layerAgg accumulates one worker's expansion results for one layer.
-// Everything in it is either order-insensitive (sums, maxima, flags —
-// merged across workers after the layer barrier) or tagged with the
-// item index (violations, sorted back into deterministic item order),
-// so the merged outcome is identical at any worker count and nothing
-// per-item is allocated on the hot path.
-type layerAgg struct {
-	deadlocks   int
-	transitions int64
-	maxEnabled  int
-	truncated   bool
-	incorrect   bool
-	viols       []itemViol
-}
-
-type itemViol struct {
-	item int
-	id   int32 // the expanded state's id (trace reconstruction)
-	wv   workerViol
-}
-
-func (a *layerAgg) reset() {
-	a.deadlocks, a.transitions, a.maxEnabled = 0, 0, 0
-	a.truncated, a.incorrect = false, false
-	a.viols = a.viols[:0]
-}
-
 // workerState is the per-worker scratch: one model instance plus every
 // buffer the expansion hot path needs, so expanding a configuration
 // allocates nothing.
@@ -404,7 +367,7 @@ type workerState[S sim.Cloneable[S]] struct {
 	// guarantee (pinned by TestBatchSteadyStateZeroAlloc).
 	selCB          func(uint64) bool
 	curVS          *Visited
-	curAgg         *layerAgg
+	curAgg         *LayerReport
 	curID          int32
 	curItem        int
 	curBranch      int
@@ -604,8 +567,8 @@ func copyWords(w []uint64) []uint64 { return append([]uint64(nil), w...) }
 // expand checks the state properties of configuration id, enumerates
 // its successors under opts.Mode, probes each into vs (phase-A side of
 // the deterministic merge) and records the transition properties into
-// the worker's layer aggregate.
-func (ws *workerState[S]) expand(vs *Visited, agg *layerAgg, id int32, item, depth int) {
+// the worker's layer report.
+func (ws *workerState[S]) expand(vs *Visited, agg *LayerReport, id int32, item, depth int) {
 	if ws.bkern != nil {
 		ws.expandBatch(vs, agg, id, item, depth)
 		return
@@ -614,14 +577,17 @@ func (ws *workerState[S]) expand(vs *Visited, agg *layerAgg, id int32, item, dep
 	opts := ws.opts
 	m.Codec.Decode(ws.cfg, vs.Key(id))
 	cfg := ws.cfg
-	viol := func(wv workerViol) { agg.viols = append(agg.viols, itemViol{item: item, id: id, wv: wv}) }
+	viol := func(v LayerViol) {
+		v.Item = item
+		agg.Viols = append(agg.Viols, v)
+	}
 
 	// State properties: exclusion, deadlock, correctness depth. The
 	// configuration's meets vector is computed once and shared with every
 	// successor's event check.
 	ws.was = spec.MeetsVector(m.Probe, cfg, ws.was)
 	for _, v := range spec.ExclusionViolationsMeets(m.Probe, ws.was, depth, nil) {
-		viol(workerViol{kind: v.Kind, msg: v.Msg})
+		viol(LayerViol{Kind: v.Kind, Msg: v.Msg})
 	}
 	var correctPrev []bool
 	if m.Correct != nil {
@@ -635,7 +601,7 @@ func (ws *workerState[S]) expand(vs *Visited, agg *layerAgg, id int32, item, dep
 			allCorrect = allCorrect && correctPrev[p]
 		}
 		if !allCorrect {
-			agg.incorrect = true
+			agg.Incorrect = true
 		}
 	}
 
@@ -679,11 +645,11 @@ func (ws *workerState[S]) expand(vs *Visited, agg *layerAgg, id int32, item, dep
 		switch {
 		case atCap && ws.cl != nil:
 			if ws.cl.capMiss(key, hashWords(key)) {
-				agg.truncated = true
+				agg.Truncated = true
 			}
 		case atCap:
 			if !vs.Contains(key, hashWords(key)) {
-				agg.truncated = true
+				agg.Truncated = true
 			}
 		case ws.cl != nil:
 			pos := uint64(item)<<32 | uint64(branch)
@@ -723,7 +689,7 @@ func (ws *workerState[S]) expand(vs *Visited, agg *layerAgg, id int32, item, dep
 			}
 		}
 		for _, v := range spec.EventViolationsMeets(m.Probe, cfg, ws.was, ws.is, depth+1, nil) {
-			viol(workerViol{kind: v.Kind, msg: v.Msg, sel: copySel(sel), key: copyWords(key)})
+			viol(LayerViol{Kind: v.Kind, Msg: v.Msg, Sel: copySel(sel), Key: copyWords(key)})
 		}
 		if correctPrev != nil && (opts.CheckClosure || opts.CheckConvergence) {
 			if m.Deps != nil {
@@ -739,43 +705,43 @@ func (ws *workerState[S]) expand(vs *Visited, agg *layerAgg, id int32, item, dep
 					correctNow = m.Correct(nxt, p)
 				}
 				if opts.CheckClosure && correctPrev[p] && !correctNow {
-					viol(workerViol{
-						kind: KindClosure,
-						msg:  fmt.Sprintf("process %d was Correct but is not after selection %v", p, sel),
-						sel:  copySel(sel), key: copyWords(key),
+					viol(LayerViol{
+						Kind: KindClosure,
+						Msg:  fmt.Sprintf("process %d was Correct but is not after selection %v", p, sel),
+						Sel:  copySel(sel), Key: copyWords(key),
 					})
 				}
 				if opts.CheckConvergence && !correctNow {
 					// One synchronous step = one completed round: the
 					// stabilization actions have the highest priority, so
 					// every process must be Correct in the successor.
-					viol(workerViol{
-						kind: KindConvergence,
-						msg:  fmt.Sprintf("process %d is still incorrect after a full round (selection %v)", p, sel),
-						sel:  copySel(sel), key: copyWords(key),
+					viol(LayerViol{
+						Kind: KindConvergence,
+						Msg:  fmt.Sprintf("process %d is still incorrect after a full round (selection %v)", p, sel),
+						Sel:  copySel(sel), Key: copyWords(key),
 					})
 				}
 			}
 		}
 		return true
 	})
-	agg.transitions += int64(branches)
-	if enabled > agg.maxEnabled {
-		agg.maxEnabled = enabled
+	agg.Transitions += int64(branches)
+	if enabled > agg.MaxEnabled {
+		agg.MaxEnabled = enabled
 	}
 	if enabled == 0 {
-		agg.deadlocks++
+		agg.Deadlocks++
 		if opts.CheckDeadlock {
-			viol(workerViol{kind: KindDeadlock, msg: "no process is enabled"})
+			viol(LayerViol{Kind: KindDeadlock, Msg: "no process is enabled"})
 		}
 	}
 	if opts.Mode == sim.SelectAllSubsets && enabled > 0 {
 		// 2^enabled−1 overflows past 62 enabled processes; any such state
 		// is necessarily truncated under a finite branch cap.
 		if enabled > 62 {
-			agg.truncated = true
+			agg.Truncated = true
 		} else if want := (int64(1) << enabled) - 1; int64(branches) < want {
-			agg.truncated = true
+			agg.Truncated = true
 		}
 	}
 }
@@ -855,344 +821,280 @@ func forEachWorkerIO(n, workers int, fn func(w, i int)) error {
 func ExploreCtx[S sim.Cloneable[S]](ctx context.Context, newModel func() *Model[S], opts Options) (res *Result, err error) {
 	defer catchIO(&err)
 	opts = opts.Defaulted()
-	workers := opts.Workers
-	wss := make([]*workerState[S], workers)
-	for i := range wss {
-		wss[i] = newWorkerState(newModel(), &opts)
+	b := &localBackend[S]{opts: &opts, wss: make([]*workerState[S], opts.Workers)}
+	for i := range b.wss {
+		b.wss[i] = newWorkerState(newModel(), &opts)
 	}
-	m0 := wss[0].model
+	m0 := b.wss[0].model
+	b.run = newLayerDriver(m0, &opts)
+	res = b.run.res
+	b.ohash = optionsHash(m0.Name, m0.Codec.Words, m0.Prog.NumProcs, &opts)
+	b.reps = make([]LayerReport, opts.Workers)
+	b.chunkBuf = make([]int32, 0, exploreChunk)
 
-	res = &Result{
-		Model: m0.Name, Mode: opts.Mode, MaxIncorrectDepth: -1,
-		Symmetry: opts.Symmetry && len(m0.Syms) > 0,
-	}
-
+	b.vs = b.newVisited()
+	defer func() { b.vs.Close() }()
 	// The memory budget splits between the visited arena (the bulk of
-	// the footprint) and the open queue of promoted ids.
-	var arenaBudget, frontBudget int64
-	if opts.MemBudget > 0 {
-		arenaBudget = opts.MemBudget / 2
-		frontBudget = opts.MemBudget / 8
-	}
-	newVisited := func() *Visited {
-		vs := NewVisited(m0.Codec.Words)
-		vs.SetSerial(workers == 1)
-		vs.SetFS(opts.FS)
-		if arenaBudget > 0 {
-			vs.EnableArenaSpill(opts.SpillDir, arenaBudget)
-		}
-		return vs
-	}
-	vs := newVisited()
-	defer func() { vs.Close() }()
-	front := NewFrontier(frontBudget, opts.SpillDir, opts.FS)
-	defer front.Close()
+	// the footprint, Options.arenaShare) and the open queue of promoted
+	// ids.
+	b.front = NewFrontier(opts.MemBudget/8, opts.SpillDir, opts.FS)
+	defer b.front.Close()
 
-	aggs := make([]layerAgg, workers)
-	var parentOf []int32
-	var selOf []string
-
-	// In-progress layer bookkeeping: the aggregate accumulated across
-	// the layer's expanded chunks, and the layer position of the next
-	// item.
-	var layerAccum layerAgg
-	itemBase := 0
-	depth := 0
-
-	ohash := optionsHash(m0.Name, m0.Codec.Words, m0.Prog.NumProcs, &opts)
-	restored := false
-	if opts.Checkpoint != nil {
-		if r, lerr := opts.Checkpoint.Load(); lerr == nil && r != nil {
-			snap, rerr := readSnapshot(r, ohash, m0.Codec.Words, vs)
-			r.Close()
-			if rerr == nil {
-				res.Inits = snap.inits
-				res.Transitions = snap.transitions
-				res.Depth = snap.resDepth
-				res.MaxEnabled = snap.maxEnabled
-				res.Deadlocks = snap.deadlocks
-				res.MaxIncorrectDepth = snap.maxIncorrectDepth
-				res.Truncated = snap.truncated
-				res.Violations = snap.violations
-				res.States = vs.States()
-				layerAccum = snap.agg
-				itemBase = snap.itemBase
-				depth = snap.curDepth
-				parentOf = snap.parentOf
-				selOf = snap.selOf
-				for _, id := range snap.frontier {
-					if err := front.Push(id); err != nil {
-						return res, err
-					}
-				}
-				for _, p := range snap.pending {
-					vs.Probe(p.Key, hashWords(p.Key), p.Pos, p.Parent, []byte(p.Sel))
-				}
-				restored = true
-				if opts.Stats != nil {
-					opts.Stats.ResumedStates = vs.States()
-				}
-			} else {
-				// Unusable checkpoint (format drift, corruption, a
-				// different options tuple): quarantine it if the source
-				// supports that, then start fresh on a clean set — the
-				// rerun converges to the same verdict from scratch.
-				if q, ok := opts.Checkpoint.(interface{ Quarantine() error }); ok {
-					q.Quarantine()
-				}
-				vs.Close()
-				vs = newVisited()
-			}
-		} else if r != nil {
-			r.Close()
-		}
+	resumed, err := b.restore()
+	res = b.run.res // a restore replaces the driver's state, result included
+	if err != nil {
+		return res, err
 	}
-
-	// promote drains the pending entries in deterministic discovery
-	// order and assigns dense ids, enforcing the state bound; fresh ids
-	// queue on the (possibly spilling) frontier.
-	promote := func() (int, error) {
-		fresh := vs.Drain()
-		count := 0
-		for _, f := range fresh {
-			if opts.MaxStates > 0 && vs.States() >= opts.MaxStates {
-				res.Truncated = true
-				vs.Drop(f)
-				continue
-			}
-			id := vs.Promote(f)
-			parentOf = append(parentOf, f.Parent)
-			selOf = append(selOf, f.Sel)
-			if err := front.Push(id); err != nil {
-				return 0, err
-			}
-			count++
-		}
-		vs.Reset()
-		return count, nil
+	if err := b.run.run(ctx, b, resumed); err != nil {
+		return res, err
 	}
-
-	if !restored {
-		// Seed the initial layer. The stream stops once more distinct
-		// inits than the state bound have been seen — everything past
-		// the bound would be dropped anyway.
-		seq := uint64(0)
-		m0.Inits(func(cfg []S) bool {
-			key := wss[0].canonKey(cfg)
-			vs.Probe(key, hashWords(key), seq, -1, nil)
-			seq++
-			return opts.MaxStates <= 0 || vs.Pending() <= opts.MaxStates
-		})
-		inits, err := promote()
-		if err != nil {
-			return res, err
-		}
-		res.Inits = inits
-		res.States = vs.States()
-	}
-
-	fillStats := func() {
-		if opts.Stats == nil {
-			return
-		}
-		opts.Stats.FrontierSpillSegments = front.SpillSegments
-		opts.Stats.FrontierSpilledBytes = front.SpilledBytes
-		opts.Stats.ArenaSpilledBytes = vs.SpilledBytes()
-	}
-	save := func() error {
-		if opts.Checkpoint == nil {
-			return nil
-		}
-		remaining, err := front.AppendRemaining(nil)
-		if err != nil {
-			return err
-		}
-		snap := &snapshot{
-			hash: ohash, words: m0.Codec.Words, nstates: vs.States(),
-			inits: res.Inits, transitions: res.Transitions, resDepth: res.Depth,
-			maxEnabled: res.MaxEnabled, deadlocks: res.Deadlocks,
-			maxIncorrectDepth: res.MaxIncorrectDepth, truncated: res.Truncated,
-			violations: res.Violations,
-			curDepth:   depth, itemBase: itemBase, agg: layerAccum,
-			frontier: remaining, parentOf: parentOf, selOf: selOf,
-			pending: vs.SnapshotPending(),
-		}
-		if err := opts.Checkpoint.Save(func(w io.Writer) error { return writeSnapshot(w, snap, vs) }); err != nil {
-			return err
-		}
-		if opts.Stats != nil {
-			opts.Stats.CheckpointsWritten++
-		}
-		return nil
-	}
-
-	chunkBuf := make([]int32, 0, exploreChunk)
-	expandedSince := 0
-	for front.Len() > 0 && len(res.Violations) < opts.MaxViolations {
-		if opts.MaxDepth > 0 && depth >= opts.MaxDepth {
-			res.Truncated = true
-			break
-		}
-		// The layer's ids are the dense range ending at the current
-		// state count (itemBase of them already expanded before a
-		// restore); its start becomes the hot watermark once the layer
-		// completes.
-		layerStart := int32(vs.States() - front.Len() - itemBase)
-		// Phase A (concurrent, chunked): drain the open queue a chunk
-		// at a time and fan it across the workers; workers hash and
-		// probe successors into the sharded set as they go,
-		// accumulating order-insensitive statistics per worker.
-		for front.Len() > 0 {
-			// Both snapshot triggers live here, BEFORE the chunk is
-			// popped: with the frontier non-empty the snapshot is
-			// self-contained (a snapshot taken after a layer's last
-			// chunk would have an empty frontier with the next layer
-			// still un-promoted in the pending set, and a kill right
-			// after persisting it would resume to a prematurely
-			// terminated exploration).
-			if cerr := ctx.Err(); cerr != nil {
-				fillStats()
-				if serr := save(); serr != nil {
-					// Still interrupted, but the snapshot did not land: the
-					// rerun restarts from the previous checkpoint (or from
-					// scratch) instead of resuming here.
-					return res, fmt.Errorf("explore: %w at %d states (%v; checkpoint save failed: %v)", ErrInterrupted, vs.States(), cerr, serr)
-				}
-				return res, fmt.Errorf("explore: %w at %d states (%v)", ErrInterrupted, vs.States(), cerr)
-			}
-			if opts.CheckpointEvery > 0 && expandedSince >= opts.CheckpointEvery {
-				if err := save(); err != nil {
-					// A failed periodic snapshot costs resumability, not
-					// correctness: degrade to an uncheckpointed run and
-					// count the failure instead of aborting the job.
-					if opts.Stats != nil {
-						opts.Stats.CheckpointErrors++
-					}
-				}
-				expandedSince = 0
-			}
-			chunk, err := front.PopChunk(chunkBuf)
-			if err != nil {
-				return res, err
-			}
-			for w := range aggs {
-				aggs[w].reset()
-			}
-			base := itemBase
-			if err := forEachWorkerIO(len(chunk), workers, func(w, i int) {
-				wss[w].expand(vs, &aggs[w], chunk[i], base+i, depth)
-			}); err != nil {
-				return res, err
-			}
-			itemBase += len(chunk)
-			expandedSince += len(chunk)
-			// Merge the chunk's worker aggregates (sums and maxima
-			// commute; violations stay item-tagged for the layer-end
-			// sort, so the merge order cannot show in the result).
-			for w := range aggs {
-				a := &aggs[w]
-				layerAccum.deadlocks += a.deadlocks
-				layerAccum.transitions += a.transitions
-				if a.truncated {
-					layerAccum.truncated = true
-				}
-				if a.incorrect {
-					layerAccum.incorrect = true
-				}
-				if a.maxEnabled > layerAccum.maxEnabled {
-					layerAccum.maxEnabled = a.maxEnabled
-				}
-				layerAccum.viols = append(layerAccum.viols, a.viols...)
-			}
-			if opts.Progress != nil {
-				// Between chunks the workers are quiesced (ForEachWorker is
-				// a barrier), so the promoted count and frontier length are
-				// stable to read here.
-				opts.Progress(Progress{
-					States:      vs.States(),
-					Expanded:    itemBase,
-					Frontier:    front.Len(),
-					Depth:       depth,
-					Transitions: res.Transitions + layerAccum.transitions,
-				})
-			}
-		}
-		// Phase B (serial): promote the fresh states in deterministic
-		// discovery order, fold the layer aggregate into the result,
-		// and run the scaling housekeeping (re-shard, cold-tail spill).
-		if _, err := promote(); err != nil {
-			return res, err
-		}
-
-		res.Deadlocks += layerAccum.deadlocks
-		res.Transitions += layerAccum.transitions
-		if layerAccum.truncated {
-			res.Truncated = true
-		}
-		if layerAccum.incorrect && depth > res.MaxIncorrectDepth {
-			res.MaxIncorrectDepth = depth
-		}
-		if layerAccum.maxEnabled > res.MaxEnabled {
-			res.MaxEnabled = layerAccum.maxEnabled
-		}
-		if len(layerAccum.viols) > 0 {
-			// Stable: one item is expanded by one worker, which appends
-			// its violations in detection order.
-			slices.SortStableFunc(layerAccum.viols, func(a, b itemViol) int { return cmp.Compare(a.item, b.item) })
-			for _, iv := range layerAccum.viols {
-				if len(res.Violations) >= opts.MaxViolations {
-					break
-				}
-				d := depth
-				if iv.wv.key != nil {
-					d++
-				}
-				res.Violations = append(res.Violations, Violation{
-					Kind: iv.wv.kind, Msg: iv.wv.msg, Depth: d,
-					Trace: buildTrace(m0, vs, parentOf, selOf, iv.id, iv.wv),
-				})
-			}
-		}
-		res.States = vs.States()
-		depth++
-		res.Depth = depth
-		layerAccum.reset()
-		layerAccum.viols = nil
-		itemBase = 0
-		if err := vs.Housekeep(layerStart); err != nil {
-			return res, err
-		}
-	}
-	if len(res.Violations) >= opts.MaxViolations {
-		res.Truncated = true
-	}
-	res.StateBytes = vs.Bytes()
-	fillStats()
+	res.StateBytes = b.vs.Bytes()
+	b.fillStats()
 	return res, nil
 }
 
-// buildTrace reconstructs the path from an initial configuration to
-// state id, then appends the offending transition if any.
-func buildTrace[S sim.Cloneable[S]](m *Model[S], vs *Visited, parentOf []int32, selOf []string, id int32, wv workerViol) []TraceStep {
-	var path []int32
-	for x := id; x >= 0; x = parentOf[x] {
-		path = append(path, x)
+// localBackend is the single-process LayerBackend: every state lives in
+// one visited set, the layer in flight is the open queue, and a layer is
+// expanded a chunk at a time so cancellation and checkpoints land
+// mid-layer.
+type localBackend[S sim.Cloneable[S]] struct {
+	opts  *Options
+	wss   []*workerState[S]
+	reps  []LayerReport // per-worker chunk aggregates
+	vs    *Visited
+	front *Frontier
+	// run is the driver this backend serves: a checkpoint is the
+	// driver's state plus this backend's, and the position in the layer
+	// (run.done) advances here, chunk by chunk.
+	run   *layerDriver
+	ohash [32]byte
+
+	chunkBuf      []int32
+	expandedSince int   // states expanded since the last periodic snapshot
+	hotFrom       int32 // first id of the layer last expanded: Housekeep's hot watermark
+}
+
+// newVisited is the one visited-set constructor: the local backend's
+// set and every shard of a cluster peer are built here, so the memory
+// budget and the I/O routing reach all of them. sharers is how many
+// sets split the arena budget; the lock-free serial path is for a set
+// only one goroutine ever probes.
+func newVisited(words int, opts *Options, serial bool, sharers int) *Visited {
+	vs := NewVisited(words)
+	vs.SetSerial(serial)
+	vs.SetFS(opts.FS)
+	vs.EnableArenaSpill(opts.SpillDir, opts.arenaShare(sharers))
+	return vs
+}
+
+// arenaShare is the visited-arena budget of one of n sets sharing
+// MemBudget (0 = never spill): the arena gets half — the open queue and
+// the slot tables live in the rest — split evenly.
+func (o *Options) arenaShare(n int) int64 {
+	if o.MemBudget <= 0 {
+		return 0
 	}
-	decode := func(key []uint64) []S {
-		cfg := make([]S, m.Prog.NumProcs)
-		m.Codec.Decode(cfg, key)
-		return cfg
+	return max(o.MemBudget/2/int64(n), 1)
+}
+
+func (b *localBackend[S]) newVisited() *Visited {
+	return newVisited(b.wss[0].model.Codec.Words, b.opts, len(b.wss) == 1, 1)
+}
+
+// restore resumes from the configured checkpoint, if a usable one
+// exists: the driver state, the open queue and the pending set come
+// back exactly as save left them.
+func (b *localBackend[S]) restore() (bool, error) {
+	ck := b.opts.Checkpoint
+	if ck == nil {
+		return false, nil
 	}
-	out := make([]TraceStep, 0, len(path)+1)
-	for i := len(path) - 1; i >= 0; i-- {
-		x := path[i]
-		key := copyWords(vs.Key(x))
-		out = append(out, TraceStep{Sel: decodeSel(selOf[x]), Config: m.render(decode(key)), Key: key})
+	r, err := ck.Load()
+	if err != nil || r == nil {
+		if r != nil {
+			r.Close()
+		}
+		return false, nil
 	}
-	if wv.key != nil {
-		out = append(out, TraceStep{Sel: wv.sel, Config: m.render(decode(wv.key)), Key: wv.key})
+	snap, err := readSnapshot(r, b.ohash, b.wss[0].model.Codec.Words, b.vs)
+	r.Close()
+	if err != nil {
+		// Unusable checkpoint (format drift, corruption, a
+		// different options tuple): quarantine it if the source
+		// supports that, then start fresh on a clean set — the
+		// rerun converges to the same verdict from scratch.
+		if q, ok := ck.(interface{ Quarantine() error }); ok {
+			q.Quarantine()
+		}
+		b.vs.Close()
+		b.vs = b.newVisited()
+		return false, nil
 	}
-	return out
+	b.run.layerState = snap.layerState
+	for _, id := range snap.frontier {
+		if err := b.front.Push(id); err != nil {
+			return false, err
+		}
+	}
+	for _, p := range snap.pending {
+		b.vs.Probe(p.Key, hashWords(p.Key), p.Pos, p.Parent, []byte(p.Sel))
+	}
+	if b.opts.Stats != nil {
+		b.opts.Stats.ResumedStates = b.vs.States()
+	}
+	return true, nil
+}
+
+func (b *localBackend[S]) fillStats() {
+	if st := b.opts.Stats; st != nil {
+		st.FrontierSpillSegments = b.front.SpillSegments
+		st.FrontierSpilledBytes = b.front.SpilledBytes
+		st.ArenaSpilledBytes = b.vs.SpilledBytes()
+	}
+}
+
+func (b *localBackend[S]) save() error {
+	if b.opts.Checkpoint == nil {
+		return nil
+	}
+	remaining, err := b.front.AppendRemaining(nil)
+	if err != nil {
+		return err
+	}
+	snap := &snapshot{
+		hash: b.ohash, words: b.wss[0].model.Codec.Words, layerState: b.run.layerState,
+		frontier: remaining, pending: b.vs.SnapshotPending(),
+	}
+	if err := b.opts.Checkpoint.Save(func(w io.Writer) error { return writeSnapshot(w, snap, b.vs) }); err != nil {
+		return err
+	}
+	if b.opts.Stats != nil {
+		b.opts.Stats.CheckpointsWritten++
+	}
+	return nil
+}
+
+// Seed implements LayerBackend. The stream stops once more distinct
+// inits than the state bound have been seen — everything past the
+// bound would be dropped anyway.
+func (b *localBackend[S]) Seed() error {
+	ws0 := b.wss[0]
+	seq := uint64(0)
+	ws0.model.Inits(func(cfg []S) bool {
+		key := ws0.canonKey(cfg)
+		b.vs.Probe(key, hashWords(key), seq, -1, nil)
+		seq++
+		return b.opts.MaxStates <= 0 || b.vs.Pending() <= b.opts.MaxStates
+	})
+	return nil
+}
+
+// Expand implements LayerBackend (phase A: concurrent, chunked): drain
+// the open queue a chunk at a time and fan it across the workers;
+// workers hash and probe successors into the sharded set as they go,
+// accumulating order-insensitive statistics per worker.
+func (b *localBackend[S]) Expand(ctx context.Context, depth int, first int32, rep *LayerReport) error {
+	opts, vs, run := b.opts, b.vs, b.run
+	b.hotFrom = first
+	for b.front.Len() > 0 {
+		// Both snapshot triggers live here, BEFORE the chunk is
+		// popped: with the frontier non-empty the snapshot is
+		// self-contained (a snapshot taken after a layer's last
+		// chunk would have an empty frontier with the next layer
+		// still un-promoted in the pending set, and a kill right
+		// after persisting it would resume to a prematurely
+		// terminated exploration).
+		if cerr := ctx.Err(); cerr != nil {
+			b.fillStats()
+			if serr := b.save(); serr != nil {
+				// Still interrupted, but the snapshot did not land: the
+				// rerun restarts from the previous checkpoint (or from
+				// scratch) instead of resuming here.
+				return fmt.Errorf("explore: %w at %d states (%v; checkpoint save failed: %v)", ErrInterrupted, vs.States(), cerr, serr)
+			}
+			return fmt.Errorf("explore: %w at %d states (%v)", ErrInterrupted, vs.States(), cerr)
+		}
+		if opts.CheckpointEvery > 0 && b.expandedSince >= opts.CheckpointEvery {
+			if err := b.save(); err != nil {
+				// A failed periodic snapshot costs resumability, not
+				// correctness: degrade to an uncheckpointed run and
+				// count the failure instead of aborting the job.
+				if opts.Stats != nil {
+					opts.Stats.CheckpointErrors++
+				}
+			}
+			b.expandedSince = 0
+		}
+		chunk, err := b.front.PopChunk(b.chunkBuf)
+		if err != nil {
+			return err
+		}
+		for w := range b.reps {
+			b.reps[w] = LayerReport{Viols: b.reps[w].Viols[:0]}
+		}
+		base := run.done
+		if err := forEachWorkerIO(len(chunk), len(b.wss), func(w, i int) {
+			b.wss[w].expand(vs, &b.reps[w], chunk[i], base+i, depth)
+		}); err != nil {
+			return err
+		}
+		run.done += len(chunk)
+		b.expandedSince += len(chunk)
+		for w := range b.reps {
+			rep.Merge(&b.reps[w])
+		}
+		if opts.Progress != nil {
+			// Between chunks the workers are quiesced (ForEachWorker is
+			// a barrier), so the promoted count and frontier length are
+			// stable to read here.
+			opts.Progress(Progress{
+				States:      vs.States(),
+				Expanded:    run.done,
+				Frontier:    b.front.Len(),
+				Depth:       depth,
+				Transitions: run.res.Transitions + rep.Transitions,
+			})
+		}
+	}
+	return nil
+}
+
+// Commit implements LayerBackend (phase B: serial): promote the fresh
+// states in deterministic discovery order — their ids queue on the
+// (possibly spilling) frontier as the next layer — then run the scaling
+// housekeeping (re-shard, cold-tail spill).
+func (b *localBackend[S]) Commit(room int, housekeep bool, keep func(parent int32, sel string)) (int, bool, error) {
+	fresh := b.vs.Drain()
+	kept := len(fresh)
+	if room >= 0 {
+		kept = min(kept, room)
+	}
+	for i, f := range fresh {
+		if i >= kept {
+			b.vs.Drop(f)
+			continue
+		}
+		keep(f.Parent, f.Sel)
+		if err := b.front.Push(b.vs.Promote(f)); err != nil {
+			return 0, false, err
+		}
+	}
+	b.vs.Reset()
+	if housekeep {
+		if err := b.vs.Housekeep(b.hotFrom); err != nil {
+			return 0, false, err
+		}
+	}
+	return kept, kept < len(fresh), nil
+}
+
+// Keys implements LayerBackend.
+func (b *localBackend[S]) Keys(ids []int32) ([][]uint64, error) {
+	keys := make([][]uint64, len(ids))
+	for i, id := range ids {
+		keys[i] = copyWords(b.vs.Key(id))
+	}
+	return keys, nil
 }
 
 // Replay re-executes a counterexample trace step for step through

@@ -73,15 +73,9 @@ func (o Options) Defaulted() Options {
 	return o
 }
 
-// DecodeSel decodes a packed selection string (one byte per selected
-// process) into the selection slice a TraceStep carries; "" decodes to
-// nil, matching the initial-configuration step.
-func DecodeSel(s string) []int { return decodeSel(s) }
-
-// RenderKey decodes an encoded state and renders it the way trace steps
-// are rendered — the cluster coordinator's analogue of the in-process
-// trace builder, which holds the arena and calls render directly.
-func (m *Model[S]) RenderKey(key []uint64) string {
+// renderKey decodes an encoded state and renders it the way trace steps
+// are rendered.
+func (m *Model[S]) renderKey(key []uint64) string {
 	cfg := make([]S, m.Prog.NumProcs)
 	m.Codec.Decode(cfg, key)
 	return m.render(cfg)
@@ -94,32 +88,6 @@ type PendMeta struct {
 	Pos    uint64 `json:"pos"`
 	Parent int32  `json:"parent"`
 	Sel    []byte `json:"sel,omitempty"`
-}
-
-// LayerViol is one violation detected during a peer's slice of a layer
-// expansion, tagged with the global layer item index so the coordinator
-// can reproduce the single-node report order (a stable sort by Item;
-// one item is expanded by exactly one worker on exactly one peer).
-type LayerViol struct {
-	Item int      `json:"item"`
-	Kind string   `json:"kind"`
-	Msg  string   `json:"msg"`
-	Sel  []int    `json:"sel,omitempty"`
-	Key  []uint64 `json:"key,omitempty"`
-}
-
-// LayerReport is a peer's order-insensitive aggregate for one layer —
-// the cluster analogue of the per-worker layerAgg, folded across the
-// peer's workers. Sums, maxima and ORs commute, so the coordinator's
-// fold over peers cannot show in the result.
-type LayerReport struct {
-	Deadlocks    int         `json:"deadlocks"`
-	Transitions  int64       `json:"transitions"`
-	MaxEnabled   int         `json:"maxEnabled"`
-	Truncated    bool        `json:"truncated"`
-	Incorrect    bool        `json:"incorrect"`
-	Viols        []LayerViol `json:"viols,omitempty"`
-	SendFailures int         `json:"sendFailures,omitempty"`
 }
 
 // PeerEngine is the coordinator-facing surface of one cluster peer. All
@@ -275,7 +243,7 @@ func NewPeer[S sim.Cloneable[S]](newModel func() *Model[S], opts Options, cfg Pe
 		if _, dup := e.shards[s]; dup {
 			return nil, fmt.Errorf("explore: shard %d hosted twice", s)
 		}
-		e.shards[s] = &peerShard{vs: e.newShardVisited()}
+		e.shards[s] = &peerShard{vs: e.newShardVisited(len(cfg.Hosted))}
 	}
 	e.rebuildHosted()
 	e.outboxes = make([]*peerOutbox, opts.Workers)
@@ -288,21 +256,25 @@ func NewPeer[S sim.Cloneable[S]](newModel func() *Model[S], opts Options, cfg Pe
 	return e, nil
 }
 
-func (e *peerEngine[S]) newShardVisited() *Visited {
-	vs := NewVisited(e.words)
-	// Frames ingest concurrently with the local workers' probes, so the
-	// serial fast path is never safe on a peer.
-	vs.SetSerial(false)
-	vs.SetFS(e.opts.FS)
-	return vs
+// newShardVisited builds one of the hosted shards that split this
+// peer's arena budget. Frames ingest concurrently with the local
+// workers' probes, so the serial fast path is never safe on a peer.
+func (e *peerEngine[S]) newShardVisited(hosted int) *Visited {
+	return newVisited(e.words, &e.opts, false, hosted)
 }
 
+// rebuildHosted re-derives the sorted hosted list after the shard map
+// changed and re-splits the peer's arena budget between its shards: an
+// adopter's own shards give up part of their share to the newcomer.
 func (e *peerEngine[S]) rebuildHosted() {
 	e.hosted = e.hosted[:0]
 	for s := range e.shards {
 		e.hosted = append(e.hosted, s)
 	}
 	slices.Sort(e.hosted)
+	for _, ps := range e.shards {
+		ps.vs.EnableArenaSpill(e.opts.SpillDir, e.opts.arenaShare(len(e.hosted)))
+	}
 }
 
 func (e *peerEngine[S]) Hosted() []int { return slices.Clone(e.hosted) }
@@ -327,6 +299,9 @@ func (e *peerEngine[S]) SetRoute(route []int) error {
 
 func (e *peerEngine[S]) Close() {
 	for _, ps := range e.shards {
+		if e.opts.Stats != nil {
+			e.opts.Stats.ArenaSpilledBytes += ps.vs.SpilledBytes()
+		}
 		ps.vs.Close()
 	}
 	e.shards = map[int]*peerShard{}
@@ -388,14 +363,13 @@ func (e *peerEngine[S]) Expand(depth int, firstGid int32, atCap bool) (rep *Laye
 			items = append(items, layerItem{vs: ps.vs, lid: lid, gid: ps.gidOf[lid]})
 		}
 	}
-	workers := len(e.wss)
-	aggs := make([]layerAgg, workers)
-	expandErr := forEachWorkerIO(len(items), workers, func(w, i int) {
+	reps := make([]LayerReport, len(e.wss))
+	expandErr := forEachWorkerIO(len(items), len(e.wss), func(w, i int) {
 		it := items[i]
 		ws := e.wss[w]
 		ws.cl.atCap = atCap
 		ws.cl.parent = it.gid
-		ws.expand(it.vs, &aggs[w], it.lid, int(it.gid-firstGid), depth)
+		ws.expand(it.vs, &reps[w], it.lid, int(it.gid-firstGid), depth)
 	})
 	for _, ob := range e.outboxes {
 		ob.flushAll()
@@ -404,20 +378,8 @@ func (e *peerEngine[S]) Expand(depth int, firstGid int32, atCap bool) (rep *Laye
 		return nil, expandErr
 	}
 	rep = &LayerReport{SendFailures: int(e.sendFails.Load())}
-	for w := range aggs {
-		a := &aggs[w]
-		rep.Deadlocks += a.deadlocks
-		rep.Transitions += a.transitions
-		rep.Truncated = rep.Truncated || a.truncated
-		rep.Incorrect = rep.Incorrect || a.incorrect
-		if a.maxEnabled > rep.MaxEnabled {
-			rep.MaxEnabled = a.maxEnabled
-		}
-		for _, iv := range a.viols {
-			rep.Viols = append(rep.Viols, LayerViol{
-				Item: iv.item, Kind: iv.wv.kind, Msg: iv.wv.msg, Sel: iv.wv.sel, Key: iv.wv.key,
-			})
-		}
+	for w := range reps {
+		rep.Merge(&reps[w])
 	}
 	return rep, nil
 }
@@ -535,20 +497,7 @@ func (e *peerEngine[S]) SnapshotShard(shard int, w io.Writer) (err error) {
 	for _, g := range ps.gidOf {
 		c.i32(g)
 	}
-	if c.err == nil {
-		if c.err = ps.vs.writeArenaHashed(c); c.err != nil {
-			return c.err
-		}
-	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], c.sum.Sum64())
-	if c.err == nil {
-		_, c.err = c.w.Write(b[:])
-	}
-	if c.err == nil {
-		c.err = c.w.Flush()
-	}
-	return c.err
+	return c.finishArena(ps.vs)
 }
 
 func (e *peerEngine[S]) AdoptShard(shard int, r io.Reader) (err error) {
@@ -602,21 +551,10 @@ func (e *peerEngine[S]) AdoptShard(shard int, r io.Reader) (err error) {
 	if c.err != nil {
 		return fmt.Errorf("explore: shard snapshot read: %v", c.err)
 	}
-	vs := e.newShardVisited()
-	arenaBytes := int64(nstates) * int64(e.words) * 8
-	if err := vs.RestoreArena(io.LimitReader(hashedReader{c}, arenaBytes), nstates, layerFrom); err != nil {
+	vs := e.newShardVisited(len(e.hosted) + 1)
+	if err := c.restoreArena(vs, nstates, e.words, layerFrom); err != nil {
 		vs.Close()
 		return err
-	}
-	want := c.sum.Sum64()
-	var b [8]byte
-	if _, err := io.ReadFull(c.r, b[:]); err != nil {
-		vs.Close()
-		return fmt.Errorf("explore: shard snapshot checksum: %v", err)
-	}
-	if got := binary.LittleEndian.Uint64(b[:]); got != want {
-		vs.Close()
-		return fmt.Errorf("explore: shard snapshot checksum mismatch (torn or corrupted file)")
 	}
 	e.shards[shard] = &peerShard{vs: vs, gidOf: gidOf, layerFrom: layerFrom}
 	e.rebuildHosted()
@@ -749,7 +687,8 @@ func (e *peerEngine[S]) deliver(dst int, frame []byte) {
 	}
 }
 
-func (e *peerEngine[S]) Ingest(frame []byte) error {
+func (e *peerEngine[S]) Ingest(frame []byte) (err error) {
+	defer catchIO(&err) // a probe may read a spilled arena record
 	if len(frame) < frameHeaderLen {
 		return fmt.Errorf("explore: short frontier frame (%d bytes)", len(frame))
 	}

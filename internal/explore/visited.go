@@ -200,7 +200,9 @@ func (v *Visited) setShards(shards []vshard) {
 // EnableArenaSpill activates the cold-tail spill: once the in-memory
 // arena exceeds budget bytes, Housekeep moves everything below its hot
 // watermark to a temp file under dir ("" = the system temp dir).
-// Serial phases only, before any promotion.
+// budget <= 0 turns the spill off. Serial phases only; calling it again
+// re-budgets a live set from its next Housekeep on (a cluster peer
+// re-splits its budget when it adopts a shard).
 func (v *Visited) EnableArenaSpill(dir string, budget int64) {
 	v.spillDir, v.arenaBudget = dir, budget
 }
