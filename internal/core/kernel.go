@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/hypergraph"
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/token"
 )
@@ -33,6 +34,10 @@ import (
 
 // Kernel is the columnar guard evaluator for one Alg. Like the Alg's own
 // predicate scratch it is single-goroutine state: one Kernel per worker.
+// Its columns are a handful of bytes each and rewritten for every
+// expanded configuration, so they are par.PrivateSlices: made with plain
+// make, two workers' kernels pack their columns into the same cache
+// lines and every store evicts the other worker's copy.
 type Kernel struct {
 	alg  *Alg
 	prog *sim.Program[State]
@@ -99,25 +104,25 @@ func NewKernel(alg *Alg, prog *sim.Program[State]) *Kernel {
 	k := &Kernel{
 		alg: alg, prog: prog, rng: rand.New(rand.NewSource(1)),
 		h: h, n: n, m: m, cc1: alg.Variant == CC1,
-		isEdgeOf: make([]bool, n*m),
-		colS:     make([]Status, n),
-		colP:     make([]int32, n),
-		colT:     make([]bool, n),
-		colL:     make([]bool, n),
-		meets:    make([]bool, m),
-		readyE:   make([]bool, m),
-		freeE:    make([]bool, m),
-		exitE:    make([]bool, m),
-		tPtE:     make([]bool, m),
-		ready:    make([]bool, n),
-		meeting:  make([]bool, n),
-		lockedP:  make([]bool, n),
-		hasFree:  make([]bool, n),
-		tok:      make([]bool, n),
-		correct:  make([]bool, n),
-		acts:     make([]int, n),
-		postS:    make([]Status, n),
-		postP:    make([]int32, n),
+		isEdgeOf: par.PrivateSlice[bool](n * m),
+		colS:     par.PrivateSlice[Status](n),
+		colP:     par.PrivateSlice[int32](n),
+		colT:     par.PrivateSlice[bool](n),
+		colL:     par.PrivateSlice[bool](n),
+		meets:    par.PrivateSlice[bool](m),
+		readyE:   par.PrivateSlice[bool](m),
+		freeE:    par.PrivateSlice[bool](m),
+		exitE:    par.PrivateSlice[bool](m),
+		tPtE:     par.PrivateSlice[bool](m),
+		ready:    par.PrivateSlice[bool](n),
+		meeting:  par.PrivateSlice[bool](n),
+		lockedP:  par.PrivateSlice[bool](n),
+		hasFree:  par.PrivateSlice[bool](n),
+		tok:      par.PrivateSlice[bool](n),
+		correct:  par.PrivateSlice[bool](n),
+		acts:     par.PrivateSlice[int](n),
+		postS:    par.PrivateSlice[Status](n),
+		postP:    par.PrivateSlice[int32](n),
 	}
 	for p := 0; p < n; p++ {
 		for _, e := range h.EdgesOf(p) {
@@ -125,7 +130,7 @@ func NewKernel(alg *Alg, prog *sim.Program[State]) *Kernel {
 		}
 	}
 	if !k.cc1 && alg.Variant == CC2 && !alg.NoMinSize {
-		k.isMin = make([]bool, n*m)
+		k.isMin = par.PrivateSlice[bool](n * m)
 		for p := 0; p < n; p++ {
 			for _, e := range h.MinEdges(p) {
 				k.isMin[p*m+e] = true

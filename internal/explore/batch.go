@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/spec"
 )
@@ -72,8 +73,8 @@ func newGenericChecker[S sim.Cloneable[S]](k sim.BatchKernel[S], m *Model[S]) *g
 	return &genericChecker[S]{
 		BatchKernel: k,
 		m:           m,
-		view:        make([]S, n),
-		post:        make([]S, n),
+		view:        par.PrivateSlice[S](n),
+		post:        par.PrivateSlice[S](n),
 	}
 }
 
@@ -200,16 +201,15 @@ func (ws *workerState[S]) batchViol(v LayerViol) {
 }
 
 // batchSel is the per-selection body of expandBatch: key patching, the
-// visited probe, and the incremental transition checks. It is bound
-// once at construction as ws.selCB — a closure literal inside
-// expandBatch would escape into sim.MaskSuccessors and allocate per
-// expansion — with the per-expansion context passed through the cur*
-// fields.
+// hand-off to the visited set (emit), and the incremental transition
+// checks. It is bound once at construction as ws.selCB — a closure
+// literal inside expandBatch would escape into sim.MaskSuccessors and
+// allocate per expansion — with the per-expansion context passed
+// through the cur* fields.
 func (ws *workerState[S]) batchSel(selMask uint64) bool {
 	m := ws.model
 	opts := ws.opts
 	bk := ws.bkern
-	vs := ws.curVS
 	cfg := ws.cfg
 	h := m.Probe.H
 	neutral := ws.curNeutral
@@ -228,23 +228,7 @@ func (ws *workerState[S]) batchSel(selMask uint64) bool {
 		patchWords(key, m.Codec.ProcOff[p], m.Codec.ProcBits[p], ws.payload[p])
 		ws.selBuf = append(ws.selBuf, byte(p))
 	}
-	switch {
-	case ws.curAtCap && ws.cl != nil:
-		if ws.cl.capMiss(key, hashWords(key)) {
-			ws.curAgg.Truncated = true
-		}
-	case ws.curAtCap:
-		if !vs.Contains(key, hashWords(key)) {
-			ws.curAgg.Truncated = true
-		}
-	case ws.cl != nil:
-		pos := uint64(ws.curItem)<<32 | uint64(ws.curBranch)
-		ws.cl.sink(key, hashWords(key), pos, ws.cl.parent, ws.selBuf)
-	default:
-		pos := uint64(ws.curItem)<<32 | uint64(ws.curBranch)
-		vs.Probe(key, hashWords(key), pos, ws.curID, ws.selBuf)
-	}
-	ws.curBranch++
+	ws.emit(key, ws.selBuf)
 
 	// Incremental transition checks against the merged view: only
 	// committees incident to a selected, spec-visible, non-neutral
@@ -443,7 +427,7 @@ func (ws *workerState[S]) expandBatch(vs *Visited, agg *LayerReport, id int32, i
 	m := ws.model
 	opts := ws.opts
 	bk := ws.bkern
-	ws.curVS, ws.curAgg, ws.curID, ws.curItem = vs, agg, id, item
+	ws.open(vs, agg, id, item)
 	m.Codec.Decode(ws.cfg, vs.Key(id))
 	cfg := ws.cfg
 
@@ -520,14 +504,6 @@ func (ws *workerState[S]) expandBatch(vs *Visited, agg *LayerReport, id int32, i
 		ws.pcCache[i] = 0
 	}
 
-	// See expand: at the state cap a read-only membership check replaces
-	// the insertion probe, deterministically. A cluster peer takes the
-	// coordinator's layer-global decision instead of the local count.
-	ws.curAtCap = opts.MaxStates > 0 && vs.States() >= opts.MaxStates
-	if ws.cl != nil {
-		ws.curAtCap = ws.cl.atCap
-	}
-	ws.curBranch = 0
 	ws.curNeutral = neutral
 	ws.curCorrectPrev = correctPrev
 	branches := sim.MaskSuccessors(enabledMask, opts.Mode, opts.MaxBranch, ws.selCB)

@@ -72,14 +72,20 @@ func sameSel(a, b []int) bool {
 // The oracle comparison is field-by-field (its trace keys are nil);
 // batch vs scalar vs every worker count is full marshalled-report
 // byte-equality — counterexample traces, truncation flags and all.
-// Returns the batch result for cell-specific pinned assertions.
+// Three workers own stripe ranges that do not divide the 64 stripes
+// evenly; ownership is the same code on both paths, so that width runs
+// the batch pipeline only. Returns the batch result for cell-specific
+// pinned assertions.
 func assertThreeWay[S sim.Cloneable[S]](t *testing.T, factory func() *Model[S], opts Options) *Result {
 	t.Helper()
 	oracle := Reference(factory, opts)
 	var batch *Result
 	var ref []byte
-	for _, workers := range []int{1, 2, 8} {
+	for _, workers := range []int{1, 2, 3, 8} {
 		for _, scalar := range []bool{false, true} {
+			if workers == 3 && scalar {
+				continue
+			}
 			o := opts
 			o.Workers = workers
 			o.DisableBatch = scalar
@@ -103,7 +109,40 @@ func assertThreeWay[S sim.Cloneable[S]](t *testing.T, factory func() *Model[S], 
 	return batch
 }
 
-func TestDifferentialBattery(t *testing.T) {
+// shrinkFilter forces every successor filter built until the test ends
+// down to n slots — constant eviction and collision. The capacity is a
+// package variable: only for tests that run nothing in parallel.
+func shrinkFilter(t *testing.T, n int) {
+	old := filterEntries
+	filterEntries = n
+	t.Cleanup(func() { filterEntries = old })
+}
+
+// assertTinyFilter is the cell body of the battery's second pass: the
+// report of three workers behind four-slot filters must be, byte for
+// byte, the report of one worker behind the default filter.
+func assertTinyFilter[S sim.Cloneable[S]](t *testing.T, factory func() *Model[S], opts Options) {
+	t.Helper()
+	run := func(workers int) []byte {
+		o := opts
+		o.Workers = workers
+		data, err := json.Marshal(Explore(factory, o))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	ref := run(1)
+	shrinkFilter(t, 4)
+	if got := run(3); string(got) != string(ref) {
+		t.Fatalf("report (workers=3, 4-slot filter) differs from workers=1:\n%s\nvs\n%s", got, ref)
+	}
+}
+
+// batteryCells enumerates the battery: add receives each cell's name,
+// whether -short skips it, and its body — assertThreeWay, or
+// assertTinyFilter when tiny is set.
+func batteryCells(add func(name string, heavy bool, run func(t *testing.T, tiny bool))) {
 	variants := map[string]core.Variant{"cc1": core.CC1, "cc2": core.CC2, "cc3": core.CC3}
 	topos := map[string]func() *hypergraph.H{
 		"ring:3":    func() *hypergraph.H { return hypergraph.CommitteeRing(3) },
@@ -150,11 +189,7 @@ func TestDifferentialBattery(t *testing.T) {
 						heavy = false
 					}
 				}
-				t.Run(algName+"/"+topoName+"/"+modeName, func(t *testing.T) {
-					if heavy && testing.Short() {
-						t.Skip("heavy cell: skipped in -short")
-					}
-					t.Parallel() // cells share no state; reports are identical at any width
+				add(algName+"/"+topoName+"/"+modeName, heavy, func(t *testing.T, tiny bool) {
 					factory := mustCC(t, variant, mkH(), CCOptions{Init: init})
 					opts := Options{
 						Mode: mode, MaxStates: maxStates,
@@ -162,6 +197,10 @@ func TestDifferentialBattery(t *testing.T) {
 					}
 					if mode == sim.SelectSynchronous {
 						opts.CheckConvergence = true
+					}
+					if tiny {
+						assertTinyFilter(t, factory, opts)
+						return
 					}
 					assertThreeWay(t, factory, opts)
 				})
@@ -175,17 +214,18 @@ func TestDifferentialBattery(t *testing.T) {
 	for _, kind := range []baseline.Kind{baseline.Dining, baseline.TokenRing} {
 		for topoName, mkH := range topos {
 			for modeName, mode := range modes {
-				t.Run(kind.String()+"/"+topoName+"/"+modeName, func(t *testing.T) {
-					if testing.Short() && (topoName == "triples:3" || modeName == "all-subsets") {
-						t.Skip("heavy cell: skipped in -short")
-					}
-					t.Parallel()
+				heavy := topoName == "triples:3" || modeName == "all-subsets"
+				add(kind.String()+"/"+topoName+"/"+modeName, heavy, func(t *testing.T, tiny bool) {
 					factory, err := Baseline(kind, mkH(), 1)
 					if err != nil {
 						t.Fatal(err)
 					}
 					opts := Options{
 						Mode: mode, MaxStates: 60_000, MaxViolations: 2, CheckDeadlock: true,
+					}
+					if tiny {
+						assertTinyFilter(t, factory, opts)
+						return
 					}
 					a := assertThreeWay(t, factory, opts)
 					if kind == baseline.Dining && topoName == "ring:3" && modeName == "central" && a.Deadlocks == 0 {
@@ -195,6 +235,34 @@ func TestDifferentialBattery(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestDifferentialBattery(t *testing.T) {
+	batteryCells(func(name string, heavy bool, run func(t *testing.T, tiny bool)) {
+		t.Run(name, func(t *testing.T) {
+			if heavy && testing.Short() {
+				t.Skip("heavy cell: skipped in -short")
+			}
+			t.Parallel() // cells share no state; reports are identical at any width
+			run(t, false)
+		})
+	})
+}
+
+// TestDifferentialBatteryTinyFilter runs the battery's cells once more
+// with the successor filter shrunk to four slots, where nearly every
+// consultation evicts or collides: the filter may only ever skip a probe
+// that could not have changed the set, so capacity must not show in a
+// single byte. Serial — the capacity is a package variable.
+func TestDifferentialBatteryTinyFilter(t *testing.T) {
+	batteryCells(func(name string, heavy bool, run func(t *testing.T, tiny bool)) {
+		t.Run(name, func(t *testing.T) {
+			if heavy && testing.Short() {
+				t.Skip("heavy cell: skipped in -short")
+			}
+			run(t, true)
+		})
+	})
 }
 
 // TestDifferentialMutations: seeded guard mutations must yield the
@@ -233,9 +301,10 @@ func TestDifferentialTruncation(t *testing.T) {
 }
 
 // TestParallelReportsByteIdentical is the -j property: marshalled
-// reports at one, two and eight workers are byte-identical — from both
-// the batch pipeline and the scalar engine — including counterexample
-// traces from a mutated run.
+// reports at one, two, three and eight workers are byte-identical — from
+// both the batch pipeline and the scalar engine, and once more behind
+// four-slot successor filters — including counterexample traces from a
+// mutated run.
 func TestParallelReportsByteIdentical(t *testing.T) {
 	run := func(workers int, scalar bool, mutation string, init InitMode) []byte {
 		factory := mustCC(t, core.CC2, hypergraph.CommitteeRing(3), CCOptions{Init: init, Mutation: mutation})
@@ -258,7 +327,7 @@ func TestParallelReportsByteIdentical(t *testing.T) {
 		{"mutated", MutationLeaveEarly, InitLegit},
 	} {
 		ref := run(1, false, tc.mutation, tc.init)
-		for _, workers := range []int{1, 2, 8} {
+		for _, workers := range []int{1, 2, 3, 8} {
 			for _, scalar := range []bool{false, true} {
 				if workers == 1 && !scalar {
 					continue
@@ -269,5 +338,14 @@ func TestParallelReportsByteIdentical(t *testing.T) {
 				}
 			}
 		}
+		t.Run(tc.name+"/filter=4", func(t *testing.T) {
+			shrinkFilter(t, 4)
+			for _, workers := range []int{1, 3} {
+				if got := run(workers, false, tc.mutation, tc.init); string(got) != string(ref) {
+					t.Fatalf("report at -j %d behind a 4-slot filter differs from batch -j 1:\n%s\nvs\n%s",
+						workers, got, ref)
+				}
+			}
+		})
 	}
 }

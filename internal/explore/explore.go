@@ -27,15 +27,17 @@
 //
 // The hot core is built for scale (SPIN-style explicit-state levers):
 // states live as fixed-width bit-packed encodings (Codec) in one
-// append-only arena; deduplication runs through a lock-striped sharded
-// hash set (Visited) that workers probe concurrently while expanding a
-// BFS layer — no serial dedup loop — and a deterministic min-merge on
-// discovery positions keeps every count, id, and counterexample
-// byte-identical at any worker count. Models whose dynamics are
-// invariant under a declared automorphism group (Syms) can additionally
-// be explored modulo symmetry (Options.Symmetry): every state is
-// canonicalized to the lexicographically least encoding in its orbit,
-// shrinking the space by up to the group order with the same verdict.
+// append-only arena; deduplication runs through a sharded hash set
+// (Visited) that workers probe while expanding a BFS layer — each worker
+// owns a range of its stripes and hands foreign successors to their
+// owner (emit.go), so there is no serial dedup loop and no lock on the
+// single-node path — and a deterministic min-merge on discovery
+// positions keeps every count, id, and counterexample byte-identical at
+// any worker count. Models whose dynamics are invariant under a declared
+// automorphism group (Syms) can additionally be explored modulo
+// symmetry (Options.Symmetry): every state is canonicalized to the
+// lexicographically least encoding in its orbit, shrinking the space by
+// up to the group order with the same verdict.
 // The PR 2 string-codec serial engine survives as Reference, the
 // differential battery's oracle (reference_test.go).
 package explore
@@ -49,6 +51,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/chaos"
 	"repro/internal/par"
@@ -289,11 +292,20 @@ func (r *Result) Summary() string {
 
 // workerState is the per-worker scratch: one model instance plus every
 // buffer the expansion hot path needs, so expanding a configuration
-// allocates nothing.
+// allocates nothing. Every slice is a par.PrivateSlice: the buffers are
+// tiny (a meets vector of seven bools, a three-word key), and made with
+// plain make two workers' copies land in the same cache line, so each
+// worker's stores evict the other's scratch (TestWorkerScratchCacheLines).
 type workerState[S sim.Cloneable[S]] struct {
 	model *Model[S]
 	opts  *Options
 	rng   *rand.Rand
+
+	// rep is the worker's slot for the aggregate in flight (a chunk on
+	// the local backend, a layer on a peer). It lives here, inside the
+	// worker's own allocation, rather than in a []LayerReport whose
+	// adjacent slots share lines.
+	rep LayerReport
 
 	cfg     []S      // decode buffer for the expanded configuration
 	enc     []uint64 // encode scratch (canonical key after canonKey)
@@ -365,6 +377,9 @@ type workerState[S sim.Cloneable[S]] struct {
 	// expandBatch would escape into sim.MaskSuccessors and allocate on
 	// every expansion, breaking the steady-state loop's zero-allocation
 	// guarantee (pinned by TestBatchSteadyStateZeroAlloc).
+	//
+	// curVS … curAtCap are the context of emit (see open), shared with the
+	// scalar path.
 	selCB          func(uint64) bool
 	curVS          *Visited
 	curAgg         *LayerReport
@@ -374,6 +389,17 @@ type workerState[S sim.Cloneable[S]] struct {
 	curAtCap       bool
 	curNeutral     uint64
 	curCorrectPrev []bool
+
+	// The successor hand-off (emit.go): the exact re-proposal filter, and
+	// on the local backend the worker's place among the owners of the
+	// visited stripes with its per-owner buffers of foreign successors.
+	// The zero values — no filter, sole owner — are a complete state: a
+	// worker state built on its own probes every successor itself.
+	filter *succFilter
+	self   int
+	owners int
+	route  []routeBuf
+	routed int // records buffered in route since the last drain
 
 	// cl, when non-nil, diverts successor handling to a cluster peer:
 	// the at-cap decision and the parent identity become layer-global
@@ -410,15 +436,19 @@ func newWorkerState[S sim.Cloneable[S]](m *Model[S], opts *Options) *workerState
 		model:    m,
 		opts:     opts,
 		rng:      rand.New(rand.NewSource(1)),
-		cfg:      make([]S, n),
-		enc:      make([]uint64, m.Codec.Words),
-		baseEnc:  make([]uint64, m.Codec.Words),
-		symCfg:   make([]S, n),
-		symEnc:   make([]uint64, m.Codec.Words),
-		edgeMark: make([]uint64, m.Probe.H.M()),
-		procMark: make([]uint64, n),
-		payEpoch: make([]uint64, n),
-		payload:  make([]uint64, n),
+		cfg:      par.PrivateSlice[S](n),
+		enc:      par.PrivateSlice[uint64](m.Codec.Words),
+		baseEnc:  par.PrivateSlice[uint64](m.Codec.Words),
+		symCfg:   par.PrivateSlice[S](n),
+		symEnc:   par.PrivateSlice[uint64](m.Codec.Words),
+		edgeMark: par.PrivateSlice[uint64](m.Probe.H.M()),
+		procMark: par.PrivateSlice[uint64](n),
+		payEpoch: par.PrivateSlice[uint64](n),
+		payload:  par.PrivateSlice[uint64](n),
+		selBuf:   par.PrivateSlice[byte](n)[:0],
+		was:      par.PrivateSlice[bool](m.Probe.H.M()),
+		is:       par.PrivateSlice[bool](m.Probe.H.M()),
+		correct:  par.PrivateSlice[bool](n),
 	}
 	// Batch-pipeline eligibility: a declared kernel, incremental
 	// encoding (successor keys are assembled by patching), an enabled
@@ -433,16 +463,11 @@ func newWorkerState[S sim.Cloneable[S]](m *Model[S], opts *Options) *workerState
 			ws.bkern = newGenericChecker(k, m)
 		}
 		ws.selCB = ws.batchSel
-		ws.post = make([]S, n)
-		// expandBatch reslices these without growing; size them now so
-		// the steady-state loop allocates nothing.
+		ws.post = par.PrivateSlice[S](n)
 		mEdges := m.Probe.H.M()
-		ws.was = make([]bool, mEdges)
-		ws.is = make([]bool, mEdges)
-		ws.correct = make([]bool, n)
-		ws.changed = make([]int, 0, mEdges)
+		ws.changed = par.PrivateSlice[int](mEdges)[:0]
 		if mEdges <= 64 {
-			ws.conflict = make([]uint64, mEdges)
+			ws.conflict = par.PrivateSlice[uint64](mEdges)
 			for e := 0; e < mEdges; e++ {
 				for f := 0; f < mEdges; f++ {
 					if f != e && m.Probe.H.Edge(e).Conflicts(m.Probe.H.Edge(f)) {
@@ -450,8 +475,8 @@ func newWorkerState[S sim.Cloneable[S]](m *Model[S], opts *Options) *workerState
 					}
 				}
 			}
-			ws.memberMask = make([]uint64, mEdges)
-			ws.edgeMaskOf = make([]uint64, n)
+			ws.memberMask = par.PrivateSlice[uint64](mEdges)
+			ws.edgeMaskOf = par.PrivateSlice[uint64](n)
 			for e := 0; e < mEdges; e++ {
 				for _, q := range m.Probe.H.Edge(e) {
 					ws.memberMask[e] |= 1 << uint(q)
@@ -466,9 +491,9 @@ func newWorkerState[S sim.Cloneable[S]](m *Model[S], opts *Options) *workerState
 					ws.edgeMaskOf[p] |= 1 << uint(e)
 				}
 			}
-			ws.pmOff = make([]int32, mEdges)
-			ws.pmLo = make([]int8, mEdges)
-			ws.pmW = make([]uint64, mEdges)
+			ws.pmOff = par.PrivateSlice[int32](mEdges)
+			ws.pmLo = par.PrivateSlice[int8](mEdges)
+			ws.pmW = par.PrivateSlice[uint64](mEdges)
 			pmTotal := 0
 			for e := 0; e < mEdges; e++ {
 				ws.pmLo[e] = -1
@@ -480,7 +505,7 @@ func newWorkerState[S sim.Cloneable[S]](m *Model[S], opts *Options) *workerState
 				}
 			}
 			if pmTotal > 0 {
-				ws.pmCache = make([]int8, pmTotal)
+				ws.pmCache = par.PrivateSlice[int8](pmTotal)
 				for e := 0; e < mEdges; e++ {
 					if mask := ws.memberMask[e]; ws.pmOff[e] >= 0 && mask != 0 {
 						lo := bits.TrailingZeros64(mask)
@@ -495,11 +520,11 @@ func newWorkerState[S sim.Cloneable[S]](m *Model[S], opts *Options) *workerState
 			}
 		}
 		if m.Deps != nil && n == m.Probe.H.N() {
-			ws.depMask = make([]uint64, n)
-			ws.depList = make([][]int, n)
-			ws.pcOff = make([]int32, n)
-			ws.pcLo = make([]int8, n)
-			ws.pcW = make([]uint64, n)
+			ws.depMask = par.PrivateSlice[uint64](n)
+			ws.depList = par.PrivateSlice[[]int](n)
+			ws.pcOff = par.PrivateSlice[int32](n)
+			ws.pcLo = par.PrivateSlice[int8](n)
+			ws.pcW = par.PrivateSlice[uint64](n)
 			pcTotal := 0
 			for p := 0; p < n; p++ {
 				ds := m.Deps(p)
@@ -516,7 +541,7 @@ func newWorkerState[S sim.Cloneable[S]](m *Model[S], opts *Options) *workerState
 				}
 			}
 			if pcTotal > 0 {
-				ws.pcCache = make([]int8, pcTotal)
+				ws.pcCache = par.PrivateSlice[int8](pcTotal)
 				for p := 0; p < n; p++ {
 					if mask := ws.depMask[p]; ws.pcOff[p] >= 0 && mask != 0 {
 						lo := bits.TrailingZeros64(mask)
@@ -565,14 +590,15 @@ func wordsLess(a, b []uint64) bool {
 func copyWords(w []uint64) []uint64 { return append([]uint64(nil), w...) }
 
 // expand checks the state properties of configuration id, enumerates
-// its successors under opts.Mode, probes each into vs (phase-A side of
+// its successors under opts.Mode, hands each to emit (phase-A side of
 // the deterministic merge) and records the transition properties into
-// the worker's layer report.
+// agg.
 func (ws *workerState[S]) expand(vs *Visited, agg *LayerReport, id int32, item, depth int) {
 	if ws.bkern != nil {
 		ws.expandBatch(vs, agg, id, item, depth)
 		return
 	}
+	ws.open(vs, agg, id, item)
 	m := ws.model
 	opts := ws.opts
 	m.Codec.Decode(ws.cfg, vs.Key(id))
@@ -591,10 +617,7 @@ func (ws *workerState[S]) expand(vs *Visited, agg *LayerReport, id int32, item, 
 	}
 	var correctPrev []bool
 	if m.Correct != nil {
-		if cap(ws.correct) < m.Prog.NumProcs {
-			ws.correct = make([]bool, m.Prog.NumProcs)
-		}
-		correctPrev = ws.correct[:m.Prog.NumProcs]
+		correctPrev = ws.correct
 		allCorrect := true
 		for p := range correctPrev {
 			correctPrev[p] = m.Correct(cfg, p)
@@ -614,19 +637,6 @@ func (ws *workerState[S]) expand(vs *Visited, agg *LayerReport, id int32, item, 
 		copy(ws.baseEnc, vs.Key(id))
 		ws.stateEpoch++
 	}
-	// Once the state bound is exhausted (stable across the whole layer:
-	// promotion is serial, so every worker sees the same count), fresh
-	// successors are doomed — a read-only membership check replaces the
-	// insertion probe, so bounded runs stop allocating pending entries
-	// per dropped state while the truncation flag still fires exactly
-	// when the PR 2 engine's add() would have refused a fresh state.
-	// Checking States() rather than the concurrently-moving pending
-	// count keeps the decision, and hence the reports, deterministic.
-	atCap := opts.MaxStates > 0 && vs.States() >= opts.MaxStates
-	if ws.cl != nil {
-		atCap = ws.cl.atCap
-	}
-	branch := 0
 	enabled, branches := sim.SuccessorsBuf(m.Prog, cfg, opts.Mode, ws.rng, opts.MaxBranch, &ws.succ, func(sel []int, nxt []S) bool {
 		var key []uint64
 		if patch {
@@ -642,25 +652,8 @@ func (ws *workerState[S]) expand(vs *Visited, agg *LayerReport, id int32, item, 
 		} else {
 			key = ws.canonKey(nxt)
 		}
-		switch {
-		case atCap && ws.cl != nil:
-			if ws.cl.capMiss(key, hashWords(key)) {
-				agg.Truncated = true
-			}
-		case atCap:
-			if !vs.Contains(key, hashWords(key)) {
-				agg.Truncated = true
-			}
-		case ws.cl != nil:
-			pos := uint64(item)<<32 | uint64(branch)
-			ws.selBuf = appendSel(ws.selBuf[:0], sel)
-			ws.cl.sink(key, hashWords(key), pos, ws.cl.parent, ws.selBuf)
-		default:
-			pos := uint64(item)<<32 | uint64(branch)
-			ws.selBuf = appendSel(ws.selBuf[:0], sel)
-			vs.Probe(key, hashWords(key), pos, id, ws.selBuf)
-		}
-		branch++
+		ws.selBuf = appendSel(ws.selBuf[:0], sel)
+		ws.emit(key, ws.selBuf)
 
 		// Incremental transition checks: a successor differs from cfg
 		// only at the selected processes, so only committees incident to
@@ -671,11 +664,6 @@ func (ws *workerState[S]) expand(vs *Visited, agg *LayerReport, id int32, item, 
 		// Correct.
 		ws.epoch++
 		h := m.Probe.H
-		mEdges := h.M()
-		if cap(ws.is) < mEdges {
-			ws.is = make([]bool, mEdges)
-		}
-		ws.is = ws.is[:mEdges]
 		copy(ws.is, ws.was)
 		for _, p := range sel {
 			if p >= h.N() {
@@ -825,11 +813,11 @@ func ExploreCtx[S sim.Cloneable[S]](ctx context.Context, newModel func() *Model[
 	for i := range b.wss {
 		b.wss[i] = newWorkerState(newModel(), &opts)
 	}
+	shareStripes(b.wss)
 	m0 := b.wss[0].model
 	b.run = newLayerDriver(m0, &opts)
 	res = b.run.res
 	b.ohash = optionsHash(m0.Name, m0.Codec.Words, m0.Prog.NumProcs, &opts)
-	b.reps = make([]LayerReport, opts.Workers)
 	b.chunkBuf = make([]int32, 0, exploreChunk)
 
 	b.vs = b.newVisited()
@@ -859,8 +847,7 @@ func ExploreCtx[S sim.Cloneable[S]](ctx context.Context, newModel func() *Model[
 // mid-layer.
 type localBackend[S sim.Cloneable[S]] struct {
 	opts  *Options
-	wss   []*workerState[S]
-	reps  []LayerReport // per-worker chunk aggregates
+	wss   []*workerState[S] // co-owners of vs's stripes (emit.go)
 	vs    *Visited
 	front *Frontier
 	// run is the driver this backend serves: a checkpoint is the
@@ -872,13 +859,18 @@ type localBackend[S sim.Cloneable[S]] struct {
 	chunkBuf      []int32
 	expandedSince int   // states expanded since the last periodic snapshot
 	hotFrom       int32 // first id of the layer last expanded: Housekeep's hot watermark
+
+	// The cursor of the chunk fan-out in flight, and the flag a worker
+	// raises to end it early when its route buffers are full.
+	cursor    atomic.Int64
+	routeFull atomic.Bool
 }
 
 // newVisited is the one visited-set constructor: the local backend's
 // set and every shard of a cluster peer are built here, so the memory
 // budget and the I/O routing reach all of them. sharers is how many
-// sets split the arena budget; the lock-free serial path is for a set
-// only one goroutine ever probes.
+// sets split the arena budget; serial marks a set only one goroutine
+// ever probes (it then logs insertion order, and Drain need not sort).
 func newVisited(words int, opts *Options, serial bool, sharers int) *Visited {
 	vs := NewVisited(words)
 	vs.SetSerial(serial)
@@ -957,6 +949,11 @@ func (b *localBackend[S]) save() error {
 	if b.opts.Checkpoint == nil {
 		return nil
 	}
+	for _, ws := range b.wss {
+		if ws.routed != 0 {
+			panic("explore: checkpoint with routed successors not yet probed")
+		}
+	}
 	remaining, err := b.front.AppendRemaining(nil)
 	if err != nil {
 		return err
@@ -991,11 +988,14 @@ func (b *localBackend[S]) Seed() error {
 
 // Expand implements LayerBackend (phase A: concurrent, chunked): drain
 // the open queue a chunk at a time and fan it across the workers;
-// workers hash and probe successors into the sharded set as they go,
-// accumulating order-insensitive statistics per worker.
+// workers hash successors and probe or route them into the sharded set
+// as they go, accumulating order-insensitive statistics per worker.
 func (b *localBackend[S]) Expand(ctx context.Context, depth int, first int32, rep *LayerReport) error {
 	opts, vs, run := b.opts, b.vs, b.run
 	b.hotFrom = first
+	for _, ws := range b.wss {
+		ws.beginLayer(b.front.Len())
+	}
 	for b.front.Len() > 0 {
 		// Both snapshot triggers live here, BEFORE the chunk is
 		// popped: with the frontier non-empty the snapshot is
@@ -1029,19 +1029,13 @@ func (b *localBackend[S]) Expand(ctx context.Context, depth int, first int32, re
 		if err != nil {
 			return err
 		}
-		for w := range b.reps {
-			b.reps[w] = LayerReport{Viols: b.reps[w].Viols[:0]}
-		}
-		base := run.done
-		if err := forEachWorkerIO(len(chunk), len(b.wss), func(w, i int) {
-			b.wss[w].expand(vs, &b.reps[w], chunk[i], base+i, depth)
-		}); err != nil {
+		if err := b.expandChunk(chunk, depth); err != nil {
 			return err
 		}
 		run.done += len(chunk)
 		b.expandedSince += len(chunk)
-		for w := range b.reps {
-			rep.Merge(&b.reps[w])
+		for _, ws := range b.wss {
+			rep.Merge(&ws.rep)
 		}
 		if opts.Progress != nil {
 			// Between chunks the workers are quiesced (ForEachWorker is
@@ -1054,6 +1048,54 @@ func (b *localBackend[S]) Expand(ctx context.Context, depth int, first int32, re
 				Depth:       depth,
 				Transitions: run.res.Transitions + rep.Transitions,
 			})
+		}
+	}
+	return nil
+}
+
+// expandChunk expands chunk (layer items run.done, run.done+1, …) into
+// the workers' report slots. Workers pull items off a shared cursor; a
+// worker whose route buffers reach routeFlushRecords ends the fan-out,
+// every owner drains the buffers addressed to it in a second fan-out,
+// and the first resumes where it stopped — so on return every successor
+// of the chunk is in the visited set and every buffer is empty. Items
+// are handed out in order and a worker finishes the one it holds, so a
+// stopped fan-out has completed exactly the items below the cursor.
+func (b *localBackend[S]) expandChunk(chunk []int32, depth int) error {
+	vs, base, n := b.vs, b.run.done, len(b.wss)
+	for _, ws := range b.wss {
+		ws.rep = LayerReport{Viols: ws.rep.Viols[:0]}
+	}
+	for lo := 0; lo < len(chunk); lo = min(int(b.cursor.Load()), len(chunk)) {
+		b.cursor.Store(int64(lo))
+		b.routeFull.Store(false)
+		// n loops over n "items": the item index, not the goroutine
+		// index, names the worker state — one goroutine may run two
+		// loops back to back, never two goroutines one loop.
+		if err := forEachWorkerIO(n, n, func(_, w int) {
+			ws := b.wss[w]
+			for !b.routeFull.Load() {
+				i := int(b.cursor.Add(1)) - 1
+				if i >= len(chunk) {
+					return
+				}
+				ws.expand(vs, &ws.rep, chunk[i], base+i, depth)
+				if ws.routed >= routeFlushRecords {
+					b.routeFull.Store(true)
+				}
+			}
+		}); err != nil {
+			return err
+		}
+		if err := forEachWorkerIO(n, n, func(_, owner int) {
+			for _, ws := range b.wss {
+				ws.route[owner].drainInto(vs)
+			}
+		}); err != nil {
+			return err
+		}
+		for _, ws := range b.wss {
+			ws.routed = 0
 		}
 	}
 	return nil

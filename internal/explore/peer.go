@@ -94,7 +94,8 @@ type PendMeta struct {
 // methods except Ingest are called from the coordinator's serial
 // phases, one at a time; Ingest is called concurrently with Expand
 // (frames arrive while workers expand) and is internally synchronized
-// by the visited set's striped locks.
+// by the visited set's stripe locks — which is why a peer's workers go
+// through the locked Probe, where the single-node workers own stripes.
 type PeerEngine interface {
 	// Seed enumerates the model's full deterministic init stream and
 	// probes the configurations owned by a hosted shard (pos = stream
@@ -363,13 +364,16 @@ func (e *peerEngine[S]) Expand(depth int, firstGid int32, atCap bool) (rep *Laye
 			items = append(items, layerItem{vs: ps.vs, lid: lid, gid: ps.gidOf[lid]})
 		}
 	}
-	reps := make([]LayerReport, len(e.wss))
+	for _, ws := range e.wss {
+		ws.rep = LayerReport{}
+		ws.beginLayer(len(items))
+	}
 	expandErr := forEachWorkerIO(len(items), len(e.wss), func(w, i int) {
 		it := items[i]
 		ws := e.wss[w]
 		ws.cl.atCap = atCap
 		ws.cl.parent = it.gid
-		ws.expand(it.vs, &reps[w], it.lid, int(it.gid-firstGid), depth)
+		ws.expand(it.vs, &ws.rep, it.lid, int(it.gid-firstGid), depth)
 	})
 	for _, ob := range e.outboxes {
 		ob.flushAll()
@@ -378,8 +382,8 @@ func (e *peerEngine[S]) Expand(depth int, firstGid int32, atCap bool) (rep *Laye
 		return nil, expandErr
 	}
 	rep = &LayerReport{SendFailures: int(e.sendFails.Load())}
-	for w := range reps {
-		rep.Merge(&reps[w])
+	for _, ws := range e.wss {
+		rep.Merge(&ws.rep)
 	}
 	return rep, nil
 }
@@ -470,6 +474,15 @@ func (e *peerEngine[S]) Rollback() error {
 		ps.vs.Reset()
 	}
 	e.capTrunc.Store(false)
+	// The successor filters remember what the discarded attempt
+	// forwarded; consulted by the retry they would swallow proposals the
+	// pending sets no longer hold. A rollback is rare, so the entries of
+	// committed layers (still valid) go with them.
+	for _, ws := range e.wss {
+		if ws.filter != nil {
+			clear(ws.filter.tab)
+		}
+	}
 	return nil
 }
 

@@ -14,9 +14,15 @@ import (
 )
 
 // Visited is the explorer's concurrent deduplication structure: a
-// lock-striped, power-of-two-sharded open-addressing hash set over
-// fixed-width binary state encodings, backed by one append-only state
-// arena keyed by dense state index.
+// power-of-two-sharded open-addressing hash set over fixed-width binary
+// state encodings, backed by one append-only state arena keyed by dense
+// state index. A stripe is mutated by one goroutine at a time, by either
+// of two disciplines: Probe takes the stripe's lock (cluster peers,
+// whose workers and frame ingests hit the same stripes concurrently;
+// seeding, restore and anything else outside a fan-out), and the
+// single-node workers, each owning a range of stripes for the length of
+// a fan-out, call probeLocked on their own stripes with no lock at all
+// (emit.go).
 //
 // The BFS uses it in a two-phase rhythm that keeps every report
 // byte-identical at any worker count:
@@ -25,9 +31,9 @@ import (
 //     successor directly: known states answer immediately, unknown
 //     states become *pending* entries. A pending entry remembers the
 //     least (item, branch) layer position that proposed it — a min
-//     merge under the shard lock, so the surviving parent/selection is
-//     the one the PR 2 serial loop would have picked regardless of
-//     which worker got there first.
+//     merge by whoever holds the stripe, so the surviving
+//     parent/selection is the one the PR 2 serial loop would have
+//     picked regardless of which worker got there first.
 //  2. Between layers (serial), Drain returns the pending entries
 //     sorted by that position; the caller promotes them in order,
 //     which appends their encodings to the arena and assigns dense
@@ -59,7 +65,7 @@ type Visited struct {
 
 	arena    []uint64 // in-memory promoted states: id n at [(n-baseID)*words, ...)
 	nstates  int
-	serial   bool    // single worker: skip the stripe locks
+	serial   bool    // one goroutine probes: Probe skips the locks, inserts are logged in order
 	drainBuf []Fresh // reused across Drain calls
 
 	// Cold-tail spill (optional; see EnableArenaSpill). Ids < baseID
@@ -352,7 +358,8 @@ func (v *Visited) Probe(key []uint64, hash uint64, pos uint64, parent int32, sel
 }
 
 // SetSerial marks the set as single-goroutine (one worker): Probe then
-// skips the stripe locks. Purely an optimization; results are identical.
+// skips the stripe locks and inserts are logged in order, which lets
+// Drain skip its sort. Purely an optimization; results are identical.
 func (v *Visited) SetSerial(serial bool) { v.serial = serial }
 
 // refEqual compares promoted state ref against key, reading through
@@ -373,6 +380,8 @@ func (v *Visited) refEqual(sh *vshard, ref int32, key []uint64) bool {
 	return wordsEqual(cold, key)
 }
 
+// probeLocked is Probe for a caller that already holds stripe sh — by
+// its lock, or by owning it for the fan-out in flight.
 func (v *Visited) probeLocked(sh *vshard, shIdx int32, key []uint64, hash uint64, pos uint64, parent int32, sel []byte) int32 {
 	mask := uint64(len(sh.slots) - 1)
 	idx := (hash >> v.shardShift) & mask

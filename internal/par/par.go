@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Workers is the pool width. It defaults to GOMAXPROCS; set it to 1 to
@@ -134,4 +135,28 @@ func Chunks(n, workers int, fn func(w, lo, hi int)) int {
 		fn(wi, lo, hi)
 	})
 	return nchunks
+}
+
+// cacheLine is the coherence granule PrivateSlice pads to: 64 bytes on
+// amd64 and on the arm64 parts this module runs on.
+const cacheLine = 64
+
+// PrivateSlice returns a zeroed []T of length n whose backing array
+// shares no cache line with any other allocation: its capacity is
+// rounded up until the array is a whole number of 64-byte lines, and the
+// Go allocator places an object whose size is a multiple of 64 on a
+// 64-byte boundary with its size class to itself. It is for per-worker
+// scratch written on a hot path. Small slices made back to back with
+// plain make come from the same size-class span and sit in one line, so
+// two workers writing "their own" scratch invalidate each other's cache
+// on every store (false sharing).
+func PrivateSlice[T any](n int) []T {
+	size := int(unsafe.Sizeof(*new(T)))
+	if size == 0 {
+		return make([]T, n)
+	}
+	// The least element count whose bytes are a multiple of the line:
+	// line / gcd(size, line), where the gcd is size's lowest set bit.
+	unit := cacheLine / min(size&-size, cacheLine)
+	return make([]T, n, (max(n, 1)+unit-1)/unit*unit)
 }

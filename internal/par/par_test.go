@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // withWorkers runs fn with the pool forced to the given width. The pool
@@ -83,5 +84,36 @@ func TestChunks(t *testing.T) {
 				t.Fatalf("n=%d workers=%d: index %d covered %d times", tc.n, tc.workers, i, c)
 			}
 		}
+	}
+}
+
+// privateExtent checks one PrivateSlice: the requested length, and a
+// backing array that starts on a cache line and ends on one.
+func privateExtent[T any](t *testing.T, n int) {
+	t.Helper()
+	s := PrivateSlice[T](n)
+	size := unsafe.Sizeof(*new(T))
+	if len(s) != n || cap(s) == 0 {
+		t.Fatalf("PrivateSlice[%T](%d): len %d cap %d", *new(T), n, len(s), cap(s))
+	}
+	if bytes := uintptr(cap(s)) * size; bytes%cacheLine != 0 {
+		t.Errorf("PrivateSlice[%T](%d): %d-byte array is not a whole number of lines", *new(T), n, bytes)
+	}
+	if at := uintptr(unsafe.Pointer(unsafe.SliceData(s))); at%cacheLine != 0 {
+		t.Errorf("PrivateSlice[%T](%d): array at %#x is not line-aligned", *new(T), n, at)
+	}
+}
+
+func TestPrivateSlice(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 1000} {
+		privateExtent[bool](t, n)
+		privateExtent[int32](t, n)
+		privateExtent[uint64](t, n)
+		privateExtent[[3]uint64](t, n)  // 24 bytes: does not divide a line
+		privateExtent[[5]uint64](t, n)  // 40 bytes
+		privateExtent[[24]uint64](t, n) // 192 bytes: a multiple of a line
+	}
+	if s := PrivateSlice[struct{}](5); len(s) != 5 {
+		t.Fatalf("zero-size elements: len %d", len(s))
 	}
 }
