@@ -28,13 +28,12 @@ import (
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment ID or 'all'")
-		seed        = flag.Int64("seed", 1, "base random seed")
-		quick       = flag.Bool("quick", false, "reduced sizes")
-		list        = flag.Bool("list", false, "list experiments and exit")
-		workers     = flag.Int("j", 0, "worker-pool width (0 = GOMAXPROCS)")
-		cacheDir    = flag.String("cache", "", "verdict-store directory: serve the MC experiment's exhaustive cells from cache and persist fresh ones (shared with cccheck -cache and ccserve)")
-		storeEngine = flag.String("store-engine", "dir", "store backend for -cache: dir or log")
+		exp      = flag.String("exp", "all", "experiment ID or 'all'")
+		seed     = flag.Int64("seed", 1, "base random seed")
+		quick    = flag.Bool("quick", false, "reduced sizes")
+		list     = flag.Bool("list", false, "list experiments and exit")
+		workers  = flag.Int("j", 0, "worker-pool width (0 = GOMAXPROCS)")
+		cacheDir = flag.String("cache", "", "verdict-store directory: serve the MC experiment's exhaustive cells from cache and persist fresh ones (shared with cccheck -cache and ccserve)")
 	)
 	flag.Parse()
 
@@ -60,7 +59,7 @@ func main() {
 		}
 	}
 
-	cfg := experiments.Config{Seed: *seed, Quick: *quick, CacheDir: *cacheDir, StoreEngine: *storeEngine}
+	cfg := experiments.Config{Seed: *seed, Quick: *quick, CacheDir: *cacheDir}
 	results, err := experiments.RunAll(ids, cfg, os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -51,11 +51,15 @@
 //     one checkpoint interval — and finishes with verdict bytes
 //     identical to an uninterrupted run.
 //
-// The -cache warehouse has two engines, selected by -store-engine: dir
-// (one file per verdict, the default) and log (append-only checksummed
-// segments with background compaction). Both serve byte-identical
-// entries and share the same directory layout for campaign manifests,
-// checkpoints and quarantine; pick one per directory and stay with it.
+// The -cache warehouse has two layouts: dir (one file per verdict) and
+// log (append-only checksummed segments with background compaction,
+// started by ccserve -store-engine log). A directory is opened in the
+// layout it already holds, and a fresh one starts as dir. Both serve
+// byte-identical entries and share the same layout for campaign
+// manifests, checkpoints and quarantine. A dir-layout cache may be
+// shared by concurrent processes; a log-layout one has one writing
+// process at a time, so do not point cccheck at the cache of a running
+// ccserve -store-engine log.
 //
 // The query grammar: -filter takes comma-separated key=value pairs over
 // alg, topo, daemon, init, mutation and verdict (verified | bounded |
@@ -126,7 +130,6 @@ func main() {
 		symmetry   = flag.Bool("symmetry", false, "explore modulo the model's rotation/block automorphism group (exact; only for models that declare one)")
 		mutate     = flag.String("mutate", "", "deliberately break a guard: "+strings.Join(explore.Mutations(), " | ")+" (campaign mode: comma list, 'none' = unmutated)")
 		cacheDir   = flag.String("cache", "", "content-addressed verdict store directory: serve cached verdicts, persist fresh ones (shared with ccserve and ccbench -cache)")
-		storeEng   = flag.String("store-engine", "dir", "store backend for -cache: dir (one file per verdict) or log (append-only segments with compaction); Get bytes are identical either way")
 		filterStr  = flag.String("filter", "", "query mode: filter grammar, e.g. 'alg=cc2,topo=ring:3,verdict=violated' (empty = every stored verdict)")
 		summaryID  = flag.String("summary", "", "query mode: aggregate this campaign id's pass rate instead of listing verdicts")
 		diffSpec   = flag.String("diff", "", "query mode: 'A,B' — diff two campaign ids cell by cell instead of listing verdicts")
@@ -215,7 +218,7 @@ func main() {
 		}
 	}
 	exec := execConfig{
-		cacheDir: *cacheDir, engine: *storeEng,
+		cacheDir: *cacheDir,
 		ExecOptions: campaign.ExecOptions{
 			MemBudget: budget, SpillDir: *spillDir, FS: fsys,
 			CheckpointEvery: *ckptEvery, Peers: peers,
@@ -267,7 +270,7 @@ func (e *execConfig) openStore() store.Interface {
 	if e.cacheDir == "" {
 		return nil // untyped nil: campaign.Cell's nil check relies on it
 	}
-	st, err := store.OpenEngine(e.engine, e.cacheDir, e.FS)
+	st, err := store.OpenEngine("", e.cacheDir, e.FS)
 	if err != nil {
 		exitIO(err)
 	}
@@ -302,7 +305,6 @@ func (e *execConfig) openStore() store.Interface {
 // Checkpoints nil.
 type execConfig struct {
 	cacheDir string
-	engine   string // -store-engine: dir | log
 	campaign.ExecOptions
 }
 

@@ -40,10 +40,21 @@
 // job completed on any node is a store hit fleet-wide; ingested
 // entries are checksum-reverified and corrupt ones quarantined.
 //
-// -store-engine selects the verdict-store backend for -cache: dir (one
-// file per verdict, the default) or log (append-only checksummed
-// segments with background compaction). Both serve byte-identical
-// entries.
+// The -cache directory is opened in whichever layout it already holds
+// — dir (one file per verdict) or log (append-only checksummed segments
+// with background compaction); both serve byte-identical entries. A
+// fresh directory starts as dir, the layout any number of processes may
+// write at once. -store-engine log starts it as log instead: a Put is
+// one appended record rather than one file, but only one process at a
+// time may have a log-layout cache open for writing, and nothing on
+// disk enforces that — a second writer silently replaces the first
+// one's segments. It is the choice for a server that owns its cache.
+//
+// Any ccserve can be a peer of a distributed check: a cccheck -peers
+// coordinator opens the job over /v1/cluster/rpc with the peer list it
+// drives, one visited-set shard per peer. The peers must share one
+// -cache directory so shard snapshots can migrate on node loss — which
+// makes that directory a dir-layout one.
 //
 // Concurrency: at most -jobs explorations run at once, each with
 // -job-workers explorer goroutines (default: jobs × workers ≈
@@ -92,7 +103,7 @@ func main() {
 		cacheDir   = flag.String("cache", "", "verdict-store directory (required; shared with cccheck/ccbench -cache)")
 		jobs       = flag.Int("jobs", 2, "explorations running concurrently")
 		jobWorkers = flag.Int("job-workers", 0, "explorer goroutines per job (0 = GOMAXPROCS/jobs)")
-		storeEng   = flag.String("store-engine", "dir", "store backend for -cache: dir (one file per verdict) or log (append-only segments with compaction); Get bytes are identical either way")
+		storeEng   = flag.String("store-engine", "", "layout for a fresh -cache: dir (one file per verdict; concurrent processes may share it) or log (append-only segments with compaction, faster Put; one writing process at a time, not enforced). Empty = the layout the directory holds, dir when it holds none; Get bytes are identical either way")
 		maxStates  = flag.Int("max-states-cap", 6_000_000, "reject jobs whose state bound exceeds this (negative = uncapped)")
 		retain     = flag.Int("retain-jobs", 1024, "finished jobs kept in memory; older ones re-hydrate from the store on demand (negative = unlimited)")
 		maxQueue   = flag.Int("max-queue", 256, "jobs waiting for a worker slot before submissions get 503 (negative = unlimited)")
@@ -101,9 +112,8 @@ func main() {
 		spillDir   = flag.String("spill-dir", "", "directory for out-of-core spill scratch (empty = the system temp dir)")
 		jobTimeout = flag.Duration("job-timeout", time.Hour, "per-job wall-clock budget: a job past it fails (checkpoint saved; resubmit to resume); 0 = no timeout")
 		maxInFl    = flag.Int("max-inflight", 512, "concurrently-handled API requests before shedding with 429 + Retry-After (negative = unlimited; /healthz, /readyz, /metrics are exempt)")
-		peersFlag  = flag.String("peers", "", "comma-separated base URLs of this checker cluster's peers, this server among them (e.g. http://a:8344,http://b:8344); recorded in /v1/cluster/status — a cccheck -peers coordinator distributes jobs across them, one visited-set shard per peer, and all peers must share one -cache directory so shard snapshots can migrate on node loss")
 		gossipSelf = flag.String("gossip-self", "", "this node's advertised base URL for verdict gossip (required with -gossip-peers; e.g. http://a:8344)")
-		gossipPeer = flag.String("gossip-peers", "", "comma-separated base URLs of peers to gossip committed verdicts with (own -cache per peer, unlike -peers): a job completed anywhere becomes a store hit fleet-wide; every ingested entry is checksum-verified and corrupt ones are quarantined, never served")
+		gossipPeer = flag.String("gossip-peers", "", "comma-separated base URLs of peers to gossip committed verdicts with (own -cache per peer, unlike the peers of a cccheck -peers cluster): a job completed anywhere becomes a store hit fleet-wide; every ingested entry is checksum-verified and corrupt ones are quarantined, never served")
 		gossipInt  = flag.Duration("gossip-interval", 5*time.Second, "anti-entropy cadence: how often to pull each gossip peer's commit log and retry failed fetches")
 		quiet      = flag.Bool("quiet", false, "suppress per-job log lines")
 	)
@@ -146,14 +156,6 @@ func main() {
 		logf = func(string, ...any) {}
 	}
 	st.SetLog(logf) // quarantine/retry lines share the job log stream
-	var peers []string
-	if *peersFlag != "" {
-		for _, p := range strings.Split(*peersFlag, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peers = append(peers, strings.TrimRight(p, "/"))
-			}
-		}
-	}
 	// The gossip node must exist before the server (serve mounts its
 	// endpoints and announces committed keys to it), but its OnIngest
 	// hook needs the server — hence the pointer indirection.
@@ -184,7 +186,7 @@ func main() {
 		Store: st, Jobs: *jobs, JobWorkers: *jobWorkers,
 		MaxStatesCap: *maxStates, RetainJobs: *retain, MaxQueue: *maxQueue,
 		CheckpointEvery: *ckptEvery, MemBudget: budget, SpillDir: *spillDir,
-		JobTimeout: *jobTimeout, MaxInFlight: *maxInFl, Peers: peers,
+		JobTimeout: *jobTimeout, MaxInFlight: *maxInFl,
 		Gossip: gnode, Log: logf,
 	})
 	if err != nil {

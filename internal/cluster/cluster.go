@@ -21,12 +21,16 @@
 // distributed analogue of the single-node kill -9 resume, with the
 // same byte-identity contract.
 //
-// The package supplies two transports: Local wires in-process engines
-// directly (with chaos.PeerLoss injection for the battery), and HTTP
-// drives real ccserve peers over /v1/cluster/* (see internal/serve).
+// The control protocol is written once per side (rpc.go): one set of
+// request builders and one dispatch switch. The two transports differ
+// only in how a request reaches the dispatch — Local calls it
+// in-process (with chaos.PeerLoss injection for the battery), HTTP
+// POSTs to real ccserve peers over /v1/cluster/rpc (see internal/serve)
+// — so the battery exercises the dispatch production peers run.
 package cluster
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"errors"
@@ -80,21 +84,18 @@ func NewMemSnapshots() *MemSnapshots {
 	return &MemSnapshots{blobs: make(map[int][]byte)}
 }
 
-type memBlobWriter struct{ buf []byte }
-
-func (w *memBlobWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
 // Save implements SnapshotStore.
 func (m *MemSnapshots) Save(shard int, write func(w io.Writer) error) error {
-	var w memBlobWriter
-	if err := write(&w); err != nil {
+	// A shard only grows between barriers: starting at its last size
+	// keeps Buffer's doubling from overshooting a full arena image.
+	m.mu.Lock()
+	buf := bytes.NewBuffer(make([]byte, 0, len(m.blobs[shard])*9/8))
+	m.mu.Unlock()
+	if err := write(buf); err != nil {
 		return err
 	}
 	m.mu.Lock()
-	m.blobs[shard] = w.buf
+	m.blobs[shard] = buf.Bytes()
 	m.mu.Unlock()
 	return nil
 }
@@ -107,23 +108,7 @@ func (m *MemSnapshots) Load(shard int) (io.ReadCloser, error) {
 	if !ok {
 		return nil, fmt.Errorf("cluster: no snapshot for shard %d", shard)
 	}
-	return io.NopCloser(newByteReader(blob)), nil
-}
-
-type byteReader struct {
-	b []byte
-	i int
-}
-
-func newByteReader(b []byte) *byteReader { return &byteReader{b: b} }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.i:])
-	r.i += n
-	return n, nil
+	return io.NopCloser(bytes.NewReader(blob)), nil
 }
 
 // maxLayerRetries bounds how many times one layer is retried after

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,69 +10,7 @@ import (
 	"net/http"
 	"net/url"
 	"time"
-
-	"repro/internal/explore"
 )
-
-// RPCRequest is the control-plane wire envelope for the cluster tier:
-// one op-discriminated JSON shape shared by the coordinator (this
-// package's HTTP transport) and the peer side (internal/serve). The
-// data plane — frontier frames — stays binary and travels separately
-// (POST /v1/cluster/frontier).
-type RPCRequest struct {
-	// Op selects the call: open, seed, expand, finish, pendmeta,
-	// commit, keys, snapshot, rollback, route, close.
-	Op string `json:"op"`
-	// Job scopes every call: the content key of the job spec.
-	Job string `json:"job"`
-
-	// open
-	Spec    json.RawMessage `json:"spec,omitempty"`
-	NShards int             `json:"nshards,omitempty"`
-	Self    int             `json:"self"`
-	Workers int             `json:"workers,omitempty"`
-	Peers   []string        `json:"peers,omitempty"`
-
-	// expand
-	Depth    int   `json:"depth,omitempty"`
-	FirstGid int32 `json:"first_gid,omitempty"`
-	AtCap    bool  `json:"at_cap,omitempty"`
-
-	// pendmeta / commit / keys / snapshot
-	Shard     int     `json:"shard"`
-	Keep      int     `json:"keep,omitempty"`
-	Gids      []int32 `json:"gids,omitempty"`
-	Housekeep bool    `json:"housekeep,omitempty"`
-
-	// route
-	Route []int `json:"route,omitempty"`
-}
-
-// RPCResponse carries whichever payload the op produces; HTTP-level
-// failures and peer-side errors both surface as non-200 statuses with
-// the server's usual error envelope.
-type RPCResponse struct {
-	Report *explore.LayerReport `json:"report,omitempty"`
-	Cap    bool                 `json:"cap,omitempty"`
-	Meta   []explore.PendMeta   `json:"meta,omitempty"`
-	Keys   [][]uint64           `json:"keys,omitempty"`
-}
-
-// AdoptRequest is the body of POST /v1/cluster/adopt: the peer loads
-// the shard's snapshot from its own store (all peers share one cache
-// directory) and installs it.
-type AdoptRequest struct {
-	Job   string `json:"job"`
-	Shard int    `json:"shard"`
-}
-
-// SnapshotKey is the store key under which a peer persists the shard
-// snapshot for a job — derived from the job's content key, so
-// concurrent cluster jobs never collide and a finished job's snapshot
-// is identifiable for GC.
-func SnapshotKey(job string, shard int) string {
-	return fmt.Sprintf("%s-shard%d", job, shard)
-}
 
 // HTTPConfig parameterizes DialHTTP.
 type HTTPConfig struct {
@@ -92,36 +31,32 @@ type HTTPConfig struct {
 	Client *http.Client
 }
 
-// HTTP is the coordinator-side Transport over real ccserve peers.
+// HTTP is the coordinator-side Transport over real ccserve peers: the
+// shared request builders plus a call that POSTs to /v1/cluster/rpc.
 type HTTP struct {
+	rpcTransport
 	cfg    HTTPConfig
 	client *http.Client
-	// ctx is the dial context. The Transport methods take none, so it
-	// rides here and bounds every call but Close: cancelling it
-	// interrupts an Expand that would otherwise block for its whole
-	// layer.
-	ctx context.Context
 }
 
 // DialHTTP opens the job on every peer (validating the spec and
-// building an engine there) and returns the connected transport, whose
-// later calls stay bound to ctx. A peer that fails to open fails the
-// dial; already-opened peers are closed best-effort.
+// building an engine there) and returns the connected transport. The
+// Transport methods take no context, so every later call but Close is
+// bound to ctx: cancelling it interrupts an Expand that would
+// otherwise block for its whole layer. A peer that fails to open fails
+// the dial; already-opened peers are closed best-effort.
 func DialHTTP(ctx context.Context, cfg HTTPConfig) (*HTTP, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("cluster: no peer URLs")
 	}
-	h := &HTTP{cfg: cfg, client: cfg.Client, ctx: ctx}
-	if h.client == nil {
-		h.client = &http.Client{Timeout: 10 * time.Minute}
-	}
+	h := &HTTP{cfg: cfg, client: cmp.Or(cfg.Client, &http.Client{Timeout: 10 * time.Minute})}
+	h.call = func(p int, req RPCRequest) (RPCResponse, error) { return h.post(ctx, p, req) }
 	for p := range cfg.Peers {
-		req := RPCRequest{
-			Op: "open", Job: cfg.Job, Spec: cfg.Spec,
-			NShards: len(cfg.Peers), Self: p, Workers: cfg.Workers,
-			Peers: cfg.Peers,
-		}
-		if _, err := h.rpc(ctx, p, req); err != nil {
+		_, err := h.call(p, RPCRequest{
+			Op: "open", Spec: cfg.Spec, NShards: len(cfg.Peers), Self: p,
+			Workers: cfg.Workers, Peers: cfg.Peers,
+		})
+		if err != nil {
 			h.Close()
 			return nil, fmt.Errorf("cluster: open on peer %d (%s): %w", p, cfg.Peers[p], err)
 		}
@@ -129,132 +64,42 @@ func DialHTTP(ctx context.Context, cfg HTTPConfig) (*HTTP, error) {
 	return h, nil
 }
 
-func (h *HTTP) rpc(ctx context.Context, p int, req RPCRequest) (*RPCResponse, error) {
-	var out RPCResponse
-	if err := h.post(ctx, p, "/v1/cluster/rpc", req.Op, req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// post sends one JSON control-plane call to peer p and decodes the 200
-// body into out (nil = no payload expected).
-func (h *HTTP) post(ctx context.Context, p int, path, op string, in, out any) error {
-	body, err := json.Marshal(in)
+// post sends one control-plane call for this transport's job to peer p
+// and decodes the 200 body.
+func (h *HTTP) post(ctx context.Context, p int, req RPCRequest) (out RPCResponse, err error) {
+	req.Job = h.cfg.Job
+	body, err := json.Marshal(req)
 	if err != nil {
-		return err
+		return out, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, h.cfg.Peers[p]+path, bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, h.cfg.Peers[p]+"/v1/cluster/rpc", bytes.NewReader(body))
 	if err != nil {
-		return err
+		return out, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	resp, err := h.client.Do(hreq)
 	if err != nil {
-		return err
+		return out, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("peer %d: %s %s: %s", p, op, resp.Status, bytes.TrimSpace(msg))
+		return out, fmt.Errorf("peer %d: %s %s: %s", p, req.Op, resp.Status, bytes.TrimSpace(msg))
 	}
-	if out == nil {
-		return nil
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return out, fmt.Errorf("peer %d: decode %s response: %w", p, req.Op, err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("peer %d: decode %s response: %w", p, op, err)
-	}
-	return nil
+	return out, nil
 }
 
 // Peers implements Transport.
 func (h *HTTP) Peers() int { return len(h.cfg.Peers) }
 
-// Seed implements Transport.
-func (h *HTTP) Seed(p int) error {
-	_, err := h.rpc(h.ctx, p, RPCRequest{Op: "seed", Job: h.cfg.Job})
-	return err
-}
-
-// Expand implements Transport.
-func (h *HTTP) Expand(p int, depth int, firstGid int32, atCap bool) (*explore.LayerReport, error) {
-	out, err := h.rpc(h.ctx, p, RPCRequest{
-		Op: "expand", Job: h.cfg.Job, Depth: depth, FirstGid: firstGid, AtCap: atCap,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if out.Report == nil {
-		return nil, fmt.Errorf("peer %d: expand returned no report", p)
-	}
-	return out.Report, nil
-}
-
-// FinishLayer implements Transport.
-func (h *HTTP) FinishLayer(p int) (bool, error) {
-	out, err := h.rpc(h.ctx, p, RPCRequest{Op: "finish", Job: h.cfg.Job})
-	if err != nil {
-		return false, err
-	}
-	return out.Cap, nil
-}
-
-// PendMeta implements Transport.
-func (h *HTTP) PendMeta(p, shard int) ([]explore.PendMeta, error) {
-	out, err := h.rpc(h.ctx, p, RPCRequest{Op: "pendmeta", Job: h.cfg.Job, Shard: shard})
-	if err != nil {
-		return nil, err
-	}
-	return out.Meta, nil
-}
-
-// Commit implements Transport.
-func (h *HTTP) Commit(p, shard, keep int, gids []int32, housekeep bool) error {
-	_, err := h.rpc(h.ctx, p, RPCRequest{
-		Op: "commit", Job: h.cfg.Job, Shard: shard, Keep: keep, Gids: gids, Housekeep: housekeep,
-	})
-	return err
-}
-
-// Keys implements Transport.
-func (h *HTTP) Keys(p, shard int, gids []int32) ([][]uint64, error) {
-	out, err := h.rpc(h.ctx, p, RPCRequest{Op: "keys", Job: h.cfg.Job, Shard: shard, Gids: gids})
-	if err != nil {
-		return nil, err
-	}
-	return out.Keys, nil
-}
-
-// Snapshot implements Transport: the peer persists the shard into its
-// own (shared) store under SnapshotKey.
-func (h *HTTP) Snapshot(p, shard int) error {
-	_, err := h.rpc(h.ctx, p, RPCRequest{Op: "snapshot", Job: h.cfg.Job, Shard: shard})
-	return err
-}
-
-// Adopt implements Transport: the peer restores the shard from the
-// shared store.
-func (h *HTTP) Adopt(p, shard int) error {
-	return h.post(h.ctx, p, "/v1/cluster/adopt", "adopt", AdoptRequest{Job: h.cfg.Job, Shard: shard}, nil)
-}
-
-// Rollback implements Transport.
-func (h *HTTP) Rollback(p int) error {
-	_, err := h.rpc(h.ctx, p, RPCRequest{Op: "rollback", Job: h.cfg.Job})
-	return err
-}
-
-// SetRoute implements Transport.
-func (h *HTTP) SetRoute(p int, route []int) error {
-	_, err := h.rpc(h.ctx, p, RPCRequest{Op: "route", Job: h.cfg.Job, Route: route})
-	return err
-}
-
 // Close implements Transport: best-effort close on every peer (dead
 // peers are expected to refuse).
 func (h *HTTP) Close() {
 	for p := range h.cfg.Peers {
-		h.rpc(context.Background(), p, RPCRequest{Op: "close", Job: h.cfg.Job})
+		h.post(context.Background(), p, RPCRequest{Op: "close"})
 	}
 }
 

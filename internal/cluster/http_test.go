@@ -33,9 +33,7 @@ func TestHTTPCancelInterruptsRun(t *testing.T) {
 			// and one op that blocks until the test lets go.
 			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				var req cluster.RPCRequest
-				if r.URL.Path == "/v1/cluster/adopt" {
-					req.Op = "adopt"
-				} else if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 					http.Error(w, err.Error(), http.StatusBadRequest)
 					return
 				}

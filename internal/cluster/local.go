@@ -2,29 +2,30 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"repro/internal/chaos"
 	"repro/internal/explore"
 )
 
-// Local wires in-process peer engines directly: frames are delivered
-// as synchronous Ingest calls, shard snapshots go through the
-// configured SnapshotStore, and a chaos.PeerLoss plan injects
-// mid-layer peer death — the dying peer delivers a bounded number of
-// frames (partial delivery, like a real process kill), its expansion
-// RPC fails, and every later call to it is refused. The cluster
+// Local is HTTP minus the wire: the same request builders, and a call
+// that hands each request to the same dispatch (Serve) in-process.
+// Frames are delivered as synchronous Ingest calls, shard snapshots go
+// through the configured SnapshotStore, and a chaos.PeerLoss plan
+// injects mid-layer peer death — the dying peer delivers a bounded
+// number of frames (partial delivery, like a real process kill), its
+// expansion fails, and every later call to it is refused. The cluster
 // differential battery runs on this transport.
 type Local struct {
+	rpcTransport
 	engines []explore.PeerEngine
 	snaps   SnapshotStore
 	loss    []chaos.PeerLoss
 
-	mu     sync.Mutex
-	dead   map[int]bool
-	budget map[int]int // frames a dying peer may still deliver
-	dying  map[int]bool
+	mu sync.Mutex
+	// down holds the peers the loss plan has reached: the frames a dying
+	// peer may still deliver, −1 once its expansion has returned.
+	down map[int]int
 }
 
 // LocalConfig assembles a Local transport.
@@ -41,168 +42,69 @@ type LocalConfig struct {
 // NewLocal builds the transport and installs each engine's frame
 // sender.
 func NewLocal(cfg LocalConfig) *Local {
-	l := &Local{
-		engines: cfg.Engines,
-		snaps:   cfg.Snapshots,
-		loss:    cfg.Loss,
-		dead:    make(map[int]bool),
-		budget:  make(map[int]int),
-		dying:   make(map[int]bool),
+	l := &Local{snaps: cfg.Snapshots, loss: cfg.Loss, down: make(map[int]int)}
+	l.call = func(p int, req RPCRequest) (RPCResponse, error) {
+		l.mu.Lock()
+		dead := l.down[p] < 0
+		l.mu.Unlock()
+		if dead {
+			return RPCResponse{}, fmt.Errorf("cluster: peer %d is down", p)
+		}
+		return Serve(l.engines[p], l.snaps, req)
 	}
-	for i, e := range cfg.Engines {
-		src := i
-		e.SetSender(func(dst int, frame []byte) error { return l.deliver(src, dst, frame) })
+	for p, e := range cfg.Engines {
+		e.SetSender(func(dst int, frame []byte) error { return l.deliver(p, dst, frame) })
+		l.engines = append(l.engines, mortalEngine{e, l, p})
 	}
 	return l
 }
 
 func (l *Local) deliver(src, dst int, frame []byte) error {
 	l.mu.Lock()
-	if l.dying[src] {
-		if l.budget[src] <= 0 {
+	for _, p := range []int{src, dst} {
+		if left, dying := l.down[p]; dying && left <= 0 {
 			l.mu.Unlock()
-			return fmt.Errorf("cluster: peer %d is down", src)
+			return fmt.Errorf("cluster: peer %d is down", p)
 		}
-		l.budget[src]--
 	}
-	if l.dead[dst] || l.dying[dst] && l.budget[dst] <= 0 {
-		l.mu.Unlock()
-		return fmt.Errorf("cluster: peer %d is down", dst)
+	if _, dying := l.down[src]; dying {
+		l.down[src]--
 	}
 	l.mu.Unlock()
 	return l.engines[dst].Ingest(frame)
 }
 
-func (l *Local) isDead(p int) bool {
+// mortalEngine is peer p's engine under the loss plan.
+type mortalEngine struct {
+	explore.PeerEngine
+	l *Local
+	p int
+}
+
+// Expand injects the loss plan: a peer scheduled to die at this depth
+// runs its expansion (so its early frames really reach the survivors),
+// then reports failure and stays dead.
+func (m mortalEngine) Expand(depth int, firstGid int32, atCap bool) (*explore.LayerReport, error) {
+	l, p := m.l, m.p
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dead[p]
-}
-
-func (l *Local) check(p int) error {
-	if l.isDead(p) {
-		return fmt.Errorf("cluster: peer %d is down", p)
-	}
-	return nil
-}
-
-// Peers implements Transport.
-func (l *Local) Peers() int { return len(l.engines) }
-
-// Seed implements Transport.
-func (l *Local) Seed(p int) error {
-	if err := l.check(p); err != nil {
-		return err
-	}
-	return l.engines[p].Seed()
-}
-
-// Expand implements Transport, injecting the loss plan: a peer
-// scheduled to die at this depth runs its expansion (so its early
-// frames really reach the survivors), then reports failure and stays
-// dead.
-func (l *Local) Expand(p int, depth int, firstGid int32, atCap bool) (*explore.LayerReport, error) {
-	if err := l.check(p); err != nil {
-		return nil, err
-	}
 	for _, pl := range l.loss {
 		if pl.Peer == p && pl.Depth == depth {
-			l.mu.Lock()
-			if !l.dead[p] && !l.dying[p] {
-				l.dying[p] = true
-				l.budget[p] = pl.FramesBeforeDeath
-			}
-			l.mu.Unlock()
+			l.down[p] = max(pl.FramesBeforeDeath, 0)
 		}
 	}
-	rep, err := l.engines[p].Expand(depth, firstGid, atCap)
-	l.mu.Lock()
-	wasDying := l.dying[p]
-	if wasDying {
-		l.dead[p] = true
-		delete(l.dying, p)
-	}
 	l.mu.Unlock()
-	if wasDying {
+	rep, err := m.PeerEngine.Expand(depth, firstGid, atCap)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if _, dying := l.down[p]; dying {
+		l.down[p] = -1
 		return nil, fmt.Errorf("cluster: peer %d lost mid-layer (injected)", p)
 	}
 	return rep, err
 }
 
-// FinishLayer implements Transport.
-func (l *Local) FinishLayer(p int) (bool, error) {
-	if err := l.check(p); err != nil {
-		return false, err
-	}
-	return l.engines[p].FinishLayer(), nil
-}
-
-// PendMeta implements Transport.
-func (l *Local) PendMeta(p, shard int) ([]explore.PendMeta, error) {
-	if err := l.check(p); err != nil {
-		return nil, err
-	}
-	return l.engines[p].PendMeta(shard)
-}
-
-// Commit implements Transport.
-func (l *Local) Commit(p, shard, keep int, gids []int32, housekeep bool) error {
-	if err := l.check(p); err != nil {
-		return err
-	}
-	return l.engines[p].Commit(shard, keep, gids, housekeep)
-}
-
-// Keys implements Transport.
-func (l *Local) Keys(p, shard int, gids []int32) ([][]uint64, error) {
-	if err := l.check(p); err != nil {
-		return nil, err
-	}
-	return l.engines[p].Keys(shard, gids)
-}
-
-// Snapshot implements Transport.
-func (l *Local) Snapshot(p, shard int) error {
-	if err := l.check(p); err != nil {
-		return err
-	}
-	if l.snaps == nil {
-		return nil
-	}
-	return l.snaps.Save(shard, func(w io.Writer) error { return l.engines[p].SnapshotShard(shard, w) })
-}
-
-// Adopt implements Transport.
-func (l *Local) Adopt(p, shard int) error {
-	if err := l.check(p); err != nil {
-		return err
-	}
-	if l.snaps == nil {
-		return fmt.Errorf("cluster: no snapshot store configured, cannot adopt shard %d", shard)
-	}
-	r, err := l.snaps.Load(shard)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	return l.engines[p].AdoptShard(shard, r)
-}
-
-// Rollback implements Transport.
-func (l *Local) Rollback(p int) error {
-	if err := l.check(p); err != nil {
-		return err
-	}
-	return l.engines[p].Rollback()
-}
-
-// SetRoute implements Transport.
-func (l *Local) SetRoute(p int, route []int) error {
-	if err := l.check(p); err != nil {
-		return err
-	}
-	return l.engines[p].SetRoute(route)
-}
+// Peers implements Transport.
+func (l *Local) Peers() int { return len(l.engines) }
 
 // Close implements Transport.
 func (l *Local) Close() {

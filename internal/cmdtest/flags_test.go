@@ -30,6 +30,15 @@ func TestWorkerFlagAliases(t *testing.T) {
 		{"ccserve", []string{"-j", "2"}, 2, "flag provided but not defined"},
 		{"cctrace", []string{"-j", "2", "-topo", "bogus"}, 2, "flag provided but not defined"},
 		{"cccheck", []string{"-jobs-wide", "2"}, 2, "flag provided but not defined"},
+
+		// Removed with the thing they configured: the -cache layout is
+		// detected from the directory (only ccserve, which may own a
+		// single-writer log cache, can still name one for a fresh
+		// directory), and a coordinator's open request carries the peer
+		// list.
+		{"cccheck", []string{"-store-engine", "log"}, 2, "flag provided but not defined"},
+		{"ccbench", []string{"-store-engine", "log"}, 2, "flag provided but not defined"},
+		{"ccserve", []string{"-peers", "http://127.0.0.1:1"}, 2, "flag provided but not defined"},
 	} {
 		name := tc.cmd + " " + strings.Join(tc.args, " ")
 		t.Run(name, func(t *testing.T) {

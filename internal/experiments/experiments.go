@@ -92,9 +92,6 @@ type Config struct {
 	// shared with cccheck -cache and ccserve: cached cells are served
 	// instead of re-explored, fresh ones are persisted.
 	CacheDir string
-	// StoreEngine picks the store backend for CacheDir: "dir" (default)
-	// or "log" (see store.OpenEngine).
-	StoreEngine string
 }
 
 // Result is the outcome of one experiment.

@@ -42,7 +42,7 @@ func init() {
 			var st store.Interface
 			if cfg.CacheDir != "" {
 				var err error
-				if st, err = store.OpenEngine(cfg.StoreEngine, cfg.CacheDir, nil); err != nil {
+				if st, err = store.OpenEngine("", cfg.CacheDir, nil); err != nil {
 					res.failf("MC: cache: %v", err)
 					return res
 				}

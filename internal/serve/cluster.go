@@ -6,16 +6,17 @@
 // own to the owning peers as binary frames (POST /v1/cluster/frontier
 // on the destination), and persists its shard snapshot into the
 // verdict store at every layer barrier so the coordinator can migrate
-// the shard to a surviving peer (POST /v1/cluster/adopt) if this one
-// dies. The control plane is cluster.RPCRequest/RPCResponse; the
-// byte-identity contract is pinned by the cluster differential
-// battery and the 3-peer CI smoke.
+// the shard to a surviving peer (op "adopt") if this one dies. This
+// file owns what needs the job table — open, close, admission, the
+// counters; every other op is cluster.Serve's, the dispatch the
+// in-process battery transport runs too.
 
 package serve
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -43,12 +44,16 @@ type clusterPeer struct {
 	self   int
 	peers  []string
 	engine explore.PeerEngine
+	snaps  shardSnapshots
 
 	// refs counts the open job itself plus every handler inside the
 	// engine; whoever drops the last one closes it. A cancelled
 	// coordinator closes the job without waiting for its expand to
 	// return, and an engine must not be closed under its own workers.
 	refs atomic.Int32
+	// replaced: a re-open put a new engine under this job key, and the
+	// job's shard snapshots are that run's from then on.
+	replaced atomic.Bool
 }
 
 // enter admits one engine call, to be ended with leave; false once
@@ -65,10 +70,43 @@ func (cp *clusterPeer) enter() bool {
 	}
 }
 
+// leave ends an admitted call; the last one out retires the engine and,
+// unless replaced, the snapshots of the shards it hosts (after adoptions
+// every shard of the job) — so nothing written by a call still in
+// flight when close arrived is left behind.
 func (cp *clusterPeer) leave() {
-	if cp.refs.Add(-1) == 0 {
-		cp.engine.Close()
+	if cp.refs.Add(-1) != 0 {
+		return
 	}
+	if !cp.replaced.Load() {
+		for _, shard := range cp.engine.Hosted() {
+			cp.snaps.checkpoint(shard).Delete()
+		}
+	}
+	cp.engine.Close()
+}
+
+// shardSnapshots is one job's cluster.SnapshotStore over the verdict
+// store's checkpoint blobs (all peers share one cache directory).
+type shardSnapshots struct {
+	st  store.Interface
+	job string
+}
+
+func (ss shardSnapshots) checkpoint(shard int) *store.Checkpoint {
+	return ss.st.Checkpoint(store.ShardSnapshotKey(ss.job, shard))
+}
+
+func (ss shardSnapshots) Save(shard int, write func(w io.Writer) error) error {
+	return ss.checkpoint(shard).Save(write)
+}
+
+func (ss shardSnapshots) Load(shard int) (io.ReadCloser, error) {
+	rc, err := ss.checkpoint(shard).Load()
+	if err == nil && rc == nil {
+		err = fmt.Errorf("no snapshot for job %q shard %d in the store", ss.job, shard)
+	}
+	return rc, err
 }
 
 // frameClient posts frontier frames peer-to-peer; expansion RPCs can
@@ -113,13 +151,8 @@ func (s *Server) handleClusterRPC(w http.ResponseWriter, r *http.Request) {
 		s.clusterError(w, http.StatusBadRequest, "bad cluster rpc: missing job key")
 		return
 	}
-	switch req.Op {
-	case "open":
+	if req.Op == "open" {
 		s.handleClusterOpen(w, req)
-		return
-	case "seed", "expand", "finish", "pendmeta", "commit", "keys", "snapshot", "rollback", "route", "close":
-	default:
-		s.clusterError(w, http.StatusBadRequest, "unknown cluster op %q", req.Op)
 		return
 	}
 	cp := s.enterClusterJob(req.Job)
@@ -128,37 +161,25 @@ func (s *Server) handleClusterRPC(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cp.leave()
-	var out cluster.RPCResponse
-	var err error
-	switch req.Op {
-	case "seed":
-		err = cp.engine.Seed()
-	case "expand":
-		out.Report, err = cp.engine.Expand(req.Depth, req.FirstGid, req.AtCap)
-	case "finish":
-		out.Cap = cp.engine.FinishLayer()
-	case "pendmeta":
-		out.Meta, err = cp.engine.PendMeta(req.Shard)
-		if out.Meta == nil {
-			out.Meta = []explore.PendMeta{}
-		}
-	case "commit":
-		err = cp.engine.Commit(req.Shard, req.Keep, req.Gids, req.Housekeep)
-	case "keys":
-		out.Keys, err = cp.engine.Keys(req.Shard, req.Gids)
-	case "snapshot":
-		ck := s.cfg.Store.Checkpoint(cluster.SnapshotKey(req.Job, req.Shard))
-		err = ck.Save(func(w io.Writer) error { return cp.engine.SnapshotShard(req.Shard, w) })
-	case "rollback":
-		err = cp.engine.Rollback()
-	case "route":
-		err = cp.engine.SetRoute(req.Route)
-	case "close":
+	if req.Op == "close" {
 		s.closeClusterJob(req.Job)
-	}
-	if err != nil {
-		s.clusterError(w, http.StatusInternalServerError, "cluster %s: %v", req.Op, err)
+		writeJSON(w, http.StatusOK, cluster.RPCResponse{})
 		return
+	}
+	out, err := cluster.Serve(cp.engine, cp.snaps, req)
+	if err != nil {
+		code := http.StatusInternalServerError
+		if errors.Is(err, cluster.ErrUnknownOp) {
+			code = http.StatusBadRequest
+		}
+		s.clusterError(w, code, "cluster %s: %v", req.Op, err)
+		return
+	}
+	if req.Op == "adopt" {
+		s.mu.Lock()
+		s.clusterAdoptions++
+		s.mu.Unlock()
+		s.logf("cluster job %s: adopted shard %d", shortKey(req.Job), req.Shard)
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -196,7 +217,10 @@ func (s *Server) handleClusterOpen(w http.ResponseWriter, req cluster.RPCRequest
 		s.clusterError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	cp := &clusterPeer{job: req.Job, self: req.Self, peers: req.Peers, engine: engine}
+	cp := &clusterPeer{
+		job: req.Job, self: req.Self, peers: req.Peers, engine: engine,
+		snaps: shardSnapshots{st: s.cfg.Store, job: req.Job},
+	}
 	cp.refs.Store(1)
 	engine.SetSender(func(dst int, frame []byte) error { return cp.sendFrame(dst, frame) })
 
@@ -208,6 +232,7 @@ func (s *Server) handleClusterOpen(w http.ResponseWriter, req cluster.RPCRequest
 	if old != nil {
 		// A re-open replaces a stale engine (coordinator retry after a
 		// crash); the old one's shards are rebuilt from snapshots anyway.
+		old.replaced.Store(true)
 		old.leave()
 	}
 	s.logf("cluster job %s open: shard %d of %d", shortKey(req.Job), req.Self, req.NShards)
@@ -285,63 +310,25 @@ func (s *Server) handleClusterFrontier(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 }
 
-// handleClusterAdopt restores a shard from its snapshot in the shared
-// store and hosts it here from the next layer on.
-func (s *Server) handleClusterAdopt(w http.ResponseWriter, r *http.Request) {
-	var req cluster.AdoptRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.clusterError(w, http.StatusBadRequest, "bad adopt request: %v", err)
-		return
-	}
-	cp := s.enterClusterJob(req.Job)
-	if cp == nil {
-		s.clusterError(w, http.StatusNotFound, "no open cluster job %q on this peer", req.Job)
-		return
-	}
-	defer cp.leave()
-	ck := s.cfg.Store.Checkpoint(cluster.SnapshotKey(req.Job, req.Shard))
-	rc, err := ck.Load()
-	if err != nil {
-		s.clusterError(w, http.StatusInternalServerError, "loading shard snapshot: %v", err)
-		return
-	}
-	if rc == nil {
-		s.clusterError(w, http.StatusNotFound, "no snapshot for job %q shard %d in the store", req.Job, req.Shard)
-		return
-	}
-	defer rc.Close()
-	if err := cp.engine.AdoptShard(req.Shard, rc); err != nil {
-		s.clusterError(w, http.StatusInternalServerError, "adopting shard %d: %v", req.Shard, err)
-		return
-	}
-	s.mu.Lock()
-	s.clusterAdoptions++
-	s.mu.Unlock()
-	s.logf("cluster job %s: adopted shard %d", shortKey(req.Job), req.Shard)
-	writeJSON(w, http.StatusOK, cluster.RPCResponse{})
-}
-
 // clusterJobView is one open distributed job in the status report.
 type clusterJobView struct {
-	Job    string `json:"job"`
-	Self   int    `json:"self"`
-	Hosted []int  `json:"hosted"`
-	States int    `json:"states"`
+	Job    string   `json:"job"`
+	Self   int      `json:"self"`
+	Peers  []string `json:"peers"`
+	Hosted []int    `json:"hosted"`
+	States int      `json:"states"`
 }
 
-// handleClusterStatus reports this peer's cluster configuration and
-// its open distributed jobs.
+// handleClusterStatus reports this peer's open distributed jobs, each
+// with the peer list its coordinator opened it with.
 func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	peers := s.cfg.Peers
 	views := make([]clusterJobView, 0, len(s.clusterJobs))
 	for _, cp := range s.clusterJobs {
 		views = append(views, clusterJobView{
-			Job: cp.job, Self: cp.self, Hosted: cp.engine.Hosted(), States: cp.engine.States(),
+			Job: cp.job, Self: cp.self, Peers: cp.peers, Hosted: cp.engine.Hosted(), States: cp.engine.States(),
 		})
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"peers": peers, "jobs": views})
+	writeJSON(w, http.StatusOK, map[string]any{"jobs": views})
 }

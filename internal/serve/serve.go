@@ -125,13 +125,6 @@ type Config struct {
 	// BreakerCooldown is how long the breaker stays open before a probe
 	// (default 15s).
 	BreakerCooldown time.Duration
-	// Peers, when non-empty, records the cluster this server is a
-	// member of (base URLs, one per peer, this server among them) for
-	// /v1/cluster/status. The cluster endpoints themselves are always
-	// mounted — a coordinator's open request carries the peer list it
-	// is driving — so this is operator-facing configuration, not a
-	// gate.
-	Peers []string
 	// Gossip, when non-nil, mounts the verdict gossip plane under
 	// /v1/gossip/ (exempt from load shedding, like the cluster tier)
 	// and announces every locally committed verdict to the node's
@@ -306,7 +299,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/store/compact", s.handleStoreCompact)
 	s.mux.HandleFunc("POST /v1/cluster/rpc", s.handleClusterRPC)
 	s.mux.HandleFunc("POST /v1/cluster/frontier", s.handleClusterFrontier)
-	s.mux.HandleFunc("POST /v1/cluster/adopt", s.handleClusterAdopt)
 	s.mux.HandleFunc("GET /v1/cluster/status", s.handleClusterStatus)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)

@@ -266,7 +266,9 @@ func (b *base) GCTemp() int {
 // gcCheckpoints removes orphaned checkpoint blobs: snapshots whose job
 // already has a verdict entry according to has (the completion-time
 // Delete crashed or another process finished the job), plus abandoned
-// temp files. Each engine supplies its own verdict-existence probe.
+// temp files. Each engine supplies its own verdict-existence probe. A
+// snapshot whose job has no verdict is never swept — another process
+// sharing the directory may be mid-job.
 func (b *base) gcCheckpoints(has func(key string) bool) int {
 	removed := 0
 	root := filepath.Join(b.dir, "checkpoints")
@@ -286,7 +288,7 @@ func (b *base) gcCheckpoints(has func(key string) bool) int {
 		if !ok {
 			return nil
 		}
-		if has(key) {
+		if has(checkpointJob(key)) {
 			if b.fs.Remove(path) == nil {
 				removed++
 			}

@@ -3,9 +3,12 @@ package store
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"path/filepath"
+	"strconv"
+	"strings"
 
 	"repro/internal/chaos"
 )
@@ -34,6 +37,27 @@ type Checkpoint struct {
 // Checkpoint returns the checkpoint handle for a content key.
 func (b *base) Checkpoint(key string) *Checkpoint {
 	return &Checkpoint{b: b, path: b.checkpointPath(key)}
+}
+
+// ShardSnapshotKey is the checkpoint key under which a cluster peer
+// persists one shard's snapshot — derived from the job's content key,
+// so concurrent cluster jobs never collide and the snapshot lives and
+// dies with its job: the hosting peer deletes it when the job closes,
+// and GCCheckpoints sweeps a crashed run's leftovers once the job has
+// a verdict.
+func ShardSnapshotKey(job string, shard int) string {
+	return fmt.Sprintf("%s-shard%d", job, shard)
+}
+
+// checkpointJob maps a checkpoint key back to the job whose verdict
+// supersedes it: the key itself, or the job part of a ShardSnapshotKey.
+func checkpointJob(key string) string {
+	if i := strings.LastIndex(key, "-shard"); i >= 0 {
+		if _, err := strconv.ParseUint(key[i+len("-shard"):], 10, 31); err == nil {
+			return key[:i]
+		}
+	}
+	return key
 }
 
 func (b *base) checkpointPath(key string) string {

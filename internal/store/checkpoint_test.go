@@ -106,6 +106,14 @@ func TestGCCheckpoints(t *testing.T) {
 	live := st.Checkpoint(liveKey)
 	payload(live, t, "still running")
 
+	// Cluster shard snapshots follow their job: a crashed coordinator's
+	// leftovers go once the job has a verdict, and never before — a
+	// peer sharing the directory may be mid-job.
+	orphanShard := st.Checkpoint(store.ShardSnapshotKey(doneSpec.Key(), 2))
+	payload(orphanShard, t, "orphaned shard")
+	liveShard := st.Checkpoint(store.ShardSnapshotKey(liveKey, 0))
+	payload(liveShard, t, "shard of a running job")
+
 	// An abandoned temp file from a crashed Save.
 	tmpDir := filepath.Join(st.Dir(), "checkpoints", "99")
 	if err := os.MkdirAll(tmpDir, 0o755); err != nil {
@@ -115,15 +123,20 @@ func TestGCCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if n := st.GCCheckpoints(); n != 2 {
-		t.Fatalf("GC removed %d files, want 2 (orphan + temp)", n)
+	if n := st.GCCheckpoints(); n != 3 {
+		t.Fatalf("GC removed %d files, want 3 (orphan + its shard + temp)", n)
 	}
-	if r, _ := orphan.Load(); r != nil {
-		r.Close()
-		t.Fatal("orphaned checkpoint survived GC")
+	for _, ck := range []*store.Checkpoint{orphan, orphanShard} {
+		if r, _ := ck.Load(); r != nil {
+			r.Close()
+			t.Fatal("orphaned checkpoint survived GC")
+		}
 	}
 	if got := readBack(t, live); got != "still running" {
 		t.Fatalf("live checkpoint damaged by GC: %q", got)
+	}
+	if got := readBack(t, liveShard); got != "shard of a running job" {
+		t.Fatalf("shard snapshot of a verdict-less job damaged by GC: %q", got)
 	}
 	if n := st.GCCheckpoints(); n != 0 {
 		t.Fatalf("second GC removed %d files, want 0", n)

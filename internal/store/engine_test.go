@@ -112,6 +112,39 @@ func TestEngineRefusesOtherLayout(t *testing.T) {
 	})
 }
 
+// TestOpenEngineDetects: engine "" — what every CLI passes unless told
+// otherwise — opens a cache in the layout it already holds, with the
+// entry bytes the writing engine served, and starts an empty directory
+// as a dir store (the layout concurrent processes may share).
+func TestOpenEngineDetects(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, st store.Interface) {
+		want, err := st.Put(smallSpec(), fakeResult(7, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		got, err := store.OpenEngine("", st.Dir(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer got.Close()
+		if got.Engine() != st.Engine() {
+			t.Fatalf("a %s cache opened as %s", st.Engine(), got.Engine())
+		}
+		if _, raw, ok := got.Get(smallSpec()); !ok || !bytes.Equal(raw, want) {
+			t.Fatalf("detected open served %q (hit %v), want %q", raw, ok, want)
+		}
+	})
+	fresh, err := store.OpenEngine("", t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if fresh.Engine() != store.EngineDir {
+		t.Fatalf("an empty directory opened as %s, want %s", fresh.Engine(), store.EngineDir)
+	}
+}
+
 // TestEngineRoundTrip: Put → Get byte identity, alias reads, re-Put
 // stability and Len — per engine.
 func TestEngineRoundTrip(t *testing.T) {

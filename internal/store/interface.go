@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,8 +11,7 @@ import (
 	"repro/internal/explore"
 )
 
-// Engine names accepted by OpenEngine and the CLIs' -store-engine
-// flag.
+// Engine names accepted by OpenEngine and ccserve's -store-engine flag.
 const (
 	// EngineDir is the one-file-per-verdict tree (DirStore) — the
 	// original engine and the differential oracle the chaos battery
@@ -141,21 +141,25 @@ type CompactStats struct {
 	Segments    int   `json:"segments"`
 }
 
-// OpenEngine opens the store rooted at dir under the named engine
-// ("dir", "log"; "" = dir), doing I/O through fsys (nil = the host
-// filesystem). This is the one constructor the CLIs' -store-engine
-// flag funnels into. A directory that already holds the other engine's
-// verdicts is refused: opened anyway it would read as an empty cache
-// and then grow a second layout beside the first.
+// OpenEngine opens the store rooted at dir, doing I/O through fsys (nil
+// = the host filesystem). engine "" opens whatever layout dir already
+// holds, and the dir engine for a fresh directory: which of the two a
+// fresh cache should be is not derivable — DirStore may be shared by
+// concurrent processes, LogStore's faster Put assumes one writing
+// process and nothing on disk enforces that — so the safe one is the
+// default and the other is asked for by name. A named engine ("dir",
+// "log") on a directory that already holds the other engine's verdicts
+// is refused: opened anyway it would read as an empty cache and then
+// grow a second layout beside the first.
 func OpenEngine(engine, dir string, fsys chaos.FS) (Interface, error) {
-	if engine == "" {
-		engine = EngineDir
-	}
-	if engine != EngineDir && engine != EngineLog {
+	found := engineOnDisk(dir)
+	switch {
+	case engine == "":
+		engine = cmp.Or(found, EngineDir)
+	case engine != EngineDir && engine != EngineLog:
 		return nil, fmt.Errorf("store: unknown engine %q (want %s or %s)", engine, EngineDir, EngineLog)
-	}
-	if found := engineOnDisk(dir); found != "" && found != engine {
-		return nil, fmt.Errorf("store: %s holds %s-engine verdicts; open it with -store-engine %s, not %s", dir, found, found, engine)
+	case found != "" && found != engine:
+		return nil, fmt.Errorf("store: %s holds %s-engine verdicts, not %s", dir, found, engine)
 	}
 	if engine == EngineLog {
 		return OpenLogFS(dir, fsys)

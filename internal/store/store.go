@@ -10,7 +10,9 @@
 // grids resumable and the service's repeated queries O(1).
 //
 // Two engines implement the same narrow Interface and persist the
-// same entry bytes, selected by -store-engine {dir,log}:
+// same entry bytes; OpenEngine opens a directory in the layout it
+// already holds and starts a fresh one as a DirStore unless told
+// otherwise (ccserve -store-engine log):
 //
 //   - DirStore (the original, and the differential oracle): one file
 //     per verdict at DIR/<kk>/<key>.json where kk is the first two hex
