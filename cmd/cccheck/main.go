@@ -57,9 +57,10 @@
 // layout it already holds, and a fresh one starts as dir. Both serve
 // byte-identical entries and share the same layout for campaign
 // manifests, checkpoints and quarantine. A dir-layout cache may be
-// shared by concurrent processes; a log-layout one has one writing
-// process at a time, so do not point cccheck at the cache of a running
-// ccserve -store-engine log.
+// shared by concurrent processes; a log-layout one is open in one
+// process at a time, enforced by a lock: pointed at the cache of a
+// running ccserve -store-engine log, cccheck exits 4 with a message
+// naming the lock.
 //
 // The query grammar: -filter takes comma-separated key=value pairs over
 // alg, topo, daemon, init, mutation and verdict (verified | bounded |

@@ -46,9 +46,10 @@
 // fresh directory starts as dir, the layout any number of processes may
 // write at once. -store-engine log starts it as log instead: a Put is
 // one appended record rather than one file, but only one process at a
-// time may have a log-layout cache open for writing, and nothing on
-// disk enforces that — a second writer silently replaces the first
-// one's segments. It is the choice for a server that owns its cache.
+// time may have a log-layout cache open. That is enforced by a lock
+// (DIR/LOCK): a second opener — another ccserve, or cccheck on the same
+// -cache — exits 4 with a message naming the lock. It is the choice for
+// a server that owns its cache.
 //
 // Any ccserve can be a peer of a distributed check: a cccheck -peers
 // coordinator opens the job over /v1/cluster/rpc with the peer list it
@@ -103,7 +104,7 @@ func main() {
 		cacheDir   = flag.String("cache", "", "verdict-store directory (required; shared with cccheck/ccbench -cache)")
 		jobs       = flag.Int("jobs", 2, "explorations running concurrently")
 		jobWorkers = flag.Int("job-workers", 0, "explorer goroutines per job (0 = GOMAXPROCS/jobs)")
-		storeEng   = flag.String("store-engine", "", "layout for a fresh -cache: dir (one file per verdict; concurrent processes may share it) or log (append-only segments with compaction, faster Put; one writing process at a time, not enforced). Empty = the layout the directory holds, dir when it holds none; Get bytes are identical either way")
+		storeEng   = flag.String("store-engine", "", "layout for a fresh -cache: dir (one file per verdict; concurrent processes may share it) or log (append-only segments with compaction, faster Put; one process at a time, enforced by a lock; a second opener exits 4). Empty = the layout the directory holds, dir when it holds none; Get bytes are identical either way")
 		maxStates  = flag.Int("max-states-cap", 6_000_000, "reject jobs whose state bound exceeds this (negative = uncapped)")
 		retain     = flag.Int("retain-jobs", 1024, "finished jobs kept in memory; older ones re-hydrate from the store on demand (negative = unlimited)")
 		maxQueue   = flag.Int("max-queue", 256, "jobs waiting for a worker slot before submissions get 503 (negative = unlimited)")

@@ -36,6 +36,13 @@ func TestParseFaults(t *testing.T) {
 	}
 }
 
+// classedErr names its own class, as store.LockedError does.
+type classedErr struct{ errno syscall.Errno }
+
+func (e classedErr) Error() string { return "held: " + e.errno.Error() }
+func (e classedErr) Unwrap() error { return e.errno }
+func (e classedErr) Class() Class  { return Permanent }
+
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -53,6 +60,8 @@ func TestClassify(t *testing.T) {
 		{fmt.Errorf("wrapped: %w", &fs.PathError{Op: "open", Path: "/y", Err: syscall.EACCES}), Permanent},
 		{&CorruptError{Path: "/z", Detail: "checksum"}, Corrupt},
 		{fmt.Errorf("wrap: %w", &CorruptError{Path: "/z", Detail: "d"}), Corrupt},
+		// A self-classed error wins over the errno it wraps.
+		{fmt.Errorf("wrap: %w", classedErr{syscall.EAGAIN}), Permanent},
 	}
 	for _, c := range cases {
 		if got := Classify(c.err); got != c.want {

@@ -68,11 +68,16 @@ var permanentErrnos = map[syscall.Errno]bool{
 }
 
 // Classify maps an error onto its failure class. It unwraps through
-// fs.PathError and wrapped chains; anything without a recognizable
-// errno or CorruptError is Unknown.
+// fs.PathError and wrapped chains; an error in the chain with a
+// Class() Class method names its own class, and anything else without
+// a recognizable errno or CorruptError is Unknown.
 func Classify(err error) Class {
 	if err == nil {
 		return Unknown
+	}
+	var classed interface{ Class() Class }
+	if errors.As(err, &classed) {
+		return classed.Class()
 	}
 	var ce *CorruptError
 	if errors.As(err, &ce) {

@@ -84,8 +84,8 @@ type Config struct {
 	// client with sane timeouts).
 	Client *http.Client
 	// OnIngest, if non-nil, is called after a gossiped verdict commits
-	// locally (the serving tier counts these and publishes watch
-	// events for jobs it has records for).
+	// locally (the serving tier publishes watch events for jobs it has
+	// records for; Ingested is the count).
 	OnIngest func(key string)
 	// Log, if non-nil, receives one line per ingest, quarantine and
 	// neighbor failure.

@@ -7,9 +7,10 @@
 // on the destination), and persists its shard snapshot into the
 // verdict store at every layer barrier so the coordinator can migrate
 // the shard to a surviving peer (op "adopt") if this one dies. This
-// file owns what needs the job table — open, close, admission, the
-// counters; every other op is cluster.Serve's, the dispatch the
-// in-process battery transport runs too.
+// file owns what needs the cluster-job table (clusterJobs, under
+// clusterMu) — open, close, admission, the counters; every other op is
+// cluster.Serve's, the dispatch the in-process battery transport runs
+// too.
 
 package serve
 
@@ -118,18 +119,16 @@ var frameClient = &http.Client{Timeout: 30 * time.Second}
 // counter — one signal for the operator that a coordinator and this
 // peer are disagreeing.
 func (s *Server) clusterError(w http.ResponseWriter, code int, format string, args ...any) {
-	s.mu.Lock()
-	s.clusterErrors++
-	s.mu.Unlock()
+	s.clusterErrors.Add(1)
 	writeError(w, code, format, args...)
 }
 
 // enterClusterJob returns the open job with one engine call admitted
 // (the caller owes a leave), or nil.
 func (s *Server) enterClusterJob(job string) *clusterPeer {
-	s.mu.Lock()
+	s.clusterMu.Lock()
 	cp := s.clusterJobs[job]
-	s.mu.Unlock()
+	s.clusterMu.Unlock()
 	if cp == nil || !cp.enter() {
 		return nil
 	}
@@ -176,9 +175,7 @@ func (s *Server) handleClusterRPC(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Op == "adopt" {
-		s.mu.Lock()
-		s.clusterAdoptions++
-		s.mu.Unlock()
+		s.clusterAdoptions.Add(1)
 		s.logf("cluster job %s: adopted shard %d", shortKey(req.Job), req.Shard)
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -224,11 +221,11 @@ func (s *Server) handleClusterOpen(w http.ResponseWriter, req cluster.RPCRequest
 	cp.refs.Store(1)
 	engine.SetSender(func(dst int, frame []byte) error { return cp.sendFrame(dst, frame) })
 
-	s.mu.Lock()
+	s.clusterMu.Lock()
 	old := s.clusterJobs[req.Job]
 	s.clusterJobs[req.Job] = cp
-	s.clusterOpens++
-	s.mu.Unlock()
+	s.clusterMu.Unlock()
+	s.clusterOpens.Add(1)
 	if old != nil {
 		// A re-open replaces a stale engine (coordinator retry after a
 		// crash); the old one's shards are rebuilt from snapshots anyway.
@@ -257,10 +254,10 @@ func (cp *clusterPeer) sendFrame(dst int, frame []byte) error {
 }
 
 func (s *Server) closeClusterJob(job string) {
-	s.mu.Lock()
+	s.clusterMu.Lock()
 	cp := s.clusterJobs[job]
 	delete(s.clusterJobs, job)
-	s.mu.Unlock()
+	s.clusterMu.Unlock()
 	if cp != nil {
 		cp.leave() // the open job's own reference
 		s.logf("cluster job %s closed", shortKey(job))
@@ -303,10 +300,8 @@ func (s *Server) handleClusterFrontier(w http.ResponseWriter, r *http.Request) {
 		s.clusterError(w, http.StatusConflict, "ingest: %v", err)
 		return
 	}
-	s.mu.Lock()
-	s.clusterFramesIn++
-	s.clusterFrameBytes += int64(len(frame))
-	s.mu.Unlock()
+	s.clusterFramesIn.Add(1)
+	s.clusterFrameBytes.Add(int64(len(frame)))
 	w.WriteHeader(http.StatusOK)
 }
 
@@ -322,13 +317,13 @@ type clusterJobView struct {
 // handleClusterStatus reports this peer's open distributed jobs, each
 // with the peer list its coordinator opened it with.
 func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
+	s.clusterMu.Lock()
 	views := make([]clusterJobView, 0, len(s.clusterJobs))
 	for _, cp := range s.clusterJobs {
 		views = append(views, clusterJobView{
 			Job: cp.job, Self: cp.self, Peers: cp.peers, Hosted: cp.engine.Hosted(), States: cp.engine.States(),
 		})
 	}
-	s.mu.Unlock()
+	s.clusterMu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": views})
 }

@@ -13,17 +13,11 @@ import (
 // identical under either engine and match cccheck -mode query run
 // offline against the same cache directory.
 
-func (s *Server) countQuery() {
-	s.mu.Lock()
-	s.queries++
-	s.mu.Unlock()
-}
-
 // handleListVerdicts is GET /v1/verdicts?filter=k=v,…: every stored
 // verdict passing the filter, in key order (deterministic for a given
 // warehouse content).
 func (s *Server) handleListVerdicts(w http.ResponseWriter, r *http.Request) {
-	s.countQuery()
+	s.queries.Add(1)
 	f, err := store.ParseFilter(r.URL.Query().Get("filter"))
 	if err != nil {
 		s.badRequest(w, "%v", err)
@@ -44,7 +38,7 @@ func (s *Server) handleListVerdicts(w http.ResponseWriter, r *http.Request) {
 // plane's pass-rate aggregate over the campaign's cells, resolved
 // from memory or the persisted manifest.
 func (s *Server) handleCampaignSummary(w http.ResponseWriter, r *http.Request) {
-	s.countQuery()
+	s.queries.Add(1)
 	id := r.PathValue("id")
 	keys, ok := s.campaignKeys(id)
 	if !ok {
@@ -59,7 +53,7 @@ func (s *Server) handleCampaignSummary(w http.ResponseWriter, r *http.Request) {
 // handleDiffCampaigns is GET /v1/campaigns/diff?a=…&b=…: cell-by-cell
 // verdict comparison of two campaigns in expansion order.
 func (s *Server) handleDiffCampaigns(w http.ResponseWriter, r *http.Request) {
-	s.countQuery()
+	s.queries.Add(1)
 	a, b := r.URL.Query().Get("a"), r.URL.Query().Get("b")
 	if a == "" || b == "" {
 		s.badRequest(w, "diff needs both ?a= and ?b= campaign ids")
@@ -81,7 +75,7 @@ func (s *Server) handleDiffCampaigns(w http.ResponseWriter, r *http.Request) {
 // handleStoreStats is GET /v1/store/stats: the engine's footprint
 // plus the persisted-campaign count.
 func (s *Server) handleStoreStats(w http.ResponseWriter, r *http.Request) {
-	s.countQuery()
+	s.queries.Add(1)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"store":     s.cfg.Store.Stats(),
 		"campaigns": len(s.cfg.Store.Campaigns()),
@@ -95,12 +89,10 @@ func (s *Server) handleStoreStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStoreCompact(w http.ResponseWriter, r *http.Request) {
 	stats, err := s.cfg.Store.Compact()
 	if err != nil {
-		s.storeFailed(err)
+		s.breaker.record(err)
 		writeError(w, http.StatusInternalServerError, "compaction failed: %v", err)
 		return
 	}
-	s.mu.Lock()
-	s.compactions++
-	s.mu.Unlock()
+	s.compactions.Add(1)
 	writeJSON(w, http.StatusOK, stats)
 }

@@ -189,17 +189,17 @@ type Server struct {
 	stopJobs context.CancelFunc
 	jobsWG   sync.WaitGroup
 
-	// inFlight counts requests currently inside ServeHTTP (atomic: the
-	// shedding check must not contend on mu).
-	inFlight atomic.Int64
-	// watchConns counts open SSE watch streams (atomic: incremented on
-	// the streaming path, read by /metrics).
-	watchConns atomic.Int64
 	// broker fans progress and terminal events out to the watch
-	// streams; hist is the API request-latency histogram.
-	broker *pubsub.Broker
-	hist   latencyHist
+	// streams; hist is the API request-latency histogram; breaker owns
+	// the store circuit breaker.
+	broker  *pubsub.Broker
+	hist    latencyHist
+	breaker storeBreaker
 
+	// mu guards the job table — jobs, doneOrder, campaigns,
+	// cellCampaigns — and the fields of the job and camp records in it
+	// (and orders Drain's cancel before any later admission). Nothing
+	// else: counters are atomics, and /metrics and /readyz never take it.
 	mu        sync.Mutex
 	jobs      map[string]*job
 	doneOrder []string // finished job keys in completion order (FIFO eviction)
@@ -207,33 +207,20 @@ type Server struct {
 	// cellCampaigns maps a cell's job key to the campaigns it belongs
 	// to, so a finishing job can fan its cell event out.
 	cellCampaigns map[string][]string
-	clusterJobs   map[string]*clusterPeer
 
-	// Store circuit breaker (under mu). breakerUntil zero = closed;
-	// in the future = open (compute-only); in the past = half-open
-	// (the next job probes the store).
-	breakerFails int
-	breakerUntil time.Time
+	clusterMu   sync.Mutex // guards clusterJobs
+	clusterJobs map[string]*clusterPeer
 
-	// Counters (under mu; the handler load here is verification jobs,
-	// not a hot path).
-	submitted, deduped, executed, failures int64
-	rejected, interrupted                  int64
-	shed, jobsTimedOut                     int64
-	storeFailures, breakerTrips            int64
-	checkpointErrors                       int64
-	badRequests                            int64
-	clusterOpens, clusterAdoptions         int64
-	clusterFramesIn, clusterFrameBytes     int64
-	clusterErrors                          int64
-	cacheHits, cacheMisses                 int64
-	gossipIngests                          int64
-	queued, running                        int64
-	statesExplored                         int64
-	exploreNanos                           int64
-	checkpointsWritten                     int64
-	jobsResumed, statesResumed             int64
-	queries, compactions                   int64
+	// Counters and gauges, each rendered by one metricsTable row.
+	// queued and running change only under mu, so the MaxQueue
+	// admission check in submit is exact; readers load them lock-free.
+	inFlight, watchConns, queued, running                            atomic.Int64
+	submitted, deduped, executed, failures, rejected                 atomic.Int64
+	interrupted, shed, jobsTimedOut, badRequests                     atomic.Int64
+	cacheHits, cacheMisses, statesExplored, exploreNanos             atomic.Int64
+	checkpointsWritten, checkpointErrors, jobsResumed, statesResumed atomic.Int64
+	queries, compactions, clusterOpens, clusterAdoptions             atomic.Int64
+	clusterFramesIn, clusterFrameBytes, clusterErrors                atomic.Int64
 }
 
 // New builds a Server over the given store.
@@ -280,11 +267,13 @@ func New(cfg Config) (*Server, error) {
 		baseCtx:       baseCtx,
 		stopJobs:      stopJobs,
 		broker:        pubsub.New(cfg.Watch),
+		breaker:       storeBreaker{threshold: cfg.BreakerFailures, cooldown: cfg.BreakerCooldown},
 		jobs:          map[string]*job{},
 		campaigns:     map[string]*camp{},
 		cellCampaigns: map[string][]string{},
 		clusterJobs:   map[string]*clusterPeer{},
 	}
+	s.breaker.logf = s.logf
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmitJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGetJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleGetResult)
@@ -311,38 +300,22 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// the stdlib's own plain-text 404/405 responses come out as the
 	// unified JSON error envelope.
 	ew := &envelopeWriter{ResponseWriter: w, req: r}
-	switch r.URL.Path {
-	case "/healthz", "/readyz", "/metrics":
+	p := r.URL.Path
+	switch {
+	case strings.HasPrefix(p, "/v1/gossip/") && s.cfg.Gossip != nil:
+		s.cfg.Gossip.ServeHTTP(ew, r)
+		return
+	case p == "/healthz", p == "/readyz", p == "/metrics",
+		strings.HasPrefix(p, "/v1/cluster/"), strings.HasPrefix(p, "/v1/gossip/"),
+		strings.HasPrefix(p, "/v1/") && strings.HasSuffix(p, "/watch"):
+		// Exempt from load shedding and the latency histogram.
 		// Observability stays reachable however overloaded the API is.
-		s.mux.ServeHTTP(ew, r)
-		return
-	}
-	if strings.HasPrefix(r.URL.Path, "/v1/cluster/") {
-		// The cluster tier is exempt from load shedding: a shed frame or
-		// barrier RPC mid-layer would force a whole distributed layer
-		// retry, and the peer set is a closed, operator-sized population
-		// — not the open client population the in-flight cap protects
-		// against.
-		s.mux.ServeHTTP(ew, r)
-		return
-	}
-	if strings.HasPrefix(r.URL.Path, "/v1/gossip/") {
-		// The gossip plane is peer traffic, exempt like the cluster
-		// tier; without a node configured it falls through to the mux
-		// for the enveloped 404.
-		if s.cfg.Gossip != nil {
-			s.cfg.Gossip.ServeHTTP(ew, r)
-			return
-		}
-		s.mux.ServeHTTP(ew, r)
-		return
-	}
-	if strings.HasPrefix(r.URL.Path, "/v1/") && strings.HasSuffix(r.URL.Path, "/watch") {
-		// Watch streams are held open for a job's lifetime: counting
-		// them against the in-flight cap would let 512 idle dashboards
-		// starve the API, and their duration would swamp the latency
-		// histogram. Their cost is bounded elsewhere — per-subscriber
-		// queues with slow-consumer eviction, and the OS fd limit.
+		// Peers are a closed, operator-sized population, and a shed frame
+		// or barrier RPC would force a whole distributed layer retry
+		// (without a gossip node, gossip paths get the enveloped 404).
+		// A watch stream is held open for a job's lifetime, so it would
+		// starve the in-flight cap and swamp the histogram; per-subscriber
+		// queues with slow-consumer eviction bound its cost instead.
 		s.mux.ServeHTTP(ew, r)
 		return
 	}
@@ -352,9 +325,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		n := s.inFlight.Add(1)
 		defer s.inFlight.Add(-1)
 		if n > int64(max) {
-			s.mu.Lock()
-			s.shed++
-			s.mu.Unlock()
+			s.shed.Add(1)
 			writeShed(w, http.StatusTooManyRequests, 1,
 				"serve: %d requests in flight exceeds the cap of %d, retry shortly", n, max)
 			return
@@ -472,9 +443,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // from server-side failures so the error-path tests (and operators)
 // can see rejects move without parsing logs.
 func (s *Server) badRequest(w http.ResponseWriter, format string, args ...any) {
-	s.mu.Lock()
-	s.badRequests++
-	s.mu.Unlock()
+	s.badRequests.Add(1)
 	writeError(w, http.StatusBadRequest, format, args...)
 }
 
@@ -502,13 +471,7 @@ func writeShed(w http.ResponseWriter, code, retryAfter int, format string, args 
 func (s *Server) writeReject(w http.ResponseWriter, err error, format string, args ...any) {
 	switch {
 	case errors.Is(err, errQueueFull):
-		s.mu.Lock()
-		ra := 1 + int(s.queued)/s.cfg.Jobs
-		s.mu.Unlock()
-		if ra > 60 {
-			ra = 60
-		}
-		writeShed(w, http.StatusTooManyRequests, ra, format, args...)
+		writeShed(w, http.StatusTooManyRequests, min(1+int(s.queued.Load())/s.cfg.Jobs, 60), format, args...)
 	case errors.Is(err, errShuttingDown):
 		writeShed(w, http.StatusServiceUnavailable, 10, format, args...)
 	default:
@@ -546,59 +509,71 @@ func (s *Server) view(j *job) jobView {
 // errQueueFull rejects submissions past Config.MaxQueue.
 var errQueueFull = fmt.Errorf("serve: job queue is full, retry later")
 
-// storeAvailable reports whether jobs should touch the verdict store:
-// true when the breaker is closed or past its cooldown (half-open — the
-// caller's store call is the probe).
-func (s *Server) storeAvailable() bool {
-	if s.cfg.BreakerFailures < 0 {
-		return true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.breakerUntil.IsZero() || time.Now().After(s.breakerUntil)
+// storeBreaker is the verdict store's circuit breaker (Config's
+// BreakerFailures and BreakerCooldown), owning its lock and its two
+// counters. until zero = closed; in the future = open (jobs run
+// compute-only); in the past = half-open (the next store write is the
+// probe: success closes it, failure re-opens it).
+type storeBreaker struct {
+	threshold int // consecutive failures that trip it; negative = disabled
+	cooldown  time.Duration
+	logf      func(format string, args ...any)
+
+	failures, trips atomic.Int64
+
+	mu    sync.Mutex
+	fails int // consecutive failures
+	until time.Time
 }
 
-// storeFailed records a store-write failure and trips the breaker after
-// BreakerFailures consecutive ones (or re-opens it after a failed
-// half-open probe).
-func (s *Server) storeFailed(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.storeFailures++
-	if s.cfg.BreakerFailures < 0 {
-		return
-	}
-	s.breakerFails++
-	if s.breakerFails >= s.cfg.BreakerFailures && (s.breakerUntil.IsZero() || time.Now().After(s.breakerUntil)) {
-		s.breakerUntil = time.Now().Add(s.cfg.BreakerCooldown)
-		s.breakerTrips++
-		s.logf("store breaker open for %v after %d consecutive write failures (%v): compute-only until the store recovers",
-			s.cfg.BreakerCooldown, s.breakerFails, err)
-	}
-}
+// Breaker states, as /metrics and /readyz report them.
+const (
+	breakerClosed = iota
+	breakerHalfOpen
+	breakerOpen
+)
 
-// storeOK records a successful store write, closing the breaker.
-func (s *Server) storeOK() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.breakerUntil.IsZero() {
-		s.logf("store breaker closed: store write succeeded")
-	}
-	s.breakerFails = 0
-	s.breakerUntil = time.Time{}
-}
+var breakerNames = [...]string{"closed", "half-open", "open"}
 
-// breakerState: 0 closed, 1 half-open, 2 open.
-func (s *Server) breakerState() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (b *storeBreaker) state() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	switch {
-	case s.breakerUntil.IsZero():
-		return 0
-	case time.Now().Before(s.breakerUntil):
-		return 2
+	case b.until.IsZero():
+		return breakerClosed
+	case time.Now().Before(b.until):
+		return breakerOpen
 	default:
-		return 1
+		return breakerHalfOpen
+	}
+}
+
+// available reports whether jobs should touch the verdict store.
+func (b *storeBreaker) available() bool { return b.state() != breakerOpen }
+
+// record feeds one store-write outcome to the breaker: a success
+// closes it; a failure trips it after threshold consecutive ones (or
+// re-opens it after a failed half-open probe).
+func (b *storeBreaker) record(err error) {
+	if err != nil {
+		b.failures.Add(1)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch {
+	case err == nil:
+		if !b.until.IsZero() {
+			b.logf("store breaker closed: store write succeeded")
+		}
+		b.fails, b.until = 0, time.Time{}
+	case b.threshold >= 0:
+		b.fails++
+		if b.fails >= b.threshold && (b.until.IsZero() || time.Now().After(b.until)) {
+			b.until = time.Now().Add(b.cooldown)
+			b.trips.Add(1)
+			b.logf("store breaker open for %v after %d consecutive write failures (%v): compute-only until the store recovers",
+				b.cooldown, b.fails, err)
+		}
 	}
 }
 
@@ -609,14 +584,14 @@ func (s *Server) breakerState() int {
 // turns it into a 503).
 func (s *Server) submit(spec store.JobSpec) (*job, bool, error) {
 	key := spec.Key()
+	s.submitted.Add(1)
 	s.mu.Lock()
-	s.submitted++
 	if j, ok := s.jobs[key]; ok && j.status != StatusFailed {
-		s.deduped++
+		s.deduped.Add(1)
 		if j.status == StatusDone {
 			// Joining a completed job serves its verdict without
 			// recomputation: a (memory-level) cache hit.
-			s.cacheHits++
+			s.cacheHits.Add(1)
 		}
 		s.mu.Unlock()
 		return j, false, nil
@@ -639,44 +614,41 @@ func (s *Server) submit(spec store.JobSpec) (*job, bool, error) {
 		raw []byte
 		hit bool
 	)
-	if s.storeAvailable() {
+	if s.breaker.available() {
 		res, raw, hit = s.cfg.Store.Get(spec)
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if hit {
-		s.cacheHits++
+		s.cacheHits.Add(1)
 		j.status, j.cached, j.res, j.result = StatusDone, true, res, raw
-		s.finishLocked(key)
-		s.publishJobTerminalLocked(j)
+		s.finishLocked(j)
 		return j, true, nil
 	}
-	if s.cfg.MaxQueue >= 0 && s.queued >= int64(s.cfg.MaxQueue) {
-		// Fail the record in place — anyone who joined the placeholder
-		// meanwhile (and already holds a 202 with this id) polls into
-		// the failure instead of a vanished 404. finishLocked makes the
-		// record evictable, and submit's dedupe check skips failed
-		// records, so a later resubmission retries fresh.
-		s.rejected++
-		j.status, j.errMsg = StatusFailed, errQueueFull.Error()
-		s.finishLocked(key)
-		s.publishJobTerminalLocked(j)
-		return nil, false, errQueueFull
-	}
-	if s.baseCtx.Err() != nil {
+	var reject error
+	switch {
+	case s.cfg.MaxQueue >= 0 && s.queued.Load() >= int64(s.cfg.MaxQueue):
+		reject = errQueueFull
+	case s.baseCtx.Err() != nil:
 		// Draining: reject rather than spawn a job whose context is
 		// already cancelled (and whose jobsWG.Add could race Drain's
 		// Wait — the cancel and this check are both under s.mu, so an
 		// accepted Add strictly precedes the Wait).
-		s.rejected++
-		j.status, j.errMsg = StatusFailed, errShuttingDown.Error()
-		s.finishLocked(key)
-		s.publishJobTerminalLocked(j)
-		return nil, false, errShuttingDown
+		reject = errShuttingDown
 	}
-	s.cacheMisses++
-	s.queued++
+	if reject != nil {
+		// Fail the record in place — anyone who joined the placeholder
+		// meanwhile (and already holds a 202 with this id) polls into
+		// the failure instead of a vanished 404 — and, like any failed
+		// record, let a later resubmission retry fresh.
+		s.rejected.Add(1)
+		j.status, j.errMsg = StatusFailed, reject.Error()
+		s.finishLocked(j)
+		return nil, false, reject
+	}
+	s.cacheMisses.Add(1)
+	s.queued.Add(1)
 	s.jobsWG.Add(1)
 	go s.run(j)
 	return j, true, nil
@@ -710,10 +682,12 @@ func (s *Server) Drain(timeout time.Duration) bool {
 	}
 }
 
-// finishLocked records a finished job for FIFO eviction and evicts
-// past the retention bound. Called with s.mu held.
-func (s *Server) finishLocked(key string) {
-	s.doneOrder = append(s.doneOrder, key)
+// finishLocked publishes a finished job's terminal event and records
+// it for FIFO eviction, evicting past the retention bound. Called with
+// s.mu held.
+func (s *Server) finishLocked(j *job) {
+	s.publishJobTerminalLocked(j)
+	s.doneOrder = append(s.doneOrder, j.key)
 	if s.cfg.RetainJobs < 0 {
 		return
 	}
@@ -746,8 +720,8 @@ func (s *Server) run(j *job) {
 	defer func() { <-s.sem }()
 
 	s.mu.Lock()
-	s.queued--
-	s.running++
+	s.queued.Add(-1)
+	s.running.Add(1)
 	j.status = StatusRunning
 	s.mu.Unlock()
 	s.logf("job %s running: %s", j.key[:12], j.spec)
@@ -756,7 +730,7 @@ func (s *Server) run(j *job) {
 	// compute-only — no lookup, no checkpoints (snapshots live in the
 	// same store that just failed), no write.
 	var st store.Interface
-	if s.storeAvailable() {
+	if s.breaker.available() {
 		st = s.cfg.Store
 	}
 	eo := campaign.ExecOptions{
@@ -793,44 +767,39 @@ func (s *Server) run(j *job) {
 	// identical submission will recompute).
 	raw := out.Raw
 	if st != nil && err == nil && out.Status != campaign.StatusHit {
-		if out.PersistErr != nil {
-			s.storeFailed(out.PersistErr)
-		} else {
-			s.storeOK()
-			if s.cfg.Gossip != nil {
-				// Announce the fresh verdict to the fleet: the peers'
-				// next identical submission is a store hit, not a
-				// recomputation.
-				s.cfg.Gossip.Committed(j.key)
-			}
+		s.breaker.record(out.PersistErr)
+		if out.PersistErr == nil && s.cfg.Gossip != nil {
+			// Announce the fresh verdict to the fleet: the peers' next
+			// identical submission is a store hit, not a recomputation.
+			s.cfg.Gossip.Committed(j.key)
 		}
 	}
 	if err == nil && raw == nil {
 		raw, _ = json.Marshal(res)
 	}
 
-	s.mu.Lock()
-	s.running--
-	s.checkpointsWritten += int64(eo.Stats.CheckpointsWritten)
-	s.checkpointErrors += int64(eo.Stats.CheckpointErrors)
+	s.checkpointsWritten.Add(int64(eo.Stats.CheckpointsWritten))
+	s.checkpointErrors.Add(int64(eo.Stats.CheckpointErrors))
+	s.statesResumed.Add(int64(eo.Stats.ResumedStates))
 	if eo.Stats.ResumedStates > 0 {
-		s.jobsResumed++
-		s.statesResumed += int64(eo.Stats.ResumedStates)
+		s.jobsResumed.Add(1)
 	}
+	s.mu.Lock()
+	s.running.Add(-1)
 	switch {
 	case timedOut:
-		s.failures++
-		s.jobsTimedOut++
+		s.failures.Add(1)
+		s.jobsTimedOut.Add(1)
 		j.status, j.errMsg = StatusFailed,
 			fmt.Sprintf("job exceeded the %v wall-clock timeout (checkpoint saved if enabled; resubmit to resume)", s.cfg.JobTimeout)
 	case interrupted:
 		// Shutdown cancellation: the snapshot (if enabled) is on disk
 		// and a post-restart resubmission resumes it; the record fails
 		// so in-flight pollers see a terminal state.
-		s.interrupted++
+		s.interrupted.Add(1)
 		j.status, j.errMsg = StatusFailed, "interrupted by shutdown (checkpoint saved; resubmit to resume)"
 	case err != nil:
-		s.failures++
+		s.failures.Add(1)
 		j.status, j.errMsg = StatusFailed, err.Error()
 		// A classifiable I/O fault (spill write, checkpoint read)
 		// surfaces its class in the envelope, mirroring the CLIs'
@@ -842,16 +811,15 @@ func (s *Server) run(j *job) {
 	case out.Status == campaign.StatusHit:
 		// The verdict landed between submit's probe and this job's turn
 		// (gossip, or another process sharing the cache directory).
-		s.cacheHits++
+		s.cacheHits.Add(1)
 		j.status, j.cached, j.res, j.result = StatusDone, true, res, raw
 	default:
-		s.executed++
-		s.statesExplored += int64(res.States)
-		s.exploreNanos += elapsed.Nanoseconds()
+		s.executed.Add(1)
+		s.statesExplored.Add(int64(res.States))
+		s.exploreNanos.Add(elapsed.Nanoseconds())
 		j.status, j.res, j.result = StatusDone, res, raw
 	}
-	s.finishLocked(j.key)
-	s.publishJobTerminalLocked(j)
+	s.finishLocked(j)
 	s.mu.Unlock()
 	switch {
 	case timedOut:
@@ -1019,12 +987,8 @@ func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 	// and work offline (cccheck -mode query). Same breaker discipline
 	// as verdict writes: with the store down the in-memory record
 	// still serves this process.
-	if !existed && s.storeAvailable() {
-		if err := s.cfg.Store.PutCampaign(id, keys); err != nil {
-			s.storeFailed(err)
-		} else {
-			s.storeOK()
-		}
+	if !existed && s.breaker.available() {
+		s.breaker.record(s.cfg.Store.PutCampaign(id, keys))
 	}
 	s.logf("campaign %s: %d cells", id[:12], len(cells))
 	writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "cells": len(cells), "resubmitted": existed})
@@ -1080,17 +1044,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-var breakerNames = [...]string{"closed", "half-open", "open"}
-
 // handleReadyz is readiness: 503 + Retry-After while draining (new
 // submissions are rejected anyway), 200 otherwise — with degraded=true
 // while the store breaker is open and verdicts are compute-only.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.baseCtx.Err() != nil
-	queued := s.queued
-	s.mu.Unlock()
-	if draining {
+	if s.baseCtx.Err() != nil {
 		w.Header().Set("Retry-After", "10")
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"ready":  false,
@@ -1098,88 +1056,107 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	state := s.breakerState()
+	state := s.breaker.state()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"ready":       true,
-		"degraded":    state != 0,
+		"degraded":    state != breakerClosed,
 		"breaker":     breakerNames[state],
-		"queue_depth": queued,
+		"queue_depth": s.queued.Load(),
 		"in_flight":   s.inFlight.Load(),
 	})
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	submitted, deduped, executed, failures := s.submitted, s.deduped, s.executed, s.failures
-	rejected, interrupted := s.rejected, s.interrupted
-	shed, timedOut := s.shed, s.jobsTimedOut
-	storeFailures, breakerTrips := s.storeFailures, s.breakerTrips
-	ckptErrs := s.checkpointErrors
-	hits, misses := s.cacheHits, s.cacheMisses
-	gossipIngests := s.gossipIngests
-	queued, running := s.queued, s.running
-	states, nanos := s.statesExplored, s.exploreNanos
-	ckpts, resumed, statesResumed := s.checkpointsWritten, s.jobsResumed, s.statesResumed
-	badReqs := s.badRequests
-	queries, compactions := s.queries, s.compactions
-	clOpens, clAdoptions := s.clusterOpens, s.clusterAdoptions
-	clFrames, clFrameBytes := s.clusterFramesIn, s.clusterFrameBytes
-	clErrors, clJobs := s.clusterErrors, int64(len(s.clusterJobs))
-	s.mu.Unlock()
-	breaker := s.breakerState()
-	hitRatio := 0.0
-	if hits+misses > 0 {
-		hitRatio = float64(hits) / float64(hits+misses)
-	}
-	statesPerSec := 0.0
-	if nanos > 0 {
-		statesPerSec = float64(states) / (float64(nanos) / 1e9)
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprintf(w, "ccserve_jobs_submitted_total %d\n", submitted)
-	fmt.Fprintf(w, "ccserve_jobs_deduped_total %d\n", deduped)
-	fmt.Fprintf(w, "ccserve_jobs_executed_total %d\n", executed)
-	fmt.Fprintf(w, "ccserve_jobs_failed_total %d\n", failures)
-	fmt.Fprintf(w, "ccserve_jobs_rejected_total %d\n", rejected)
-	fmt.Fprintf(w, "ccserve_jobs_interrupted_total %d\n", interrupted)
-	fmt.Fprintf(w, "ccserve_requests_shed_total %d\n", shed)
-	fmt.Fprintf(w, "ccserve_jobs_timed_out_total %d\n", timedOut)
-	fmt.Fprintf(w, "ccserve_store_failures_total %d\n", storeFailures)
-	fmt.Fprintf(w, "ccserve_breaker_trips_total %d\n", breakerTrips)
-	fmt.Fprintf(w, "ccserve_breaker_state %d\n", breaker)
-	fmt.Fprintf(w, "ccserve_quarantined_total %d\n", s.cfg.Store.Quarantined())
-	fmt.Fprintf(w, "ccserve_checkpoint_errors_total %d\n", ckptErrs)
-	fmt.Fprintf(w, "ccserve_checkpoints_written_total %d\n", ckpts)
-	fmt.Fprintf(w, "ccserve_jobs_resumed_total %d\n", resumed)
-	fmt.Fprintf(w, "ccserve_states_resumed_total %d\n", statesResumed)
-	fmt.Fprintf(w, "ccserve_cache_hits_total %d\n", hits)
-	fmt.Fprintf(w, "ccserve_cache_misses_total %d\n", misses)
-	fmt.Fprintf(w, "ccserve_cache_hit_ratio %g\n", hitRatio)
-	fmt.Fprintf(w, "ccserve_states_explored_total %d\n", states)
-	fmt.Fprintf(w, "ccserve_states_per_second %g\n", statesPerSec)
-	fmt.Fprintf(w, "ccserve_queue_depth %d\n", queued)
-	fmt.Fprintf(w, "ccserve_jobs_running %d\n", running)
-	fmt.Fprintf(w, "ccserve_bad_requests_total %d\n", badReqs)
-	fmt.Fprintf(w, "ccserve_queries_total %d\n", queries)
-	fmt.Fprintf(w, "ccserve_compactions_total %d\n", compactions)
-	fmt.Fprintf(w, "ccserve_cluster_jobs_open %d\n", clJobs)
-	fmt.Fprintf(w, "ccserve_cluster_opens_total %d\n", clOpens)
-	fmt.Fprintf(w, "ccserve_cluster_frames_in_total %d\n", clFrames)
-	fmt.Fprintf(w, "ccserve_cluster_frame_bytes_total %d\n", clFrameBytes)
-	fmt.Fprintf(w, "ccserve_cluster_adoptions_total %d\n", clAdoptions)
-	fmt.Fprintf(w, "ccserve_cluster_errors_total %d\n", clErrors)
-	fmt.Fprintf(w, "ccserve_worker_slots %d\n", cap(s.sem))
-	fmt.Fprintf(w, "ccserve_job_workers %d\n", s.cfg.JobWorkers)
+// metricsTable is the /metrics exposition in order: one row per series
+// (the latency histogram is one row), each name spelled here and
+// nowhere else. read returns an integer (rendered %d), a float64 (%g),
+// the histogram, or nil to leave the row out.
+var metricsTable = []struct {
+	name string
+	read func(s *Server) any
+}{
+	{"ccserve_jobs_submitted_total", func(s *Server) any { return s.submitted.Load() }},
+	{"ccserve_jobs_deduped_total", func(s *Server) any { return s.deduped.Load() }},
+	{"ccserve_jobs_executed_total", func(s *Server) any { return s.executed.Load() }},
+	{"ccserve_jobs_failed_total", func(s *Server) any { return s.failures.Load() }},
+	{"ccserve_jobs_rejected_total", func(s *Server) any { return s.rejected.Load() }},
+	{"ccserve_jobs_interrupted_total", func(s *Server) any { return s.interrupted.Load() }},
+	{"ccserve_requests_shed_total", func(s *Server) any { return s.shed.Load() }},
+	{"ccserve_jobs_timed_out_total", func(s *Server) any { return s.jobsTimedOut.Load() }},
+	{"ccserve_store_failures_total", func(s *Server) any { return s.breaker.failures.Load() }},
+	{"ccserve_breaker_trips_total", func(s *Server) any { return s.breaker.trips.Load() }},
+	{"ccserve_breaker_state", func(s *Server) any { return s.breaker.state() }},
+	{"ccserve_quarantined_total", func(s *Server) any { return s.cfg.Store.Quarantined() }},
+	{"ccserve_checkpoint_errors_total", func(s *Server) any { return s.checkpointErrors.Load() }},
+	{"ccserve_checkpoints_written_total", func(s *Server) any { return s.checkpointsWritten.Load() }},
+	{"ccserve_jobs_resumed_total", func(s *Server) any { return s.jobsResumed.Load() }},
+	{"ccserve_states_resumed_total", func(s *Server) any { return s.statesResumed.Load() }},
+	{"ccserve_cache_hits_total", func(s *Server) any { return s.cacheHits.Load() }},
+	{"ccserve_cache_misses_total", func(s *Server) any { return s.cacheMisses.Load() }},
+	{"ccserve_cache_hit_ratio", func(s *Server) any {
+		hits := s.cacheHits.Load()
+		return ratio(float64(hits), float64(hits+s.cacheMisses.Load()))
+	}},
+	{"ccserve_states_explored_total", func(s *Server) any { return s.statesExplored.Load() }},
+	{"ccserve_states_per_second", func(s *Server) any {
+		return ratio(float64(s.statesExplored.Load()), float64(s.exploreNanos.Load())/1e9)
+	}},
+	{"ccserve_queue_depth", func(s *Server) any { return s.queued.Load() }},
+	{"ccserve_jobs_running", func(s *Server) any { return s.running.Load() }},
+	{"ccserve_bad_requests_total", func(s *Server) any { return s.badRequests.Load() }},
+	{"ccserve_queries_total", func(s *Server) any { return s.queries.Load() }},
+	{"ccserve_compactions_total", func(s *Server) any { return s.compactions.Load() }},
+	{"ccserve_cluster_jobs_open", func(s *Server) any {
+		s.clusterMu.Lock()
+		defer s.clusterMu.Unlock()
+		return len(s.clusterJobs)
+	}},
+	{"ccserve_cluster_opens_total", func(s *Server) any { return s.clusterOpens.Load() }},
+	{"ccserve_cluster_frames_in_total", func(s *Server) any { return s.clusterFramesIn.Load() }},
+	{"ccserve_cluster_frame_bytes_total", func(s *Server) any { return s.clusterFrameBytes.Load() }},
+	{"ccserve_cluster_adoptions_total", func(s *Server) any { return s.clusterAdoptions.Load() }},
+	{"ccserve_cluster_errors_total", func(s *Server) any { return s.clusterErrors.Load() }},
+	{"ccserve_worker_slots", func(s *Server) any { return cap(s.sem) }},
+	{"ccserve_job_workers", func(s *Server) any { return s.cfg.JobWorkers }},
 	// The push plane: watch streams, broker fan-out, verdict gossip.
-	fmt.Fprintf(w, "ccserve_watch_streams %d\n", s.watchConns.Load())
-	fmt.Fprintf(w, "ccserve_watch_topics %d\n", s.broker.Topics())
-	fmt.Fprintf(w, "ccserve_events_published_total %d\n", s.broker.Published())
-	fmt.Fprintf(w, "ccserve_watch_evictions_total %d\n", s.broker.Evictions())
-	fmt.Fprintf(w, "ccserve_gossip_ingested_total %d\n", gossipIngests)
-	if g := s.cfg.Gossip; g != nil {
-		fmt.Fprintf(w, "ccserve_gossip_log_seq %d\n", g.Seq())
-		fmt.Fprintf(w, "ccserve_gossip_corrupt_total %d\n", g.Corrupt())
+	{"ccserve_watch_streams", func(s *Server) any { return s.watchConns.Load() }},
+	{"ccserve_watch_topics", func(s *Server) any { return s.broker.Topics() }},
+	{"ccserve_events_published_total", func(s *Server) any { return s.broker.Published() }},
+	{"ccserve_watch_evictions_total", func(s *Server) any { return s.broker.Evictions() }},
+	{"ccserve_gossip_ingested_total", gossipRow((*gossip.Node).Ingested, 0)},
+	{"ccserve_gossip_log_seq", gossipRow((*gossip.Node).Seq, nil)},
+	{"ccserve_gossip_corrupt_total", gossipRow((*gossip.Node).Corrupt, nil)},
+	{"ccserve_http_request_seconds", func(s *Server) any { return &s.hist }},
+	{"ccserve_uptime_seconds", func(s *Server) any { return time.Since(s.start).Seconds() }},
+}
+
+// gossipRow reads a series off the gossip node; none stands in without one.
+func gossipRow[T any](read func(*gossip.Node) T, none any) func(*Server) any {
+	return func(s *Server) any {
+		if s.cfg.Gossip == nil {
+			return none
+		}
+		return read(s.cfg.Gossip)
 	}
-	s.hist.render(w, "ccserve_http_request_seconds")
-	fmt.Fprintf(w, "ccserve_uptime_seconds %g\n", time.Since(s.start).Seconds())
+}
+
+// ratio is a/b, or 0 before the first sample.
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
+}
+
+// handleMetrics renders metricsTable. It takes no server lock.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	for _, m := range metricsTable {
+		switch v := m.read(s).(type) {
+		case nil:
+		case *latencyHist:
+			v.render(w, m.name)
+		default:
+			fmt.Fprintf(w, "%s %v\n", m.name, v)
+		}
+	}
 }

@@ -130,7 +130,6 @@ func (s *Server) GossipIngested(key string) {
 		return
 	}
 	s.mu.Lock()
-	s.gossipIngests++
 	s.publishJobTerminalLocked(j)
 	s.mu.Unlock()
 	s.logf("job %s verdict arrived via gossip", key[:12])
@@ -279,25 +278,22 @@ live:
 func (s *Server) campaignStatus(id string, keys []string) campaignView {
 	s.mu.Lock()
 	views := make([]jobView, len(keys))
-	missing := make([]bool, len(keys))
 	for i, k := range keys {
 		if j := s.jobs[k]; j != nil {
 			views[i] = s.view(j)
-		} else {
-			missing[i] = true
 		}
 	}
 	s.mu.Unlock()
-	for i := range keys {
-		if !missing[i] {
+	for i, k := range keys {
+		if views[i].ID != "" {
 			continue
 		}
 		// Evicted cell: re-hydrate its verdict from the store (disk
 		// I/O, hence outside the lock).
-		if j := s.hydrate(keys[i]); j != nil {
+		if j := s.hydrate(k); j != nil {
 			views[i] = s.view(j)
 		} else {
-			views[i] = jobView{ID: keys[i], Status: StatusUnknown}
+			views[i] = jobView{ID: k, Status: StatusUnknown}
 		}
 	}
 

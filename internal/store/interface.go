@@ -31,7 +31,8 @@ const (
 //
 // All methods are safe for concurrent use from multiple goroutines.
 // DirStore additionally tolerates multiple processes on one root;
-// LogStore assumes one writing process (the serving tier's model).
+// LogStore has one open handle per root, enforced by a lock: a second
+// opener gets a *LockedError (chaos.Permanent, so the CLIs exit 4).
 type Interface interface {
 	// Engine names the backing engine (EngineDir or EngineLog).
 	Engine() string
@@ -145,9 +146,9 @@ type CompactStats struct {
 // = the host filesystem). engine "" opens whatever layout dir already
 // holds, and the dir engine for a fresh directory: which of the two a
 // fresh cache should be is not derivable — DirStore may be shared by
-// concurrent processes, LogStore's faster Put assumes one writing
-// process and nothing on disk enforces that — so the safe one is the
-// default and the other is asked for by name. A named engine ("dir",
+// concurrent processes, LogStore's faster Put locks out every process
+// but one — so the shareable one is the default and the other is asked
+// for by name. A named engine ("dir",
 // "log") on a directory that already holds the other engine's verdicts
 // is refused: opened anyway it would read as an empty cache and then
 // grow a second layout beside the first.

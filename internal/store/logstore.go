@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"syscall"
 
 	"repro/internal/chaos"
 	"repro/internal/explore"
@@ -83,8 +85,9 @@ type recLoc struct {
 // deletes the old ones; a crash mid-compaction is safe because a
 // later segment always wins for a key.
 //
-// One process writes at a time (the serving tier's model); reads are
-// concurrent-safe against writes and compaction.
+// One handle has a directory open at a time, enforced by an flock on
+// DIR/LOCK (see LockedError); within it, reads are concurrent-safe
+// against writes and compaction.
 type LogStore struct {
 	base
 
@@ -113,18 +116,58 @@ type LogStore struct {
 	compactions  int64
 	compacting   bool
 	compactWG    sync.WaitGroup
+
+	lock *os.File // holds the single-writer flock on DIR/LOCK until Close
 }
 
 var _ Interface = (*LogStore)(nil)
+
+// lockFile is the log engine's single-writer lock under the cache root.
+const lockFile = "LOCK"
+
+// LockedError refuses a second opener of a log cache while another
+// handle — in this process or another — holds its lock.
+type LockedError struct {
+	Path string // the lock file
+}
+
+func (e *LockedError) Error() string {
+	return fmt.Sprintf("store: another process holds this log cache (lock %s is taken): a log-layout cache has one writer", e.Path)
+}
+
+// Class makes the refusal chaos.Permanent: waiting does not release
+// another process's lock, so it is never retried and the CLIs exit 4.
+func (e *LockedError) Class() chaos.Class { return chaos.Permanent }
+
+// lockDir takes an exclusive, non-blocking flock on dir's lock file.
+// It is on the host filesystem, like the engines' metadata walks:
+// chaos.FS has no descriptor to lock.
+func lockDir(dir string) (*os.File, error) {
+	path := filepath.Join(dir, lockFile)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		f.Close()
+		if errors.Is(err, syscall.EWOULDBLOCK) {
+			return nil, &LockedError{Path: path}
+		}
+		return nil, fmt.Errorf("store: lock %s: %w", path, err)
+	}
+	return f, nil
+}
 
 // OpenLog creates (if needed) and opens the log-engine store rooted
 // at dir, doing I/O directly against the host filesystem.
 func OpenLog(dir string) (*LogStore, error) { return OpenLogFS(dir, nil) }
 
 // OpenLogFS is OpenLog with an explicit filesystem (nil = the host
-// filesystem). Opening scans every segment to rebuild the index;
-// segment files that cannot be read after retries are skipped (their
-// keys read as misses) rather than failing the open.
+// filesystem). Opening takes the directory's single-writer lock — a
+// second opener gets a *LockedError until this handle is closed — then
+// scans every segment to rebuild the index; segment files that cannot
+// be read after retries are skipped (their keys read as misses) rather
+// than failing the open.
 func OpenLogFS(dir string, fsys chaos.FS) (*LogStore, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty cache directory")
@@ -145,6 +188,11 @@ func OpenLogFS(dir string, fsys chaos.FS) (*LogStore, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	lock, err := lockDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	st.lock = lock
 	st.load()
 	return st, nil
 }
@@ -662,16 +710,21 @@ func (st *LogStore) Stats() Stats {
 	}
 }
 
-// Close waits for any background compaction and releases the active
-// segment handle. The handle must not be used after.
+// Close waits for any background compaction, releases the active
+// segment handle and then the directory lock — the lock even when the
+// segment close fails. The handle must not be used after.
 func (st *LogStore) Close() error {
 	st.compactWG.Wait()
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	var err error
 	if st.active != nil {
-		err := st.active.Close()
+		err = st.active.Close()
 		st.active = nil
-		return err
 	}
-	return nil
+	if st.lock != nil {
+		st.lock.Close() // closing the descriptor drops the flock
+		st.lock = nil
+	}
+	return err
 }

@@ -2,12 +2,14 @@ package store_test
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/store"
 )
 
@@ -287,6 +289,55 @@ func TestLogAutoCompactTriggers(t *testing.T) {
 		if _, _, raw, ok := st2.GetByKey(key); !ok || !bytes.Equal(raw, want[i]) {
 			t.Fatalf("key %d lost or mutated across auto-compaction", i)
 		}
+	}
+}
+
+// TestLogSingleWriterLock: a log cache has one open handle at a time. A
+// second opener — by name or by layout detection — is refused with a
+// permanent, never-retried error naming the lock file, instead of both
+// handles writing segments/00000000.seg and one losing its verdicts;
+// once the first handle is closed the directory opens again.
+func TestLogSingleWriterLock(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.OpenLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	raw, err := st.Put(seedSpec(0), fakeResult(7, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, open := range []func() (store.Interface, error){
+		func() (store.Interface, error) { return store.OpenLog(dir) },
+		func() (store.Interface, error) { return store.OpenEngine("", dir, nil) },
+	} {
+		second, err := open()
+		var locked *store.LockedError
+		if !errors.As(err, &locked) {
+			if second != nil {
+				second.Close()
+			}
+			t.Fatalf("second opener of a held log cache: err = %v, want a *store.LockedError", err)
+		}
+		if chaos.Classify(err) != chaos.Permanent {
+			t.Fatalf("lock refusal classified %v, want permanent", chaos.Classify(err))
+		}
+		lock := filepath.Join(dir, "LOCK")
+		if msg := err.Error(); !strings.Contains(msg, lock) || !strings.Contains(msg, "another process holds this log cache") {
+			t.Fatalf("lock refusal %q does not name %s and its holder", msg, lock)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := store.OpenLog(dir)
+	if err != nil {
+		t.Fatalf("reopen after Close: %v", err)
+	}
+	defer st2.Close()
+	if _, _, got, ok := st2.GetByKey(seedSpec(0).Key()); !ok || !bytes.Equal(got, raw) {
+		t.Fatal("the first handle's verdict did not survive its Close")
 	}
 }
 
