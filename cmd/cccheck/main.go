@@ -5,21 +5,20 @@
 // over every daemon choice — and checks Exclusion, Synchronization,
 // Essential Discussion, closure of Correct(p), convergence bounds and
 // deadlock-freedom on every state and transition (the §2.5
-// snap-stabilization contract as a proof-by-enumeration). In random mode
-// it is a scenario harness: randomized topologies × random initial
-// configurations × real daemons, monitored by the runtime spec checkers.
-// In campaign mode the flags become comma lists and the cartesian grid
-// fans across the worker pool. In query mode nothing is explored: the
+// snap-stabilization contract as a proof-by-enumeration). In campaign
+// mode the flags become comma lists and the cartesian grid fans across
+// the worker pool. In query mode nothing is explored: the
 // command reads an existing -cache warehouse and answers
 // list/filter/summary/diff questions over the stored verdicts, with
-// JSON bytes identical to the corresponding ccserve endpoints.
+// JSON bytes identical to the corresponding ccserve endpoints. Sampled,
+// monitored runs from random configurations on randomized topologies
+// are ccsim's (ccsim -topo scenario:14 -random-init -runs 64).
 //
 //	cccheck -alg cc2 -topo ring:3                         # exhaustive, all daemon modes
 //	cccheck -alg cc2 -topo ring:4 -init cc -daemon central  # the scaled instance (78k states, <1s)
 //	cccheck -alg cc2 -topo ring:3 -cache ./verdicts       # reuse/persist verdicts (shared with ccserve)
 //	cccheck -alg cc1 -topo star:4 -init random -random-inits 128
 //	cccheck -alg cc2 -topo ring:3 -mutate leave-early     # must be caught (exit 1 + trace)
-//	cccheck -mode random -runs 64 -steps 4000             # randomized scenario harness
 //	cccheck -alg dining -topo ring:3                      # baselines: legit init only
 //	cccheck -alg token-ring -topo ring:5 -symmetry        # quotient modulo ring rotation
 //	cccheck -mode campaign -alg cc1,cc2,cc3 -topo ring:3,star:4 \
@@ -91,7 +90,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -105,47 +103,37 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/hypergraph"
 	"repro/internal/par"
-	"repro/internal/sim"
-	"repro/internal/spec"
 	"repro/internal/store"
 )
 
 func main() {
 	var (
-		algName    = flag.String("alg", "cc2", "algorithm: cc1 | cc2 | cc3 | dining | token-ring (campaign mode: comma list)")
-		topo       = flag.String("topo", "", "topology spec (see internal/hypergraph.Parse); default ring:3 in exhaustive/campaign mode, random scenarios in random mode (campaign mode: comma list)")
-		mode       = flag.String("mode", "exhaustive", "exhaustive | random | campaign | query")
-		daemons    = flag.String("daemon", "", "comma list; exhaustive/campaign: central|synchronous|all (default all three); random: weakly-fair|central|synchronous|random")
-		initMode   = flag.String("init", "", "initial-configuration family: legit | cc | cc-full | random (default cc-full for CC, legit for the baselines; campaign mode: comma list)")
-		randInits  = flag.Int("random-inits", 256, "initial configurations for -init random")
-		maxStates  = flag.Int("max-states", 2_000_000, "distinct-configuration bound (0 or negative = unlimited)")
-		maxDepth   = flag.Int("max-depth", 0, "BFS depth bound (0 = unlimited)")
-		maxBranch  = flag.Int("max-branch", 1<<16, "per-configuration branch bound")
-		noConverge = flag.Bool("no-converge", false, "skip the one-round convergence check (synchronous mode only)")
-		noDeadlock = flag.Bool("no-deadlock", false, "do not treat terminal configurations as violations")
-		noClosure  = flag.Bool("no-closure", false, "skip the Correct(p)-closure check")
-		symmetry   = flag.Bool("symmetry", false, "explore modulo the model's rotation/block automorphism group (exact; only for models that declare one)")
-		mutate     = flag.String("mutate", "", "deliberately break a guard: "+strings.Join(explore.Mutations(), " | ")+" (campaign mode: comma list, 'none' = unmutated)")
-		cacheDir   = flag.String("cache", "", "content-addressed verdict store directory: serve cached verdicts, persist fresh ones (shared with ccserve and ccbench -cache)")
-		filterStr  = flag.String("filter", "", "query mode: filter grammar, e.g. 'alg=cc2,topo=ring:3,verdict=violated' (empty = every stored verdict)")
-		summaryID  = flag.String("summary", "", "query mode: aggregate this campaign id's pass rate instead of listing verdicts")
-		diffSpec   = flag.String("diff", "", "query mode: 'A,B' — diff two campaign ids cell by cell instead of listing verdicts")
-		memBudget  = flag.String("mem-budget", "", "in-memory budget for the explorer's frontier + visited arena (e.g. 256M, 2G; empty = unlimited): past it the exploration spills to temp files with an identical verdict")
-		ckptEvery  = flag.Int("checkpoint-every", 1_000_000, "with -cache: persist a resumable exploration snapshot under the job's content key every N expanded states and on SIGINT/SIGTERM, so an interrupted run resumes instead of restarting (0 = on interruption only, negative = disabled)")
-		spillDir   = flag.String("spill-dir", "", "directory for out-of-core spill scratch (empty = the system temp dir)")
-		chaosSpec  = flag.String("chaos", "", "fault-injection spec for all durable I/O, e.g. 'seed=7,write=0.05,torn=0.02,flip=0.01' (keys: seed|write|read|torn|sync|rename|flip|perm|fail-write-at|fail-read-at|fail-rename-at); verdicts stay byte-identical or the run fails loudly with a classified error (exit 4)")
-		campJSON   = flag.String("campaign-json", "", "campaign mode: read the grid from this JSON campaign.Spec file instead of the flags")
-		seed       = flag.Int64("seed", 1, "random seed")
-		runs       = flag.Int("runs", 32, "random mode: scenarios to run")
-		steps      = flag.Int("steps", 4000, "random mode: steps per scenario")
-		maxN       = flag.Int("max-n", 14, "random mode: professor bound for random scenarios")
-		traces     = flag.Int("traces", 3, "max violations to collect and print per run")
-		workers    = flag.Int("j", 0, "worker-pool width (0 = GOMAXPROCS)")
-		peersSpec  = flag.String("peers", "", "exhaustive mode: distribute each job across this comma-separated list of ccserve peer base URLs (one visited-set shard per peer; the peers must share one -cache directory); the verdict is byte-identical to a single-node run by the cluster differential battery's contract")
+		algName   = flag.String("alg", "cc2", "algorithm: cc1 | cc2 | cc3 | dining | token-ring (campaign mode: comma list)")
+		topo      = flag.String("topo", "ring:3", "topology spec (see internal/hypergraph.Parse; campaign mode: comma list)")
+		mode      = flag.String("mode", "exhaustive", "exhaustive | campaign | query")
+		daemons   = flag.String("daemon", "", "comma list of central | synchronous | all (default all three)")
+		initMode  = flag.String("init", "", "initial-configuration family: legit | cc | cc-full | random (default cc-full for CC, legit for the baselines; campaign mode: comma list)")
+		randInits = flag.Int("random-inits", 256, "initial configurations for -init random")
+		maxStates = flag.Int("max-states", 2_000_000, "distinct-configuration bound (0 or negative = unlimited)")
+		maxDepth  = flag.Int("max-depth", 0, "BFS depth bound (0 = unlimited)")
+		maxBranch = flag.Int("max-branch", 1<<16, "per-configuration branch bound")
+		symmetry  = flag.Bool("symmetry", false, "explore modulo the model's rotation/block automorphism group (exact; only for models that declare one)")
+		mutate    = flag.String("mutate", "", "deliberately break a guard: "+strings.Join(explore.Mutations(), " | ")+" (campaign mode: comma list, 'none' = unmutated)")
+		cacheDir  = flag.String("cache", "", "content-addressed verdict store directory: serve cached verdicts, persist fresh ones (shared with ccserve and ccbench -cache)")
+		filterStr = flag.String("filter", "", "query mode: filter grammar, e.g. 'alg=cc2,topo=ring:3,verdict=violated' (empty = every stored verdict)")
+		summaryID = flag.String("summary", "", "query mode: aggregate this campaign id's pass rate instead of listing verdicts")
+		diffSpec  = flag.String("diff", "", "query mode: 'A,B' — diff two campaign ids cell by cell instead of listing verdicts")
+		memBudget = flag.String("mem-budget", "", "in-memory budget for the explorer's frontier + visited arena (e.g. 256M, 2G; empty = unlimited): past it the exploration spills to temp files with an identical verdict")
+		ckptEvery = flag.Int("checkpoint-every", 1_000_000, "with -cache: persist a resumable exploration snapshot under the job's content key every N expanded states and on SIGINT/SIGTERM, so an interrupted run resumes instead of restarting (0 = on interruption only, negative = disabled)")
+		spillDir  = flag.String("spill-dir", "", "directory for out-of-core spill scratch (empty = the system temp dir)")
+		chaosSpec = flag.String("chaos", "", "fault-injection spec for all durable I/O, e.g. 'seed=7,write=0.05,torn=0.02,flip=0.01' (keys: seed|write|read|torn|sync|rename|flip|perm|fail-write-at|fail-read-at|fail-rename-at); verdicts stay byte-identical or the run fails loudly with a classified error (exit 4)")
+		seed      = flag.Int64("seed", 1, "seed for -init random and the random topology families")
+		traces    = flag.Int("traces", 3, "max violations to collect and print per run")
+		workers   = flag.Int("j", 0, "worker-pool width (0 = GOMAXPROCS)")
+		peersSpec = flag.String("peers", "", "exhaustive mode: distribute each job across this comma-separated list of ccserve peer base URLs (one visited-set shard per peer; the peers must share one -cache directory); the verdict is byte-identical to a single-node run by the cluster differential battery's contract")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -162,23 +150,15 @@ func main() {
 	}
 
 	switch *mode {
-	case "exhaustive", "campaign":
-		if *topo == "" {
-			*topo = "ring:3"
-		}
-	case "random", "query":
+	case "exhaustive", "campaign", "query":
 	default:
-		fatalf("unknown mode %q (exhaustive | random | campaign | query)", *mode)
-	}
-	if *campJSON != "" && *mode != "campaign" {
-		fatalf("-campaign-json applies to -mode campaign only (current mode: %s)", *mode)
+		fatalf("unknown mode %q (exhaustive | campaign | query)", *mode)
 	}
 
 	scalars := store.JobSpec{
 		RandomInits: *randInits, Seed: *seed,
 		MaxStates: *maxStates, MaxDepth: *maxDepth, MaxBranch: *maxBranch,
 		MaxViolations: *traces, Symmetry: *symmetry,
-		NoDeadlock: *noDeadlock, NoClosure: *noClosure, NoConverge: *noConverge,
 	}
 	budget, err := campaign.ParseBytes("mem-budget", *memBudget)
 	if err != nil {
@@ -226,20 +206,11 @@ func main() {
 		},
 	}
 
-	if *mode == "exhaustive" || *mode == "random" {
-		switch *algName {
-		case "cc1", "cc2", "cc3", "dining", "token-ring":
-		default:
-			fatalf("unknown algorithm %q (cc1 | cc2 | cc3 | dining | token-ring)", *algName)
-		}
-	}
 	switch *mode {
 	case "exhaustive":
 		runExhaustive(*algName, *topo, *daemons, *initMode, *mutate, scalars, exec)
 	case "campaign":
-		runCampaign(*algName, *topo, *daemons, *initMode, *mutate, scalars, exec, *campJSON)
-	case "random":
-		runRandom(*algName, *topo, *daemons, *runs, *steps, *maxN, *seed, *mutate)
+		runCampaign(*algName, *topo, *daemons, *initMode, *mutate, scalars, exec)
 	case "query":
 		runQuery(exec, *filterStr, *summaryID, *diffSpec)
 	}
@@ -316,7 +287,6 @@ type execConfig struct {
 // with checkpointing, a SIGTERM'd (or SIGKILL'd) run resumes from its
 // last snapshot on the next identical invocation, exit code 3.
 func runExhaustive(algName, topoSpec, daemons, initName, mutation string, scalars store.JobSpec, exec execConfig) {
-	st := exec.openStore()
 	daemonList, err := campaign.ParseList("daemon", daemons)
 	if err != nil {
 		fatalf("%v", err)
@@ -333,6 +303,7 @@ func runExhaustive(algName, topoSpec, daemons, initName, mutation string, scalar
 			fatalf("%v", err)
 		}
 	}
+	st := exec.openStore()
 	h, err := hypergraph.Parse(specs[0].Topo, rand.New(rand.NewSource(specs[0].Seed)))
 	if err != nil {
 		fatalf("%v", err) // unreachable: Validate parsed it
@@ -400,38 +371,12 @@ func runExhaustive(algName, topoSpec, daemons, initName, mutation string, scalar
 
 // --- Campaign mode ------------------------------------------------------------
 
-func runCampaign(algs, topos, daemons, inits, mutations string, scalars store.JobSpec, exec execConfig, jsonPath string) {
-	var cspec campaign.Spec
-	if jsonPath != "" {
-		// The spec file carries the whole grid; explicitly-set grid or
-		// scalar flags would be silently ignored — reject the mix.
-		var conflicting []string
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "alg", "topo", "daemon", "init", "mutate", "random-inits", "seed",
-				"max-states", "max-depth", "max-branch", "traces", "symmetry",
-				"no-deadlock", "no-closure", "no-converge":
-				conflicting = append(conflicting, "-"+f.Name)
-			}
-		})
-		if len(conflicting) > 0 {
-			fatalf("-campaign-json takes the whole grid from the file; drop %s", strings.Join(conflicting, " "))
-		}
-		data, err := os.ReadFile(jsonPath)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := unmarshalStrict(data, &cspec); err != nil {
-			fatalf("%s: %v", jsonPath, err)
-		}
-	} else {
-		var err error
-		cspec, err = campaign.ParseSpec(algs, topos, daemons, inits, mutations)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		cspec.SetScalars(scalars)
+func runCampaign(algs, topos, daemons, inits, mutations string, scalars store.JobSpec, exec execConfig) {
+	cspec, err := campaign.ParseSpec(algs, topos, daemons, inits, mutations)
+	if err != nil {
+		fatalf("%v", err)
 	}
+	cspec.Template = campaign.Template(scalars)
 	cells, err := cspec.Expand()
 	if err != nil {
 		fatalf("%v", err)
@@ -569,104 +514,4 @@ func runQuery(exec execConfig, filter, summary, diffSpec string) {
 		exitIO(err)
 	}
 	os.Stdout.Write(append(data, '\n'))
-}
-
-func unmarshalStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
-// --- Random scenario harness --------------------------------------------------
-
-type scenarioOutcome struct {
-	topo       string
-	states     int // steps actually executed
-	convenes   int
-	violations []spec.Violation
-}
-
-func runRandom(algName, topoSpec, daemons string, runs, steps, maxN int, seed int64, mutation string) {
-	if algName == "dining" || algName == "token-ring" {
-		fatalf("random mode supports the CC algorithms (baselines are not stabilizing)")
-	}
-	if mutation != "" {
-		fatalf("-mutate is exhaustive-mode only")
-	}
-	variant := map[string]core.Variant{"cc1": core.CC1, "cc2": core.CC2, "cc3": core.CC3}[algName]
-	daemonName := daemons
-	if daemonName == "" {
-		daemonName = "weakly-fair"
-	}
-	mkDaemon := func() sim.Daemon {
-		switch daemonName {
-		case "weakly-fair":
-			return &sim.WeaklyFair{MaxAge: 6}
-		case "central":
-			return &sim.Central{}
-		case "synchronous":
-			return sim.Synchronous{}
-		case "random":
-			return sim.RandomSubset{P: 0.5}
-		}
-		fatalf("unknown random-mode daemon %q (weakly-fair | central | synchronous | random)", daemonName)
-		return nil
-	}
-	mkDaemon() // validate before fanning out
-	if topoSpec != "" {
-		// Validate the spec before the fan-out; each cell re-parses with
-		// its own rng so random families still vary per scenario.
-		if _, err := hypergraph.Parse(topoSpec, rand.New(rand.NewSource(seed))); err != nil {
-			fatalf("%v", err)
-		}
-	}
-
-	outcomes := par.Map(runs, func(i int) scenarioOutcome {
-		cellSeed := seed + int64(i)
-		rng := rand.New(rand.NewSource(cellSeed))
-		var h *hypergraph.H
-		if topoSpec == "" {
-			h = hypergraph.RandomScenario(rng, maxN)
-		} else {
-			var err error
-			h, err = hypergraph.Parse(topoSpec, rng)
-			if err != nil {
-				panic(err) // spec validated above; unreachable
-			}
-		}
-		alg := core.New(variant, h, nil)
-		env := core.NewAlwaysClient(h.N(), 2)
-		r := core.NewRunner(alg, mkDaemon(), env, cellSeed, true /* random init: snap-stabilization */)
-		chk := r.Checker(0)
-		r.Run(steps)
-		return scenarioOutcome{
-			topo:       h.String(),
-			states:     r.Engine.Steps(),
-			convenes:   r.TotalConvenes(),
-			violations: chk.Violations,
-		}
-	})
-
-	totalViol := 0
-	for i, o := range outcomes {
-		status := "ok"
-		if len(o.violations) > 0 {
-			status = fmt.Sprintf("%d VIOLATIONS", len(o.violations))
-		}
-		fmt.Printf("scenario %3d  seed=%-6d %-60s steps=%-6d convenes=%-5d %s\n",
-			i, seed+int64(i), o.topo, o.states, o.convenes, status)
-		for j, v := range o.violations {
-			if j == 3 {
-				fmt.Printf("    ... and %d more\n", len(o.violations)-3)
-				break
-			}
-			fmt.Printf("    %s\n", v)
-		}
-		totalViol += len(o.violations)
-	}
-	fmt.Printf("\n%s × %d random scenarios (%s daemon, %d steps each, random init): %d violations\n",
-		algName, runs, daemonName, steps, totalViol)
-	if totalViol > 0 {
-		os.Exit(1)
-	}
 }

@@ -8,10 +8,16 @@
 //	ccsim -alg dining -topo triples:4               # related-work baseline
 //	ccsim -topo custom:'{0,1};{1,2,3};{3,4}' -alg cc3
 //	ccsim -alg cc2 -topo ring:16 -runs 32           # 32 seeds across the pool
+//	ccsim -topo scenario:14 -random-init -runs 64   # randomized scenario harness
 //
 // With -runs N > 1 the command fans N independent replicas (seeds
 // seed..seed+N-1) across the experiment worker pool and prints an
-// aggregate table instead of a single-run report.
+// aggregate table instead of a single-run report. Each replica parses
+// -topo with its own seed, so a random family (scenario, kuniform,
+// mixed, bipartite, density) draws a fresh topology per replica while a
+// fixed family is the same for all. A replica that reports violations
+// is named by its seed and topology; re-run it alone with that -seed
+// and -runs 1 to see the violations.
 package main
 
 import (
@@ -38,7 +44,7 @@ func main() {
 		disc       = flag.Int("disc", 2, "voluntary discussion length")
 		randomInit = flag.Bool("random-init", false, "start from an arbitrary configuration (CC only)")
 		daemonName = flag.String("daemon", "weakly-fair", "weakly-fair | synchronous | central | random")
-		runs       = flag.Int("runs", 1, "independent replicas fanned across the worker pool")
+		runs       = flag.Int("runs", 1, "independent replicas fanned across the worker pool, seeds seed..seed+runs-1; each parses -topo with its own seed, so a random family such as scenario:14 draws a fresh topology per replica")
 		workers    = flag.Int("j", 0, "worker-pool width (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
@@ -80,7 +86,7 @@ func main() {
 		firstOf(h.MinMaximalMatching()), h.MaxMin(), h.MaxHEdge(), h.Theorem5Bound(), h.Theorem8Bound())
 
 	if *runs > 1 {
-		runReplicas(*algName, h, mkDaemon, *steps, *seed, *disc, *randomInit, *runs)
+		runReplicas(*algName, *topo, mkDaemon, *steps, *seed, *disc, *randomInit, *runs)
 		return
 	}
 
@@ -134,47 +140,54 @@ func oneBaselineRun(algName string, h *hypergraph.H, d sim.Daemon, steps int, se
 
 // replica is the aggregate-relevant outcome of one replica.
 type replica struct {
+	topo       string
 	convenes   int
 	meanConc   float64
 	peakConc   int
 	minProf    int
-	rounds     int
 	violations int
 }
 
 // runReplicas fans independent (seed) cells of the same configuration
-// across the shared worker pool and prints aggregate statistics.
-func runReplicas(algName string, h *hypergraph.H, mkDaemon func() sim.Daemon, steps int, seed int64, disc int, randomInit bool, runs int) {
+// across the shared worker pool and prints aggregate statistics. Each
+// replica parses topoSpec with its own seed.
+func runReplicas(algName, topoSpec string, mkDaemon func() sim.Daemon, steps int, seed int64, disc int, randomInit bool, runs int) {
 	cells := par.Map(runs, func(i int) replica {
 		s := seed + int64(i)
+		h, err := hypergraph.Parse(topoSpec, rand.New(rand.NewSource(s)))
+		if err != nil {
+			panic(err) // unreachable: main parsed the same spec
+		}
 		switch algName {
 		case "cc1", "cc2", "cc3":
 			r, chk := oneCCRun(algName, h, mkDaemon(), steps, s, disc, randomInit)
 			return replica{
-				convenes: r.TotalConvenes(), meanConc: r.MeanConcurrency(),
+				topo: h.String(), convenes: r.TotalConvenes(), meanConc: r.MeanConcurrency(),
 				peakConc: r.PeakConcurrency, minProf: r.MinProfMeetings(),
-				rounds: r.Engine.Rounds(), violations: len(chk.Violations),
+				violations: len(chk.Violations),
 			}
 		case "dining", "token-ring":
 			r, viols := oneBaselineRun(algName, h, mkDaemon(), steps, s, disc)
 			return replica{
-				convenes: r.TotalConvenes(), meanConc: r.MeanConcurrency(),
+				topo: h.String(), convenes: r.TotalConvenes(), meanConc: r.MeanConcurrency(),
 				peakConc: r.PeakConcurrency, minProf: r.MinProfMeetings(),
-				rounds: r.Engine.Rounds(), violations: len(viols),
+				violations: len(viols),
 			}
 		}
 		panic("unreachable: -alg validated in main") // validated before the fan-out
 	})
 
 	convs := make([]int, runs)
-	totalViol, peak := 0, 0
-	var sumConv, sumConc float64
+	totalConv, totalViol, peak := 0, 0, 0
+	var sumConc float64
 	minProf := -1
+	topos := map[string]bool{}
 	for i, c := range cells {
 		convs[i] = c.convenes
-		sumConv += float64(c.convenes)
+		totalConv += c.convenes
 		sumConc += c.meanConc
 		totalViol += c.violations
+		topos[c.topo] = true
 		if c.peakConc > peak {
 			peak = c.peakConc
 		}
@@ -185,12 +198,20 @@ func runReplicas(algName string, h *hypergraph.H, mkDaemon func() sim.Daemon, st
 	sort.Ints(convs)
 	fmt.Printf("\n%s × %d replicas (seeds %d..%d, %d steps each, %d workers):\n",
 		algName, runs, seed, seed+int64(runs)-1, steps, par.Workers)
-	fmt.Printf("  convenes:          mean %.1f  min %d  median %d  max %d\n",
-		sumConv/float64(runs), convs[0], convs[runs/2], convs[runs-1])
+	if len(topos) > 1 {
+		fmt.Printf("  topologies:        %d distinct, one drawn per replica seed\n", len(topos))
+	}
+	fmt.Printf("  convenes:          total %d  mean %.1f  min %d  median %d  max %d\n",
+		totalConv, float64(totalConv)/float64(runs), convs[0], convs[runs/2], convs[runs-1])
 	fmt.Printf("  mean concurrency:  %.2f (peak %d)\n", sumConc/float64(runs), peak)
 	fmt.Printf("  min meetings/prof: %d\n", minProf)
 	if totalViol > 0 {
 		fmt.Printf("  VIOLATIONS: %d across replicas\n", totalViol)
+		for i, c := range cells {
+			if c.violations > 0 {
+				fmt.Printf("    seed %d  %s: %d violations\n", seed+int64(i), c.topo, c.violations)
+			}
+		}
 		os.Exit(1)
 	}
 	fmt.Printf("  violations:        none\n")

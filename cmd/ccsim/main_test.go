@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -60,6 +61,32 @@ func TestCCSimReplicas(t *testing.T) {
 		t.Fatalf("exit %d:\n%s", code, out)
 	}
 	for _, want := range []string{"cc2 × 4 replicas", "convenes:", "violations:        none"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestCCSimRandomHarness: the randomized scenario harness — random
+// initial configurations on a topology drawn per replica seed, every
+// run monitored by the runtime spec checkers — finds no violation.
+func TestCCSimRandomHarness(t *testing.T) {
+	bin := cmdtest.Build(t, ".")
+	out, code := cmdtest.Run(t, bin, 3*time.Minute,
+		"-alg", "cc2", "-topo", "scenario:14", "-random-init", "-runs", "6", "-steps", "800")
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	var distinct int
+	for _, line := range strings.Split(out, "\n") {
+		if _, err := fmt.Sscanf(strings.TrimSpace(line), "topologies: %d distinct", &distinct); err == nil {
+			break
+		}
+	}
+	if distinct < 2 {
+		t.Fatalf("replicas did not draw distinct topologies:\n%s", out)
+	}
+	for _, want := range []string{"cc2 × 6 replicas", "violations:        none"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}

@@ -18,10 +18,12 @@ import (
 	"repro/internal/store"
 )
 
-// Spec is a declarative campaign: the cartesian grid of the list
-// fields, sharing the scalar bounds. It round-trips through JSON
-// (cccheck -campaign-json, POST /v1/campaigns) and is also built from
-// the comma-list flag grammar (ParseList).
+// Spec is a declarative campaign: one template job plus five axis
+// lists, expanded into the cartesian grid of the lists. The template
+// carries every other job field (bounds, seed, symmetry, ...), so a
+// job knob is declared once, in store.JobSpec. The template's fields
+// sit flat beside the lists in JSON (POST /v1/campaigns); cccheck
+// builds the same value from its comma-list flags (ParseSpec).
 type Spec struct {
 	// Algs and Topos are required; empty lists are an error.
 	Algs  []string `json:"algs"`
@@ -35,34 +37,16 @@ type Spec struct {
 	// cell, so grids can mix it with seeded mutations.
 	Mutations []string `json:"mutations,omitempty"`
 
-	RandomInits   int   `json:"random_inits,omitempty"`
-	Seed          int64 `json:"seed,omitempty"`
-	MaxStates     int   `json:"max_states,omitempty"`
-	MaxDepth      int   `json:"max_depth,omitempty"`
-	MaxBranch     int   `json:"max_branch,omitempty"`
-	MaxViolations int   `json:"max_violations,omitempty"`
-	Symmetry      bool  `json:"symmetry,omitempty"`
-	NoDeadlock    bool  `json:"no_deadlock,omitempty"`
-	NoClosure     bool  `json:"no_closure,omitempty"`
-	NoConverge    bool  `json:"no_converge,omitempty"`
+	// Template is every cell's job minus the five axis fields, which
+	// it must leave empty.
+	Template
 }
 
-// SetScalars copies every scalar bound and toggle from a JobSpec into
-// the grid — the single place that knows the scalar field
-// correspondence, so CLIs building a Spec from flags cannot silently
-// drop one.
-func (s *Spec) SetScalars(j store.JobSpec) {
-	s.RandomInits = j.RandomInits
-	s.Seed = j.Seed
-	s.MaxStates = j.MaxStates
-	s.MaxDepth = j.MaxDepth
-	s.MaxBranch = j.MaxBranch
-	s.MaxViolations = j.MaxViolations
-	s.Symmetry = j.Symmetry
-	s.NoDeadlock = j.NoDeadlock
-	s.NoClosure = j.NoClosure
-	s.NoConverge = j.NoConverge
-}
+// Template is the job every campaign cell starts from. It is a defined
+// type rather than store.JobSpec itself so that embedding it in Spec
+// promotes the fields but not JobSpec's Key/String/Canonical: a
+// campaign is not a job.
+type Template store.JobSpec
 
 // ParseList splits a comma-list flag value strictly: every element
 // must be non-empty after trimming, so typos like "cc1,,cc2" or a
@@ -113,8 +97,9 @@ func ParseBytes(flagName, s string) (int64, error) {
 }
 
 // ParseSpec builds the grid from the comma-list flag grammar
-// (e.g. -alg cc1,cc2 -topo ring:3,star:4 -daemon central,sync). Every
-// list is parsed strictly; value validation happens in Expand.
+// (e.g. -alg cc1,cc2 -topo ring:3,star:4 -daemon central,sync), with an
+// empty template for the caller to fill. Every list is parsed strictly;
+// value validation happens in Expand.
 func ParseSpec(algs, topos, daemons, inits, mutations string) (Spec, error) {
 	var s Spec
 	var err error
@@ -139,10 +124,18 @@ func ParseSpec(algs, topos, daemons, inits, mutations string) (Spec, error) {
 // Expand materializes the grid into canonical, validated job specs in
 // deterministic order (alg-major, then topo, daemon, init, mutation),
 // deduplicated by content key (aliases can make distinct grid cells
-// identical jobs). Any invalid cell fails the whole expansion — a
-// campaign with a typo runs nothing rather than silently running a
-// subset.
+// identical jobs). Each cell is the template with the five axis fields
+// set. Any invalid cell fails the whole expansion — a campaign with a
+// typo runs nothing rather than silently running a subset.
 func (s Spec) Expand() ([]store.JobSpec, error) {
+	for _, f := range []struct{ field, list, value string }{
+		{"alg", "algs", s.Alg}, {"topo", "topos", s.Topo}, {"daemon", "daemons", s.Daemon},
+		{"init", "inits", s.Init}, {"mutation", "mutations", s.Mutation},
+	} {
+		if f.value != "" {
+			return nil, fmt.Errorf("campaign: %q is an axis: list it in %q, not as a template field (got %q)", f.field, f.list, f.value)
+		}
+	}
 	if len(s.Algs) == 0 {
 		return nil, fmt.Errorf("campaign: no algorithms given (want a comma list of %s)", strings.Join(Algs(), " | "))
 	}
@@ -168,13 +161,9 @@ func (s Spec) Expand() ([]store.JobSpec, error) {
 			for _, daemon := range daemons {
 				for _, init := range inits {
 					for _, mut := range mutations {
-						spec := store.JobSpec{
-							Alg: alg, Topo: topo, Daemon: daemon, Init: init, Mutation: mut,
-							RandomInits: s.RandomInits, Seed: s.Seed,
-							MaxStates: s.MaxStates, MaxDepth: s.MaxDepth, MaxBranch: s.MaxBranch,
-							MaxViolations: s.MaxViolations, Symmetry: s.Symmetry,
-							NoDeadlock: s.NoDeadlock, NoClosure: s.NoClosure, NoConverge: s.NoConverge,
-						}.Canonical()
+						spec := store.JobSpec(s.Template)
+						spec.Alg, spec.Topo, spec.Daemon, spec.Init, spec.Mutation = alg, topo, daemon, init, mut
+						spec = spec.Canonical()
 						if err := Validate(spec); err != nil {
 							return nil, fmt.Errorf("%v (cell %s)", err, spec)
 						}

@@ -236,34 +236,31 @@ var ErrInterrupted = explore.ErrInterrupted
 // their verdicts could legally diverge.
 func jobOptions(c store.JobSpec, o ExecOptions) explore.Options {
 	mode, _ := selectionMode(c.Daemon)
+	_, isCC := ccVariants[c.Alg]
 	maxStates := c.MaxStates
 	if maxStates < 0 {
 		maxStates = 0 // canonical -1 = unlimited
 	}
 	opts := explore.Options{
-		Mode:            mode,
-		MaxStates:       maxStates,
-		MaxDepth:        c.MaxDepth,
-		MaxBranch:       c.MaxBranch,
-		MaxViolations:   c.MaxViolations,
-		CheckDeadlock:   !c.NoDeadlock,
-		Symmetry:        c.Symmetry,
-		Workers:         o.Workers,
-		MemBudget:       o.MemBudget,
-		SpillDir:        o.SpillDir,
-		FS:              o.FS,
-		CheckpointEvery: o.CheckpointEvery,
-		Stats:           o.Stats,
-		Progress:        o.Progress,
+		Mode:             mode,
+		MaxStates:        maxStates,
+		MaxDepth:         c.MaxDepth,
+		MaxBranch:        c.MaxBranch,
+		MaxViolations:    c.MaxViolations,
+		CheckDeadlock:    !c.NoDeadlock,
+		CheckClosure:     isCC,
+		CheckConvergence: isCC && mode == sim.SelectSynchronous,
+		Symmetry:         c.Symmetry,
+		Workers:          o.Workers,
+		MemBudget:        o.MemBudget,
+		SpillDir:         o.SpillDir,
+		FS:               o.FS,
+		CheckpointEvery:  o.CheckpointEvery,
+		Stats:            o.Stats,
+		Progress:         o.Progress,
 	}
 	if o.Workers <= 0 {
 		opts.Workers = 1
-	}
-	if _, ok := ccVariants[c.Alg]; ok {
-		opts.CheckClosure = !c.NoClosure
-		if mode == sim.SelectSynchronous {
-			opts.CheckConvergence = !c.NoConverge
-		}
 	}
 	return opts
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -26,9 +25,6 @@ type HTTPConfig struct {
 	// Workers is the per-peer explorer pool width (0 = the peer's own
 	// default).
 	Workers int
-	// Client overrides the HTTP client (nil = a default with a 10
-	// minute timeout — expansion RPCs block for a whole layer).
-	Client *http.Client
 }
 
 // HTTP is the coordinator-side Transport over real ccserve peers: the
@@ -49,7 +45,8 @@ func DialHTTP(ctx context.Context, cfg HTTPConfig) (*HTTP, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("cluster: no peer URLs")
 	}
-	h := &HTTP{cfg: cfg, client: cmp.Or(cfg.Client, &http.Client{Timeout: 10 * time.Minute})}
+	// Expansion RPCs block for a whole layer, hence the long timeout.
+	h := &HTTP{cfg: cfg, client: &http.Client{Timeout: 10 * time.Minute}}
 	h.call = func(p int, req RPCRequest) (RPCResponse, error) { return h.post(ctx, p, req) }
 	for p := range cfg.Peers {
 		_, err := h.call(p, RPCRequest{

@@ -39,6 +39,18 @@ func TestWorkerFlagAliases(t *testing.T) {
 		{"cccheck", []string{"-store-engine", "log"}, 2, "flag provided but not defined"},
 		{"ccbench", []string{"-store-engine", "log"}, 2, "flag provided but not defined"},
 		{"ccserve", []string{"-peers", "http://127.0.0.1:1"}, 2, "flag provided but not defined"},
+
+		// Removed because nothing reached them: the random-scenario
+		// harness is ccsim's (-runs, -steps, and scenario:N for -max-n),
+		// a campaign grid's JSON form is POST /v1/campaigns, and the
+		// check toggles had no workload, walkthrough or test.
+		{"cccheck", []string{"-runs", "4"}, 2, "flag provided but not defined"},
+		{"cccheck", []string{"-steps", "100"}, 2, "flag provided but not defined"},
+		{"cccheck", []string{"-max-n", "8"}, 2, "flag provided but not defined"},
+		{"cccheck", []string{"-campaign-json", "grid.json"}, 2, "flag provided but not defined"},
+		{"cccheck", []string{"-no-closure"}, 2, "flag provided but not defined"},
+		{"cccheck", []string{"-no-converge"}, 2, "flag provided but not defined"},
+		{"cccheck", []string{"-no-deadlock"}, 2, "flag provided but not defined"},
 	} {
 		name := tc.cmd + " " + strings.Join(tc.args, " ")
 		t.Run(name, func(t *testing.T) {

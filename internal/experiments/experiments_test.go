@@ -46,6 +46,24 @@ func TestAllExperimentsClaimsHold(t *testing.T) {
 	}
 }
 
+// TestMaximalConcurrencySeeds: T2 and CONC judge Definition 2 on the
+// configuration a run freezes in. At these seeds a run passes through a
+// transient Π = ∅ with a non-maximal set of meetings, and a check that
+// stopped there failed the claim: figure 1 at inner seed 1001 holds
+// meetings [3] at step 10, then committee 2 convenes and the run
+// quiesces with [2 3]; ring 8 at inner seed 305 holds [3 6].
+func TestMaximalConcurrencySeeds(t *testing.T) {
+	for _, id := range []string{"T2", "CONC"} {
+		e, _ := Get(id)
+		for _, seed := range []int64{305, 1001, 1019} {
+			res := e.RunFn(Config{Seed: seed, Quick: true})
+			for _, f := range res.Failures {
+				t.Errorf("%s seed %d: claim failed: %s", id, seed, f)
+			}
+		}
+	}
+}
+
 func TestRunRenders(t *testing.T) {
 	var buf bytes.Buffer
 	res, err := Run("F1", Config{Seed: 1, Quick: true}, &buf)

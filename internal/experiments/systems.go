@@ -274,27 +274,20 @@ func init() {
 				{"path7", hypergraph.CommitteePath(7)},
 			} {
 				minMM, _ := f.h.MinMaximalMatching()
-				type sat struct {
-					ok bool
-					k  int
-				}
-				sats := par.Map(samples, func(s int) sat {
-					alg := core.New(core.CC1, f.h, nil)
-					env := core.NewInfiniteMeetings(alg, nil)
-					r := core.NewRunner(alg, &sim.WeaklyFair{MaxAge: 6}, env, cfg.Seed+int64(s), false)
-					ok := r.RunUntil(40000, func(c []core.State) bool {
-						return len(piSet(alg, c)) == 0 && len(alg.Meetings(c)) > 0
-					})
-					return sat{ok: ok, k: len(alg.Meetings(r.Config()))}
+				sats := par.Map(samples, func(s int) saturation {
+					return saturate(f.h, cfg.Seed+int64(s))
 				})
 				cc1Min := -1
 				for s, out := range sats {
-					if !out.ok {
+					if !out.quiesced {
 						res.failf("%s seed %d: CC1 did not saturate", f.name, s)
 						continue
 					}
-					if cc1Min == -1 || out.k < cc1Min {
-						cc1Min = out.k
+					if !out.maximal {
+						res.failf("%s seed %d: CC1 froze with %v, not a maximal matching", f.name, s, out.meetings)
+					}
+					if k := len(out.meetings); cc1Min == -1 || k < cc1Min {
+						cc1Min = k
 					}
 				}
 				m2 := metrics.DegreeOfFairConcurrency(core.CC2, f.h, samples, 60000, cfg.Seed, false)

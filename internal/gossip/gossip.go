@@ -80,9 +80,6 @@ type Config struct {
 	// (default 5s; negative disables the background loop — tests
 	// drive Sync explicitly).
 	Interval time.Duration
-	// Client is the HTTP client for announces and fetches (nil = a
-	// client with sane timeouts).
-	Client *http.Client
 	// OnIngest, if non-nil, is called after a gossiped verdict commits
 	// locally (the serving tier publishes watch events for jobs it has
 	// records for; Ingested is the count).
@@ -178,12 +175,8 @@ func New(cfg Config) *Node {
 	if cfg.Interval == 0 {
 		cfg.Interval = 5 * time.Second
 	}
-	cl := cfg.Client
-	if cl == nil {
-		cl = &http.Client{Timeout: 30 * time.Second}
-	}
 	n := &Node{
-		cfg: cfg, client: cl,
+		cfg: cfg, client: &http.Client{Timeout: 30 * time.Second},
 		have:    map[string]struct{}{},
 		ledgers: map[string]*ledger{},
 		retries: map[string]string{},

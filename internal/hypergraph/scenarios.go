@@ -8,7 +8,7 @@ import (
 // Randomized scenario generation: the adversarial counterpart to the
 // fixed paper fixtures. These families feed the exhaustive checker
 // (internal/explore), the property-based test harness, the fuzz
-// targets, cccheck's random mode, and the CLI topology specs
+// targets, ccsim's randomized scenario harness, and the CLI topology specs
 // `bipartite:A,B,M,KMAX`, `density:N,PCT,KMAX` and `scenario:MAXN`
 // (see Parse) — committee structures the authors never drew: random
 // conflict graphs at parameterized density, stars, cliques and
@@ -144,7 +144,7 @@ func RandomDensity(n int, density float64, kmax int, rng *rand.Rand) *H {
 // grid) with random parameters bounded by maxN professors. It never
 // returns fewer than 3 professors or fewer than 2 committees. This is
 // the topology source for the property-based harness, the fuzz target
-// and cccheck's random mode.
+// and scenario:MAXN (ccsim's randomized scenario harness).
 func RandomScenario(rng *rand.Rand, maxN int) *H {
 	if maxN < 6 {
 		maxN = 6

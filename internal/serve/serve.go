@@ -131,9 +131,6 @@ type Config struct {
 	// neighbors. Wire the node's OnIngest to GossipIngested so
 	// gossiped verdicts resolve local watchers.
 	Gossip *gossip.Node
-	// Watch parameterizes the pubsub broker behind the SSE watch
-	// endpoints (zero values = defaults).
-	Watch pubsub.Options
 	// Log, if non-nil, receives one line per job state change.
 	Log func(format string, args ...any)
 }
@@ -266,7 +263,7 @@ func New(cfg Config) (*Server, error) {
 		start:         time.Now(),
 		baseCtx:       baseCtx,
 		stopJobs:      stopJobs,
-		broker:        pubsub.New(cfg.Watch),
+		broker:        pubsub.New(pubsub.Options{}),
 		breaker:       storeBreaker{threshold: cfg.BreakerFailures, cooldown: cfg.BreakerCooldown},
 		jobs:          map[string]*job{},
 		campaigns:     map[string]*camp{},

@@ -813,6 +813,9 @@ func TestHTTPErrorSurface(t *testing.T) {
 		{"campaign bad json", "/v1/campaigns", `{"algs":`, http.StatusBadRequest},
 		{"campaign unknown field", "/v1/campaigns", `{"algs":["cc1"],"topos":["ring:3"],"bogus":1}`, http.StatusBadRequest},
 		{"campaign empty grid", "/v1/campaigns", `{"algs":[],"topos":[]}`, http.StatusBadRequest},
+		// A job field decodes into the campaign's template, but the five
+		// axes belong in their lists.
+		{"campaign template sets an axis", "/v1/campaigns", `{"algs":["cc1"],"topos":["ring:3"],"alg":"cc2"}`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {

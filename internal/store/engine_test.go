@@ -70,34 +70,21 @@ func TestEngineUnknown(t *testing.T) {
 // TestEngineRefusesOtherLayout: a directory holding one engine's
 // verdicts does not open under the other (it would read as an empty
 // cache and grow a second layout beside the first); the error names
-// the engine found on disk. A directory an engine opened but never
-// wrote a verdict to — manifests and checkpoints are shared — still
-// opens under either.
+// the engine found on disk. A directory holding only the shared trees
+// (manifests, checkpoints) opens under either, but the log engine's
+// first open lays down segments/, and from then on the directory is a
+// log cache whether or not a verdict has landed.
 func TestEngineRefusesOtherLayout(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, st store.Interface) {
 		other := store.EngineLog
 		if st.Engine() == store.EngineLog {
 			other = store.EngineDir
 		}
-		if err := st.PutCampaign("c0", []string{smallSpec().Key()}); err != nil {
-			t.Fatal(err)
-		}
-		st.Close()
-		empty, err := store.OpenEngine(other, st.Dir(), nil)
-		if err != nil {
-			t.Fatalf("verdict-free %s directory refused under %s: %v", st.Engine(), other, err)
-		}
-		empty.Close()
-
-		st, err = store.OpenEngine(st.Engine(), st.Dir(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if _, err := st.Put(smallSpec(), fakeResult(7, false)); err != nil {
 			t.Fatal(err)
 		}
 		st.Close()
-		_, err = store.OpenEngine(other, st.Dir(), nil)
+		_, err := store.OpenEngine(other, st.Dir(), nil)
 		if err == nil || !strings.Contains(err.Error(), st.Engine()+"-engine") {
 			t.Fatalf("%s opened a %s directory: err = %v", other, st.Engine(), err)
 		}
@@ -110,6 +97,24 @@ func TestEngineRefusesOtherLayout(t *testing.T) {
 			t.Fatal("entry lost across the refused open")
 		}
 	})
+
+	dir := t.TempDir()
+	shared, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := shared.PutCampaign("c0", []string{smallSpec().Key()}); err != nil {
+		t.Fatal(err)
+	}
+	shared.Close()
+	lst, err := store.OpenEngine(store.EngineLog, dir, nil)
+	if err != nil {
+		t.Fatalf("a manifest-only directory refused under log: %v", err)
+	}
+	lst.Close()
+	if _, err := store.OpenEngine(store.EngineDir, dir, nil); err == nil || !strings.Contains(err.Error(), "log-engine") {
+		t.Fatalf("dir opened a verdict-free log cache: err = %v", err)
+	}
 }
 
 // TestOpenEngineDetects: engine "" — what every CLI passes unless told

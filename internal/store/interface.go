@@ -168,17 +168,16 @@ func OpenEngine(engine, dir string, fsys chaos.FS) (Interface, error) {
 	return OpenFS(dir, fsys)
 }
 
-// engineOnDisk reports which engine's verdict layout dir already holds:
-// log segments, dir-engine entry files, or "" for neither (a fresh or
-// empty directory, or one holding only the shared campaigns /
+// engineOnDisk reports which engine's layout dir already holds: the
+// log engine's segments/ directory (created by its first open, so a
+// log cache with no verdict yet is still a log cache and its lock
+// still applies), dir-engine entry files, or "" for neither (a fresh
+// or empty directory, or one holding only the shared campaigns /
 // checkpoints / quarantine trees). Metadata listing stays on the host
 // filesystem, like the engines' own walks.
 func engineOnDisk(dir string) string {
-	segs, _ := os.ReadDir(filepath.Join(dir, segmentsDir))
-	for _, e := range segs {
-		if segNameRe.MatchString(e.Name()) {
-			return EngineLog
-		}
+	if fi, err := os.Stat(filepath.Join(dir, segmentsDir)); err == nil && fi.IsDir() {
+		return EngineLog
 	}
 	shards, _ := os.ReadDir(dir)
 	for _, d := range shards {

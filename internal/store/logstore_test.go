@@ -304,30 +304,37 @@ func TestLogSingleWriterLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	// Before the first verdict as after it: a layout-detecting open of a
+	// fresh, held log cache must not fall back to an unlocked dir store.
+	refused := func(stage string) {
+		t.Helper()
+		for _, open := range []func() (store.Interface, error){
+			func() (store.Interface, error) { return store.OpenLog(dir) },
+			func() (store.Interface, error) { return store.OpenEngine("", dir, nil) },
+		} {
+			second, err := open()
+			var locked *store.LockedError
+			if !errors.As(err, &locked) {
+				if second != nil {
+					second.Close()
+				}
+				t.Fatalf("%s: second opener of a held log cache: err = %v, want a *store.LockedError", stage, err)
+			}
+			if chaos.Classify(err) != chaos.Permanent {
+				t.Fatalf("%s: lock refusal classified %v, want permanent", stage, chaos.Classify(err))
+			}
+			lock := filepath.Join(dir, "LOCK")
+			if msg := err.Error(); !strings.Contains(msg, lock) || !strings.Contains(msg, "another process holds this log cache") {
+				t.Fatalf("%s: lock refusal %q does not name %s and its holder", stage, msg, lock)
+			}
+		}
+	}
+	refused("no verdict yet")
 	raw, err := st.Put(seedSpec(0), fakeResult(7, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, open := range []func() (store.Interface, error){
-		func() (store.Interface, error) { return store.OpenLog(dir) },
-		func() (store.Interface, error) { return store.OpenEngine("", dir, nil) },
-	} {
-		second, err := open()
-		var locked *store.LockedError
-		if !errors.As(err, &locked) {
-			if second != nil {
-				second.Close()
-			}
-			t.Fatalf("second opener of a held log cache: err = %v, want a *store.LockedError", err)
-		}
-		if chaos.Classify(err) != chaos.Permanent {
-			t.Fatalf("lock refusal classified %v, want permanent", chaos.Classify(err))
-		}
-		lock := filepath.Join(dir, "LOCK")
-		if msg := err.Error(); !strings.Contains(msg, lock) || !strings.Contains(msg, "another process holds this log cache") {
-			t.Fatalf("lock refusal %q does not name %s and its holder", msg, lock)
-		}
-	}
+	refused("one verdict")
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -117,12 +117,6 @@ type JobSpec struct {
 	Mutation string `json:"mutation,omitempty"`
 	// NoDeadlock skips treating terminal configurations as violations.
 	NoDeadlock bool `json:"no_deadlock,omitempty"`
-	// NoClosure skips the Correct(p)-closure check.
-	NoClosure bool `json:"no_closure,omitempty"`
-	// NoConverge skips the one-round convergence check (synchronous
-	// daemon only; canonicalized to false elsewhere, where the check
-	// never runs).
-	NoConverge bool `json:"no_converge,omitempty"`
 }
 
 // DefaultMaxStates is the distinct-configuration bound applied when
@@ -208,11 +202,6 @@ func (s JobSpec) Canonical() JobSpec {
 	}
 	if c.MaxViolations <= 0 {
 		c.MaxViolations = 3
-	}
-	if c.Daemon != "synchronous" {
-		// The convergence check only runs under synchronous branching;
-		// the flag is meaningless elsewhere.
-		c.NoConverge = false
 	}
 	return c
 }

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -51,8 +54,6 @@ func TestKeyCanonicalization(t *testing.T) {
 		{{Alg: "cc2", Topo: "ring:3", Daemon: "central", Init: ""}, {Alg: "cc2", Topo: "ring:3", Daemon: "central", Init: "cc-full"}},
 		{{Alg: "dining", Topo: "ring:3", Daemon: "central", Init: ""}, {Alg: "dining", Topo: "ring:3", Daemon: "central", Init: "legit"}},
 		{{Alg: "cc2", Topo: "ring:3", Daemon: "central", Mutation: "none"}, {Alg: "cc2", Topo: "ring:3", Daemon: "central"}},
-		// The convergence flag is meaningless off the synchronous mode.
-		{{Alg: "cc2", Topo: "ring:3", Daemon: "central", NoConverge: true}, {Alg: "cc2", Topo: "ring:3", Daemon: "central"}},
 	}
 	for i, pair := range aliased {
 		if pair[0].Key() != pair[1].Key() {
@@ -78,11 +79,54 @@ func TestKeyCanonicalization(t *testing.T) {
 		}
 		seen[k] = i
 	}
-	// NoConverge IS meaningful under synchronous branching.
-	a := store.JobSpec{Alg: "cc2", Topo: "ring:3", Daemon: "synchronous", NoConverge: true}
-	b := store.JobSpec{Alg: "cc2", Topo: "ring:3", Daemon: "synchronous"}
-	if a.Key() == b.Key() {
-		t.Error("synchronous NoConverge must change the key")
+	// Pinned keys, one row per field that reaches the key: existing
+	// caches stay valid only while these bytes do not move.
+	for _, tc := range []struct {
+		spec store.JobSpec
+		key  string
+	}{
+		{store.JobSpec{Alg: "cc2", Topo: "ring:3", Daemon: "central", Init: "random", RandomInits: 16, Seed: 5}, "e58ad74e0e6138e0a28b4c0635d38e63fe3296e5237f5c129e4e5f8076096cf1"},
+		{store.JobSpec{Alg: "cc1", Topo: "scenario:8", Daemon: "synchronous", Init: "cc", Seed: 9}, "e743b88cce4f6f7bc16d94aba458f969ea5bcfc3ae6ccffb0f5ddf4fddaa47a2"},
+		{store.JobSpec{Alg: "cc2", Topo: "ring:3", Daemon: "central", Init: "legit", MaxStates: -1}, "6c07dc9c0085edac71a610538e24f8514b3d43776a09673ec02ad7d711d316c2"},
+		{store.JobSpec{Alg: "cc2", Topo: "ring:3", Daemon: "central", Init: "legit", MaxDepth: 7}, "07753a5462eb7a3040bde4621a8e616081bb427d5b804c4de66243e4f068a583"},
+		{store.JobSpec{Alg: "cc2", Topo: "ring:3", Daemon: "central", Init: "legit", MaxBranch: 12}, "6b15bee1cf7266ae801594a43ef53e6335fb39931d150a709dd3cdbf32d25776"},
+		{store.JobSpec{Alg: "cc2", Topo: "ring:3", Daemon: "central", Init: "legit", MaxViolations: 9}, "e32ad75143fcaf0d05dd57ec86ca5a4dc49a9355e0aad0bd6026ce12e0ef8de9"},
+		{store.JobSpec{Alg: "token-ring", Topo: "ring:4", Daemon: "central", Init: "legit", Symmetry: true}, "179c1e6e9ffb547f62517fc237229aa1e5d469ac567aca22c2ee8672b919f153"},
+		{store.JobSpec{Alg: "cc3", Topo: "fig1", Daemon: "all-subsets", Init: "cc", Mutation: "skip-stab"}, "008ae264d5e3f4992da787c5eea9924014faba12e09e0805ba624d214d3df59e"},
+		{store.JobSpec{Alg: "cc2", Topo: "ring:3", Daemon: "synchronous", Init: "legit", NoDeadlock: true}, "6b526645f868d13a15e04ab7e3fe9d074f8edba48a5ed3fb28eb8bf7b4bf78cb"},
+	} {
+		if got := tc.spec.Key(); got != tc.key {
+			t.Errorf("%+v: key %s, pinned %s", tc.spec, got, tc.key)
+		}
+	}
+}
+
+// TestAPIDocListsEveryJobField: docs/api.md's job-spec field table
+// names exactly JobSpec's JSON fields, in declaration order, so a knob
+// cannot be added or dropped without its documented default and
+// canonical form moving with it.
+func TestAPIDocListsEveryJobField(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/api.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n### Job-spec fields\n")
+	if !ok {
+		t.Fatal("docs/api.md has no Job-spec fields section")
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	var documented []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z_]+)` \\|").FindAllStringSubmatch(section, -1) {
+		documented = append(documented, m[1])
+	}
+	var fields []string
+	typ := reflect.TypeFor[store.JobSpec]()
+	for i := range typ.NumField() {
+		name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		fields = append(fields, name)
+	}
+	if !slices.Equal(documented, fields) {
+		t.Fatalf("docs/api.md job-spec table differs from store.JobSpec:\ndocumented %q\nfields     %q", documented, fields)
 	}
 }
 
