@@ -70,10 +70,13 @@ func main() {
 		return nil
 	}
 	mkDaemon() // validate the name before any run starts
-	switch *algName {
-	case "cc1", "cc2", "cc3", "dining", "token-ring":
-	default:
+	_, isCC := variants[*algName]
+	if _, ok := baselines[*algName]; !ok && !isCC {
 		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algName)
+		os.Exit(2)
+	}
+	if *randomInit && !isCC {
+		fmt.Fprintf(os.Stderr, "the %s baseline is not self-stabilizing: -random-init applies to cc1, cc2 and cc3 only\n", *algName)
 		os.Exit(2)
 	}
 
@@ -90,91 +93,59 @@ func main() {
 		return
 	}
 
-	switch *algName {
-	case "cc1", "cc2", "cc3":
-		r, chk := oneCCRun(*algName, h, mkDaemon(), *steps, *seed, *disc, *randomInit)
-		fmt.Printf("\n%s after %d steps (%d rounds):\n", r.Alg.Variant, r.Engine.Steps(), r.Engine.Rounds())
-		fmt.Printf("  total convenes:    %d\n", r.TotalConvenes())
-		fmt.Printf("  per committee:     %v\n", r.Convenes)
-		fmt.Printf("  per professor:     %v\n", r.ProfMeetings)
-		fmt.Printf("  max wait (rounds): %v\n", r.MaxWaitRounds)
-		fmt.Printf("  mean concurrency:  %.2f (peak %d)\n", r.MeanConcurrency(), r.PeakConcurrency)
-		fmt.Printf("  meetings now:      %v\n", r.Alg.Meetings(r.Config()))
-		report(chk.Violations)
-	case "dining", "token-ring":
-		r, viols := oneBaselineRun(*algName, h, mkDaemon(), *steps, *seed, *disc)
-		fmt.Printf("\n%s after %d steps (%d rounds):\n", r.Alg.Kind, r.Engine.Steps(), r.Engine.Rounds())
-		fmt.Printf("  total convenes:   %d\n", r.TotalConvenes())
-		fmt.Printf("  per committee:    %v\n", r.Convenes)
-		fmt.Printf("  per professor:    %v\n", r.ProfMeetings)
-		fmt.Printf("  mean concurrency: %.2f (peak %d)\n", r.MeanConcurrency(), r.PeakConcurrency)
-		report(viols)
-	}
+	o := simulate(*algName, h, mkDaemon(), *steps, *seed, *disc, *randomInit)
+	c := &o.counts
+	fmt.Printf("\n%s after %d steps (%d rounds):\n", o.name, c.Steps, c.Rounds)
+	fmt.Printf("  total convenes:    %d\n", c.TotalConvenes())
+	fmt.Printf("  per committee:     %v\n", c.Convenes)
+	fmt.Printf("  per professor:     %v\n", c.ProfMeetings)
+	fmt.Printf("  max wait (rounds): %v\n", c.MaxWaitRounds())
+	fmt.Printf("  mean concurrency:  %.2f (peak %d)\n", c.MeanConcurrency(), c.PeakConcurrency)
+	fmt.Printf("  meetings now:      %v\n", o.meetings)
+	report(o.violations)
 }
 
-func oneCCRun(algName string, h *hypergraph.H, d sim.Daemon, steps int, seed int64, disc int, randomInit bool) (*core.Runner, *spec.Checker[core.State]) {
-	variant := map[string]core.Variant{"cc1": core.CC1, "cc2": core.CC2, "cc3": core.CC3}[algName]
-	alg := core.New(variant, h, nil)
-	env := core.NewAlwaysClient(h.N(), disc)
-	r := core.NewRunner(alg, d, env, seed, randomInit)
+var (
+	variants  = map[string]core.Variant{"cc1": core.CC1, "cc2": core.CC2, "cc3": core.CC3}
+	baselines = map[string]baseline.Kind{"dining": baseline.Dining, "token-ring": baseline.TokenRing}
+)
+
+// outcome is one monitored run of any of the five algorithms.
+type outcome struct {
+	name       string
+	topo       string
+	counts     spec.Counts
+	meetings   []int // committees meeting at the end
+	violations []spec.Violation
+}
+
+// simulate runs algName on h under the runtime monitors.
+func simulate(algName string, h *hypergraph.H, d sim.Daemon, steps int, seed int64, disc int, randomInit bool) outcome {
+	if kind, ok := baselines[algName]; ok {
+		a := baseline.New(kind, h, disc)
+		r := baseline.NewRunner(a, d, seed)
+		chk := r.Checker(0)
+		r.Run(steps)
+		return outcome{kind.String(), h.String(), r.Counts, a.Meetings(r.Engine.Config()), chk.Violations}
+	}
+	alg := core.New(variants[algName], h, nil)
+	r := core.NewRunner(alg, d, core.NewAlwaysClient(h.N(), disc), seed, randomInit)
 	chk := r.Checker(0)
 	r.Run(steps)
-	return r, chk
-}
-
-func oneBaselineRun(algName string, h *hypergraph.H, d sim.Daemon, steps int, seed int64, disc int) (*baseline.Runner, []spec.Violation) {
-	kind := baseline.Dining
-	if algName == "token-ring" {
-		kind = baseline.TokenRing
-	}
-	a := baseline.New(kind, h, disc)
-	r := baseline.NewRunner(a, d, seed)
-	chk := spec.NewChecker(a.Probe(), 0)
-	chk.Check(0, r.Engine.Config())
-	r.Engine.Observe(func(step int, cfg []baseline.BState, _ []sim.Exec) {
-		chk.Check(step, cfg)
-	})
-	r.Run(steps)
-	return r, chk.Violations
-}
-
-// replica is the aggregate-relevant outcome of one replica.
-type replica struct {
-	topo       string
-	convenes   int
-	meanConc   float64
-	peakConc   int
-	minProf    int
-	violations int
+	return outcome{alg.Variant.String(), h.String(), r.Counts, alg.Meetings(r.Config()), chk.Violations}
 }
 
 // runReplicas fans independent (seed) cells of the same configuration
 // across the shared worker pool and prints aggregate statistics. Each
 // replica parses topoSpec with its own seed.
 func runReplicas(algName, topoSpec string, mkDaemon func() sim.Daemon, steps int, seed int64, disc int, randomInit bool, runs int) {
-	cells := par.Map(runs, func(i int) replica {
+	cells := par.Map(runs, func(i int) outcome {
 		s := seed + int64(i)
 		h, err := hypergraph.Parse(topoSpec, rand.New(rand.NewSource(s)))
 		if err != nil {
 			panic(err) // unreachable: main parsed the same spec
 		}
-		switch algName {
-		case "cc1", "cc2", "cc3":
-			r, chk := oneCCRun(algName, h, mkDaemon(), steps, s, disc, randomInit)
-			return replica{
-				topo: h.String(), convenes: r.TotalConvenes(), meanConc: r.MeanConcurrency(),
-				peakConc: r.PeakConcurrency, minProf: r.MinProfMeetings(),
-				violations: len(chk.Violations),
-			}
-		case "dining", "token-ring":
-			r, viols := oneBaselineRun(algName, h, mkDaemon(), steps, s, disc)
-			return replica{
-				topo: h.String(), convenes: r.TotalConvenes(), meanConc: r.MeanConcurrency(),
-				peakConc: r.PeakConcurrency, minProf: r.MinProfMeetings(),
-				violations: len(viols),
-			}
-		}
-		panic("unreachable: -alg validated in main") // validated before the fan-out
+		return simulate(algName, h, mkDaemon(), steps, s, disc, randomInit)
 	})
 
 	convs := make([]int, runs)
@@ -182,17 +153,16 @@ func runReplicas(algName, topoSpec string, mkDaemon func() sim.Daemon, steps int
 	var sumConc float64
 	minProf := -1
 	topos := map[string]bool{}
-	for i, c := range cells {
-		convs[i] = c.convenes
-		totalConv += c.convenes
-		sumConc += c.meanConc
-		totalViol += c.violations
-		topos[c.topo] = true
-		if c.peakConc > peak {
-			peak = c.peakConc
-		}
-		if minProf == -1 || c.minProf < minProf {
-			minProf = c.minProf
+	for i, o := range cells {
+		c := &o.counts
+		convs[i] = c.TotalConvenes()
+		totalConv += convs[i]
+		sumConc += c.MeanConcurrency()
+		totalViol += len(o.violations)
+		topos[o.topo] = true
+		peak = max(peak, c.PeakConcurrency)
+		if minProf == -1 || c.MinProfMeetings() < minProf {
+			minProf = c.MinProfMeetings()
 		}
 	}
 	sort.Ints(convs)
@@ -207,9 +177,9 @@ func runReplicas(algName, topoSpec string, mkDaemon func() sim.Daemon, steps int
 	fmt.Printf("  min meetings/prof: %d\n", minProf)
 	if totalViol > 0 {
 		fmt.Printf("  VIOLATIONS: %d across replicas\n", totalViol)
-		for i, c := range cells {
-			if c.violations > 0 {
-				fmt.Printf("    seed %d  %s: %d violations\n", seed+int64(i), c.topo, c.violations)
+		for i, o := range cells {
+			if len(o.violations) > 0 {
+				fmt.Printf("    seed %d  %s: %d violations\n", seed+int64(i), o.topo, len(o.violations))
 			}
 		}
 		os.Exit(1)

@@ -48,8 +48,11 @@ func TestCCSimBaseline(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d:\n%s", code, out)
 	}
-	if !strings.Contains(out, "dining after") {
-		t.Fatalf("missing baseline report:\n%s", out)
+	// The baselines report through the same tally and report as CC.
+	for _, want := range []string{"dining after", "max wait (rounds):", "meetings now:", "violations:        none"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("baseline report missing %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -102,6 +105,7 @@ func TestCCSimFlagErrors(t *testing.T) {
 		{[]string{"-alg", "nope"}, "unknown algorithm"},
 		{[]string{"-daemon", "nope"}, "unknown daemon"},
 		{[]string{"-topo", "nope:3"}, "unknown topology"},
+		{[]string{"-alg", "dining", "-topo", "triples:3", "-random-init"}, "not self-stabilizing"},
 	} {
 		out, code := cmdtest.Run(t, bin, time.Minute, tc.args...)
 		if code != 2 {

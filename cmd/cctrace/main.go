@@ -48,10 +48,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-idle only applies to cc1 (CC2/CC3 assume always-requesting professors)")
 			os.Exit(2)
 		}
-		masked := &idleEnv{Env: env, allowed: make([]bool, h.N())}
-		for p := range masked.allowed {
-			masked.allowed[p] = true
-		}
+		masked := &core.Masked{Env: env, Idle: make([]bool, h.N())}
 		for _, f := range strings.Split(*idleMask, ",") {
 			var id int
 			if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &id); err != nil {
@@ -59,7 +56,7 @@ func main() {
 				os.Exit(2)
 			}
 			if v := h.VertexByID(id); v >= 0 {
-				masked.allowed[v] = false
+				masked.Idle[v] = true
 			}
 		}
 		env = masked
@@ -135,12 +132,3 @@ func main() {
 		}
 	}
 }
-
-type idleEnv struct {
-	Env     core.Env
-	allowed []bool
-}
-
-func (m *idleEnv) RequestIn(p int) bool           { return m.allowed[p] && m.Env.RequestIn(p) }
-func (m *idleEnv) RequestOut(p int) bool          { return m.Env.RequestOut(p) }
-func (m *idleEnv) Update(cfg []core.State, s int) { m.Env.Update(cfg, s) }

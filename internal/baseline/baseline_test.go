@@ -12,11 +12,7 @@ import (
 func run(kind baseline.Kind, h *hypergraph.H, steps int, seed int64) (*baseline.Runner, *spec.Checker[baseline.BState]) {
 	a := baseline.New(kind, h, 2)
 	r := baseline.NewRunner(a, &sim.WeaklyFair{MaxAge: 6}, seed)
-	chk := spec.NewChecker(a.Probe(), 0)
-	chk.Check(0, r.Engine.Config())
-	r.Engine.Observe(func(step int, cfg []baseline.BState, _ []sim.Exec) {
-		chk.Check(step, cfg)
-	})
+	chk := r.Checker(0)
 	r.Run(steps)
 	return r, chk
 }
@@ -57,6 +53,36 @@ func TestTokenRingConvenesAndIsSafe(t *testing.T) {
 		}
 		if !chk.Ok() {
 			t.Fatalf("token ring on %v: %v", h, chk.Violations[0])
+		}
+	}
+}
+
+// TestBaselineRunnerWaitAccounting: the baselines report through the
+// same tally as the CC runner, so its invariants hold for them too —
+// every professor who met has a wait recorded, and a committee's
+// terminates trail its convenes by at most the meeting still open.
+func TestBaselineRunnerWaitAccounting(t *testing.T) {
+	h := hypergraph.CommitteeRing(5)
+	for _, kind := range []baseline.Kind{baseline.Dining, baseline.TokenRing} {
+		r := baseline.NewRunner(baseline.New(kind, h, 2), &sim.WeaklyFair{MaxAge: 6}, 4)
+		terms := 0
+		r.OnTerminate(func(step, e int) { terms++ })
+		r.Run(20000)
+		waits := r.MaxWaitRounds()
+		for p := 0; p < h.N(); p++ {
+			if r.ProfMeetings[p] > 0 && waits[p] <= 0 {
+				t.Fatalf("%v: professor %d met %d times but has no wait recorded", kind, p, r.ProfMeetings[p])
+			}
+		}
+		total := 0
+		for e := 0; e < h.M(); e++ {
+			total += r.Terminates[e]
+			if d := r.Convenes[e] - r.Terminates[e]; d < 0 || d > 1 {
+				t.Fatalf("%v: committee %d: convenes %d vs terminates %d", kind, e, r.Convenes[e], r.Terminates[e])
+			}
+		}
+		if terms == 0 || terms != total {
+			t.Fatalf("%v: %d terminate hooks fired, %d terminates counted", kind, terms, total)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 // Program assembles the baseline guarded-action program (professors +
@@ -69,123 +70,33 @@ func (a *Alg) locality() [][]int {
 	return loc
 }
 
-// Runner couples a baseline Alg with an engine and the same event
-// statistics the core Runner tracks, so the comparison tables are
-// apples to apples.
+// Runner couples a baseline Alg with an engine. Its embedded
+// spec.Tally is the core Runner's, so the comparison tables are apples
+// to apples.
 type Runner struct {
+	*spec.Tally[BState]
 	Alg    *Alg
 	Engine *sim.Engine[BState]
-
-	Convenes        []int
-	ProfMeetings    []int
-	SumConcurrency  int64
-	PeakConcurrency int
-	stepsSampled    int64
-	prevMeets       []bool
 }
 
 // NewRunner builds a baseline runner from the legitimate initial
 // configuration (the baselines are not self-stabilizing).
 func NewRunner(a *Alg, d sim.Daemon, seed int64) *Runner {
 	eng := sim.NewEngine(a.Program(), d, seed)
-	r := &Runner{
-		Alg:          a,
-		Engine:       eng,
-		Convenes:     make([]int, a.H.M()),
-		ProfMeetings: make([]int, a.H.N()),
-		prevMeets:    make([]bool, a.H.M()),
-	}
-	eng.Observe(func(step int, cfg []BState, _ []sim.Exec) {
-		concurrent := 0
-		for e := 0; e < a.H.M(); e++ {
-			meets := a.Meets(cfg, e)
-			if meets {
-				concurrent++
-				if !r.prevMeets[e] {
-					r.Convenes[e]++
-					for _, q := range a.H.Edge(e) {
-						r.ProfMeetings[q]++
-					}
-				}
-			}
-			r.prevMeets[e] = meets
-		}
-		if concurrent > r.PeakConcurrency {
-			r.PeakConcurrency = concurrent
-		}
-		r.SumConcurrency += int64(concurrent)
-		r.stepsSampled++
-	})
+	r := &Runner{Tally: spec.NewTally(a.Probe(), eng), Alg: a, Engine: eng}
+	eng.Observe(func(step int, cfg []BState, _ []sim.Exec) { r.Observe(step, cfg) })
 	return r
 }
 
 // Run executes at most maxSteps steps.
 func (r *Runner) Run(maxSteps int) int { return r.Engine.Run(maxSteps) }
 
-// TotalConvenes returns the total convene count.
-func (r *Runner) TotalConvenes() int {
-	t := 0
-	for _, c := range r.Convenes {
-		t += c
-	}
-	return t
-}
-
-// MeanConcurrency returns the average number of simultaneous meetings.
-func (r *Runner) MeanConcurrency() float64 {
-	if r.stepsSampled == 0 {
-		return 0
-	}
-	return float64(r.SumConcurrency) / float64(r.stepsSampled)
-}
-
-// MinProfMeetings returns the fairness witness.
-func (r *Runner) MinProfMeetings() int {
-	min := -1
-	for p, c := range r.ProfMeetings {
-		if len(r.Alg.H.EdgesOf(p)) == 0 {
-			continue
-		}
-		if min == -1 || c < min {
-			min = c
-		}
-	}
-	if min == -1 {
-		return 0
-	}
-	return min
-}
-
 // Profile runs the baseline and produces the comparison profile in the
 // same shape as metrics.MeasureThroughput.
 func Profile(kind Kind, h *hypergraph.H, disc, steps int, seed int64) metrics.Throughput {
-	a := New(kind, h, disc)
-	r := NewRunner(a, &sim.WeaklyFair{MaxAge: 6}, seed)
+	r := NewRunner(New(kind, h, disc), &sim.WeaklyFair{MaxAge: 6}, seed)
 	r.Run(steps)
-	res := metrics.Throughput{
-		Steps:           r.Engine.Steps(),
-		Rounds:          r.Engine.Rounds(),
-		Convenes:        r.TotalConvenes(),
-		MeanConcurrency: r.MeanConcurrency(),
-		PeakConcurrency: r.PeakConcurrency,
-		MinProfMeetings: r.MinProfMeetings(),
-	}
-	min := -1
-	for _, c := range r.Convenes {
-		if min == -1 || c < min {
-			min = c
-		}
-	}
-	if min > 0 {
-		res.MinCommMeetings = min
-	}
-	if res.Rounds > 0 {
-		res.ConvenesPer100R = 100 * float64(res.Convenes) / float64(res.Rounds)
-	}
-	if mx, _ := h.MaxMatching(); mx > 0 {
-		res.MaxMatchingScale = res.MeanConcurrency / float64(mx)
-	}
-	return res
+	return metrics.ProfileOf(&r.Counts)
 }
 
 // Oracle is the centralized greedy scheduler: global knowledge, zero
@@ -232,9 +143,6 @@ func Oracle(h *hypergraph.H, disc, rounds int, seed int64) metrics.Throughput {
 	if rounds > 0 {
 		res.MeanConcurrency = float64(sum) / float64(rounds)
 		res.ConvenesPer100R = 100 * float64(res.Convenes) / float64(rounds)
-	}
-	if mx, _ := h.MaxMatching(); mx > 0 {
-		res.MaxMatchingScale = res.MeanConcurrency / float64(mx)
 	}
 	return res
 }

@@ -177,6 +177,17 @@ func (e *InfiniteMeetings) Update(cfg []State, _ int) {
 // Changed implements EnvTracker.
 func (e *InfiniteMeetings) Changed() []int { return e.changed }
 
+// Masked wraps an Env so that the professors marked Idle never request
+// in (Figure 3's professor 4). It does not forward EnvTracker: the
+// Runner re-evaluates every guard after its updates.
+type Masked struct {
+	Env
+	Idle []bool
+}
+
+// RequestIn implements Env.
+func (m *Masked) RequestIn(p int) bool { return !m.Idle[p] && m.Env.RequestIn(p) }
+
 // Scripted is a fully scripted environment for trace replays (Figure 3):
 // the test driver sets In/Out directly between steps.
 type Scripted struct {

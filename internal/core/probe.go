@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/sim"
-	"repro/internal/spec"
-)
+import "repro/internal/spec"
 
 // Probe adapts the algorithm to the spec monitors: the abstract
 // predicates of §4.2 mapping the implementation statuses onto the
@@ -17,15 +14,4 @@ func (a *Alg) Probe() spec.Probe[State] {
 		},
 		Done: func(cfg []State, p int) bool { return cfg[p].S == Done },
 	}
-}
-
-// Checker builds a spec.Checker wired to a Runner: it validates the
-// initial configuration and every subsequent step.
-func (r *Runner) Checker(progressWindow int) *spec.Checker[State] {
-	c := spec.NewChecker(r.Alg.Probe(), progressWindow)
-	c.Check(0, r.Engine.Config())
-	r.Engine.Observe(func(step int, cfg []State, _ []sim.Exec) {
-		c.Check(step, cfg)
-	})
-	return c
 }

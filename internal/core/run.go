@@ -2,38 +2,23 @@ package core
 
 import (
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
-// Runner wires an Alg, an Env and a sim.Engine together and tracks the
-// meeting-level events (convene/terminate) and the statistics used by
-// the paper's complexity measures: per-committee convene counts,
-// per-professor participation counts and waiting times in rounds
-// (Definition 6 / Theorem 6), and the number of concurrently held
-// meetings (Definitions 2 and 5).
+// Runner wires an Alg, an Env and a sim.Engine together. Its embedded
+// spec.Tally counts the run's meeting events and the statistics behind
+// the paper's complexity measures (convenes, participation, waits in
+// rounds, concurrency) and carries the spec monitor (Checker).
 type Runner struct {
+	*spec.Tally[State]
 	Alg    *Alg
 	Env    Env
 	Engine *sim.Engine[State]
-
-	// Statistics (cumulative over the run).
-	Convenes        []int // per committee: number of convene events
-	Terminates      []int // per committee: number of terminate events
-	ProfMeetings    []int // per professor: meetings participated in
-	MaxWaitRounds   []int // per professor: max rounds between participations
-	lastMeetRound   []int
-	SumConcurrency  int64 // sum over steps of |meetings| (for the mean)
-	PeakConcurrency int
-	stepsSampled    int64
-
-	prevMeets []bool
 
 	// envTrack is non-nil when the Env can attribute predicate flips to
 	// specific processes, letting the incremental engine invalidate only
 	// those cache entries instead of the whole enabled set.
 	envTrack EnvTracker
-
-	onConvene   []func(step, e int)
-	onTerminate []func(step, e int)
 }
 
 // NewRunner builds a Runner. randomInit selects an arbitrary initial
@@ -41,78 +26,17 @@ type Runner struct {
 // fault-free one. The Env is installed into the Alg.
 func NewRunner(alg *Alg, d sim.Daemon, env Env, seed int64, randomInit bool) *Runner {
 	alg.Env = env
-	prog := alg.Program(randomInit)
-	eng := sim.NewEngine(prog, d, seed)
-	r := &Runner{
-		Alg:           alg,
-		Env:           env,
-		Engine:        eng,
-		Convenes:      make([]int, alg.H.M()),
-		Terminates:    make([]int, alg.H.M()),
-		ProfMeetings:  make([]int, alg.H.N()),
-		MaxWaitRounds: make([]int, alg.H.N()),
-		lastMeetRound: make([]int, alg.H.N()),
-		prevMeets:     make([]bool, alg.H.M()),
-	}
+	eng := sim.NewEngine(alg.Program(randomInit), d, seed)
+	r := &Runner{Tally: spec.NewTally(alg.Probe(), eng), Alg: alg, Env: env, Engine: eng}
 	r.envTrack, _ = env.(EnvTracker)
 	env.Update(eng.Config(), 0)
 	r.noteEnvUpdate()
-	r.snapshotMeets(eng.Config())
 	eng.Observe(func(step int, cfg []State, _ []sim.Exec) {
-		r.afterStep(step, cfg)
+		r.Observe(step, cfg)
+		r.Env.Update(cfg, step)
+		r.noteEnvUpdate()
 	})
 	return r
-}
-
-// OnConvene registers a callback fired when a committee meeting convenes
-// (it meets in the new configuration but did not in the previous one).
-func (r *Runner) OnConvene(fn func(step, e int)) { r.onConvene = append(r.onConvene, fn) }
-
-// OnTerminate registers a callback fired when a meeting terminates.
-func (r *Runner) OnTerminate(fn func(step, e int)) { r.onTerminate = append(r.onTerminate, fn) }
-
-func (r *Runner) snapshotMeets(cfg []State) {
-	for e := 0; e < r.Alg.H.M(); e++ {
-		r.prevMeets[e] = r.Alg.EdgeMeets(cfg, e)
-	}
-}
-
-func (r *Runner) afterStep(step int, cfg []State) {
-	round := r.Engine.Rounds()
-	concurrent := 0
-	for e := 0; e < r.Alg.H.M(); e++ {
-		meets := r.Alg.EdgeMeets(cfg, e)
-		if meets {
-			concurrent++
-		}
-		switch {
-		case meets && !r.prevMeets[e]:
-			r.Convenes[e]++
-			for _, p := range r.Alg.H.Edge(e) {
-				r.ProfMeetings[p]++
-				if gap := round - r.lastMeetRound[p]; gap > r.MaxWaitRounds[p] {
-					r.MaxWaitRounds[p] = gap
-				}
-				r.lastMeetRound[p] = round
-			}
-			for _, fn := range r.onConvene {
-				fn(step, e)
-			}
-		case !meets && r.prevMeets[e]:
-			r.Terminates[e]++
-			for _, fn := range r.onTerminate {
-				fn(step, e)
-			}
-		}
-		r.prevMeets[e] = meets
-	}
-	if concurrent > r.PeakConcurrency {
-		r.PeakConcurrency = concurrent
-	}
-	r.SumConcurrency += int64(concurrent)
-	r.stepsSampled++
-	r.Env.Update(cfg, step)
-	r.noteEnvUpdate()
 }
 
 // SyncEnv runs one Env.Update against the current configuration and
@@ -136,24 +60,6 @@ func (r *Runner) noteEnvUpdate() {
 		return
 	}
 	r.Engine.MarkAllDirty()
-}
-
-// MeanConcurrency returns the average number of simultaneously meeting
-// committees per step.
-func (r *Runner) MeanConcurrency() float64 {
-	if r.stepsSampled == 0 {
-		return 0
-	}
-	return float64(r.SumConcurrency) / float64(r.stepsSampled)
-}
-
-// TotalConvenes returns the total number of convene events.
-func (r *Runner) TotalConvenes() int {
-	t := 0
-	for _, c := range r.Convenes {
-		t += c
-	}
-	return t
 }
 
 // IdleTicks bounds how many environment "ticks" the runner performs when
@@ -231,37 +137,3 @@ func (r *Runner) RunRounds(rounds, maxSteps int) int {
 
 // Config returns the current configuration.
 func (r *Runner) Config() []State { return r.Engine.Config() }
-
-// MinProfMeetings returns the minimum per-professor participation count —
-// the fairness witness (> 0 for every window under Professor Fairness).
-// Professors incident to no committee are skipped.
-func (r *Runner) MinProfMeetings() int {
-	min := -1
-	for p, c := range r.ProfMeetings {
-		if len(r.Alg.H.EdgesOf(p)) == 0 {
-			continue
-		}
-		if min == -1 || c < min {
-			min = c
-		}
-	}
-	if min == -1 {
-		return 0
-	}
-	return min
-}
-
-// MinCommitteeConvenes returns the minimum per-committee convene count —
-// the Committee Fairness witness (Definition 4).
-func (r *Runner) MinCommitteeConvenes() int {
-	min := -1
-	for _, c := range r.Convenes {
-		if min == -1 || c < min {
-			min = c
-		}
-	}
-	if min == -1 {
-		return 0
-	}
-	return min
-}

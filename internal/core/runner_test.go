@@ -1,12 +1,12 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/hypergraph"
 	"repro/internal/sim"
-	"repro/internal/spec"
 )
 
 // TestEnvTickUnblocksDiscussionTimers reproduces the simulation-model
@@ -67,8 +67,9 @@ func TestRunnerWaitAccounting(t *testing.T) {
 	h := hypergraph.CommitteeRing(5)
 	r := newRunner(core.CC2, h, 4, false)
 	r.Run(20000)
+	waits := r.MaxWaitRounds()
 	for p := 0; p < h.N(); p++ {
-		if r.ProfMeetings[p] > 0 && r.MaxWaitRounds[p] <= 0 {
+		if r.ProfMeetings[p] > 0 && waits[p] <= 0 {
 			t.Fatalf("professor %d met %d times but has no wait recorded", p, r.ProfMeetings[p])
 		}
 	}
@@ -193,21 +194,75 @@ func TestCheckerIntegrationCatchesInjectedViolation(t *testing.T) {
 	}
 }
 
-func TestFairnessTrackerIntegration(t *testing.T) {
+// TestTallyFairWaitsIntegration: under CC2 on a ring every professor's
+// longest wait, the still-open one included, is a small fraction of the
+// run (Professor Fairness, Definition 3; Theorem 6's waiting time).
+func TestTallyFairWaitsIntegration(t *testing.T) {
 	h := hypergraph.CommitteeRing(5)
 	alg := core.New(core.CC2, h, nil)
 	env := core.NewAlwaysClient(h.N(), 1)
 	r := core.NewRunner(alg, &sim.WeaklyFair{MaxAge: 6}, env, 8, false)
-	ft := spec.NewFairnessTracker(h)
-	r.OnConvene(func(step, e int) { ft.Convened(step, e) })
 	r.Run(20000)
-	ft.Finish(r.Engine.Steps())
-	if ft.MaxGapProfessors() <= 0 {
-		t.Fatal("no gaps measured")
+	worst := slices.Max(r.MaxWaitRounds())
+	if worst <= 0 {
+		t.Fatal("no waits measured")
 	}
-	// CC2 professor fairness: the max gap is a small fraction of the run.
-	if g := ft.MaxGapProfessors(); g > r.Engine.Steps()/4 {
-		t.Fatalf("professor gap %d too large for a fair algorithm over %d steps", g, r.Engine.Steps())
+	if worst > r.Engine.Rounds()/4 {
+		t.Fatalf("professor wait %d rounds too large for a fair algorithm over %d rounds", worst, r.Engine.Rounds())
+	}
+}
+
+// countMeets wraps the runner's probe so every Probe.Meets evaluation
+// increments *calls.
+func countMeets(r *core.Runner, calls *int) {
+	meets := r.Probe.Meets
+	r.Probe.Meets = func(cfg []core.State, e int) bool {
+		*calls++
+		return meets(cfg, e)
+	}
+}
+
+// TestOneMonitorPerRun: attaching a checker replaces the previous one,
+// so a run judged by its latest monitor evaluates each committee once
+// per step however often a checker was attached (fault bursts attach
+// one per burst).
+func TestOneMonitorPerRun(t *testing.T) {
+	h := hypergraph.CommitteeRing(32)
+	r := newRunner(core.CC2, h, 1, false)
+	calls := 0
+	countMeets(r, &calls)
+	first := r.Checker(0)
+	chk := r.Checker(0)
+	r.Run(1000)
+	calls = 0
+	steps := r.Run(100)
+	if calls != steps*h.M() {
+		t.Fatalf("%d Probe.Meets calls over %d steps, want %d per step", calls, steps, h.M())
+	}
+	if len(first.Violations) != 0 || !chk.Ok() {
+		t.Fatalf("violations: first %v, last %v", first.Violations, chk.Violations)
+	}
+}
+
+// TestMonitoredStepMeetsOnceNoAllocs: a monitored step evaluates the
+// meets vector once — the tally and its checker share it — and a
+// steady-state monitored step allocates nothing.
+func TestMonitoredStepMeetsOnceNoAllocs(t *testing.T) {
+	h := hypergraph.CommitteeRing(32)
+	r := newRunner(core.CC2, h, 1, false)
+	calls := 0
+	countMeets(r, &calls)
+	chk := r.Checker(0)
+	r.Run(2000) // warm the scratch buffers
+	calls = 0
+	if r.Run(1) != 1 || calls != h.M() {
+		t.Fatalf("one monitored step made %d Probe.Meets calls, want %d", calls, h.M())
+	}
+	if allocs := testing.AllocsPerRun(200, func() { r.Run(1) }); allocs != 0 {
+		t.Fatalf("a monitored step allocates %.1f times, want 0", allocs)
+	}
+	if !chk.Ok() {
+		t.Fatalf("violations: %v", chk.Violations)
 	}
 }
 

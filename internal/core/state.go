@@ -265,11 +265,6 @@ func (a *Alg) WaitingAbstract(cfg []State, p int) bool {
 	return cfg[p].S == Looking || cfg[p].S == Waiting
 }
 
-// InMeeting reports whether p participates in a meeting.
-func (a *Alg) InMeeting(cfg []State, p int) bool {
-	return cfg[p].P != NoEdge && a.EdgeMeets(cfg, cfg[p].P)
-}
-
 func (a *Alg) allMembers(cfg []State, e int, pred func(q int) bool) bool {
 	for _, q := range a.H.Edge(e) {
 		if !pred(q) {

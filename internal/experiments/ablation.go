@@ -103,31 +103,22 @@ func init() {
 					}
 				}
 			}
-			type gridOut struct {
-				per100   float64
-				convenes int
-				minProf  int
-			}
-			outs := par.Map(len(grid), func(i int) gridOut {
+			outs := par.Map(len(grid), func(i int) metrics.Throughput {
 				g := grid[i]
 				alg := core.New(g.variant, g.f.h, nil)
 				alg.Choose = g.fn
 				env := core.NewAlwaysClient(g.f.h.N(), 2)
 				r := core.NewRunner(alg, &sim.WeaklyFair{MaxAge: 6}, env, cfg.Seed, false)
 				r.Run(tsteps)
-				per100 := 0.0
-				if rr := r.Engine.Rounds(); rr > 0 {
-					per100 = 100 * float64(r.TotalConvenes()) / float64(rr)
-				}
-				return gridOut{per100: per100, convenes: r.TotalConvenes(), minProf: r.MinProfMeetings()}
+				return metrics.ProfileOf(&r.Counts)
 			})
 			for i, g := range grid {
 				o := outs[i]
-				t2.AddRow(g.variant.String(), g.f.name, g.name, o.per100, o.minProf)
-				if o.convenes == 0 {
+				t2.AddRow(g.variant.String(), g.f.name, g.name, o.ConvenesPer100R, o.MinProfMeetings)
+				if o.Convenes == 0 {
 					res.failf("%v/%s/%s: no meetings", g.variant, g.f.name, g.name)
 				}
-				if g.variant == core.CC2 && o.minProf == 0 {
+				if g.variant == core.CC2 && o.MinProfMeetings == 0 {
 					res.failf("%v/%s/%s: fairness lost under this choice strategy", g.variant, g.f.name, g.name)
 				}
 			}

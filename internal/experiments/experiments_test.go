@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -61,6 +64,50 @@ func TestMaximalConcurrencySeeds(t *testing.T) {
 				t.Errorf("%s seed %d: claim failed: %s", id, seed, f)
 			}
 		}
+	}
+}
+
+// TestStarvedProfessorWaitsTheWholeRun: under Theorem 1's schedule CC1
+// never lets professor 5 meet, so its waiting time (Definition 6) is
+// the whole run, not 0 rounds.
+func TestStarvedProfessorWaitsTheWholeRun(t *testing.T) {
+	r := figure2Run(core.CC1, 1, 8000)
+	if r.ProfMeetings[4] != 0 {
+		t.Fatalf("professor 5 met %d times under the starvation schedule", r.ProfMeetings[4])
+	}
+	if w, rounds := r.MaxWaitRounds()[4], r.Engine.Rounds(); w < rounds || rounds == 0 {
+		t.Fatalf("starved professor 5 waited %d rounds of %d", w, rounds)
+	}
+}
+
+// TestQuickSuiteGolden: the rendered quick suite at seed 1, every
+// experiment, is byte-identical to the output recorded in
+// testdata/quick_seed1.md. Refactors of the runners and the tally must
+// leave every table byte unchanged; a deliberate change to a table
+// regenerates the file with
+//
+//	go run ./cmd/ccbench -exp all -quick -seed 1 > internal/experiments/testdata/quick_seed1.md
+func TestQuickSuiteGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/quick_seed1.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, e := range All() {
+		ids = append(ids, e.ID)
+	}
+	var got bytes.Buffer
+	if _, err := RunAll(ids, Config{Seed: 1, Quick: true}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("line %d differs:\n got  %s\n want %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("output has %d lines, golden %d", len(gl), len(wl))
 	}
 }
 

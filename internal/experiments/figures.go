@@ -140,6 +140,32 @@ func (e *alternatingEnv) Update(cfg []core.State, _ int) {
 	}
 }
 
+// figure2Run runs variant for steps steps under Theorem 1's schedule
+// (alternatingEnv) on Figure 2's hypergraph.
+func figure2Run(variant core.Variant, seed int64, steps int) *core.Runner {
+	h := hypergraph.Figure2()
+	alg := core.New(variant, h, nil)
+	env := &alternatingEnv{alg: alg, out: make([]bool, h.N())}
+	r := core.NewRunner(alg, &sim.WeaklyFair{MaxAge: 6}, env, seed, false)
+	// Start from the proof's configuration A: professors 1,2 already
+	// meet in {1,2}; everyone else is waiting. (The impossibility proof
+	// constructs its computation from A — if the run instead starts
+	// idle, committee {1,3,5} can legitimately convene once before the
+	// overlap is established.)
+	for v := 0; v < h.N(); v++ {
+		r.Engine.MutateProc(v, func(dst *core.State) {
+			if v == 0 || v == 1 {
+				dst.S, dst.P = core.Waiting, 0
+			} else {
+				dst.S, dst.P = core.Looking, core.NoEdge
+			}
+		})
+	}
+	r.SyncEnv()
+	r.Run(steps)
+	return r
+}
+
 // EXP-F2 — Figure 2 / Theorem 1: Maximal Concurrency and Professor
 // Fairness are incompatible. CC1 (maximally concurrent) starves
 // professor 5 under the proof's schedule; CC2 (fair) breaks the cycle.
@@ -166,28 +192,7 @@ func init() {
 				conv0, conv2, conv1, prof5 int
 			}
 			cells := par.Map(len(variants), func(i int) cell {
-				h := hypergraph.Figure2()
-				alg := core.New(variants[i], h, nil)
-				env := &alternatingEnv{alg: alg, out: make([]bool, h.N())}
-				r := core.NewRunner(alg, &sim.WeaklyFair{MaxAge: 6}, env, cfg.Seed, false)
-				// Start from the proof's configuration A: professors 1,2
-				// already meet in {1,2}; everyone else is waiting. (The
-				// impossibility proof constructs its computation from A —
-				// if the run instead starts idle, committee {1,3,5} can
-				// legitimately convene once before the overlap is
-				// established.)
-				for v := 0; v < h.N(); v++ {
-					v := v
-					r.Engine.MutateProc(v, func(dst *core.State) {
-						if v == 0 || v == 1 {
-							dst.S, dst.P = core.Waiting, 0
-						} else {
-							dst.S, dst.P = core.Looking, core.NoEdge
-						}
-					})
-				}
-				r.SyncEnv()
-				r.Run(steps)
+				r := figure2Run(variants[i], cfg.Seed, steps)
 				return cell{conv0: r.Convenes[0], conv2: r.Convenes[2], conv1: r.Convenes[1], prof5: r.ProfMeetings[4]}
 			})
 			for i, variant := range variants {
@@ -230,13 +235,8 @@ func init() {
 			h := hypergraph.Figure3()
 			alg := core.New(core.CC1, h, nil)
 			// Professor 4 (vertex 3) never requests, as in the figure.
-			masked := &maskedEnv{
-				Env:     core.NewClient(h.N(), 1, 1, 2, cfg.Seed+1),
-				allowed: make([]bool, h.N()),
-			}
-			for p := 0; p < h.N(); p++ {
-				masked.allowed[p] = p != 3
-			}
+			masked := &core.Masked{Env: core.NewClient(h.N(), 1, 1, 2, cfg.Seed+1), Idle: make([]bool, h.N())}
+			masked.Idle[3] = true
 			r := core.NewRunner(alg, &sim.WeaklyFair{MaxAge: 6}, masked, cfg.Seed, false)
 			steps := 40000
 			if cfg.Quick {
@@ -291,16 +291,6 @@ func init() {
 		},
 	})
 }
-
-// maskedEnv gates RequestIn per professor on top of another Env.
-type maskedEnv struct {
-	Env     core.Env
-	allowed []bool
-}
-
-func (m *maskedEnv) RequestIn(p int) bool           { return m.allowed[p] && m.Env.RequestIn(p) }
-func (m *maskedEnv) RequestOut(p int) bool          { return m.Env.RequestOut(p) }
-func (m *maskedEnv) Update(cfg []core.State, s int) { m.Env.Update(cfg, s) }
 
 // EXP-F4 — Figure 4: the lock mechanism of CC2. Professors 3,4,5 are in
 // a meeting; the token holder (professor 1) points at {1,2,5,8}; members

@@ -10,7 +10,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/par"
 	"repro/internal/sim"
-	"repro/internal/spec"
 )
 
 // EXP-SNAP — §2.5: snap-stabilization under mid-run fault bursts, with
@@ -76,11 +75,7 @@ func init() {
 			for _, kind := range []baseline.Kind{baseline.Dining, baseline.TokenRing} {
 				a := baseline.New(kind, h, 2)
 				r := baseline.NewRunner(a, &sim.WeaklyFair{MaxAge: 6}, cfg.Seed)
-				chk := spec.NewChecker(a.Probe(), 0)
-				chk.Check(0, r.Engine.Config())
-				r.Engine.Observe(func(step int, c []baseline.BState, _ []sim.Exec) {
-					chk.Check(step, c)
-				})
+				chk := r.Checker(0)
 				r.Run(stepsPer)
 				// Corrupt: scramble clubs, phases and fork state.
 				rng := r.Engine.RNG()

@@ -135,20 +135,11 @@ func init() {
 				r := core.NewRunner(alg, &sim.WeaklyFair{MaxAge: 6}, env, cfg.Seed, true)
 				chk := r.Checker(0)
 				r.Run(steps)
-				c := cell{viol: len(chk.Violations), min: -1}
-				for p := 0; p < f.h.N(); p++ {
-					if len(f.h.EdgesOf(p)) == 0 {
-						continue
-					}
-					m := r.ProfMeetings[p]
-					if c.min == -1 || m < c.min {
-						c.min = m
-					}
-					if m > c.max {
-						c.max = m
-					}
-					if r.MaxWaitRounds[p] > c.wait {
-						c.wait = r.MaxWaitRounds[p]
+				c := cell{viol: len(chk.Violations), min: r.MinProfMeetings()}
+				for p, w := range r.MaxWaitRounds() {
+					if len(f.h.EdgesOf(p)) > 0 {
+						c.max = max(c.max, r.ProfMeetings[p])
+						c.wait = max(c.wait, w)
 					}
 				}
 				return c

@@ -97,16 +97,6 @@ func newCCLayout(alg *core.Alg) *ccLayout {
 	return l
 }
 
-// BitsPerState reports the packed size (diagnostics and the README
-// scaling table).
-func (l *ccLayout) BitsPerState() int {
-	bits := 0
-	for p := range l.procs {
-		bits += l.procBits[p]
-	}
-	return bits
-}
-
 func boolBit(b bool) uint64 {
 	if b {
 		return 1

@@ -12,6 +12,7 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/par"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/token"
 )
 
@@ -121,11 +122,10 @@ func WaitingTime(variant core.Variant, h *hypergraph.H, maxDisc, steps int, seed
 	r.Run(steps)
 	res := Waiting{N: h.N(), MaxDisc: maxDisc, Rounds: r.Engine.Rounds(), Convenes: r.TotalConvenes()}
 	sum, cnt := 0, 0
-	for p := 0; p < h.N(); p++ {
+	for p, w := range r.MaxWaitRounds() {
 		if len(h.EdgesOf(p)) == 0 {
 			continue
 		}
-		w := r.MaxWaitRounds[p]
 		sum += w
 		cnt++
 		if w > res.MaxRounds {
@@ -143,15 +143,13 @@ func WaitingTime(variant core.Variant, h *hypergraph.H, maxDisc, steps int, seed
 
 // Throughput is the comparison profile of one algorithm on one topology.
 type Throughput struct {
-	Steps            int
-	Rounds           int
-	Convenes         int
-	ConvenesPer100R  float64
-	MeanConcurrency  float64
-	PeakConcurrency  int
-	MinProfMeetings  int
-	MinCommMeetings  int
-	MaxMatchingScale float64 // mean concurrency / max matching size
+	Steps           int
+	Rounds          int
+	Convenes        int
+	ConvenesPer100R float64
+	MeanConcurrency float64
+	PeakConcurrency int
+	MinProfMeetings int
 }
 
 // MeasureThroughput runs a CC variant for the given number of steps and
@@ -161,24 +159,22 @@ func MeasureThroughput(variant core.Variant, h *hypergraph.H, disc, steps int, s
 	env := core.NewAlwaysClient(h.N(), disc)
 	r := core.NewRunner(alg, &sim.WeaklyFair{MaxAge: 6}, env, seed, randomInit)
 	r.Run(steps)
-	return profileFromRunner(r, h)
+	return ProfileOf(&r.Counts)
 }
 
-func profileFromRunner(r *core.Runner, h *hypergraph.H) Throughput {
+// ProfileOf derives the comparison profile from a run's tally; the CC
+// runners and the baselines both report through it.
+func ProfileOf(c *spec.Counts) Throughput {
 	res := Throughput{
-		Steps:           r.Engine.Steps(),
-		Rounds:          r.Engine.Rounds(),
-		Convenes:        r.TotalConvenes(),
-		MeanConcurrency: r.MeanConcurrency(),
-		PeakConcurrency: r.PeakConcurrency,
-		MinProfMeetings: r.MinProfMeetings(),
-		MinCommMeetings: r.MinCommitteeConvenes(),
+		Steps:           c.Steps,
+		Rounds:          c.Rounds,
+		Convenes:        c.TotalConvenes(),
+		MeanConcurrency: c.MeanConcurrency(),
+		PeakConcurrency: c.PeakConcurrency,
+		MinProfMeetings: c.MinProfMeetings(),
 	}
 	if res.Rounds > 0 {
 		res.ConvenesPer100R = 100 * float64(res.Convenes) / float64(res.Rounds)
-	}
-	if mx, _ := h.MaxMatching(); mx > 0 {
-		res.MaxMatchingScale = res.MeanConcurrency / float64(mx)
 	}
 	return res
 }

@@ -43,13 +43,6 @@ type BatchKernel[S Cloneable[S]] interface {
 	Apply(cfg []S, p int, next *S)
 }
 
-// ChosenAction returns the highest-priority enabled action index of p in
-// cfg, or -1 if p is disabled — the exact scalar semantics a BatchKernel
-// must reproduce. Exported for differential and fuzz cross-checks.
-func ChosenAction[S Cloneable[S]](prog *Program[S], cfg []S, p int) int {
-	return enabledAction(prog, cfg, p)
-}
-
 // programKernel is the generic BatchKernel: scalar guard evaluation per
 // process with cached action indices. It gives any Program the batch
 // pipeline's structure (and its selection enumeration) without columnar

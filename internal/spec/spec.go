@@ -7,18 +7,22 @@
 //   - Essential Discussion (2-phase, phase 1): a meeting terminates only
 //     after every participant completed its essential discussion;
 //   - Progress (bounded form): an all-waiting committee neighborhood
-//     does not sit idle past a configurable window;
-//   - plus fairness gap accounting used by the Professor/Committee
-//     Fairness experiments.
+//     does not sit idle past a configurable window.
 //
-// The monitors are generic over the algorithm's state type via a Probe of
-// abstract predicates, so the same checker validates CC1/CC2/CC3 and the
-// baseline algorithms. Because the checker inspects only convene events
-// occurring *during* the monitored run, running it from an arbitrary
-// initial configuration checks exactly the snap-stabilization contract
-// (§2.5): every meeting convened after the faults satisfies the
-// specification; pre-existing (corrupted) meetings are only required not
-// to interfere.
+// A Tally watches a live run and counts what the paper measures on it:
+// convenes per committee, participations per professor (Professor and
+// Committee Fairness, Definitions 3–4), concurrency (Definition 5) and
+// waits in rounds (Definition 6). The Checker it carries judges each
+// step from the same meets vector.
+//
+// Everything is generic over the algorithm's state type via a Probe of
+// abstract predicates, so the same code counts and validates
+// CC1/CC2/CC3 and the baseline algorithms. Because the checker inspects
+// only convene events occurring *during* the monitored run, running it
+// from an arbitrary initial configuration checks exactly the
+// snap-stabilization contract (§2.5): every meeting convened after the
+// faults satisfies the specification; pre-existing (corrupted) meetings
+// are only required not to interfere.
 package spec
 
 import (
@@ -60,7 +64,7 @@ const (
 
 // MeetsVector evaluates probe.Meets for every committee into dst
 // (grown/resliced as needed) and returns it. Callers on hot paths — the
-// runtime Checker, the exhaustive explorer — compute each
+// Tally, the exhaustive explorer — compute each
 // configuration's vector once and feed the *Meets variants below, so no
 // committee predicate is evaluated twice for the same configuration.
 func MeetsVector[S any](probe Probe[S], cfg []S, dst []bool) []bool {
@@ -84,18 +88,15 @@ func MeetsVector[S any](probe Probe[S], cfg []S, dst []bool) []bool {
 // model-checked state space judge configurations identically.
 func ExclusionViolationsMeets[S any](probe Probe[S], meets []bool, step int, dst []Violation) []Violation {
 	h := probe.H
-	var meeting []int
-	for e, m := range meets {
-		if m {
-			meeting = append(meeting, e)
+	for i, mi := range meets {
+		if !mi {
+			continue
 		}
-	}
-	for i := 0; i < len(meeting); i++ {
-		for j := i + 1; j < len(meeting); j++ {
-			if h.Edge(meeting[i]).Conflicts(h.Edge(meeting[j])) {
+		for j := i + 1; j < len(meets); j++ {
+			if meets[j] && h.Edge(i).Conflicts(h.Edge(j)) {
 				dst = append(dst, Violation{Step: step, Kind: KindExclusion,
 					Msg: fmt.Sprintf("conflicting committees %s and %s meet simultaneously",
-						h.Edge(meeting[i]), h.Edge(meeting[j]))})
+						h.Edge(i), h.Edge(j))})
 			}
 		}
 	}
@@ -140,8 +141,11 @@ func EventViolationsMeets[S any](probe Probe[S], prev []S, was, is []bool, step 
 	return dst
 }
 
-// Checker validates a run step by step. Feed it consecutive
-// configurations with Check; it accumulates Violations.
+// Checker is a Tally's spec monitor (build it with Tally.Checker). From
+// the configuration it is attached at, it judges every configuration
+// the run reaches (Exclusion) and every step between two of them
+// (Synchronization, Essential Discussion, and optionally Progress),
+// reading the meets vectors the Tally evaluates anyway.
 type Checker[S any] struct {
 	Probe Probe[S]
 	// ProgressWindow, if > 0, flags an edge whose members are all
@@ -152,67 +156,51 @@ type Checker[S any] struct {
 
 	Violations []Violation
 
-	havePrev   bool
-	prevCfg    []S
-	prevMeets  []bool // MeetsVector of prevCfg, computed when it was current
-	meetsBuf   []bool
+	prevCfg    []S   // the configuration judged last
 	allWaitFor []int // per edge: consecutive steps with all members waiting and not meeting
+	// attached is the meets vector of the configuration the checker was
+	// attached at, until the first step is judged. A fault injected
+	// before the attach can make it differ from the vector the tally
+	// last observed, which the tally keeps counting events from.
+	attached []bool
 }
 
-// NewChecker builds a Checker over probe.
-func NewChecker[S any](probe Probe[S], progressWindow int) *Checker[S] {
-	return &Checker[S]{
-		Probe:          probe,
-		ProgressWindow: progressWindow,
-		prevMeets:      make([]bool, probe.H.M()),
-		meetsBuf:       make([]bool, probe.H.M()),
-		allWaitFor:     make([]int, probe.H.M()),
+// judge checks cfg, the configuration reached by step, whose meets
+// vector is is; was is the tally's meets vector of the configuration
+// it observed before.
+func (c *Checker[S]) judge(step int, cfg []S, was, is []bool) {
+	if c.attached != nil {
+		was, c.attached = c.attached, nil
 	}
+	c.Violations = ExclusionViolationsMeets(c.Probe, is, step, c.Violations)
+	c.Violations = EventViolationsMeets(c.Probe, c.prevCfg, was, is, step, c.Violations)
+	if c.ProgressWindow > 0 {
+		c.progress(step, cfg, is)
+	}
+	c.prevCfg = append(c.prevCfg[:0], cfg...) // states are value types; shallow copy suffices for reads
 }
 
-func (c *Checker[S]) violate(step int, kind, format string, args ...any) {
-	c.Violations = append(c.Violations, Violation{Step: step, Kind: kind, Msg: fmt.Sprintf(format, args...)})
-}
-
-// Check inspects the configuration reached after the given step. The
-// first call records the initial configuration (step 0): existing
-// meetings there are treated as pre-fault and not judged.
-func (c *Checker[S]) Check(step int, cfg []S) {
+func (c *Checker[S]) progress(step int, cfg []S, meets []bool) {
 	h := c.Probe.H
-	meets := MeetsVector(c.Probe, cfg, c.meetsBuf) // one evaluation per edge per step
-
-	// Exclusion holds in every configuration, including the initial one.
-	c.Violations = ExclusionViolationsMeets(c.Probe, meets, step, c.Violations)
-
-	if c.havePrev {
-		c.Violations = EventViolationsMeets(c.Probe, c.prevCfg, c.prevMeets, meets, step, c.Violations)
-
-		if c.ProgressWindow > 0 {
-			for e := 0; e < h.M(); e++ {
-				allWaiting := true
-				for _, q := range h.Edge(e) {
-					if !c.Probe.Waiting(cfg, q) {
-						allWaiting = false
-						break
-					}
-				}
-				if allWaiting && !meets[e] {
-					c.allWaitFor[e]++
-					if c.allWaitFor[e] == c.ProgressWindow {
-						c.violate(step, KindProgress,
-							"committee %s: all members waiting for %d steps with no meeting involving them",
-							h.Edge(e), c.ProgressWindow)
-					}
-				} else {
-					c.allWaitFor[e] = 0
-				}
+	for e := 0; e < h.M(); e++ {
+		allWaiting := true
+		for _, q := range h.Edge(e) {
+			if !c.Probe.Waiting(cfg, q) {
+				allWaiting = false
+				break
 			}
 		}
+		if !allWaiting || meets[e] {
+			c.allWaitFor[e] = 0
+			continue
+		}
+		c.allWaitFor[e]++
+		if c.allWaitFor[e] == c.ProgressWindow {
+			c.Violations = append(c.Violations, Violation{Step: step, Kind: KindProgress,
+				Msg: fmt.Sprintf("committee %s: all members waiting for %d steps with no meeting involving them",
+					h.Edge(e), c.ProgressWindow)})
+		}
 	}
-
-	c.prevMeets, c.meetsBuf = meets, c.prevMeets
-	c.prevCfg = append(c.prevCfg[:0], cfg...) // states are value types; shallow copy suffices for reads
-	c.havePrev = true
 }
 
 // Ok reports whether no violations were recorded.
@@ -227,95 +215,4 @@ func (c *Checker[S]) ByKind(kind string) []Violation {
 		}
 	}
 	return out
-}
-
-// FairnessTracker measures participation gaps, the witnesses for
-// Professor Fairness (Definition 3) and Committee Fairness
-// (Definition 4): under a fair algorithm the maximum gap between
-// successive participations stays bounded; under an unfair one it grows
-// with the run.
-type FairnessTracker struct {
-	H *hypergraph.H
-
-	ProfCount  []int // participations per professor
-	CommCount  []int // convene events per committee
-	lastProf   []int
-	lastComm   []int
-	MaxProfGap []int
-	MaxCommGap []int
-	now        int
-}
-
-// NewFairnessTracker builds a tracker.
-func NewFairnessTracker(h *hypergraph.H) *FairnessTracker {
-	return &FairnessTracker{
-		H:          h,
-		ProfCount:  make([]int, h.N()),
-		CommCount:  make([]int, h.M()),
-		lastProf:   make([]int, h.N()),
-		lastComm:   make([]int, h.M()),
-		MaxProfGap: make([]int, h.N()),
-		MaxCommGap: make([]int, h.M()),
-	}
-}
-
-// Convened records a convene event of committee e at logical time t
-// (step or round).
-func (f *FairnessTracker) Convened(t, e int) {
-	if t > f.now {
-		f.now = t
-	}
-	if gap := t - f.lastComm[e]; gap > f.MaxCommGap[e] {
-		f.MaxCommGap[e] = gap
-	}
-	f.lastComm[e] = t
-	f.CommCount[e]++
-	for _, p := range f.H.Edge(e) {
-		if gap := t - f.lastProf[p]; gap > f.MaxProfGap[p] {
-			f.MaxProfGap[p] = gap
-		}
-		f.lastProf[p] = t
-		f.ProfCount[p]++
-	}
-}
-
-// Finish closes open gaps at end time t (a professor that never met has
-// gap t).
-func (f *FairnessTracker) Finish(t int) {
-	for p := range f.lastProf {
-		if gap := t - f.lastProf[p]; gap > f.MaxProfGap[p] {
-			f.MaxProfGap[p] = gap
-		}
-	}
-	for e := range f.lastComm {
-		if gap := t - f.lastComm[e]; gap > f.MaxCommGap[e] {
-			f.MaxCommGap[e] = gap
-		}
-	}
-}
-
-// MaxGapProfessors returns the maximum professor gap (ignoring
-// professors in no committee).
-func (f *FairnessTracker) MaxGapProfessors() int {
-	max := 0
-	for p, g := range f.MaxProfGap {
-		if len(f.H.EdgesOf(p)) == 0 {
-			continue
-		}
-		if g > max {
-			max = g
-		}
-	}
-	return max
-}
-
-// MaxGapCommittees returns the maximum committee gap.
-func (f *FairnessTracker) MaxGapCommittees() int {
-	max := 0
-	for _, g := range f.MaxCommGap {
-		if g > max {
-			max = g
-		}
-	}
-	return max
 }

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -30,6 +31,28 @@ func probeFor(h *hypergraph.H) Probe[pstate] {
 	}
 }
 
+// script is a Source whose configuration and round the test sets.
+type script struct {
+	cfg   []pstate
+	round int
+}
+
+func (s *script) Config() []pstate { return s.cfg }
+func (s *script) Rounds() int      { return s.round }
+
+// monitor starts a tally of a scripted run at cfg and attaches a checker.
+func monitor(probe Probe[pstate], window int, cfg []pstate) (*script, *Tally[pstate], *Checker[pstate]) {
+	run := &script{cfg: cfg}
+	t := NewTally(probe, run)
+	return run, t, t.Checker(window)
+}
+
+// step makes cfg the run's configuration at the given step and round.
+func (s *script) step(t *Tally[pstate], step, round int, cfg []pstate) {
+	s.cfg, s.round = cfg, round
+	t.Observe(step, cfg)
+}
+
 func allIdle(n int) []pstate {
 	cfg := make([]pstate, n)
 	for i := range cfg {
@@ -40,29 +63,26 @@ func allIdle(n int) []pstate {
 
 func TestCheckerCleanRun(t *testing.T) {
 	h := hypergraph.Figure2() // e0={0,1}, e1={0,2,4}, e2={2,3}
-	c := NewChecker(probeFor(h), 0)
-
-	cfg := allIdle(5)
-	c.Check(0, cfg)
+	run, tl, c := monitor(probeFor(h), 0, allIdle(5))
 
 	// All members of e0 wait, then convene, then finish essential
 	// discussion, then the meeting terminates: no violations.
 	cfg2 := allIdle(5)
 	cfg2[0].waiting, cfg2[1].waiting = true, true
-	c.Check(1, cfg2)
+	run.step(tl, 1, 1, cfg2)
 
 	cfg3 := allIdle(5)
 	cfg3[0].meetingEdge, cfg3[1].meetingEdge = 0, 0
-	c.Check(2, cfg3)
+	run.step(tl, 2, 2, cfg3)
 
 	cfg4 := allIdle(5)
 	cfg4[0].meetingEdge, cfg4[1].meetingEdge = 0, 0
 	cfg4[0].done, cfg4[1].done = true, true
-	c.Check(3, cfg4)
+	run.step(tl, 3, 3, cfg4)
 
 	cfg5 := allIdle(5)
 	cfg5[0].done, cfg5[1].done = true, true // left, marks retained
-	c.Check(4, cfg5)
+	run.step(tl, 4, 4, cfg5)
 
 	if !c.Ok() {
 		t.Fatalf("clean run flagged: %v", c.Violations)
@@ -71,8 +91,6 @@ func TestCheckerCleanRun(t *testing.T) {
 
 func TestCheckerExclusionViolation(t *testing.T) {
 	h := hypergraph.Figure2()
-	c := NewChecker(probeFor(h), 0)
-	cfg := allIdle(5)
 	// e0={0,1} and e1={0,2,4} conflict on professor 0. Make both "meet"
 	// (possible only for a buggy algorithm: professor 0 in two meetings).
 	// Our abstract state can't point at two edges, so use e1 and e2
@@ -89,8 +107,7 @@ func TestCheckerExclusionViolation(t *testing.T) {
 		Waiting: func(cfg []pstate, p int) bool { return true },
 		Done:    func(cfg []pstate, p int) bool { return true },
 	}
-	c = NewChecker(bad, 0)
-	c.Check(0, cfg)
+	_, _, c := monitor(bad, 0, allIdle(5))
 	if len(c.ByKind(KindExclusion)) == 0 {
 		t.Fatal("conflicting simultaneous meetings must be flagged")
 	}
@@ -98,12 +115,10 @@ func TestCheckerExclusionViolation(t *testing.T) {
 
 func TestCheckerSynchronizationViolation(t *testing.T) {
 	h := hypergraph.Figure2()
-	c := NewChecker(probeFor(h), 0)
-	cfg := allIdle(5) // nobody waiting
-	c.Check(0, cfg)
+	run, tl, c := monitor(probeFor(h), 0, allIdle(5)) // nobody waiting
 	cfg2 := allIdle(5)
 	cfg2[0].meetingEdge, cfg2[1].meetingEdge = 0, 0 // e0 convenes from idle members
-	c.Check(1, cfg2)
+	run.step(tl, 1, 1, cfg2)
 	vs := c.ByKind(KindSync)
 	if len(vs) != 2 { // both members 0 and 1 were not waiting
 		t.Fatalf("want 2 sync violations, got %v", c.Violations)
@@ -115,15 +130,13 @@ func TestCheckerSynchronizationViolation(t *testing.T) {
 
 func TestCheckerEssentialViolation(t *testing.T) {
 	h := hypergraph.Figure2()
-	c := NewChecker(probeFor(h), 0)
 	cfg := allIdle(5)
 	cfg[0].waiting, cfg[1].waiting = true, true
-	c.Check(0, cfg)
+	run, tl, c := monitor(probeFor(h), 0, cfg)
 	cfg2 := allIdle(5)
 	cfg2[0].meetingEdge, cfg2[1].meetingEdge = 0, 0
-	c.Check(1, cfg2) // convene fine
-	cfg3 := allIdle(5)
-	c.Check(2, cfg3) // terminate with nobody done: phase-1 violated
+	run.step(tl, 1, 1, cfg2)       // convene fine
+	run.step(tl, 2, 2, allIdle(5)) // terminate with nobody done: phase-1 violated
 	if len(c.ByKind(KindEssential)) != 2 {
 		t.Fatalf("want 2 essential violations, got %v", c.Violations)
 	}
@@ -134,11 +147,10 @@ func TestCheckerInitialMeetingsExempt(t *testing.T) {
 	// first observed configuration are pre-fault and not judged for
 	// synchronization (they did not convene during the run).
 	h := hypergraph.Figure2()
-	c := NewChecker(probeFor(h), 0)
 	cfg := allIdle(5)
 	cfg[0].meetingEdge, cfg[1].meetingEdge = 0, 0 // meeting at step 0
-	c.Check(0, cfg)
-	c.Check(1, cfg)
+	run, tl, c := monitor(probeFor(h), 0, cfg)
+	run.step(tl, 1, 1, cfg)
 	if !c.Ok() {
 		t.Fatalf("pre-existing meetings must not be judged: %v", c.Violations)
 	}
@@ -146,13 +158,13 @@ func TestCheckerInitialMeetingsExempt(t *testing.T) {
 
 func TestCheckerProgressWindow(t *testing.T) {
 	h := hypergraph.Figure2()
-	c := NewChecker(probeFor(h), 5)
 	cfg := allIdle(5)
 	for p := range cfg {
 		cfg[p].waiting = true
 	}
-	for step := 0; step < 10; step++ {
-		c.Check(step, cfg)
+	run, tl, c := monitor(probeFor(h), 5, cfg)
+	for step := 1; step < 10; step++ {
+		run.step(tl, step, step, cfg)
 	}
 	if len(c.ByKind(KindProgress)) == 0 {
 		t.Fatal("stuck all-waiting committees must be flagged")
@@ -165,17 +177,17 @@ func TestCheckerProgressWindow(t *testing.T) {
 
 func TestCheckerProgressResetsOnActivity(t *testing.T) {
 	h := hypergraph.Figure2()
-	c := NewChecker(probeFor(h), 5)
 	waiting := allIdle(5)
 	for p := range waiting {
 		waiting[p].waiting = true
 	}
 	idle := allIdle(5)
-	for step := 0; step < 20; step++ {
+	run, tl, c := monitor(probeFor(h), 5, idle)
+	for step := 1; step < 20; step++ {
 		if step%3 == 0 {
-			c.Check(step, idle) // break the continuity
+			run.step(tl, step, step, idle) // break the continuity
 		} else {
-			c.Check(step, waiting)
+			run.step(tl, step, step, waiting)
 		}
 	}
 	if len(c.ByKind(KindProgress)) != 0 {
@@ -190,31 +202,53 @@ func TestViolationString(t *testing.T) {
 	}
 }
 
-func TestFairnessTracker(t *testing.T) {
-	h := hypergraph.Figure2()
-	f := NewFairnessTracker(h)
-	f.Convened(10, 0) // professors 0,1
-	f.Convened(15, 2) // professors 2,3
-	f.Convened(30, 0)
-	f.Finish(50)
-	if f.ProfCount[0] != 2 || f.ProfCount[2] != 1 || f.ProfCount[4] != 0 {
-		t.Fatalf("counts: %v", f.ProfCount)
+// meeting returns an all-idle configuration in which committee e of h
+// meets.
+func meeting(h *hypergraph.H, e int) []pstate {
+	cfg := allIdle(h.N())
+	for _, q := range h.Edge(e) {
+		cfg[q].meetingEdge = e
 	}
-	if f.CommCount[0] != 2 || f.CommCount[1] != 0 {
-		t.Fatalf("committee counts: %v", f.CommCount)
+	return cfg
+}
+
+// TestTallyCountsAndWaits: convenes, participations and waits in rounds,
+// including the wait still open when the counts are read — a professor
+// who never meets has waited the whole run.
+func TestTallyCountsAndWaits(t *testing.T) {
+	h := hypergraph.Figure2() // e0={0,1}, e1={0,2,4}, e2={2,3}
+	run := &script{cfg: allIdle(5)}
+	tl := NewTally(probeFor(h), run)
+	convened := 0
+	tl.OnConvene(func(step, e int) { convened++ })
+	for i, c := range []struct {
+		round int
+		cfg   []pstate
+	}{
+		{10, meeting(h, 0)}, // professors 0,1
+		{12, allIdle(5)},
+		{15, meeting(h, 2)}, // professors 2,3
+		{17, allIdle(5)},
+		{30, meeting(h, 0)},
+		{50, allIdle(5)},
+	} {
+		run.step(tl, i+1, c.round, c.cfg)
 	}
-	// Professor 4 never met: gap = 50.
-	if f.MaxProfGap[4] != 50 {
-		t.Fatalf("prof 4 gap = %d, want 50", f.MaxProfGap[4])
+	if tl.ProfMeetings[0] != 2 || tl.ProfMeetings[2] != 1 || tl.ProfMeetings[4] != 0 {
+		t.Fatalf("counts: %v", tl.ProfMeetings)
 	}
-	// Professor 0: gaps 10, 20, then 20 to finish -> max 20.
-	if f.MaxProfGap[0] != 20 {
-		t.Fatalf("prof 0 gap = %d, want 20", f.MaxProfGap[0])
+	if tl.Convenes[0] != 2 || tl.Convenes[1] != 0 || tl.Terminates[0] != 2 || convened != 3 {
+		t.Fatalf("committee counts: convenes %v terminates %v hooks %d", tl.Convenes, tl.Terminates, convened)
 	}
-	if f.MaxGapProfessors() != 50 {
-		t.Fatalf("max prof gap = %d", f.MaxGapProfessors())
+	if tl.TotalConvenes() != 3 || tl.MinProfMeetings() != 0 || tl.MinCommitteeConvenes() != 0 {
+		t.Fatalf("total %d, min prof %d, min committee %d", tl.TotalConvenes(), tl.MinProfMeetings(), tl.MinCommitteeConvenes())
 	}
-	if f.MaxGapCommittees() != 50 {
-		t.Fatalf("max committee gap = %d", f.MaxGapCommittees())
+	if tl.Steps != 6 || tl.Rounds != 50 || tl.PeakConcurrency != 1 || tl.MeanConcurrency() != 0.5 {
+		t.Fatalf("steps %d rounds %d peak %d mean %f", tl.Steps, tl.Rounds, tl.PeakConcurrency, tl.MeanConcurrency())
+	}
+	// Professor 0: gaps 10 and 20, then 20 still open -> 20. Professor 2:
+	// 15, then 35 open. Professor 4 never met: the whole run.
+	if got, want := tl.MaxWaitRounds(), []int{20, 20, 35, 35, 50}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("max waits %v, want %v", got, want)
 	}
 }
