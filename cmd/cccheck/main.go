@@ -10,9 +10,11 @@
 // the worker pool. In query mode nothing is explored: the
 // command reads an existing -cache warehouse and answers
 // list/filter/summary/diff questions over the stored verdicts, with
-// JSON bytes identical to the corresponding ccserve endpoints. Sampled,
-// monitored runs from random configurations on randomized topologies
-// are ccsim's (ccsim -topo scenario:14 -random-init -runs 64).
+// JSON bytes identical to the corresponding ccserve endpoints. In paper
+// mode it regenerates the paper's tables (docs/paper-map.md) as
+// markdown and asserts every claim they check. Sampled, monitored runs
+// from random configurations on randomized topologies are ccsim's
+// (ccsim -topo scenario:14 -random-init -runs 64).
 //
 //	cccheck -alg cc2 -topo ring:3                         # exhaustive, all daemon modes
 //	cccheck -alg cc2 -topo ring:4 -init cc -daemon central  # the scaled instance (78k states, <1s)
@@ -26,6 +28,10 @@
 //	cccheck -mode query -cache ./verdicts -filter alg=cc2,verdict=violated
 //	cccheck -mode query -cache ./verdicts -summary <campaign-id>
 //	cccheck -mode query -cache ./verdicts -diff <id-a>,<id-b>
+//	cccheck -mode paper                                   # every experiment (parallel across the pool)
+//	cccheck -mode paper -exp T45 -seed 7                  # one experiment
+//	cccheck -mode paper -exp list                         # list experiment IDs
+//	cccheck -mode paper -quick -j 1                       # reduced sizes, serial reference run
 //
 // A campaign streams per-cell progress, persists every completed cell
 // before moving on, and prints one aggregate report whose bytes are
@@ -67,6 +73,10 @@
 // compares two campaigns cell by cell. See docs/api.md for the full
 // grammar and the matching HTTP endpoints.
 //
+// Paper mode prints the same bytes at any -j. With -cache, the MC
+// experiment's exhaustive cells are served from and persisted to the
+// verdict store. -exp and -quick belong to paper mode only.
+//
 // Unknown flag-grammar values — a misspelled daemon, an out-of-range
 // topology size like ring:0, a trailing comma in a campaign list — are
 // usage errors (exit 2 with a message), never silent defaults.
@@ -80,8 +90,9 @@
 // Exit status:
 //
 //	0  every check passed
-//	1  a violation was found (counterexample traces are printed)
-//	2  usage error (bad flag grammar, invalid spec)
+//	1  a violation was found (counterexample traces are printed), or a
+//	   paper claim failed
+//	2  usage error (bad flag grammar, invalid spec, unknown experiment)
 //	3  interrupted mid-exploration (checkpoint saved if -cache was given)
 //	4  classified I/O failure (transient/permanent/corrupt) that
 //	   survived the retry budget: the message names the path, errno and
@@ -103,6 +114,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/chaos"
+	"repro/internal/experiments"
 	"repro/internal/explore"
 	"repro/internal/hypergraph"
 	"repro/internal/par"
@@ -113,7 +125,7 @@ func main() {
 	var (
 		algName   = flag.String("alg", "cc2", "algorithm: cc1 | cc2 | cc3 | dining | token-ring (campaign mode: comma list)")
 		topo      = flag.String("topo", "ring:3", "topology spec (see internal/hypergraph.Parse; campaign mode: comma list)")
-		mode      = flag.String("mode", "exhaustive", "exhaustive | campaign | query")
+		mode      = flag.String("mode", "exhaustive", "exhaustive | campaign | query | paper")
 		daemons   = flag.String("daemon", "", "comma list of central | synchronous | all (default all three)")
 		initMode  = flag.String("init", "", "initial-configuration family: legit | cc | cc-full | random (default cc-full for CC, legit for the baselines; campaign mode: comma list)")
 		randInits = flag.Int("random-inits", 256, "initial configurations for -init random")
@@ -122,7 +134,7 @@ func main() {
 		maxBranch = flag.Int("max-branch", 1<<16, "per-configuration branch bound")
 		symmetry  = flag.Bool("symmetry", false, "explore modulo the model's rotation/block automorphism group (exact; only for models that declare one)")
 		mutate    = flag.String("mutate", "", "deliberately break a guard: "+strings.Join(explore.Mutations(), " | ")+" (campaign mode: comma list, 'none' = unmutated)")
-		cacheDir  = flag.String("cache", "", "content-addressed verdict store directory: serve cached verdicts, persist fresh ones (shared with ccserve and ccbench -cache)")
+		cacheDir  = flag.String("cache", "", "content-addressed verdict store directory: serve cached verdicts, persist fresh ones (shared with ccserve; paper mode: serves the MC experiment's cells)")
 		filterStr = flag.String("filter", "", "query mode: filter grammar, e.g. 'alg=cc2,topo=ring:3,verdict=violated' (empty = every stored verdict)")
 		summaryID = flag.String("summary", "", "query mode: aggregate this campaign id's pass rate instead of listing verdicts")
 		diffSpec  = flag.String("diff", "", "query mode: 'A,B' — diff two campaign ids cell by cell instead of listing verdicts")
@@ -130,9 +142,11 @@ func main() {
 		ckptEvery = flag.Int("checkpoint-every", 1_000_000, "with -cache: persist a resumable exploration snapshot under the job's content key every N expanded states and on SIGINT/SIGTERM, so an interrupted run resumes instead of restarting (0 = on interruption only, negative = disabled)")
 		spillDir  = flag.String("spill-dir", "", "directory for out-of-core spill scratch (empty = the system temp dir)")
 		chaosSpec = flag.String("chaos", "", "fault-injection spec for all durable I/O, e.g. 'seed=7,write=0.05,torn=0.02,flip=0.01' (keys: seed|write|read|torn|sync|rename|flip|perm|fail-write-at|fail-read-at|fail-rename-at); verdicts stay byte-identical or the run fails loudly with a classified error (exit 4)")
-		seed      = flag.Int64("seed", 1, "seed for -init random and the random topology families")
+		seed      = flag.Int64("seed", 1, "seed for -init random and the random topology families (paper mode: the base seed of every experiment)")
 		traces    = flag.Int("traces", 3, "max violations to collect and print per run")
 		workers   = flag.Int("j", 0, "worker-pool width (0 = GOMAXPROCS)")
+		expSpec   = flag.String("exp", "", "paper mode: comma list of experiment IDs, 'all' (the default) or 'list' to print the registry")
+		quick     = flag.Bool("quick", false, "paper mode: reduced sizes (smoke run)")
 		peersSpec = flag.String("peers", "", "exhaustive mode: distribute each job across this comma-separated list of ccserve peer base URLs (one visited-set shard per peer; the peers must share one -cache directory); the verdict is byte-identical to a single-node run by the cluster differential battery's contract")
 	)
 	flag.Parse()
@@ -150,9 +164,12 @@ func main() {
 	}
 
 	switch *mode {
-	case "exhaustive", "campaign", "query":
+	case "exhaustive", "campaign", "query", "paper":
 	default:
-		fatalf("unknown mode %q (exhaustive | campaign | query)", *mode)
+		fatalf("unknown mode %q (exhaustive | campaign | query | paper)", *mode)
+	}
+	if (*expSpec != "" || *quick) && *mode != "paper" {
+		fatalf("-exp and -quick apply to -mode paper only (current mode: %s)", *mode)
 	}
 
 	scalars := store.JobSpec{
@@ -213,6 +230,8 @@ func main() {
 		runCampaign(*algName, *topo, *daemons, *initMode, *mutate, scalars, exec)
 	case "query":
 		runQuery(exec, *filterStr, *summaryID, *diffSpec)
+	case "paper":
+		runPaper(*expSpec, *seed, *quick, exec)
 	}
 }
 
@@ -514,4 +533,53 @@ func runQuery(exec execConfig, filter, summary, diffSpec string) {
 		exitIO(err)
 	}
 	os.Stdout.Write(append(data, '\n'))
+}
+
+// --- Paper mode ---------------------------------------------------------------
+
+// runPaper regenerates the paper's tables as markdown on stdout, in the
+// order asked for, each one streamed as soon as it and its predecessors
+// finish: every registered experiment, or the comma list in exp. "list"
+// prints the registry instead.
+func runPaper(exp string, seed int64, quick bool, exec execConfig) {
+	var ids []string
+	switch exp {
+	case "list":
+		for _, e := range experiments.All() {
+			fmt.Printf("%-6s %s\n", e.ID, e.What)
+		}
+		return
+	case "", "all":
+		for _, e := range experiments.All() {
+			ids = append(ids, e.ID)
+		}
+	default:
+		for _, id := range strings.Split(exp, ",") {
+			id = strings.TrimSpace(id)
+			if _, ok := experiments.Get(id); !ok {
+				fatalf("unknown experiment %q (-exp list prints the registry)", id)
+			}
+			ids = append(ids, id)
+		}
+	}
+	st := exec.openStore()
+	results, err := experiments.RunAll(ids, experiments.Config{Seed: seed, Quick: quick, Store: st}, os.Stdout)
+	if err != nil {
+		fatalf("%v", err) // unreachable: every id was looked up above
+	}
+	if st != nil {
+		if err := st.Close(); err != nil {
+			exitIO(err)
+		}
+	}
+	failed := 0
+	for _, res := range results {
+		if !res.Ok() {
+			failed++
+		}
+	}
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "cccheck: %d experiment(s) had failing claims\n", failed)
+		os.Exit(1)
+	}
 }

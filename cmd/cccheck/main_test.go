@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/cmdtest"
+	"repro/internal/store"
 )
 
 // TestCCCheckExhaustiveClean is the CLI-level acceptance run: CC2 on a
@@ -99,12 +100,33 @@ func TestCCCheckBoundedNeverSaysVerified(t *testing.T) {
 	}
 }
 
+// usageError is one bad command line and the message it must exit 2 with.
+type usageError struct {
+	args []string
+	want string
+}
+
+// checkUsageErrors runs each bad command line and requires exit 2, the
+// expected message and a pointer to the usage text.
+func checkUsageErrors(t *testing.T, bin string, rows []usageError) {
+	t.Helper()
+	for _, tc := range rows {
+		out, code := cmdtest.Run(t, bin, time.Minute, tc.args...)
+		if code != 2 {
+			t.Fatalf("%v: exit %d, want 2:\n%s", tc.args, code, out)
+		}
+		if !strings.Contains(out, tc.want) {
+			t.Fatalf("%v: missing %q:\n%s", tc.args, tc.want, out)
+		}
+		if !strings.Contains(out, "usage") {
+			t.Fatalf("%v: no usage pointer:\n%s", tc.args, out)
+		}
+	}
+}
+
 func TestCCCheckFlagErrors(t *testing.T) {
 	bin := cmdtest.Build(t, ".")
-	for _, tc := range []struct {
-		args []string
-		want string
-	}{
+	checkUsageErrors(t, bin, []usageError{
 		{[]string{"-alg", "nope"}, "unknown algorithm"},
 		{[]string{"-mode", "nope"}, "unknown mode"},
 		{[]string{"-init", "nope"}, "unknown init mode"},
@@ -128,18 +150,20 @@ func TestCCCheckFlagErrors(t *testing.T) {
 		{[]string{"-mode", "campaign", "-alg", "cc1,cc9"}, "unknown algorithm"},
 		{[]string{"-mode", "campaign", "-daemon", "centrall"}, "unknown daemon mode"},
 		{[]string{"-mode", "campaign", "-topo", "ring:3,ring:"}, "bad int"},
-	} {
-		out, code := cmdtest.Run(t, bin, time.Minute, tc.args...)
-		if code != 2 {
-			t.Fatalf("%v: exit %d, want 2:\n%s", tc.args, code, out)
-		}
-		if !strings.Contains(out, tc.want) {
-			t.Fatalf("%v: missing %q:\n%s", tc.args, tc.want, out)
-		}
-		if !strings.Contains(out, "usage") {
-			t.Fatalf("%v: no usage pointer:\n%s", tc.args, out)
-		}
-	}
+	})
+}
+
+// TestCCCheckPaperUnknownExperiment: -mode paper rejects an experiment
+// name it does not know, and -exp/-quick outside -mode paper are usage
+// errors rather than silently ignored.
+func TestCCCheckPaperUnknownExperiment(t *testing.T) {
+	bin := cmdtest.Build(t, ".")
+	checkUsageErrors(t, bin, []usageError{
+		{[]string{"-mode", "paper", "-exp", "NOPE"}, "unknown experiment"},
+		{[]string{"-mode", "paper", "-exp", "T2,"}, "unknown experiment"},
+		{[]string{"-exp", "T2"}, "-exp and -quick apply to -mode paper only"},
+		{[]string{"-mode", "campaign", "-quick"}, "-exp and -quick apply to -mode paper only"},
+	})
 }
 
 // TestCCCheckCacheRoundTrip: -cache persists the verdict; the second
@@ -227,5 +251,78 @@ func TestCCCheckExhaustiveCampaignParity(t *testing.T) {
 	out, code = cmdtest.Run(t, bin, 2*time.Minute, append([]string{"-cache", campDir}, cell...)...)
 	if code != 0 || !strings.Contains(out, "[cache hit]") {
 		t.Fatalf("exhaustive did not hit the campaign's entry (exit %d):\n%s", code, out)
+	}
+}
+
+// TestCCCheckPaperList: -exp list prints the experiment registry.
+func TestCCCheckPaperList(t *testing.T) {
+	bin := cmdtest.Build(t, ".")
+	out, code := cmdtest.Run(t, bin, time.Minute, "-mode", "paper", "-exp", "list")
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	for _, id := range []string{"T2", "T3", "T45", "SNAP", "F3", "ABL"} {
+		if !strings.Contains(out, id) {
+			t.Fatalf("experiment %s missing from -exp list:\n%s", id, out)
+		}
+	}
+}
+
+func TestCCCheckPaperSingleExperimentQuick(t *testing.T) {
+	bin := cmdtest.Build(t, ".")
+	out, code := cmdtest.Run(t, bin, 3*time.Minute, "-mode", "paper", "-exp", "F3", "-quick")
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	if !strings.Contains(out, "## F3") || !strings.Contains(out, "All checked claims hold.") {
+		t.Fatalf("F3 did not confirm its claims:\n%s", out)
+	}
+}
+
+// TestCCCheckPaperMCCache: -cache routes the MC experiment's exhaustive
+// cells through the shared verdict store — the second run serves every
+// cell from cache (and must reach the same conclusions).
+func TestCCCheckPaperMCCache(t *testing.T) {
+	bin := cmdtest.Build(t, ".")
+	dir := t.TempDir()
+	args := []string{"-mode", "paper", "-exp", "MC", "-quick", "-cache", dir}
+	out1, code := cmdtest.Run(t, bin, 5*time.Minute, args...)
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out1)
+	}
+	if !strings.Contains(out1, "All checked claims hold.") {
+		t.Fatalf("MC did not confirm its claims:\n%s", out1)
+	}
+	entries, err := filepath.Glob(filepath.Join(dir, "*", "*.json"))
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("no verdicts persisted in %s (%v)", dir, err)
+	}
+	out2, code := cmdtest.Run(t, bin, 2*time.Minute, args...)
+	if code != 0 {
+		t.Fatalf("cached rerun: exit %d:\n%s", code, out2)
+	}
+	if out1 != out2 {
+		t.Fatalf("cached MC output differs:\n%s\nvs\n%s", out1, out2)
+	}
+}
+
+// TestCCCheckPaperHeldLogCache: a paper-suite cache that cannot be
+// opened is a classified I/O failure (exit 4 naming the lock), not a
+// refuted paper claim.
+func TestCCCheckPaperHeldLogCache(t *testing.T) {
+	bin := cmdtest.Build(t, ".")
+	dir := t.TempDir()
+	held, err := store.OpenLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	out, code := cmdtest.Run(t, bin, time.Minute, "-mode", "paper", "-exp", "MC", "-quick", "-cache", dir)
+	lock := filepath.Join(dir, "LOCK")
+	if code != 4 || !strings.Contains(out, lock) || !strings.Contains(out, "another process holds this log cache") {
+		t.Fatalf("paper mode on a held log cache: exit %d, want 4 naming %s:\n%s", code, lock, out)
+	}
+	if strings.Contains(out, "FAILED CLAIMS") {
+		t.Fatalf("an unopenable cache read as a failed claim:\n%s", out)
 	}
 }

@@ -1,7 +1,7 @@
 // Command ccserve exposes the exhaustive checker as an HTTP service
 // backed by the content-addressed verdict store: submit a job spec,
 // poll its verdict, and let identical submissions — from any client,
-// or from cccheck/ccbench runs sharing the same -cache directory —
+// or from cccheck runs sharing the same -cache directory —
 // dedupe against in-flight work and completed entries instead of
 // recomputing.
 //
@@ -101,7 +101,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8344", "listen address")
-		cacheDir   = flag.String("cache", "", "verdict-store directory (required; shared with cccheck/ccbench -cache)")
+		cacheDir   = flag.String("cache", "", "verdict-store directory (required; shared with cccheck -cache)")
 		jobs       = flag.Int("jobs", 2, "explorations running concurrently")
 		jobWorkers = flag.Int("job-workers", 0, "explorer goroutines per job (0 = GOMAXPROCS/jobs)")
 		storeEng   = flag.String("store-engine", "", "layout for a fresh -cache: dir (one file per verdict; concurrent processes may share it) or log (append-only segments with compaction, faster Put; one process at a time, enforced by a lock; a second opener exits 4). Empty = the layout the directory holds, dir when it holds none; Get bytes are identical either way")
@@ -123,7 +123,7 @@ func main() {
 		fatalf("unexpected arguments %v", flag.Args())
 	}
 	if *cacheDir == "" {
-		fatalf("-cache DIR is required (the verdict store shared with cccheck/ccbench)")
+		fatalf("-cache DIR is required (the verdict store shared with cccheck)")
 	}
 	if *jobs < 1 {
 		fatalf("-jobs must be >= 1, got %d", *jobs)

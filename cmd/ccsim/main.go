@@ -9,6 +9,18 @@
 //	ccsim -topo custom:'{0,1};{1,2,3};{3,4}' -alg cc3
 //	ccsim -alg cc2 -topo ring:16 -runs 32           # 32 seeds across the pool
 //	ccsim -topo scenario:14 -random-init -runs 64   # randomized scenario harness
+//	ccsim -alg cc1 -topo fig3 -frames 12            # Figure 3 style frames
+//	ccsim -alg cc2 -topo ring:6 -frames 4 -every 5  # a frame every 5 steps
+//	ccsim -alg cc1 -topo fig3 -idle 4               # professor 4 never requests
+//
+// With -frames N a single CC run also prints its first N configurations
+// as frames, like the paper's example computation (Figure 3): every
+// professor's status, edge pointer and token flags, and the committees
+// meeting. A frame is printed at the start and at each convene or
+// terminate event, or every K steps with -every K. After the last frame
+// the run goes on to -steps and reports as usual. -idle masks
+// professors (paper ids) that never request; it applies to cc1, whose
+// Maximal Concurrency does not assume every professor requests.
 //
 // With -runs N > 1 the command fans N independent replicas (seeds
 // seed..seed+N-1) across the experiment worker pool and prints an
@@ -26,6 +38,8 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -46,13 +60,15 @@ func main() {
 		daemonName = flag.String("daemon", "weakly-fair", "weakly-fair | synchronous | central | random")
 		runs       = flag.Int("runs", 1, "independent replicas fanned across the worker pool, seeds seed..seed+runs-1; each parses -topo with its own seed, so a random family such as scenario:14 draws a fresh topology per replica")
 		workers    = flag.Int("j", 0, "worker-pool width (0 = GOMAXPROCS)")
+		nFrames    = flag.Int("frames", 0, "print the run's first N configurations as Figure 3 style frames (CC algorithms, single run)")
+		every      = flag.Int("every", 0, "with -frames: a frame every K steps instead of one per convene or terminate event")
+		idleSpec   = flag.String("idle", "", "comma-separated professor ids (paper ids) that never request (cc1 only, single run)")
 	)
 	flag.Parse()
 
 	h, err := hypergraph.Parse(*topo, rand.New(rand.NewSource(*seed)))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		usagef("%v", err)
 	}
 	mkDaemon := func() sim.Daemon {
 		switch *daemonName {
@@ -65,19 +81,43 @@ func main() {
 		case "random":
 			return sim.RandomSubset{P: 0.5}
 		}
-		fmt.Fprintf(os.Stderr, "unknown daemon %q\n", *daemonName)
-		os.Exit(2)
+		usagef("unknown daemon %q", *daemonName)
 		return nil
 	}
 	mkDaemon() // validate the name before any run starts
 	_, isCC := variants[*algName]
 	if _, ok := baselines[*algName]; !ok && !isCC {
-		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algName)
-		os.Exit(2)
+		usagef("unknown algorithm %q", *algName)
 	}
 	if *randomInit && !isCC {
-		fmt.Fprintf(os.Stderr, "the %s baseline is not self-stabilizing: -random-init applies to cc1, cc2 and cc3 only\n", *algName)
-		os.Exit(2)
+		usagef("the %s baseline is not self-stabilizing: -random-init applies to cc1, cc2 and cc3 only", *algName)
+	}
+	if *nFrames > 0 && !isCC {
+		usagef("-frames renders CC configurations: it applies to cc1, cc2 and cc3 only")
+	}
+	if *every != 0 && *nFrames <= 0 {
+		usagef("-every needs -frames N")
+	}
+	if (*nFrames > 0 || *idleSpec != "") && *runs > 1 {
+		usagef("-frames and -idle apply to a single run (-runs 1)")
+	}
+	var idle []bool
+	if *idleSpec != "" {
+		if *algName != "cc1" {
+			usagef("-idle only applies to cc1 (CC2/CC3 assume always-requesting professors)")
+		}
+		idle = make([]bool, h.N())
+		for _, f := range strings.Split(*idleSpec, ",") {
+			id, err := strconv.Atoi(strings.TrimSpace(f))
+			if err != nil {
+				usagef("bad -idle entry %q", f)
+			}
+			v := h.VertexByID(id)
+			if v < 0 {
+				usagef("-idle: topology %s has no professor with id %d", *topo, id)
+			}
+			idle[v] = true
+		}
 	}
 
 	if *workers > 0 {
@@ -93,7 +133,7 @@ func main() {
 		return
 	}
 
-	o := simulate(*algName, h, mkDaemon(), *steps, *seed, *disc, *randomInit)
+	o := simulate(*algName, h, mkDaemon(), *steps, *seed, *disc, *randomInit, idle, framer{*nFrames, *every})
 	c := &o.counts
 	fmt.Printf("\n%s after %d steps (%d rounds):\n", o.name, c.Steps, c.Rounds)
 	fmt.Printf("  total convenes:    %d\n", c.TotalConvenes())
@@ -119,8 +159,10 @@ type outcome struct {
 	violations []spec.Violation
 }
 
-// simulate runs algName on h under the runtime monitors.
-func simulate(algName string, h *hypergraph.H, d sim.Daemon, steps int, seed int64, disc int, randomInit bool) outcome {
+// simulate runs algName on h under the runtime monitors. For a CC
+// algorithm, idle (nil = none) masks professors that never request and
+// fr prints the first frames of the run.
+func simulate(algName string, h *hypergraph.H, d sim.Daemon, steps int, seed int64, disc int, randomInit bool, idle []bool, fr framer) outcome {
 	if kind, ok := baselines[algName]; ok {
 		a := baseline.New(kind, h, disc)
 		r := baseline.NewRunner(a, d, seed)
@@ -129,9 +171,14 @@ func simulate(algName string, h *hypergraph.H, d sim.Daemon, steps int, seed int
 		return outcome{kind.String(), h.String(), r.Counts, a.Meetings(r.Engine.Config()), chk.Violations}
 	}
 	alg := core.New(variants[algName], h, nil)
-	r := core.NewRunner(alg, d, core.NewAlwaysClient(h.N(), disc), seed, randomInit)
+	var env core.Env = core.NewAlwaysClient(h.N(), disc)
+	if idle != nil {
+		env = &core.Masked{Env: env, Idle: idle}
+	}
+	r := core.NewRunner(alg, d, env, seed, randomInit)
 	chk := r.Checker(0)
-	r.Run(steps)
+	fr.run(r, steps)
+	r.Run(steps - r.Engine.Steps())
 	return outcome{alg.Variant.String(), h.String(), r.Counts, alg.Meetings(r.Config()), chk.Violations}
 }
 
@@ -145,7 +192,7 @@ func runReplicas(algName, topoSpec string, mkDaemon func() sim.Daemon, steps int
 		if err != nil {
 			panic(err) // unreachable: main parsed the same spec
 		}
-		return simulate(algName, h, mkDaemon(), steps, s, disc, randomInit)
+		return simulate(algName, h, mkDaemon(), steps, s, disc, randomInit, nil, framer{})
 	})
 
 	convs := make([]int, runs)
@@ -188,6 +235,92 @@ func runReplicas(algName, topoSpec string, mkDaemon func() sim.Daemon, steps int
 }
 
 func firstOf(a int, _ []int) int { return a }
+
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(2)
+}
+
+// framer prints the first n configurations of a CC run as frames: one
+// at the start, then one per convene and terminate event, or one every
+// `every` steps when every > 0.
+type framer struct{ n, every int }
+
+// run prints the initial frame and drives r until n frames are out, the
+// run reaches steps, or it quiesces.
+func (f framer) run(r *core.Runner, steps int) {
+	if f.n <= 0 {
+		return
+	}
+	alg, h := r.Alg, r.Alg.H
+	ids := func(vs []int) string {
+		out := make([]int, len(vs))
+		for j, v := range vs {
+			out[j] = h.ID(v)
+		}
+		return fmt.Sprint(out)
+	}
+	printed := 0
+	frame := func(step int, label string) {
+		printed++
+		fmt.Printf("--- frame %d (step %d%s) ---\n", printed, step, label)
+		cfg := r.Config()
+		for p := 0; p < h.N(); p++ {
+			ptr := "⊥"
+			if cfg[p].P != core.NoEdge {
+				ptr = ids(h.Edge(cfg[p].P))
+			}
+			marks := ""
+			if cfg[p].T {
+				marks += " [T]"
+			}
+			if alg.Token(cfg, p) {
+				marks += " (token)"
+			}
+			if cfg[p].L {
+				marks += " [L]"
+			}
+			fmt.Printf("  prof %-2d  %-8s P=%-12s%s\n", h.ID(p), cfg[p].S, ptr, marks)
+		}
+		meets := alg.Meetings(cfg)
+		if len(meets) == 0 {
+			fmt.Println("  meetings: none")
+		} else {
+			parts := make([]string, len(meets))
+			for i, e := range meets {
+				parts[i] = ids(h.Edge(e))
+			}
+			fmt.Printf("  meetings: %s\n", strings.Join(parts, " "))
+		}
+		fmt.Println()
+	}
+
+	frame(0, ", initial")
+	if f.every <= 0 {
+		r.OnConvene(func(step, e int) {
+			if printed < f.n {
+				frame(step, ", convene")
+			}
+		})
+		r.OnTerminate(func(step, e int) {
+			if printed < f.n {
+				frame(step, ", terminate")
+			}
+		})
+	}
+	for printed < f.n && r.Engine.Steps() < steps {
+		k := 1
+		if f.every > 0 {
+			k = min(f.every, steps-r.Engine.Steps())
+		}
+		if r.Run(k) == 0 {
+			break
+		}
+		if f.every > 0 {
+			frame(r.Engine.Steps(), "")
+		}
+	}
+}
 
 func report(violations []spec.Violation) {
 	if len(violations) == 0 {

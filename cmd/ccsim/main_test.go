@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -96,17 +97,17 @@ func TestCCSimRandomHarness(t *testing.T) {
 	}
 }
 
-func TestCCSimFlagErrors(t *testing.T) {
-	bin := cmdtest.Build(t, ".")
-	for _, tc := range []struct {
-		args []string
-		want string
-	}{
-		{[]string{"-alg", "nope"}, "unknown algorithm"},
-		{[]string{"-daemon", "nope"}, "unknown daemon"},
-		{[]string{"-topo", "nope:3"}, "unknown topology"},
-		{[]string{"-alg", "dining", "-topo", "triples:3", "-random-init"}, "not self-stabilizing"},
-	} {
+// usageError is one bad command line and the message it must exit 2 with.
+type usageError struct {
+	args []string
+	want string
+}
+
+// checkUsageErrors runs each bad command line and requires exit 2 and
+// the expected message.
+func checkUsageErrors(t *testing.T, bin string, rows []usageError) {
+	t.Helper()
+	for _, tc := range rows {
 		out, code := cmdtest.Run(t, bin, time.Minute, tc.args...)
 		if code != 2 {
 			t.Fatalf("%v: exit %d, want 2:\n%s", tc.args, code, out)
@@ -114,5 +115,114 @@ func TestCCSimFlagErrors(t *testing.T) {
 		if !strings.Contains(out, tc.want) {
 			t.Fatalf("%v: missing %q:\n%s", tc.args, tc.want, out)
 		}
+	}
+}
+
+func TestCCSimFlagErrors(t *testing.T) {
+	bin := cmdtest.Build(t, ".")
+	checkUsageErrors(t, bin, []usageError{
+		{[]string{"-alg", "nope"}, "unknown algorithm"},
+		{[]string{"-daemon", "nope"}, "unknown daemon"},
+		{[]string{"-topo", "nope:3"}, "unknown topology"},
+		{[]string{"-alg", "dining", "-topo", "triples:3", "-random-init"}, "not self-stabilizing"},
+	})
+}
+
+// TestCCSimFramesFlagErrors: the trace flags (-frames, -every, -idle)
+// reject the combinations they cannot honour.
+func TestCCSimFramesFlagErrors(t *testing.T) {
+	bin := cmdtest.Build(t, ".")
+	checkUsageErrors(t, bin, []usageError{
+		{[]string{"-alg", "dining", "-frames", "3"}, "-frames renders CC configurations"},
+		{[]string{"-alg", "cc1", "-every", "5"}, "-every needs -frames"},
+		{[]string{"-alg", "cc1", "-frames", "3", "-runs", "2"}, "apply to a single run"},
+		{[]string{"-alg", "cc1", "-idle", "4", "-runs", "2"}, "apply to a single run"},
+		{[]string{"-alg", "cc2", "-idle", "3"}, "-idle only applies to cc1"},
+		{[]string{"-alg", "cc1", "-idle", "x"}, "bad -idle entry"},
+		{[]string{"-alg", "cc1", "-topo", "fig3", "-idle", "99"}, "topology fig3 has no professor with id 99"},
+		{[]string{"-alg", "cc1", "-topo", "nope", "-frames", "3"}, "unknown topology"},
+	})
+}
+
+// frames returns the frame blocks of a ccsim report: everything from the
+// first frame up to the blank line before the run summary.
+func frames(t *testing.T, out string) string {
+	t.Helper()
+	i := strings.Index(out, "--- frame 1 ")
+	j := strings.Index(out, "\n\nCC")
+	if i < 0 || j < i {
+		t.Fatalf("no frames in output:\n%s", out)
+	}
+	return out[i : j+1]
+}
+
+// TestCCSimFramesGolden: the Figure 3 frames of cc1 on fig3 are
+// byte-identical to testdata/frames_cc1_fig3.txt, and after the last
+// frame the run goes on to -steps and reports.
+func TestCCSimFramesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/frames_cc1_fig3.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := cmdtest.Build(t, ".")
+	out, code := cmdtest.Run(t, bin, 2*time.Minute,
+		"-alg", "cc1", "-topo", "fig3", "-seed", "1", "-steps", "20000", "-frames", "12")
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	if got := frames(t, out); got != string(want) {
+		t.Fatalf("frames differ from the golden:\n%s", got)
+	}
+	for _, want := range []string{"--- frame 1 (step 0, initial) ---", "prof 10", "CC1 after 20000 steps", "violations:        none"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestCCSimFramesEveryKSteps(t *testing.T) {
+	bin := cmdtest.Build(t, ".")
+	out, code := cmdtest.Run(t, bin, 2*time.Minute,
+		"-topo", "ring:6", "-alg", "cc2", "-frames", "4", "-every", "5")
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	if !strings.Contains(out, "--- frame 4 (step 15) ---") || strings.Contains(out, "--- frame 5") {
+		t.Fatalf("fixed-stride frames missing:\n%s", out)
+	}
+}
+
+// TestCCSimIdleMask: a masked professor never requests, so every frame
+// shows it idle; the mask applies to a run without frames too.
+func TestCCSimIdleMask(t *testing.T) {
+	bin := cmdtest.Build(t, ".")
+	out, code := cmdtest.Run(t, bin, 2*time.Minute,
+		"-topo", "fig3", "-alg", "cc1", "-frames", "6", "-idle", "4")
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	if !strings.Contains(out, "--- frame 6") {
+		t.Fatalf("masked run produced too few frames:\n%s", out)
+	}
+	for _, line := range strings.Split(frames(t, out), "\n") {
+		if strings.HasPrefix(line, "  prof 4 ") && !strings.Contains(line, " idle ") {
+			t.Fatalf("masked professor 4 left idle: %q", line)
+		}
+	}
+	plain, code := cmdtest.Run(t, bin, 2*time.Minute, "-topo", "fig3", "-alg", "cc1", "-idle", "4")
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, plain)
+	}
+	// Professor 4 is vertex 3 of fig3: it never meets.
+	var per [10]int
+	i := strings.Index(plain, "per professor:")
+	if i < 0 {
+		t.Fatalf("no per-professor counts:\n%s", plain)
+	}
+	if _, err := fmt.Sscanf(plain[i:], "per professor: [%d %d %d %d", &per[0], &per[1], &per[2], &per[3]); err != nil {
+		t.Fatalf("per-professor counts: %v\n%s", err, plain)
+	}
+	if per[3] != 0 || per[0] == 0 {
+		t.Fatalf("masked professor 4 met %d times (professor 1: %d):\n%s", per[3], per[0], plain)
 	}
 }

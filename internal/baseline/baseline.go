@@ -7,10 +7,10 @@
 //     committee meets while its philosopher eats;
 //   - TokenRing: a Bagrodia-style single token circulating over the
 //     committees in index order [3]; only the token holder may convene
-//     its committee;
-//   - Oracle: a centralized greedy scheduler with global knowledge — an
-//     upper bound on achievable concurrency (not a distributed
-//     algorithm).
+//     its committee.
+//
+// The experiments report a centralized greedy oracle beside them as an
+// upper bound on achievable concurrency (not a distributed algorithm).
 //
 // The distributed baselines run in the same guarded-action engine as
 // CC1/CC2/CC3, over n professor processes plus m committee-agent

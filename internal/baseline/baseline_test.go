@@ -87,47 +87,6 @@ func TestBaselineRunnerWaitAccounting(t *testing.T) {
 	}
 }
 
-func TestTokenRingSerializesConcurrency(t *testing.T) {
-	// On disjoint committees the oracle and dining reach full
-	// concurrency; the single token keeps the ring baseline visibly
-	// below dining — the §3.1 motivation for maximal concurrency. (Use a
-	// conflict-free topology so the gap is purely the token's fault.)
-	h := hypergraph.DisjointCommittees(4, 2)
-	ring := baseline.Profile(baseline.TokenRing, h, 2, 20000, 9)
-	dine := baseline.Profile(baseline.Dining, h, 2, 20000, 9)
-	if ring.Convenes == 0 || dine.Convenes == 0 {
-		t.Fatalf("no meetings: ring=%d dining=%d", ring.Convenes, dine.Convenes)
-	}
-	if ring.MeanConcurrency >= dine.MeanConcurrency {
-		t.Fatalf("token ring should serialize: ring=%.3f dining=%.3f",
-			ring.MeanConcurrency, dine.MeanConcurrency)
-	}
-}
-
-func TestOracleUpperBound(t *testing.T) {
-	h := hypergraph.DisjointCommittees(5, 2)
-	res := baseline.Oracle(h, 2, 1000, 1)
-	// Disjoint committees: the oracle saturates at all 5 meetings.
-	if res.PeakConcurrency != 5 {
-		t.Fatalf("oracle peak = %d, want 5", res.PeakConcurrency)
-	}
-	if res.MeanConcurrency < 4.0 {
-		t.Fatalf("oracle mean concurrency = %f, want near 5", res.MeanConcurrency)
-	}
-	if res.Convenes == 0 {
-		t.Fatal("oracle convened nothing")
-	}
-}
-
-func TestOracleRespectsExclusion(t *testing.T) {
-	// On a star every committee conflicts: oracle concurrency is at most 1.
-	h := hypergraph.Star(6)
-	res := baseline.Oracle(h, 1, 500, 2)
-	if res.PeakConcurrency > 1 {
-		t.Fatalf("oracle violated exclusion on a star: peak=%d", res.PeakConcurrency)
-	}
-}
-
 func TestBStateClone(t *testing.T) {
 	s := baseline.BState{Fork: []bool{true}, Dirty: []bool{false}, Asked: []bool{true}}
 	c := s.Clone()

@@ -3,8 +3,6 @@ package baseline
 import (
 	"math/rand"
 
-	"repro/internal/hypergraph"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/spec"
 )
@@ -90,59 +88,3 @@ func NewRunner(a *Alg, d sim.Daemon, seed int64) *Runner {
 
 // Run executes at most maxSteps steps.
 func (r *Runner) Run(maxSteps int) int { return r.Engine.Run(maxSteps) }
-
-// Profile runs the baseline and produces the comparison profile in the
-// same shape as metrics.MeasureThroughput.
-func Profile(kind Kind, h *hypergraph.H, disc, steps int, seed int64) metrics.Throughput {
-	r := NewRunner(New(kind, h, disc), &sim.WeaklyFair{MaxAge: 6}, seed)
-	r.Run(steps)
-	return metrics.ProfileOf(&r.Counts)
-}
-
-// Oracle is the centralized greedy scheduler: global knowledge, zero
-// coordination cost. Each round it convenes every committee whose
-// members are all free (greedy, in index order), and meetings last
-// exactly disc rounds. It upper-bounds the concurrency any distributed
-// algorithm can reach and is reported alongside the baselines.
-func Oracle(h *hypergraph.H, disc, rounds int, seed int64) metrics.Throughput {
-	rng := rand.New(rand.NewSource(seed))
-	n, m := h.N(), h.M()
-	busyUntil := make([]int, n) // professor busy until round t
-	meetingEnd := make([]int, m)
-	res := metrics.Throughput{Rounds: rounds, Steps: rounds}
-	var sum int64
-	order := rng.Perm(m)
-	for t := 0; t < rounds; t++ {
-		concurrent := 0
-		for _, e := range order {
-			if meetingEnd[e] > t {
-				concurrent++
-				continue
-			}
-			free := true
-			for _, q := range h.Edge(e) {
-				if busyUntil[q] > t {
-					free = false
-					break
-				}
-			}
-			if free {
-				meetingEnd[e] = t + disc + 1
-				for _, q := range h.Edge(e) {
-					busyUntil[q] = t + disc + 1
-				}
-				res.Convenes++
-				concurrent++
-			}
-		}
-		if concurrent > res.PeakConcurrency {
-			res.PeakConcurrency = concurrent
-		}
-		sum += int64(concurrent)
-	}
-	if rounds > 0 {
-		res.MeanConcurrency = float64(sum) / float64(rounds)
-		res.ConvenesPer100R = 100 * float64(res.Convenes) / float64(rounds)
-	}
-	return res
-}

@@ -9,10 +9,11 @@
 // only the missing cells.
 //
 // This file is the shared single-job runner: the one place that maps a
-// store.JobSpec onto an explore.Model and explore.Options. cccheck,
-// ccbench and ccserve all execute jobs through it — by way of Cell
-// (campaign.go), the one lookup → explore → persist → retry lifecycle —
-// which is what makes their cached verdicts interchangeable.
+// store.JobSpec onto an explore.Model and explore.Options. cccheck (its
+// paper suite included) and ccserve execute jobs through it — by way of
+// Cell (campaign.go), the one lookup → explore → persist → retry
+// lifecycle — which is what makes their cached verdicts
+// interchangeable.
 package campaign
 
 import (

@@ -8,10 +8,9 @@ import (
 	"repro/internal/cmdtest"
 )
 
-// The worker-count contract, table-tested across the module: the
-// three CLIs with a worker pool spell it -j, ccserve's per-job width is
-// -job-workers only (-jobs is its other axis), and cctrace, which
-// renders sequentially, has no such knob.
+// The worker-count contract, table-tested across the module: the two
+// CLIs with a worker pool spell it -j, and ccserve's per-job width is
+// -job-workers only (-jobs is its other axis).
 func TestWorkerFlagAliases(t *testing.T) {
 	for _, tc := range []struct {
 		cmd      string
@@ -21,14 +20,13 @@ func TestWorkerFlagAliases(t *testing.T) {
 	}{
 		// -j parses where it means something: each invocation reaches
 		// the command's own validation (or succeeds).
-		{"ccbench", []string{"-j", "2", "-list"}, 0, "MC"},
+		{"cccheck", []string{"-j", "2", "-mode", "paper", "-exp", "list"}, 0, "MC"},
 		{"cccheck", []string{"-j", "2", "-mode", "query"}, 2, "-mode query needs -cache"},
 		{"ccsim", []string{"-j", "2", "-topo", "bogus"}, 2, "bogus"},
 		{"ccserve", []string{"-job-workers", "4"}, 2, "-cache DIR is required"},
 
 		// Everywhere else a worker spelling fails loudly.
 		{"ccserve", []string{"-j", "2"}, 2, "flag provided but not defined"},
-		{"cctrace", []string{"-j", "2", "-topo", "bogus"}, 2, "flag provided but not defined"},
 		{"cccheck", []string{"-jobs-wide", "2"}, 2, "flag provided but not defined"},
 
 		// Removed with the thing they configured: the -cache layout is
@@ -37,7 +35,6 @@ func TestWorkerFlagAliases(t *testing.T) {
 		// directory), and a coordinator's open request carries the peer
 		// list.
 		{"cccheck", []string{"-store-engine", "log"}, 2, "flag provided but not defined"},
-		{"ccbench", []string{"-store-engine", "log"}, 2, "flag provided but not defined"},
 		{"ccserve", []string{"-peers", "http://127.0.0.1:1"}, 2, "flag provided but not defined"},
 
 		// Removed because nothing reached them: the random-scenario

@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/core"
 	"repro/internal/hypergraph"
-	"repro/internal/metrics"
 	"repro/internal/par"
 	"repro/internal/sim"
 )
@@ -48,11 +47,11 @@ func init() {
 				Header: []string{"topology", "min (MinEdges)", "mean (MinEdges)", "min (any)", "mean (any)"},
 			}
 			var sumWith, sumWithout float64
-			type pair struct{ withMin, without metrics.Concurrency }
+			type pair struct{ withMin, without concurrency }
 			pairs := par.Map(len(mixed), func(i int) pair {
 				return pair{
-					withMin: metrics.DegreeOfFairConcurrency(core.CC2, mixed[i].h, samples, steps, cfg.Seed, false),
-					without: metrics.DegreeOfFairConcurrencyNoMinSize(core.CC2, mixed[i].h, samples, steps, cfg.Seed, false),
+					withMin: degreeOfFairConcurrency(core.CC2, mixed[i].h, samples, steps, cfg.Seed, false, false),
+					without: degreeOfFairConcurrency(core.CC2, mixed[i].h, samples, steps, cfg.Seed, false, true),
 				}
 			})
 			for i, f := range mixed {
@@ -103,14 +102,14 @@ func init() {
 					}
 				}
 			}
-			outs := par.Map(len(grid), func(i int) metrics.Throughput {
+			outs := par.Map(len(grid), func(i int) throughput {
 				g := grid[i]
 				alg := core.New(g.variant, g.f.h, nil)
 				alg.Choose = g.fn
 				env := core.NewAlwaysClient(g.f.h.N(), 2)
 				r := core.NewRunner(alg, &sim.WeaklyFair{MaxAge: 6}, env, cfg.Seed, false)
 				r.Run(tsteps)
-				return metrics.ProfileOf(&r.Counts)
+				return profileOf(&r.Counts)
 			})
 			for i, g := range grid {
 				o := outs[i]

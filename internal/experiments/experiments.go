@@ -1,10 +1,11 @@
 // Package experiments regenerates every figure and analytic result of
-// the paper as a runnable experiment (`ccbench -list` is the index;
-// docs/paper-map.md maps each to its claim). Each experiment produces
-// one or more Tables; `cmd/ccbench` renders them. Because the paper is
-// proof-driven (no empirical tables), the "paper vs measured" comparison
-// is: does the measured behaviour satisfy the theorem / exhibit the
-// figure's scenario?
+// the paper as a runnable experiment (`cccheck -mode paper -exp list` is
+// the index; docs/paper-map.md maps each to its claim). Each experiment
+// produces one or more Tables; `cccheck -mode paper` renders them. It
+// also owns the measurement procedures behind the tables (measures.go).
+// Because the paper is proof-driven (no empirical tables), the "paper vs
+// measured" comparison is: does the measured behaviour satisfy the
+// theorem / exhibit the figure's scenario?
 package experiments
 
 import (
@@ -14,6 +15,7 @@ import (
 	"strings"
 
 	"repro/internal/par"
+	"repro/internal/store"
 )
 
 // Table is one result table of an experiment.
@@ -87,11 +89,12 @@ func (t *Table) Render(w io.Writer) {
 type Config struct {
 	Seed  int64
 	Quick bool // reduced sizes for tests and smoke runs
-	// CacheDir, if non-empty, routes the exhaustive-exploration cells
-	// (the MC experiment) through the content-addressed verdict store
-	// shared with cccheck -cache and ccserve: cached cells are served
-	// instead of re-explored, fresh ones are persisted.
-	CacheDir string
+	// Store, if non-nil, routes the exhaustive-exploration cells (the MC
+	// experiment) through the content-addressed verdict store shared with
+	// cccheck -cache and ccserve: cached cells are served instead of
+	// re-explored, fresh ones are persisted. The caller opens and closes
+	// it.
+	Store store.Interface
 }
 
 // Result is the outcome of one experiment.

@@ -86,7 +86,7 @@ func TestStarvedProfessorWaitsTheWholeRun(t *testing.T) {
 // leave every table byte unchanged; a deliberate change to a table
 // regenerates the file with
 //
-//	go run ./cmd/ccbench -exp all -quick -seed 1 > internal/experiments/testdata/quick_seed1.md
+//	go run ./cmd/cccheck -mode paper -quick -seed 1 > internal/experiments/testdata/quick_seed1.md
 func TestQuickSuiteGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/quick_seed1.md")
 	if err != nil {

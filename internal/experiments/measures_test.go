@@ -1,8 +1,9 @@
-package metrics
+package experiments
 
 import (
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/hypergraph"
 )
@@ -19,7 +20,7 @@ func TestDegreeOfFairConcurrencyRespectsBounds(t *testing.T) {
 		{"ring6-cc3", hypergraph.CommitteeRing(6), core.CC3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res := DegreeOfFairConcurrency(tc.v, tc.h, 6, 60000, 7, true)
+			res := degreeOfFairConcurrency(tc.v, tc.h, 6, 60000, 7, true, false)
 			if res.Quiesced == 0 {
 				t.Fatal("no run quiesced")
 			}
@@ -47,7 +48,7 @@ func TestWaitingTimeBounded(t *testing.T) {
 	// implementation-specific; assert the normalized ratio is modest and
 	// that every professor actually met.
 	h := hypergraph.CommitteeRing(6)
-	res := WaitingTime(core.CC2, h, 2, 30000, 3)
+	res := waitingTime(core.CC2, h, 2, 30000, 3)
 	if res.Convenes < 10 {
 		t.Fatalf("too few meetings to measure: %d", res.Convenes)
 	}
@@ -62,8 +63,8 @@ func TestWaitingTimeBounded(t *testing.T) {
 
 func TestThroughputProfiles(t *testing.T) {
 	h := hypergraph.CommitteeRing(8)
-	p1 := MeasureThroughput(core.CC1, h, 1, 8000, 5, false)
-	p2 := MeasureThroughput(core.CC2, h, 1, 8000, 5, false)
+	p1 := measureThroughput(core.CC1, h, 1, 8000, 5, false)
+	p2 := measureThroughput(core.CC2, h, 1, 8000, 5, false)
 	if p1.Convenes == 0 || p2.Convenes == 0 {
 		t.Fatalf("no meetings: cc1=%d cc2=%d", p1.Convenes, p2.Convenes)
 	}
@@ -81,11 +82,52 @@ func TestThroughputProfiles(t *testing.T) {
 }
 
 func TestTokenConvergenceProfile(t *testing.T) {
-	res := TokenConvergence(hypergraph.Figure1(), 5, 20000, 11)
+	res := tokenConvergence(hypergraph.Figure1(), 5, 20000, 11)
 	if res.Converged != res.Samples {
 		t.Fatalf("only %d/%d TC runs converged", res.Converged, res.Samples)
 	}
 	if res.MeanSteps <= 0 || res.MaxSteps < int(res.MeanSteps) {
 		t.Fatalf("implausible steps: mean=%f max=%d", res.MeanSteps, res.MaxSteps)
+	}
+}
+
+func TestTokenRingSerializesConcurrency(t *testing.T) {
+	// On disjoint committees the oracle and dining reach full
+	// concurrency; the single token keeps the ring baseline visibly
+	// below dining — the §3.1 motivation for maximal concurrency. (Use a
+	// conflict-free topology so the gap is purely the token's fault.)
+	h := hypergraph.DisjointCommittees(4, 2)
+	ring := baselineProfile(baseline.TokenRing, h, 2, 20000, 9)
+	dine := baselineProfile(baseline.Dining, h, 2, 20000, 9)
+	if ring.Convenes == 0 || dine.Convenes == 0 {
+		t.Fatalf("no meetings: ring=%d dining=%d", ring.Convenes, dine.Convenes)
+	}
+	if ring.MeanConcurrency >= dine.MeanConcurrency {
+		t.Fatalf("token ring should serialize: ring=%.3f dining=%.3f",
+			ring.MeanConcurrency, dine.MeanConcurrency)
+	}
+}
+
+func TestOracleUpperBound(t *testing.T) {
+	h := hypergraph.DisjointCommittees(5, 2)
+	res := oracle(h, 2, 1000, 1)
+	// Disjoint committees: the oracle saturates at all 5 meetings.
+	if res.PeakConcurrency != 5 {
+		t.Fatalf("oracle peak = %d, want 5", res.PeakConcurrency)
+	}
+	if res.MeanConcurrency < 4.0 {
+		t.Fatalf("oracle mean concurrency = %f, want near 5", res.MeanConcurrency)
+	}
+	if res.Convenes == 0 {
+		t.Fatal("oracle convened nothing")
+	}
+}
+
+func TestOracleRespectsExclusion(t *testing.T) {
+	// On a star every committee conflicts: oracle concurrency is at most 1.
+	h := hypergraph.Star(6)
+	res := oracle(h, 1, 500, 2)
+	if res.PeakConcurrency > 1 {
+		t.Fatalf("oracle violated exclusion on a star: peak=%d", res.PeakConcurrency)
 	}
 }

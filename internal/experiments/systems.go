@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/hypergraph"
-	"repro/internal/metrics"
 	"repro/internal/par"
 	"repro/internal/sim"
 )
@@ -152,8 +151,8 @@ func init() {
 				}
 				fams = kept
 			}
-			ms := par.Map(len(fams), func(i int) metrics.Token {
-				return metrics.TokenConvergence(fams[i].h, samples, maxSteps, cfg.Seed)
+			ms := par.Map(len(fams), func(i int) tokenStats {
+				return tokenConvergence(fams[i].h, samples, maxSteps, cfg.Seed)
 			})
 			for i, m := range ms {
 				f := fams[i]
@@ -195,18 +194,18 @@ func init() {
 			// One parallel cell per (topology, algorithm): six systems on
 			// each topology, all independent runs.
 			systems := []string{"CC1", "CC2", "CC3", "dining", "token-ring", "oracle"}
-			cells := par.Map(len(topologies)*len(systems), func(i int) metrics.Throughput {
+			cells := par.Map(len(topologies)*len(systems), func(i int) throughput {
 				f, sysName := topologies[i/len(systems)], systems[i%len(systems)]
 				switch sysName {
 				case "CC1", "CC2", "CC3":
 					variant := map[string]core.Variant{"CC1": core.CC1, "CC2": core.CC2, "CC3": core.CC3}[sysName]
-					return metrics.MeasureThroughput(variant, f.h, 2, steps, cfg.Seed, false)
+					return measureThroughput(variant, f.h, 2, steps, cfg.Seed, false)
 				case "dining":
-					return baseline.Profile(baseline.Dining, f.h, 2, steps, cfg.Seed)
+					return baselineProfile(baseline.Dining, f.h, 2, steps, cfg.Seed)
 				case "token-ring":
-					return baseline.Profile(baseline.TokenRing, f.h, 2, steps, cfg.Seed)
+					return baselineProfile(baseline.TokenRing, f.h, 2, steps, cfg.Seed)
 				default:
-					return baseline.Oracle(f.h, 2, steps/10, cfg.Seed)
+					return oracle(f.h, 2, steps/10, cfg.Seed)
 				}
 			})
 			for fi, f := range topologies {
@@ -214,7 +213,7 @@ func init() {
 					Title:  fmt.Sprintf("Comparison on %s (n=%d, |E|=%d, disc=2)", f.name, f.h.N(), f.h.M()),
 					Header: []string{"algorithm", "convenes/100 rounds", "mean conc", "peak conc", "min meetings/prof"},
 				}
-				profiles := map[string]metrics.Throughput{}
+				profiles := map[string]throughput{}
 				for si, sysName := range systems {
 					p := cells[fi*len(systems)+si]
 					profiles[sysName] = p
@@ -269,8 +268,8 @@ func init() {
 				{"path7", hypergraph.CommitteePath(7)},
 			} {
 				minMM, _ := f.h.MinMaximalMatching()
-				sats := par.Map(samples, func(s int) saturation {
-					return saturate(f.h, cfg.Seed+int64(s))
+				sats := par.Map(samples, func(s int) quiescence {
+					return quiesce(core.New(core.CC1, f.h, nil), cfg.Seed+int64(s), false, 40000)
 				})
 				cc1Min := -1
 				for s, out := range sats {
@@ -278,15 +277,15 @@ func init() {
 						res.failf("%s seed %d: CC1 did not saturate", f.name, s)
 						continue
 					}
-					if !out.maximal {
+					if !f.h.IsMaximalMatching(out.meetings, nil) {
 						res.failf("%s seed %d: CC1 froze with %v, not a maximal matching", f.name, s, out.meetings)
 					}
 					if k := len(out.meetings); cc1Min == -1 || k < cc1Min {
 						cc1Min = k
 					}
 				}
-				m2 := metrics.DegreeOfFairConcurrency(core.CC2, f.h, samples, 60000, cfg.Seed, false)
-				m3 := metrics.DegreeOfFairConcurrency(core.CC3, f.h, samples, 60000, cfg.Seed, false)
+				m2 := degreeOfFairConcurrency(core.CC2, f.h, samples, 60000, cfg.Seed, false, false)
+				m3 := degreeOfFairConcurrency(core.CC3, f.h, samples, 60000, cfg.Seed, false, false)
 				wc.AddRow(f.name, minMM, cc1Min, m2.Min, m3.Min)
 				if cc1Min < minMM {
 					res.failf("%s: CC1 saturated below minMM (%d < %d): not a maximal matching", f.name, cc1Min, minMM)

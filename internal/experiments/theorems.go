@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hypergraph"
-	"repro/internal/metrics"
 	"repro/internal/par"
 	"repro/internal/sim"
 )
@@ -90,16 +89,17 @@ func init() {
 				{"ring8", hypergraph.CommitteeRing(8)},
 				{"figure1", hypergraph.Figure1()},
 			}
-			satCells := par.Map(len(satFamilies)*seeds, func(i int) saturation {
-				return saturate(satFamilies[i/seeds].h, cfg.Seed+int64(i%seeds))
+			satCells := par.Map(len(satFamilies)*seeds, func(i int) quiescence {
+				return quiesce(core.New(core.CC1, satFamilies[i/seeds].h, nil), cfg.Seed+int64(i%seeds), false, 40000)
 			})
 			for i, c := range satCells {
 				f, s := satFamilies[i/seeds], i%seeds
-				t2.AddRow(f.name, s, c.quiesced, c.maximal, len(c.meetings))
+				maximal := f.h.IsMaximalMatching(c.meetings, nil)
+				t2.AddRow(f.name, s, c.quiesced, maximal, len(c.meetings))
 				if !c.quiesced {
 					res.failf("%s seed %d: never quiesced (meetings %v)", f.name, s, c.meetings)
 				}
-				if c.quiesced && !c.maximal {
+				if c.quiesced && !maximal {
 					res.failf("%s seed %d: frozen meetings %v not a maximal matching", f.name, s, c.meetings)
 				}
 			}
@@ -177,8 +177,8 @@ func degreeTable(variant core.Variant, cfg Config, res *Result) *Table {
 		Header: []string{"topology", "n", "|E|", "minMM", thName, exactName, "observed min", "observed mean", "quiesced"},
 	}
 	fams := smallFamilies()
-	ms := par.Map(len(fams), func(i int) metrics.Concurrency {
-		return metrics.DegreeOfFairConcurrency(variant, fams[i].h, samples, steps, cfg.Seed, true)
+	ms := par.Map(len(fams), func(i int) concurrency {
+		return degreeOfFairConcurrency(variant, fams[i].h, samples, steps, cfg.Seed, true, false)
 	})
 	for i, m := range ms {
 		f := fams[i]
@@ -277,9 +277,9 @@ func init() {
 				Header: []string{"n", "maxDisc", "max wait (rounds)", "mean wait", "normalized", "convenes"},
 			}
 			worst := 0.0
-			ws := par.Map(len(ns)*len(discs), func(i int) metrics.Waiting {
+			ws := par.Map(len(ns)*len(discs), func(i int) waiting {
 				n, d := ns[i/len(discs)], discs[i%len(discs)]
-				return metrics.WaitingTime(core.CC2, hypergraph.CommitteeRing(n), d, steps, cfg.Seed)
+				return waitingTime(core.CC2, hypergraph.CommitteeRing(n), d, steps, cfg.Seed)
 			})
 			for i, w := range ws {
 				n, d := ns[i/len(discs)], discs[i%len(discs)]
@@ -300,25 +300,4 @@ func init() {
 			return res
 		},
 	})
-}
-
-// saturation is where one CC1 run under never-terminating meetings
-// froze.
-type saturation struct {
-	quiesced, maximal bool
-	meetings          []int
-}
-
-// saturate runs CC1 on h under never-terminating meetings from a
-// legitimate start until nothing is enabled, even after the
-// environment advances, and checks the meetings it froze with
-// (Definition 2). A configuration with Π = ∅ is not enough to stop at:
-// professors mid-handshake are not yet waiting, so Π can be empty while
-// a committee is still about to convene.
-func saturate(h *hypergraph.H, seed int64) saturation {
-	alg := core.New(core.CC1, h, nil)
-	r := core.NewRunner(alg, &sim.WeaklyFair{MaxAge: 6}, core.NewInfiniteMeetings(alg, nil), seed, false)
-	r.Run(40000)
-	meetings := alg.Meetings(r.Config())
-	return saturation{quiesced: r.Engine.Terminal(), maximal: h.IsMaximalMatching(meetings, nil), meetings: meetings}
 }

@@ -24,7 +24,7 @@ import (
 //
 // Every cell is a content-addressed job spec run through campaign.Cell
 // — the same lifecycle behind cccheck and ccserve — so with
-// Config.CacheDir set, verdicts flow through the shared store in both
+// Config.Store set, verdicts flow through the shared store in both
 // directions.
 func init() {
 	register(Experiment{
@@ -39,19 +39,10 @@ func init() {
 				Header: []string{"algorithm", "topology", "init family", "daemon branching", "inits", "states", "transitions", "deadlocks", "violations"},
 			}
 
-			var st store.Interface
-			if cfg.CacheDir != "" {
-				var err error
-				if st, err = store.OpenEngine("", cfg.CacheDir, nil); err != nil {
-					res.failf("MC: cache: %v", err)
-					return res
-				}
-				defer st.Close()
-			}
 			// Cells fan across the pool, so each explores with one worker
 			// (the ExecOptions zero value).
 			runCell := func(spec store.JobSpec) (*explore.Result, error) {
-				out := campaign.Cell(context.Background(), st, spec, campaign.ExecOptions{})
+				out := campaign.Cell(context.Background(), cfg.Store, spec, campaign.ExecOptions{})
 				return out.Result, out.Failure()
 			}
 

@@ -49,21 +49,6 @@ func patchWords(dst []uint64, off, width int, payload uint64) {
 	}
 }
 
-// extractWords reads the width-bit field at bit offset off — the exact
-// inverse of patchWords, used by the fuzz battery to cross-check
-// EncodeProc payloads against full encodings.
-func extractWords(src []uint64, off, width int) uint64 {
-	word, sh := off>>6, off&63
-	v := src[word] >> sh
-	if sh+width > 64 {
-		v |= src[word+1] << (64 - sh)
-	}
-	if width < 64 {
-		v &= uint64(1)<<width - 1
-	}
-	return v
-}
-
 // bitWriter packs little-endian bit fields into a fixed []uint64
 // through a register accumulator: each output word is stored exactly
 // once (encode is the hottest loop of the explorer — once per

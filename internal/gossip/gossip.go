@@ -22,6 +22,11 @@
 //	                             FNV-64a sum, result bytes)
 //	GET  /v1/gossip/status       ledgers and counters, for operators
 //
+// Peering is symmetric: each peer lists the other. An announce names
+// the URL its keys are fetched from, so a node accepts one only from a
+// configured neighbor; entries are served to anyone, and only
+// neighbors get a ledger.
+//
 // Keys a node hears about but does not hold form its want-list; a
 // single fetcher drains it, pulling each entry from the announcing
 // neighbor. Ingest trusts nothing: the transfer must pass
@@ -147,7 +152,8 @@ type Node struct {
 	log  []string            // commit order
 	have map[string]struct{} // set of log
 
-	ledMu   sync.Mutex
+	// ledgers holds one entry per configured neighbor, made in New and
+	// never added to after, so reads need no lock.
 	ledgers map[string]*ledger
 
 	// retries holds keys whose fetch failed (peer down, transfer
@@ -271,17 +277,6 @@ func (n *Node) logPage(after uint64) (seq uint64, keys []string) {
 	return seq, append([]string(nil), n.log[after:end]...)
 }
 
-func (n *Node) ledger(neighbor string) *ledger {
-	n.ledMu.Lock()
-	defer n.ledMu.Unlock()
-	l := n.ledgers[neighbor]
-	if l == nil {
-		l = &ledger{neighbor: neighbor}
-		n.ledgers[neighbor] = l
-	}
-	return l
-}
-
 // enqueue adds keys we lack to the want-list. Overflow is dropped:
 // the anti-entropy pull re-discovers anything lost.
 func (n *Node) enqueue(from string, keys []string) (wanted int) {
@@ -360,7 +355,7 @@ func (n *Node) requeueRetries() {
 // pushAll announces the unannounced log suffix to every neighbor.
 func (n *Node) pushAll() {
 	for _, peer := range n.cfg.Neighbors {
-		l := n.ledger(peer)
+		l := n.ledgers[peer]
 		for {
 			l.mu.Lock()
 			cursor := l.pushCursor
@@ -385,7 +380,7 @@ func (n *Node) pushAll() {
 // pullAll consumes every neighbor's commit log past our pull cursor.
 func (n *Node) pullAll() {
 	for _, peer := range n.cfg.Neighbors {
-		l := n.ledger(peer)
+		l := n.ledgers[peer]
 		for {
 			l.mu.Lock()
 			cursor := l.pullCursor
@@ -518,7 +513,7 @@ func (n *Node) fetchOne(w want) {
 	if n.has(w.key) {
 		return // raced a local completion or another announce
 	}
-	l := n.ledger(w.from)
+	l := n.ledgers[w.from] // wants come only from neighbors
 	u := fmt.Sprintf("%s/v1/gossip/entry/%s?from=%s", w.from, w.key, url.QueryEscape(n.cfg.Self))
 	resp, err := n.client.Get(u)
 	if err != nil {
@@ -628,8 +623,10 @@ func (n *Node) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if msg.From == "" {
-		writeErr(w, http.StatusBadRequest, "announce without a from URL")
+	if n.ledgers[msg.From] == nil {
+		// Fetches go to the announcer's URL: only a configured neighbor
+		// may name one.
+		writeErr(w, http.StatusBadRequest, "announce from %q, which is not a configured neighbor", msg.From)
 		return
 	}
 	wanted := n.enqueue(msg.From, msg.Keys)
@@ -673,8 +670,8 @@ func (n *Node) handleEntry(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	if from := r.URL.Query().Get("from"); from != "" {
-		l := n.ledger(from)
+	// Entries are served to anyone; only a neighbor's fetches are counted.
+	if l := n.ledgers[r.URL.Query().Get("from")]; l != nil {
 		l.servedTo.Add(1)
 		l.bytesOut.Add(int64(len(line)))
 	}
@@ -698,8 +695,6 @@ func (n *Node) StatusView() Status {
 		Corrupt:   n.corrupt.Load(),
 		WantDepth: len(n.wants),
 	}
-	n.ledMu.Lock()
-	defer n.ledMu.Unlock()
 	for _, peer := range n.cfg.Neighbors {
 		l := n.ledgers[peer]
 		l.mu.Lock()

@@ -13,7 +13,7 @@ import (
 )
 
 // Workers is the pool width. It defaults to GOMAXPROCS; set it to 1 to
-// force fully serial execution everywhere (ccsim/ccbench -j 1).
+// force fully serial execution everywhere (ccsim/cccheck -j 1).
 // Nested fan-outs may transiently exceed it in
 // goroutine count; the Go scheduler still caps CPU parallelism at
 // GOMAXPROCS.

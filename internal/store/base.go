@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -119,18 +120,29 @@ func (b *base) quarantineBytes(name string, data []byte, detail string) {
 	b.logf("store: quarantined %s (%s)", name, detail)
 }
 
-// writeAtomic lands data at path via temp file + fsync + rename in the
-// same directory: a crash or injected fault at any point leaves either
-// the previous content or the new content, never a torn file.
+// writeAtomic lands data at path through saveAtomic, staged in a
+// .put-* temp file.
 func (b *base) writeAtomic(path string, data []byte) error {
+	return b.saveAtomic(path, ".put-*", func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// saveAtomic lands what write produces at path via a temp file named
+// by pattern + fsync + rename in the same directory: a crash or
+// injected fault at any point leaves either the previous content or
+// the new content, never a torn file. The temp-name prefixes are what
+// GCTemp and GCCheckpoints sweep.
+func (b *base) saveAtomic(path, pattern string, write func(w io.Writer) error) error {
 	if err := b.fs.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp, err := b.fs.CreateTemp(filepath.Dir(path), ".put-*")
+	tmp, err := b.fs.CreateTemp(filepath.Dir(path), pattern)
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		b.fs.Remove(tmp.Name())
 		return err

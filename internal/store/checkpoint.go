@@ -101,37 +101,8 @@ func (c *Checkpoint) Load() (io.ReadCloser, error) {
 // serialization is: it reads current explorer state).
 func (c *Checkpoint) Save(write func(w io.Writer) error) error {
 	return chaos.Retry(context.Background(), c.b.Retry, func() error {
-		return c.saveOnce(write)
+		return c.b.saveAtomic(c.path, ".ckpt-*", write)
 	})
-}
-
-func (c *Checkpoint) saveOnce(write func(w io.Writer) error) error {
-	if err := c.b.fs.MkdirAll(filepath.Dir(c.path), 0o755); err != nil {
-		return err
-	}
-	tmp, err := c.b.fs.CreateTemp(filepath.Dir(c.path), ".ckpt-*")
-	if err != nil {
-		return err
-	}
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		c.b.fs.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		c.b.fs.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		c.b.fs.Remove(tmp.Name())
-		return err
-	}
-	if err := c.b.fs.Rename(tmp.Name(), c.path); err != nil {
-		c.b.fs.Remove(tmp.Name())
-		return err
-	}
-	return nil
 }
 
 // Delete removes the checkpoint (idempotent; called when the job's

@@ -22,7 +22,7 @@ const (
 )
 
 // Interface is the narrow store surface every consumer — campaign,
-// serve, cccheck, ccbench — programs against. Both engines implement
+// serve, cccheck, experiments — programs against. Both engines implement
 // it with byte-identical Get/Put semantics: an entry written by one
 // engine's Put is returned by its Get exactly as the other engine
 // would return it, which is what lets the whole store battery run

@@ -1,5 +1,5 @@
 // Package store is the content-addressed verdict warehouse shared by
-// the CLIs (cccheck -cache, ccbench -cache) and the ccserve HTTP
+// the CLI (cccheck -cache, every mode) and the ccserve HTTP
 // service: one exhaustive-verification job — an (algorithm, topology,
 // daemon branching, init family, bounds, symmetry, mutation) tuple —
 // is canonicalized into a stable hash key, and its explore.Result
