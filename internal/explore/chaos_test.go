@@ -217,3 +217,54 @@ func TestArenaColdReadRetriesTransient(t *testing.T) {
 		t.Fatal("fault was not injected — the test exercised nothing")
 	}
 }
+
+// TestTableRebuildReadsNoKeys: stripes grow and the table re-shards by
+// slot tag alone, so with every spill-file read failing permanently
+// neither reads a key back — no I/O panic, no read attempted — and once
+// the disk heals every cold and hot key still answers with its id.
+func TestTableRebuildReadsNoKeys(t *testing.T) {
+	ffs := chaos.NewFaultFS(nil, chaos.Faults{})
+	v := spillVisited(t, t.TempDir(), ffs, 1000, 900)
+	defer v.Close()
+	ffs.SetFaults(chaos.Faults{ReadErr: 1, Permanent: 1})
+	old := reshardPerShard
+	reshardPerShard = 64
+	defer func() { reshardPerShard = old }()
+
+	key := func(i int) []uint64 { return []uint64{uint64(i), uint64(i) ^ 0xabc} }
+	const n = 8000
+	grown := false
+	err := func() (err error) {
+		defer catchIO(&err)
+		for i := 1000; i < n; i++ {
+			v.Probe(key(i), hashWords(key(i)), uint64(i), -1, nil)
+		}
+		for i := range v.shards {
+			grown = grown || len(v.shards[i].slots) > 64
+		}
+		for _, fr := range v.Drain() {
+			v.Promote(fr)
+		}
+		v.Reset()
+		return v.Housekeep(7000)
+	}()
+	if err != nil {
+		t.Fatalf("table rebuild read the spill file: %v", err)
+	}
+	if !grown || len(v.shards) == 64 {
+		t.Fatalf("stripes grown %t, shards %d: the test exercised nothing", grown, len(v.shards))
+	}
+	if got := ffs.Stats()["read"]; got != 0 {
+		t.Fatalf("%d spill-file reads attempted during growth and re-sharding", got)
+	}
+
+	ffs.SetFaults(chaos.Faults{})
+	for i := 0; i < n; i++ {
+		if got := v.Probe(key(i), hashWords(key(i)), ^uint64(0), -1, nil); got != int32(i) {
+			t.Fatalf("key %d probes back as %d", i, got)
+		}
+	}
+	if v.baseID != 7000 {
+		t.Fatalf("hot watermark %d, want 7000", v.baseID)
+	}
+}

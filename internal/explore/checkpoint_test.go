@@ -284,8 +284,8 @@ func TestReshardDifferential(t *testing.T) {
 		t.Fatalf("resharded report diverges:\n%s\nvs\n%s", got, want)
 	}
 
-	// And combined with an arena spill (re-sharding scans the spilled
-	// arena sequentially).
+	// And combined with an arena spill (re-sharding redistributes cold
+	// slots by their tags, without reading the spilled arena).
 	opts.MemBudget = 1 << 14
 	opts.SpillDir = t.TempDir()
 	got = normJSON(t, Explore(factory, opts))

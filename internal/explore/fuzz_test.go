@@ -295,13 +295,30 @@ func normalizeB(cfg []baseline.BState) []baseline.BState {
 // against a mutex-map oracle under the explorer's phase discipline —
 // concurrent probes, then a serial drain/promote. The oracle resolves
 // duplicate proposals by minimum position, exactly the determinism
-// contract the BFS relies on.
+// contract the BFS relies on. Each input byte proposes fan keys, so a
+// few distinct bytes overfill the 64-slot stripes and force them to
+// grow; a second set runs the same layers with its arena spilling and
+// Housekeep re-sharding after every layer, so stripes grow and re-shard
+// over cold slots too. Both answer to the same oracle.
 func FuzzVisitedSet(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, uint8(3))
 	f.Add([]byte{0, 0, 0, 1, 1, 2, 255, 254, 3, 3, 3, 9}, uint8(7))
+	f.Add([]byte{16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 1, 3, 5, 16}, uint8(2))
+	// Past 64·64 promoted states the spilled set re-shards (the first
+	// and last seeds get there; the first two grow stripes over cold
+	// slots on the way).
+	old := reshardPerShard
+	reshardPerShard = 64
+	defer func() { reshardPerShard = old }()
 	f.Fuzz(func(t *testing.T, data []byte, layersByte uint8) {
-		const words = 2
-		vs := NewVisited(words)
+		const words, fan = 2, 512
+		data = data[:min(len(data), 64)] // at most 64·fan probes per layer
+
+		keyOf := func(b byte, j int) [words]uint64 { return [words]uint64{uint64(b), uint64(j)} }
+		spilled := NewVisited(words)
+		spilled.EnableArenaSpill(t.TempDir(), 1<<10)
+		defer spilled.Close()
+		sets := []*Visited{NewVisited(words), spilled}
 		type oracleEntry struct {
 			pos    uint64
 			parent int32
@@ -320,84 +337,92 @@ func FuzzVisitedSet(f *testing.F) {
 			}
 			hi := min(lo+chunk, len(data))
 			ops := data[lo:hi]
+			parentOf := func(b byte) int32 { return int32(int(b)%int(nextID+1)) - 1 }
+			posOf := func(i, j int) uint64 { return uint64(layer)<<32 | uint64(i*fan+j) }
 
 			// Oracle (serial, min-pos merge over this layer's proposals).
+			nfresh := 0
 			for i, b := range ops {
-				key := [words]uint64{uint64(b % 13), uint64(b / 13)}
-				pos := uint64(layer)<<32 | uint64(i)
-				parent := int32(int(b)%int(nextID+1)) - 1
-				sel := []byte{b}
-				if e, ok := oracle[key]; ok {
-					if e.id < 0 && pos < e.pos {
-						e.pos, e.parent, e.sel = pos, parent, string(sel)
+				for j := 0; j < fan; j++ {
+					key, pos := keyOf(b, j), posOf(i, j)
+					if e, ok := oracle[key]; ok {
+						if e.id < 0 && pos < e.pos {
+							e.pos, e.parent, e.sel = pos, parentOf(b), string([]byte{b})
+						}
+						continue
 					}
-					continue
+					oracle[key] = &oracleEntry{pos: pos, parent: parentOf(b), sel: string([]byte{b}), id: -1}
+					nfresh++
 				}
-				oracle[key] = &oracleEntry{pos: pos, parent: parent, sel: string(sel), id: -1}
 			}
 
-			// Concurrent probes, striped over 4 goroutines.
+			// Concurrent probes, striped over 4 goroutines per set.
 			var wg sync.WaitGroup
-			for g := 0; g < 4; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := g; i < len(ops); i += 4 {
-						b := ops[i]
-						key := []uint64{uint64(b % 13), uint64(b / 13)}
-						pos := uint64(layer)<<32 | uint64(i)
-						parent := int32(int(b)%int(nextID+1)) - 1
-						vs.Probe(key, hashWords(key), pos, parent, []byte{b})
-					}
-				}(g)
+			for _, vs := range sets {
+				for g := 0; g < 4; g++ {
+					wg.Add(1)
+					go func(vs *Visited, g int) {
+						defer wg.Done()
+						for i := g; i < len(ops); i += 4 {
+							b := ops[i]
+							for j := 0; j < fan; j++ {
+								key := keyOf(b, j)
+								vs.Probe(key[:], hashWords(key[:]), posOf(i, j), parentOf(b), []byte{b})
+							}
+						}
+					}(vs, g)
+				}
 			}
 			wg.Wait()
 
 			// Serial drain: entries must match the oracle's fresh set,
 			// sorted by position, and promote in that order.
-			fresh := vs.Drain()
-			var expect []*oracleEntry
-			for _, e := range oracle {
-				if e.id < 0 {
-					expect = append(expect, e)
+			layerFrom := nextID
+			for _, vs := range sets {
+				fresh := vs.Drain()
+				if len(fresh) != nfresh {
+					t.Fatalf("layer %d: %d fresh vs %d expected", layer, len(fresh), nfresh)
 				}
+				for i, fr := range fresh {
+					if i > 0 && fresh[i-1].Pos >= fr.Pos {
+						t.Fatalf("layer %d: drain not strictly sorted", layer)
+					}
+					want := layerFrom + int32(i)
+					e := oracle[[words]uint64{fr.key[0], fr.key[1]}]
+					if e == nil || (e.id >= 0 && e.id != want) {
+						t.Fatalf("layer %d: drained unknown or already-promoted key", layer)
+					}
+					if e.pos != fr.Pos || e.parent != fr.Parent || e.sel != fr.Sel {
+						t.Fatalf("layer %d: entry mismatch: oracle (%d,%d,%q) vs (%d,%d,%q)",
+							layer, e.pos, e.parent, e.sel, fr.Pos, fr.Parent, fr.Sel)
+					}
+					if id := vs.Promote(fr); id != want {
+						t.Fatalf("layer %d: promoted id %d, want %d", layer, id, want)
+					}
+					e.id = want
+				}
+				vs.Reset()
 			}
-			if len(fresh) != len(expect) {
-				t.Fatalf("layer %d: %d fresh vs %d expected", layer, len(fresh), len(expect))
+			nextID = layerFrom + int32(nfresh)
+			// Everything older than this layer goes cold.
+			if err := spilled.Housekeep(layerFrom); err != nil {
+				t.Fatal(err)
 			}
-			for i, fr := range fresh {
-				if i > 0 && fresh[i-1].Pos >= fr.Pos {
-					t.Fatalf("layer %d: drain not strictly sorted", layer)
-				}
-				key := [words]uint64{fr.key[0], fr.key[1]}
-				e := oracle[key]
-				if e == nil || e.id >= 0 {
-					t.Fatalf("layer %d: drained unknown or already-promoted key", layer)
-				}
-				if e.pos != fr.Pos || e.parent != fr.Parent || e.sel != fr.Sel {
-					t.Fatalf("layer %d: entry mismatch: oracle (%d,%d,%q) vs (%d,%d,%q)",
-						layer, e.pos, e.parent, e.sel, fr.Pos, fr.Parent, fr.Sel)
-				}
-				id := vs.Promote(fr)
-				if id != nextID {
-					t.Fatalf("layer %d: promoted id %d, want %d", layer, id, nextID)
-				}
-				e.id = id
-				nextID++
-			}
-			vs.Reset()
 
 			// Every promoted key must now answer with its id.
-			for key, e := range oracle {
-				k := []uint64{key[0], key[1]}
-				if got := vs.Probe(k, hashWords(k), ^uint64(0), -1, nil); got != e.id {
-					t.Fatalf("layer %d: lookup of promoted key returned %d, want %d", layer, got, e.id)
+			for _, vs := range sets {
+				for key, e := range oracle {
+					if got := vs.Probe(key[:], hashWords(key[:]), ^uint64(0), -1, nil); got != e.id {
+						t.Fatalf("layer %d: lookup of promoted key returned %d, want %d", layer, got, e.id)
+					}
 				}
+				vs.Reset()
 			}
-			vs.Reset()
 		}
-		if vs.States() != int(nextID) {
-			t.Fatalf("state count %d, want %d", vs.States(), nextID)
+		for _, vs := range sets {
+			if vs.States() != int(nextID) {
+				t.Fatalf("state count %d, want %d", vs.States(), nextID)
+			}
 		}
 	})
 }

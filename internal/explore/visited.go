@@ -9,6 +9,7 @@ import (
 	"io"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/chaos"
 )
@@ -47,9 +48,10 @@ import (
 // zone, both exercised only from the serial phase (Housekeep):
 //
 //   - The stripe-sharded table is *growable*: when the promoted count
-//     outgrows the shard count, the whole table re-hashes into twice as
-//     many shards (rebuilt from a sequential arena scan, so even a
-//     spilled arena is read once, in order). Probe chains and stripe
+//     outgrows the shard count, the whole table is redistributed over
+//     twice as many shards. Slots are placed by their 32-bit hash tag
+//     alone (see home), so neither this nor a stripe doubling reads a
+//     key back — not even a spilled one. Probe chains and stripe
 //     contention stay bounded at any state count instead of individual
 //     shards ballooning.
 //   - The *cold tail* of the arena can spill to a temp file under a
@@ -61,7 +63,7 @@ type Visited struct {
 	words      int
 	shards     []vshard
 	smask      uint64
-	shardShift uint // log2(len(shards)): slot index = hash >> shardShift
+	shardShift uint // log2(len(shards)): slot index = tag >> shardShift
 
 	arena    []uint64 // in-memory promoted states: id n at [(n-baseID)*words, ...)
 	nstates  int
@@ -79,8 +81,7 @@ type Visited struct {
 	fs          chaos.FS
 	spillFile   chaos.File
 	baseID      int32
-	spilled     int64         // payload bytes written to spillFile
-	restoreW    *bufio.Writer // in-flight restore spill writer (readCold flushes it)
+	spilled     int64 // payload bytes written to spillFile
 
 	// order is the serial-mode insertion-order log: with one worker,
 	// pending entries are inserted in exactly the (item, branch) layer
@@ -110,12 +111,12 @@ const (
 var reshardPerShard = 1 << 15
 
 // vslot is 8 bytes: the key itself lives in the arena (promoted) or
-// the shard's pending buffer, and full hashes are recomputed on resize,
-// so the steady-state table cost is 8 bytes per slot. pidx is the
-// pending-entry index while pending; promotion repurposes it as a
-// 32-bit hash tag, so probe chains reject mismatches without touching
-// the arena (the random-access load that would otherwise dominate
-// lookups in large spaces — and, with a spilled arena, a disk read).
+// the shard's pending buffer, so the steady-state table cost is 8 bytes
+// per slot. pidx is the pending-entry index while pending; promotion
+// repurposes it as a 32-bit hash tag, so probe chains reject mismatches
+// without touching the arena (the random-access load that would
+// otherwise dominate lookups in large spaces — and, with a spilled
+// arena, a disk read), and a resize re-places the slot from the tag.
 type vslot struct {
 	ref  int32 // state id when >= 0, else one of the sentinels above
 	pidx int32 // pending index (ref == slotPend) or hash tag (ref >= 0)
@@ -181,26 +182,53 @@ var singleSel = func() (t [256]string) {
 
 // NewVisited builds a set for states of the given word width.
 func NewVisited(words int) *Visited {
-	const nshards = 64
 	v := &Visited{words: words, fs: chaos.OS}
-	v.setShards(make([]vshard, nshards))
-	for i := range v.shards {
-		v.shards[i].slots = make([]vslot, 64)
-		for j := range v.shards[i].slots {
-			v.shards[i].slots[j].ref = slotEmpty
-		}
-	}
+	v.setTables(64, 0)
 	return v
 }
 
-func (v *Visited) setShards(shards []vshard) {
-	v.shards = shards
-	v.smask = uint64(len(shards) - 1)
-	shift := uint(0)
-	for 1<<shift < len(shards) {
-		shift++
+// setTables replaces the table with nshards empty stripes presized for
+// nstates promoted states (at most half-loaded, minimum 64 slots), so a
+// rebuild rarely re-grows mid-insert, and returns the old stripes.
+func (v *Visited) setTables(nshards, nstates int) []vshard {
+	per := 64
+	for per < 2*nstates/nshards {
+		per *= 2
 	}
-	v.shardShift = shift
+	old := v.shards
+	v.shards = make([]vshard, nshards)
+	for i := range v.shards {
+		v.shards[i].slots = emptySlots(per)
+	}
+	v.smask = uint64(nshards - 1)
+	v.shardShift = 0
+	for 1<<v.shardShift < nshards {
+		v.shardShift++
+	}
+	return old
+}
+
+func emptySlots(n int) []vslot {
+	slots := make([]vslot, n)
+	for i := range slots {
+		slots[i].ref = slotEmpty
+	}
+	return slots
+}
+
+// home places a slot from its 32-bit hash tag alone — the low half of
+// the key's hash, which a promoted slot keeps in pidx: stripe tag &
+// smask, first probe index (tag >> shardShift) & (len(slots)-1) in that
+// stripe. Growing a stripe or re-sharding therefore never reads a key
+// back. While shardShift + log2(len(slots)) <= 32 — which the re-shard
+// rule keeps true for every table below about 2^30 states — this is bit
+// for bit the placement the full 64-bit hash would give; past that,
+// home indexes fall in a narrower prefix of the stripe and linear
+// probing spreads them: still correct, with longer chains.
+func (v *Visited) home(tag int32) (shIdx int32, idx uint64) {
+	t := uint64(uint32(tag))
+	shIdx = int32(t & v.smask)
+	return shIdx, (t >> v.shardShift) & uint64(len(v.shards[shIdx].slots)-1)
 }
 
 // EnableArenaSpill activates the cold-tail spill: once the in-memory
@@ -289,16 +317,9 @@ func (v *Visited) Key(id int32) []uint64 {
 
 // readCold reads a spilled key into buf (len v.words) through the raw
 // record scratch (len recSize), verifying the record checksum —
-// corruption comes back as *chaos.CorruptError, not a wrong key. During
-// a restore the spill file is mid-append: flush the writer first so
-// every id below the watermark is readable (no-op once drained).
+// corruption comes back as *chaos.CorruptError, not a wrong key.
 // Transient read faults are retried in place.
 func (v *Visited) readCold(id int32, buf []uint64, raw []byte) error {
-	if v.restoreW != nil {
-		if err := v.restoreW.Flush(); err != nil {
-			return err
-		}
-	}
 	err := chaos.Retry(context.Background(), chaos.DefaultPolicy, func() error {
 		_, rerr := v.spillFile.ReadAt(raw, int64(id)*v.recSize())
 		return rerr
@@ -325,15 +346,14 @@ func (v *Visited) readCold(id int32, buf []uint64, raw []byte) error {
 // Spilled arena bytes are excluded — they are the point of the spill —
 // and reported separately via SpilledBytes.
 func (v *Visited) Bytes() int64 {
-	const pendEntrySize = 64 // hash+pos+parent+string header+slice header
 	b := int64(cap(v.arena)) * 8
 	for i := range v.shards {
 		sh := &v.shards[i]
 		b += int64(cap(sh.slots)) * 8
 		b += int64(cap(sh.keys)) * 8
-		b += int64(cap(sh.pend)) * pendEntrySize
+		b += int64(cap(sh.pend)) * int64(unsafe.Sizeof(pendEntry{}))
 	}
-	b += int64(cap(v.drainBuf)) * 48
+	b += int64(cap(v.drainBuf)) * int64(unsafe.Sizeof(Fresh{}))
 	// The serial insertion-order log is deliberately excluded: it exists
 	// only at one worker, and StateBytes must be identical at any -j.
 	return b
@@ -383,9 +403,9 @@ func (v *Visited) refEqual(sh *vshard, ref int32, key []uint64) bool {
 // probeLocked is Probe for a caller that already holds stripe sh — by
 // its lock, or by owning it for the fan-out in flight.
 func (v *Visited) probeLocked(sh *vshard, shIdx int32, key []uint64, hash uint64, pos uint64, parent int32, sel []byte) int32 {
-	mask := uint64(len(sh.slots) - 1)
-	idx := (hash >> v.shardShift) & mask
 	tag := int32(hash)
+	_, idx := v.home(tag)
+	mask := uint64(len(sh.slots) - 1)
 	firstTomb := -1
 	for {
 		s := &sh.slots[idx]
@@ -426,14 +446,14 @@ func (v *Visited) probeLocked(sh *vshard, shIdx int32, key []uint64, hash uint64
 // Contains reports whether key is already known (promoted or pending)
 // without inserting. The explorer calls it only in layers where the
 // state bound is already exhausted — no worker inserts then, so the
-// lock-free read is race-free. (Cold arena reads under it allocate a
-// scratch buffer per call: the shard scratch is not safe to share
-// without the stripe lock.)
+// lock-free read is race-free. (Cold arena reads under it go through
+// stack scratch, or a fresh buffer for keys wider than four words: the
+// shard scratch is not safe to share without the stripe lock.)
 func (v *Visited) Contains(key []uint64, hash uint64) bool {
-	sh := &v.shards[hash&v.smask]
-	mask := uint64(len(sh.slots) - 1)
-	idx := (hash >> v.shardShift) & mask
 	tag := int32(hash)
+	shIdx, idx := v.home(tag)
+	sh := &v.shards[shIdx]
+	mask := uint64(len(sh.slots) - 1)
 	var coldArr [4]uint64
 	var rawArr [40]byte // recSize for up to 4 words
 	for {
@@ -508,20 +528,23 @@ func (v *Visited) insertPending(sh *vshard, shIdx int32, at int, key []uint64, h
 	}
 }
 
-// growLocked doubles a shard's slot table, dropping tombstones.
+// growLocked doubles a shard's slot table, dropping tombstones. Every
+// slot is re-placed from its tag (a pending slot's is its entry's hash),
+// so no key is read — a spilled one included.
 func (v *Visited) growLocked(sh *vshard) {
 	old := sh.slots
-	sh.slots = make([]vslot, 2*len(old))
-	for i := range sh.slots {
-		sh.slots[i].ref = slotEmpty
-	}
+	sh.slots = emptySlots(2 * len(old))
 	sh.filled = 0
 	mask := uint64(len(sh.slots) - 1)
 	for _, s := range old {
-		if s.ref == slotEmpty || s.ref == slotTomb {
+		tag := s.pidx
+		switch {
+		case s.ref == slotEmpty || s.ref == slotTomb:
 			continue
+		case s.ref == slotPend:
+			tag = int32(sh.pend[s.pidx].hash)
 		}
-		idx := (v.slotHash(sh, &s) >> v.shardShift) & mask
+		_, idx := v.home(tag)
 		for sh.slots[idx].ref != slotEmpty {
 			idx = (idx + 1) & mask
 		}
@@ -531,24 +554,6 @@ func (v *Visited) growLocked(sh *vshard) {
 		}
 		sh.filled++
 	}
-}
-
-// slotHash recomputes the hash of an occupied slot's key.
-func (v *Visited) slotHash(sh *vshard, s *vslot) uint64 {
-	if s.ref >= 0 {
-		if s.ref >= v.baseID {
-			return hashWords(v.arenaKey(s.ref))
-		}
-		if cap(sh.cold) < v.words {
-			sh.cold = make([]uint64, v.words)
-		}
-		cold := sh.cold[:v.words]
-		if err := v.readCold(s.ref, cold, sh.rawBuf(v.recSize())); err != nil {
-			panic(ioPanic{err})
-		}
-		return hashWords(cold)
-	}
-	return sh.pend[s.pidx].hash
 }
 
 // Drain collects the pending entries of all shards, sorted by layer
@@ -669,54 +674,44 @@ func (v *Visited) Housekeep(hotFrom int32) error {
 		panic("explore: Housekeep with pending entries")
 	}
 	for v.nstates > len(v.shards)*reshardPerShard {
-		if err := v.reshard(); err != nil {
-			return err
-		}
+		v.reshard()
 	}
 	return v.maybeSpillArena(hotFrom)
 }
 
-// reshard doubles the shard count and rebuilds every slot table from a
-// sequential arena scan (spilled prefix read once, in id order).
-// Tombstones are dropped; pending entries must not exist.
-func (v *Visited) reshard() error {
-	shards := make([]vshard, 2*len(v.shards))
-	// Presize each shard so the rebuild does not immediately re-grow:
-	// expected states per shard, at most half-loaded, minimum 64 slots.
-	per := 64
-	for per < 2*v.nstates/len(shards) {
-		per *= 2
-	}
-	for i := range shards {
-		shards[i].slots = make([]vslot, per)
-		for j := range shards[i].slots {
-			shards[i].slots[j].ref = slotEmpty
+// reshard doubles the shard count and redistributes the old slot tables
+// into the new ones by tag — no key is read, so a spilled arena stays on
+// disk. Tombstones are dropped; pending entries must not exist.
+func (v *Visited) reshard() {
+	old := v.setTables(2*len(v.shards), v.nstates)
+	for i := range old {
+		for _, s := range old[i].slots {
+			if s.ref >= 0 {
+				v.restoreSlot(s.ref, s.pidx)
+			}
 		}
 	}
-	v.setShards(shards)
-	return v.scanArena(func(id int32, key []uint64) {
-		v.restoreSlot(id, key, hashWords(key))
-	})
 }
 
-// restoreSlot inserts a promoted id into the (rebuilt) table.
-func (v *Visited) restoreSlot(id int32, key []uint64, hash uint64) {
-	sh := &v.shards[hash&v.smask]
+// restoreSlot inserts promoted id with hash tag into the (rebuilt) table.
+func (v *Visited) restoreSlot(id, tag int32) {
+	shIdx, idx := v.home(tag)
+	sh := &v.shards[shIdx]
 	mask := uint64(len(sh.slots) - 1)
-	idx := (hash >> v.shardShift) & mask
 	for sh.slots[idx].ref != slotEmpty {
 		idx = (idx + 1) & mask
 	}
-	sh.slots[idx] = vslot{ref: id, pidx: int32(hash)}
+	sh.slots[idx] = vslot{ref: id, pidx: tag}
 	sh.filled++
 	if sh.filled*3 > len(sh.slots)*2 {
 		v.growLocked(sh)
 	}
 }
 
-// scanArena streams every promoted key in id order: the spilled prefix
-// sequentially from disk, then the in-memory arena. The key slice
-// passed to fn is scratch, valid for that call only.
+// scanArena streams every promoted key in id order (the checkpoint
+// writer): the spilled prefix sequentially from disk, then the
+// in-memory arena. The key slice passed to fn is scratch, valid for
+// that call only.
 func (v *Visited) scanArena(fn func(id int32, key []uint64)) error {
 	if v.baseID > 0 {
 		r := bufio.NewReaderSize(io.NewSectionReader(v.spillFile, 0, int64(v.baseID)*v.recSize()), 1<<20)
@@ -801,24 +796,12 @@ func (v *Visited) RestoreArena(r io.Reader, nstates int, hotFrom int32) error {
 		panic("explore: RestoreArena on a non-empty set")
 	}
 	// Re-apply the shard-count growth rule a live run would have
-	// reached, and presize the slot tables for the final load so the
-	// rebuild rarely re-grows mid-insert.
+	// reached, and presize the slot tables for the final load.
 	nshards := len(v.shards)
 	for nstates > nshards*reshardPerShard {
 		nshards *= 2
 	}
-	per := 64
-	for per < 2*nstates/nshards {
-		per *= 2
-	}
-	shards := make([]vshard, nshards)
-	for i := range shards {
-		shards[i].slots = make([]vslot, per)
-		for j := range shards[i].slots {
-			shards[i].slots[j].ref = slotEmpty
-		}
-	}
-	v.setShards(shards)
+	v.setTables(nshards, nstates)
 	spillTo := int32(0)
 	if v.arenaBudget > 0 && int64(nstates)*int64(v.words)*8 > v.arenaBudget {
 		spillTo = hotFrom
@@ -837,11 +820,7 @@ func (v *Visited) RestoreArena(r io.Reader, nstates int, hotFrom int32) error {
 			return fmt.Errorf("explore: arena restore: %w", err)
 		}
 		spillW = bufio.NewWriterSize(io.NewOffsetWriter(v.spillFile, 0), 1<<20)
-		// Ids below the watermark are readable mid-restore (growLocked
-		// may rehash them) via readCold's flush hook.
 		v.baseID = spillTo
-		v.restoreW = spillW
-		defer func() { v.restoreW = nil }()
 	}
 	br := bufio.NewReaderSize(r, 1<<20)
 	raw := make([]byte, 8*v.words)
@@ -866,7 +845,7 @@ func (v *Visited) RestoreArena(r io.Reader, nstates int, hotFrom int32) error {
 		} else {
 			v.arena = append(v.arena, key...)
 		}
-		v.restoreSlot(id, key, hashWords(key))
+		v.restoreSlot(id, int32(hashWords(key)))
 	}
 	if spillW != nil {
 		if err := spillW.Flush(); err != nil {
