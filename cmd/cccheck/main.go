@@ -47,8 +47,9 @@
 // process (see docs/architecture.md):
 //
 //   - -mem-budget 256M bounds the explorer's in-memory footprint; past
-//     it the open queue and the cold visited arena spill to temp files
-//     and the verdict is byte-identical to the in-memory run.
+//     it the cold visited arena (every layer already expanded) spills to
+//     a temp file and the verdict is byte-identical to the in-memory
+//     run.
 //   - with -cache, a run checkpoints a resumable snapshot under the
 //     job's content key every -checkpoint-every expanded states and on
 //     SIGINT/SIGTERM (exit 3); re-running the same command resumes
@@ -138,7 +139,7 @@ func main() {
 		filterStr = flag.String("filter", "", "query mode: filter grammar, e.g. 'alg=cc2,topo=ring:3,verdict=violated' (empty = every stored verdict)")
 		summaryID = flag.String("summary", "", "query mode: aggregate this campaign id's pass rate instead of listing verdicts")
 		diffSpec  = flag.String("diff", "", "query mode: 'A,B' — diff two campaign ids cell by cell instead of listing verdicts")
-		memBudget = flag.String("mem-budget", "", "in-memory budget for the explorer's frontier + visited arena (e.g. 256M, 2G; empty = unlimited): past it the exploration spills to temp files with an identical verdict")
+		memBudget = flag.String("mem-budget", "", "in-memory budget for the explorer's visited set (e.g. 256M, 2G; empty = unlimited): past it the cold arena spills to a temp file with an identical verdict")
 		ckptEvery = flag.Int("checkpoint-every", 1_000_000, "with -cache: persist a resumable exploration snapshot under the job's content key every N expanded states and on SIGINT/SIGTERM, so an interrupted run resumes instead of restarting (0 = on interruption only, negative = disabled)")
 		spillDir  = flag.String("spill-dir", "", "directory for out-of-core spill scratch (empty = the system temp dir)")
 		chaosSpec = flag.String("chaos", "", "fault-injection spec for all durable I/O, e.g. 'seed=7,write=0.05,torn=0.02,flip=0.01' (keys: seed|write|read|torn|sync|rename|flip|perm|fail-write-at|fail-read-at|fail-rename-at); verdicts stay byte-identical or the run fails loudly with a classified error (exit 4)")

@@ -196,8 +196,8 @@ type ExecOptions struct {
 	// CheckpointEvery is the expanded-state snapshot cadence
 	// (0 = snapshot only on cancellation).
 	CheckpointEvery int
-	// MemBudget bounds the explorer's in-memory frontier + arena
-	// footprint (bytes; 0 = fully in-memory); overflow spills to
+	// MemBudget bounds the explorer's in-memory visited-set footprint
+	// (bytes; 0 = fully in-memory); the cold arena overflows to
 	// SpillDir ("" = the system temp dir).
 	MemBudget int64
 	SpillDir  string

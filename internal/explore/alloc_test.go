@@ -73,9 +73,9 @@ func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestSpillThroughputRatio pins the out-of-core tax on the batch
-// pipeline (cc2/ring:4/cc-full/central, bounded): with both the
-// frontier and the cold visited arena forced to disk by a 1 MiB
-// budget, states/sec must stay within 5% of the fully in-memory run.
+// pipeline (cc2/ring:4/cc-full/central, bounded): with the cold
+// visited arena forced to disk by a 1 MiB budget, states/sec must stay
+// within 5% of the fully in-memory run.
 // The cc-full fault space keeps each run around two seconds, so the
 // fixed spill setup (scratch files, budget bookkeeping) is noise next
 // to steady-state throughput. Timing-based, so it takes the best of

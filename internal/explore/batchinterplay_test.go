@@ -63,8 +63,8 @@ func TestBatchSymmetryFallback(t *testing.T) {
 }
 
 // TestBatchSpillCheckpointTorture kills the batch pipeline at random
-// checkpoint boundaries while both the frontier and the visited arena
-// are forced to disk, on the branchiest batch cell (all-subsets over
+// checkpoint boundaries while the visited arena is forced to disk, on
+// the branchiest batch cell (all-subsets over
 // the full CC-layer fault space) — so interruptions land between the
 // chunks of a layer whose states each enumerate many selection masks.
 // Resumed batch runs, the uninterrupted batch run and the scalar
@@ -92,8 +92,8 @@ func TestBatchSpillCheckpointTorture(t *testing.T) {
 		if got := normJSON(t, Explore(factory, o)); !bytes.Equal(got, want) {
 			t.Fatalf("uninterrupted spill run diverges:\n%s\nvs\n%s", got, want)
 		}
-		if stats.FrontierSpillSegments == 0 || stats.ArenaSpilledBytes == 0 {
-			t.Fatal("spill paths did not engage under a 16 KiB budget")
+		if stats.ArenaSpilledBytes == 0 {
+			t.Fatal("the arena did not spill under a 16 KiB budget")
 		}
 	}
 
@@ -149,8 +149,8 @@ func TestBatchChaosSpill(t *testing.T) {
 			if got := normJSON(t, res); !bytes.Equal(got, want) {
 				t.Fatalf("seed %d: chaos spill run diverges from the fault-free run:\n%s\nvs\n%s", seed, got, want)
 			}
-			if stats.FrontierSpillSegments == 0 || stats.ArenaSpilledBytes == 0 {
-				t.Fatalf("seed %d: spill paths did not engage under the 16 KiB budget", seed)
+			if stats.ArenaSpilledBytes == 0 {
+				t.Fatalf("seed %d: the arena did not spill under the 16 KiB budget", seed)
 			}
 			survived++
 		}

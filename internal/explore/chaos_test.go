@@ -10,7 +10,7 @@ import (
 )
 
 // findSpillFile locates the single spill artifact matching pattern
-// under dir (recursively — frontier segments live in a nested
+// under dir (recursively — open-queue segments live in a nested
 // cc-frontier-* directory).
 func findSpillFile(t *testing.T, dir, pattern string) string {
 	t.Helper()
@@ -28,88 +28,6 @@ func findSpillFile(t *testing.T, dir, pattern string) string {
 		t.Fatalf("no spill file matching %q under %s", pattern, dir)
 	}
 	return found
-}
-
-// TestFrontierSegmentCorruption: a spilled segment is live,
-// non-redundant queue data — damage at any structural boundary must
-// surface as a classified *chaos.CorruptError with the file parked
-// aside (*.quarantine), never as a silently truncated BFS layer.
-func TestFrontierSegmentCorruption(t *testing.T) {
-	corrupt := func(name string, mutate func([]byte) []byte) {
-		dir := t.TempDir()
-		f := NewFrontier(1<<12, dir, nil)
-		defer f.Close()
-		for i := int32(0); i < 20_000; i++ {
-			if err := f.Push(i); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if f.SpillSegments == 0 {
-			t.Fatalf("%s: nothing spilled", name)
-		}
-		seg := findSpillFile(t, dir, "seg-00000000")
-		data, err := os.ReadFile(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(seg, mutate(data), 0o600); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]int32, 0, 4096)
-		var derr error
-		for f.Len() > 0 && derr == nil {
-			_, derr = f.PopChunk(buf)
-		}
-		if derr == nil {
-			t.Fatalf("%s: drain succeeded through a damaged segment", name)
-		}
-		var ce *chaos.CorruptError
-		if !errors.As(derr, &ce) {
-			t.Fatalf("%s: drain error %v is not a CorruptError", name, derr)
-		}
-		if _, err := os.Stat(seg + ".quarantine"); err != nil {
-			t.Fatalf("%s: damaged segment not quarantined: %v", name, err)
-		}
-	}
-	corrupt("bitflip-payload", func(b []byte) []byte {
-		c := append([]byte(nil), b...)
-		c[len(c)/2] ^= 0x01
-		return c
-	})
-	corrupt("bitflip-header", func(b []byte) []byte {
-		c := append([]byte(nil), b...)
-		c[0] ^= 0x01
-		return c
-	})
-	corrupt("truncate-half", func(b []byte) []byte { return b[:len(b)/2] })
-	corrupt("truncate-empty", func(b []byte) []byte { return nil })
-}
-
-// TestFrontierSpillRetriesTransient: a one-shot ENOSPC mid-spill is
-// retried away and the drain order stays exactly push order — faults
-// that heal leave no trace in the exploration.
-func TestFrontierSpillRetriesTransient(t *testing.T) {
-	ffs := chaos.NewFaultFS(nil, chaos.Faults{FailWriteAt: 1})
-	f := NewFrontier(1<<12, t.TempDir(), ffs)
-	defer f.Close()
-	const n = 20_000
-	for i := int32(0); i < n; i++ {
-		if err := f.Push(i); err != nil {
-			t.Fatalf("push %d: spill did not retry a transient fault: %v", i, err)
-		}
-	}
-	if ffs.Stats()["write"] == 0 {
-		t.Fatal("fault was not injected — the test exercised nothing")
-	}
-	out := drainAll(t, f, 777)
-	if len(out) != n {
-		t.Fatalf("drained %d ids, want %d", len(out), n)
-	}
-	for i, id := range out {
-		if id != int32(i) {
-			t.Fatalf("out[%d] = %d, want %d", i, id, i)
-		}
-	}
 }
 
 // spillVisited builds a Visited with nstates promoted two-word keys

@@ -24,10 +24,12 @@ import (
 // design: checkpoints are taken only at chunk boundaries, where the
 // workers are parked, so the whole state is (a) the promoted arena
 // with its parent/selection trace arrays, (b) the pending entries of
-// the layer in progress, (c) the not-yet-expanded remainder of the
-// open queue, and (d) the serial counters (result-so-far plus the
-// current layer's accumulated aggregate). Everything else — slot
-// tables, spill segment files, worker scratch — is rebuilt.
+// the layer in progress, and (c) the serial counters (result-so-far,
+// the current layer's width and expanded count, and its accumulated
+// aggregate). The not-yet-expanded remainder of the layer is the
+// arena's id range [States−width+done, States), so it needs no section
+// of its own. Everything else — slot tables, the arena spill file,
+// worker scratch — is rebuilt.
 //
 // The snapshot format is versioned binary: a magic header, the
 // SHA-256 of the (model, options) identity — a mismatched checkpoint
@@ -61,8 +63,9 @@ type RunStats struct {
 	ResumedStates int
 	// CheckpointsWritten counts snapshots persisted this run.
 	CheckpointsWritten int
-	// FrontierSpillSegments / FrontierSpilledBytes: open-queue spill
-	// traffic (cumulative writes, not high water).
+	// FrontierSpillSegments / FrontierSpilledBytes: spill traffic of a
+	// Frontier. No explorer path fills them (the open queue is an arena
+	// id range); bench/wl_explore.go is their only reader.
 	FrontierSpillSegments int
 	FrontierSpilledBytes  int64
 	// ArenaSpilledBytes is the visited-arena bytes resident on disk at
@@ -73,7 +76,9 @@ type RunStats struct {
 	CheckpointErrors int
 }
 
-const checkpointVersion = 2
+// checkpointVersion 3 stores the layer width where version 2 stored
+// the open queue's ids; an older snapshot reads as "no checkpoint".
+const checkpointVersion = 3
 
 var checkpointMagic = [8]byte{'C', 'C', 'K', 'P', 'T', '0' + checkpointVersion, '\r', '\n'}
 
@@ -91,15 +96,13 @@ func optionsHash(name string, words, nprocs int, o *Options) [32]byte {
 
 // snapshot is the serial-phase state of a paused exploration (see the
 // package comment above for the inventory): the layer driver's state,
-// serialised as it stands, plus the local backend's open queue and
-// pending set. The arena streams separately, straight out of and into
-// the visited set.
+// serialised as it stands, plus the local backend's pending set. The
+// arena streams separately, straight out of and into the visited set.
 type snapshot struct {
 	hash  [32]byte
 	words int
 	layerState
-	frontier []int32
-	pending  []PendSnap
+	pending []PendSnap
 }
 
 // --- encoding helpers ---------------------------------------------------------
@@ -256,11 +259,7 @@ func writeSnapshot(w io.Writer, s *snapshot, vs *Visited) error {
 	if err := c.json(&s.layer); err != nil {
 		return err
 	}
-
-	c.int(len(s.frontier))
-	for _, id := range s.frontier {
-		c.i32(id)
-	}
+	c.int(s.width)
 	for _, p := range s.parentOf {
 		c.i32(p)
 	}
@@ -340,13 +339,12 @@ func readSnapshot(r io.Reader, wantHash [32]byte, words int, vs *Visited) (*snap
 	if err := c.json(&s.layer, "layer report"); err != nil {
 		return nil, err
 	}
-
-	nf := c.int()
-	if c.err == nil && (nf < 0 || nf > nstates) {
-		return nil, fmt.Errorf("explore: checkpoint frontier length %d out of range", nf)
-	}
-	if c.err == nil {
-		s.frontier = c.i32s(nf)
+	s.width = c.int()
+	// The layer in flight is the arena's newest width ids, done of them
+	// expanded; a violating item's state id is its layer position past
+	// the layer start, so both must stay inside the id space.
+	if c.err == nil && (s.done < 0 || s.done > s.width || s.width > nstates) {
+		return nil, fmt.Errorf("explore: checkpoint layer position %d of %d out of range", s.done, s.width)
 	}
 	if c.err == nil {
 		s.parentOf = c.i32s(nstates)
@@ -392,11 +390,6 @@ func readSnapshot(r io.Reader, wantHash [32]byte, words int, vs *Visited) (*snap
 	if s.res.Inits < 0 || s.res.Inits > nstates {
 		return nil, fmt.Errorf("explore: checkpoint init count %d out of range", s.res.Inits)
 	}
-	for _, id := range s.frontier {
-		if id < 0 || int(id) >= nstates {
-			return nil, fmt.Errorf("explore: checkpoint frontier id %d out of range", id)
-		}
-	}
 	for _, p := range s.parentOf {
 		if p < -1 || int(p) >= nstates {
 			return nil, fmt.Errorf("explore: checkpoint parent id %d out of range", p)
@@ -411,16 +404,6 @@ func readSnapshot(r io.Reader, wantHash [32]byte, words int, vs *Visited) (*snap
 		return nil, fmt.Errorf("explore: checkpoint counters out of range (depth %d/%d, transitions %d)",
 			s.depth, s.res.Depth, s.res.Transitions)
 	}
-	// The layer in flight is the expanded prefix plus the open queue; a
-	// violating item's state id is its layer position past the layer
-	// start, so both must stay inside the id space.
-	if s.done < 0 || s.done > nstates {
-		return nil, fmt.Errorf("explore: checkpoint layer position %d out of range", s.done)
-	}
-	s.width = s.done + len(s.frontier)
-	if s.width > nstates {
-		return nil, fmt.Errorf("explore: checkpoint layer position %d+%d out of range", s.done, len(s.frontier))
-	}
 	for _, v := range s.layer.Viols {
 		if v.Item < 0 || v.Item >= s.done {
 			return nil, fmt.Errorf("explore: checkpoint layer violation item %d out of range", v.Item)
@@ -429,11 +412,7 @@ func readSnapshot(r io.Reader, wantHash [32]byte, words int, vs *Visited) (*snap
 
 	// Arena: stream straight into the visited set, keeping the ids the
 	// resumed layer still expands hot.
-	hotFrom := int32(nstates)
-	if len(s.frontier) > 0 {
-		hotFrom = s.frontier[0]
-	}
-	if err := c.restoreArena(vs, nstates, words, hotFrom); err != nil {
+	if err := c.restoreArena(vs, nstates, words, int32(nstates-s.width+s.done)); err != nil {
 		return nil, err
 	}
 	return s, nil

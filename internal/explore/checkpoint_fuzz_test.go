@@ -83,10 +83,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 			t.Fatalf("trace arrays (%d parents, %d selections) do not cover %d states",
 				len(snap.parentOf), len(snap.selOf), nstates)
 		}
-		for _, id := range snap.frontier {
-			if id < 0 || int(id) >= nstates {
-				t.Fatalf("frontier id %d outside [0,%d)", id, nstates)
-			}
+		if snap.done < 0 || snap.done > snap.width || snap.width > nstates {
+			t.Fatalf("layer position: done %d, width %d, %d states; want 0 ≤ done ≤ width ≤ states",
+				snap.done, snap.width, nstates)
 		}
 		for i, p := range snap.parentOf {
 			if p < -1 || int(p) >= nstates {

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/baseline"
@@ -245,9 +247,11 @@ func TestResumeFromEverySnapshot(t *testing.T) {
 	}
 }
 
-// TestSpillMatchesInMemory: a memory budget small enough to force both
-// the frontier and the arena out of core must not change a single
-// byte of the report — and the spill paths must actually engage.
+// TestSpillMatchesInMemory: a memory budget small enough to force the
+// arena out of core must not change a single byte of the report — and
+// the arena spill must actually engage. The open queue is an arena id
+// range, so the arena is the only thing that spills: no frontier
+// segment directory ever appears.
 func TestSpillMatchesInMemory(t *testing.T) {
 	factory := mustCC(t, core.CC2, hypergraph.CommitteeRing(3), CCOptions{Init: InitCCFull})
 	opts := Options{Mode: sim.SelectCentral, CheckDeadlock: true, CheckClosure: true, Workers: 4}
@@ -257,15 +261,31 @@ func TestSpillMatchesInMemory(t *testing.T) {
 	opts.MemBudget = 1 << 14
 	opts.SpillDir = t.TempDir()
 	opts.Stats = &stats
+	checks := 0
+	opts.Progress = func(Progress) {
+		checks++
+		entries, err := os.ReadDir(opts.SpillDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if strings.HasPrefix(e.Name(), "cc-frontier-") {
+				t.Fatalf("frontier spill entry %s appeared in the spill dir", e.Name())
+			}
+		}
+	}
 	got := normJSON(t, Explore(factory, opts))
 	if !bytes.Equal(got, want) {
 		t.Fatalf("out-of-core report diverges from in-memory:\n%s\nvs\n%s", got, want)
 	}
-	if stats.FrontierSpillSegments == 0 {
-		t.Fatal("frontier never spilled under a 16 KiB budget")
+	if checks == 0 {
+		t.Fatal("the spill dir was never listed mid-run")
 	}
 	if stats.ArenaSpilledBytes == 0 {
 		t.Fatal("arena never spilled under a 16 KiB budget")
+	}
+	if stats.FrontierSpillSegments != 0 {
+		t.Fatalf("%d frontier segments spilled; the open queue is an arena id range", stats.FrontierSpillSegments)
 	}
 }
 
@@ -361,6 +381,13 @@ func TestCheckpointCorruptionIgnored(t *testing.T) {
 			return b
 		},
 		"empty": func([]byte) []byte { return []byte{} },
+		// A version 2 snapshot stored the open queue's ids where version
+		// 3 stores the layer width; it must restart, not misread.
+		"v2-magic": func(b []byte) []byte {
+			b = append([]byte(nil), b...)
+			b[5] = '2'
+			return b
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			ck := &memCheckpointer{data: mangle(valid)}

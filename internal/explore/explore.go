@@ -166,19 +166,20 @@ type Options struct {
 	// battery uses it to pit the two paths against each other.
 	DisableBatch bool
 
-	// MemBudget bounds the in-memory footprint of the open queue and
-	// the visited arena (bytes; 0 = fully in-memory). Past the budget
-	// the frontier spills encoded chunks to temp segment files and the
-	// visited set spills its cold arena tail — same verdict, same
-	// bytes, flat memory. Result-irrelevant: not part of a job's
-	// content key or checkpoint identity.
+	// MemBudget bounds the in-memory footprint of the visited set
+	// (bytes; 0 = fully in-memory). Past the budget the visited set
+	// spills its cold arena tail — the ids of layers already expanded —
+	// to a temp file: same verdict, same bytes, flat memory. The open
+	// queue is the arena's newest id range, so nothing else spills.
+	// Result-irrelevant: not part of a job's content key or checkpoint
+	// identity.
 	MemBudget int64
-	// SpillDir hosts the spill scratch files ("" = os.TempDir()).
+	// SpillDir hosts the arena spill file ("" = os.TempDir()).
 	SpillDir string
-	// FS routes the spill-file I/O (frontier segments, arena cold
-	// tail) through a chaos.FS (nil = the host filesystem). The chaos
-	// battery injects faults here; checksums on both spill formats turn
-	// silent corruption into classified errors.
+	// FS routes the arena spill-file I/O through a chaos.FS (nil = the
+	// host filesystem). The chaos battery injects faults here; a
+	// checksum on every spilled record turns silent corruption into a
+	// classified error.
 	FS chaos.FS
 	// Checkpoint, if non-nil, persists a resumable snapshot every
 	// CheckpointEvery expanded states and on context cancellation, and
@@ -206,7 +207,7 @@ type Options struct {
 type Progress struct {
 	States      int   // distinct configurations promoted so far
 	Expanded    int   // configurations expanded in the current layer
-	Frontier    int   // open-queue entries remaining in the current layer
+	Frontier    int   // states of the current layer not yet expanded
 	Depth       int   // BFS layer currently expanding
 	Transitions int64 // transitions enumerated so far
 }
@@ -747,8 +748,8 @@ func Explore[S sim.Cloneable[S]](newModel func() *Model[S], opts Options) *Resul
 	return res
 }
 
-// exploreChunk is the expansion batch size: the open queue is drained
-// and fanned across the workers this many states at a time. Chunk
+// exploreChunk is the expansion batch size: a layer's id range is
+// walked and fanned across the workers this many states at a time. Chunk
 // boundaries — workers parked, set quiescent — are where cancellation
 // is honored and checkpoints are taken. The chunking itself is
 // invisible in the result: successor discovery positions are layer
@@ -818,15 +819,9 @@ func ExploreCtx[S sim.Cloneable[S]](ctx context.Context, newModel func() *Model[
 	b.run = newLayerDriver(m0, &opts)
 	res = b.run.res
 	b.ohash = optionsHash(m0.Name, m0.Codec.Words, m0.Prog.NumProcs, &opts)
-	b.chunkBuf = make([]int32, 0, exploreChunk)
 
 	b.vs = b.newVisited()
 	defer func() { b.vs.Close() }()
-	// The memory budget splits between the visited arena (the bulk of
-	// the footprint, Options.arenaShare) and the open queue of promoted
-	// ids.
-	b.front = NewFrontier(opts.MemBudget/8, opts.SpillDir, opts.FS)
-	defer b.front.Close()
 
 	resumed, err := b.restore()
 	res = b.run.res // a restore replaces the driver's state, result included
@@ -842,23 +837,22 @@ func ExploreCtx[S sim.Cloneable[S]](ctx context.Context, newModel func() *Model[
 }
 
 // localBackend is the single-process LayerBackend: every state lives in
-// one visited set, the layer in flight is the open queue, and a layer is
-// expanded a chunk at a time so cancellation and checkpoints land
-// mid-layer.
+// one visited set, and a layer is expanded a chunk at a time so
+// cancellation and checkpoints land mid-layer. Promotion hands out
+// dense ids in order, so the layer in flight is the arena's newest id
+// range [States−width, States) and its open remainder starts at
+// States−width+done: the arena is the open queue.
 type localBackend[S sim.Cloneable[S]] struct {
-	opts  *Options
-	wss   []*workerState[S] // co-owners of vs's stripes (emit.go)
-	vs    *Visited
-	front *Frontier
+	opts *Options
+	wss  []*workerState[S] // co-owners of vs's stripes (emit.go)
+	vs   *Visited
 	// run is the driver this backend serves: a checkpoint is the
 	// driver's state plus this backend's, and the position in the layer
 	// (run.done) advances here, chunk by chunk.
 	run   *layerDriver
 	ohash [32]byte
 
-	chunkBuf      []int32
-	expandedSince int   // states expanded since the last periodic snapshot
-	hotFrom       int32 // first id of the layer last expanded: Housekeep's hot watermark
+	expandedSince int // states expanded since the last periodic snapshot
 
 	// The cursor of the chunk fan-out in flight, and the flag a worker
 	// raises to end it early when its route buffers are full.
@@ -880,8 +874,8 @@ func newVisited(words int, opts *Options, serial bool, sharers int) *Visited {
 }
 
 // arenaShare is the visited-arena budget of one of n sets sharing
-// MemBudget (0 = never spill): the arena gets half — the open queue and
-// the slot tables live in the rest — split evenly.
+// MemBudget (0 = never spill): the arena gets half — the slot tables
+// and the pending set live in the rest — split evenly.
 func (o *Options) arenaShare(n int) int64 {
 	if o.MemBudget <= 0 {
 		return 0
@@ -894,8 +888,8 @@ func (b *localBackend[S]) newVisited() *Visited {
 }
 
 // restore resumes from the configured checkpoint, if a usable one
-// exists: the driver state, the open queue and the pending set come
-// back exactly as save left them.
+// exists: the driver state, the arena and the pending set come back
+// exactly as save left them.
 func (b *localBackend[S]) restore() (bool, error) {
 	ck := b.opts.Checkpoint
 	if ck == nil {
@@ -923,11 +917,6 @@ func (b *localBackend[S]) restore() (bool, error) {
 		return false, nil
 	}
 	b.run.layerState = snap.layerState
-	for _, id := range snap.frontier {
-		if err := b.front.Push(id); err != nil {
-			return false, err
-		}
-	}
 	for _, p := range snap.pending {
 		b.vs.Probe(p.Key, hashWords(p.Key), p.Pos, p.Parent, []byte(p.Sel))
 	}
@@ -939,8 +928,6 @@ func (b *localBackend[S]) restore() (bool, error) {
 
 func (b *localBackend[S]) fillStats() {
 	if st := b.opts.Stats; st != nil {
-		st.FrontierSpillSegments = b.front.SpillSegments
-		st.FrontierSpilledBytes = b.front.SpilledBytes
 		st.ArenaSpilledBytes = b.vs.SpilledBytes()
 	}
 }
@@ -954,13 +941,9 @@ func (b *localBackend[S]) save() error {
 			panic("explore: checkpoint with routed successors not yet probed")
 		}
 	}
-	remaining, err := b.front.AppendRemaining(nil)
-	if err != nil {
-		return err
-	}
 	snap := &snapshot{
 		hash: b.ohash, words: b.wss[0].model.Codec.Words, layerState: b.run.layerState,
-		frontier: remaining, pending: b.vs.SnapshotPending(),
+		pending: b.vs.SnapshotPending(),
 	}
 	if err := b.opts.Checkpoint.Save(func(w io.Writer) error { return writeSnapshot(w, snap, b.vs) }); err != nil {
 		return err
@@ -986,21 +969,21 @@ func (b *localBackend[S]) Seed() error {
 	return nil
 }
 
-// Expand implements LayerBackend (phase A: concurrent, chunked): drain
-// the open queue a chunk at a time and fan it across the workers;
-// workers hash successors and probe or route them into the sharded set
-// as they go, accumulating order-insensitive statistics per worker.
+// Expand implements LayerBackend (phase A: concurrent, chunked): walk
+// the layer's unexpanded ids a chunk at a time and fan each chunk
+// across the workers; workers hash successors and probe or route them
+// into the sharded set as they go, accumulating order-insensitive
+// statistics per worker.
 func (b *localBackend[S]) Expand(ctx context.Context, depth int, first int32, rep *LayerReport) error {
 	opts, vs, run := b.opts, b.vs, b.run
-	b.hotFrom = first
 	for _, ws := range b.wss {
-		ws.beginLayer(b.front.Len())
+		ws.beginLayer(run.width - run.done)
 	}
-	for b.front.Len() > 0 {
+	for run.done < run.width {
 		// Both snapshot triggers live here, BEFORE the chunk is
-		// popped: with the frontier non-empty the snapshot is
+		// expanded: with part of the layer still open the snapshot is
 		// self-contained (a snapshot taken after a layer's last
-		// chunk would have an empty frontier with the next layer
+		// chunk would have nothing left to expand with the next layer
 		// still un-promoted in the pending set, and a kill right
 		// after persisting it would resume to a prematurely
 		// terminated exploration).
@@ -1025,26 +1008,22 @@ func (b *localBackend[S]) Expand(ctx context.Context, depth int, first int32, re
 			}
 			b.expandedSince = 0
 		}
-		chunk, err := b.front.PopChunk(b.chunkBuf)
-		if err != nil {
+		n := min(run.width-run.done, exploreChunk)
+		if err := b.expandChunk(first+int32(run.done), n, depth); err != nil {
 			return err
 		}
-		if err := b.expandChunk(chunk, depth); err != nil {
-			return err
-		}
-		run.done += len(chunk)
-		b.expandedSince += len(chunk)
+		run.done += n
+		b.expandedSince += n
 		for _, ws := range b.wss {
 			rep.Merge(&ws.rep)
 		}
 		if opts.Progress != nil {
 			// Between chunks the workers are quiesced (ForEachWorker is
-			// a barrier), so the promoted count and frontier length are
-			// stable to read here.
+			// a barrier), so the promoted count is stable to read here.
 			opts.Progress(Progress{
 				States:      vs.States(),
 				Expanded:    run.done,
-				Frontier:    b.front.Len(),
+				Frontier:    run.width - run.done,
 				Depth:       depth,
 				Transitions: run.res.Transitions + rep.Transitions,
 			})
@@ -1053,20 +1032,21 @@ func (b *localBackend[S]) Expand(ctx context.Context, depth int, first int32, re
 	return nil
 }
 
-// expandChunk expands chunk (layer items run.done, run.done+1, …) into
-// the workers' report slots. Workers pull items off a shared cursor; a
-// worker whose route buffers reach routeFlushRecords ends the fan-out,
-// every owner drains the buffers addressed to it in a second fan-out,
-// and the first resumes where it stopped — so on return every successor
-// of the chunk is in the visited set and every buffer is empty. Items
-// are handed out in order and a worker finishes the one it holds, so a
-// stopped fan-out has completed exactly the items below the cursor.
-func (b *localBackend[S]) expandChunk(chunk []int32, depth int) error {
+// expandChunk expands the size consecutive states from, from+1, …
+// (layer items run.done, run.done+1, …) into the workers' report
+// slots. Workers pull items off a shared cursor; a worker whose route
+// buffers reach routeFlushRecords ends the fan-out, every owner drains
+// the buffers addressed to it in a second fan-out, and the first
+// resumes where it stopped — so on return every successor of the chunk
+// is in the visited set and every buffer is empty. Items are handed
+// out in order and a worker finishes the one it holds, so a stopped
+// fan-out has completed exactly the items below the cursor.
+func (b *localBackend[S]) expandChunk(from int32, size, depth int) error {
 	vs, base, n := b.vs, b.run.done, len(b.wss)
 	for _, ws := range b.wss {
 		ws.rep = LayerReport{Viols: ws.rep.Viols[:0]}
 	}
-	for lo := 0; lo < len(chunk); lo = min(int(b.cursor.Load()), len(chunk)) {
+	for lo := 0; lo < size; lo = min(int(b.cursor.Load()), size) {
 		b.cursor.Store(int64(lo))
 		b.routeFull.Store(false)
 		// n loops over n "items": the item index, not the goroutine
@@ -1076,10 +1056,10 @@ func (b *localBackend[S]) expandChunk(chunk []int32, depth int) error {
 			ws := b.wss[w]
 			for !b.routeFull.Load() {
 				i := int(b.cursor.Add(1)) - 1
-				if i >= len(chunk) {
+				if i >= size {
 					return
 				}
-				ws.expand(vs, &ws.rep, chunk[i], base+i, depth)
+				ws.expand(vs, &ws.rep, from+int32(i), base+i, depth)
 				if ws.routed >= routeFlushRecords {
 					b.routeFull.Store(true)
 				}
@@ -1102,9 +1082,9 @@ func (b *localBackend[S]) expandChunk(chunk []int32, depth int) error {
 }
 
 // Commit implements LayerBackend (phase B: serial): promote the fresh
-// states in deterministic discovery order — their ids queue on the
-// (possibly spilling) frontier as the next layer — then run the scaling
-// housekeeping (re-shard, cold-tail spill).
+// states in deterministic discovery order — their dense ids are the
+// next layer — then run the scaling housekeeping (re-shard, cold-tail
+// spill).
 func (b *localBackend[S]) Commit(room int, housekeep bool, keep func(parent int32, sel string)) (int, bool, error) {
 	fresh := b.vs.Drain()
 	kept := len(fresh)
@@ -1117,13 +1097,13 @@ func (b *localBackend[S]) Commit(room int, housekeep bool, keep func(parent int3
 			continue
 		}
 		keep(f.Parent, f.Sel)
-		if err := b.front.Push(b.vs.Promote(f)); err != nil {
-			return 0, false, err
-		}
+		b.vs.Promote(f)
 	}
 	b.vs.Reset()
 	if housekeep {
-		if err := b.vs.Housekeep(b.hotFrom); err != nil {
+		// The driver has not yet counted this commit, so the hot
+		// watermark is the first id of the layer just expanded.
+		if err := b.vs.Housekeep(int32(b.run.res.States - b.run.width)); err != nil {
 			return 0, false, err
 		}
 	}

@@ -10,12 +10,14 @@ import (
 	"repro/internal/chaos"
 )
 
-// Frontier is the explorer's open queue: a FIFO of promoted state ids
-// (the current BFS layer) that spills to disk when it outgrows a byte
-// budget. The BFS fills it once per layer (promotion is serial) and
-// drains it in chunks during the next expansion phase, so the structure
-// only needs strict FIFO order, not random access — which is what makes
-// the out-of-core representation trivial and fast:
+// Frontier is a FIFO of state ids that spills to disk when it outgrows
+// a byte budget. It was the explorer's open queue; no explorer path
+// uses it any more — promotion hands out dense ids in order, so a BFS
+// layer is an id range of the arena — and bench/wl_explore.go, which
+// still measures it, is its only caller. It goes when that probe goes.
+//
+// The structure only needs strict FIFO order, not random access, which
+// is what makes the out-of-core representation trivial and fast:
 //
 //   - ids are appended to an in-memory tail;
 //   - when the in-memory footprint exceeds the budget, the whole tail
@@ -25,25 +27,14 @@ import (
 //     oldest segment is read back sequentially — one read per segment —
 //     and its file is deleted immediately;
 //   - order is head → spilled segments (oldest first) → tail, i.e.
-//     exactly push order, so spilling is invisible to the exploration:
-//     the same states are expanded at the same (item, branch) layer
-//     positions and every report stays byte-identical.
+//     exactly push order, so spilling is invisible to the consumer.
 //
-// Segment files are ephemeral scratch: a checkpoint persists the
-// frontier's *contents* (AppendRemaining), never its segment files, so
-// a crash mid-segment-write can only lose scratch that the next run
-// rebuilds from the checkpoint.
+// A spilled segment is the only copy of its ids, so a segment that
+// fails its checksum cannot be silently skipped. It is renamed aside
+// (*.quarantine) and surfaced as a *chaos.CorruptError. Transient write
+// failures during spilling are retried in place.
 //
-// Unlike verdict entries and checkpoints, a spilled segment is live,
-// non-redundant data — there is no other copy of those queued ids in
-// this process — so a segment that fails its checksum cannot be
-// silently skipped. It is renamed aside (*.quarantine) and surfaced as
-// a *chaos.CorruptError; the recovery unit is the whole job (a fresh
-// attempt rebuilds the frontier), driven by the campaign cell retry.
-// Transient write failures during spilling are retried in place.
-//
-// All methods are serial-phase only (the BFS driver owns the frontier;
-// workers never touch it).
+// A Frontier is single-goroutine.
 type Frontier struct {
 	budget int64  // in-memory byte budget (0 = never spill)
 	dir    string // parent for the segment dir ("" = os.TempDir())
@@ -78,7 +69,8 @@ const segHeaderLen = 8 + 4 + 8
 
 // NewFrontier builds a frontier with the given in-memory byte budget
 // (0 = fully in-memory) spilling under dir ("" = the system temp dir)
-// through fsys (nil = the host filesystem).
+// through fsys (nil = the host filesystem). No explorer path calls it;
+// bench/wl_explore.go is its only caller.
 func NewFrontier(budget int64, dir string, fsys chaos.FS) *Frontier {
 	if fsys == nil {
 		fsys = chaos.OS
@@ -230,9 +222,8 @@ func (f *Frontier) PopChunk(dst []int32) ([]int32, error) {
 }
 
 // AppendRemaining appends every queued id in pop order without
-// consuming the queue — the checkpoint snapshot of the pending
-// frontier. Spilled segments are read (not deleted); the frontier
-// keeps draining normally afterwards.
+// consuming the queue. Spilled segments are read (not deleted); the
+// frontier keeps draining normally afterwards.
 func (f *Frontier) AppendRemaining(dst []int32) ([]int32, error) {
 	dst = append(dst, f.head[f.headOff:]...)
 	for _, path := range f.segs {

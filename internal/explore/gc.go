@@ -7,7 +7,8 @@ import (
 )
 
 // GCSpill removes orphaned spill scratch left in dir by a killed
-// process — cc-frontier-* segment directories and cc-arena-* files —
+// process — cc-arena-* files, plus the cc-frontier-* segment
+// directories that older binaries and bench's open-queue probe leave —
 // and returns the number of entries removed. A live run's scratch is
 // only at risk if GCSpill races it in the same directory, so callers
 // run it at startup only (ccserve, cccheck -cache entry). dir "" means

@@ -86,8 +86,9 @@ type LayerBackend interface {
 }
 
 // layerState is the driver's resumable state: together with the
-// backend's own (arena, pending set, open queue) it is exactly what a
-// checkpoint captures.
+// backend's own (arena, pending set) it is exactly what a checkpoint
+// captures. The layer's open remainder needs no state of its own: it
+// is the id range [res.States−width+done, res.States).
 type layerState struct {
 	res   *Result
 	depth int // the layer being expanded

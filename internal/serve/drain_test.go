@@ -96,6 +96,17 @@ func TestDrainCheckpointsAndResumes(t *testing.T) {
 	// The verdict matches an uninterrupted run (separate store) and the
 	// snapshot is gone.
 	_, body := get(t, ts2.URL+"/v1/jobs/"+id+"/result")
+	// Restored states are counted as resumed, never again as explored:
+	// together the two cover the result exactly once.
+	var res struct{ States int }
+	if err := json.Unmarshal(body, &res); err != nil {
+		t.Fatal(err)
+	}
+	explored := metric(t, ts2, "ccserve_states_explored_total")
+	resumed := metric(t, ts2, "ccserve_states_resumed_total")
+	if explored+resumed != float64(res.States) {
+		t.Fatalf("states explored %v + resumed %v != the result's %d states", explored, resumed, res.States)
+	}
 	cleanDir := t.TempDir()
 	stClean, err := store.Open(cleanDir)
 	if err != nil {

@@ -96,9 +96,9 @@ type Config struct {
 	// restarting (default 1,000,000; negative = disabled).
 	CheckpointEvery int
 	// MemBudget bounds each job's in-memory explorer footprint
-	// (bytes; 0 = fully in-memory): past it the frontier and the cold
-	// visited arena spill to SpillDir ("" = the system temp dir),
-	// letting jobs exceed RAM with byte-identical verdicts.
+	// (bytes; 0 = fully in-memory): past it the cold visited arena
+	// spills to SpillDir ("" = the system temp dir), letting jobs
+	// exceed RAM with byte-identical verdicts.
 	MemBudget int64
 	SpillDir  string
 	// FS routes the explorers' spill-file I/O through a chaos.FS
@@ -730,13 +730,14 @@ func (s *Server) run(j *job) {
 	if s.breaker.available() {
 		st = s.cfg.Store
 	}
+	stats := &explore.RunStats{}
 	eo := campaign.ExecOptions{
 		Workers:   s.cfg.JobWorkers,
 		MemBudget: s.cfg.MemBudget,
 		SpillDir:  s.cfg.SpillDir,
 		FS:        s.cfg.FS,
-		Stats:     &explore.RunStats{},
-		Progress:  s.progressFunc(j.key),
+		Stats:     stats,
+		Progress:  s.progressFunc(j.key, stats),
 		// A failed job is terminal here: the client's resubmission is
 		// the retry, and the breaker counts every store-write failure.
 		Retries: -1,
@@ -812,7 +813,9 @@ func (s *Server) run(j *job) {
 		j.status, j.cached, j.res, j.result = StatusDone, true, res, raw
 	default:
 		s.executed.Add(1)
-		s.statesExplored.Add(int64(res.States))
+		// Restored states count under ccserve_states_resumed_total; this
+		// run explored only the rest, in elapsed.
+		s.statesExplored.Add(int64(res.States - eo.Stats.ResumedStates))
 		s.exploreNanos.Add(elapsed.Nanoseconds())
 		j.status, j.res, j.result = StatusDone, res, raw
 	}

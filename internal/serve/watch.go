@@ -66,8 +66,10 @@ func terminalType(status string) string {
 // progressFunc builds the explore.Progress hook for one job: a
 // time-throttled publish of the counter snapshot. It runs on the
 // exploration goroutine at chunk boundaries, so it must stay cheap —
-// Publish is non-blocking by construction.
-func (s *Server) progressFunc(key string) func(explore.Progress) {
+// Publish is non-blocking by construction. stats is the job's own: the
+// explorer fills ResumedStates on that goroutine before the first
+// call, and the rate counts only the states this run explored.
+func (s *Server) progressFunc(key string, stats *explore.RunStats) func(explore.Progress) {
 	start := time.Now()
 	var last time.Time
 	return func(p explore.Progress) {
@@ -78,7 +80,7 @@ func (s *Server) progressFunc(key string) func(explore.Progress) {
 		last = now
 		perSec := 0.0
 		if el := now.Sub(start).Seconds(); el > 0 {
-			perSec = float64(p.States) / el
+			perSec = float64(p.States-stats.ResumedStates) / el
 		}
 		s.broker.Publish(jobTopic(key), pubsub.TypeProgress, progressView{
 			ID: key, States: p.States, Frontier: p.Frontier, Depth: p.Depth,
