@@ -30,6 +30,28 @@ func TestCCSimGoldenRun(t *testing.T) {
 	}
 }
 
+// TestCCSimLargeRing: past 64 processes the run goes through the
+// kernel-driven runner, and the header's minMM enumeration stops at its
+// budget instead of running for hours before the first step.
+func TestCCSimLargeRing(t *testing.T) {
+	bin := cmdtest.Build(t, ".")
+	out, code := cmdtest.Run(t, bin, time.Minute,
+		"-alg", "cc2", "-topo", "ring:70", "-steps", "2000")
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	for _, want := range []string{
+		"minMM=skipped (over ",
+		"Theorem5Bound=skipped  Theorem8Bound=skipped",
+		"CC2 after 2000 steps",
+		"violations:        none",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestCCSimRandomInitSnapStabilization(t *testing.T) {
 	bin := cmdtest.Build(t, ".")
 	out, code := cmdtest.Run(t, bin, 2*time.Minute,

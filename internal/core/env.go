@@ -177,9 +177,24 @@ func (e *InfiniteMeetings) Update(cfg []State, _ int) {
 // Changed implements EnvTracker.
 func (e *InfiniteMeetings) Changed() []int { return e.changed }
 
+// trackerOf returns env's change tracking, or nil when its predicate
+// flips cannot be attributed to processes. A Masked env tracks exactly
+// when the Env it wraps does.
+func trackerOf(env Env) EnvTracker {
+	if m, ok := env.(*Masked); ok {
+		if _, ok := m.Env.(EnvTracker); !ok {
+			return nil
+		}
+	}
+	t, _ := env.(EnvTracker)
+	return t
+}
+
 // Masked wraps an Env so that the professors marked Idle never request
-// in (Figure 3's professor 4). It does not forward EnvTracker: the
-// Runner re-evaluates every guard after its updates.
+// in (Figure 3's professor 4). Idle is static, so the wrapper's answers
+// flip only where the wrapped Env's do: it forwards the wrapped Env's
+// change tracking when that Env has one, and the Runner re-evaluates
+// every guard after each update when it does not.
 type Masked struct {
 	Env
 	Idle []bool
@@ -187,6 +202,16 @@ type Masked struct {
 
 // RequestIn implements Env.
 func (m *Masked) RequestIn(p int) bool { return !m.Idle[p] && m.Env.RequestIn(p) }
+
+// Changed implements EnvTracker by forwarding to the wrapped Env; it
+// reports nothing when that Env does not track (the Runner then
+// invalidates the whole enabled set instead).
+func (m *Masked) Changed() []int {
+	if t, ok := m.Env.(EnvTracker); ok {
+		return t.Changed()
+	}
+	return nil
+}
 
 // Scripted is a fully scripted environment for trace replays (Figure 3):
 // the test driver sets In/Out directly between steps.

@@ -10,19 +10,24 @@ import (
 	"repro/internal/token"
 )
 
-// This file is the batch/SoA guard kernel for CC ∘ TC: a
-// sim.BatchKernel that evaluates every guard of a configuration in one
-// columnar pass instead of walking the action list's guard closures per
-// process. The committee-layer predicates (Ready, Meeting, EdgeMeets,
-// FreeEdges, LeaveMeeting, TPointingEdges) all quantify over the members
-// of incident committees, so the scalar path re-derives the same member
+// This file is the batch/SoA guard kernel for CC ∘ TC, the one
+// columnar transcription of the composed program's guards. It serves
+// both tiers: the explorer drives it as a sim.BatchKernel (Eval judges
+// every process of a decoded configuration at once), and core.NewRunner
+// installs Choose as the simulator's sim.Program Chooser (each step's
+// enabled-set refresh judges just the processes it lists). The
+// committee-layer predicates (Ready, Meeting, EdgeMeets, FreeEdges,
+// LeaveMeeting, TPointingEdges) all quantify over the members of
+// incident committees, so the guard walk re-derives the same member
 // scans once per guard per process; the kernel instead gathers the S/P/
 // T/L fields into struct-of-arrays columns and computes every per-edge
 // predicate in a single member pass per edge, shared by all processes
-// and all guards. The action *bodies* are not reimplemented: Apply runs
-// the Program's own scalar bodies, so the kernel can only diverge from
-// the scalar engine in guard selection — exactly what the FuzzBatchGuards
-// target and the three-way differential battery pin down.
+// and all guards. Both entries end in the same choose1/choose2. The
+// action *bodies* are not reimplemented: Apply runs the Program's own
+// scalar bodies, so the kernel can only diverge from the guard walk in
+// guard selection — exactly what the FuzzBatchGuards target, the
+// three-way differential battery and the runner equivalence tests pin
+// down.
 //
 // Beyond sim.BatchKernel, the kernel implements the explorer's extended
 // checker interface (see internal/explore): cached EdgeMeets/Correct
@@ -60,7 +65,8 @@ type Kernel struct {
 	isEdgeOf []bool
 	isMin    []bool
 
-	// Parent-configuration columns, gathered by Eval.
+	// Parent-configuration columns, gathered by Eval (every process) or
+	// Choose (the closed neighbourhoods of the listed processes).
 	colS []Status
 	colP []int32
 	colT []bool
@@ -88,19 +94,34 @@ type Kernel struct {
 	postS   []Status
 	postP   []int32
 	selMask uint64
+
+	// Choose's state, allocated by its first call. Per-refresh stamps: a
+	// process's columns are gathered and a committee's predicates
+	// computed once per call however many listed processes share them.
+	epoch                uint32
+	procEpoch, edgeEpoch []uint32
+
+	// Choose's token-layer memo (TC-LE > TC-Norm > TC-ChainFix > TC-Join
+	// > TC-Resume, or -1, per process). A TC guard of p reads only the
+	// TC fields of p and its G_H neighbours, so tcAct[p] stays valid
+	// until one of those differs from the copy in tcSeen; a gather that
+	// finds q's copy outdated marks q's closed neighbourhood stale. Only
+	// Choose sets memo, so Eval always judges the token layer afresh.
+	memo    bool
+	tcSeen  []token.State
+	tcAct   []int
+	tcStale []bool
 }
 
 // NewKernel builds the columnar kernel for alg and its (unmutated)
 // program. It panics if the action list does not match Alg.Program's
 // layout — a mutated or foreign program must use the generic
 // sim.NewProgramKernel instead, or the hardcoded guards would silently
-// disagree with the program's.
+// disagree with the program's. Choose serves any number of processes;
+// Eval, whose enabled set is a word, panics past 64.
 func NewKernel(alg *Alg, prog *sim.Program[State]) *Kernel {
 	h := alg.H
 	n, m := h.N(), h.M()
-	if n > 64 {
-		panic(fmt.Sprintf("core: NewKernel over %d processes (max 64)", n))
-	}
 	k := &Kernel{
 		alg: alg, prog: prog, rng: rand.New(rand.NewSource(1)),
 		h: h, n: n, m: m, cc1: alg.Variant == CC1,
@@ -174,76 +195,190 @@ func (k *Kernel) inEp(p int, e int32) bool {
 // and per-process predicate, and resolves each process's highest-
 // priority enabled action (sim.BatchKernel).
 func (k *Kernel) Eval(cfg []State) uint64 {
-	h := k.h
+	if k.n > 64 {
+		panic(fmt.Sprintf("core: Kernel.Eval over %d processes (max 64)", k.n))
+	}
 	for p := 0; p < k.n; p++ {
-		s := &cfg[p]
-		k.colS[p] = s.S
-		k.colP[p] = int32(s.P)
-		k.colT[p] = s.T
-		k.colL[p] = s.L
-		k.tok[p] = s.TC.A && s.TC.H == token.Hold // token.Module.HasToken
+		k.gather(cfg, p)
 	}
-	// One member pass per edge computes all per-edge predicates.
 	for e := 0; e < k.m; e++ {
-		ee := int32(e)
-		mt, rd, fr, ex := true, true, true, true
-		tp := false
-		for _, q := range h.Edge(e) {
-			s, ptr := k.colS[q], k.colP[q]
-			at := ptr == ee
-			if !at || (s != Waiting && s != Done) {
-				mt = false
-			}
-			if !at || (s != Looking && s != Waiting) {
-				rd = false
-			}
-			if k.cc1 {
-				if s != Looking {
-					fr = false
-				}
-				if at && s != Done {
-					ex = false
-				}
-			} else {
-				if s != Looking || k.colL[q] || k.colT[q] {
-					fr = false
-				}
-				if at && s == Waiting {
-					ex = false
-				}
-				if at && k.colT[q] && s == Looking {
-					tp = true
-				}
-			}
-		}
-		k.meets[e], k.readyE[e], k.freeE[e], k.exitE[e], k.tPtE[e] = mt, rd, fr, ex, tp
+		k.judgeEdge(e)
 	}
-	// Per-process ORs over E_p, then Correct from the cached edge bits.
+	for p := 0; p < k.n; p++ {
+		k.judgeProc(p)
+	}
 	var enabled uint64
 	for p := 0; p < k.n; p++ {
-		rd, mt, fr, lk := false, false, false, false
-		for _, e := range h.EdgesOf(p) {
-			rd = rd || k.readyE[e]
-			mt = mt || k.meets[e]
-			fr = fr || k.freeE[e]
-			lk = lk || k.tPtE[e]
-		}
-		k.ready[p], k.meeting[p], k.hasFree[p], k.lockedP[p] = rd, mt, fr, lk
-		k.correct[p] = k.correctCached(p)
-	}
-	for p := 0; p < k.n; p++ {
-		var a int
-		if k.cc1 {
-			a = k.choose1(cfg, p)
-		} else {
-			a = k.choose2(cfg, p)
-		}
+		a := k.choose(cfg, p)
 		k.acts[p] = a
 		if a >= 0 {
 			enabled |= uint64(1) << p
 		}
 	}
 	return enabled
+}
+
+// Choose is the simulator's entry (sim.Program.Chooser): it writes into
+// act[p], for every p in procs, the action the guard walk picks for p in
+// cfg. Each listed process gathers the columns of its closed G_H
+// neighbourhood and judges its incident committees, both at most once
+// per call, and the token layer is re-judged only where the memo is
+// stale. Any n is served; act must have room for every process.
+func (k *Kernel) Choose(cfg []State, procs []int, act []int) {
+	if k.tcStale == nil { // first call: the explorer's kernels never get here
+		k.procEpoch = par.PrivateSlice[uint32](k.n)
+		k.edgeEpoch = par.PrivateSlice[uint32](k.m)
+		k.tcSeen = par.PrivateSlice[token.State](k.n)
+		k.tcAct = par.PrivateSlice[int](k.n)
+		k.tcStale = par.PrivateSlice[bool](k.n)
+		for p := range k.tcStale {
+			k.tcStale[p] = true
+		}
+	}
+	k.epoch++
+	if k.epoch == 0 { // wrapped: clear the stamps so none reads as current
+		clear(k.procEpoch)
+		clear(k.edgeEpoch)
+		k.epoch = 1
+	}
+	k.memo = true
+	h := k.h
+	for _, p := range procs {
+		k.gatherMemo(cfg, p)
+		for _, q := range h.Neighbors(p) {
+			k.gatherMemo(cfg, q)
+		}
+		for _, e := range h.EdgesOf(p) {
+			if k.edgeEpoch[e] != k.epoch {
+				k.edgeEpoch[e] = k.epoch
+				k.judgeEdge(e)
+			}
+		}
+		k.judgeProc(p)
+		act[p] = k.choose(cfg, p)
+	}
+	k.memo = false
+}
+
+// gather copies process p's S/P/T/L fields and token bit into the
+// columns.
+func (k *Kernel) gather(cfg []State, p int) {
+	s := &cfg[p]
+	k.colS[p] = s.S
+	k.colP[p] = int32(s.P)
+	k.colT[p] = s.T
+	k.colL[p] = s.L
+	k.tok[p] = s.TC.A && s.TC.H == token.Hold // token.Module.HasToken
+}
+
+// gatherMemo gathers q once per Choose call and, when q's TC fields
+// moved since the memo last saw them, marks the token-layer choice of
+// every process reading them stale.
+func (k *Kernel) gatherMemo(cfg []State, q int) {
+	if k.procEpoch[q] == k.epoch {
+		return
+	}
+	k.procEpoch[q] = k.epoch
+	k.gather(cfg, q)
+	if tc := &cfg[q].TC; *tc != k.tcSeen[q] {
+		k.tcSeen[q] = *tc
+		k.tcStale[q] = true
+		for _, r := range k.h.Neighbors(q) {
+			k.tcStale[r] = true
+		}
+	}
+}
+
+// judgeEdge computes every per-edge predicate of committee e in one
+// member pass over the gathered columns.
+func (k *Kernel) judgeEdge(e int) {
+	ee := int32(e)
+	mt, rd, fr, ex := true, true, true, true
+	tp := false
+	for _, q := range k.h.Edge(e) {
+		s, ptr := k.colS[q], k.colP[q]
+		at := ptr == ee
+		if !at || (s != Waiting && s != Done) {
+			mt = false
+		}
+		if !at || (s != Looking && s != Waiting) {
+			rd = false
+		}
+		if k.cc1 {
+			if s != Looking {
+				fr = false
+			}
+			if at && s != Done {
+				ex = false
+			}
+		} else {
+			if s != Looking || k.colL[q] || k.colT[q] {
+				fr = false
+			}
+			if at && s == Waiting {
+				ex = false
+			}
+			if at && k.colT[q] && s == Looking {
+				tp = true
+			}
+		}
+	}
+	k.meets[e], k.readyE[e], k.freeE[e], k.exitE[e], k.tPtE[e] = mt, rd, fr, ex, tp
+}
+
+// judgeProc folds p's incident committees into its per-process ORs and
+// derives Correct(p) from them.
+func (k *Kernel) judgeProc(p int) {
+	rd, mt, fr, lk := false, false, false, false
+	for _, e := range k.h.EdgesOf(p) {
+		rd = rd || k.readyE[e]
+		mt = mt || k.meets[e]
+		fr = fr || k.freeE[e]
+		lk = lk || k.tPtE[e]
+	}
+	k.ready[p], k.meeting[p], k.hasFree[p], k.lockedP[p] = rd, mt, fr, lk
+	k.correct[p] = k.correctCached(p)
+}
+
+// choose resolves p's highest-priority enabled action from the judged
+// columns, or -1.
+func (k *Kernel) choose(cfg []State, p int) int {
+	if k.cc1 {
+		return k.choose1(cfg, p)
+	}
+	return k.choose2(cfg, p)
+}
+
+// tcChoice returns p's token-layer action (TC-LE > TC-Norm >
+// TC-ChainFix > TC-Join > TC-Resume), or -1 — from the memo inside
+// Choose, afresh otherwise.
+func (k *Kernel) tcChoice(cfg []State, p int) int {
+	if !k.memo {
+		return k.judgeTC(cfg, p)
+	}
+	if k.tcStale[p] {
+		k.tcAct[p] = k.judgeTC(cfg, p)
+		k.tcStale[p] = false
+	}
+	return k.tcAct[p]
+}
+
+func (k *Kernel) judgeTC(cfg []State, p int) int {
+	v := k.alg.tcView(cfg)
+	tc := k.alg.TC
+	switch {
+	case tc.LeaderEnabled(v, p):
+		return k.aTCLE
+	case tc.NormEnabled(v, p):
+		return k.aTCNorm
+	case tc.ChainFixEnabled(v, p):
+		return k.aTCChainFix
+	case tc.JoinEnabled(v, p):
+		return k.aTCJoin
+	case tc.ResumeEnabled(v, p):
+		return k.aTCResume
+	}
+	return -1
 }
 
 // correctCached evaluates Correct(p) for the parent configuration from
@@ -277,19 +412,8 @@ func (k *Kernel) choose2(cfg []State, p int) int {
 	if !k.correct[p] {
 		return k.aStab
 	}
-	v := a.tcView(cfg)
-	tc := a.TC
-	switch {
-	case tc.LeaderEnabled(v, p):
-		return k.aTCLE
-	case tc.NormEnabled(v, p):
-		return k.aTCNorm
-	case tc.ChainFixEnabled(v, p):
-		return k.aTCChainFix
-	case tc.JoinEnabled(v, p):
-		return k.aTCJoin
-	case tc.ResumeEnabled(v, p):
-		return k.aTCResume
+	if t := k.tcChoice(cfg, p); t >= 0 {
+		return t
 	}
 	s, ptr := k.colS[p], k.colP[p]
 	// Step4 — LeaveMeeting(p) ∧ RequestOut(p).
@@ -351,19 +475,8 @@ func (k *Kernel) choose1(cfg []State, p int) int {
 		}
 		return k.aStab1
 	}
-	v := a.tcView(cfg)
-	tc := a.TC
-	switch {
-	case tc.LeaderEnabled(v, p):
-		return k.aTCLE
-	case tc.NormEnabled(v, p):
-		return k.aTCNorm
-	case tc.ChainFixEnabled(v, p):
-		return k.aTCChainFix
-	case tc.JoinEnabled(v, p):
-		return k.aTCJoin
-	case tc.ResumeEnabled(v, p):
-		return k.aTCResume
+	if t := k.tcChoice(cfg, p); t >= 0 {
+		return t
 	}
 	// Step4 — LeaveMeeting(p) ∧ RequestOut(p). CC1's LeaveMeeting has no
 	// status requirement on p itself.

@@ -23,12 +23,21 @@ type Runner struct {
 
 // NewRunner builds a Runner. randomInit selects an arbitrary initial
 // configuration (the snap-stabilization setting) versus the canonical
-// fault-free one. The Env is installed into the Alg.
+// fault-free one. The Env is installed into the Alg. The engine picks
+// actions through a Kernel the runner owns (its Choose is the program's
+// Chooser); Engine.EnabledAction still walks the guards.
 func NewRunner(alg *Alg, d sim.Daemon, env Env, seed int64, randomInit bool) *Runner {
 	alg.Env = env
-	eng := sim.NewEngine(alg.Program(randomInit), d, seed)
+	prog := alg.Program(randomInit)
+	prog.Chooser = NewKernel(alg, prog).Choose
+	return newRunner(alg, prog, d, env, seed)
+}
+
+// newRunner wires a Runner around an already built program of alg.
+func newRunner(alg *Alg, prog *sim.Program[State], d sim.Daemon, env Env, seed int64) *Runner {
+	eng := sim.NewEngine(prog, d, seed)
 	r := &Runner{Tally: spec.NewTally(alg.Probe(), eng), Alg: alg, Env: env, Engine: eng}
-	r.envTrack, _ = env.(EnvTracker)
+	r.envTrack = trackerOf(env)
 	env.Update(eng.Config(), 0)
 	r.noteEnvUpdate()
 	eng.Observe(func(step int, cfg []State, _ []sim.Exec) {

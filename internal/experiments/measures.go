@@ -58,9 +58,9 @@ func degreeOfFairConcurrency(variant core.Variant, h *hypergraph.H, samples, max
 	res := concurrency{Samples: samples, Min: -1}
 	res.MinMM, _ = h.MinMaximalMatching()
 	if variant == core.CC3 {
-		res.Bound = h.Theorem8Bound()
+		res.Bound = h.Theorem8BoundOf(res.MinMM)
 	} else {
-		res.Bound = h.Theorem5Bound()
+		res.Bound = h.Theorem5BoundOf(res.MinMM)
 	}
 	if exact {
 		if variant == core.CC3 {

@@ -119,12 +119,19 @@ func FuzzCodecRoundTrip(f *testing.F) {
 // configurations (every field from its whole domain, token layer
 // included) and along a short reachable walk driven by the kernel's
 // own Apply. A single wrong bit silently reshapes the explored graph,
-// so this is a soundness target, not a robustness one.
+// so this is a soundness target, not a robustness one. The simulator's
+// entry, Kernel.Choose, is judged on the same configurations by a
+// second kernel whose token-layer memo stays warm from call to call:
+// first for a random subset of the processes, then for all of them, it
+// must pick the guard walk's action. Between walk steps fault corrupts
+// one TC field of a random process (fault%9: Lid, Dist, Parent, A, H,
+// Vis, Des, C, or none), the change the memo must notice.
 func FuzzBatchGuards(f *testing.F) {
-	f.Add(int64(1), byte(0), byte(1))
-	f.Add(int64(99), byte(8), byte(2))
-	f.Add(int64(-7), byte(13), byte(0))
-	f.Fuzz(func(t *testing.T, seed int64, topoByte, variantByte byte) {
+	f.Add(int64(1), byte(0), byte(1), byte(8))
+	f.Add(int64(99), byte(8), byte(2), byte(4))
+	f.Add(int64(-7), byte(13), byte(0), byte(6))
+	f.Add(int64(3), byte(3), byte(1), byte(0)) // leader ids on Figure 1 under CC2
+	f.Fuzz(func(t *testing.T, seed int64, topoByte, variantByte, fault byte) {
 		h := fuzzTopo(topoByte)
 		if h.N() > 64 {
 			t.Skip("batch path requires n <= 64")
@@ -132,10 +139,20 @@ func FuzzBatchGuards(f *testing.F) {
 		variant := []core.Variant{core.CC1, core.CC2, core.CC3}[variantByte%3]
 		alg, prog := newCCProg(variant, h)
 		k := core.NewKernel(alg, prog)
+		sk := core.NewKernel(alg, prog)
+		// The generic kernel's cached actions are the guard walk's, -1
+		// for disabled processes included.
+		gk := sim.NewProgramKernel(prog)
 		rng := rand.New(rand.NewSource(seed))
 
-		cfg := make([]core.State, h.N())
-		var enabled []int
+		n := h.N()
+		cfg := make([]core.State, n)
+		all := make([]int, n)
+		for p := range all {
+			all[p] = p
+		}
+		act := make([]int, n)
+		var enabled, subset []int
 		check := func(what string) uint64 {
 			mask := k.Eval(cfg)
 			enabled = sim.EnabledOf(prog, cfg, enabled[:0])
@@ -146,7 +163,43 @@ func FuzzBatchGuards(f *testing.F) {
 			if mask != want {
 				t.Fatalf("%s: kernel mask %064b != scalar %064b (cfg %v)", what, mask, want, cfg)
 			}
+			gk.Eval(cfg)
+			subset = subset[:0]
+			for p := range all {
+				if rng.Intn(2) == 0 {
+					subset = append(subset, p)
+				}
+			}
+			for _, procs := range [][]int{subset, all} {
+				sk.Choose(cfg, procs, act)
+				for _, p := range procs {
+					if act[p] != gk.Action(p) {
+						t.Fatalf("%s: Choose picks %d for process %d, guard walk %d (cfg %v)", what, act[p], p, gk.Action(p), cfg)
+					}
+				}
+			}
 			return mask
+		}
+		corrupt := func() {
+			tc := &cfg[rng.Intn(n)].TC
+			switch fault % 9 {
+			case 0:
+				tc.Lid = rng.Intn(2*n+2) - n
+			case 1:
+				tc.Dist = rng.Intn(n+2) - 1
+			case 2:
+				tc.Parent = rng.Intn(n+1) - 1
+			case 3:
+				tc.A = !tc.A
+			case 4:
+				tc.H ^= 1
+			case 5:
+				tc.Vis = rng.Intn(4) - 1
+			case 6:
+				tc.Des = rng.Intn(n+1) - 1
+			case 7:
+				tc.C ^= 1
+			}
 		}
 
 		for round := 0; round < 8; round++ {
@@ -156,7 +209,7 @@ func FuzzBatchGuards(f *testing.F) {
 			mask := check("random")
 			// Reachable walk: apply one enabled process at a time with the
 			// kernel's own Apply, re-judging the full guard vector after
-			// every step.
+			// every step, then once more after a TC fault.
 			for step := 0; step < 6 && mask != 0; step++ {
 				// Pick the (step mod popcount)-th enabled process.
 				idx := step % bits.OnesCount64(mask)
@@ -169,6 +222,8 @@ func FuzzBatchGuards(f *testing.F) {
 				k.Apply(cfg, p, &next)
 				cfg[p] = next
 				mask = check("walk")
+				corrupt()
+				mask = check("fault")
 			}
 		}
 	})

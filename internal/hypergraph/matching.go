@@ -70,29 +70,53 @@ func (h *H) IsMaximalMatching(edgeIdx []int, mask []bool) bool {
 // (restricted to edges allowed by mask, if non-nil), as a sorted slice of
 // edge indices. The slice is reused; fn must copy it to retain it.
 // Enumeration stops early if fn returns false.
+//
+// The search decides the edges in index order (skip before take) and
+// prunes as soon as an allowed edge is closed — its last member's last
+// edge decided — while still free: nothing can block it any more, so no
+// matching below is maximal. The maximal matchings come out in the
+// same order as without the pruning, but the time to the next one no
+// longer grows with the number of non-maximal matchings in between.
 func (h *H) EnumerateMaximalMatchings(mask []bool, fn func(m []int) bool) {
 	m := len(h.edges)
+	// closes[i] = the allowed edges whose members have no edge after i.
+	last := make([]int, h.n)
+	for ei, e := range h.edges {
+		for _, v := range e {
+			last[v] = ei
+		}
+	}
+	closes := make([][]int, m)
+	for ei, e := range h.edges {
+		if mask != nil && !mask[ei] {
+			continue
+		}
+		c := ei
+		for _, v := range e {
+			c = max(c, last[v])
+		}
+		closes[c] = append(closes[c], ei)
+	}
 	used := make([]bool, h.n)
+	free := func(ei int) bool {
+		for _, v := range h.edges[ei] {
+			if used[v] {
+				return false
+			}
+		}
+		return true
+	}
 	var chosen []int
 	var rec func(i int) bool
 	rec = func(i int) bool {
-		if i == m {
-			// Maximality: every allowed edge either chosen or blocked.
-			for ei, e := range h.edges {
-				if mask != nil && !mask[ei] {
-					continue
-				}
-				blocked := false
-				for _, v := range e {
-					if used[v] {
-						blocked = true
-						break
-					}
-				}
-				if !blocked {
-					return true // extensible => not maximal; continue search
+		if i > 0 {
+			for _, ei := range closes[i-1] {
+				if free(ei) {
+					return true // extensible forever => no maximal matching here
 				}
 			}
+		}
+		if i == m {
 			return fn(chosen)
 		}
 		// Branch 1: skip edge i.
@@ -100,13 +124,8 @@ func (h *H) EnumerateMaximalMatchings(mask []bool, fn func(m []int) bool) {
 			return false
 		}
 		// Branch 2: take edge i if allowed and disjoint.
-		if mask != nil && !mask[i] {
+		if (mask != nil && !mask[i]) || !free(i) {
 			return true
-		}
-		for _, v := range h.edges[i] {
-			if used[v] {
-				return true
-			}
 		}
 		for _, v := range h.edges[i] {
 			used[v] = true
@@ -138,9 +157,24 @@ func (h *H) MaximalMatchings() [][]int {
 // (minMM) and one witness. If the hypergraph has no edges it returns
 // (0, nil).
 func (h *H) MinMaximalMatching() (int, []int) {
+	best, witness, _ := h.MinMaximalMatchingWithin(0)
+	return best, witness
+}
+
+// MinMaximalMatchingWithin is MinMaximalMatching over at most budget
+// maximal matchings (0 = all of them). exact reports whether the
+// enumeration finished; when it did not, minMM and the witness are only
+// the smallest of the matchings seen, an upper bound.
+func (h *H) MinMaximalMatchingWithin(budget int) (minMM int, witness []int, exact bool) {
 	best := math.MaxInt
-	var witness []int
+	seen := 0
+	exact = true
 	h.EnumerateMaximalMatchings(nil, func(m []int) bool {
+		if budget > 0 && seen == budget {
+			exact = false
+			return false
+		}
+		seen++
 		if len(m) < best {
 			best = len(m)
 			witness = append(witness[:0], m...)
@@ -148,10 +182,10 @@ func (h *H) MinMaximalMatching() (int, []int) {
 		return true
 	})
 	if best == math.MaxInt {
-		return 0, nil
+		return 0, nil, exact
 	}
 	sort.Ints(witness)
-	return best, witness
+	return best, witness, exact
 }
 
 // MaxMatching returns the size of a maximum matching and one witness.
@@ -302,20 +336,18 @@ func (h *H) minOverAMM(minEdgesOnly bool) (int, bool) {
 // degree of fair concurrency of CC2∘TC: minMM − MaxMin + 1 (at least 1).
 func (h *H) Theorem5Bound() int {
 	minMM, _ := h.MinMaximalMatching()
-	b := minMM - h.MaxMin() + 1
-	if b < 1 {
-		b = 1
-	}
-	return b
+	return h.Theorem5BoundOf(minMM)
 }
+
+// Theorem5BoundOf is Theorem5Bound for an already computed minMM.
+func (h *H) Theorem5BoundOf(minMM int) int { return max(minMM-h.MaxMin()+1, 1) }
 
 // Theorem8Bound returns the analytic lower bound of Theorem 8 on the
 // degree of fair concurrency of CC3∘TC: minMM − MaxHEdge + 1 (at least 1).
 func (h *H) Theorem8Bound() int {
 	minMM, _ := h.MinMaximalMatching()
-	b := minMM - h.MaxHEdge() + 1
-	if b < 1 {
-		b = 1
-	}
-	return b
+	return h.Theorem8BoundOf(minMM)
 }
+
+// Theorem8BoundOf is Theorem8Bound for an already computed minMM.
+func (h *H) Theorem8BoundOf(minMM int) int { return max(minMM-h.MaxHEdge()+1, 1) }

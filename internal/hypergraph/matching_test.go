@@ -3,6 +3,7 @@ package hypergraph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -66,6 +67,67 @@ func TestMaximalMatchingsProperties(t *testing.T) {
 			}
 			seen[k] = true
 		}
+	}
+}
+
+// TestEnumerateMaximalMatchingsOrder: the pruned search yields exactly
+// the maximal matchings a brute force over every edge subset finds, in
+// the same order — skip before take, edge 0 deciding first, is counting
+// in binary with edge 0 as the most significant bit — masked or not.
+func TestEnumerateMaximalMatchingsOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		n := 4 + rng.Intn(6)
+		m := n - 1 + rng.Intn(4)
+		h := RandomMixed(n, m, 3, rng)
+		var mask []bool
+		if trial%2 == 1 {
+			mask = make([]bool, h.M())
+			for ei := range mask {
+				mask[ei] = rng.Intn(4) > 0
+			}
+		}
+		var want [][]int
+		for x := 0; x < 1<<h.M(); x++ {
+			var mm []int
+			for ei := 0; ei < h.M(); ei++ {
+				if x>>(h.M()-1-ei)&1 == 1 {
+					mm = append(mm, ei)
+				}
+			}
+			if h.IsMaximalMatching(mm, mask) {
+				want = append(want, mm)
+			}
+		}
+		var got [][]int
+		h.EnumerateMaximalMatchings(mask, func(mm []int) bool {
+			got = append(got, append([]int(nil), mm...))
+			return true
+		})
+		if len(got) != len(want) {
+			t.Fatalf("%v mask %v: %d maximal matchings, brute force %d", h, mask, len(got), len(want))
+		}
+		for i := range want {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("%v mask %v: matching %d is %v, brute force %v", h, mask, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestMinMaximalMatchingWithin: an unbounded or sufficient budget gives
+// MinMaximalMatching's exact answer, a short one says it stopped.
+func TestMinMaximalMatchingWithin(t *testing.T) {
+	h := CommitteeRing(12)
+	count := len(h.MaximalMatchings())
+	exactMin, _ := h.MinMaximalMatching()
+	for _, budget := range []int{0, count, count + 1} {
+		if got, _, exact := h.MinMaximalMatchingWithin(budget); got != exactMin || !exact {
+			t.Fatalf("budget %d: minMM %d exact=%v, want %d exact", budget, got, exact, exactMin)
+		}
+	}
+	if got, w, exact := h.MinMaximalMatchingWithin(count - 1); exact || got < exactMin || len(w) != got {
+		t.Fatalf("budget %d of %d: minMM %d (witness %v) exact=%v, want an upper bound, not exact", count-1, count, got, w, exact)
 	}
 }
 

@@ -41,7 +41,10 @@
 // Without Locality the engine falls back to evaluating every guard fresh
 // at each use, which is always correct; the two modes are observationally
 // identical whenever the Locality declaration is sound (asserted by the
-// cross-check tests in this package and in internal/core).
+// cross-check tests in this package and in internal/core). Either way
+// a Program may supply a Chooser that judges a whole process list at
+// once; every refresh then goes through it, and the per-action guard
+// walk stays the reference it is tested against.
 package sim
 
 import (
@@ -88,6 +91,17 @@ type Program[S Cloneable[S]] struct {
 	// incremental dirty-set maintenance; an unsound declaration silently
 	// produces wrong enabled sets, so keep the cross-check tests green.
 	Locality func(p int) []int
+
+	// Chooser, if non-nil, judges a batch of processes at once: for
+	// every p in procs it writes into act[p] the index the guard walk
+	// (EnabledAction) returns for p in cfg, or -1. The engine routes
+	// every enabled-set refresh through it — the dirty list, a full
+	// invalidation and the rescan without Locality alike — so a Program
+	// whose guards share sub-predicates across neighbours can evaluate
+	// them once per refresh. Engine.EnabledAction, EnabledOf and the
+	// successor enumerators keep walking the guards, which stay the
+	// semantics and the reference a Chooser is tested against.
+	Chooser func(cfg []S, procs []int, act []int)
 }
 
 // Exec records one action execution within a step.
@@ -114,6 +128,7 @@ type Engine[S Cloneable[S]] struct {
 
 	// Incremental enabled-set cache (see the package comment).
 	act      []int   // act[p] = cached highest-priority enabled action of p, or -1
+	all      []int   // 0..n-1, the process list of a full refresh
 	affected [][]int // affected[q] = sorted processes whose guards read q; nil without Locality
 	dirty    []int   // processes whose act entry is stale
 	inDirty  []bool
@@ -147,6 +162,7 @@ func NewEngine[S Cloneable[S]](prog *Program[S], d Daemon, seed int64) *Engine[S
 		Daemon:     d,
 		rng:        rand.New(rand.NewSource(seed)),
 		act:        make([]int, n),
+		all:        make([]int, n),
 		inDirty:    make([]bool, n),
 		allDirty:   true,
 		enabledBuf: make([]int, 0, n),
@@ -160,6 +176,7 @@ func NewEngine[S Cloneable[S]](prog *Program[S], d Daemon, seed int64) *Engine[S
 	}
 	e.cfg = make([]S, n)
 	for p := 0; p < n; p++ {
+		e.all[p] = p
 		e.cfg[p] = prog.Init(p, e.rng)
 	}
 	if prog.Locality != nil {
@@ -253,21 +270,28 @@ func (e *Engine[S]) markStateChanged(p int) {
 // Only meaningful when Locality is declared.
 func (e *Engine[S]) refresh() {
 	if e.allDirty {
-		for p := range e.act {
-			e.act[p] = enabledAction(e.Prog, e.cfg, p)
-		}
+		e.judge(e.all)
 		e.allDirty = false
-		for _, p := range e.dirty {
-			e.inDirty[p] = false
-		}
-		e.dirty = e.dirty[:0]
-		return
+	} else {
+		e.judge(e.dirty)
 	}
 	for _, p := range e.dirty {
-		e.act[p] = enabledAction(e.Prog, e.cfg, p)
 		e.inDirty[p] = false
 	}
 	e.dirty = e.dirty[:0]
+}
+
+// judge sets act[p] to p's highest-priority enabled action for every p
+// in procs: through the Program's Chooser when it has one, else by
+// walking the guards.
+func (e *Engine[S]) judge(procs []int) {
+	if c := e.Prog.Chooser; c != nil {
+		c(e.cfg, procs, e.act)
+		return
+	}
+	for _, p := range procs {
+		e.act[p] = enabledAction(e.Prog, e.cfg, p)
+	}
 }
 
 // RNG exposes the engine's deterministic randomness source (shared with
@@ -310,9 +334,7 @@ func (e *Engine[S]) Enabled() []int {
 	if e.affected != nil {
 		e.refresh()
 	} else {
-		for p := range e.act {
-			e.act[p] = enabledAction(e.Prog, e.cfg, p)
-		}
+		e.judge(e.all)
 	}
 	e.enabledBuf = e.enabledBuf[:0]
 	e.actBuf = e.actBuf[:0]
@@ -377,17 +399,15 @@ func (e *Engine[S]) Step() []Exec {
 	if len(e.roundPending) > 0 {
 		if e.affected != nil {
 			e.refresh()
+		} else {
+			e.judge(e.roundPending) // the next Enabled rescans every entry anyway
 		}
 		still := e.pendBuf[:0]
 		for _, p := range e.roundPending {
 			if e.selMark[p] {
 				continue // activated
 			}
-			if e.affected != nil {
-				if e.act[p] < 0 {
-					continue // neutralized
-				}
-			} else if enabledAction(e.Prog, e.cfg, p) < 0 {
+			if e.act[p] < 0 {
 				continue // neutralized
 			}
 			still = append(still, p)
@@ -463,15 +483,11 @@ func (e *Engine[S]) fillRoundPending() {
 	e.roundPending = e.roundPending[:0]
 	if e.affected != nil {
 		e.refresh()
-		for p, a := range e.act {
-			if a >= 0 {
-				e.roundPending = append(e.roundPending, p)
-			}
-		}
-		return
+	} else {
+		e.judge(e.all)
 	}
-	for p := 0; p < e.Prog.NumProcs; p++ {
-		if enabledAction(e.Prog, e.cfg, p) >= 0 {
+	for p, a := range e.act {
+		if a >= 0 {
 			e.roundPending = append(e.roundPending, p)
 		}
 	}
