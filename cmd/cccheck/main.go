@@ -106,7 +106,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"strings"
@@ -324,7 +323,7 @@ func runExhaustive(algName, topoSpec, daemons, initName, mutation string, scalar
 		}
 	}
 	st := exec.openStore()
-	h, err := hypergraph.Parse(specs[0].Topo, rand.New(rand.NewSource(specs[0].Seed)))
+	h, err := hypergraph.ParseSeeded(specs[0].Topo, specs[0].Seed)
 	if err != nil {
 		fatalf("%v", err) // unreachable: Validate parsed it
 	}

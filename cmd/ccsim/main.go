@@ -35,7 +35,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"sort"
 	"strconv"
@@ -66,7 +65,7 @@ func main() {
 	)
 	flag.Parse()
 
-	h, err := hypergraph.Parse(*topo, rand.New(rand.NewSource(*seed)))
+	h, err := hypergraph.ParseSeeded(*topo, *seed)
 	if err != nil {
 		usagef("%v", err)
 	}
@@ -187,7 +186,7 @@ func simulate(algName string, h *hypergraph.H, d sim.Daemon, steps int, seed int
 func runReplicas(algName, topoSpec string, mkDaemon func() sim.Daemon, steps int, seed int64, disc int, randomInit bool, runs int) {
 	cells := par.Map(runs, func(i int) outcome {
 		s := seed + int64(i)
-		h, err := hypergraph.Parse(topoSpec, rand.New(rand.NewSource(s)))
+		h, err := hypergraph.ParseSeeded(topoSpec, s)
 		if err != nil {
 			panic(err) // unreachable: main parsed the same spec
 		}

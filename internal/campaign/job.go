@@ -20,7 +20,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -61,16 +60,32 @@ func selectionMode(daemon string) (sim.SelectionMode, bool) {
 // Validate rejects a job spec that cannot execute, with an error
 // message naming the offending value and the accepted ones — the CLIs
 // turn it into a usage error (exit 2) and ccserve into a 400. It
-// validates the canonicalized spec, so alias spellings pass.
+// validates the canonicalized spec, so alias spellings pass. It runs
+// prepare's checks without building a model, except for -symmetry,
+// whose automorphism precondition only a built model can answer.
 func Validate(spec store.JobSpec) error {
-	_, err := prepare(spec.Canonical())
+	c := spec.Canonical()
+	h, err := check(c)
+	if err != nil || !c.Symmetry {
+		return err
+	}
+	_, err = build(c, h)
 	return err
 }
 
 // prepare runs every check Validate promises and returns the built
-// model factory, so Execute validates and constructs in one pass
-// instead of building the model once per check.
+// model factory, so Execute validates and constructs in one pass.
 func prepare(c store.JobSpec) (*checkedFactory, error) {
+	h, err := check(c)
+	if err != nil {
+		return nil, err
+	}
+	return build(c, h)
+}
+
+// check is the one validation path: every rejection short of the
+// -symmetry precondition, with the topology it parsed.
+func check(c store.JobSpec) (*hypergraph.H, error) {
 	_, isCC := ccVariants[c.Alg]
 	switch c.Alg {
 	case "cc1", "cc2", "cc3", "dining", "token-ring":
@@ -88,7 +103,7 @@ func prepare(c store.JobSpec) (*checkedFactory, error) {
 	if c.Topo == "" {
 		return nil, fmt.Errorf("campaign: missing topology spec")
 	}
-	h, err := hypergraph.Parse(c.Topo, rand.New(rand.NewSource(c.Seed)))
+	h, err := hypergraph.ParseSeeded(c.Topo, c.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %v", err)
 	}
@@ -99,10 +114,19 @@ func prepare(c store.JobSpec) (*checkedFactory, error) {
 		if c.Mutation != "" {
 			return nil, fmt.Errorf("campaign: -mutate applies to the CC algorithms only, not %s", c.Alg)
 		}
+		err = explore.CheckBaseline(h)
+	} else {
+		err = explore.CheckCC(h, c.Mutation)
 	}
-	// Building the factory performs the remaining checks (codec size
-	// bounds, mutation names) and exposes the automorphism group for
-	// the -symmetry precondition.
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %v", err)
+	}
+	return h, nil
+}
+
+// build constructs the model factory of a spec check passed and
+// enforces the -symmetry precondition on it.
+func build(c store.JobSpec, h *hypergraph.H) (*checkedFactory, error) {
 	factory, err := newFactoryChecked(c, h)
 	if err != nil {
 		return nil, err

@@ -25,8 +25,8 @@ import (
 // fork orientation and request tie-break read the committee index order
 // (see symmetry.go).
 func Baseline(kind baseline.Kind, h *hypergraph.H, disc int) (func() *Model[baseline.BState], error) {
-	if h.N()+h.M() > 250 {
-		return nil, fmt.Errorf("explore: topology too large for the state codec (n+m=%d; max 250)", h.N()+h.M())
+	if err := CheckBaseline(h); err != nil {
+		return nil, err
 	}
 	name := fmt.Sprintf("%s/%s", kind, h)
 	layout := newBaseLayout(h, disc, kind == baseline.Dining)
@@ -68,6 +68,15 @@ func Baseline(kind baseline.Kind, h *hypergraph.H, disc int) (func() *Model[base
 			Kernel: kernel,
 		}
 	}, nil
+}
+
+// CheckBaseline reports what Baseline rejects about a topology without
+// building a model: the state codec's size bound.
+func CheckBaseline(h *hypergraph.H) error {
+	if h.N()+h.M() > 250 {
+		return fmt.Errorf("explore: topology too large for the state codec (n+m=%d; max 250)", h.N()+h.M())
+	}
+	return nil
 }
 
 func renderBase(a *baseline.Alg, cfg []baseline.BState) string {

@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -93,13 +94,13 @@ type CCOptions struct {
 // one instance per worker); the binary codec layout is topology-only
 // and shared read-only across workers.
 func CC(variant core.Variant, h *hypergraph.H, opts CCOptions) (func() *Model[core.State], error) {
-	if h.N() > 250 || h.M() > 250 {
-		return nil, fmt.Errorf("explore: topology too large for the state codec (n=%d, m=%d; max 250)", h.N(), h.M())
+	if err := CheckCC(h, opts.Mutation); err != nil {
+		return nil, err
 	}
-	// Validate the mutation name once, eagerly.
+	layoutAlg, layoutProg := newCCProg(variant, h)
+	// Apply the mutation once, eagerly, so the factory below cannot fail.
 	if opts.Mutation != "" {
-		alg, prog := newCCProg(variant, h)
-		if err := MutateCC(alg, prog, opts.Mutation); err != nil {
+		if err := MutateCC(layoutAlg, layoutProg, opts.Mutation); err != nil {
 			return nil, err
 		}
 	}
@@ -110,7 +111,6 @@ func CC(variant core.Variant, h *hypergraph.H, opts CCOptions) (func() *Model[co
 	if opts.Mutation != "" {
 		name = fmt.Sprintf("%s+mutate:%s", variant, opts.Mutation)
 	}
-	layoutAlg, _ := newCCProg(variant, h)
 	layout := newCCLayout(layoutAlg)
 	// Block permutations of order-isomorphic single-committee components
 	// are the only id-order-preserving (hence sound) CC automorphisms —
@@ -148,6 +148,19 @@ func CC(variant core.Variant, h *hypergraph.H, opts CCOptions) (func() *Model[co
 			Kernel:  ccKernel(variant, h, opts),
 		}
 	}, nil
+}
+
+// CheckCC reports what CC rejects about a topology and a mutation name
+// without building a model: the state codec's size bound and an
+// unknown mutation.
+func CheckCC(h *hypergraph.H, mutation string) error {
+	if h.N() > 250 || h.M() > 250 {
+		return fmt.Errorf("explore: topology too large for the state codec (n=%d, m=%d; max 250)", h.N(), h.M())
+	}
+	if mutation != "" && !slices.Contains(Mutations(), mutation) {
+		return unknownMutation(mutation)
+	}
+	return nil
 }
 
 // ccKernel picks the batch kernel for the model: the columnar
@@ -345,5 +358,9 @@ func MutateCC(alg *core.Alg, prog *sim.Program[core.State], name string) error {
 		}
 		return nil
 	}
+	return unknownMutation(name)
+}
+
+func unknownMutation(name string) error {
 	return fmt.Errorf("explore: unknown mutation %q (supported: %s)", name, strings.Join(Mutations(), ", "))
 }

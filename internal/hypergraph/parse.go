@@ -25,14 +25,26 @@ import (
 //	scenario:MAXN                   a random scenario family with <= MAXN professors
 //	custom:{0,1};{1,2,3};...        explicit committee list (0-based)
 //
-// Random families draw from rng (required only for them).
+// Random families draw from rng (required only for them; ParseSeeded
+// seeds one only for them).
 //
 // Out-of-range sizes (ring:0, disjoint:0,1, …) are reported as errors:
 // the generators guard their preconditions with string panics, which
 // Parse converts into usage errors so the CLIs exit 2 with a message
 // instead of crashing. Only those deliberate panics are converted —
 // runtime errors (a genuine generator bug) still crash loudly.
-func Parse(spec string, rng *rand.Rand) (h *H, err error) {
+func Parse(spec string, rng *rand.Rand) (*H, error) {
+	return parse(spec, func() *rand.Rand { return rng })
+}
+
+// ParseSeeded is Parse with a source seeded from seed, created only
+// when spec names a random family: the deterministic families never
+// pay for seeding a generator they do not draw from.
+func ParseSeeded(spec string, seed int64) (*H, error) {
+	return parse(spec, func() *rand.Rand { return rand.New(rand.NewSource(seed)) })
+}
+
+func parse(spec string, source func() *rand.Rand) (h *H, err error) {
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
@@ -114,6 +126,7 @@ func Parse(spec string, rng *rand.Rand) (h *H, err error) {
 		if err != nil {
 			return nil, err
 		}
+		rng := source()
 		if rng == nil {
 			return nil, fmt.Errorf("hypergraph: %s needs a random source", name)
 		}
@@ -123,6 +136,7 @@ func Parse(spec string, rng *rand.Rand) (h *H, err error) {
 		if err != nil {
 			return nil, err
 		}
+		rng := source()
 		if rng == nil {
 			return nil, fmt.Errorf("hypergraph: %s needs a random source", name)
 		}
@@ -132,6 +146,7 @@ func Parse(spec string, rng *rand.Rand) (h *H, err error) {
 		if err != nil {
 			return nil, err
 		}
+		rng := source()
 		if rng == nil {
 			return nil, fmt.Errorf("hypergraph: %s needs a random source", name)
 		}
@@ -141,6 +156,7 @@ func Parse(spec string, rng *rand.Rand) (h *H, err error) {
 		if err != nil {
 			return nil, err
 		}
+		rng := source()
 		if rng == nil {
 			return nil, fmt.Errorf("hypergraph: %s needs a random source", name)
 		}
@@ -150,6 +166,7 @@ func Parse(spec string, rng *rand.Rand) (h *H, err error) {
 		if err != nil {
 			return nil, err
 		}
+		rng := source()
 		if rng == nil {
 			return nil, fmt.Errorf("hypergraph: %s needs a random source", name)
 		}

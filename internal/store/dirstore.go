@@ -163,20 +163,17 @@ func (st *DirStore) Len() int { return len(st.keys()) }
 // Scan calls fn for every valid entry in key order. See
 // Interface.Scan.
 func (st *DirStore) Scan(fn func(key string, spec JobSpec, result []byte) error) error {
-	for _, key := range st.keys() {
+	return st.scanResults(func(key string, spec JobSpec, _ *explore.Result, raw []byte) error {
+		return fn(key, spec, raw)
+	})
+}
+
+// scanResults is Scan handing over the decoded result too.
+func (st *DirStore) scanResults(fn func(key string, spec JobSpec, res *explore.Result, raw []byte) error) error {
+	return scanKeys(st.keys(), func(key string) (entry, bool) {
 		e, ok, _ := st.readEntry(key)
-		if !ok {
-			continue
-		}
-		c, _, raw, ok := matchKey(e, key)
-		if !ok {
-			continue
-		}
-		if err := fn(key, c, raw); err != nil {
-			return err
-		}
-	}
-	return nil
+		return e, ok
+	}, fn)
 }
 
 // has reports whether a verdict entry file exists for the key (the

@@ -85,6 +85,11 @@ type recLoc struct {
 // deletes the old ones; a crash mid-compaction is safe because a
 // later segment always wins for a key.
 //
+// Reads go through one read handle per segment, opened on first use
+// and reused for every positioned read (the Bitcask shape): compaction
+// closes the handles of the segments it deletes, and a read that loses
+// its segment to a compaction follows its key to the new location.
+//
 // One handle has a directory open at a time, enforced by an flock on
 // DIR/LOCK (see LockedError); within it, reads are concurrent-safe
 // against writes and compaction.
@@ -116,6 +121,11 @@ type LogStore struct {
 	compactions  int64
 	compacting   bool
 	compactWG    sync.WaitGroup
+
+	// rmu guards readers, the open read handle of each segment read so
+	// far. Lock order: mu before rmu.
+	rmu     sync.RWMutex
+	readers map[uint64]chaos.File
 
 	lock *os.File // holds the single-writer flock on DIR/LOCK until Close
 }
@@ -182,6 +192,7 @@ func OpenLogFS(dir string, fsys chaos.FS) (*LogStore, error) {
 		CompactMinGarbage: DefaultCompactMinGarbage,
 		index:             map[string]recLoc{},
 		segs:              map[uint64]int64{},
+		readers:           map[uint64]chaos.File{},
 	}
 	if err := chaos.Retry(context.Background(), st.Retry, func() error {
 		return fsys.MkdirAll(filepath.Join(dir, segmentsDir), 0o755)
@@ -392,17 +403,74 @@ func (st *LogStore) Put(spec JobSpec, res *explore.Result) ([]byte, error) {
 	return raw, nil
 }
 
-// readRecord reads one framed record back from its segment.
+// reader returns the segment's read handle, opening it on first use.
+// The open and the insert happen under rmu, so a compaction that
+// removes the segment either closes the new handle or makes the open
+// fail: no handle outlives its segment.
+func (st *LogStore) reader(seq uint64) (chaos.File, error) {
+	st.rmu.RLock()
+	f := st.readers[seq]
+	st.rmu.RUnlock()
+	if f != nil {
+		return f, nil
+	}
+	st.rmu.Lock()
+	defer st.rmu.Unlock()
+	if f := st.readers[seq]; f != nil {
+		return f, nil
+	}
+	f, err := st.fs.Open(st.segPath(seq))
+	if err != nil {
+		return nil, err
+	}
+	st.readers[seq] = f
+	return f, nil
+}
+
+// dropReader closes a segment's read handle if it is still f (an
+// earlier drop or a compaction may have closed it already).
+func (st *LogStore) dropReader(seq uint64, f chaos.File) {
+	st.rmu.Lock()
+	defer st.rmu.Unlock()
+	if st.readers[seq] == f {
+		delete(st.readers, seq)
+		f.Close()
+	}
+}
+
+// closeReaders closes the read handles of the segments drop selects.
+func (st *LogStore) closeReaders(drop func(seq uint64) bool) {
+	st.rmu.Lock()
+	defer st.rmu.Unlock()
+	for seq, f := range st.readers {
+		if drop(seq) {
+			f.Close()
+			delete(st.readers, seq)
+		}
+	}
+}
+
+// readRecord reads one framed record back from its segment with one
+// positioned read on the segment's held handle. A failed read drops
+// the handle, so the retry attempt reopens it; a handle closed under
+// the read (by another read's drop or a compaction) is reopened at
+// once — for a deleted segment that open fails with ENOENT.
 func (st *LogStore) readRecord(loc recLoc) ([]byte, error) {
 	buf := make([]byte, loc.n)
 	err := chaos.Retry(context.Background(), st.Retry, func() error {
-		f, err := st.fs.Open(st.segPath(loc.seq))
-		if err != nil {
-			return err
+		for {
+			f, err := st.reader(loc.seq)
+			if err != nil {
+				return err
+			}
+			if _, err = f.ReadAt(buf, loc.off); err == nil {
+				return nil
+			}
+			st.dropReader(loc.seq, f)
+			if !errors.Is(err, os.ErrClosed) {
+				return err
+			}
 		}
-		defer f.Close()
-		_, err = f.ReadAt(buf, loc.off)
-		return err
 	})
 	if err != nil {
 		return nil, err
@@ -448,19 +516,38 @@ func (st *LogStore) evict(khex string, loc recLoc, specimen []byte, reason strin
 	st.quarantineBytes(fmt.Sprintf("%s@%d", segName(loc.seq), loc.off), specimen, reason)
 }
 
-// fetch resolves a key through the index to a validated entry.
-// Damage at the frame or entry level evicts and quarantines; version
-// drift and read failures are plain misses.
-func (st *LogStore) fetch(khex string) (entry, bool) {
+// locate resolves a key through the index.
+func (st *LogStore) locate(khex string) (recLoc, bool) {
 	st.mu.RLock()
+	defer st.mu.RUnlock()
 	loc, ok := st.index[khex]
-	st.mu.RUnlock()
+	return loc, ok
+}
+
+// fetch resolves a key through the index to a validated entry.
+func (st *LogStore) fetch(khex string) (entry, bool) {
+	loc, ok := st.locate(khex)
 	if !ok {
 		return entry{}, false
 	}
+	return st.fetchAt(khex, loc)
+}
+
+// fetchAt reads and validates the record a lookup found at loc. The
+// lookup's lock is released before the read, so a compaction may have
+// moved the record and deleted its segment in between: a failed read
+// resolves the key again and follows a moved record. Damage at the
+// frame or entry level evicts and quarantines; version drift and read
+// failures at a location that did not move are plain misses.
+func (st *LogStore) fetchAt(khex string, loc recLoc) (entry, bool) {
 	rec, err := st.readRecord(loc)
-	if err != nil {
-		return entry{}, false
+	for err != nil {
+		moved, ok := st.locate(khex)
+		if !ok || moved == loc {
+			return entry{}, false
+		}
+		loc = moved
+		rec, err = st.readRecord(loc)
 	}
 	payload, reason := checkRecord(khex, rec)
 	if reason != "" {
@@ -513,20 +600,14 @@ func (st *LogStore) sortedKeys() []string {
 // Scan calls fn for every valid entry in key order. See
 // Interface.Scan.
 func (st *LogStore) Scan(fn func(key string, spec JobSpec, result []byte) error) error {
-	for _, khex := range st.sortedKeys() {
-		e, ok := st.fetch(khex)
-		if !ok {
-			continue
-		}
-		c, _, raw, ok := matchKey(e, khex)
-		if !ok {
-			continue
-		}
-		if err := fn(khex, c, raw); err != nil {
-			return err
-		}
-	}
-	return nil
+	return st.scanResults(func(key string, spec JobSpec, _ *explore.Result, raw []byte) error {
+		return fn(key, spec, raw)
+	})
+}
+
+// scanResults is Scan handing over the decoded result too.
+func (st *LogStore) scanResults(fn func(key string, spec JobSpec, res *explore.Result, raw []byte) error) error {
+	return scanKeys(st.sortedKeys(), st.fetch, fn)
 }
 
 // Len counts the indexed entries.
@@ -683,6 +764,7 @@ func (st *LogStore) compact() (CompactStats, error) {
 	for _, o := range out {
 		st.segs[o.seq] = int64(len(o.buf))
 	}
+	st.closeReaders(func(seq uint64) bool { _, live := st.segs[seq]; return !live })
 	st.index = newIndex
 	st.liveBytes = live
 	st.garbageBytes = 0
@@ -710,13 +792,15 @@ func (st *LogStore) Stats() Stats {
 	}
 }
 
-// Close waits for any background compaction, releases the active
-// segment handle and then the directory lock — the lock even when the
-// segment close fails. The handle must not be used after.
+// Close waits for any background compaction, releases the segment
+// read handles, the active segment handle and then the directory lock
+// — the lock even when the segment close fails. The handle must not be
+// used after.
 func (st *LogStore) Close() error {
 	st.compactWG.Wait()
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	st.closeReaders(func(uint64) bool { return true })
 	var err error
 	if st.active != nil {
 		err = st.active.Close()

@@ -349,8 +349,9 @@ func TestLogSingleWriterLock(t *testing.T) {
 }
 
 // TestLogConcurrentReadsDuringCompaction: readers racing Puts and an
-// explicit compaction see only complete, correct entries (run under
-// -race in CI's store shard).
+// explicit compaction see only complete, correct entries, and never a
+// miss — every key stays present throughout (run under -race in CI's
+// store shard).
 func TestLogConcurrentReadsDuringCompaction(t *testing.T) {
 	st := openLog(t)
 	keys, raws := fillLog(t, st, 8)
@@ -367,8 +368,8 @@ func TestLogConcurrentReadsDuringCompaction(t *testing.T) {
 				default:
 				}
 				key := keys[(g+i)%len(keys)]
-				if _, _, raw, ok := st.GetByKey(key); ok && !bytes.Equal(raw, raws[key]) {
-					t.Errorf("reader %d: wrong bytes for %s", g, key[:8])
+				if _, _, raw, ok := st.GetByKey(key); !ok || !bytes.Equal(raw, raws[key]) {
+					t.Errorf("reader %d: %s missed or served wrong bytes (ok=%v)", g, key[:8], ok)
 					return
 				}
 			}
@@ -386,4 +387,167 @@ func TestLogConcurrentReadsDuringCompaction(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestLogReadsNeverMissDuringCompactions: readers racing back-to-back
+// compactions, each of which deletes the segments the readers' index
+// lookups named and closes their held read handles, still find every
+// key that stays present.
+func TestLogReadsNeverMissDuringCompactions(t *testing.T) {
+	st := openLog(t)
+	keys, raws := fillLog(t, st, 8)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				key := keys[(g+i)%len(keys)]
+				if _, _, raw, ok := st.GetByKey(key); !ok || !bytes.Equal(raw, raws[key]) {
+					t.Errorf("reader %d: %s missed or served wrong bytes (ok=%v)", g, key[:8], ok)
+					return
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := st.Compact(); err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestLogReadHandlesTrackLiveSegments: the engine holds at most one
+// read handle per live segment across compactions (the handles of
+// deleted segments are closed), and Close releases all of them.
+func TestLogReadHandlesTrackLiveSegments(t *testing.T) {
+	st := openLog(t)
+	st.SegmentMaxBytes = 1024 // several segments
+	keys, raws := fillLog(t, st, 8)
+	readAll := func(round int) {
+		t.Helper()
+		for _, key := range keys {
+			if _, _, raw, ok := st.GetByKey(key); !ok || !bytes.Equal(raw, raws[key]) {
+				t.Fatalf("round %d: %s missed or served wrong bytes", round, key[:8])
+			}
+		}
+		if open, live := st.OpenReaders(), st.Stats().Segments; open == 0 || open > live {
+			t.Fatalf("round %d: %d read handles open over %d live segments", round, open, live)
+		}
+	}
+	readAll(0)
+	for round := 1; round <= 5; round++ {
+		for i := 0; i < 8; i++ { // supersede every record, so compaction rewrites them all
+			if _, err := st.Put(seedSpec(i), fakeResult(100+i, false)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := st.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		readAll(round)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if open := st.OpenReaders(); open != 0 {
+		t.Fatalf("Close left %d read handles open", open)
+	}
+}
+
+// openCounter counts the segment opens that reach the filesystem.
+type openCounter struct {
+	chaos.FS
+	opens int
+}
+
+func (c *openCounter) Open(name string) (chaos.File, error) {
+	c.opens++
+	return c.FS.Open(name)
+}
+
+// TestLogReadFaultDropsHandle: a transient fault on a held handle's
+// ReadAt drops the handle, and the retry reopens the segment and reads
+// the right bytes.
+func TestLogReadFaultDropsHandle(t *testing.T) {
+	ffs := chaos.NewFaultFS(nil, chaos.Faults{})
+	fsys := &openCounter{FS: ffs}
+	st, err := store.OpenLogFS(t.TempDir(), fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	keys, raws := fillLog(t, st, 1)
+	key := keys[0]
+	for i := 0; i < 2; i++ { // read op 1 opens the segment; ops 2 and 3 are ReadAts
+		if _, _, raw, ok := st.GetByKey(key); !ok || !bytes.Equal(raw, raws[key]) {
+			t.Fatalf("read %d missed or served wrong bytes", i)
+		}
+	}
+	if fsys.opens != 1 {
+		t.Fatalf("two reads opened the segment %d times, want 1 (one held handle)", fsys.opens)
+	}
+	ffs.SetFaults(chaos.Faults{FailReadAt: 4}) // the next ReadAt fails with EIO
+	if _, _, raw, ok := st.GetByKey(key); !ok || !bytes.Equal(raw, raws[key]) {
+		t.Fatal("the retry after a transient read fault missed or served wrong bytes")
+	}
+	if got := ffs.Stats()["read"]; got != 1 {
+		t.Fatalf("injected %d read faults, want 1", got)
+	}
+	if fsys.opens != 2 {
+		t.Fatalf("segment opened %d times, want 2: the faulted handle must be dropped and reopened", fsys.opens)
+	}
+	if open := st.OpenReaders(); open != 1 {
+		t.Fatalf("%d read handles open after the retry, want 1", open)
+	}
+}
+
+// TestLogBitFlipUnderHeldHandleQuarantined: a record damaged at rest
+// after its segment's read handle was opened is still caught by the
+// frame checksum on the next read through that handle, quarantined,
+// and repaired by the next Put.
+func TestLogBitFlipUnderHeldHandleQuarantined(t *testing.T) {
+	st := openLog(t)
+	keys, raws := fillLog(t, st, 1)
+	key := keys[0]
+	if _, _, _, ok := st.GetByKey(key); !ok {
+		t.Fatal("first read missed")
+	}
+	if st.OpenReaders() != 1 {
+		t.Fatal("the first read did not leave a held handle")
+	}
+	seg := filepath.Join(st.Dir(), "segments", segFiles(t, st)[0])
+	f, err := os.OpenFile(seg, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, 60); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x10
+	if _, err := f.WriteAt(b, 60); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, _, _, ok := st.GetByKey(key); ok {
+		t.Fatal("a bit-flipped record was served through a held handle")
+	}
+	if st.Quarantined() != 1 {
+		t.Fatalf("Quarantined = %d, want 1", st.Quarantined())
+	}
+	if _, err := st.Put(seedSpec(0), fakeResult(100, false)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, raw, ok := st.GetByKey(key); !ok || !bytes.Equal(raw, raws[key]) {
+		t.Fatal("the repair Put is not served")
+	}
 }

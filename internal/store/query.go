@@ -141,21 +141,34 @@ func rowFromResult(key string, spec JobSpec, res *explore.Result) VerdictRow {
 // holds it and however many workers filled it.
 func List(st Interface, f Filter) ([]VerdictRow, error) {
 	rows := []VerdictRow{}
-	err := st.Scan(func(key string, spec JobSpec, result []byte) error {
-		var res explore.Result
-		if json.Unmarshal(result, &res) != nil {
-			return nil // Scan already validated the checksum; treat residual damage as a miss
+	err := scanResults(st, func(key string, spec JobSpec, res *explore.Result, _ []byte) error {
+		if f.Match(spec, res.Verdict()) {
+			rows = append(rows, rowFromResult(key, spec, res))
 		}
-		if !f.Match(spec, res.Verdict()) {
-			return nil
-		}
-		rows = append(rows, rowFromResult(key, spec, &res))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return rows, nil
+}
+
+// scanResults is Scan with every result decoded once: an engine hands
+// over the result its key check already decoded, and any other
+// Interface (a wrapper around one) is scanned and decoded here.
+func scanResults(st Interface, fn func(key string, spec JobSpec, res *explore.Result, raw []byte) error) error {
+	if rs, ok := st.(interface {
+		scanResults(func(key string, spec JobSpec, res *explore.Result, raw []byte) error) error
+	}); ok {
+		return rs.scanResults(fn)
+	}
+	return st.Scan(func(key string, spec JobSpec, result []byte) error {
+		var res explore.Result
+		if json.Unmarshal(result, &res) != nil {
+			return nil // Scan already validated the checksum; treat residual damage as a miss
+		}
+		return fn(key, spec, &res, result)
+	})
 }
 
 // Summary aggregates one campaign's cells (or any key set) by verdict

@@ -358,11 +358,11 @@ func checkEntry(data []byte) (entry, entryIssue, string) {
 
 // matchSpec is the Get tail shared by both engines: the embedded spec
 // must canonicalize to exactly the requested spec (anything else is a
-// hash collision or stale canonicalization, served as a miss).
+// hash collision or stale canonicalization, served as a miss). JobSpec
+// holds plain scalars only, so comparing the structs decides what
+// comparing their JSON would.
 func matchSpec(e entry, c JobSpec) (*explore.Result, []byte, bool) {
-	want, _ := json.Marshal(c)
-	got, _ := json.Marshal(e.Spec.Canonical())
-	if string(want) != string(got) {
+	if e.Spec.Canonical() != c {
 		return nil, nil, false
 	}
 	var res explore.Result
@@ -384,4 +384,24 @@ func matchKey(e entry, key string) (JobSpec, *explore.Result, []byte, bool) {
 		return JobSpec{}, nil, nil, false
 	}
 	return c, &res, []byte(e.Result), true
+}
+
+// scanKeys is the Scan loop shared by both engines: each key's entry
+// is read, checked against the key and handed over with its result
+// decoded, once.
+func scanKeys(keys []string, read func(key string) (entry, bool), fn func(key string, spec JobSpec, res *explore.Result, raw []byte) error) error {
+	for _, key := range keys {
+		e, ok := read(key)
+		if !ok {
+			continue
+		}
+		c, res, raw, ok := matchKey(e, key)
+		if !ok {
+			continue
+		}
+		if err := fn(key, c, res, raw); err != nil {
+			return err
+		}
+	}
+	return nil
 }
