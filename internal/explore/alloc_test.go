@@ -14,9 +14,10 @@ import (
 // set (the steady state of a converging BFS — by far the common case,
 // since each state is discovered once but re-derived once per inbound
 // transition), expanding it must allocate nothing. Eval, bulk apply,
-// key patching, the visited probe and the incremental spec checks all
-// run on worker-owned scratch; the only allocating paths are fresh
-// states (arena append) and violations (rare by design).
+// the all-subsets projection pass, key patching, the visited probe and
+// the per-selection spec checks all run on worker-owned scratch; the
+// only allocating paths are fresh states (arena append) and violations
+// (rare by design).
 func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 	factory := mustCC(t, core.CC2, hypergraph.CommitteeRing(3), CCOptions{Init: InitCCFull})
 	m := factory()

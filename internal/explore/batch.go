@@ -19,7 +19,10 @@ import (
 // pre-encoded per-process payloads into the parent encoding. The
 // transition checks run against merged views — selected processes read
 // their recorded post state, the rest the parent columns — so no
-// successor configuration is ever materialized.
+// successor configuration is ever materialized. Under all-subsets they
+// are first judged once per neighbourhood projection (projectChecks),
+// and the per-selection loops run only where that pass found a
+// possible violation.
 //
 // The pipeline is behavior-preserving by construction and proven so by
 // the three-way differential battery (batch vs scalar vs Reference):
@@ -40,9 +43,12 @@ type batchEval[S sim.Cloneable[S]] interface {
 	// Correct reports Model.Correct(cfg, p) for the configuration of
 	// the last Eval.
 	Correct(p int) bool
-	// SetSelection installs the daemon selection the Post* reads
-	// resolve against: selected processes read their post state (as
-	// recorded by Apply), the rest the parent configuration.
+	// SetSelection installs the selection the Post* reads resolve
+	// against: selected processes read their post state (as recorded by
+	// Apply), the rest the parent configuration. mask may be any subset
+	// of the processes applied since the last Eval, not only a daemon
+	// selection — the all-subsets projection pass installs a
+	// neighbourhood's submasks.
 	SetSelection(mask uint64)
 	// SpecNeutral reports that p's applied action provably cannot
 	// change any Meets or Correct value (false is always sound).
@@ -126,74 +132,6 @@ func selFromMask(mask uint64) []int {
 	return sel
 }
 
-// postMeetsMemo is bk.PostMeets(e) memoized per expanded state by the
-// effective selection restricted to e's members. Probe.Meets reads
-// member states only and neutral moves cannot change it, so that
-// projection fully determines the result across the state's selections.
-func (ws *workerState[S]) postMeetsMemo(bk batchEval[S], e int, eff uint64) bool {
-	off := int32(-1)
-	if ws.pmOff != nil {
-		off = ws.pmOff[e]
-	}
-	if off < 0 {
-		return bk.PostMeets(e)
-	}
-	idx := int(off)
-	if lo := ws.pmLo[e]; lo >= 0 {
-		idx += int((eff >> uint(lo)) & ws.pmW[e])
-	} else {
-		for i, q := range ws.model.Probe.H.Edge(e) {
-			if eff>>uint(q)&1 != 0 {
-				idx += 1 << uint(i)
-			}
-		}
-	}
-	if c := ws.pmCache[idx]; c != 0 {
-		return c == 2
-	}
-	v := bk.PostMeets(e)
-	if v {
-		ws.pmCache[idx] = 2
-	} else {
-		ws.pmCache[idx] = 1
-	}
-	return v
-}
-
-// postCorrectMemo is bk.PostCorrect(p) memoized per expanded state by
-// the effective selection restricted to p's Deps neighborhood — the
-// exact locality contract the incremental closure check already relies
-// on for dependency marking.
-func (ws *workerState[S]) postCorrectMemo(bk batchEval[S], p int, eff uint64) bool {
-	off := int32(-1)
-	if ws.pcOff != nil {
-		off = ws.pcOff[p]
-	}
-	if off < 0 {
-		return bk.PostCorrect(p)
-	}
-	idx := int(off)
-	if lo := ws.pcLo[p]; lo >= 0 {
-		idx += int((eff >> uint(lo)) & ws.pcW[p])
-	} else {
-		for i, q := range ws.depList[p] {
-			if eff>>uint(q)&1 != 0 {
-				idx += 1 << uint(i)
-			}
-		}
-	}
-	if c := ws.pcCache[idx]; c != 0 {
-		return c == 2
-	}
-	v := bk.PostCorrect(p)
-	if v {
-		ws.pcCache[idx] = 2
-	} else {
-		ws.pcCache[idx] = 1
-	}
-	return v
-}
-
 // batchViol records a violation against the expansion in flight.
 func (ws *workerState[S]) batchViol(v LayerViol) {
 	v.Item = ws.curItem
@@ -237,9 +175,8 @@ func (ws *workerState[S]) batchSel(selMask uint64) bool {
 	// ascending committee order so the violation stream matches
 	// spec.EventViolationsMeets byte for byte. With mask-form
 	// topology the candidate set is a word OR over the effective
-	// selection and each edge's post-meets value is memoized by its
-	// member-restricted selection (Probe.Meets reads member states
-	// only, so that projection determines the result).
+	// selection, narrowed to the committees the projection pass left
+	// able to violate (every one outside all-subsets).
 	bk.SetSelection(selMask)
 	eff := selMask &^ neutral
 	ws.changed = ws.changed[:0]
@@ -248,25 +185,9 @@ func (ws *workerState[S]) batchSel(selMask uint64) bool {
 		for sm := eff; sm != 0; sm &= sm - 1 {
 			cand |= ws.edgeMaskOf[bits.TrailingZeros64(sm)]
 		}
-		for cm := cand; cm != 0; cm &= cm - 1 { // ascending committee order
+		for cm := cand & ws.curCanViolate; cm != 0; cm &= cm - 1 { // ascending committee order
 			e := bits.TrailingZeros64(cm)
-			var pm bool
-			if lo := ws.pmLo[e]; lo >= 0 { // inlined contiguous memo probe
-				idx := int(ws.pmOff[e]) + int((eff>>uint(lo))&ws.pmW[e])
-				if c := ws.pmCache[idx]; c != 0 {
-					pm = c == 2
-				} else {
-					pm = bk.PostMeets(e)
-					if pm {
-						ws.pmCache[idx] = 2
-					} else {
-						ws.pmCache[idx] = 1
-					}
-				}
-			} else {
-				pm = ws.postMeetsMemo(bk, e, eff)
-			}
-			if pm != ws.was[e] {
+			if bk.PostMeets(e) != ws.was[e] {
 				ws.changed = append(ws.changed, e)
 			}
 		}
@@ -320,39 +241,19 @@ func (ws *workerState[S]) batchSel(selMask uint64) bool {
 			}
 		}
 	}
-	if correctPrev != nil && (opts.CheckClosure || opts.CheckConvergence) {
+	if correctPrev != nil && (opts.CheckClosure || opts.CheckConvergence) && !ws.curClean {
 		if ws.depMask != nil && !opts.CheckConvergence {
 			// Closure-only fast path: a violation needs a process that
 			// was Correct, depends on an effective selected process,
 			// and is no longer Correct — judged over the dependency
-			// mask union in ascending process order, with PostCorrect
-			// memoized by its Deps-restricted selection.
+			// mask union in ascending process order.
 			var dm uint64
 			for sm := eff; sm != 0; sm &= sm - 1 {
 				dm |= ws.depMask[bits.TrailingZeros64(sm)]
 			}
 			for pmm := dm; pmm != 0; pmm &= pmm - 1 {
 				p := bits.TrailingZeros64(pmm)
-				if !correctPrev[p] {
-					continue
-				}
-				var ok bool
-				if lo := ws.pcLo[p]; lo >= 0 { // inlined contiguous memo probe
-					idx := int(ws.pcOff[p]) + int((eff>>uint(lo))&ws.pcW[p])
-					if c := ws.pcCache[idx]; c != 0 {
-						ok = c == 2
-					} else {
-						ok = bk.PostCorrect(p)
-						if ok {
-							ws.pcCache[idx] = 2
-						} else {
-							ws.pcCache[idx] = 1
-						}
-					}
-				} else {
-					ok = ws.postCorrectMemo(bk, p, eff)
-				}
-				if ok {
+				if !correctPrev[p] || bk.PostCorrect(p) {
 					continue
 				}
 				if sel == nil {
@@ -367,28 +268,18 @@ func (ws *workerState[S]) batchSel(selMask uint64) bool {
 		} else {
 			// Convergence needs every process's post status (an
 			// untouched incorrect process still violates), so walk
-			// them all, recomputing only dependency-marked ones.
-			var dm uint64
-			haveDM := ws.depMask != nil
-			if haveDM {
+			// them all, recomputing only dependency-marked ones
+			// (every one without Deps).
+			dm := ^uint64(0)
+			if ws.depMask != nil {
+				dm = 0
 				for sm := eff; sm != 0; sm &= sm - 1 {
 					dm |= ws.depMask[bits.TrailingZeros64(sm)]
-				}
-			} else if m.Deps != nil {
-				ws.epoch++
-				for sm := eff; sm != 0; sm &= sm - 1 {
-					for _, q := range m.Deps(bits.TrailingZeros64(sm)) {
-						ws.procMark[q] = ws.epoch
-					}
 				}
 			}
 			for p := range correctPrev {
 				correctNow := correctPrev[p]
-				if haveDM {
-					if dm>>uint(p)&1 != 0 {
-						correctNow = ws.postCorrectMemo(bk, p, eff)
-					}
-				} else if m.Deps == nil || ws.procMark[p] == ws.epoch {
+				if dm>>uint(p)&1 != 0 {
 					correctNow = bk.PostCorrect(p)
 				}
 				if opts.CheckClosure && correctPrev[p] && !correctNow {
@@ -417,12 +308,92 @@ func (ws *workerState[S]) batchSel(selMask uint64) bool {
 	return true
 }
 
+// maxProjWidth caps the neighbourhoods the projection pass walks: one
+// with more effective processes is not walked and counts as able to
+// violate.
+const maxProjWidth = 12
+
+// projectChecks is the all-subsets projection pass, run once per
+// expanded state before its selections. Every transition check reads a
+// selection only through its restriction to one small neighbourhood —
+// Probe.Meets of a committee its members, Correct(p) the processes whose
+// Deps hold p — and neutral moves change neither, so each check is a
+// function of that restriction of the effective selection. Under
+// all-subsets every restriction of effAll (the enabled, non-neutral
+// processes) is realized by some selection; under a branch cap, by at
+// most all of them. So each neighbourhood's submasks are judged here
+// once, rather than once per selection:
+//
+//   - canViolate has the committees that some selection can flip into a
+//     violation: a flip is one only if a member fails Probe.Waiting
+//     (convene) or Probe.Done (terminate) in the parent, which no
+//     selection changes, so only those committees are walked;
+//   - clean reports that no selection breaks a Correct process, which
+//     lets batchSel skip the closure-only check outright. It is false
+//     whenever that check does not apply.
+//
+// A state that may violate still runs batchSel's exact loops, so the
+// violation stream is the per-selection one byte for byte.
+func (ws *workerState[S]) projectChecks(effAll uint64, correctPrev []bool) (canViolate uint64, clean bool) {
+	m := ws.model
+	bk := ws.bkern
+	canViolate = ^uint64(0)
+	if ws.memberMask != nil {
+		canViolate = 0
+		for e, members := range ws.memberMask {
+			nb := members & effAll
+			if nb == 0 {
+				continue
+			}
+			was := ws.was[e]
+			parentOK := true
+			for _, q := range m.Probe.H.Edge(e) {
+				if was && !m.Probe.Done(ws.cfg, q) || !was && !m.Probe.Waiting(ws.cfg, q) {
+					parentOK = false
+					break
+				}
+			}
+			if parentOK {
+				continue
+			}
+			flips := bits.OnesCount64(nb) > maxProjWidth
+			for sub := nb; sub != 0 && !flips; sub = (sub - 1) & nb {
+				bk.SetSelection(sub)
+				flips = bk.PostMeets(e) != was
+			}
+			if flips {
+				canViolate |= 1 << uint(e)
+			}
+		}
+	}
+	if correctPrev == nil || !ws.opts.CheckClosure || ws.opts.CheckConvergence || ws.depMask == nil {
+		return canViolate, false
+	}
+	for p, ok := range correctPrev {
+		nb := ws.readMask[p] & effAll
+		if !ok || nb == 0 {
+			continue
+		}
+		if bits.OnesCount64(nb) > maxProjWidth {
+			return canViolate, false
+		}
+		for sub := nb; sub != 0; sub = (sub - 1) & nb {
+			bk.SetSelection(sub)
+			if !bk.PostCorrect(p) {
+				return canViolate, false
+			}
+		}
+	}
+	return canViolate, true
+}
+
 // expandBatch is expand through the batch pipeline: one kernel Eval for
 // the whole enabled set, one body application and one block encoding per
-// enabled process, and per-selection work reduced to key patching, the
-// visited probe, and incremental merged-view spec checks. Every
-// observable — keys, discovery positions, truncation, violation
-// messages — matches expand exactly.
+// enabled process, under all-subsets one projection pass, and
+// per-selection work reduced to key patching, the visited probe, and
+// incremental merged-view spec checks. Every observable — keys,
+// discovery positions, truncation, violation messages — matches expand
+// exactly.
 func (ws *workerState[S]) expandBatch(vs *Visited, agg *LayerReport, id int32, item, depth int) {
 	m := ws.model
 	opts := ws.opts
@@ -495,15 +466,10 @@ func (ws *workerState[S]) expandBatch(vs *Visited, agg *LayerReport, id int32, i
 			neutral |= 1 << uint(p)
 		}
 	}
-	// Reset the per-expansion Post* memo tables (0 = unknown; range-clear
-	// compiles to memclr).
-	for i := range ws.pmCache {
-		ws.pmCache[i] = 0
+	ws.curCanViolate, ws.curClean = ^uint64(0), false
+	if opts.Mode == sim.SelectAllSubsets {
+		ws.curCanViolate, ws.curClean = ws.projectChecks(enabledMask&^neutral, correctPrev)
 	}
-	for i := range ws.pcCache {
-		ws.pcCache[i] = 0
-	}
-
 	ws.curNeutral = neutral
 	ws.curCorrectPrev = correctPrev
 	branches := sim.MaskSuccessors(enabledMask, opts.Mode, opts.MaxBranch, ws.selCB)

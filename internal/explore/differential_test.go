@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hypergraph"
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 // The differential battery: the binary-codec sharded engine (Explore)
@@ -274,16 +275,82 @@ func TestDifferentialMutations(t *testing.T) {
 		mutation string
 		init     InitMode
 		mode     sim.SelectionMode
+		closure  bool
 		converge bool
 	}{
-		{MutationLeaveEarly, InitLegit, sim.SelectCentral, false},
-		{MutationSkipStab, InitCCFull, sim.SelectSynchronous, true},
+		{MutationLeaveEarly, InitLegit, sim.SelectCentral, false, false},
+		{MutationSkipStab, InitCCFull, sim.SelectSynchronous, false, true},
+		// The all-subsets stream, whose batch side comes out of the
+		// projection pass: essential-discussion and closure violations.
+		{MutationLeaveEarly, InitLegit, sim.SelectAllSubsets, true, false},
 	} {
 		factory := mustCC(t, core.CC2, hypergraph.CommitteeRing(3), CCOptions{Init: tc.init, Mutation: tc.mutation})
 		opts := Options{
-			Mode: tc.mode, CheckDeadlock: true, CheckConvergence: tc.converge, MaxViolations: 3,
+			Mode: tc.mode, CheckDeadlock: true, CheckClosure: tc.closure, CheckConvergence: tc.converge, MaxViolations: 3,
 		}
-		assertThreeWay(t, factory, opts)
+		res := assertThreeWay(t, factory, opts)
+		if tc.mode == sim.SelectAllSubsets {
+			kinds := map[string]bool{}
+			for _, v := range res.Violations {
+				kinds[v.Kind] = true
+			}
+			if !kinds[spec.KindEssential] || !kinds[KindClosure] {
+				t.Fatalf("all-subsets leave-early stream lost a kind: %v", res.Violations)
+			}
+		}
+	}
+}
+
+// plainKernel hides everything but sim.BatchKernel from the kernel it
+// wraps, so the batch pipeline adapts it with genericChecker and the
+// transition checks run the model's own Correct.
+type plainKernel[S sim.Cloneable[S]] struct{ sim.BatchKernel[S] }
+
+// TestClosureNeedsJointMove: a closure violation that no single process
+// causes. The model is CC1 on ring:4 from the legitimate configuration,
+// where every professor is idle and the three without the token are
+// enabled to start looking, with a test-only Correct: p is Correct
+// while at most one process of its closed neighbourhood is looking. Any
+// one professor starting to look keeps every process Correct; two
+// members of one neighbourhood starting together break it. The all-subsets projection pass must therefore
+// walk joint submasks of a neighbourhood, not only singletons, or the
+// initial state reads as clean and its violations go missing.
+func TestClosureNeedsJointMove(t *testing.T) {
+	h := hypergraph.CommitteeRing(4)
+	cc := mustCC(t, core.CC1, h, CCOptions{Init: InitLegit})
+	deps := make([][]int, h.N())
+	for p := range deps {
+		deps[p] = append(append([]int(nil), h.Neighbors(p)...), p)
+	}
+	factory := func() *Model[core.State] {
+		m := cc()
+		kernel := m.Kernel
+		m.Kernel = func() sim.BatchKernel[core.State] { return plainKernel[core.State]{kernel()} }
+		m.Deps = func(p int) []int { return deps[p] }
+		m.Correct = func(cfg []core.State, p int) bool {
+			looking := 0
+			for _, q := range deps[p] {
+				if cfg[q].S == core.Looking {
+					looking++
+				}
+			}
+			return looking <= 1
+		}
+		return m
+	}
+	if _, ok := newWorkerState(factory(), &Options{}).bkern.(*genericChecker[core.State]); !ok {
+		t.Fatal("the wrapped kernel did not run through genericChecker")
+	}
+	opts := Options{Mode: sim.SelectAllSubsets, CheckClosure: true, MaxViolations: 6}
+	res := assertThreeWay(t, factory, opts)
+	if len(res.Violations) == 0 {
+		t.Fatal("no closure violation found")
+	}
+	for _, v := range res.Violations {
+		last := v.Trace[len(v.Trace)-1]
+		if v.Kind != KindClosure || v.Depth != 1 || len(last.Sel) < 2 {
+			t.Fatalf("want only joint-move closure violations out of the initial state, got %s (selection %v)", v, last.Sel)
+		}
 	}
 }
 

@@ -47,7 +47,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"math/rand"
 	"strings"
 	"sync"
@@ -347,31 +346,14 @@ type workerState[S sim.Cloneable[S]] struct {
 
 	// Mask-form topology for the per-branch fast path (nil when the edge
 	// count exceeds a word): edgeMaskOf[p] is the committees incident to
-	// p, memberMask[e] the members of e, depMask[p] the closed Correct
-	// dependency neighborhood of p (Model.Deps).
+	// p, memberMask[e] the members of e. depMask[p] is the closed Correct
+	// dependency neighborhood of p (Model.Deps) and readMask[p] its
+	// transpose, the processes whose state Correct(p) may read (nil
+	// without Deps).
 	edgeMaskOf []uint64
 	memberMask []uint64
 	depMask    []uint64
-	depList    [][]int
-
-	// Per-expansion memo tables for the merged-view spec reads. Meets
-	// reads only an edge's members and Correct only a process's Deps
-	// neighborhood (the same locality contracts the incremental checks
-	// rely on), so each result is a pure function of the selection
-	// restricted to that neighborhood — a handful of bits, memoized per
-	// expanded state across its (up to 2^k) selections. -1 = unknown.
-	// pmLo/pcLo mark neighborhoods that are contiguous bit ranges (the
-	// common case for ring and chain topologies): the memo index is then
-	// a single shift-and-mask instead of a gather loop. -1 = use the
-	// general list extraction (or no memo slot at all).
-	pmOff   []int32
-	pmCache []int8
-	pmLo    []int8
-	pmW     []uint64
-	pcOff   []int32
-	pcCache []int8
-	pcLo    []int8
-	pcW     []uint64
+	readMask   []uint64
 
 	// Per-expansion context for the pre-bound batchSel callback. The
 	// callback is bound once at construction: a closure created inside
@@ -390,6 +372,10 @@ type workerState[S sim.Cloneable[S]] struct {
 	curAtCap       bool
 	curNeutral     uint64
 	curCorrectPrev []bool
+	// curCanViolate and curClean are the projection pass's verdict on
+	// the state in flight (see projectChecks).
+	curCanViolate uint64
+	curClean      bool
 
 	// The successor hand-off (emit.go): the exact re-proposal filter, and
 	// on the local backend the worker's place among the owners of the
@@ -492,68 +478,15 @@ func newWorkerState[S sim.Cloneable[S]](m *Model[S], opts *Options) *workerState
 					ws.edgeMaskOf[p] |= 1 << uint(e)
 				}
 			}
-			ws.pmOff = par.PrivateSlice[int32](mEdges)
-			ws.pmLo = par.PrivateSlice[int8](mEdges)
-			ws.pmW = par.PrivateSlice[uint64](mEdges)
-			pmTotal := 0
-			for e := 0; e < mEdges; e++ {
-				ws.pmLo[e] = -1
-				if sz := len(m.Probe.H.Edge(e)); sz <= 6 {
-					ws.pmOff[e] = int32(pmTotal)
-					pmTotal += 1 << uint(sz)
-				} else {
-					ws.pmOff[e] = -1
-				}
-			}
-			if pmTotal > 0 {
-				ws.pmCache = par.PrivateSlice[int8](pmTotal)
-				for e := 0; e < mEdges; e++ {
-					if mask := ws.memberMask[e]; ws.pmOff[e] >= 0 && mask != 0 {
-						lo := bits.TrailingZeros64(mask)
-						if mask>>uint(lo) == 1<<uint(bits.OnesCount64(mask))-1 {
-							ws.pmLo[e] = int8(lo)
-							ws.pmW[e] = mask >> uint(lo)
-						}
-					}
-				}
-			} else {
-				ws.pmOff = nil
-			}
 		}
-		if m.Deps != nil && n == m.Probe.H.N() {
+		if m.Deps != nil {
 			ws.depMask = par.PrivateSlice[uint64](n)
-			ws.depList = par.PrivateSlice[[]int](n)
-			ws.pcOff = par.PrivateSlice[int32](n)
-			ws.pcLo = par.PrivateSlice[int8](n)
-			ws.pcW = par.PrivateSlice[uint64](n)
-			pcTotal := 0
+			ws.readMask = par.PrivateSlice[uint64](n)
 			for p := 0; p < n; p++ {
-				ds := m.Deps(p)
-				ws.depList[p] = ds
-				ws.pcLo[p] = -1
-				for _, q := range ds {
+				for _, q := range m.Deps(p) {
 					ws.depMask[p] |= 1 << uint(q)
+					ws.readMask[q] |= 1 << uint(p)
 				}
-				if len(ds) <= 8 && pcTotal <= 1<<13 {
-					ws.pcOff[p] = int32(pcTotal)
-					pcTotal += 1 << uint(len(ds))
-				} else {
-					ws.pcOff[p] = -1
-				}
-			}
-			if pcTotal > 0 {
-				ws.pcCache = par.PrivateSlice[int8](pcTotal)
-				for p := 0; p < n; p++ {
-					if mask := ws.depMask[p]; ws.pcOff[p] >= 0 && mask != 0 {
-						lo := bits.TrailingZeros64(mask)
-						if mask>>uint(lo) == 1<<uint(bits.OnesCount64(mask))-1 {
-							ws.pcLo[p] = int8(lo)
-							ws.pcW[p] = mask >> uint(lo)
-						}
-					}
-				}
-			} else {
-				ws.pcOff = nil
 			}
 		}
 	}
