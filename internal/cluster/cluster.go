@@ -318,7 +318,7 @@ func (c *coordinator) recover(depth int, dead []int) error {
 // global discovery order, assign gids to the kept prefix, commit each
 // shard's share of it back, and snapshot every shard at the new
 // barrier.
-func (c *coordinator) Commit(room int, housekeep bool, keep func(parent int32, sel string)) (int, bool, error) {
+func (c *coordinator) Commit(room int, housekeep bool, links *explore.TraceLinks) (int, bool, error) {
 	var all []pendTagged
 	for s, p := range c.route {
 		meta, err := c.tr.PendMeta(p, s)
@@ -331,15 +331,16 @@ func (c *coordinator) Commit(room int, housekeep bool, keep func(parent int32, s
 	}
 	// pos values are globally unique — each (item, branch) probes
 	// one key at one owner — so this sort is a strict total order:
-	// exactly the single-node Drain order.
+	// exactly the single-node promotion order.
 	slices.SortFunc(all, func(a, b pendTagged) int { return cmp.Compare(a.meta.Pos, b.meta.Pos) })
 	kept := len(all)
 	if room >= 0 {
 		kept = min(kept, room)
 	}
 	gids := make([][]int32, len(c.route))
-	for _, t := range all[:kept] {
-		keep(t.meta.Parent, string(t.meta.Sel))
+	link := links.Extend(kept)
+	for i, t := range all[:kept] {
+		links.Set(link+i, t.meta.Parent, string(t.meta.Sel))
 		gids[t.shard] = append(gids[t.shard], int32(len(c.shardOf)))
 		c.shardOf = append(c.shardOf, uint16(t.shard))
 	}

@@ -226,6 +226,11 @@ func runClusterSpilling[S sim.Cloneable[S]](t *testing.T, factory func() *explor
 	stats := &explore.RunStats{}
 	opts.MemBudget, opts.SpillDir, opts.Stats = 16<<10, t.TempDir(), stats
 	got := runCluster(t, factory, opts, npeers, loss)
+	// The layer driver clocks the coordinator's phases as it does a
+	// single node's.
+	if stats.ExpandSeconds <= 0 || stats.CommitSeconds <= 0 {
+		t.Fatalf("phase clocks not filled: expand %gs, commit %gs", stats.ExpandSeconds, stats.CommitSeconds)
+	}
 	return got, stats.ArenaSpilledBytes
 }
 

@@ -74,6 +74,12 @@ type RunStats struct {
 	// CheckpointErrors counts periodic snapshot saves that failed; the
 	// run degraded to continuing uncheckpointed instead of aborting.
 	CheckpointErrors int
+	// SeedSeconds, ExpandSeconds and CommitSeconds are this process's
+	// wall time in the layer driver's three phases: streaming the
+	// initial configurations, expanding layers (violation traces
+	// included), and promoting them (housekeeping included). A resumed
+	// run counts only what it ran itself.
+	SeedSeconds, ExpandSeconds, CommitSeconds float64
 }
 
 // checkpointVersion 3 stores the layer width where version 2 stored
@@ -260,10 +266,12 @@ func writeSnapshot(w io.Writer, s *snapshot, vs *Visited) error {
 		return err
 	}
 	c.int(s.width)
-	for _, p := range s.parentOf {
+	for id := range s.links.Len() {
+		p, _ := s.links.At(id)
 		c.i32(p)
 	}
-	for _, sel := range s.selOf {
+	for id := range s.links.Len() {
+		_, sel := s.links.At(id)
 		c.str(sel)
 	}
 	c.int(len(s.pending))
@@ -346,17 +354,17 @@ func readSnapshot(r io.Reader, wantHash [32]byte, words int, vs *Visited) (*snap
 	if c.err == nil && (s.done < 0 || s.done > s.width || s.width > nstates) {
 		return nil, fmt.Errorf("explore: checkpoint layer position %d of %d out of range", s.done, s.width)
 	}
+	var parents []int32
 	if c.err == nil {
-		s.parentOf = c.i32s(nstates)
+		parents = c.i32s(nstates)
 	}
 	if c.err == nil {
-		s.selOf = make([]string, 0, min(nstates, 1<<14))
 		for i := 0; i < nstates; i++ {
 			sel := string(c.blob(1 << 16))
 			if c.err != nil {
 				break
 			}
-			s.selOf = append(s.selOf, sel)
+			s.links.Set(s.links.Extend(1), parents[i], sel)
 		}
 	}
 	npend := c.int()
@@ -390,7 +398,7 @@ func readSnapshot(r io.Reader, wantHash [32]byte, words int, vs *Visited) (*snap
 	if s.res.Inits < 0 || s.res.Inits > nstates {
 		return nil, fmt.Errorf("explore: checkpoint init count %d out of range", s.res.Inits)
 	}
-	for _, p := range s.parentOf {
+	for _, p := range parents {
 		if p < -1 || int(p) >= nstates {
 			return nil, fmt.Errorf("explore: checkpoint parent id %d out of range", p)
 		}

@@ -79,17 +79,16 @@ func FuzzCheckpointDecode(f *testing.F) {
 		if nstates != vs.States() {
 			t.Fatalf("snapshot claims %d states but restored %d into the visited set", nstates, vs.States())
 		}
-		if len(snap.parentOf) != nstates || len(snap.selOf) != nstates {
-			t.Fatalf("trace arrays (%d parents, %d selections) do not cover %d states",
-				len(snap.parentOf), len(snap.selOf), nstates)
+		if snap.links.Len() != nstates {
+			t.Fatalf("trace links (%d) do not cover %d states", snap.links.Len(), nstates)
 		}
 		if snap.done < 0 || snap.done > snap.width || snap.width > nstates {
 			t.Fatalf("layer position: done %d, width %d, %d states; want 0 ≤ done ≤ width ≤ states",
 				snap.done, snap.width, nstates)
 		}
-		for i, p := range snap.parentOf {
-			if p < -1 || int(p) >= nstates {
-				t.Fatalf("parentOf[%d] = %d outside [-1,%d)", i, p, nstates)
+		for i := range nstates {
+			if p, _ := snap.links.At(i); p < -1 || int(p) >= nstates {
+				t.Fatalf("parent link %d = %d outside [-1,%d)", i, p, nstates)
 			}
 		}
 		if snap.res.Inits < 0 || snap.res.Inits > nstates {

@@ -371,14 +371,23 @@ func TestDifferentialTruncation(t *testing.T) {
 // reports at one, two, three and eight workers are byte-identical — from
 // both the batch pipeline and the scalar engine, and once more behind
 // four-slot successor filters — including counterexample traces from a
-// mutated run.
+// mutated run. The owner commit gets three more rows, compared at the
+// same worker counts: a state bound that cuts the seed layer (200 of
+// 729 inits) and one that cuts a middle layer (50 of 98 states), both
+// mutated so the traces walk the trace links, and a run whose arena
+// spills. StateBytes is part of the marshalled report, so the commit's
+// per-owner scratch must not show in it.
 func TestParallelReportsByteIdentical(t *testing.T) {
-	run := func(workers int, scalar bool, mutation string, init InitMode) []byte {
+	run := func(workers int, scalar bool, mutation string, init InitMode, edit func(*Options)) []byte {
 		factory := mustCC(t, core.CC2, hypergraph.CommitteeRing(3), CCOptions{Init: init, Mutation: mutation})
-		res := Explore(factory, Options{
+		opts := Options{
 			Mode: sim.SelectAllSubsets, CheckDeadlock: true, CheckClosure: true,
 			MaxViolations: 4, Workers: workers, DisableBatch: scalar,
-		})
+		}
+		if edit != nil {
+			edit(&opts)
+		}
+		res := Explore(factory, opts)
 		data, err := json.Marshal(res)
 		if err != nil {
 			t.Fatal(err)
@@ -393,13 +402,13 @@ func TestParallelReportsByteIdentical(t *testing.T) {
 		{"clean", "", InitCC},
 		{"mutated", MutationLeaveEarly, InitLegit},
 	} {
-		ref := run(1, false, tc.mutation, tc.init)
+		ref := run(1, false, tc.mutation, tc.init, nil)
 		for _, workers := range []int{1, 2, 3, 8} {
 			for _, scalar := range []bool{false, true} {
 				if workers == 1 && !scalar {
 					continue
 				}
-				if got := run(workers, scalar, tc.mutation, tc.init); string(got) != string(ref) {
+				if got := run(workers, scalar, tc.mutation, tc.init, nil); string(got) != string(ref) {
 					t.Fatalf("%s: report at -j %d scalar=%v differs from batch -j 1:\n%s\nvs\n%s",
 						tc.name, workers, scalar, got, ref)
 				}
@@ -408,11 +417,45 @@ func TestParallelReportsByteIdentical(t *testing.T) {
 		t.Run(tc.name+"/filter=4", func(t *testing.T) {
 			shrinkFilter(t, 4)
 			for _, workers := range []int{1, 3} {
-				if got := run(workers, false, tc.mutation, tc.init); string(got) != string(ref) {
+				if got := run(workers, false, tc.mutation, tc.init, nil); string(got) != string(ref) {
 					t.Fatalf("report at -j %d behind a 4-slot filter differs from batch -j 1:\n%s\nvs\n%s",
 						workers, got, ref)
 				}
 			}
 		})
+	}
+	for _, tc := range []struct {
+		name     string
+		mutation string
+		init     InitMode
+		edit     func(*Options)
+	}{
+		{"seed-cut", MutationLeaveEarly, InitCC, func(o *Options) { o.MaxStates = 200 }},
+		{"mid-cut", MutationLeaveEarly, InitLegit, func(o *Options) { o.MaxStates = 50 }},
+		{"spilled", "", InitCC, func(o *Options) {
+			o.MemBudget, o.SpillDir, o.Stats = 16<<10, t.TempDir(), &RunStats{}
+		}},
+	} {
+		var ref []byte
+		for _, workers := range []int{1, 2, 3, 8} {
+			var opts Options
+			got := run(workers, false, tc.mutation, tc.init, func(o *Options) { tc.edit(o); opts = *o })
+			var res Result
+			if err := json.Unmarshal(got, &res); err != nil {
+				t.Fatal(err)
+			}
+			if opts.MaxStates > 0 && (!res.Truncated || res.Ok()) {
+				t.Fatalf("%s at -j %d: want a truncated run with violations, got %s", tc.name, workers, res.Summary())
+			}
+			if st := opts.Stats; st != nil && (st.ArenaSpilledBytes == 0 || st.ExpandSeconds <= 0 || st.CommitSeconds <= 0) {
+				t.Fatalf("%s at -j %d: spilled %d arena bytes, expand %gs, commit %gs; want all positive",
+					tc.name, workers, st.ArenaSpilledBytes, st.ExpandSeconds, st.CommitSeconds)
+			}
+			if ref == nil {
+				ref = got
+			} else if string(got) != string(ref) {
+				t.Fatalf("%s: report at -j %d differs from -j 1:\n%s\nvs\n%s", tc.name, workers, got, ref)
+			}
+		}
 	}
 }

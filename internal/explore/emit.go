@@ -24,9 +24,11 @@ import (
 // barrier a second fan-out lets every owner drain the buffers addressed
 // to it (localBackend.expandChunk). Buffers are therefore empty at every
 // chunk boundary, where cancellation, checkpoints, Progress and — at the
-// layer's end — Drain, Promote and Housekeep see the set exactly as they
-// would had every successor been probed the moment it was derived. With
-// one worker every stripe is its own and no buffer is ever written.
+// layer's end — the commit and Housekeep see the set exactly as they
+// would had every successor been probed the moment it was derived. The
+// commit keeps the same ownership: each worker sorts and promotes the
+// pending entries of its own stripes (Visited.commit). With one worker
+// every stripe is its own and no buffer is ever written.
 
 // filterEntries is the slot count of a worker's successor filter (a
 // power of two). 4,096 slots recognise about 70% of the probes of a
@@ -158,7 +160,7 @@ func shareStripes[S sim.Cloneable[S]](wss []*workerState[S]) {
 // `item` of its layer.
 //
 // Once the state bound is exhausted (stable across the whole layer:
-// promotion is serial, so every worker sees the same count), fresh
+// promotion is between layers, so every worker sees the same count), fresh
 // successors are doomed — a read-only membership check replaces the
 // insertion probe, so bounded runs stop allocating pending entries per
 // dropped state while the truncation flag still fires exactly when the

@@ -236,8 +236,8 @@ func TestRouteBufferHandOff(t *testing.T) {
 		if f.Pos != uint64(w)<<32 || f.Parent != int32(10+w) || f.Sel != string([]byte{byte(w)}) {
 			t.Fatalf("entry %d is (pos %#x, parent %d, sel %q)", w, f.Pos, f.Parent, f.Sel)
 		}
-		if !wordsEqual(f.key, keys[1-w]) {
-			t.Fatalf("entry %d holds key %v, want %v", w, f.key, keys[1-w])
+		if key := vs.shards[f.shard].pend[f.pidx].key; !wordsEqual(key, keys[1-w]) {
+			t.Fatalf("entry %d holds key %v, want %v", w, key, keys[1-w])
 		}
 	}
 	for _, ws := range wss {

@@ -797,7 +797,8 @@ type localBackend[S sim.Cloneable[S]] struct {
 // set and every shard of a cluster peer are built here, so the memory
 // budget and the I/O routing reach all of them. sharers is how many
 // sets split the arena budget; serial marks a set only one goroutine
-// ever probes (it then logs insertion order, and Drain need not sort).
+// ever probes (it then logs insertion order, and the commit need not
+// sort).
 func newVisited(words int, opts *Options, serial bool, sharers int) *Visited {
 	vs := NewVisited(words)
 	vs.SetSerial(serial)
@@ -1014,25 +1015,13 @@ func (b *localBackend[S]) expandChunk(from int32, size, depth int) error {
 	return nil
 }
 
-// Commit implements LayerBackend (phase B: serial): promote the fresh
-// states in deterministic discovery order — their dense ids are the
-// next layer — then run the scaling housekeeping (re-shard, cold-tail
-// spill).
-func (b *localBackend[S]) Commit(room int, housekeep bool, keep func(parent int32, sel string)) (int, bool, error) {
-	fresh := b.vs.Drain()
-	kept := len(fresh)
-	if room >= 0 {
-		kept = min(kept, room)
-	}
-	for i, f := range fresh {
-		if i >= kept {
-			b.vs.Drop(f)
-			continue
-		}
-		keep(f.Parent, f.Sel)
-		b.vs.Promote(f)
-	}
-	b.vs.Reset()
+// Commit implements LayerBackend (phase B: the owner commit): every
+// worker promotes the fresh states of the stripes it owns, at their
+// ranks in deterministic discovery order (Visited.commit) — their dense
+// ids are the next layer — then the driver goroutine runs the scaling
+// housekeeping (re-shard, cold-tail spill).
+func (b *localBackend[S]) Commit(room int, housekeep bool, links *TraceLinks) (int, bool, error) {
+	kept, pending := b.vs.commit(len(b.wss), room, links)
 	if housekeep {
 		// The driver has not yet counted this commit, so the hot
 		// watermark is the first id of the layer just expanded.
@@ -1040,7 +1029,7 @@ func (b *localBackend[S]) Commit(room int, housekeep bool, keep func(parent int3
 			return 0, false, err
 		}
 	}
-	return kept, kept < len(fresh), nil
+	return kept, kept < pending, nil
 }
 
 // Keys implements LayerBackend.

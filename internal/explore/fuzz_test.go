@@ -1,9 +1,11 @@
 package explore
 
 import (
+	"cmp"
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -347,33 +349,55 @@ func normalizeB(cfg []baseline.BState) []baseline.BState {
 }
 
 // FuzzVisitedSet: the concurrent sharded set must be linearizable
-// against a mutex-map oracle under the explorer's phase discipline —
-// concurrent probes, then a serial drain/promote. The oracle resolves
-// duplicate proposals by minimum position, exactly the determinism
-// contract the BFS relies on. Each input byte proposes fan keys, so a
-// few distinct bytes overfill the 64-slot stripes and force them to
-// grow; a second set runs the same layers with its arena spilling and
-// Housekeep re-sharding after every layer, so stripes grow and re-shard
-// over cold slots too. Both answer to the same oracle.
+// against a map oracle under the explorer's phase discipline —
+// concurrent probes, then the owner commit. The oracle resolves
+// duplicate proposals by minimum position, sorts each layer's pending
+// entries by it, promotes the first room and drops the rest, exactly
+// the determinism contract the BFS relies on; the commit splits the
+// stripes over a fuzz-chosen owner count (1–8) and must match it in
+// ids, arena bytes, trace links and tombstones. room is the layer's
+// share of a fuzz-chosen state bound (64 per unit, 0 = none), as the
+// layer driver computes it. Each input byte proposes fan keys, so a few
+// distinct bytes overfill the 64-slot stripes and force them to grow;
+// odd probing goroutines walk their items backwards, so a byte repeated
+// in their share re-proposes its keys from a smaller position after
+// the stripes grew. A second set runs the same layers with its arena
+// spilling and Housekeep re-sharding after every layer, so stripes grow
+// and re-shard over cold slots too. Both answer to the same oracle.
 func FuzzVisitedSet(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, uint8(3))
-	f.Add([]byte{0, 0, 0, 1, 1, 2, 255, 254, 3, 3, 3, 9}, uint8(7))
-	f.Add([]byte{16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 1, 3, 5, 16}, uint8(2))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, uint8(3), uint8(0), uint8(0))
+	f.Add([]byte{0, 0, 0, 1, 1, 2, 255, 254, 3, 3, 3, 9}, uint8(7), uint8(2), uint8(0))
+	f.Add([]byte{16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 1, 3, 5, 16}, uint8(2), uint8(1), uint8(0))
+	// A min-merge after a stripe grew: goroutine 1 proposes byte 99 at
+	// item 29, then six more bytes' keys (48 per stripe: every stripe
+	// grows), then byte 99 again at item 1.
+	f.Add([]byte{
+		0, 99, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+		16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 99, 30, 31,
+	}, uint8(0), uint8(3), uint8(0))
+	// A bound that falls between two owners' entries: one layer of
+	// 1,536 fresh keys, a 960-state bound and three owners; rank 959,
+	// key {41, 447}, lives in owner 1's stripes and rank 960, key
+	// {41, 448}, in owner 0's.
+	f.Add([]byte{40, 41, 42}, uint8(0), uint8(2), uint8(1000/64))
 	// Past 64·64 promoted states the spilled set re-shards (the first
 	// and last seeds get there; the first two grow stripes over cold
 	// slots on the way).
 	old := reshardPerShard
 	reshardPerShard = 64
 	defer func() { reshardPerShard = old }()
-	f.Fuzz(func(t *testing.T, data []byte, layersByte uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, layersByte, ownersByte, boundByte uint8) {
 		const words, fan = 2, 512
 		data = data[:min(len(data), 64)] // at most 64·fan probes per layer
+		owners := 1 + int(ownersByte%8)
+		maxStates := 64 * int(boundByte)
 
 		keyOf := func(b byte, j int) [words]uint64 { return [words]uint64{uint64(b), uint64(j)} }
 		spilled := NewVisited(words)
 		spilled.EnableArenaSpill(t.TempDir(), 1<<10)
 		defer spilled.Close()
 		sets := []*Visited{NewVisited(words), spilled}
+		links := make([]TraceLinks, len(sets))
 		type oracleEntry struct {
 			pos    uint64
 			parent int32
@@ -396,7 +420,7 @@ func FuzzVisitedSet(f *testing.F) {
 			posOf := func(i, j int) uint64 { return uint64(layer)<<32 | uint64(i*fan+j) }
 
 			// Oracle (serial, min-pos merge over this layer's proposals).
-			nfresh := 0
+			var fresh [][words]uint64
 			for i, b := range ops {
 				for j := 0; j < fan; j++ {
 					key, pos := keyOf(b, j), posOf(i, j)
@@ -407,18 +431,35 @@ func FuzzVisitedSet(f *testing.F) {
 						continue
 					}
 					oracle[key] = &oracleEntry{pos: pos, parent: parentOf(b), sel: string([]byte{b}), id: -1}
-					nfresh++
+					fresh = append(fresh, key)
 				}
 			}
+			slices.SortFunc(fresh, func(a, b [words]uint64) int { return cmp.Compare(oracle[a].pos, oracle[b].pos) })
+			room := -1
+			if maxStates > 0 {
+				room = max(maxStates-int(nextID), 0)
+			}
+			kept := len(fresh)
+			if room >= 0 {
+				kept = min(kept, room)
+			}
 
-			// Concurrent probes, striped over 4 goroutines per set.
+			// Concurrent probes, striped over 4 goroutines per set; odd
+			// goroutines walk their items backwards.
 			var wg sync.WaitGroup
 			for _, vs := range sets {
 				for g := 0; g < 4; g++ {
 					wg.Add(1)
 					go func(vs *Visited, g int) {
 						defer wg.Done()
+						var items []int
 						for i := g; i < len(ops); i += 4 {
+							items = append(items, i)
+						}
+						if g%2 == 1 {
+							slices.Reverse(items)
+						}
+						for _, i := range items {
 							b := ops[i]
 							for j := 0; j < fan; j++ {
 								key := keyOf(b, j)
@@ -430,53 +471,79 @@ func FuzzVisitedSet(f *testing.F) {
 			}
 			wg.Wait()
 
-			// Serial drain: entries must match the oracle's fresh set,
-			// sorted by position, and promote in that order.
+			// The owner commit: every pending entry's slot must end up
+			// holding its oracle id, or a tombstone past the bound.
 			layerFrom := nextID
-			for _, vs := range sets {
-				fresh := vs.Drain()
-				if len(fresh) != nfresh {
-					t.Fatalf("layer %d: %d fresh vs %d expected", layer, len(fresh), nfresh)
+			for si, vs := range sets {
+				type slotAt struct{ shard, slot int32 }
+				slotOf := map[[words]uint64]slotAt{}
+				for s := range vs.shards {
+					for _, e := range vs.shards[s].pend {
+						slotOf[[words]uint64{e.key[0], e.key[1]}] = slotAt{int32(s), e.slot}
+					}
 				}
-				for i, fr := range fresh {
-					if i > 0 && fresh[i-1].Pos >= fr.Pos {
-						t.Fatalf("layer %d: drain not strictly sorted", layer)
-					}
-					want := layerFrom + int32(i)
-					e := oracle[[words]uint64{fr.key[0], fr.key[1]}]
-					if e == nil || (e.id >= 0 && e.id != want) {
-						t.Fatalf("layer %d: drained unknown or already-promoted key", layer)
-					}
-					if e.pos != fr.Pos || e.parent != fr.Parent || e.sel != fr.Sel {
-						t.Fatalf("layer %d: entry mismatch: oracle (%d,%d,%q) vs (%d,%d,%q)",
-							layer, e.pos, e.parent, e.sel, fr.Pos, fr.Parent, fr.Sel)
-					}
-					if id := vs.Promote(fr); id != want {
-						t.Fatalf("layer %d: promoted id %d, want %d", layer, id, want)
-					}
-					e.id = want
+				if len(slotOf) != len(fresh) {
+					t.Fatalf("layer %d: %d pending vs %d expected", layer, len(slotOf), len(fresh))
 				}
-				vs.Reset()
+				gotKept, pending := vs.commit(owners, room, &links[si])
+				if gotKept != kept || pending != len(fresh) {
+					t.Fatalf("layer %d, %d owners: commit kept %d of %d, want %d of %d",
+						layer, owners, gotKept, pending, kept, len(fresh))
+				}
+				for rank, key := range fresh {
+					at := slotOf[key]
+					s := vs.shards[at.shard].slots[at.slot]
+					if rank >= kept {
+						if s.ref != slotTomb {
+							t.Fatalf("layer %d: dropped entry %d left slot ref %d, want a tombstone", layer, rank, s.ref)
+						}
+						continue
+					}
+					id := layerFrom + int32(rank)
+					e := oracle[key]
+					if s.ref != id || s.pidx != int32(hashWords(key[:])) {
+						t.Fatalf("layer %d: entry %d holds slot (%d, tag %d), want id %d", layer, rank, s.ref, s.pidx, id)
+					}
+					if parent, sel := links[si].At(int(id)); parent != e.parent || sel != e.sel {
+						t.Fatalf("layer %d: id %d links (%d, %q), oracle (%d, %q)", layer, id, parent, sel, e.parent, e.sel)
+					}
+					if got := vs.Key(id); !wordsEqual(got, key[:]) {
+						t.Fatalf("layer %d: arena row %d holds %v, want %v", layer, id, got, key)
+					}
+				}
 			}
-			nextID = layerFrom + int32(nfresh)
+			for rank, key := range fresh {
+				if rank < kept {
+					oracle[key].id = layerFrom + int32(rank)
+				} else {
+					delete(oracle, key)
+				}
+			}
+			nextID = layerFrom + int32(kept)
 			// Everything older than this layer goes cold.
 			if err := spilled.Housekeep(layerFrom); err != nil {
 				t.Fatal(err)
 			}
 
-			// Every promoted key must now answer with its id.
+			// Every promoted key must now answer with its id, and no
+			// dropped one may be found.
 			for _, vs := range sets {
 				for key, e := range oracle {
 					if got := vs.Probe(key[:], hashWords(key[:]), ^uint64(0), -1, nil); got != e.id {
 						t.Fatalf("layer %d: lookup of promoted key returned %d, want %d", layer, got, e.id)
 					}
 				}
+				for _, key := range fresh[kept:] {
+					if vs.Contains(key[:], hashWords(key[:])) {
+						t.Fatalf("layer %d: dropped key %v still found", layer, key)
+					}
+				}
 				vs.Reset()
 			}
 		}
-		for _, vs := range sets {
-			if vs.States() != int(nextID) {
-				t.Fatalf("state count %d, want %d", vs.States(), nextID)
+		for i, vs := range sets {
+			if vs.States() != int(nextID) || links[i].Len() != int(nextID) {
+				t.Fatalf("state count %d (%d links), want %d", vs.States(), links[i].Len(), nextID)
 			}
 		}
 	})

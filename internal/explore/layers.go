@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"slices"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -77,12 +78,53 @@ type LayerBackend interface {
 	Expand(ctx context.Context, depth int, first int32, rep *LayerReport) error
 	// Commit promotes the pending states in discovery order under the
 	// next dense ids — at most room of them (room < 0: all), dropping
-	// the rest — reporting each kept state's trace link to keep, then
-	// (housekeep) runs the between-layer maintenance. It returns the
-	// kept count and whether anything was dropped.
-	Commit(room int, housekeep bool, keep func(parent int32, sel string)) (kept int, dropped bool, err error)
+	// the rest — and sets their trace links, extending links once by
+	// the kept count, then (housekeep) runs the between-layer
+	// maintenance. It returns the kept count and whether anything was
+	// dropped.
+	Commit(room int, housekeep bool, links *TraceLinks) (kept int, dropped bool, err error)
 	// Keys returns the encodings of the given promoted states.
 	Keys(ids []int32) ([][]uint64, error)
+}
+
+// TraceLinks is the driver's trace-link table: for promoted state id,
+// the state it was discovered from (−1 for an initial configuration)
+// and the packed selection that led there. It grows in fixed blocks, so
+// a layer's growth never copies the links already held, and distinct
+// ids may be set from different goroutines.
+type TraceLinks struct {
+	n      int
+	parent [][]int32
+	sel    [][]string
+}
+
+// linkBlock is the entries per TraceLinks block.
+const linkBlock = 1 << 12
+
+// Len returns the number of states linked.
+func (t *TraceLinks) Len() int { return t.n }
+
+// Extend grows the table by n states, once per layer, and returns the
+// first new id; the backend then sets ids first … first+n−1.
+func (t *TraceLinks) Extend(n int) (first int) {
+	first = t.n
+	t.n += n
+	for len(t.parent)*linkBlock < t.n {
+		t.parent = append(t.parent, make([]int32, linkBlock))
+		t.sel = append(t.sel, make([]string, linkBlock))
+	}
+	return first
+}
+
+// Set records state id's link.
+func (t *TraceLinks) Set(id int, parent int32, sel string) {
+	t.parent[id/linkBlock][id%linkBlock] = parent
+	t.sel[id/linkBlock][id%linkBlock] = sel
+}
+
+// At returns state id's link.
+func (t *TraceLinks) At(id int) (parent int32, sel string) {
+	return t.parent[id/linkBlock][id%linkBlock], t.sel[id/linkBlock][id%linkBlock]
 }
 
 // layerState is the driver's resumable state: together with the
@@ -96,10 +138,9 @@ type layerState struct {
 	// done counts the layer's items already expanded and merged into
 	// layer; only the local backend, which expands a layer in
 	// checkpointable chunks, ever leaves it non-zero between calls.
-	done     int
-	layer    LayerReport
-	parentOf []int32
-	selOf    []string
+	done  int
+	layer LayerReport
+	links TraceLinks
 }
 
 type layerDriver struct {
@@ -130,35 +171,47 @@ func RunLayers[S sim.Cloneable[S]](ctx context.Context, m *Model[S], opts Option
 }
 
 // run is the layer loop. resumed skips the seeding: the state was
-// restored from a checkpoint taken mid-layer.
+// restored from a checkpoint taken mid-layer. Every backend call is
+// charged to one of RunStats' phase clocks: seed, expand (the layer's
+// expansion and its violation traces) or commit (promotion and
+// housekeeping).
 func (d *layerDriver) run(ctx context.Context, b LayerBackend, resumed bool) error {
 	res, opts := d.res, d.opts
+	st := opts.Stats
+	if st == nil {
+		st = new(RunStats) // the clocks run either way
+	}
+	timed := func(phase *float64, step func() error) error {
+		t0 := time.Now()
+		err := step()
+		*phase += time.Since(t0).Seconds()
+		return err
+	}
 	// commit promotes the pending layer under the state bound; fresh
 	// states past it are dropped, which is a truncation.
-	commit := func(housekeep bool) error {
-		room := -1
-		if opts.MaxStates > 0 {
-			room = max(opts.MaxStates-res.States, 0)
+	commit := func(housekeep bool) func() error {
+		return func() error {
+			room := -1
+			if opts.MaxStates > 0 {
+				room = max(opts.MaxStates-res.States, 0)
+			}
+			kept, dropped, err := b.Commit(room, housekeep, &d.links)
+			if err != nil {
+				return err
+			}
+			if dropped {
+				res.Truncated = true
+			}
+			res.States += kept
+			d.width = kept
+			return nil
 		}
-		kept, dropped, err := b.Commit(room, housekeep, func(parent int32, sel string) {
-			d.parentOf = append(d.parentOf, parent)
-			d.selOf = append(d.selOf, sel)
-		})
-		if err != nil {
-			return err
-		}
-		if dropped {
-			res.Truncated = true
-		}
-		res.States += kept
-		d.width = kept
-		return nil
 	}
 	if !resumed {
-		if err := b.Seed(); err != nil {
+		if err := timed(&st.SeedSeconds, b.Seed); err != nil {
 			return err
 		}
-		if err := commit(false); err != nil {
+		if err := timed(&st.CommitSeconds, commit(false)); err != nil {
 			return err
 		}
 		res.Inits = d.width
@@ -169,13 +222,15 @@ func (d *layerDriver) run(ctx context.Context, b LayerBackend, resumed bool) err
 			break
 		}
 		first := int32(res.States - d.width)
-		if err := b.Expand(ctx, d.depth, first, &d.layer); err != nil {
+		if err := timed(&st.ExpandSeconds, func() error {
+			if err := b.Expand(ctx, d.depth, first, &d.layer); err != nil {
+				return err
+			}
+			return d.fold(b, first)
+		}); err != nil {
 			return err
 		}
-		if err := d.fold(b, first); err != nil {
-			return err
-		}
-		if err := commit(true); err != nil {
+		if err := timed(&st.CommitSeconds, commit(true)); err != nil {
 			return err
 		}
 		d.depth++
@@ -226,7 +281,7 @@ func (d *layerDriver) fold(b LayerBackend, first int32) error {
 // id, then appends the offending transition if any.
 func (d *layerDriver) trace(b LayerBackend, id int32, v LayerViol) ([]TraceStep, error) {
 	var path []int32
-	for x := id; x >= 0; x = d.parentOf[x] {
+	for x := id; x >= 0; x, _ = d.links.At(int(x)) {
 		path = append(path, x)
 	}
 	slices.Reverse(path)
@@ -236,7 +291,8 @@ func (d *layerDriver) trace(b LayerBackend, id int32, v LayerViol) ([]TraceStep,
 	}
 	out := make([]TraceStep, 0, len(path)+1)
 	for i, x := range path {
-		out = append(out, TraceStep{Sel: decodeSel(d.selOf[x]), Config: d.render(keys[i]), Key: keys[i]})
+		_, sel := d.links.At(int(x))
+		out = append(out, TraceStep{Sel: decodeSel(sel), Config: d.render(keys[i]), Key: keys[i]})
 	}
 	if v.Key != nil {
 		out = append(out, TraceStep{Sel: v.Sel, Config: d.render(v.Key), Key: v.Key})

@@ -12,6 +12,7 @@ import (
 	"unsafe"
 
 	"repro/internal/chaos"
+	"repro/internal/par"
 )
 
 // Visited is the explorer's concurrent deduplication structure: a
@@ -35,17 +36,18 @@ import (
 //     merge by whoever holds the stripe, so the surviving
 //     parent/selection is the one the PR 2 serial loop would have
 //     picked regardless of which worker got there first.
-//  2. Between layers (serial), Drain returns the pending entries
-//     sorted by that position; the caller promotes them in order,
-//     which appends their encodings to the arena and assigns dense
-//     ids — exactly the PR 2 discovery order.
+//  2. Between layers, the owner commit (commit) promotes the pending
+//     entries in position order: each stripe owner sorts its own
+//     entries, a serial merge ranks the owners' runs, and each owner
+//     appends its entries' encodings to the arena at their ranks —
+//     dense ids in exactly the serial discovery order.
 //
 // Promoted encodings live only in the arena (slots store the id), so
 // the steady-state cost per state is words*8 bytes of arena plus one
 // 8-byte slot (amortized over the table's load factor).
 //
 // Two levers keep the structure scaling past its in-memory comfort
-// zone, both exercised only from the serial phase (Housekeep):
+// zone, both exercised only between layers (Housekeep):
 //
 //   - The stripe-sharded table is *growable*: when the promoted count
 //     outgrows the shard count, the whole table is redistributed over
@@ -67,8 +69,10 @@ type Visited struct {
 
 	arena    []uint64 // in-memory promoted states: id n at [(n-baseID)*words, ...)
 	nstates  int
-	serial   bool    // one goroutine probes: Probe skips the locks, inserts are logged in order
-	drainBuf []Fresh // reused across Drain calls
+	serial   bool       // one goroutine probes: Probe skips the locks, inserts are logged in order
+	runs     [][]runRec // per-owner commit runs and their sort buffers, reused across
+	spare    [][]runRec // layers (scratch, outside Bytes)
+	drainBuf []Fresh    // reused across Drain calls
 
 	// Cold-tail spill (optional; see EnableArenaSpill). Ids < baseID
 	// live in spillFile as fixed-width records at offset id*recSize(),
@@ -85,10 +89,9 @@ type Visited struct {
 
 	// order is the serial-mode insertion-order log: with one worker,
 	// pending entries are inserted in exactly the (item, branch) layer
-	// order Drain must return, so Drain walks this log instead of
-	// sorting — unless a min-merge or a checkpoint re-probe perturbed
-	// the order (Drain verifies monotonicity and falls back to the
-	// sort). Parallel runs leave it empty.
+	// order the commit promotes them in, so the sole owner's run is read
+	// off this log instead of the stripes, and sorted only when a
+	// checkpoint re-probe perturbed it. Parallel runs leave it empty.
 	order []pendRef
 }
 
@@ -155,8 +158,6 @@ type Fresh struct {
 	Parent int32
 	Sel    string
 
-	hash        uint64
-	key         []uint64
 	shard, pidx int32 // the pending entry, for O(1) promotion
 }
 
@@ -354,8 +355,9 @@ func (v *Visited) Bytes() int64 {
 		b += int64(cap(sh.pend)) * int64(unsafe.Sizeof(pendEntry{}))
 	}
 	b += int64(cap(v.drainBuf)) * int64(unsafe.Sizeof(Fresh{}))
-	// The serial insertion-order log is deliberately excluded: it exists
-	// only at one worker, and StateBytes must be identical at any -j.
+	// The serial insertion-order log and the owner runs are deliberately
+	// excluded: their shape depends on the worker count, and StateBytes
+	// must be identical at any -j.
 	return b
 }
 
@@ -379,7 +381,8 @@ func (v *Visited) Probe(key []uint64, hash uint64, pos uint64, parent int32, sel
 
 // SetSerial marks the set as single-goroutine (one worker): Probe then
 // skips the stripe locks and inserts are logged in order, which lets
-// Drain skip its sort. Purely an optimization; results are identical.
+// the commit read its one run off the log instead of sorting. Purely
+// an optimization; results are identical.
 func (v *Visited) SetSerial(serial bool) { v.serial = serial }
 
 // refEqual compares promoted state ref against key, reading through
@@ -556,55 +559,175 @@ func (v *Visited) growLocked(sh *vshard) {
 	}
 }
 
-// Drain collects the pending entries of all shards, sorted by layer
-// position — the deterministic promotion order. Serial phases only;
-// the returned slice is reused by the next Drain.
-//
-// With one worker the insertion-order log already is the position
-// order (a serial expansion proposes states in ascending (item, branch)
-// position), so Drain walks the log and only falls back to the sort
-// when the order was perturbed — a checkpoint restore re-probes its
-// pending snapshot in shard order, and its min-merges can lower the
-// position of an already-logged entry.
-func (v *Visited) Drain() []Fresh {
-	out := v.drainBuf[:0]
-	if v.serial && len(v.order) > 0 {
-		mono := true
-		last := uint64(0)
-		for _, pr := range v.order {
-			e := &v.shards[pr.shard].pend[pr.pidx]
-			if e.pos < last {
-				mono = false
-				break
-			}
-			last = e.pos
-			out = append(out, Fresh{
-				Pos: e.pos, Parent: e.parent, Sel: e.sel,
-				hash: e.hash, key: e.key, shard: pr.shard, pidx: pr.pidx,
-			})
-		}
-		if mono {
-			return v.keepDrainBuf(out)
-		}
-		out = out[:0]
-	}
-	for i := range v.shards {
-		for j := range v.shards[i].pend {
-			e := &v.shards[i].pend[j]
-			out = append(out, Fresh{
-				Pos: e.pos, Parent: e.parent, Sel: e.sel,
-				hash: e.hash, key: e.key, shard: int32(i), pidx: int32(j),
-			})
-		}
-	}
-	slices.SortFunc(out, func(a, b Fresh) int { return cmp.Compare(a.Pos, b.Pos) })
-	return v.keepDrainBuf(out)
+// runRec is one pending entry in an owner's commit run: its layer
+// position and where it lives. rankRuns overwrites pos with the
+// entry's rank in the layer's promotion order.
+type runRec struct {
+	pos         uint64
+	shard, pidx int32
 }
 
-// keepDrainBuf reuses the drain buffer while its capacity tracks the
-// layer size, but releases the slack after a spike (a huge seed layer
-// would otherwise stay resident for the whole run).
-func (v *Visited) keepDrainBuf(out []Fresh) []Fresh {
+func byPos(a, b runRec) int { return cmp.Compare(a.pos, b.pos) }
+
+// stripes returns the stripes [lo, hi) that owner o of n owns: those
+// with s·n/len(shards) = o, the rule emit routes successors by.
+func (v *Visited) stripes(o, n int) (lo, hi int) {
+	s := len(v.shards)
+	return (o*s + n - 1) / n, ((o+1)*s + n - 1) / n
+}
+
+// ownerRun gathers owner o's (of n) pending entries into its run,
+// sorted by position. A sole owner of a set one goroutine probes reads
+// the insertion-order log instead of the stripes: a serial expansion
+// proposes states in ascending (item, branch) position, so the log is
+// already sorted unless a checkpoint restore re-probed its pending
+// snapshot in shard order.
+func (v *Visited) ownerRun(o, n int) []runRec {
+	run := v.runs[o][:0]
+	if v.serial && n == 1 {
+		for _, pr := range v.order {
+			run = append(run, runRec{v.shards[pr.shard].pend[pr.pidx].pos, pr.shard, pr.pidx})
+		}
+	} else {
+		lo, hi := v.stripes(o, n)
+		for s := lo; s < hi; s++ {
+			for j := range v.shards[s].pend {
+				run = append(run, runRec{v.shards[s].pend[j].pos, int32(s), int32(j)})
+			}
+		}
+	}
+	if !slices.IsSortedFunc(run, byPos) {
+		run, v.spare[o] = sortRun(run, v.spare[o])
+	}
+	v.runs[o] = run
+	return run
+}
+
+// sortRun sorts run by position, using spare as the second buffer, and
+// returns the sorted run and the other buffer. It is an LSD radix sort
+// over only the bytes in which the run's positions differ: a layer's
+// positions span a few low bytes of item index and of branch.
+func sortRun(run, spare []runRec) (sorted, other []runRec) {
+	var diff uint64
+	for _, r := range run {
+		diff |= r.pos ^ run[0].pos
+	}
+	spare = slices.Grow(spare[:0], len(run))[:len(run)]
+	for shift := uint(0); diff>>shift != 0; shift += 8 {
+		if byte(diff>>shift) == 0 {
+			continue
+		}
+		var at [256]int
+		for _, r := range run {
+			at[byte(r.pos>>shift)]++
+		}
+		sum := 0
+		for d, c := range at {
+			at[d], sum = sum, sum+c
+		}
+		for _, r := range run {
+			d := byte(r.pos >> shift)
+			spare[at[d]] = r
+			at[d]++
+		}
+		run, spare = spare, run
+	}
+	return run, spare
+}
+
+// rankRuns merges the sorted runs by position, overwriting each
+// record's pos with its rank in the merged order, and returns the
+// total. Positions are unique (each (item, branch) proposes one key,
+// and a pending entry keeps the least), so the merged order is strict.
+func rankRuns(runs [][]runRec) int {
+	heads := make([]int, len(runs))
+	for rank := 0; ; rank++ {
+		best := -1
+		for o, h := range heads {
+			if h < len(runs[o]) && (best < 0 || runs[o][h].pos < runs[best][heads[best]].pos) {
+				best = o
+			}
+		}
+		if best < 0 {
+			return rank
+		}
+		runs[best][heads[best]].pos = uint64(rank)
+		heads[best]++
+	}
+}
+
+// setOwners sizes the per-owner run buffers for n owners.
+func (v *Visited) setOwners(n int) {
+	if len(v.runs) != n {
+		v.runs, v.spare = make([][]runRec, n), make([][]runRec, n)
+	}
+}
+
+// commit promotes the pending entries in position order under the
+// next dense ids — at most room of them (room < 0: all), the rest
+// become tombstones — and sets their trace links. It returns the
+// promoted and the pending counts. Between layers only.
+//
+// owners goroutines share the work, each on the stripes it owns during
+// an expansion fan-out (emit.go): every owner sorts its own entries
+// into a run, a serial merge ranks the runs, and every owner then
+// writes its entries' arena rows, slots and trace links at their ranks
+// (disjoint, so no two owners write the same row) and clears its
+// stripes' pending buffers.
+func (v *Visited) commit(owners, room int, links *TraceLinks) (kept, pending int) {
+	v.setOwners(owners)
+	runs := v.runs
+	par.ForEachWorker(owners, owners, func(_, o int) { v.ownerRun(o, owners) })
+	pending = rankRuns(runs)
+	kept = pending
+	if room >= 0 {
+		kept = min(kept, room)
+	}
+	first, at := int32(v.nstates), len(v.arena)
+	v.arena = slices.Grow(v.arena, kept*v.words)[:at+kept*v.words]
+	link := links.Extend(kept)
+	par.ForEachWorker(owners, owners, func(_, o int) {
+		for _, r := range runs[o] {
+			sh := &v.shards[r.shard]
+			ref, rank := slotTomb, int(r.pos)
+			if rank < kept {
+				e := &sh.pend[r.pidx]
+				ref = first + int32(rank)
+				copy(v.arena[at+rank*v.words:], e.key)
+				links.Set(link+rank, e.parent, e.sel)
+			}
+			v.setRef(sh, r.pidx, ref)
+		}
+		lo, hi := v.stripes(o, owners)
+		for s := lo; s < hi; s++ {
+			v.shards[s].resetPend()
+		}
+		if cap(runs[o]) > 2*len(runs[o])+4096 {
+			runs[o], v.spare[o] = nil, nil
+		}
+	})
+	v.nstates += kept
+	v.resetOrder()
+	return kept, pending
+}
+
+// Drain collects the pending entries of all shards, sorted by layer
+// position — the deterministic promotion order. It is commit's
+// one-owner run, for callers that settle entry by entry (a cluster
+// peer's shards, which learn their ids from the coordinator). Between
+// layers only, from one goroutine; the returned slice is reused by the
+// next Drain.
+func (v *Visited) Drain() []Fresh {
+	v.setOwners(1)
+	run := v.ownerRun(0, 1)
+	out := v.drainBuf[:0]
+	for _, r := range run {
+		e := &v.shards[r.shard].pend[r.pidx]
+		out = append(out, Fresh{Pos: r.pos, Parent: e.parent, Sel: e.sel, shard: r.shard, pidx: r.pidx})
+	}
+	// Reuse the buffer while its capacity tracks the layer size, but
+	// release the slack after a spike (a huge seed layer would
+	// otherwise stay resident for the whole run).
 	if cap(out) > 2*len(out)+4096 {
 		v.drainBuf = nil
 	} else {
@@ -614,49 +737,58 @@ func (v *Visited) keepDrainBuf(out []Fresh) []Fresh {
 }
 
 // Promote assigns the next dense id to a drained entry, appending its
-// encoding to the arena. Serial phases only; every drained entry must
-// be either promoted or dropped before the next expansion phase.
+// encoding to the arena — commit's per-entry step, for one goroutine
+// between layers. Every drained entry must be either promoted or
+// dropped before the next expansion phase.
 func (v *Visited) Promote(f Fresh) int32 {
 	id := int32(v.nstates)
-	v.arena = append(v.arena, f.key...)
+	sh := &v.shards[f.shard]
+	v.arena = append(v.arena, sh.pend[f.pidx].key...)
 	v.nstates++
-	v.setRef(f, id)
+	v.setRef(sh, f.pidx, id)
 	return id
 }
 
 // Drop discards a drained entry (capacity bound hit): its slot becomes
 // a tombstone, so the state may be proposed — and dropped — again, as
 // under the PR 2 engine's bound.
-func (v *Visited) Drop(f Fresh) { v.setRef(f, slotTomb) }
+func (v *Visited) Drop(f Fresh) { v.setRef(&v.shards[f.shard], f.pidx, slotTomb) }
 
-func (v *Visited) setRef(f Fresh, ref int32) {
-	// O(1): the drained entry remembers its shard, pending index and
-	// current slot (growLocked keeps the slot current), so promotion
-	// does not re-walk the probe chain.
-	sh := &v.shards[f.shard]
-	e := &sh.pend[f.pidx]
+// setRef settles pending entry pidx of stripe sh as ref (an id or a
+// tombstone). O(1): the entry remembers its current slot (growLocked
+// keeps it current), so settling does not re-walk the probe chain.
+func (v *Visited) setRef(sh *vshard, pidx, ref int32) {
+	e := &sh.pend[pidx]
 	s := &sh.slots[e.slot]
-	if s.ref != slotPend || s.pidx != f.pidx {
-		panic("explore: drained entry does not own its recorded slot")
+	if s.ref != slotPend || s.pidx != pidx {
+		panic("explore: pending entry does not own its recorded slot")
 	}
-	s.ref, s.pidx = ref, int32(f.hash)
+	s.ref, s.pidx = ref, int32(e.hash)
 }
 
 // Reset clears the pending side after a promotion batch, reusing the
 // buffers. Serial phases only.
 func (v *Visited) Reset() {
 	for i := range v.shards {
-		sh := &v.shards[i]
-		// Reuse pending buffers while their capacity tracks the layer
-		// size; release the slack after a spike (a huge seed layer
-		// would otherwise stay resident — and counted — for the run).
-		if cap(sh.pend) > 2*len(sh.pend)+64 {
-			sh.pend, sh.keys = nil, nil
-		} else {
-			sh.pend = sh.pend[:0]
-			sh.keys = sh.keys[:0]
-		}
+		v.shards[i].resetPend()
 	}
+	v.resetOrder()
+}
+
+// resetPend empties the stripe's pending buffers, reusing them while
+// their capacity tracks the layer size and releasing the slack after
+// a spike (a huge seed layer would otherwise stay resident — and
+// counted — for the run).
+func (sh *vshard) resetPend() {
+	if cap(sh.pend) > 2*len(sh.pend)+64 {
+		sh.pend, sh.keys = nil, nil
+	} else {
+		sh.pend = sh.pend[:0]
+		sh.keys = sh.keys[:0]
+	}
+}
+
+func (v *Visited) resetOrder() {
 	if cap(v.order) > 2*len(v.order)+4096 {
 		v.order = nil
 	} else {

@@ -218,6 +218,9 @@ type Server struct {
 	checkpointsWritten, checkpointErrors, jobsResumed, statesResumed atomic.Int64
 	queries, compactions, clusterOpens, clusterAdoptions             atomic.Int64
 	clusterFramesIn, clusterFrameBytes, clusterErrors                atomic.Int64
+	// phaseNanos is the explorer's wall time in the layer driver's
+	// seed, expand and commit phases (explore.RunStats).
+	phaseNanos [3]atomic.Int64
 }
 
 // New builds a Server over the given store.
@@ -779,6 +782,9 @@ func (s *Server) run(j *job) {
 	s.checkpointsWritten.Add(int64(eo.Stats.CheckpointsWritten))
 	s.checkpointErrors.Add(int64(eo.Stats.CheckpointErrors))
 	s.statesResumed.Add(int64(eo.Stats.ResumedStates))
+	for i, sec := range [...]float64{eo.Stats.SeedSeconds, eo.Stats.ExpandSeconds, eo.Stats.CommitSeconds} {
+		s.phaseNanos[i].Add(int64(sec * 1e9))
+	}
 	if eo.Stats.ResumedStates > 0 {
 		s.jobsResumed.Add(1)
 	}
@@ -1100,6 +1106,9 @@ var metricsTable = []struct {
 	{"ccserve_states_per_second", func(s *Server) any {
 		return ratio(float64(s.statesExplored.Load()), float64(s.exploreNanos.Load())/1e9)
 	}},
+	{`ccserve_explore_phase_seconds_total{phase="seed"}`, phaseRow(0)},
+	{`ccserve_explore_phase_seconds_total{phase="expand"}`, phaseRow(1)},
+	{`ccserve_explore_phase_seconds_total{phase="commit"}`, phaseRow(2)},
 	{"ccserve_queue_depth", func(s *Server) any { return s.queued.Load() }},
 	{"ccserve_jobs_running", func(s *Server) any { return s.running.Load() }},
 	{"ccserve_bad_requests_total", func(s *Server) any { return s.badRequests.Load() }},
@@ -1137,6 +1146,11 @@ func gossipRow[T any](read func(*gossip.Node) T, none any) func(*Server) any {
 		}
 		return read(s.cfg.Gossip)
 	}
+}
+
+// phaseRow reads one explorer phase clock, in seconds.
+func phaseRow(i int) func(*Server) any {
+	return func(s *Server) any { return float64(s.phaseNanos[i].Load()) / 1e9 }
 }
 
 // ratio is a/b, or 0 before the first sample.

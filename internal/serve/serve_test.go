@@ -562,6 +562,12 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if got := metric(t, ts, "ccserve_states_explored_total"); got <= 0 {
 		t.Fatalf("states_explored_total = %v after a job", got)
 	}
+	for _, phase := range []string{"expand", "commit"} {
+		name := `ccserve_explore_phase_seconds_total{phase="` + phase + `"}`
+		if got := metric(t, ts, name); got <= 0 {
+			t.Fatalf("%s = %v after a job", name, got)
+		}
+	}
 }
 
 // TestReadyz: the readiness surface reports ready/closed-breaker on a
