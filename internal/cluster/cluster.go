@@ -182,14 +182,16 @@ type coordinator struct {
 	shardOf []uint16
 }
 
-// Seed implements explore.LayerBackend.
-func (c *coordinator) Seed() error {
+// Seed implements explore.LayerBackend: every peer probes the inits its
+// shards own into their pending sets, and the seed layer is committed
+// like any other, without housekeeping.
+func (c *coordinator) Seed(room int, links *explore.TraceLinks) (int, bool, error) {
 	for p := range c.alive {
 		if err := c.tr.Seed(p); err != nil {
-			return fmt.Errorf("cluster: seed peer %d: %w", p, err)
+			return 0, false, fmt.Errorf("cluster: seed peer %d: %w", p, err)
 		}
 	}
-	return nil
+	return c.commit(room, false, links)
 }
 
 // Expand implements explore.LayerBackend: every alive peer expands its
@@ -313,12 +315,17 @@ func (c *coordinator) recover(depth int, dead []int) error {
 	return nil
 }
 
-// Commit implements explore.LayerBackend, the serial phase-B analogue:
-// gather each shard's pos-sorted pending metadata, merge into the
-// global discovery order, assign gids to the kept prefix, commit each
-// shard's share of it back, and snapshot every shard at the new
-// barrier.
-func (c *coordinator) Commit(room int, housekeep bool, links *explore.TraceLinks) (int, bool, error) {
+// Commit implements explore.LayerBackend.
+func (c *coordinator) Commit(room int, links *explore.TraceLinks) (int, bool, error) {
+	return c.commit(room, true, links)
+}
+
+// commit is the serial phase-B analogue: gather each shard's
+// pos-sorted pending metadata, merge into the global discovery order,
+// assign gids to the kept prefix, commit each shard's share of it back
+// (housekeeping after it when asked), and snapshot every shard at the
+// new barrier.
+func (c *coordinator) commit(room int, housekeep bool, links *explore.TraceLinks) (int, bool, error) {
 	var all []pendTagged
 	for s, p := range c.route {
 		meta, err := c.tr.PendMeta(p, s)

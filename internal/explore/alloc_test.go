@@ -2,7 +2,6 @@ package explore
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/hypergraph"
@@ -73,48 +72,24 @@ func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSpillThroughputRatio pins the out-of-core tax on the batch
-// pipeline (cc2/ring:4/cc-full/central, bounded): with the cold
-// visited arena forced to disk by a 1 MiB budget, states/sec must stay
-// within 5% of the fully in-memory run.
-// The cc-full fault space keeps each run around two seconds, so the
-// fixed spill setup (scratch files, budget bookkeeping) is noise next
-// to steady-state throughput. Timing-based, so it takes the best of
-// three attempts before judging — a genuine regression (the spill
-// path falling off the batch fast path, say) fails all three by a
-// wide margin.
-func TestSpillThroughputRatio(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing ratio: skipped in -short")
+// TestSpillCountsMatchInMemory pins the out-of-core path on the batch
+// pipeline (cc2/ring:4/cc/central): with the cold visited arena forced
+// to disk by a 1 MiB budget, the arena must really spill, and the
+// states, transitions and verdict must equal the in-memory run's. The
+// rate of the spilled run is gated where pairs of runs are timed, by
+// the benchmark's explore.spill_tax_ratio, not here.
+func TestSpillCountsMatchInMemory(t *testing.T) {
+	factory := mustCC(t, core.CC2, hypergraph.CommitteeRing(4), CCOptions{Init: InitCC})
+	opts := Options{Mode: sim.SelectCentral, CheckDeadlock: true, CheckClosure: true}
+	mem := Explore(factory, opts)
+	var st RunStats
+	opts.MemBudget, opts.SpillDir, opts.Stats = 1<<20, t.TempDir(), &st
+	spill := Explore(factory, opts)
+	if st.ArenaSpilledBytes == 0 {
+		t.Fatalf("the arena never spilled under a 1 MiB budget (%d states)", spill.States)
 	}
-	factory := mustCC(t, core.CC2, hypergraph.CommitteeRing(4), CCOptions{Init: InitCCFull})
-	opts := Options{
-		Mode: sim.SelectCentral, MaxStates: 600_000,
-		CheckDeadlock: true, CheckClosure: true,
+	if mem.States != spill.States || mem.Transitions != spill.Transitions ||
+		mem.Verdict() != spill.Verdict() {
+		t.Fatalf("spill run diverged: %s vs %s", spill.Summary(), mem.Summary())
 	}
-	run := func(budget int64) (*Result, float64) {
-		o := opts
-		o.MemBudget = budget
-		o.SpillDir = t.TempDir()
-		t0 := time.Now()
-		res := Explore(factory, o)
-		return res, float64(res.States) / time.Since(t0).Seconds()
-	}
-	const want = 0.95
-	best := 0.0
-	for attempt := 0; attempt < 3; attempt++ {
-		mem, memRate := run(0)
-		spill, spillRate := run(1 << 20)
-		if mem.States != spill.States || mem.Transitions != spill.Transitions ||
-			mem.Verdict() != spill.Verdict() {
-			t.Fatalf("spill run diverged: %s vs %s", spill.Summary(), mem.Summary())
-		}
-		if ratio := spillRate / memRate; ratio > best {
-			best = ratio
-		}
-		if best >= want {
-			return
-		}
-	}
-	t.Fatalf("spill-mode throughput ratio %.3f, want >= %.2f", best, want)
 }

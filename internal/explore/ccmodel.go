@@ -112,6 +112,7 @@ func CC(variant core.Variant, h *hypergraph.H, opts CCOptions) (func() *Model[co
 		name = fmt.Sprintf("%s+mutate:%s", variant, opts.Mutation)
 	}
 	layout := newCCLayout(layoutAlg)
+	doms := ccInitDomains(layoutAlg, opts.Init)
 	// Block permutations of order-isomorphic single-committee components
 	// are the only id-order-preserving (hence sound) CC automorphisms —
 	// see symmetry.go. InitRandom can plant foreign leader ids, which
@@ -136,16 +137,17 @@ func CC(variant core.Variant, h *hypergraph.H, opts CCOptions) (func() *Model[co
 			}
 		}
 		return &Model[core.State]{
-			Name:    name,
-			Prog:    prog,
-			Probe:   alg.Probe(),
-			Codec:   ccCodec(layout),
-			Inits:   ccInits(alg, opts),
-			Correct: alg.Correct,
-			Render:  func(cfg []core.State) string { return renderCC(alg, cfg) },
-			Syms:    syms,
-			Deps:    func(p int) []int { return deps[p] },
-			Kernel:  ccKernel(variant, h, opts),
+			Name:        name,
+			Prog:        prog,
+			Probe:       alg.Probe(),
+			Codec:       ccCodec(layout),
+			Inits:       ccInits(alg, opts, doms),
+			InitDomains: doms,
+			Correct:     alg.Correct,
+			Render:      func(cfg []core.State) string { return renderCC(alg, cfg) },
+			Syms:        syms,
+			Deps:        func(p int) []int { return deps[p] },
+			Kernel:      ccKernel(variant, h, opts),
 		}
 	}, nil
 }
@@ -200,7 +202,9 @@ func newCCProg(variant core.Variant, h *hypergraph.H) (*core.Alg, *sim.Program[c
 
 // --- Initial-configuration families ------------------------------------------
 
-func ccInits(alg *core.Alg, opts CCOptions) func(yield func(cfg []core.State) bool) {
+// ccInits streams the model's initial-configuration family; doms is
+// ccInitDomains' answer for it.
+func ccInits(alg *core.Alg, opts CCOptions, doms [][]core.State) func(yield func(cfg []core.State) bool) {
 	h := alg.H
 	n := h.N()
 	switch opts.Init {
@@ -226,34 +230,49 @@ func ccInits(alg *core.Alg, opts CCOptions) func(yield func(cfg []core.State) bo
 			}
 		}
 	default: // InitCC, InitCCFull
-		full := opts.Init == InitCCFull
-		return func(yield func([]core.State) bool) {
-			// Per-process domains over the stabilized token layer.
-			domains := make([][]core.State, n)
-			for p := 0; p < n; p++ {
-				domains[p] = alg.EnumStates(p, full)
+		return productInits(doms)
+	}
+}
+
+// ccInitDomains returns the per-process domains of the product
+// families (InitCC, InitCCFull) over the stabilized token layer, and
+// nil for the others.
+func ccInitDomains(alg *core.Alg, init InitMode) [][]core.State {
+	if init != InitCC && init != InitCCFull {
+		return nil
+	}
+	doms := make([][]core.State, alg.H.N())
+	for p := range doms {
+		doms[p] = alg.EnumStates(p, init == InitCCFull)
+	}
+	return doms
+}
+
+// productInits streams the mixed-radix product of doms in index order,
+// process 0 fastest: an odometer over the per-process domains.
+func productInits[S any](doms [][]S) func(yield func(cfg []S) bool) {
+	return func(yield func([]S) bool) {
+		cfg := make([]S, len(doms))
+		for p, d := range doms {
+			if len(d) == 0 {
+				return
 			}
-			cfg := make([]core.State, n)
-			idx := make([]int, n)
-			for {
-				for p := 0; p < n; p++ {
-					cfg[p] = domains[p][idx[p]]
+			cfg[p] = d[0]
+		}
+		idx := make([]int, len(doms))
+		for yield(cfg) {
+			p := 0
+			for ; p < len(doms); p++ {
+				idx[p]++
+				if idx[p] < len(doms[p]) {
+					cfg[p] = doms[p][idx[p]]
+					break
 				}
-				if !yield(cfg) {
-					return
-				}
-				// Odometer.
-				p := 0
-				for ; p < n; p++ {
-					idx[p]++
-					if idx[p] < len(domains[p]) {
-						break
-					}
-					idx[p] = 0
-				}
-				if p == n {
-					return
-				}
+				idx[p] = 0
+				cfg[p] = doms[p][0]
+			}
+			if p == len(doms) {
+				return
 			}
 		}
 	}

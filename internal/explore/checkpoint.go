@@ -75,10 +75,11 @@ type RunStats struct {
 	// run degraded to continuing uncheckpointed instead of aborting.
 	CheckpointErrors int
 	// SeedSeconds, ExpandSeconds and CommitSeconds are this process's
-	// wall time in the layer driver's three phases: streaming the
-	// initial configurations, expanding layers (violation traces
-	// included), and promoting them (housekeeping included). A resumed
-	// run counts only what it ran itself.
+	// wall time in the layer driver's three phases: the seed layer
+	// (enumerating the initial configurations and promoting them),
+	// expanding layers (violation traces included), and promoting them
+	// (housekeeping included). A resumed run counts only what it ran
+	// itself.
 	SeedSeconds, ExpandSeconds, CommitSeconds float64
 }
 

@@ -47,7 +47,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -91,6 +93,12 @@ type Model[S sim.Cloneable[S]] struct {
 	// Inits streams the initial configurations; stop when yield returns
 	// false.
 	Inits func(yield func(cfg []S) bool)
+	// InitDomains, if non-nil, says Inits streams the mixed-radix
+	// product of these per-process domains in index order, process 0
+	// fastest (productInits). It describes Inits and changes nothing
+	// about the family; it lets the local backend write the seed layer
+	// straight into the visited set (seedProduct).
+	InitDomains [][]S
 	// Correct, if non-nil, is the algorithm's Correct(p) predicate,
 	// enabling the closure and convergence checks.
 	Correct func(cfg []S, p int) bool
@@ -742,18 +750,8 @@ func forEachWorkerIO(n, workers int, fn func(w, i int)) error {
 // RunStats.CheckpointErrors.
 func ExploreCtx[S sim.Cloneable[S]](ctx context.Context, newModel func() *Model[S], opts Options) (res *Result, err error) {
 	defer catchIO(&err)
-	opts = opts.Defaulted()
-	b := &localBackend[S]{opts: &opts, wss: make([]*workerState[S], opts.Workers)}
-	for i := range b.wss {
-		b.wss[i] = newWorkerState(newModel(), &opts)
-	}
-	shareStripes(b.wss)
-	m0 := b.wss[0].model
-	b.run = newLayerDriver(m0, &opts)
+	b := newLocalBackend(newModel, opts)
 	res = b.run.res
-	b.ohash = optionsHash(m0.Name, m0.Codec.Words, m0.Prog.NumProcs, &opts)
-
-	b.vs = b.newVisited()
 	defer func() { b.vs.Close() }()
 
 	resumed, err := b.restore()
@@ -791,6 +789,22 @@ type localBackend[S sim.Cloneable[S]] struct {
 	// raises to end it early when its route buffers are full.
 	cursor    atomic.Int64
 	routeFull atomic.Bool
+}
+
+// newLocalBackend builds the backend and its layer driver: one worker
+// state per worker, co-owning the stripes of a fresh visited set.
+func newLocalBackend[S sim.Cloneable[S]](newModel func() *Model[S], opts Options) *localBackend[S] {
+	opts = opts.Defaulted()
+	b := &localBackend[S]{opts: &opts, wss: make([]*workerState[S], opts.Workers)}
+	for i := range b.wss {
+		b.wss[i] = newWorkerState(newModel(), &opts)
+	}
+	shareStripes(b.wss)
+	m0 := b.wss[0].model
+	b.run = newLayerDriver(m0, &opts)
+	b.ohash = optionsHash(m0.Name, m0.Codec.Words, m0.Prog.NumProcs, &opts)
+	b.vs = b.newVisited()
+	return b
 }
 
 // newVisited is the one visited-set constructor: the local backend's
@@ -888,19 +902,118 @@ func (b *localBackend[S]) save() error {
 	return nil
 }
 
-// Seed implements LayerBackend. The stream stops once more distinct
-// inits than the state bound have been seen — everything past the
-// bound would be dropped anyway.
-func (b *localBackend[S]) Seed() error {
+// Seed implements LayerBackend. A product family (Model.InitDomains)
+// explored without symmetry reduction is written straight into the
+// visited set (seedProduct). Anything else — a symmetry quotient, whose
+// orbits collide, or a streamed family — is probed into the pending set
+// and promoted by the owner commit; the stream stops once more distinct
+// inits than room have been seen, since everything past that would be
+// dropped anyway.
+func (b *localBackend[S]) Seed(room int, links *TraceLinks) (int, bool, error) {
 	ws0 := b.wss[0]
+	m := ws0.model
+	if kept, dropped, ok := productCut(m.InitDomains, room); ok && m.Codec.EncodeProc != nil && !(b.opts.Symmetry && len(m.Syms) > 0) {
+		return kept, dropped, seedProduct(b.vs, &m.Codec, m.InitDomains, kept, links)
+	}
 	seq := uint64(0)
-	ws0.model.Inits(func(cfg []S) bool {
+	m.Inits(func(cfg []S) bool {
 		key := ws0.canonKey(cfg)
 		b.vs.Probe(key, hashWords(key), seq, -1, nil)
 		seq++
-		return b.opts.MaxStates <= 0 || b.vs.Pending() <= b.opts.MaxStates
+		return room < 0 || b.vs.Pending() <= room
 	})
+	kept, pending := b.vs.commit(len(b.wss), room, links)
+	return kept, kept < pending, nil
+}
+
+// productCut returns how many configurations of the product of doms
+// the seed layer keeps under room (room < 0: all), and whether it drops
+// any. ok is false for nil doms (no product family) and for a product
+// that room does not cut below the int32 id space: such a family is
+// streamed, not written.
+func productCut[S any](doms [][]S, room int) (kept int, dropped, ok bool) {
+	if doms == nil {
+		return 0, false, false
+	}
+	limit := math.MaxInt32
+	if room >= 0 {
+		limit = min(room, limit)
+	}
+	size := 1
+	for _, d := range doms {
+		size = min(size*len(d), limit+1)
+	}
+	if size > limit && limit != room {
+		return 0, false, false
+	}
+	return min(size, limit), size > limit, true
+}
+
+// seedProduct promotes the first kept configurations of the product of
+// doms into the fresh set vs: init i under id i with parent −1, which
+// is what probing the stream and committing it would give. Process p's
+// block of a key depends only on p's digit, so the keys are walked off
+// procTables, patching only the digits the odometer changed; the
+// tables are injective and the blocks disjoint bit fields, so distinct
+// indices give distinct keys and nothing needs deduplicating.
+func seedProduct[S any](vs *Visited, c *Codec[S], doms [][]S, kept int, links *TraceLinks) error {
+	if kept == 0 {
+		return nil
+	}
+	tabs := procTables(c, doms)
+	cfg := make([]S, len(doms))
+	for p, d := range doms {
+		cfg[p] = d[0]
+	}
+	cur := make([]uint64, c.Words)
+	c.Encode(cur, cfg)
+	idx := make([]int, len(doms))
+	err := vs.load(kept, 0, func(key []uint64) error {
+		copy(key, cur)
+		for p := range idx {
+			if idx[p]++; idx[p] == len(doms[p]) {
+				idx[p] = 0
+			}
+			patchWords(cur, c.ProcOff[p], c.ProcBits[p], tabs[p][idx[p]])
+			if idx[p] != 0 {
+				break
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	first := links.Extend(kept)
+	for i := range kept {
+		links.Set(first+i, -1, "")
+	}
 	return nil
+}
+
+// procTables returns, per process p, the block payload of every state
+// in doms[p] (Codec.EncodeProc, which reads only cfg[p]). A table with
+// a repeated payload means two initial configurations would share a
+// key — a codec bug or a duplicate domain entry — and panics, like an
+// out-of-domain field.
+func procTables[S any](c *Codec[S], doms [][]S) [][]uint64 {
+	cfg := make([]S, len(doms))
+	tabs := make([][]uint64, len(doms))
+	for p, d := range doms {
+		tabs[p] = make([]uint64, len(d))
+		for i := range d {
+			cfg[p] = d[i]
+			tabs[p][i] = c.EncodeProc(cfg, p)
+		}
+		sorted := slices.Clone(tabs[p])
+		slices.Sort(sorted)
+		for i := 1; i < len(sorted); i++ {
+			if sorted[i] == sorted[i-1] {
+				panic(fmt.Sprintf("explore: two initial states of process %d encode to the same block %#x", p, sorted[i]))
+			}
+		}
+	}
+	return tabs
 }
 
 // Expand implements LayerBackend (phase A: concurrent, chunked): walk
@@ -1020,14 +1133,12 @@ func (b *localBackend[S]) expandChunk(from int32, size, depth int) error {
 // ranks in deterministic discovery order (Visited.commit) — their dense
 // ids are the next layer — then the driver goroutine runs the scaling
 // housekeeping (re-shard, cold-tail spill).
-func (b *localBackend[S]) Commit(room int, housekeep bool, links *TraceLinks) (int, bool, error) {
+func (b *localBackend[S]) Commit(room int, links *TraceLinks) (int, bool, error) {
 	kept, pending := b.vs.commit(len(b.wss), room, links)
-	if housekeep {
-		// The driver has not yet counted this commit, so the hot
-		// watermark is the first id of the layer just expanded.
-		if err := b.vs.Housekeep(int32(b.run.res.States - b.run.width)); err != nil {
-			return 0, false, err
-		}
+	// The driver has not yet counted this commit, so the hot watermark
+	// is the first id of the layer just expanded.
+	if err := b.vs.Housekeep(int32(b.run.res.States - b.run.width)); err != nil {
+		return 0, false, err
 	}
 	return kept, kept < pending, nil
 }

@@ -67,9 +67,12 @@ func (r *LayerReport) Merge(o *LayerReport) {
 // live. The driver calls it from one goroutine, one method at a time;
 // states are named by dense ids in promotion order.
 type LayerBackend interface {
-	// Seed probes the model's initial configurations into the pending
-	// set (pos = init-stream position, parent −1).
-	Seed() error
+	// Seed promotes the model's initial configurations as the first
+	// layer, in init-stream order under ids 0, 1, … — at most room of
+	// them (room < 0: all), dropping the rest — with trace links of
+	// parent −1, extending links once by the kept count. It returns the
+	// kept count and whether anything was dropped.
+	Seed(room int, links *TraceLinks) (kept int, dropped bool, err error)
 	// Expand expands the current layer — the states promoted by the
 	// last Commit, ids first, first+1, … — merging its aggregate into
 	// rep (item i is state first+i) and probing every successor into
@@ -79,10 +82,9 @@ type LayerBackend interface {
 	// Commit promotes the pending states in discovery order under the
 	// next dense ids — at most room of them (room < 0: all), dropping
 	// the rest — and sets their trace links, extending links once by
-	// the kept count, then (housekeep) runs the between-layer
-	// maintenance. It returns the kept count and whether anything was
-	// dropped.
-	Commit(room int, housekeep bool, links *TraceLinks) (kept int, dropped bool, err error)
+	// the kept count, then runs the between-layer maintenance. It
+	// returns the kept count and whether anything was dropped.
+	Commit(room int, links *TraceLinks) (kept int, dropped bool, err error)
 	// Keys returns the encodings of the given promoted states.
 	Keys(ids []int32) ([][]uint64, error)
 }
@@ -172,9 +174,9 @@ func RunLayers[S sim.Cloneable[S]](ctx context.Context, m *Model[S], opts Option
 
 // run is the layer loop. resumed skips the seeding: the state was
 // restored from a checkpoint taken mid-layer. Every backend call is
-// charged to one of RunStats' phase clocks: seed, expand (the layer's
-// expansion and its violation traces) or commit (promotion and
-// housekeeping).
+// charged to one of RunStats' phase clocks: seed (the seed layer,
+// promotion included), expand (the layer's expansion and its violation
+// traces) or commit (promotion and housekeeping).
 func (d *layerDriver) run(ctx context.Context, b LayerBackend, resumed bool) error {
 	res, opts := d.res, d.opts
 	st := opts.Stats
@@ -187,31 +189,28 @@ func (d *layerDriver) run(ctx context.Context, b LayerBackend, resumed bool) err
 		*phase += time.Since(t0).Seconds()
 		return err
 	}
-	// commit promotes the pending layer under the state bound; fresh
-	// states past it are dropped, which is a truncation.
-	commit := func(housekeep bool) func() error {
-		return func() error {
-			room := -1
-			if opts.MaxStates > 0 {
-				room = max(opts.MaxStates-res.States, 0)
-			}
-			kept, dropped, err := b.Commit(room, housekeep, &d.links)
-			if err != nil {
-				return err
-			}
-			if dropped {
-				res.Truncated = true
-			}
-			res.States += kept
-			d.width = kept
-			return nil
+	// room is what is left of the state bound for the next layer.
+	room := func() int {
+		if opts.MaxStates <= 0 {
+			return -1
 		}
+		return max(opts.MaxStates-res.States, 0)
 	}
-	if !resumed {
-		if err := timed(&st.SeedSeconds, b.Seed); err != nil {
+	// promoted counts a promoted layer; fresh states past the state
+	// bound were dropped, which is a truncation.
+	promoted := func(kept int, dropped bool, err error) error {
+		if err != nil {
 			return err
 		}
-		if err := timed(&st.CommitSeconds, commit(false)); err != nil {
+		if dropped {
+			res.Truncated = true
+		}
+		res.States += kept
+		d.width = kept
+		return nil
+	}
+	if !resumed {
+		if err := timed(&st.SeedSeconds, func() error { return promoted(b.Seed(room(), &d.links)) }); err != nil {
 			return err
 		}
 		res.Inits = d.width
@@ -230,7 +229,7 @@ func (d *layerDriver) run(ctx context.Context, b LayerBackend, resumed bool) err
 		}); err != nil {
 			return err
 		}
-		if err := timed(&st.CommitSeconds, commit(true)); err != nil {
+		if err := timed(&st.CommitSeconds, func() error { return promoted(b.Commit(room(), &d.links)) }); err != nil {
 			return err
 		}
 		d.depth++

@@ -21,10 +21,12 @@ import (
 // state index. A stripe is mutated by one goroutine at a time, by either
 // of two disciplines: Probe takes the stripe's lock (cluster peers,
 // whose workers and frame ingests hit the same stripes concurrently;
-// seeding, restore and anything else outside a fan-out), and the
-// single-node workers, each owning a range of stripes for the length of
-// a fan-out, call probeLocked on their own stripes with no lock at all
-// (emit.go).
+// a streamed seed, the re-probe of a restored pending set and anything
+// else outside a fan-out), and the single-node workers, each owning a
+// range of stripes for the length of a fan-out, call probeLocked on
+// their own stripes with no lock at all (emit.go). A fresh set can also
+// be loaded whole, without probing (load): a checkpoint's arena, or a
+// product family's seed layer, whose keys are known distinct.
 //
 // The BFS uses it in a two-phase rhythm that keeps every report
 // byte-identical at any worker count:
@@ -920,12 +922,33 @@ func (v *Visited) maybeSpillArena(hotFrom int32) error {
 // keys (id order). Ids below hotFrom go straight to the spill file
 // when a budget is configured and the arena would exceed it — a
 // restored out-of-core run never materializes the full arena in
-// memory. The slot tables are pre-sized by the same growth rule a live
-// run would have reached, then filled by insertion. Must be called on
-// a fresh set (no promotions, no pending).
+// memory. Must be called on a fresh set (no promotions, no pending).
 func (v *Visited) RestoreArena(r io.Reader, nstates int, hotFrom int32) error {
+	spillTo := int32(0)
+	if v.arenaBudget > 0 && int64(nstates)*int64(v.words)*8 > v.arenaBudget {
+		spillTo = hotFrom
+	}
+	br := bufio.NewReaderSize(r, 1<<20)
+	raw := make([]byte, 8*v.words)
+	return v.load(nstates, spillTo, func(key []uint64) error {
+		if _, err := io.ReadFull(br, raw); err != nil {
+			return fmt.Errorf("explore: arena restore: %v", err)
+		}
+		for i := range key {
+			key[i] = binary.LittleEndian.Uint64(raw[8*i:])
+		}
+		return nil
+	})
+}
+
+// load fills a fresh set with nstates promoted keys, which next writes
+// one per call in id order: ids below spillTo go to the spill file, the
+// rest to the arena, and each gets its slot. The slot tables are
+// presized by the same growth rule a live run would have reached, then
+// filled by insertion. The keys must be distinct; nothing here checks.
+func (v *Visited) load(nstates int, spillTo int32, next func(key []uint64) error) error {
 	if v.nstates != 0 || v.Pending() != 0 {
-		panic("explore: RestoreArena on a non-empty set")
+		panic("explore: loading a non-empty set")
 	}
 	// Re-apply the shard-count growth rule a live run would have
 	// reached, and presize the slot tables for the final load.
@@ -934,10 +957,6 @@ func (v *Visited) RestoreArena(r io.Reader, nstates int, hotFrom int32) error {
 		nshards *= 2
 	}
 	v.setTables(nshards, nstates)
-	spillTo := int32(0)
-	if v.arenaBudget > 0 && int64(nstates)*int64(v.words)*8 > v.arenaBudget {
-		spillTo = hotFrom
-	}
 	var spillW *bufio.Writer
 	if spillTo > 0 {
 		err := chaos.Retry(context.Background(), chaos.DefaultPolicy, func() error {
@@ -954,26 +973,23 @@ func (v *Visited) RestoreArena(r io.Reader, nstates int, hotFrom int32) error {
 		spillW = bufio.NewWriterSize(io.NewOffsetWriter(v.spillFile, 0), 1<<20)
 		v.baseID = spillTo
 	}
-	br := bufio.NewReaderSize(r, 1<<20)
-	raw := make([]byte, 8*v.words)
+	v.arena = slices.Grow(v.arena, (nstates-int(spillTo))*v.words)
 	rec := make([]byte, v.recSize())
 	key := make([]uint64, v.words)
 	for id := int32(0); int(id) < nstates; id++ {
-		if _, err := io.ReadFull(br, raw); err != nil {
-			return fmt.Errorf("explore: arena restore: %v", err)
-		}
-		for i := range key {
-			key[i] = binary.LittleEndian.Uint64(raw[8*i:])
+		if err := next(key); err != nil {
+			return err
 		}
 		if id < spillTo {
-			// The checkpoint stream carries bare keys; spilled records
-			// get their per-record checksum appended here.
-			copy(rec, raw)
-			binary.LittleEndian.PutUint64(rec[8*v.words:], fnv64a(raw))
+			// Spilled records carry a per-record checksum.
+			for i, w := range key {
+				binary.LittleEndian.PutUint64(rec[8*i:], w)
+			}
+			binary.LittleEndian.PutUint64(rec[8*v.words:], fnv64a(rec[:8*v.words]))
 			if _, err := spillW.Write(rec); err != nil {
 				return fmt.Errorf("explore: arena restore: %w", err)
 			}
-			v.spilled += int64(len(raw))
+			v.spilled += int64(8 * v.words)
 		} else {
 			v.arena = append(v.arena, key...)
 		}
