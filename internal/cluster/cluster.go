@@ -347,7 +347,7 @@ func (c *coordinator) commit(room int, housekeep bool, links *explore.TraceLinks
 	gids := make([][]int32, len(c.route))
 	link := links.Extend(kept)
 	for i, t := range all[:kept] {
-		links.Set(link+i, t.meta.Parent, string(t.meta.Sel))
+		links.Set(link+i, t.meta.Parent)
 		gids[t.shard] = append(gids[t.shard], int32(len(c.shardOf)))
 		c.shardOf = append(c.shardOf, uint16(t.shard))
 	}

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -91,5 +92,68 @@ func TestSpillCountsMatchInMemory(t *testing.T) {
 	if mem.States != spill.States || mem.Transitions != spill.Transitions ||
 		mem.Verdict() != spill.Verdict() {
 		t.Fatalf("spill run diverged: %s vs %s", spill.Summary(), mem.Summary())
+	}
+}
+
+// TestFreshStatesAllocNothingPerState pins the pending set's
+// allocation contract for fresh states: probing a state nobody has
+// proposed yet and committing it costs no allocation of its own — only
+// the amortized growth of the slot tables, arena and trace-link
+// blocks. The rows are all-subsets and synchronous successors reached
+// by multi-process selections, the states a stored selection once paid
+// a heap string for. Each layer re-proposes the rows' successors under
+// a new tag in the top bits of the key, so every layer is fresh; the
+// first one sizes the pending buffers and is not counted.
+func TestFreshStatesAllocNothingPerState(t *testing.T) {
+	m := mustCC(t, core.CC2, hypergraph.CommitteeRing(4), CCOptions{Init: InitCCFull})()
+	for _, mode := range []sim.SelectionMode{sim.SelectAllSubsets, sim.SelectSynchronous} {
+		t.Run(mode.String(), func(t *testing.T) {
+			type succ struct {
+				key []uint64
+				sel []byte
+			}
+			var succs []succ
+			var sc sim.SuccScratch[core.State]
+			m.Inits(func(cfg []core.State) bool {
+				sim.SuccessorsBuf(m.Prog, cfg, mode, nil, 0, &sc, func(sel []int, nxt []core.State) bool {
+					if len(sel) >= 2 {
+						key := make([]uint64, m.Codec.Words)
+						m.Codec.Encode(key, nxt)
+						succs = append(succs, succ{key, appendSel(nil, sel)})
+					}
+					return true
+				})
+				return len(succs) < 1<<15
+			})
+			vs := NewVisited(m.Codec.Words)
+			vs.SetSerial(true)
+			defer vs.Close()
+			var links TraceLinks
+			var before, after runtime.MemStats
+			key := make([]uint64, m.Codec.Words)
+			fresh := 0
+			for layer := range 4 {
+				if layer == 1 {
+					runtime.ReadMemStats(&before)
+				}
+				for i, s := range succs {
+					copy(key, s.key)
+					key[0] ^= uint64(layer) << 60
+					vs.Probe(key, hashWords(key), uint64(i), int32(i/8), s.sel)
+				}
+				kept, _ := vs.commit(1, -1, &links)
+				if layer > 0 {
+					fresh += kept
+				}
+			}
+			runtime.ReadMemStats(&after)
+			allocs := after.Mallocs - before.Mallocs
+			if fresh < 1<<9 {
+				t.Fatalf("only %d fresh states", fresh)
+			}
+			if limit := uint64(fresh / 16); allocs > limit {
+				t.Fatalf("%d fresh states cost %d allocations, want at most %d (amortized growth only)", fresh, allocs, limit)
+			}
+		})
 	}
 }

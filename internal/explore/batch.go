@@ -160,13 +160,11 @@ func (ws *workerState[S]) batchSel(selMask uint64) bool {
 	} else {
 		copy(key, ws.baseEnc)
 	}
-	ws.selBuf = ws.selBuf[:0]
 	for sm := selMask; sm != 0; sm &= sm - 1 {
 		p := bits.TrailingZeros64(sm)
 		patchWords(key, m.Codec.ProcOff[p], m.Codec.ProcBits[p], ws.payload[p])
-		ws.selBuf = append(ws.selBuf, byte(p))
 	}
-	ws.emit(key, ws.selBuf)
+	ws.emit(key)
 
 	// Incremental transition checks against the merged view: only
 	// committees incident to a selected, spec-visible, non-neutral

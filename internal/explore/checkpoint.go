@@ -83,9 +83,10 @@ type RunStats struct {
 	SeedSeconds, ExpandSeconds, CommitSeconds float64
 }
 
-// checkpointVersion 3 stores the layer width where version 2 stored
-// the open queue's ids; an older snapshot reads as "no checkpoint".
-const checkpointVersion = 3
+// checkpointVersion 4 stores a trace link as the parent alone (version
+// 3 also stored a selection); an older snapshot reads as "no
+// checkpoint".
+const checkpointVersion = 4
 
 var checkpointMagic = [8]byte{'C', 'C', 'K', 'P', 'T', '0' + checkpointVersion, '\r', '\n'}
 
@@ -141,18 +142,10 @@ func (c *ckptWriter) u64(x uint64) {
 func (c *ckptWriter) i64(x int64) { c.u64(uint64(x)) }
 func (c *ckptWriter) int(x int)   { c.i64(int64(x)) }
 func (c *ckptWriter) i32(x int32) { c.i64(int64(x)) }
-func (c *ckptWriter) bool(x bool) {
-	b := byte(0)
-	if x {
-		b = 1
-	}
-	c.bytes([]byte{b})
-}
 func (c *ckptWriter) blob(p []byte) {
 	c.int(len(p))
 	c.bytes(p)
 }
-func (c *ckptWriter) str(s string) { c.blob([]byte(s)) }
 
 // json writes v as a length-prefixed JSON section.
 func (c *ckptWriter) json(v any) error {
@@ -194,11 +187,6 @@ func (c *ckptReader) u64() uint64 {
 func (c *ckptReader) i64() int64 { return int64(c.u64()) }
 func (c *ckptReader) int() int   { return int(c.i64()) }
 func (c *ckptReader) i32() int32 { return int32(c.i64()) }
-func (c *ckptReader) bool() bool {
-	var b [1]byte
-	c.bytes(b[:])
-	return b[0] != 0
-}
 func (c *ckptReader) blob(limit int) []byte {
 	n := c.int()
 	if c.err != nil {
@@ -268,18 +256,12 @@ func writeSnapshot(w io.Writer, s *snapshot, vs *Visited) error {
 	}
 	c.int(s.width)
 	for id := range s.links.Len() {
-		p, _ := s.links.At(id)
-		c.i32(p)
-	}
-	for id := range s.links.Len() {
-		_, sel := s.links.At(id)
-		c.str(sel)
+		c.i32(s.links.At(id))
 	}
 	c.int(len(s.pending))
 	for _, p := range s.pending {
 		c.u64(p.Pos)
 		c.i32(p.Parent)
-		c.str(p.Sel)
 		for _, w := range p.Key {
 			c.u64(w)
 		}
@@ -360,12 +342,9 @@ func readSnapshot(r io.Reader, wantHash [32]byte, words int, vs *Visited) (*snap
 		parents = c.i32s(nstates)
 	}
 	if c.err == nil {
-		for i := 0; i < nstates; i++ {
-			sel := string(c.blob(1 << 16))
-			if c.err != nil {
-				break
-			}
-			s.links.Set(s.links.Extend(1), parents[i], sel)
+		first := s.links.Extend(nstates)
+		for i, p := range parents {
+			s.links.Set(first+i, p)
 		}
 	}
 	npend := c.int()
@@ -378,7 +357,6 @@ func readSnapshot(r io.Reader, wantHash [32]byte, words int, vs *Visited) (*snap
 			var p PendSnap
 			p.Pos = c.u64()
 			p.Parent = c.i32()
-			p.Sel = string(c.blob(1 << 16))
 			if c.err != nil {
 				break
 			}

@@ -87,7 +87,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 				snap.done, snap.width, nstates)
 		}
 		for i := range nstates {
-			if p, _ := snap.links.At(i); p < -1 || int(p) >= nstates {
+			if p := snap.links.At(i); p < -1 || int(p) >= nstates {
 				t.Fatalf("parent link %d = %d outside [-1,%d)", i, p, nstates)
 			}
 		}

@@ -388,6 +388,12 @@ func TestCheckpointCorruptionIgnored(t *testing.T) {
 			b[5] = '2'
 			return b
 		},
+		// A version 3 snapshot stored a selection with every parent.
+		"v3-magic": func(b []byte) []byte {
+			b = append([]byte(nil), b...)
+			b[5] = '3'
+			return b
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			ck := &memCheckpointer{data: mangle(valid)}
@@ -411,4 +417,36 @@ func TestCheckpointCorruptionIgnored(t *testing.T) {
 func withCheckpoint(opts Options, ck Checkpointer) Options {
 	opts.Checkpoint = ck
 	return opts
+}
+
+// TestCheckpointV3Ignored: a real version 3 snapshot (testdata, written
+// by that format's engine for this exact run) reads as "no checkpoint",
+// and the rerun reaches the identical verdict from scratch.
+func TestCheckpointV3Ignored(t *testing.T) {
+	factory, err := Baseline(baseline.TokenRing, hypergraph.CommitteeRing(3), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3, err := os.ReadFile("testdata/checkpoint_v3.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(v3, []byte("CCKPT3")) {
+		t.Fatalf("testdata/checkpoint_v3.bin starts %q, want a version 3 magic", v3[:6])
+	}
+	opts := Options{Mode: sim.SelectCentral, MaxStates: 120, Workers: 1, CheckpointEvery: 25}
+	want := normJSON(t, Explore(factory, opts))
+	var stats RunStats
+	o := withCheckpoint(opts, &memCheckpointer{data: v3})
+	o.Stats = &stats
+	res, err := ExploreCtx(context.Background(), factory, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.ResumedStates != 0 {
+		t.Fatalf("a version 3 checkpoint was resumed (%d states)", stats.ResumedStates)
+	}
+	if got := normJSON(t, res); !bytes.Equal(got, want) {
+		t.Fatalf("report after the version 3 checkpoint diverges:\n%s\nvs\n%s", got, want)
+	}
 }

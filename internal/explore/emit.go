@@ -120,15 +120,13 @@ func (ws *workerState[S]) beginLayer(width int) {
 // worker owns, until that owner drains them.
 type routeBuf struct {
 	// recs holds words+3 uint64 per record: the key, its hash, its
-	// position, and parent<<32 | len(sel).
+	// position and its parent.
 	recs []uint64
-	sels []byte // the records' selections, back to back
 }
 
-func (b *routeBuf) add(key []uint64, hash, pos uint64, parent int32, sel []byte) {
+func (b *routeBuf) add(key []uint64, hash, pos uint64, parent int32) {
 	b.recs = append(b.recs, key...)
-	b.recs = append(b.recs, hash, pos, uint64(uint32(parent))<<32|uint64(len(sel)))
-	b.sels = append(b.sels, sel...)
+	b.recs = append(b.recs, hash, pos, uint64(uint32(parent)))
 }
 
 // drainInto probes every buffered record into vs. Called by the owner of
@@ -136,15 +134,12 @@ func (b *routeBuf) add(key []uint64, hash, pos uint64, parent int32, sel []byte)
 // fan-out.
 func (b *routeBuf) drainInto(vs *Visited) {
 	w := vs.words
-	sels := b.sels
 	for r := b.recs; len(r) > 0; r = r[w+3:] {
-		hash, meta := r[w], r[w+2]
-		n := int(uint32(meta))
+		hash := r[w]
 		sh := int32(hash & vs.smask)
-		vs.probeLocked(&vs.shards[sh], sh, r[:w], hash, r[w+1], int32(meta>>32), sels[:n])
-		sels = sels[n:]
+		vs.probeLocked(&vs.shards[sh], sh, r[:w], hash, r[w+1], int32(uint32(r[w+2])))
 	}
-	b.recs, b.sels = b.recs[:0], b.sels[:0]
+	b.recs = b.recs[:0]
 }
 
 // shareStripes makes the workers co-owners of one visited set: worker i
@@ -177,8 +172,9 @@ func (ws *workerState[S]) open(vs *Visited, agg *LayerReport, id int32, item int
 }
 
 // emit hands the next successor of the expansion in flight (see open) to
-// the visited set; sel is the selection that produced it.
-func (ws *workerState[S]) emit(key []uint64, sel []byte) {
+// the visited set. Its branch index — the pending min-merge's tie-break
+// under one parent — is what lets a trace re-derive the selection.
+func (ws *workerState[S]) emit(key []uint64) {
 	vs := ws.curVS
 	hash := hashWords(key)
 	pos := uint64(ws.curItem)<<32 | uint64(ws.curBranch)
@@ -198,14 +194,14 @@ func (ws *workerState[S]) emit(key []uint64, sel []byte) {
 		}
 	case ws.filter != nil && ws.filter.seen(key, hash, pos):
 	case ws.cl != nil:
-		ws.cl.sink(key, hash, pos, ws.cl.parent, sel)
+		ws.cl.sink(key, hash, pos, ws.cl.parent)
 	default:
 		sh := int32(hash & vs.smask)
 		if o := int(sh) * ws.owners >> vs.shardShift; o != ws.self {
-			ws.route[o].add(key, hash, pos, ws.curID, sel)
+			ws.route[o].add(key, hash, pos, ws.curID)
 			ws.routed++
 			return
 		}
-		vs.probeLocked(&vs.shards[sh], sh, key, hash, pos, ws.curID, sel)
+		vs.probeLocked(&vs.shards[sh], sh, key, hash, pos, ws.curID)
 	}
 }

@@ -135,18 +135,17 @@ func TestEmitSmallerPositionWinsMerge(t *testing.T) {
 	for _, e := range []struct {
 		id   int32
 		item int
-		sel  byte
-	}{{70, 5, 1}, {30, 2, 2}, {90, 9, 0}} {
+	}{{70, 5}, {30, 2}, {90, 9}} {
 		ws.open(vs, &agg, e.id, e.item)
-		ws.emit(key, []byte{e.sel})
+		ws.emit(key)
 	}
 	fresh := vs.Drain()
 	if len(fresh) != 1 {
 		t.Fatalf("%d pending entries, want 1", len(fresh))
 	}
-	if f := fresh[0]; f.Pos != 2<<32 || f.Parent != 30 || f.Sel != "\x02" {
-		t.Fatalf("pending entry is (pos %#x, parent %d, sel %q), want the item-2 proposal (pos %#x, parent 30, sel \"\\x02\")",
-			f.Pos, f.Parent, f.Sel, uint64(2<<32))
+	if f := fresh[0]; f.Pos != 2<<32 || f.Parent != 30 {
+		t.Fatalf("pending entry is (pos %#x, parent %d), want the item-2 proposal (pos %#x, parent 30)",
+			f.Pos, f.Parent, uint64(2<<32))
 	}
 }
 
@@ -162,8 +161,8 @@ func TestEmitAtCapBypassesFilter(t *testing.T) {
 	kept[0], dropped[0] = 1, 2
 	var agg LayerReport
 	ws.open(vs, &agg, -1, 0)
-	ws.emit(kept, nil)
-	ws.emit(dropped, nil)
+	ws.emit(kept)
+	ws.emit(dropped)
 	fresh := vs.Drain()
 	if len(fresh) != 2 {
 		t.Fatalf("%d pending entries, want 2", len(fresh))
@@ -177,11 +176,11 @@ func TestEmitAtCapBypassesFilter(t *testing.T) {
 	if !ws.curAtCap {
 		t.Fatal("layer after the bound was hit is not at cap")
 	}
-	ws.emit(kept, nil)
+	ws.emit(kept)
 	if agg.Truncated {
 		t.Fatal("a promoted key reported as a miss")
 	}
-	ws.emit(dropped, nil)
+	ws.emit(dropped)
 	if !agg.Truncated {
 		t.Fatal("the dropped key was swallowed: the at-cap path consulted the filter")
 	}
@@ -218,7 +217,7 @@ func TestRouteBufferHandOff(t *testing.T) {
 	for w, ws := range wss {
 		foreign := keys[1-w]
 		ws.open(vs, &agg, int32(10+w), w)
-		ws.emit(foreign, []byte{byte(w)})
+		ws.emit(foreign)
 		if ws.routed != 1 || vs.Contains(foreign, hashWords(foreign)) {
 			t.Fatalf("worker %d probed a stripe it does not own (routed %d)", w, ws.routed)
 		}
@@ -233,8 +232,8 @@ func TestRouteBufferHandOff(t *testing.T) {
 		t.Fatalf("%d pending entries after the drain, want 2", len(fresh))
 	}
 	for w, f := range fresh { // drained in position order: worker w proposed at item w
-		if f.Pos != uint64(w)<<32 || f.Parent != int32(10+w) || f.Sel != string([]byte{byte(w)}) {
-			t.Fatalf("entry %d is (pos %#x, parent %d, sel %q)", w, f.Pos, f.Parent, f.Sel)
+		if f.Pos != uint64(w)<<32 || f.Parent != int32(10+w) {
+			t.Fatalf("entry %d is (pos %#x, parent %d)", w, f.Pos, f.Parent)
 		}
 		if key := vs.shards[f.shard].pend[f.pidx].key; !wordsEqual(key, keys[1-w]) {
 			t.Fatalf("entry %d holds key %v, want %v", w, key, keys[1-w])
@@ -242,7 +241,7 @@ func TestRouteBufferHandOff(t *testing.T) {
 	}
 	for _, ws := range wss {
 		for o := range ws.route {
-			if len(ws.route[o].recs) != 0 || len(ws.route[o].sels) != 0 {
+			if len(ws.route[o].recs) != 0 {
 				t.Fatal("a drained route buffer is not empty")
 			}
 		}

@@ -323,7 +323,6 @@ type workerState[S sim.Cloneable[S]] struct {
 	succ    sim.SuccScratch[S]
 	was, is []bool // meets vectors
 	correct []bool
-	selBuf  []byte
 
 	// Incremental-check scratch: per-successor epoch marks over edges
 	// (meets recomputation) and processes (Correct recomputation).
@@ -418,7 +417,7 @@ type peerHooks struct {
 	parent int32
 	// sink replaces vs.Probe: route the successor to its owning shard
 	// (a local probe or a remote-frontier outbox record).
-	sink func(key []uint64, hash uint64, pos uint64, parent int32, sel []byte)
+	sink func(key []uint64, hash uint64, pos uint64, parent int32)
 	// capMiss replaces the at-cap !vs.Contains check; a remote-owned
 	// key is shipped as a membership query and the owner folds the
 	// answer into its own layer report, so this returns false for it.
@@ -440,7 +439,6 @@ func newWorkerState[S sim.Cloneable[S]](m *Model[S], opts *Options) *workerState
 		procMark: par.PrivateSlice[uint64](n),
 		payEpoch: par.PrivateSlice[uint64](n),
 		payload:  par.PrivateSlice[uint64](n),
-		selBuf:   par.PrivateSlice[byte](n)[:0],
 		was:      par.PrivateSlice[bool](m.Probe.H.M()),
 		is:       par.PrivateSlice[bool](m.Probe.H.M()),
 		correct:  par.PrivateSlice[bool](n),
@@ -520,6 +518,23 @@ func (ws *workerState[S]) canonKey(cfg []S) []uint64 {
 	return ws.enc
 }
 
+// selectionTo re-derives a trace step: the first selection, in
+// expansion order, that takes the configuration encoded by from to the
+// one encoded by to (nil if none does). That is the selection the
+// pending min-merge kept, whose least (item, branch) position names the
+// parent first and that parent's least branch to the key second.
+func (ws *workerState[S]) selectionTo(from, to []uint64) (found []int) {
+	m := ws.model
+	m.Codec.Decode(ws.cfg, from)
+	sim.SuccessorsBuf(m.Prog, ws.cfg, ws.opts.Mode, ws.rng, ws.opts.MaxBranch, &ws.succ, func(sel []int, nxt []S) bool {
+		if wordsEqual(ws.canonKey(nxt), to) {
+			found = copySel(sel)
+		}
+		return found == nil
+	})
+	return found
+}
+
 func wordsLess(a, b []uint64) bool {
 	for i := range a {
 		if a[i] != b[i] {
@@ -594,8 +609,7 @@ func (ws *workerState[S]) expand(vs *Visited, agg *LayerReport, id int32, item, 
 		} else {
 			key = ws.canonKey(nxt)
 		}
-		ws.selBuf = appendSel(ws.selBuf[:0], sel)
-		ws.emit(key, ws.selBuf)
+		ws.emit(key)
 
 		// Incremental transition checks: a successor differs from cfg
 		// only at the selected processes, so only committees incident to
@@ -866,7 +880,7 @@ func (b *localBackend[S]) restore() (bool, error) {
 	}
 	b.run.layerState = snap.layerState
 	for _, p := range snap.pending {
-		b.vs.Probe(p.Key, hashWords(p.Key), p.Pos, p.Parent, []byte(p.Sel))
+		b.vs.Probe(p.Key, hashWords(p.Key), p.Pos, p.Parent, nil)
 	}
 	if b.opts.Stats != nil {
 		b.opts.Stats.ResumedStates = b.vs.States()
@@ -986,7 +1000,7 @@ func seedProduct[S any](vs *Visited, c *Codec[S], doms [][]S, kept int, links *T
 	}
 	first := links.Extend(kept)
 	for i := range kept {
-		links.Set(first+i, -1, "")
+		links.Set(first+i, -1)
 	}
 	return nil
 }
@@ -1249,29 +1263,7 @@ func (m *Model[S]) render(cfg []S) string {
 	return strings.Join(parts, " | ")
 }
 
-// appendSel packs a selection as one byte per process index.
-func appendSel(dst []byte, sel []int) []byte {
-	for _, p := range sel {
-		if p > 255 {
-			panic("explore: process index out of byte range")
-		}
-		dst = append(dst, byte(p))
-	}
-	return dst
-}
-
 func copySel(sel []int) []int { return append([]int(nil), sel...) }
-
-func decodeSel(s string) []int {
-	if s == "" {
-		return nil
-	}
-	out := make([]int, len(s))
-	for i := 0; i < len(s); i++ {
-		out[i] = int(s[i])
-	}
-	return out
-}
 
 // RenderTrace pretty-prints a counterexample trace.
 func RenderTrace(v Violation) string {

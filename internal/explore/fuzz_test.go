@@ -401,7 +401,6 @@ func FuzzVisitedSet(f *testing.F) {
 		type oracleEntry struct {
 			pos    uint64
 			parent int32
-			sel    string
 			id     int32 // -1 while pending
 		}
 		oracle := map[[words]uint64]*oracleEntry{}
@@ -426,11 +425,11 @@ func FuzzVisitedSet(f *testing.F) {
 					key, pos := keyOf(b, j), posOf(i, j)
 					if e, ok := oracle[key]; ok {
 						if e.id < 0 && pos < e.pos {
-							e.pos, e.parent, e.sel = pos, parentOf(b), string([]byte{b})
+							e.pos, e.parent = pos, parentOf(b)
 						}
 						continue
 					}
-					oracle[key] = &oracleEntry{pos: pos, parent: parentOf(b), sel: string([]byte{b}), id: -1}
+					oracle[key] = &oracleEntry{pos: pos, parent: parentOf(b), id: -1}
 					fresh = append(fresh, key)
 				}
 			}
@@ -463,7 +462,7 @@ func FuzzVisitedSet(f *testing.F) {
 							b := ops[i]
 							for j := 0; j < fan; j++ {
 								key := keyOf(b, j)
-								vs.Probe(key[:], hashWords(key[:]), posOf(i, j), parentOf(b), []byte{b})
+								vs.Probe(key[:], hashWords(key[:]), posOf(i, j), parentOf(b), nil)
 							}
 						}
 					}(vs, g)
@@ -504,8 +503,8 @@ func FuzzVisitedSet(f *testing.F) {
 					if s.ref != id || s.pidx != int32(hashWords(key[:])) {
 						t.Fatalf("layer %d: entry %d holds slot (%d, tag %d), want id %d", layer, rank, s.ref, s.pidx, id)
 					}
-					if parent, sel := links[si].At(int(id)); parent != e.parent || sel != e.sel {
-						t.Fatalf("layer %d: id %d links (%d, %q), oracle (%d, %q)", layer, id, parent, sel, e.parent, e.sel)
+					if parent := links[si].At(int(id)); parent != e.parent {
+						t.Fatalf("layer %d: id %d links parent %d, oracle %d", layer, id, parent, e.parent)
 					}
 					if got := vs.Key(id); !wordsEqual(got, key[:]) {
 						t.Fatalf("layer %d: arena row %d holds %v, want %v", layer, id, got, key)

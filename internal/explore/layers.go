@@ -3,6 +3,7 @@ package explore
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"slices"
 	"time"
 
@@ -90,14 +91,14 @@ type LayerBackend interface {
 }
 
 // TraceLinks is the driver's trace-link table: for promoted state id,
-// the state it was discovered from (−1 for an initial configuration)
-// and the packed selection that led there. It grows in fixed blocks, so
-// a layer's growth never copies the links already held, and distinct
-// ids may be set from different goroutines.
+// the state it was discovered from, one layer shallower (−1 for an
+// initial configuration). The selection that led there is not stored;
+// a trace re-derives it (layerDriver.trace). It grows in fixed blocks,
+// so a layer's growth never copies the links already held, and
+// distinct ids may be set from different goroutines.
 type TraceLinks struct {
 	n      int
 	parent [][]int32
-	sel    [][]string
 }
 
 // linkBlock is the entries per TraceLinks block.
@@ -113,21 +114,15 @@ func (t *TraceLinks) Extend(n int) (first int) {
 	t.n += n
 	for len(t.parent)*linkBlock < t.n {
 		t.parent = append(t.parent, make([]int32, linkBlock))
-		t.sel = append(t.sel, make([]string, linkBlock))
 	}
 	return first
 }
 
-// Set records state id's link.
-func (t *TraceLinks) Set(id int, parent int32, sel string) {
-	t.parent[id/linkBlock][id%linkBlock] = parent
-	t.sel[id/linkBlock][id%linkBlock] = sel
-}
+// Set records state id's parent.
+func (t *TraceLinks) Set(id int, parent int32) { t.parent[id/linkBlock][id%linkBlock] = parent }
 
-// At returns state id's link.
-func (t *TraceLinks) At(id int) (parent int32, sel string) {
-	return t.parent[id/linkBlock][id%linkBlock], t.sel[id/linkBlock][id%linkBlock]
-}
+// At returns state id's parent.
+func (t *TraceLinks) At(id int) (parent int32) { return t.parent[id/linkBlock][id%linkBlock] }
 
 // layerState is the driver's resumable state: together with the
 // backend's own (arena, pending set) it is exactly what a checkpoint
@@ -149,9 +144,14 @@ type layerDriver struct {
 	layerState
 	opts   *Options // defaulted
 	render func(key []uint64) string
+	// step re-derives the selection from one trace key to the next
+	// (workerState.selectionTo on a scalar worker of its own, built at
+	// the first trace).
+	step func(from, to []uint64) []int
 }
 
 func newLayerDriver[S sim.Cloneable[S]](m *Model[S], opts *Options) *layerDriver {
+	var ws *workerState[S]
 	return &layerDriver{
 		layerState: layerState{res: &Result{
 			Model: m.Name, Mode: opts.Mode, MaxIncorrectDepth: -1,
@@ -159,6 +159,14 @@ func newLayerDriver[S sim.Cloneable[S]](m *Model[S], opts *Options) *layerDriver
 		}},
 		opts:   opts,
 		render: m.renderKey,
+		step: func(from, to []uint64) []int {
+			if ws == nil {
+				o := *opts
+				o.DisableBatch = true
+				ws = newWorkerState(m, &o)
+			}
+			return ws.selectionTo(from, to)
+		},
 	}
 }
 
@@ -277,21 +285,35 @@ func (d *layerDriver) fold(b LayerBackend, first int32) error {
 }
 
 // trace reconstructs the path from an initial configuration to state
-// id, then appends the offending transition if any.
+// id of the layer in flight — one parent link per layer — re-deriving
+// each step's selection from its parent, then appends the offending
+// transition if any. A link that breaks either rule is an internal
+// error, never a trace.
 func (d *layerDriver) trace(b LayerBackend, id int32, v LayerViol) ([]TraceStep, error) {
-	var path []int32
-	for x := id; x >= 0; x, _ = d.links.At(int(x)) {
-		path = append(path, x)
+	path := make([]int32, d.depth+1)
+	x := id
+	for i := d.depth; i >= 0; i-- {
+		if x < 0 {
+			return nil, fmt.Errorf("explore: internal error: the trace links of state %d (layer %d) reach an initial configuration at layer %d", id, d.depth, i+1)
+		}
+		path[i], x = x, d.links.At(int(x))
 	}
-	slices.Reverse(path)
+	if x >= 0 {
+		return nil, fmt.Errorf("explore: internal error: the trace links of state %d (layer %d) run past layer 0", id, d.depth)
+	}
 	keys, err := b.Keys(path)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]TraceStep, 0, len(path)+1)
 	for i, x := range path {
-		_, sel := d.links.At(int(x))
-		out = append(out, TraceStep{Sel: decodeSel(sel), Config: d.render(keys[i]), Key: keys[i]})
+		var sel []int
+		if i > 0 {
+			if sel = d.step(keys[i-1], keys[i]); sel == nil {
+				return nil, fmt.Errorf("explore: internal error: no selection leads from state %d to state %d, its trace link", path[i-1], x)
+			}
+		}
+		out = append(out, TraceStep{Sel: sel, Config: d.render(keys[i]), Key: keys[i]})
 	}
 	if v.Key != nil {
 		out = append(out, TraceStep{Sel: v.Sel, Config: d.render(v.Key), Key: v.Key})

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"repro/internal/chaos"
 	"repro/internal/par"
 	"repro/internal/sim"
 )
@@ -83,11 +84,10 @@ func (m *Model[S]) renderKey(key []uint64) string {
 
 // PendMeta is the promotion-relevant view of one pending entry: what
 // the coordinator needs to merge shards into the global discovery order
-// and extend its parent/selection trace arrays. Parent is a gid.
+// and extend its trace links. Parent is a gid.
 type PendMeta struct {
 	Pos    uint64 `json:"pos"`
 	Parent int32  `json:"parent"`
-	Sel    []byte `json:"sel,omitempty"`
 }
 
 // PeerEngine is the coordinator-facing surface of one cluster peer. All
@@ -409,7 +409,7 @@ func (e *peerEngine[S]) PendMeta(shard int) (meta []PendMeta, err error) {
 	ps.drained = ps.vs.Drain()
 	meta = make([]PendMeta, len(ps.drained))
 	for i, f := range ps.drained {
-		meta[i] = PendMeta{Pos: f.Pos, Parent: f.Parent, Sel: []byte(f.Sel)}
+		meta[i] = PendMeta{Pos: f.Pos, Parent: f.Parent}
 	}
 	return meta, nil
 }
@@ -580,10 +580,13 @@ func (e *peerEngine[S]) AdoptShard(shard int, r io.Reader) (err error) {
 // for state keys:
 //
 //	header:  "CCFW" u8 version u8 0 u16 words u32 count
-//	probe:   u8 1  u32 shard  u64 pos  u32 parent  u8 selLen  sel  key
+//	probe:   u8 1  u32 shard  u64 pos  u32 parent  key
 //	capchk:  u8 2  u32 shard  key
+//
+// Version 2 dropped the probe record's selection (u8 selLen, sel): a
+// frame of another version is refused as corrupt, never mis-parsed.
 const (
-	frameVersion   = 1
+	frameVersion   = 2
 	frameHeaderLen = 12
 	recProbe       = 1
 	recCapCheck    = 2
@@ -619,10 +622,10 @@ func (ob *peerOutbox) init() {
 	}
 }
 
-func (ob *peerOutbox) sink(key []uint64, hash uint64, pos uint64, parent int32, sel []byte) {
+func (ob *peerOutbox) sink(key []uint64, hash uint64, pos uint64, parent int32) {
 	shard := ShardOf(hash, len(ob.bufs))
 	if ps := ob.e.localShard(shard); ps != nil {
-		ps.vs.Probe(key, hash, pos, parent, sel)
+		ps.vs.Probe(key, hash, pos, parent, nil)
 		return
 	}
 	dst := ob.e.routeOf(shard)
@@ -631,8 +634,6 @@ func (ob *peerOutbox) sink(key []uint64, hash uint64, pos uint64, parent int32, 
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(shard))
 	buf = binary.LittleEndian.AppendUint64(buf, pos)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(parent))
-	buf = append(buf, byte(len(sel)))
-	buf = append(buf, sel...)
 	for _, w := range key {
 		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
@@ -706,7 +707,8 @@ func (e *peerEngine[S]) Ingest(frame []byte) (err error) {
 		return fmt.Errorf("explore: short frontier frame (%d bytes)", len(frame))
 	}
 	if [4]byte(frame[:4]) != frameMagic || frame[4] != frameVersion {
-		return fmt.Errorf("explore: not a frontier frame (or version drift)")
+		return fmt.Errorf("explore: %w", &chaos.CorruptError{Path: "frontier frame",
+			Detail: fmt.Sprintf("magic %q version %d, want %q version %d", frame[:4], frame[4], frameMagic[:], frameVersion)})
 	}
 	if w := int(binary.LittleEndian.Uint16(frame[6:8])); w != e.words {
 		return fmt.Errorf("explore: frame word width %d != codec %d", w, e.words)
@@ -728,23 +730,17 @@ func (e *peerEngine[S]) Ingest(frame []byte) (err error) {
 		}
 		switch kind {
 		case recProbe:
-			if len(p) < 13 {
+			if len(p) < 12+keyBytes {
 				return fmt.Errorf("explore: truncated frontier frame (record %d)", rec)
 			}
 			pos := binary.LittleEndian.Uint64(p[:8])
 			parent := int32(binary.LittleEndian.Uint32(p[8:12]))
-			selLen := int(p[12])
-			p = p[13:]
-			if len(p) < selLen+keyBytes {
-				return fmt.Errorf("explore: truncated frontier frame (record %d)", rec)
-			}
-			sel := p[:selLen]
-			p = p[selLen:]
+			p = p[12:]
 			for i := range key {
 				key[i] = binary.LittleEndian.Uint64(p[i*8:])
 			}
 			p = p[keyBytes:]
-			ps.vs.Probe(key, hashWords(key), pos, parent, sel)
+			ps.vs.Probe(key, hashWords(key), pos, parent, nil)
 		case recCapCheck:
 			if len(p) < keyBytes {
 				return fmt.Errorf("explore: truncated frontier frame (record %d)", rec)

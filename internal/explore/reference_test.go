@@ -304,3 +304,26 @@ func refSuccessors[S sim.Cloneable[S]](prog *sim.Program[S], cfg []S, mode sim.S
 	}
 	return len(en), branches
 }
+
+// appendSel packs a selection as one byte per process index: the
+// oracle stores the selection of every state it discovers.
+func appendSel(dst []byte, sel []int) []byte {
+	for _, p := range sel {
+		if p > 255 {
+			panic("explore: process index out of byte range")
+		}
+		dst = append(dst, byte(p))
+	}
+	return dst
+}
+
+func decodeSel(s string) []int {
+	if s == "" {
+		return nil
+	}
+	out := make([]int, len(s))
+	for i := 0; i < len(s); i++ {
+		out[i] = int(s[i])
+	}
+	return out
+}

@@ -91,8 +91,8 @@ func TestSeedProductMatchesProbe(t *testing.T) {
 				t.Fatalf("seeded %d states, %d links, %d in the set", kept, links.Len(), b.vs.States())
 			}
 			for id := range kept {
-				if parent, sel := links.At(id); parent != -1 || sel != "" {
-					t.Fatalf("init %d linked to parent %d by %q", id, parent, sel)
+				if parent := links.At(id); parent != -1 {
+					t.Fatalf("init %d linked to parent %d", id, parent)
 				}
 			}
 			for i := range b.vs.shards {

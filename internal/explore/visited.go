@@ -35,9 +35,11 @@ import (
 //     successor directly: known states answer immediately, unknown
 //     states become *pending* entries. A pending entry remembers the
 //     least (item, branch) layer position that proposed it — a min
-//     merge by whoever holds the stripe, so the surviving
-//     parent/selection is the one the PR 2 serial loop would have
-//     picked regardless of which worker got there first.
+//     merge by whoever holds the stripe, so the surviving parent is
+//     the one a serial loop would have picked regardless of which
+//     worker got there first (and the selection a trace re-derives
+//     from it, that parent's least branch to the state, is the one
+//     that loop would have recorded).
 //  2. Between layers, the owner commit (commit) promotes the pending
 //     entries in position order: each stripe owner sorts its own
 //     entries, a serial merge ranks the owners' runs, and each owner
@@ -149,8 +151,7 @@ type pendEntry struct {
 	hash   uint64
 	pos    uint64 // least (item, branch) proposing this state
 	parent int32
-	slot   int32 // current slot index in the shard's table (growLocked updates it)
-	sel    string
+	slot   int32    // current slot index in the shard's table (growLocked updates it)
 	key    []uint64 // aliases vshard.keys
 }
 
@@ -158,30 +159,9 @@ type pendEntry struct {
 type Fresh struct {
 	Pos    uint64
 	Parent int32
-	Sel    string
 
 	shard, pidx int32 // the pending entry, for O(1) promotion
 }
-
-// selString interns a selection byte string: the overwhelmingly common
-// single-process selections (central branching) share one string per
-// process index instead of allocating per fresh state.
-func selString(sel []byte) string {
-	switch len(sel) {
-	case 0:
-		return ""
-	case 1:
-		return singleSel[sel[0]]
-	}
-	return string(sel)
-}
-
-var singleSel = func() (t [256]string) {
-	for i := range t {
-		t[i] = string([]byte{byte(i)})
-	}
-	return
-}()
 
 // NewVisited builds a set for states of the given word width.
 func NewVisited(words int) *Visited {
@@ -364,19 +344,19 @@ func (v *Visited) Bytes() int64 {
 }
 
 // Probe looks up key (with its precomputed hash) and, when absent,
-// records it as pending with the proposing layer position, parent and
-// selection. When the key is already pending, the least position wins.
-// Returns the promoted id (>= 0) when the state is already part of the
-// arena, or a negative value otherwise. sel is copied only when a
-// pending entry is created or improved.
+// records it as pending with the proposing layer position and parent.
+// When the key is already pending, the least position wins. Returns
+// the promoted id (>= 0) when the state is already part of the arena,
+// or a negative value otherwise. sel is ignored: a trace re-derives
+// each step's selection from its parent (layerDriver.trace).
 func (v *Visited) Probe(key []uint64, hash uint64, pos uint64, parent int32, sel []byte) int32 {
 	shIdx := int32(hash & v.smask)
 	sh := &v.shards[shIdx]
 	if v.serial {
-		return v.probeLocked(sh, shIdx, key, hash, pos, parent, sel)
+		return v.probeLocked(sh, shIdx, key, hash, pos, parent)
 	}
 	sh.mu.Lock()
-	id := v.probeLocked(sh, shIdx, key, hash, pos, parent, sel)
+	id := v.probeLocked(sh, shIdx, key, hash, pos, parent)
 	sh.mu.Unlock()
 	return id
 }
@@ -407,7 +387,7 @@ func (v *Visited) refEqual(sh *vshard, ref int32, key []uint64) bool {
 
 // probeLocked is Probe for a caller that already holds stripe sh — by
 // its lock, or by owning it for the fan-out in flight.
-func (v *Visited) probeLocked(sh *vshard, shIdx int32, key []uint64, hash uint64, pos uint64, parent int32, sel []byte) int32 {
+func (v *Visited) probeLocked(sh *vshard, shIdx int32, key []uint64, hash uint64, pos uint64, parent int32) int32 {
 	tag := int32(hash)
 	_, idx := v.home(tag)
 	mask := uint64(len(sh.slots) - 1)
@@ -422,7 +402,7 @@ func (v *Visited) probeLocked(sh *vshard, shIdx int32, key []uint64, hash uint64
 			} else {
 				sh.filled++
 			}
-			v.insertPending(sh, shIdx, at, key, hash, pos, parent, sel)
+			v.insertPending(sh, shIdx, at, key, hash, pos, parent)
 			if sh.filled*3 > len(sh.slots)*2 {
 				v.growLocked(sh)
 			}
@@ -439,7 +419,7 @@ func (v *Visited) probeLocked(sh *vshard, shIdx int32, key []uint64, hash uint64
 			e := &sh.pend[s.pidx]
 			if e.hash == hash && wordsEqual(e.key, key) {
 				if pos < e.pos {
-					e.pos, e.parent, e.sel = pos, parent, selString(sel)
+					e.pos, e.parent = pos, parent
 				}
 				return slotPend
 			}
@@ -519,11 +499,11 @@ func wordsEqual(a, b []uint64) bool {
 	return true
 }
 
-func (v *Visited) insertPending(sh *vshard, shIdx int32, at int, key []uint64, hash uint64, pos uint64, parent int32, sel []byte) {
+func (v *Visited) insertPending(sh *vshard, shIdx int32, at int, key []uint64, hash uint64, pos uint64, parent int32) {
 	off := len(sh.keys)
 	sh.keys = append(sh.keys, key...)
 	sh.pend = append(sh.pend, pendEntry{
-		hash: hash, pos: pos, parent: parent, slot: int32(at), sel: selString(sel),
+		hash: hash, pos: pos, parent: parent, slot: int32(at),
 		key: sh.keys[off : off+v.words : off+v.words],
 	})
 	pidx := int32(len(sh.pend) - 1)
@@ -696,7 +676,7 @@ func (v *Visited) commit(owners, room int, links *TraceLinks) (kept, pending int
 				e := &sh.pend[r.pidx]
 				ref = first + int32(rank)
 				copy(v.arena[at+rank*v.words:], e.key)
-				links.Set(link+rank, e.parent, e.sel)
+				links.Set(link+rank, e.parent)
 			}
 			v.setRef(sh, r.pidx, ref)
 		}
@@ -725,7 +705,7 @@ func (v *Visited) Drain() []Fresh {
 	out := v.drainBuf[:0]
 	for _, r := range run {
 		e := &v.shards[r.shard].pend[r.pidx]
-		out = append(out, Fresh{Pos: r.pos, Parent: e.parent, Sel: e.sel, shard: r.shard, pidx: r.pidx})
+		out = append(out, Fresh{Pos: r.pos, Parent: e.parent, shard: r.shard, pidx: r.pidx})
 	}
 	// Reuse the buffer while its capacity tracks the layer size, but
 	// release the slack after a spike (a huge seed layer would
@@ -1008,7 +988,6 @@ func (v *Visited) load(nstates int, spillTo int32, next func(key []uint64) error
 type PendSnap struct {
 	Pos    uint64
 	Parent int32
-	Sel    string
 	Key    []uint64
 }
 
@@ -1020,7 +999,7 @@ func (v *Visited) SnapshotPending() []PendSnap {
 	var out []PendSnap
 	for i := range v.shards {
 		for _, e := range v.shards[i].pend {
-			out = append(out, PendSnap{Pos: e.pos, Parent: e.parent, Sel: e.sel, Key: e.key})
+			out = append(out, PendSnap{Pos: e.pos, Parent: e.parent, Key: e.key})
 		}
 	}
 	return out
