@@ -71,6 +71,11 @@ type RunStats struct {
 	// ArenaSpilledBytes is the visited-arena bytes resident on disk at
 	// the end of the run (a cluster peer adds its shards' at Close).
 	ArenaSpilledBytes int64
+	// ColdReads counts the read calls issued against the arena spill
+	// file: probes that compare a spilled id on the spot, the commit's
+	// sorted sweeps of deferred proposals, and trace rebuilds (a
+	// cluster peer adds its shards' at Close).
+	ColdReads int64
 	// CheckpointErrors counts periodic snapshot saves that failed; the
 	// run degraded to continuing uncheckpointed instead of aborting.
 	CheckpointErrors int

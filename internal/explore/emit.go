@@ -25,10 +25,13 @@ import (
 // to it (localBackend.expandChunk). Buffers are therefore empty at every
 // chunk boundary, where cancellation, checkpoints, Progress and — at the
 // layer's end — the commit and Housekeep see the set exactly as they
-// would had every successor been probed the moment it was derived. The
-// commit keeps the same ownership: each worker sorts and promotes the
-// pending entries of its own stripes (Visited.commit). With one worker
-// every stripe is its own and no buffer is ever written.
+// would had every successor been probed the moment it was derived —
+// except that an owner's probe never reads the spill file: a successor
+// whose hash tag matches a spilled id waits in its stripe, deferred,
+// for the commit (or a checkpoint) to settle it in one sorted sweep.
+// The commit keeps the same ownership: each worker settles, sorts and
+// promotes the entries of its own stripes (Visited.commit). With one
+// worker every stripe is its own and no buffer is ever written.
 
 // filterEntries is the slot count of a worker's successor filter (a
 // power of two). 4,096 slots recognise about 70% of the probes of a
@@ -137,7 +140,7 @@ func (b *routeBuf) drainInto(vs *Visited) {
 	for r := b.recs; len(r) > 0; r = r[w+3:] {
 		hash := r[w]
 		sh := int32(hash & vs.smask)
-		vs.probeLocked(&vs.shards[sh], sh, r[:w], hash, r[w+1], int32(uint32(r[w+2])))
+		vs.probeLocked(&vs.shards[sh], sh, r[:w], hash, r[w+1], int32(uint32(r[w+2])), true)
 	}
 	b.recs = b.recs[:0]
 }
@@ -202,6 +205,6 @@ func (ws *workerState[S]) emit(key []uint64) {
 			ws.routed++
 			return
 		}
-		vs.probeLocked(&vs.shards[sh], sh, key, hash, pos, ws.curID)
+		vs.probeLocked(&vs.shards[sh], sh, key, hash, pos, ws.curID, true)
 	}
 }

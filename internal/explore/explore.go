@@ -891,6 +891,7 @@ func (b *localBackend[S]) restore() (bool, error) {
 func (b *localBackend[S]) fillStats() {
 	if st := b.opts.Stats; st != nil {
 		st.ArenaSpilledBytes = b.vs.SpilledBytes()
+		st.ColdReads = b.vs.ColdReads()
 	}
 }
 
@@ -902,6 +903,11 @@ func (b *localBackend[S]) save() error {
 		if ws.routed != 0 {
 			panic("explore: checkpoint with routed successors not yet probed")
 		}
+	}
+	// A proposal still deferred on a cold tag match is in no pending
+	// entry yet: settle it, or the snapshot would lose a collision.
+	if err := b.vs.settleAll(len(b.wss)); err != nil {
+		return err
 	}
 	snap := &snapshot{
 		hash: b.ohash, words: b.wss[0].model.Codec.Words, layerState: b.run.layerState,
@@ -936,8 +942,8 @@ func (b *localBackend[S]) Seed(room int, links *TraceLinks) (int, bool, error) {
 		seq++
 		return room < 0 || b.vs.Pending() <= room
 	})
-	kept, pending := b.vs.commit(len(b.wss), room, links)
-	return kept, kept < pending, nil
+	kept, pending, err := b.vs.commit(len(b.wss), room, links)
+	return kept, kept < pending, err
 }
 
 // productCut returns how many configurations of the product of doms
@@ -1148,7 +1154,10 @@ func (b *localBackend[S]) expandChunk(from int32, size, depth int) error {
 // ids are the next layer — then the driver goroutine runs the scaling
 // housekeeping (re-shard, cold-tail spill).
 func (b *localBackend[S]) Commit(room int, links *TraceLinks) (int, bool, error) {
-	kept, pending := b.vs.commit(len(b.wss), room, links)
+	kept, pending, err := b.vs.commit(len(b.wss), room, links)
+	if err != nil {
+		return 0, false, err
+	}
 	// The driver has not yet counted this commit, so the hot watermark
 	// is the first id of the layer just expanded.
 	if err := b.vs.Housekeep(int32(b.run.res.States - b.run.width)); err != nil {

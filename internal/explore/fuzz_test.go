@@ -484,7 +484,10 @@ func FuzzVisitedSet(f *testing.F) {
 				if len(slotOf) != len(fresh) {
 					t.Fatalf("layer %d: %d pending vs %d expected", layer, len(slotOf), len(fresh))
 				}
-				gotKept, pending := vs.commit(owners, room, &links[si])
+				gotKept, pending, err := vs.commit(owners, room, &links[si])
+				if err != nil {
+					t.Fatal(err)
+				}
 				if gotKept != kept || pending != len(fresh) {
 					t.Fatalf("layer %d, %d owners: commit kept %d of %d, want %d of %d",
 						layer, owners, gotKept, pending, kept, len(fresh))

@@ -302,6 +302,7 @@ func (e *peerEngine[S]) Close() {
 	for _, ps := range e.shards {
 		if e.opts.Stats != nil {
 			e.opts.Stats.ArenaSpilledBytes += ps.vs.SpilledBytes()
+			e.opts.Stats.ColdReads += ps.vs.ColdReads()
 		}
 		ps.vs.Close()
 	}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/chaos"
@@ -39,12 +40,21 @@ import (
 //     the one a serial loop would have picked regardless of which
 //     worker got there first (and the selection a trace re-derives
 //     from it, that parent's least branch to the state, is the one
-//     that loop would have recorded).
-//  2. Between layers, the owner commit (commit) promotes the pending
-//     entries in position order: each stripe owner sorts its own
-//     entries, a serial merge ranks the owners' runs, and each owner
-//     appends its entries' encodings to the arena at their ranks —
-//     dense ids in exactly the serial discovery order.
+//     that loop would have recorded). A stripe owner's probe never
+//     reads the spill file: a proposal whose hash tag matches a
+//     spilled id (and no hot or pending key) is *deferred* — parked
+//     in the stripe with that cold id, not yet pending.
+//  2. Between layers, the owner commit (commit) first settles the
+//     deferred proposals: each owner sorts its own by cold id and
+//     reads the spill file in a few coalesced ranges (settle), drops
+//     the true duplicates and probes the rest — tag collisions — into
+//     the pending set. Then it promotes the pending entries in
+//     position order: each stripe owner sorts its own entries, a
+//     serial merge ranks the owners' runs, and each owner appends its
+//     entries' encodings to the arena at their ranks — dense ids in
+//     exactly the serial discovery order. Settling changes only when
+//     a collision's pending entry is made, never its least position,
+//     so the ids are those of an immediate compare.
 //
 // Promoted encodings live only in the arena (slots store the id), so
 // the steady-state cost per state is words*8 bytes of arena plus one
@@ -64,7 +74,9 @@ import (
 //     byte budget: ids below the hot watermark (states older than the
 //     previous BFS layer — never the ones the current layer expands)
 //     move to disk and are read back only when a probe's hash tag
-//     matches a cold id, or when a counterexample trace is rebuilt.
+//     matches a cold id — at the commit's sorted sweep for the owners'
+//     probes, on the spot for Probe and Contains — or when a
+//     counterexample trace is rebuilt.
 type Visited struct {
 	words      int
 	shards     []vshard
@@ -73,10 +85,11 @@ type Visited struct {
 
 	arena    []uint64 // in-memory promoted states: id n at [(n-baseID)*words, ...)
 	nstates  int
-	serial   bool       // one goroutine probes: Probe skips the locks, inserts are logged in order
-	runs     [][]runRec // per-owner commit runs and their sort buffers, reused across
-	spare    [][]runRec // layers (scratch, outside Bytes)
-	drainBuf []Fresh    // reused across Drain calls
+	serial   bool        // one goroutine probes: Probe skips the locks, inserts are logged in order
+	runs     [][]runRec  // per-owner commit runs and their sort buffers, reused across
+	spare    [][]runRec  // layers (scratch, outside Bytes)
+	sweeps   []coldSweep // per-owner settle scratch, reused across layers (outside Bytes)
+	drainBuf []Fresh     // reused across Drain calls
 
 	// Cold-tail spill (optional; see EnableArenaSpill). Ids < baseID
 	// live in spillFile as fixed-width records at offset id*recSize(),
@@ -89,7 +102,8 @@ type Visited struct {
 	fs          chaos.FS
 	spillFile   chaos.File
 	baseID      int32
-	spilled     int64 // payload bytes written to spillFile
+	spilled     int64        // payload bytes written to spillFile
+	coldReads   atomic.Int64 // read calls issued against spillFile (ColdReads)
 
 	// order is the serial-mode insertion-order log: with one worker,
 	// pending entries are inserted in exactly the (item, branch) layer
@@ -137,6 +151,10 @@ type vshard struct {
 	keys   []uint64 // backing storage for pending keys
 	cold   []uint64 // scratch for comparing against spilled arena keys
 	raw    []byte   // scratch for spilled-record reads (under the stripe lock)
+	// deferred holds the owner probes parked on a cold tag match until
+	// the commit settles them (settle): words+3 uint64 per record, the
+	// key, its hash, its position and parent<<32 | cold id.
+	deferred []uint64
 }
 
 // rawBuf returns the shard's spilled-record scratch, grown to n bytes.
@@ -303,13 +321,26 @@ func (v *Visited) Key(id int32) []uint64 {
 // corruption comes back as *chaos.CorruptError, not a wrong key.
 // Transient read faults are retried in place.
 func (v *Visited) readCold(id int32, buf []uint64, raw []byte) error {
-	err := chaos.Retry(context.Background(), chaos.DefaultPolicy, func() error {
+	if err := v.readSpill(raw, id); err != nil {
+		return err
+	}
+	return v.record(id, raw, buf)
+}
+
+// readSpill fills raw with the spilled records from id on (a whole
+// number of them), retrying transient read faults in place. Every call
+// counts as one cold read.
+func (v *Visited) readSpill(raw []byte, id int32) error {
+	v.coldReads.Add(1)
+	return chaos.Retry(context.Background(), chaos.DefaultPolicy, func() error {
 		_, rerr := v.spillFile.ReadAt(raw, int64(id)*v.recSize())
 		return rerr
 	})
-	if err != nil {
-		return err
-	}
+}
+
+// record checks spilled record id (raw, len recSize) against its
+// checksum and decodes its key into buf (len v.words).
+func (v *Visited) record(id int32, raw []byte, buf []uint64) error {
 	payload := raw[:8*v.words]
 	if fnv64a(payload) != binary.LittleEndian.Uint64(raw[8*v.words:]) {
 		return &chaos.CorruptError{
@@ -322,6 +353,11 @@ func (v *Visited) readCold(id int32, buf []uint64, raw []byte) error {
 	}
 	return nil
 }
+
+// ColdReads reports the read calls issued against the spill file so
+// far: probes that compared a cold id on the spot, the commit's sweep
+// ranges and trace rebuilds.
+func (v *Visited) ColdReads() int64 { return v.coldReads.Load() }
 
 // Bytes reports the retained in-memory footprint of the dedup
 // structures: arena plus slot tables plus pending buffers, entry
@@ -337,9 +373,10 @@ func (v *Visited) Bytes() int64 {
 		b += int64(cap(sh.pend)) * int64(unsafe.Sizeof(pendEntry{}))
 	}
 	b += int64(cap(v.drainBuf)) * int64(unsafe.Sizeof(Fresh{}))
-	// The serial insertion-order log and the owner runs are deliberately
-	// excluded: their shape depends on the worker count, and StateBytes
-	// must be identical at any -j.
+	// The serial insertion-order log, the owner runs and the settle
+	// scratch are deliberately excluded: their shape depends on the
+	// worker count, and StateBytes must be identical at any -j. So are
+	// the stripes' deferred proposals, which every commit empties.
 	return b
 }
 
@@ -347,16 +384,17 @@ func (v *Visited) Bytes() int64 {
 // records it as pending with the proposing layer position and parent.
 // When the key is already pending, the least position wins. Returns
 // the promoted id (>= 0) when the state is already part of the arena,
-// or a negative value otherwise. sel is ignored: a trace re-derives
-// each step's selection from its parent (layerDriver.trace).
+// spilled ids included (Probe compares them on the spot), or a
+// negative value otherwise. sel is ignored: a trace re-derives each
+// step's selection from its parent (layerDriver.trace).
 func (v *Visited) Probe(key []uint64, hash uint64, pos uint64, parent int32, sel []byte) int32 {
 	shIdx := int32(hash & v.smask)
 	sh := &v.shards[shIdx]
 	if v.serial {
-		return v.probeLocked(sh, shIdx, key, hash, pos, parent)
+		return v.probeLocked(sh, shIdx, key, hash, pos, parent, false)
 	}
 	sh.mu.Lock()
-	id := v.probeLocked(sh, shIdx, key, hash, pos, parent)
+	id := v.probeLocked(sh, shIdx, key, hash, pos, parent, false)
 	sh.mu.Unlock()
 	return id
 }
@@ -367,14 +405,9 @@ func (v *Visited) Probe(key []uint64, hash uint64, pos uint64, parent int32, sel
 // an optimization; results are identical.
 func (v *Visited) SetSerial(serial bool) { v.serial = serial }
 
-// refEqual compares promoted state ref against key, reading through
-// the shard's cold scratch when the id is spilled (only reached on a
-// 32-bit hash-tag match, so cold reads happen essentially only on true
-// duplicates of pre-watermark states).
-func (v *Visited) refEqual(sh *vshard, ref int32, key []uint64) bool {
-	if ref >= v.baseID {
-		return wordsEqual(v.arenaKey(ref), key)
-	}
+// coldEqual compares spilled state ref against key, reading through
+// the shard's cold scratch.
+func (v *Visited) coldEqual(sh *vshard, ref int32, key []uint64) bool {
 	if cap(sh.cold) < v.words {
 		sh.cold = make([]uint64, v.words)
 	}
@@ -386,16 +419,28 @@ func (v *Visited) refEqual(sh *vshard, ref int32, key []uint64) bool {
 }
 
 // probeLocked is Probe for a caller that already holds stripe sh — by
-// its lock, or by owning it for the fan-out in flight.
-func (v *Visited) probeLocked(sh *vshard, shIdx int32, key []uint64, hash uint64, pos uint64, parent int32) int32 {
+// its lock, or by owning it for the fan-out in flight. A promoted slot
+// is only compared on a 32-bit tag match. With deferCold (a stripe
+// owner's probe, emit.go) the first tag match on a spilled id is not
+// read back: the walk goes on, and a proposal that ends at an empty
+// slot without meeting its key is deferred to the commit's settle,
+// with a negative return. A chain with a second spilled tag match —
+// rare — compares that one on the spot.
+func (v *Visited) probeLocked(sh *vshard, shIdx int32, key []uint64, hash uint64, pos uint64, parent int32, deferCold bool) int32 {
 	tag := int32(hash)
 	_, idx := v.home(tag)
 	mask := uint64(len(sh.slots) - 1)
 	firstTomb := -1
+	cold := int32(-1)
 	for {
 		s := &sh.slots[idx]
 		switch {
 		case s.ref == slotEmpty:
+			if cold >= 0 {
+				sh.deferred = append(sh.deferred, key...)
+				sh.deferred = append(sh.deferred, hash, pos, uint64(uint32(parent))<<32|uint64(uint32(cold)))
+				return slotPend
+			}
 			at := int(idx)
 			if firstTomb >= 0 {
 				at = firstTomb
@@ -412,7 +457,15 @@ func (v *Visited) probeLocked(sh *vshard, shIdx int32, key []uint64, hash uint64
 				firstTomb = int(idx)
 			}
 		case s.ref >= 0:
-			if s.pidx == tag && v.refEqual(sh, s.ref, key) {
+			switch {
+			case s.pidx != tag:
+			case s.ref >= v.baseID:
+				if wordsEqual(v.arenaKey(s.ref), key) {
+					return s.ref
+				}
+			case deferCold && cold < 0:
+				cold = s.ref
+			case v.coldEqual(sh, s.ref, key):
 				return s.ref
 			}
 		default: // pending
@@ -543,7 +596,8 @@ func (v *Visited) growLocked(sh *vshard) {
 
 // runRec is one pending entry in an owner's commit run: its layer
 // position and where it lives. rankRuns overwrites pos with the
-// entry's rank in the layer's promotion order.
+// entry's rank in the layer's promotion order. (settle sorts deferred
+// proposals in the same records, keyed by cold id.)
 type runRec struct {
 	pos         uint64
 	shard, pidx int32
@@ -558,13 +612,15 @@ func (v *Visited) stripes(o, n int) (lo, hi int) {
 	return (o*s + n - 1) / n, ((o+1)*s + n - 1) / n
 }
 
-// ownerRun gathers owner o's (of n) pending entries into its run,
-// sorted by position. A sole owner of a set one goroutine probes reads
-// the insertion-order log instead of the stripes: a serial expansion
-// proposes states in ascending (item, branch) position, so the log is
-// already sorted unless a checkpoint restore re-probed its pending
-// snapshot in shard order.
+// ownerRun settles owner o's (of n) deferred proposals, then gathers
+// its pending entries into its run, sorted by position. A sole owner
+// of a set one goroutine probes reads the insertion-order log instead
+// of the stripes: a serial expansion proposes states in ascending
+// (item, branch) position, so the log is already sorted unless a
+// checkpoint restore re-probed its pending snapshot in shard order, or
+// a settle probed a tag collision.
 func (v *Visited) ownerRun(o, n int) []runRec {
+	v.settle(o, n)
 	run := v.runs[o][:0]
 	if v.serial && n == 1 {
 		for _, pr := range v.order {
@@ -588,7 +644,8 @@ func (v *Visited) ownerRun(o, n int) []runRec {
 // sortRun sorts run by position, using spare as the second buffer, and
 // returns the sorted run and the other buffer. It is an LSD radix sort
 // over only the bytes in which the run's positions differ: a layer's
-// positions span a few low bytes of item index and of branch.
+// positions span a few low bytes of item index and of branch, and a
+// settle's cold ids the low bytes of the spilled id range.
 func sortRun(run, spare []runRec) (sorted, other []runRec) {
 	var diff uint64
 	for _, r := range run {
@@ -638,28 +695,122 @@ func rankRuns(runs [][]runRec) int {
 	}
 }
 
-// setOwners sizes the per-owner run buffers for n owners.
+// setOwners sizes the per-owner run and settle buffers for n owners.
 func (v *Visited) setOwners(n int) {
 	if len(v.runs) != n {
 		v.runs, v.spare = make([][]runRec, n), make([][]runRec, n)
+		v.sweeps = make([]coldSweep, n)
 	}
+}
+
+// The settle's coalescing bounds: one read spans deferred cold ids at
+// most sweepGap bytes of records apart, and at most sweepChunk bytes
+// in all. A gap costs a copy out of the page cache, a split costs a
+// system call; their break-even is a few KiB, and the chunk bounds the
+// per-owner read buffer.
+const (
+	sweepGap   = 16 << 10
+	sweepChunk = 128 << 10
+)
+
+// coldSweep is one owner's settle scratch, reused across layers: the
+// spill read buffer and the decoded cold key.
+type coldSweep struct {
+	raw []byte
+	key []uint64
+}
+
+// settle resolves the proposals owner o (of n) deferred on its
+// stripes: sorted by cold id, the spilled records they name are read
+// in ascending ranges — a cold id at most sweepGap bytes past the last
+// joins its read, up to sweepChunk bytes — and a proposal whose key is
+// its record's is a duplicate and vanishes. Any other is a tag
+// collision and is probed again with the spilled ids compared on the
+// spot, under its own position and parent, so the pending set is the
+// one an immediate compare would have built. Corruption or a failed
+// read panics with an ioPanic, like a probe's. The sort borrows the
+// owner's run buffers, which ownerRun fills only afterwards: a
+// proposal is a runRec whose pos is its cold id and whose pidx is its
+// record's index in the stripe's deferred buffer.
+func (v *Visited) settle(o, n int) {
+	lo, hi := v.stripes(o, n)
+	rw := v.words + 3
+	refs := v.runs[o][:0]
+	for s := lo; s < hi; s++ {
+		d := v.shards[s].deferred
+		for i := 0; i*rw < len(d); i++ {
+			refs = append(refs, runRec{pos: uint64(uint32(d[i*rw+rw-1])), shard: int32(s), pidx: int32(i)})
+		}
+	}
+	if len(refs) == 0 {
+		return
+	}
+	refs, v.spare[o] = sortRun(refs, v.spare[o])
+	v.runs[o] = refs
+	sw := &v.sweeps[o]
+	rs := v.recSize()
+	sw.key = slices.Grow(sw.key[:0], v.words)[:v.words]
+	for i := 0; i < len(refs); {
+		first, j := int32(refs[i].pos), i+1
+		for j < len(refs) && int64(refs[j].pos-refs[j-1].pos)*rs <= sweepGap && (int64(refs[j].pos)-int64(first)+1)*rs <= sweepChunk {
+			j++
+		}
+		size := (int64(refs[j-1].pos) - int64(first) + 1) * rs
+		if int64(cap(sw.raw)) < size {
+			sw.raw = make([]byte, max(size, min(sweepChunk, 2*int64(cap(sw.raw)))))
+		}
+		raw := sw.raw[:size]
+		if err := v.readSpill(raw, first); err != nil {
+			panic(ioPanic{err})
+		}
+		decoded := int32(-1)
+		for _, r := range refs[i:j] {
+			if id := int32(r.pos); id != decoded {
+				at := int64(id-first) * rs
+				if err := v.record(id, raw[at:at+rs], sw.key); err != nil {
+					panic(ioPanic{err})
+				}
+				decoded = id
+			}
+			rec := v.shards[r.shard].deferred[int(r.pidx)*rw:][:rw]
+			if !wordsEqual(sw.key, rec[:v.words]) {
+				w := rec[v.words:]
+				v.probeLocked(&v.shards[r.shard], r.shard, rec[:v.words], w[0], w[1], int32(w[2]>>32), false)
+			}
+		}
+		i = j
+	}
+	for s := lo; s < hi; s++ {
+		v.shards[s].resetDeferred()
+	}
+}
+
+// settleAll resolves every deferred proposal into the pending set
+// (settle on each of owners owners, in parallel), so a snapshot of the
+// pending set taken next misses none. Between chunks only.
+func (v *Visited) settleAll(owners int) error {
+	v.setOwners(owners)
+	return forEachWorkerIO(owners, owners, func(_, o int) { v.settle(o, owners) })
 }
 
 // commit promotes the pending entries in position order under the
 // next dense ids — at most room of them (room < 0: all), the rest
 // become tombstones — and sets their trace links. It returns the
-// promoted and the pending counts. Between layers only.
+// promoted and the pending counts, or the failure of a cold read.
+// Between layers only.
 //
 // owners goroutines share the work, each on the stripes it owns during
-// an expansion fan-out (emit.go): every owner sorts its own entries
-// into a run, a serial merge ranks the runs, and every owner then
-// writes its entries' arena rows, slots and trace links at their ranks
-// (disjoint, so no two owners write the same row) and clears its
-// stripes' pending buffers.
-func (v *Visited) commit(owners, room int, links *TraceLinks) (kept, pending int) {
+// an expansion fan-out (emit.go): every owner settles its deferred
+// proposals and sorts its own entries into a run, a serial merge ranks
+// the runs, and every owner then writes its entries' arena rows, slots
+// and trace links at their ranks (disjoint, so no two owners write the
+// same row) and clears its stripes' pending buffers.
+func (v *Visited) commit(owners, room int, links *TraceLinks) (kept, pending int, err error) {
 	v.setOwners(owners)
 	runs := v.runs
-	par.ForEachWorker(owners, owners, func(_, o int) { v.ownerRun(o, owners) })
+	if err = forEachWorkerIO(owners, owners, func(_, o int) { v.ownerRun(o, owners) }); err != nil {
+		return 0, 0, err
+	}
 	pending = rankRuns(runs)
 	kept = pending
 	if room >= 0 {
@@ -690,7 +841,7 @@ func (v *Visited) commit(owners, room int, links *TraceLinks) (kept, pending int
 	})
 	v.nstates += kept
 	v.resetOrder()
-	return kept, pending
+	return kept, pending, nil
 }
 
 // Drain collects the pending entries of all shards, sorted by layer
@@ -753,8 +904,19 @@ func (v *Visited) setRef(sh *vshard, pidx, ref int32) {
 func (v *Visited) Reset() {
 	for i := range v.shards {
 		v.shards[i].resetPend()
+		v.shards[i].resetDeferred()
 	}
 	v.resetOrder()
+}
+
+// resetDeferred empties the stripe's deferred proposals, with
+// resetPend's rule for the slack.
+func (sh *vshard) resetDeferred() {
+	if cap(sh.deferred) > 2*len(sh.deferred)+256 {
+		sh.deferred = nil
+	} else {
+		sh.deferred = sh.deferred[:0]
+	}
 }
 
 // resetPend empties the stripe's pending buffers, reusing them while
@@ -784,8 +946,10 @@ func (v *Visited) resetOrder() {
 // older than the previous BFS layer) once the in-memory arena exceeds
 // its budget. Must only be called with no pending entries.
 func (v *Visited) Housekeep(hotFrom int32) error {
-	if v.Pending() != 0 {
-		panic("explore: Housekeep with pending entries")
+	for i := range v.shards {
+		if len(v.shards[i].pend) != 0 || len(v.shards[i].deferred) != 0 {
+			panic("explore: Housekeep with pending entries")
+		}
 	}
 	for v.nstates > len(v.shards)*reshardPerShard {
 		v.reshard()
@@ -835,15 +999,8 @@ func (v *Visited) scanArena(fn func(id int32, key []uint64)) error {
 			if _, err := io.ReadFull(r, raw); err != nil {
 				return fmt.Errorf("explore: arena scan: %w", err)
 			}
-			payload := raw[:8*v.words]
-			if fnv64a(payload) != binary.LittleEndian.Uint64(raw[8*v.words:]) {
-				return fmt.Errorf("explore: arena scan: %w", &chaos.CorruptError{
-					Path:   v.spillFile.Name(),
-					Detail: fmt.Sprintf("arena record %d: checksum mismatch", id),
-				})
-			}
-			for i := range key {
-				key[i] = binary.LittleEndian.Uint64(payload[8*i:])
+			if err := v.record(id, raw, key); err != nil {
+				return fmt.Errorf("explore: arena scan: %w", err)
 			}
 			fn(id, key)
 		}

@@ -14,10 +14,12 @@
 // the terminal one, which is the part that must never be lost.
 //
 // Topics are cheap, created on first use, and retired once they are
-// done (a terminal-typed event was published) and the last subscriber
-// detaches; the serving layer synthesizes terminal events for
-// watchers who arrive later than that from the job records and the
-// verdict store, so retiring a ring never strands a client.
+// done (a terminal-typed event was published) and have no subscriber:
+// when the last subscriber detaches, or when the publisher asks
+// (Retire) after a terminal event. The serving layer synthesizes
+// terminal events for watchers who arrive later than that from the job
+// records and the verdict store, so retiring a ring never strands a
+// client.
 package pubsub
 
 import (
@@ -237,12 +239,14 @@ func (s *Sub) Events() <-chan Event { return s.ch }
 func (s *Sub) Evicted() bool { return s.state.Load() == 1 }
 
 // Close detaches the subscription. Idempotent; retires the topic if
-// it is done and this was the last subscriber.
+// this was the last subscriber and the topic is done or was never
+// published to (a watcher that came and went before the first event
+// leaves no ring behind).
 func (s *Sub) Close() {
 	s.b.mu.Lock()
 	_, live := s.t.subs[s]
 	delete(s.t.subs, s)
-	if s.t.done && len(s.t.subs) == 0 {
+	if (s.t.done || s.t.seq == 0) && len(s.t.subs) == 0 {
 		// The ring has served its purpose: terminal watchers from here
 		// on are synthesized from the job record / verdict store.
 		if cur := s.b.topics[s.t.name]; cur == s.t {
@@ -253,6 +257,18 @@ func (s *Sub) Close() {
 	if live && s.state.CompareAndSwap(0, 2) {
 		close(s.ch)
 	}
+}
+
+// Retire drops the named topic if it is done and nobody is subscribed;
+// otherwise it does nothing. A publisher calls it after a terminal
+// event nobody may be watching: the ring of an unwatched, finished
+// topic would otherwise stay resident until MaxTopics pushes it out.
+func (b *Broker) Retire(name string) {
+	b.mu.Lock()
+	if t := b.topics[name]; t != nil && t.done && len(t.subs) == 0 {
+		delete(b.topics, name)
+	}
+	b.mu.Unlock()
 }
 
 // Topics reports the retained topic count (a /metrics gauge).

@@ -217,7 +217,7 @@ type Server struct {
 	cacheHits, cacheMisses, statesExplored, exploreNanos             atomic.Int64
 	checkpointsWritten, checkpointErrors, jobsResumed, statesResumed atomic.Int64
 	queries, compactions, clusterOpens, clusterAdoptions             atomic.Int64
-	clusterFramesIn, clusterFrameBytes, clusterErrors                atomic.Int64
+	clusterFramesIn, clusterFrameBytes, clusterErrors, coldReads     atomic.Int64
 	// phaseNanos is the explorer's wall time in the layer driver's
 	// seed, expand and commit phases (explore.RunStats).
 	phaseNanos [3]atomic.Int64
@@ -782,6 +782,7 @@ func (s *Server) run(j *job) {
 	s.checkpointsWritten.Add(int64(eo.Stats.CheckpointsWritten))
 	s.checkpointErrors.Add(int64(eo.Stats.CheckpointErrors))
 	s.statesResumed.Add(int64(eo.Stats.ResumedStates))
+	s.coldReads.Add(eo.Stats.ColdReads)
 	for i, sec := range [...]float64{eo.Stats.SeedSeconds, eo.Stats.ExpandSeconds, eo.Stats.CommitSeconds} {
 		s.phaseNanos[i].Add(int64(sec * 1e9))
 	}
@@ -1109,6 +1110,7 @@ var metricsTable = []struct {
 	{`ccserve_explore_phase_seconds_total{phase="seed"}`, phaseRow(0)},
 	{`ccserve_explore_phase_seconds_total{phase="expand"}`, phaseRow(1)},
 	{`ccserve_explore_phase_seconds_total{phase="commit"}`, phaseRow(2)},
+	{"ccserve_explore_cold_reads_total", func(s *Server) any { return s.coldReads.Load() }},
 	{"ccserve_queue_depth", func(s *Server) any { return s.queued.Load() }},
 	{"ccserve_jobs_running", func(s *Server) any { return s.running.Load() }},
 	{"ccserve_bad_requests_total", func(s *Server) any { return s.badRequests.Load() }},

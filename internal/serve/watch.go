@@ -91,10 +91,13 @@ func (s *Server) progressFunc(key string, stats *explore.RunStats) func(explore.
 
 // publishJobTerminalLocked pushes a job's terminal event to its topic
 // and fans per-cell events out to every campaign the cell belongs to.
-// Caller holds s.mu.
+// A topic nobody watches is retired right after its terminal event: a
+// later watcher gets the synthesized terminal instead. Caller holds
+// s.mu.
 func (s *Server) publishJobTerminalLocked(j *job) {
 	v := s.view(j)
 	s.broker.Publish(jobTopic(j.key), terminalType(j.status), v)
+	s.broker.Retire(jobTopic(j.key))
 	for _, cid := range s.cellCampaigns[j.key] {
 		if c := s.campaigns[cid]; c != nil {
 			s.publishCellLocked(c, j)
@@ -120,6 +123,7 @@ func (s *Server) publishCellLocked(c *camp, j *job) {
 		s.broker.Publish(campaignTopic(c.id), pubsub.TypeDone, map[string]any{
 			"campaign": c.id, "cells": len(c.keys),
 		})
+		s.broker.Retire(campaignTopic(c.id))
 	}
 }
 

@@ -375,3 +375,62 @@ func TestWatchMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestUnwatchedTerminalsRetireTopics: a job nobody watches leaves no
+// topic behind once it is terminal — its replay ring would otherwise
+// stay resident until the broker's topic cap pushed it out. A watcher
+// arriving afterwards, with or without a Last-Event-ID, still gets
+// exactly one terminal event, and its own topic is gone once it leaves.
+func TestUnwatchedTerminalsRetireTopics(t *testing.T) {
+	ts := newTestServer(t, t.TempDir())
+	const jobs = 6
+	ids := make([]string, jobs)
+	for i := range ids {
+		spec := jobSpec("cc1", "central")
+		spec.MaxStates = 3_000 + i // distinct content keys
+		_, v, _ := postJSON(t, ts.URL+"/v1/jobs", spec)
+		ids[i], _ = v["id"].(string)
+	}
+	for _, id := range ids {
+		waitDone(t, ts.URL, id)
+	}
+	if n := metric(t, ts, "ccserve_watch_topics"); n != 0 {
+		t.Fatalf("%d topics retained after %d unwatched jobs finished, want 0", int(n), jobs)
+	}
+	for _, after := range []uint64{0, 1} {
+		// Read to the end of the stream, not to the first terminal: a
+		// second terminal would follow the first.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+ids[0]+"/watch", nil)
+		if after > 0 {
+			req.Header.Set("Last-Event-ID", fmt.Sprint(after))
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		terminals := 0
+		dec := pubsub.NewDecoder(resp.Body)
+		for {
+			ev, err := dec.Next()
+			if err != nil {
+				break
+			}
+			if pubsub.IsTerminal(ev.Type) {
+				terminals++
+			}
+		}
+		resp.Body.Close()
+		cancel()
+		if terminals != 1 {
+			t.Fatalf("Last-Event-ID %d: %d terminal events, want exactly 1", after, terminals)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for metric(t, ts, "ccserve_watch_topics") != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("a late watcher's topic outlived it")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
