@@ -193,8 +193,20 @@ func (k *Kernel) inEp(p int, e int32) bool {
 
 // Eval gathers the configuration into columns, computes every per-edge
 // and per-process predicate, and resolves each process's highest-
-// priority enabled action (sim.BatchKernel).
-func (k *Kernel) Eval(cfg []State) uint64 {
+// priority enabled action (sim.BatchKernel). It is EvalHits with no
+// hits.
+func (k *Kernel) Eval(cfg []State) uint64 { return k.EvalHits(cfg, 0, nil) }
+
+// EvalHits is Eval for a caller that already knows some processes'
+// moves: every p in hit takes acts[p] (an action index, or -1) instead
+// of walking its guards. The columns, the per-edge predicates and
+// Correct are still computed for every process, since the explorer's
+// spec checks read them. The explorer's local-transition cache is the
+// caller: with the eager environment and core.ChooseFirst, p's move is
+// a function of the states of p and its G_H neighbours (the program's
+// Locality), so a move recorded for the same neighbourhood is the move
+// the guards would choose.
+func (k *Kernel) EvalHits(cfg []State, hit uint64, acts []int) uint64 {
 	if k.n > 64 {
 		panic(fmt.Sprintf("core: Kernel.Eval over %d processes (max 64)", k.n))
 	}
@@ -209,7 +221,12 @@ func (k *Kernel) Eval(cfg []State) uint64 {
 	}
 	var enabled uint64
 	for p := 0; p < k.n; p++ {
-		a := k.choose(cfg, p)
+		var a int
+		if hit>>uint(p)&1 != 0 {
+			a = acts[p]
+		} else {
+			a = k.choose(cfg, p)
+		}
 		k.acts[p] = a
 		if a >= 0 {
 			enabled |= uint64(1) << p
@@ -594,6 +611,22 @@ func (k *Kernel) Apply(cfg []State, p int, next *State) {
 	k.prog.Actions[k.acts[p]].Body(cfg, p, next, k.rng)
 	k.postS[p] = next.S
 	k.postP[p] = int32(next.P)
+}
+
+// Post returns the successor S/P fields the last Apply of p recorded,
+// packed into one word for SetPost: S in the high half, P as a 16-bit
+// two's complement (edge indices stay below 2^15; the explorer's codec
+// caps them at 250).
+func (k *Kernel) Post(p int) uint32 {
+	return uint32(k.postS[p])<<16 | uint32(uint16(k.postP[p]))
+}
+
+// SetPost records p's successor S/P fields from a word Post returned
+// for the same move, in place of applying p's body, so the merged
+// Post* reads and SpecNeutral see p as Apply would have left it.
+func (k *Kernel) SetPost(p int, post uint32) {
+	k.postS[p] = Status(post >> 16)
+	k.postP[p] = int32(int16(post))
 }
 
 // --- Explorer checker interface ----------------------------------------------

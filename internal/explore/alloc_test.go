@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -17,59 +18,86 @@ import (
 // the all-subsets projection pass, key patching, the visited probe and
 // the per-selection spec checks all run on worker-owned scratch; the
 // only allocating paths are fresh states (arena append) and violations
-// (rare by design).
+// (rare by design). ring:3 has no process that can use the
+// local-transition cache, and its worker has none; on ring:4 every
+// process looks up, and with the table shrunk to 64 entries it has
+// stopped growing by the end of the BFS, so the measured expansions —
+// of states spread over the whole space, each twice — both hit and
+// miss.
 func TestBatchSteadyStateZeroAlloc(t *testing.T) {
-	factory := mustCC(t, core.CC2, hypergraph.CommitteeRing(3), CCOptions{Init: InitCCFull})
-	m := factory()
-	opts := &Options{Mode: sim.SelectAllSubsets, CheckDeadlock: true, CheckClosure: true}
-	ws := newWorkerState(m, opts)
-	if ws.bkern == nil {
-		t.Fatal("batch pipeline not engaged for the CC model")
-	}
-	vs := NewVisited(m.Codec.Words)
-	vs.SetSerial(true)
+	for _, tc := range []struct {
+		n     int
+		init  InitMode
+		local bool
+	}{{3, InitCCFull, false}, {4, InitCC, true}} {
+		t.Run(fmt.Sprintf("ring:%d", tc.n), func(t *testing.T) {
+			shrinkLocal(t, 64)
+			factory := mustCC(t, core.CC2, hypergraph.CommitteeRing(tc.n), CCOptions{Init: tc.init})
+			m := factory()
+			opts := &Options{Mode: sim.SelectAllSubsets, CheckDeadlock: true, CheckClosure: true}
+			ws := newWorkerState(m, opts)
+			if ws.bkern == nil {
+				t.Fatal("batch pipeline not engaged for the CC model")
+			}
+			if (ws.local != nil) != tc.local {
+				t.Fatalf("local-transition cache present: %v, want %v", ws.local != nil, tc.local)
+			}
 
-	// Drive the full BFS through expandBatch itself, replicating the
-	// engine's probe → drain → promote layer discipline.
-	enc := make([]uint64, m.Codec.Words)
-	seq := uint64(0)
-	m.Inits(func(cfg []core.State) bool {
-		m.Codec.Encode(enc, cfg)
-		vs.Probe(enc, hashWords(enc), seq, -1, nil)
-		seq++
-		return true
-	})
-	promote := func() []int32 {
-		fresh := vs.Drain()
-		ids := make([]int32, 0, len(fresh))
-		for _, f := range fresh {
-			ids = append(ids, vs.Promote(f))
-		}
-		vs.Reset()
-		return ids
-	}
-	agg := &LayerReport{}
-	depth := 0
-	var mid int32
-	for layer := promote(); len(layer) > 0; layer = promote() {
-		mid = layer[len(layer)/2]
-		for item, id := range layer {
-			ws.expandBatch(vs, agg, id, item, depth)
-		}
-		depth++
-	}
-	if len(agg.Viols) != 0 {
-		t.Fatalf("clean model produced %d violations", len(agg.Viols))
-	}
-	if vs.States() == 0 || vs.Pending() != 0 {
-		t.Fatalf("BFS did not converge: %d states, %d pending", vs.States(), vs.Pending())
-	}
+			// Drive the full BFS through expandBatch itself, replicating
+			// the engine's probe → drain → promote layer discipline.
+			vs, layer := seedLayer(m)
+			defer vs.Close()
+			promote := func() []int32 {
+				fresh := vs.Drain()
+				ids := make([]int32, 0, len(fresh))
+				for _, f := range fresh {
+					ids = append(ids, vs.Promote(f))
+				}
+				vs.Reset()
+				return ids
+			}
+			agg := &LayerReport{}
+			depth := 0
+			for ; len(layer) > 0; layer = promote() {
+				for item, id := range layer {
+					ws.expandBatch(vs, agg, id, item, depth)
+				}
+				depth++
+			}
+			if len(agg.Viols) != 0 {
+				t.Fatalf("clean model produced %d violations", len(agg.Viols))
+			}
+			if vs.States() == 0 || vs.Pending() != 0 {
+				t.Fatalf("BFS did not converge: %d states, %d pending", vs.States(), vs.Pending())
+			}
+			if tc.local && 2*len(ws.local.tab) != localEntries {
+				t.Fatalf("table has %d entries after the BFS, want its cap %d", 2*len(ws.local.tab), localEntries)
+			}
 
-	// Steady state: every successor of mid is known. Zero allocations.
-	if allocs := testing.AllocsPerRun(50, func() {
-		ws.expandBatch(vs, agg, mid, 0, depth)
-	}); allocs != 0 {
-		t.Fatalf("steady-state batch expansion allocates %v times per state, want 0", allocs)
+			// Steady state: every successor is known. Zero allocations,
+			// on cache hits and misses alike.
+			var lookups, hits int64
+			if tc.local {
+				lookups, hits = ws.local.lookups, ws.local.hits
+			}
+			next, again := int32(0), false
+			stride := int32(vs.States()/101) | 1
+			if allocs := testing.AllocsPerRun(100, func() {
+				ws.expandBatch(vs, agg, next, 0, depth)
+				if again { // each state twice: the second time hits
+					next = (next + stride) % int32(vs.States())
+				}
+				again = !again
+			}); allocs != 0 {
+				t.Fatalf("steady-state batch expansion allocates %v times per state, want 0", allocs)
+			}
+			if tc.local {
+				lookups, hits = ws.local.lookups-lookups, ws.local.hits-hits
+				if hits == 0 || hits == lookups {
+					t.Fatalf("measured expansions: %d hits of %d lookups, want both hits and misses", hits, lookups)
+				}
+			}
+		})
 	}
 }
 

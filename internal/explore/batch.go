@@ -397,10 +397,19 @@ func (ws *workerState[S]) expandBatch(vs *Visited, agg *LayerReport, id int32, i
 	opts := ws.opts
 	bk := ws.bkern
 	ws.open(vs, agg, id, item)
-	m.Codec.Decode(ws.cfg, vs.Key(id))
+	parent := vs.Key(id)
+	m.Codec.Decode(ws.cfg, parent)
 	cfg := ws.cfg
 
-	enabledMask := bk.Eval(cfg)
+	// The processes whose move the local-transition cache knows take it
+	// (their payload and SpecNeutral bit included) instead of choosing.
+	var enabledMask, hit, neutral uint64
+	if lc := ws.local; lc != nil {
+		hit, neutral = lc.lookup(parent, ws.payload)
+		enabledMask = ws.lkern.EvalHits(cfg, hit, lc.act)
+	} else {
+		enabledMask = bk.Eval(cfg)
+	}
 
 	// State properties from the kernel's cached vectors (the batch
 	// counterpart of spec.MeetsVector + the Correct loop).
@@ -452,17 +461,24 @@ func (ws *workerState[S]) expandBatch(vs *Visited, agg *LayerReport, id int32, i
 	// are identical in every selection containing p. Spec-neutrality is
 	// likewise selection-independent (it compares p's post state against
 	// the parent), so it is judged here once per state rather than per
-	// selection.
-	copy(ws.baseEnc, vs.Key(id))
-	var neutral uint64
+	// selection. A cache hit has all three already and only hands the
+	// kernel its post S/P; the misses are recorded after.
+	copy(ws.baseEnc, parent)
 	for rest := enabledMask; rest != 0; rest &= rest - 1 {
 		p := bits.TrailingZeros64(rest)
+		if hit>>uint(p)&1 != 0 {
+			ws.lkern.SetPost(p, ws.local.post[p])
+			continue
+		}
 		ws.post[p] = cfg[p].Clone()
 		bk.Apply(cfg, p, &ws.post[p])
 		ws.payload[p] = m.Codec.EncodeProc(ws.post, p)
 		if bk.SpecNeutral(p) {
 			neutral |= 1 << uint(p)
 		}
+	}
+	if ws.local != nil {
+		fillLocal(ws.local, ws.lkern, hit, neutral, ws.payload)
 	}
 	ws.curCanViolate, ws.curClean = ^uint64(0), false
 	if opts.Mode == sim.SelectAllSubsets {

@@ -76,6 +76,12 @@ type RunStats struct {
 	// sorted sweeps of deferred proposals, and trace rebuilds (a
 	// cluster peer adds its shards' at Close).
 	ColdReads int64
+	// LocalLookups and LocalHits count the batch pipeline's
+	// local-transition cache: the cacheable processes of every expanded
+	// state it looked up, and those whose move it already knew (a
+	// cluster peer adds its workers' at Close). Both are 0 where no
+	// process can look up.
+	LocalLookups, LocalHits int64
 	// CheckpointErrors counts periodic snapshot saves that failed; the
 	// run degraded to continuing uncheckpointed instead of aborting.
 	CheckpointErrors int

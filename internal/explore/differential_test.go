@@ -120,8 +120,10 @@ func shrinkFilter(t *testing.T, n int) {
 }
 
 // assertTinyFilter is the cell body of the battery's second pass: the
-// report of three workers behind four-slot filters must be, byte for
-// byte, the report of one worker behind the default filter.
+// report of three workers behind four-slot filters and four-entry
+// local-transition caches must be, byte for byte, the report of one
+// worker behind the default ones (which the first pass holds to the
+// scalar and Reference legs).
 func assertTinyFilter[S sim.Cloneable[S]](t *testing.T, factory func() *Model[S], opts Options) {
 	t.Helper()
 	run := func(workers int) []byte {
@@ -135,8 +137,9 @@ func assertTinyFilter[S sim.Cloneable[S]](t *testing.T, factory func() *Model[S]
 	}
 	ref := run(1)
 	shrinkFilter(t, 4)
+	shrinkLocal(t, 4)
 	if got := run(3); string(got) != string(ref) {
-		t.Fatalf("report (workers=3, 4-slot filter) differs from workers=1:\n%s\nvs\n%s", got, ref)
+		t.Fatalf("report (workers=3, 4-slot filter, 4-entry cache) differs from workers=1:\n%s\nvs\n%s", got, ref)
 	}
 }
 
@@ -190,24 +193,13 @@ func batteryCells(add func(name string, heavy bool, run func(t *testing.T, tiny 
 						heavy = false
 					}
 				}
-				add(algName+"/"+topoName+"/"+modeName, heavy, func(t *testing.T, tiny bool) {
-					factory := mustCC(t, variant, mkH(), CCOptions{Init: init})
-					opts := Options{
-						Mode: mode, MaxStates: maxStates,
-						CheckDeadlock: true, CheckClosure: true,
-					}
-					if mode == sim.SelectSynchronous {
-						opts.CheckConvergence = true
-					}
-					if tiny {
-						assertTinyFilter(t, factory, opts)
-						return
-					}
-					assertThreeWay(t, factory, opts)
-				})
+				add(algName+"/"+topoName+"/"+modeName, heavy, ccCell(variant, mkH, init, mode, maxStates))
 			}
 		}
 	}
+	// Every ring:4 process reads 3 of 4 blocks, as explore-spill's ring:5
+	// processes read 3 of 5: the local-transition cache's case.
+	add("cc2/ring:4/central", false, ccCell(core.CC2, func() *hypergraph.H { return hypergraph.CommitteeRing(4) }, InitCC, sim.SelectCentral, 40_000))
 
 	// Baseline cells: legit init only. The dining reduction's pinned
 	// central-schedule deadlock on ring:3 must be found by both engines
@@ -238,6 +230,25 @@ func batteryCells(add func(name string, heavy bool, run func(t *testing.T, tiny 
 	}
 }
 
+// ccCell is the body of a CC battery cell.
+func ccCell(variant core.Variant, mkH func() *hypergraph.H, init InitMode, mode sim.SelectionMode, maxStates int) func(t *testing.T, tiny bool) {
+	return func(t *testing.T, tiny bool) {
+		factory := mustCC(t, variant, mkH(), CCOptions{Init: init})
+		opts := Options{
+			Mode: mode, MaxStates: maxStates,
+			CheckDeadlock: true, CheckClosure: true,
+		}
+		if mode == sim.SelectSynchronous {
+			opts.CheckConvergence = true
+		}
+		if tiny {
+			assertTinyFilter(t, factory, opts)
+			return
+		}
+		assertThreeWay(t, factory, opts)
+	}
+}
+
 func TestDifferentialBattery(t *testing.T) {
 	batteryCells(func(name string, heavy bool, run func(t *testing.T, tiny bool)) {
 		t.Run(name, func(t *testing.T) {
@@ -251,10 +262,12 @@ func TestDifferentialBattery(t *testing.T) {
 }
 
 // TestDifferentialBatteryTinyFilter runs the battery's cells once more
-// with the successor filter shrunk to four slots, where nearly every
+// with the successor filter shrunk to four slots and the
+// local-transition cache to four entries, where nearly every
 // consultation evicts or collides: the filter may only ever skip a probe
-// that could not have changed the set, so capacity must not show in a
-// single byte. Serial — the capacity is a package variable.
+// that could not have changed the set, and the cache only ever answer
+// with the move its whole key determines, so neither capacity may show
+// in a single byte. Serial — the capacities are package variables.
 func TestDifferentialBatteryTinyFilter(t *testing.T) {
 	batteryCells(func(name string, heavy bool, run func(t *testing.T, tiny bool)) {
 		t.Run(name, func(t *testing.T) {

@@ -40,13 +40,14 @@ func sliceExtents(owner string, p any) []extent {
 // worker states built back to back, as ExploreCtx and NewPeer build
 // them, for the explore-wide cell (cc1/triples:3) must not have any
 // scratch — the structs themselves, their report slots, any slice of
-// either or of their core.Kernels — on a 64-byte line the other worker's
-// scratch also touches. At seven processes and five committees nearly
-// every one of these slices is smaller than a line, so made with plain
-// make they pack several to a line next to whatever the allocator hands
-// out next; which neighbours they get varies from run to run, so the
-// test also pins the property that rules a neighbour out: each backing
-// array is a whole number of lines.
+// either or of their core.Kernels and local-transition caches — on a
+// 64-byte line the other worker's scratch also touches. At seven
+// processes and five committees nearly every one of these slices is
+// smaller than a line, so made with plain make they pack several to a
+// line next to whatever the allocator hands out next; which neighbours
+// they get varies from run to run, so the test also pins the property
+// that rules a neighbour out: each backing array is a whole number of
+// lines.
 func TestWorkerScratchCacheLines(t *testing.T) {
 	factory := mustCC(t, core.CC1, hypergraph.ChainOfTriples(3), CCOptions{Init: InitLegit})
 	opts := &Options{Mode: sim.SelectAllSubsets, CheckDeadlock: true, CheckClosure: true}
@@ -58,8 +59,12 @@ func TestWorkerScratchCacheLines(t *testing.T) {
 		if !ok {
 			t.Fatalf("worker %d: batch kernel is %T, want *core.Kernel", w, ws.bkern)
 		}
+		if ws.local == nil {
+			t.Fatalf("worker %d: no local-transition cache", w)
+		}
 		name := fmt.Sprintf("worker%d", w)
 		per[w] = append(sliceExtents(name, ws), sliceExtents(name+".kernel", k)...)
+		per[w] = append(per[w], sliceExtents(name+".local", ws.local)...)
 		for _, x := range per[w] {
 			if (x.hi-x.lo)%line != 0 {
 				t.Errorf("%s: %d-byte backing array is not a whole number of cache lines", x.name, x.hi-x.lo)
@@ -71,6 +76,7 @@ func TestWorkerScratchCacheLines(t *testing.T) {
 		per[w] = append(per[w],
 			ext(name, unsafe.Pointer(ws), unsafe.Sizeof(*ws)),
 			ext(name+".kernel", unsafe.Pointer(k), unsafe.Sizeof(*k)),
+			ext(name+".local", unsafe.Pointer(ws.local), unsafe.Sizeof(*ws.local)),
 			ext(name+".rep", unsafe.Pointer(&ws.rep), unsafe.Sizeof(ws.rep)))
 	}
 	for _, a := range per[0] {

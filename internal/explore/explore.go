@@ -342,6 +342,10 @@ type workerState[S sim.Cloneable[S]] struct {
 	// kernel and the post-state buffer Apply fills per enabled process.
 	bkern batchEval[S]
 	post  []S
+	// The local-transition cache (localcache.go) and bkern as the
+	// kernel capability it needs; both nil when no process can look up.
+	local *localCache
+	lkern localKernel[S]
 	// changed collects, per selection, the committees whose meets status
 	// differs from the parent's — the only edges the event check must
 	// judge. conflict[e] is the bitmask of committees conflicting with e
@@ -454,6 +458,11 @@ func newWorkerState[S sim.Cloneable[S]](m *Model[S], opts *Options) *workerState
 			ws.bkern = be
 		} else {
 			ws.bkern = newGenericChecker(k, m)
+		}
+		if lk, ok := ws.bkern.(localKernel[S]); ok {
+			if ws.local = newLocalCache(m); ws.local != nil {
+				ws.lkern = lk
+			}
 		}
 		ws.selCB = ws.batchSel
 		ws.post = par.PrivateSlice[S](n)
@@ -892,6 +901,7 @@ func (b *localBackend[S]) fillStats() {
 	if st := b.opts.Stats; st != nil {
 		st.ArenaSpilledBytes = b.vs.SpilledBytes()
 		st.ColdReads = b.vs.ColdReads()
+		st.LocalLookups, st.LocalHits = localCounts(b.wss)
 	}
 }
 

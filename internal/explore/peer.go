@@ -299,6 +299,11 @@ func (e *peerEngine[S]) SetRoute(route []int) error {
 }
 
 func (e *peerEngine[S]) Close() {
+	if st := e.opts.Stats; st != nil {
+		lookups, hits := localCounts(e.wss)
+		st.LocalLookups += lookups
+		st.LocalHits += hits
+	}
 	for _, ps := range e.shards {
 		if e.opts.Stats != nil {
 			e.opts.Stats.ArenaSpilledBytes += ps.vs.SpilledBytes()

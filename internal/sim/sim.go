@@ -90,6 +90,11 @@ type Program[S Cloneable[S]] struct {
 	// engine inverts it. Declaring Locality switches Enabled() to
 	// incremental dirty-set maintenance; an unsound declaration silently
 	// produces wrong enabled sets, so keep the cross-check tests green.
+	// The exhaustive explorer is a second user: its local-transition
+	// cache keys p's chosen action and applied state on the states of p
+	// and Locality(p) alone, so an unsound declaration would also make
+	// it reuse a move computed for a different neighbourhood and
+	// explore a wrong state space.
 	Locality func(p int) []int
 
 	// Chooser, if non-nil, judges a batch of processes at once: for
