@@ -348,12 +348,24 @@ func readSnapshot(r io.Reader, wantHash [32]byte, words int, vs *Visited) (*snap
 	if c.err == nil && (s.done < 0 || s.done > s.width || s.width > nstates) {
 		return nil, fmt.Errorf("explore: checkpoint layer position %d of %d out of range", s.done, s.width)
 	}
+	// A family registered on vs (the product seed) is the first ids:
+	// its links are −1 in the file and take no storage here.
+	fam := vs.fam.len()
+	if c.err == nil && fam > 0 && (s.res.Inits != fam || nstates < fam) {
+		return nil, fmt.Errorf("explore: checkpoint seed layer of %d of %d states is not the %d-configuration family", s.res.Inits, nstates, fam)
+	}
 	var parents []int32
 	if c.err == nil {
-		parents = c.i32s(nstates)
+		s.links.Implicit(fam)
+		for id := 0; id < fam && c.err == nil; id++ {
+			if p := c.i32(); c.err == nil && p != -1 {
+				return nil, fmt.Errorf("explore: checkpoint links initial configuration %d to %d", id, p)
+			}
+		}
+		parents = c.i32s(nstates - fam)
 	}
 	if c.err == nil {
-		first := s.links.Extend(nstates)
+		first := s.links.Extend(len(parents))
 		for i, p := range parents {
 			s.links.Set(first+i, p)
 		}

@@ -12,7 +12,8 @@ import (
 // one sequence for the scalar and the batch path, on one node and on a
 // cluster peer, at any worker count:
 //
-//	emit → at cap: read-only membership check, nothing else
+//	emit → a kept init of the seed's family: a duplicate, nothing else
+//	     → at cap: read-only membership check, nothing else
 //	     → filter: drop an exact re-proposal (succFilter)
 //	     → cluster peer: peerHooks.sink (local shard or outbox frame)
 //	     → one node: probe the stripe if this worker owns it, else
@@ -179,9 +180,14 @@ func (ws *workerState[S]) open(vs *Visited, agg *LayerReport, id int32, item int
 // under one parent — is what lets a trace re-derive the selection.
 func (ws *workerState[S]) emit(key []uint64) {
 	vs := ws.curVS
-	hash := hashWords(key)
 	pos := uint64(ws.curItem)<<32 | uint64(ws.curBranch)
 	ws.curBranch++
+	if vs.fam != nil && vs.fam.member(key) >= 0 {
+		// A kept init of the seed's family: a depth-0 duplicate, known
+		// without a hash, at the cap or not.
+		return
+	}
+	hash := hashWords(key)
 	switch {
 	case ws.curAtCap:
 		// Never through the filter: a key it remembers forwarding may be
@@ -190,7 +196,7 @@ func (ws *workerState[S]) emit(key []uint64) {
 		if ws.cl != nil {
 			miss = ws.cl.capMiss(key, hash)
 		} else {
-			miss = !vs.Contains(key, hash)
+			miss = !vs.slotted(key, hash)
 		}
 		if miss {
 			ws.curAgg.Truncated = true

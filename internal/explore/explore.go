@@ -873,6 +873,16 @@ func (b *localBackend[S]) restore() (bool, error) {
 		}
 		return false, nil
 	}
+	// The seed's family holds no slot in a restored set either: register
+	// it first, as Seed would have (the seed's room is the state bound).
+	room := -1
+	if b.opts.MaxStates > 0 {
+		room = b.opts.MaxStates
+	}
+	if kept, _, ok := b.productSeed(room); ok && kept > 0 {
+		m := b.wss[0].model
+		productFamily(b.vs, &m.Codec, m.InitDomains, kept)
+	}
 	snap, err := readSnapshot(r, b.ohash, b.wss[0].model.Codec.Words, b.vs)
 	r.Close()
 	if err != nil {
@@ -934,15 +944,15 @@ func (b *localBackend[S]) save() error {
 
 // Seed implements LayerBackend. A product family (Model.InitDomains)
 // explored without symmetry reduction is written straight into the
-// visited set (seedProduct). Anything else — a symmetry quotient, whose
-// orbits collide, or a streamed family — is probed into the pending set
-// and promoted by the owner commit; the stream stops once more distinct
-// inits than room have been seen, since everything past that would be
-// dropped anyway.
+// visited set and registered there as a family (seedProduct). Anything
+// else — a symmetry quotient, whose orbits collide, or a streamed
+// family — is probed into the pending set and promoted by the owner
+// commit; the stream stops once more distinct inits than room have been
+// seen, since everything past that would be dropped anyway.
 func (b *localBackend[S]) Seed(room int, links *TraceLinks) (int, bool, error) {
 	ws0 := b.wss[0]
 	m := ws0.model
-	if kept, dropped, ok := productCut(m.InitDomains, room); ok && m.Codec.EncodeProc != nil && !(b.opts.Symmetry && len(m.Syms) > 0) {
+	if kept, dropped, ok := b.productSeed(room); ok {
 		return kept, dropped, seedProduct(b.vs, &m.Codec, m.InitDomains, kept, links)
 	}
 	seq := uint64(0)
@@ -954,6 +964,18 @@ func (b *localBackend[S]) Seed(room int, links *TraceLinks) (int, bool, error) {
 	})
 	kept, pending, err := b.vs.commit(len(b.wss), room, links)
 	return kept, kept < pending, err
+}
+
+// productSeed is productCut of the model's init domains under room when
+// the seed writes them straight into the visited set: a product family
+// explored without symmetry reduction through a codec with EncodeProc.
+// ok is false when the seed streams instead.
+func (b *localBackend[S]) productSeed(room int) (kept int, dropped, ok bool) {
+	m := b.wss[0].model
+	if m.Codec.EncodeProc == nil || b.opts.Symmetry && len(m.Syms) > 0 {
+		return 0, false, false
+	}
+	return productCut(m.InitDomains, room)
 }
 
 // productCut returns how many configurations of the product of doms
@@ -981,7 +1003,9 @@ func productCut[S any](doms [][]S, room int) (kept int, dropped, ok bool) {
 
 // seedProduct promotes the first kept configurations of the product of
 // doms into the fresh set vs: init i under id i with parent −1, which
-// is what probing the stream and committing it would give. Process p's
+// is what probing the stream and committing it would give. The keys
+// are registered as vs's family, so they take arena rows but no slot,
+// and their links take no storage (TraceLinks.Implicit). Process p's
 // block of a key depends only on p's digit, so the keys are walked off
 // procTables, patching only the digits the odometer changed; the
 // tables are injective and the blocks disjoint bit fields, so distinct
@@ -990,13 +1014,7 @@ func seedProduct[S any](vs *Visited, c *Codec[S], doms [][]S, kept int, links *T
 	if kept == 0 {
 		return nil
 	}
-	tabs := procTables(c, doms)
-	cfg := make([]S, len(doms))
-	for p, d := range doms {
-		cfg[p] = d[0]
-	}
-	cur := make([]uint64, c.Words)
-	c.Encode(cur, cfg)
+	tabs, cur := productFamily(vs, c, doms, kept)
 	idx := make([]int, len(doms))
 	err := vs.load(kept, 0, func(key []uint64) error {
 		copy(key, cur)
@@ -1014,11 +1032,23 @@ func seedProduct[S any](vs *Visited, c *Codec[S], doms [][]S, kept int, links *T
 	if err != nil {
 		return err
 	}
-	first := links.Extend(kept)
-	for i := range kept {
-		links.Set(first+i, -1)
-	}
+	links.Implicit(kept)
 	return nil
+}
+
+// productFamily registers on the fresh set vs the family of the first
+// kept configurations of the product of doms, and returns its payload
+// tables and the key of configuration 0 (the family keeps neither).
+func productFamily[S any](vs *Visited, c *Codec[S], doms [][]S, kept int) (tabs [][]uint64, first []uint64) {
+	tabs = procTables(c, doms)
+	cfg := make([]S, len(doms))
+	for p, d := range doms {
+		cfg[p] = d[0]
+	}
+	first = make([]uint64, c.Words)
+	c.Encode(first, cfg)
+	vs.setFamily(c.ProcOff, c.ProcBits, tabs, first, kept)
+	return tabs, first
 }
 
 // procTables returns, per process p, the block payload of every state

@@ -95,8 +95,10 @@ type LayerBackend interface {
 // initial configuration). The selection that led there is not stored;
 // a trace re-derives it (layerDriver.trace). It grows in fixed blocks,
 // so a layer's growth never copies the links already held, and
-// distinct ids may be set from different goroutines.
+// distinct ids may be set from different goroutines. Ids below base
+// are a seed layer linked to −1 without storage (Implicit).
 type TraceLinks struct {
+	base   int
 	n      int
 	parent [][]int32
 }
@@ -107,22 +109,40 @@ const linkBlock = 1 << 12
 // Len returns the number of states linked.
 func (t *TraceLinks) Len() int { return t.n }
 
+// Implicit starts an empty table with a seed layer of n initial
+// configurations whose links (−1) take no storage.
+func (t *TraceLinks) Implicit(n int) {
+	if t.n != 0 {
+		panic("explore: an implicit seed layer on a non-empty link table")
+	}
+	t.base, t.n = n, n
+}
+
 // Extend grows the table by n states, once per layer, and returns the
 // first new id; the backend then sets ids first … first+n−1.
 func (t *TraceLinks) Extend(n int) (first int) {
 	first = t.n
 	t.n += n
-	for len(t.parent)*linkBlock < t.n {
+	for len(t.parent)*linkBlock < t.n-t.base {
 		t.parent = append(t.parent, make([]int32, linkBlock))
 	}
 	return first
 }
 
-// Set records state id's parent.
-func (t *TraceLinks) Set(id int, parent int32) { t.parent[id/linkBlock][id%linkBlock] = parent }
+// Set records state id's parent (id at or above the implicit seed).
+func (t *TraceLinks) Set(id int, parent int32) {
+	id -= t.base
+	t.parent[id/linkBlock][id%linkBlock] = parent
+}
 
 // At returns state id's parent.
-func (t *TraceLinks) At(id int) (parent int32) { return t.parent[id/linkBlock][id%linkBlock] }
+func (t *TraceLinks) At(id int) (parent int32) {
+	if id < t.base {
+		return -1
+	}
+	id -= t.base
+	return t.parent[id/linkBlock][id%linkBlock]
+}
 
 // layerState is the driver's resumable state: together with the
 // backend's own (arena, pending set) it is exactly what a checkpoint

@@ -22,12 +22,17 @@ func streamed[S sim.Cloneable[S]](factory func() *Model[S]) func() *Model[S] {
 	}
 }
 
-// TestSeedProductMatchesProbe: writing a product family's seed layer
-// straight into the visited set must give what probing its stream and
-// committing it gives — the same Result bytes, the same Inits and the
-// same arena key under every id — at any worker count, whole or cut by
-// the state bound inside the seed layer. The direct path must also
-// never create a pending entry while it seeds.
+// TestSeedProductMatchesProbe: a product family's seed layer written
+// straight into the visited set and registered there as a family —
+// members found by arithmetic, holding no slot and no trace link — must
+// give what probing its stream and committing it gives: the same Result
+// bytes, the same Inits and the same arena key under every id, at any
+// worker count, whole or cut by the state bound inside the seed layer
+// (the last three cells). At the end, Contains must agree between the
+// two sets on every promoted key, on the product's configurations past
+// the cut and on keys one bit off them, and the family set must hold
+// exactly States − Inits slots. The direct path must also never create
+// a pending entry while it seeds.
 func TestSeedProductMatchesProbe(t *testing.T) {
 	for _, tc := range []struct {
 		v    core.Variant
@@ -39,8 +44,8 @@ func TestSeedProductMatchesProbe(t *testing.T) {
 		{core.CC2, "ring:3", InitCC, sim.SelectCentral, Options{MaxDepth: 3}},
 		{core.CC2, "ring:3", InitCCFull, sim.SelectCentral, Options{MaxDepth: 1}},
 		{core.CC1, "ring:4", InitCC, sim.SelectCentral, Options{MaxDepth: 3}},
-		{core.CC2, "ring:4", InitCCFull, sim.SelectCentral, Options{MaxStates: 20_000}},
 		{core.CC3, "star:4", InitCC, sim.SelectCentral, Options{MaxDepth: 3}},
+		{core.CC2, "ring:4", InitCCFull, sim.SelectCentral, Options{MaxStates: 20_000}},
 		{core.CC2, "star:4", InitCCFull, sim.SelectCentral, Options{MaxStates: 20_000}},
 		{core.CC2, "triples:3", InitCC, sim.SelectSynchronous, Options{MaxStates: 20_000}},
 	} {
@@ -66,15 +71,27 @@ func TestSeedProductMatchesProbe(t *testing.T) {
 				if tc.opts.MaxStates > 0 && (!dres.Truncated || dres.Inits != tc.opts.MaxStates) {
 					t.Fatalf("-j %d: the bound did not cut the seed layer: %s", workers, dres.Summary())
 				}
+				if direct.vs.fam.len() != dres.Inits || probe.vs.fam != nil {
+					t.Fatalf("-j %d: family of %d registered for %d inits (streamed: %v)", workers, direct.vs.fam.len(), dres.Inits, probe.vs.fam)
+				}
 				for id := int32(0); int(id) < dres.States; id++ {
 					if !wordsEqual(direct.vs.Key(id), probe.vs.Key(id)) {
 						t.Fatalf("-j %d: state %d is %x seeded directly, %x probed", workers, id, direct.vs.Key(id), probe.vs.Key(id))
 					}
 				}
+				if got, want := promotedSlots(direct.vs), dres.States-dres.Inits; got != want {
+					t.Fatalf("-j %d: the family set holds %d slots for %d states past %d inits", workers, got, dres.States, dres.Inits)
+				}
+				if got := promotedSlots(probe.vs); got != pres.States {
+					t.Fatalf("-j %d: the streamed set holds %d slots for %d states", workers, got, pres.States)
+				}
+				if workers == 1 {
+					containsAgrees(t, direct.vs, probe.vs, factory(), dres)
+				}
 			}
 
-			// The seed itself: links of parent −1 and not one pending
-			// entry ever allocated.
+			// The seed itself: links of parent −1 that take no storage,
+			// and not one pending entry ever allocated.
 			opts := tc.opts
 			opts.Mode = tc.mode
 			b := newLocalBackend(factory, opts)
@@ -87,8 +104,8 @@ func TestSeedProductMatchesProbe(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if kept == 0 || links.Len() != kept || b.vs.States() != kept {
-				t.Fatalf("seeded %d states, %d links, %d in the set", kept, links.Len(), b.vs.States())
+			if kept == 0 || links.Len() != kept || b.vs.States() != kept || len(links.parent) != 0 {
+				t.Fatalf("seeded %d states, %d links in %d blocks, %d in the set", kept, links.Len(), len(links.parent), b.vs.States())
 			}
 			for id := range kept {
 				if parent := links.At(id); parent != -1 {
@@ -102,6 +119,54 @@ func TestSeedProductMatchesProbe(t *testing.T) {
 			}
 		})
 	}
+}
+
+// promotedSlots counts the slots of vs that hold a promoted id.
+func promotedSlots(vs *Visited) int {
+	n := 0
+	for i := range vs.shards {
+		for _, s := range vs.shards[i].slots {
+			if s.ref >= 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// containsAgrees asks the family set direct and the streamed set probe
+// of one finished run res whether they contain every promoted key, the
+// product's configurations up to twice the seed layer (past a cut,
+// those were dropped) and each of those keys with one of two bits
+// flipped; the two must answer alike, and yes for every promoted key.
+func containsAgrees(t *testing.T, direct, probe *Visited, m *Model[core.State], res *Result) {
+	t.Helper()
+	ask := func(what string, key []uint64) {
+		h := hashWords(key)
+		if got, want := direct.Contains(key, h), probe.Contains(key, h); got != want {
+			t.Fatalf("%s %x: the family set says %v, the streamed set %v", what, key, got, want)
+		}
+	}
+	for id := int32(0); int(id) < res.States; id++ {
+		if key := probe.Key(id); !direct.Contains(key, hashWords(key)) {
+			t.Fatalf("state %d %x is missing from the family set", id, key)
+		}
+	}
+	i := 0
+	key := make([]uint64, m.Codec.Words)
+	m.Inits(func(cfg []core.State) bool {
+		clear(key)
+		m.Codec.Encode(key, cfg)
+		ask("configuration", key)
+		// Two bits per configuration, a different pair each time.
+		for _, b := range []int{i * 37 % (64 * len(key)), (i*37 + 32*len(key)) % (64 * len(key))} {
+			key[b/64] ^= 1 << (b % 64)
+			ask("flipped configuration", key)
+			key[b/64] ^= 1 << (b % 64)
+		}
+		i++
+		return i < 2*res.Inits
+	})
 }
 
 // runBackend runs an exploration on a local backend it keeps, so the

@@ -18,16 +18,17 @@ import (
 
 // Visited is the explorer's concurrent deduplication structure: a
 // power-of-two-sharded open-addressing hash set over fixed-width binary
-// state encodings, backed by one append-only state arena keyed by dense
-// state index. A stripe is mutated by one goroutine at a time, by either
-// of two disciplines: Probe takes the stripe's lock (cluster peers,
-// whose workers and frame ingests hit the same stripes concurrently;
-// a streamed seed, the re-probe of a restored pending set and anything
-// else outside a fan-out), and the single-node workers, each owning a
-// range of stripes for the length of a fan-out, call probeLocked on
-// their own stripes with no lock at all (emit.go). A fresh set can also
-// be loaded whole, without probing (load): a checkpoint's arena, or a
-// product family's seed layer, whose keys are known distinct.
+// state encodings, backed by a state arena of fixed-size pages keyed by
+// dense state index. A stripe is mutated by one goroutine at a time, by
+// either of two disciplines: Probe takes the stripe's lock (cluster
+// peers, whose workers and frame ingests hit the same stripes
+// concurrently; a streamed seed, the re-probe of a restored pending set
+// and anything else outside a fan-out), and the single-node workers,
+// each owning a range of stripes for the length of a fan-out, call
+// probeLocked on their own stripes with no lock at all (emit.go). A
+// fresh set can also be loaded whole, without probing (load): a
+// checkpoint's arena, or a product family's seed layer, whose keys are
+// known distinct.
 //
 // The BFS uses it in a two-phase rhythm that keeps every report
 // byte-identical at any worker count:
@@ -50,20 +51,28 @@ import (
 //     the true duplicates and probes the rest — tag collisions — into
 //     the pending set. Then it promotes the pending entries in
 //     position order: each stripe owner sorts its own entries, a
-//     serial merge ranks the owners' runs, and each owner appends its
-//     entries' encodings to the arena at their ranks — dense ids in
+//     serial merge ranks the owners' runs, and each owner writes its
+//     entries' encodings into the arena at their ranks — dense ids in
 //     exactly the serial discovery order. Settling changes only when
 //     a collision's pending entry is made, never its least position,
 //     so the ids are those of an immediate compare.
 //
 // Promoted encodings live only in the arena (slots store the id), so
 // the steady-state cost per state is words*8 bytes of arena plus one
-// 8-byte slot (amortized over the table's load factor).
+// 8-byte slot (amortized over the table's load factor). A product
+// family of initial configurations registered by the seed (setFamily)
+// holds no slot at all: its members' ids are computed from their keys
+// (family.member), so the family costs its arena rows and a few small
+// per-process tables.
+//
+// The arena grows by whole pages of pageStates states, which never
+// move: a commit appends pages and writes rows into them, so growth
+// never copies the rows already held.
 //
 // Two levers keep the structure scaling past its in-memory comfort
 // zone, both exercised only between layers (Housekeep):
 //
-//   - The stripe-sharded table is *growable*: when the promoted count
+//   - The stripe-sharded table is *growable*: when the slotted count
 //     outgrows the shard count, the whole table is redistributed over
 //     twice as many shards. Slots are placed by their 32-bit hash tag
 //     alone (see home), so neither this nor a stripe doubling reads a
@@ -73,18 +82,24 @@ import (
 //   - The *cold tail* of the arena can spill to a temp file under a
 //     byte budget: ids below the hot watermark (states older than the
 //     previous BFS layer — never the ones the current layer expands)
-//     move to disk and are read back only when a probe's hash tag
-//     matches a cold id — at the commit's sorted sweep for the owners'
-//     probes, on the spot for Probe and Contains — or when a
-//     counterexample trace is rebuilt.
+//     move to disk, the pages they fill wholly are freed, and they are
+//     read back only when a probe's hash tag matches a cold id — at
+//     the commit's sorted sweep for the owners' probes, on the spot for
+//     Probe and Contains — or when a counterexample trace is rebuilt.
 type Visited struct {
 	words      int
 	shards     []vshard
 	smask      uint64
 	shardShift uint // log2(len(shards)): slot index = tag >> shardShift
 
-	arena    []uint64 // in-memory promoted states: id n at [(n-baseID)*words, ...)
+	// pages holds the in-memory promoted states: id n at
+	// pages[n>>pageShift][(n&pageMask)*words:]. A page is allocated
+	// whole when the first id on it is promoted and set to nil when
+	// the spill has written every id on it; a page that holds baseID
+	// keeps its spilled rows until the rest of it spills.
+	pages    [][]uint64
 	nstates  int
+	fam      *family     // the seed's product family, or nil (setFamily)
 	serial   bool        // one goroutine probes: Probe skips the locks, inserts are logged in order
 	runs     [][]runRec  // per-owner commit runs and their sort buffers, reused across
 	spare    [][]runRec  // layers (scratch, outside Bytes)
@@ -126,10 +141,17 @@ const (
 	slotPend  int32 = -3 // pending: pidx names the shard-local entry
 )
 
-// reshardPerShard is the promoted-state count per shard past which the
+// reshardPerShard is the slotted-state count per shard past which the
 // table doubles its shard count (Housekeep). A variable so tests can
 // force re-sharding on small instances.
 var reshardPerShard = 1 << 15
+
+// The arena's page size: pageStates states of words words each.
+const (
+	pageShift  = 12
+	pageStates = 1 << pageShift
+	pageMask   = pageStates - 1
+)
 
 // vslot is 8 bytes: the key itself lives in the arena (promoted) or
 // the shard's pending buffer, so the steady-state table cost is 8 bytes
@@ -306,8 +328,7 @@ func (v *Visited) Pending() int {
 // at or above the hot watermark).
 func (v *Visited) Key(id int32) []uint64 {
 	if id >= v.baseID {
-		off := int(id-v.baseID) * v.words
-		return v.arena[off : off+v.words : off+v.words]
+		return v.arenaKey(id)
 	}
 	buf := make([]uint64, v.words)
 	if err := v.readCold(id, buf, make([]byte, v.recSize())); err != nil {
@@ -360,12 +381,12 @@ func (v *Visited) record(id int32, raw []byte, buf []uint64) error {
 func (v *Visited) ColdReads() int64 { return v.coldReads.Load() }
 
 // Bytes reports the retained in-memory footprint of the dedup
-// structures: arena plus slot tables plus pending buffers, entry
+// structures: arena pages plus slot tables plus pending buffers, entry
 // structs included (the README/bench bytes-per-state accounting).
 // Spilled arena bytes are excluded — they are the point of the spill —
 // and reported separately via SpilledBytes.
 func (v *Visited) Bytes() int64 {
-	b := int64(cap(v.arena)) * 8
+	b := v.arenaBytes()
 	for i := range v.shards {
 		sh := &v.shards[i]
 		b += int64(cap(sh.slots)) * 8
@@ -384,10 +405,16 @@ func (v *Visited) Bytes() int64 {
 // records it as pending with the proposing layer position and parent.
 // When the key is already pending, the least position wins. Returns
 // the promoted id (>= 0) when the state is already part of the arena,
-// spilled ids included (Probe compares them on the spot), or a
-// negative value otherwise. sel is ignored: a trace re-derives each
+// spilled ids and family members included (Probe compares the first on
+// the spot and computes the second), or a negative value otherwise.
+// sel is ignored: a trace re-derives each
 // step's selection from its parent (layerDriver.trace).
 func (v *Visited) Probe(key []uint64, hash uint64, pos uint64, parent int32, sel []byte) int32 {
+	if v.fam != nil {
+		if id := v.fam.member(key); id >= 0 {
+			return id
+		}
+	}
 	shIdx := int32(hash & v.smask)
 	sh := &v.shards[shIdx]
 	if v.serial {
@@ -484,10 +511,16 @@ func (v *Visited) probeLocked(sh *vshard, shIdx int32, key []uint64, hash uint64
 // Contains reports whether key is already known (promoted or pending)
 // without inserting. The explorer calls it only in layers where the
 // state bound is already exhausted — no worker inserts then, so the
-// lock-free read is race-free. (Cold arena reads under it go through
-// stack scratch, or a fresh buffer for keys wider than four words: the
-// shard scratch is not safe to share without the stripe lock.)
+// lock-free read is race-free.
 func (v *Visited) Contains(key []uint64, hash uint64) bool {
+	return v.fam != nil && v.fam.member(key) >= 0 || v.slotted(key, hash)
+}
+
+// slotted is Contains for a key known to be outside the family: the
+// slot table alone. (Cold arena reads under it go through stack
+// scratch, or a fresh buffer for keys wider than four words: the shard
+// scratch is not safe to share without the stripe lock.)
+func (v *Visited) slotted(key []uint64, hash uint64) bool {
 	tag := int32(hash)
 	shIdx, idx := v.home(tag)
 	sh := &v.shards[shIdx]
@@ -539,8 +572,26 @@ func (v *Visited) Contains(key []uint64, hash uint64) bool {
 
 // arenaKey returns the in-memory encoding of a hot promoted id.
 func (v *Visited) arenaKey(id int32) []uint64 {
-	off := int(id-v.baseID) * v.words
-	return v.arena[off : off+v.words]
+	off := int(id&pageMask) * v.words
+	return v.pages[id>>pageShift][off : off+v.words : off+v.words]
+}
+
+// growArena appends pages until ids below n have one. A page is
+// allocated whole and never moves, so the rows already held are never
+// copied.
+func (v *Visited) growArena(n int) {
+	for len(v.pages)<<pageShift < n {
+		v.pages = append(v.pages, make([]uint64, pageStates*v.words))
+	}
+}
+
+// arenaBytes is the arena's in-memory footprint: its live pages.
+func (v *Visited) arenaBytes() int64 {
+	var b int64
+	for _, p := range v.pages {
+		b += int64(cap(p)) * 8
+	}
+	return b
 }
 
 func wordsEqual(a, b []uint64) bool {
@@ -816,8 +867,8 @@ func (v *Visited) commit(owners, room int, links *TraceLinks) (kept, pending int
 	if room >= 0 {
 		kept = min(kept, room)
 	}
-	first, at := int32(v.nstates), len(v.arena)
-	v.arena = slices.Grow(v.arena, kept*v.words)[:at+kept*v.words]
+	first := int32(v.nstates)
+	v.growArena(v.nstates + kept)
 	link := links.Extend(kept)
 	par.ForEachWorker(owners, owners, func(_, o int) {
 		for _, r := range runs[o] {
@@ -826,7 +877,7 @@ func (v *Visited) commit(owners, room int, links *TraceLinks) (kept, pending int
 			if rank < kept {
 				e := &sh.pend[r.pidx]
 				ref = first + int32(rank)
-				copy(v.arena[at+rank*v.words:], e.key)
+				copy(v.arenaKey(ref), e.key)
 				links.Set(link+rank, e.parent)
 			}
 			v.setRef(sh, r.pidx, ref)
@@ -876,7 +927,8 @@ func (v *Visited) Drain() []Fresh {
 func (v *Visited) Promote(f Fresh) int32 {
 	id := int32(v.nstates)
 	sh := &v.shards[f.shard]
-	v.arena = append(v.arena, sh.pend[f.pidx].key...)
+	v.growArena(v.nstates + 1)
+	copy(v.arenaKey(id), sh.pend[f.pidx].key)
 	v.nstates++
 	v.setRef(sh, f.pidx, id)
 	return id
@@ -941,17 +993,18 @@ func (v *Visited) resetOrder() {
 }
 
 // Housekeep runs the serial-phase scaling maintenance after a
-// promotion batch: re-sharding the table when the state count outgrew
-// it, then spilling the cold arena tail (ids below hotFrom — states
-// older than the previous BFS layer) once the in-memory arena exceeds
-// its budget. Must only be called with no pending entries.
+// promotion batch: re-sharding the table when the slotted-state count
+// (family members hold no slot) outgrew it, then spilling the cold
+// arena tail (ids below hotFrom — states older than the previous BFS
+// layer) once the in-memory arena exceeds its budget. Must only be
+// called with no pending entries.
 func (v *Visited) Housekeep(hotFrom int32) error {
 	for i := range v.shards {
 		if len(v.shards[i].pend) != 0 || len(v.shards[i].deferred) != 0 {
 			panic("explore: Housekeep with pending entries")
 		}
 	}
-	for v.nstates > len(v.shards)*reshardPerShard {
+	for v.nslotted() > len(v.shards)*reshardPerShard {
 		v.reshard()
 	}
 	return v.maybeSpillArena(hotFrom)
@@ -961,7 +1014,7 @@ func (v *Visited) Housekeep(hotFrom int32) error {
 // into the new ones by tag — no key is read, so a spilled arena stays on
 // disk. Tombstones are dropped; pending entries must not exist.
 func (v *Visited) reshard() {
-	old := v.setTables(2*len(v.shards), v.nstates)
+	old := v.setTables(2*len(v.shards), v.nslotted())
 	for i := range old {
 		for _, s := range old[i].slots {
 			if s.ref >= 0 {
@@ -970,6 +1023,10 @@ func (v *Visited) reshard() {
 		}
 	}
 }
+
+// nslotted is the number of promoted states that hold a slot: all but
+// the family's.
+func (v *Visited) nslotted() int { return v.nstates - v.fam.len() }
 
 // restoreSlot inserts promoted id with hash tag into the (rebuilt) table.
 func (v *Visited) restoreSlot(id, tag int32) {
@@ -1012,54 +1069,65 @@ func (v *Visited) scanArena(fn func(id int32, key []uint64)) error {
 }
 
 // maybeSpillArena moves ids in [baseID, hotFrom) to the spill file
-// when the in-memory arena exceeds its budget. Sequential append; the
-// remaining hot arena is compacted into a fresh allocation so the
-// memory is actually released.
+// when the in-memory arena, (States − baseID) rows, exceeds its budget.
+// Sequential append; the pages those ids fill wholly are freed, and the
+// page holding hotFrom stays until the rest of it spills.
 func (v *Visited) maybeSpillArena(hotFrom int32) error {
-	if v.arenaBudget <= 0 || int64(len(v.arena))*8 <= v.arenaBudget || hotFrom <= v.baseID {
+	if v.arenaBudget <= 0 || int64(v.nstates-int(v.baseID))*int64(v.words)*8 <= v.arenaBudget || hotFrom <= v.baseID {
 		return nil
 	}
-	if v.spillFile == nil {
-		err := chaos.Retry(context.Background(), chaos.DefaultPolicy, func() error {
-			f, cerr := v.fs.CreateTemp(v.spillDir, "cc-arena-")
-			if cerr != nil {
-				return cerr
-			}
-			v.spillFile = f
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("explore: arena spill: %w", err)
-		}
+	if err := v.createSpill(); err != nil {
+		return fmt.Errorf("explore: arena spill: %w", err)
 	}
-	words := int(hotFrom-v.baseID) * v.words
 	w := bufio.NewWriterSize(io.NewOffsetWriter(v.spillFile, int64(v.baseID)*v.recSize()), 1<<20)
 	rec := make([]byte, v.recSize())
-	for off := 0; off < words; off += v.words {
-		for i, word := range v.arena[off : off+v.words] {
-			binary.LittleEndian.PutUint64(rec[8*i:], word)
-		}
-		binary.LittleEndian.PutUint64(rec[8*v.words:], fnv64a(rec[:8*v.words]))
-		if _, err := w.Write(rec); err != nil {
+	for id := v.baseID; id < hotFrom; id++ {
+		if _, err := w.Write(v.putRecord(rec, v.arenaKey(id))); err != nil {
 			return fmt.Errorf("explore: arena spill: %w", err)
 		}
 	}
 	if err := w.Flush(); err != nil {
 		return fmt.Errorf("explore: arena spill: %w", err)
 	}
-	v.spilled += int64(words) * 8
-	rest := make([]uint64, len(v.arena)-words)
-	copy(rest, v.arena[words:])
-	v.arena = rest
+	v.spilled += int64(hotFrom-v.baseID) * int64(v.words) * 8
+	for p := int(v.baseID) >> pageShift; (p+1)<<pageShift <= int(hotFrom); p++ {
+		v.pages[p] = nil
+	}
 	v.baseID = hotFrom
 	return nil
+}
+
+// createSpill opens the spill file, once.
+func (v *Visited) createSpill() error {
+	if v.spillFile != nil {
+		return nil
+	}
+	return chaos.Retry(context.Background(), chaos.DefaultPolicy, func() error {
+		f, err := v.fs.CreateTemp(v.spillDir, "cc-arena-")
+		if err != nil {
+			return err
+		}
+		v.spillFile = f
+		return nil
+	})
+}
+
+// putRecord encodes key as a spill record into rec (len recSize): the
+// payload words, then their FNV-64a checksum.
+func (v *Visited) putRecord(rec []byte, key []uint64) []byte {
+	for i, word := range key {
+		binary.LittleEndian.PutUint64(rec[8*i:], word)
+	}
+	binary.LittleEndian.PutUint64(rec[8*v.words:], fnv64a(rec[:8*v.words]))
+	return rec
 }
 
 // RestoreArena rebuilds the set from a checkpoint stream of nstates
 // keys (id order). Ids below hotFrom go straight to the spill file
 // when a budget is configured and the arena would exceed it — a
 // restored out-of-core run never materializes the full arena in
-// memory. Must be called on a fresh set (no promotions, no pending).
+// memory. The ids of a registered family must hold its members, in
+// order. Must be called on a fresh set (no promotions, no pending).
 func (v *Visited) RestoreArena(r io.Reader, nstates int, hotFrom int32) error {
 	spillTo := int32(0)
 	if v.arenaBudget > 0 && int64(nstates)*int64(v.words)*8 > v.arenaBudget {
@@ -1067,6 +1135,7 @@ func (v *Visited) RestoreArena(r io.Reader, nstates int, hotFrom int32) error {
 	}
 	br := bufio.NewReaderSize(r, 1<<20)
 	raw := make([]byte, 8*v.words)
+	id := int32(0)
 	return v.load(nstates, spillTo, func(key []uint64) error {
 		if _, err := io.ReadFull(br, raw); err != nil {
 			return fmt.Errorf("explore: arena restore: %v", err)
@@ -1074,43 +1143,43 @@ func (v *Visited) RestoreArena(r io.Reader, nstates int, hotFrom int32) error {
 		for i := range key {
 			key[i] = binary.LittleEndian.Uint64(raw[8*i:])
 		}
+		if int(id) < v.fam.len() && v.fam.member(key) != id {
+			return fmt.Errorf("explore: arena restore: state %d is not the initial configuration it names", id)
+		}
+		id++
 		return nil
 	})
 }
 
 // load fills a fresh set with nstates promoted keys, which next writes
 // one per call in id order: ids below spillTo go to the spill file, the
-// rest to the arena, and each gets its slot. The slot tables are
-// presized by the same growth rule a live run would have reached, then
-// filled by insertion. The keys must be distinct; nothing here checks.
+// rest to the arena, and each outside the family gets its slot. The
+// slot tables are presized by the same growth rule a live run would
+// have reached, then filled by insertion. The keys must be distinct;
+// nothing here checks.
 func (v *Visited) load(nstates int, spillTo int32, next func(key []uint64) error) error {
-	if v.nstates != 0 || v.Pending() != 0 {
-		panic("explore: loading a non-empty set")
+	if v.nstates != 0 || v.Pending() != 0 || nstates < v.fam.len() {
+		panic("explore: loading a non-empty set, or fewer states than its family")
 	}
 	// Re-apply the shard-count growth rule a live run would have
 	// reached, and presize the slot tables for the final load.
+	slotted := nstates - v.fam.len()
 	nshards := len(v.shards)
-	for nstates > nshards*reshardPerShard {
+	for slotted > nshards*reshardPerShard {
 		nshards *= 2
 	}
-	v.setTables(nshards, nstates)
+	v.setTables(nshards, slotted)
 	var spillW *bufio.Writer
 	if spillTo > 0 {
-		err := chaos.Retry(context.Background(), chaos.DefaultPolicy, func() error {
-			f, cerr := v.fs.CreateTemp(v.spillDir, "cc-arena-")
-			if cerr != nil {
-				return cerr
-			}
-			v.spillFile = f
-			return nil
-		})
-		if err != nil {
+		if err := v.createSpill(); err != nil {
 			return fmt.Errorf("explore: arena restore: %w", err)
 		}
 		spillW = bufio.NewWriterSize(io.NewOffsetWriter(v.spillFile, 0), 1<<20)
 		v.baseID = spillTo
+		// The pages spillTo fills wholly are never allocated.
+		v.pages = make([][]uint64, spillTo>>pageShift)
 	}
-	v.arena = slices.Grow(v.arena, (nstates-int(spillTo))*v.words)
+	v.growArena(nstates)
 	rec := make([]byte, v.recSize())
 	key := make([]uint64, v.words)
 	for id := int32(0); int(id) < nstates; id++ {
@@ -1118,19 +1187,16 @@ func (v *Visited) load(nstates int, spillTo int32, next func(key []uint64) error
 			return err
 		}
 		if id < spillTo {
-			// Spilled records carry a per-record checksum.
-			for i, w := range key {
-				binary.LittleEndian.PutUint64(rec[8*i:], w)
-			}
-			binary.LittleEndian.PutUint64(rec[8*v.words:], fnv64a(rec[:8*v.words]))
-			if _, err := spillW.Write(rec); err != nil {
+			if _, err := spillW.Write(v.putRecord(rec, key)); err != nil {
 				return fmt.Errorf("explore: arena restore: %w", err)
 			}
 			v.spilled += int64(8 * v.words)
 		} else {
-			v.arena = append(v.arena, key...)
+			copy(v.arenaKey(id), key)
 		}
-		v.restoreSlot(id, int32(hashWords(key)))
+		if int(id) >= v.fam.len() {
+			v.restoreSlot(id, int32(hashWords(key)))
+		}
 	}
 	if spillW != nil {
 		if err := spillW.Flush(); err != nil {
