@@ -142,21 +142,31 @@ func TestClusterDifferentialBattery(t *testing.T) {
 						counts = []int{3}
 					}
 				}
-				t.Run(algName+"/"+topoName+"/"+modeName, func(t *testing.T) {
-					if heavy && testing.Short() {
-						t.Skip("heavy exhaustive cell: skipped in -short")
-					}
-					t.Parallel() // cells share no state; reports are identical at any width
-					factory := mustCC(t, variant, mkH(), explore.CCOptions{Init: init})
-					opts := explore.Options{
-						Mode: mode, MaxStates: maxStates, Workers: workers,
-						CheckDeadlock: true, CheckClosure: true,
-					}
-					if mode == sim.SelectSynchronous {
-						opts.CheckConvergence = true
-					}
-					assertClusterGrid(t, factory, opts, counts)
-				})
+				cell := func(name string, workers int, counts []int) {
+					t.Run(name, func(t *testing.T) {
+						if heavy && testing.Short() {
+							t.Skip("heavy exhaustive cell: skipped in -short")
+						}
+						t.Parallel() // cells share no state; reports are identical at any width
+						factory := mustCC(t, variant, mkH(), explore.CCOptions{Init: init})
+						opts := explore.Options{
+							Mode: mode, MaxStates: maxStates, Workers: workers,
+							CheckDeadlock: true, CheckClosure: true,
+						}
+						if mode == sim.SelectSynchronous {
+							opts.CheckConvergence = true
+						}
+						assertClusterGrid(t, factory, opts, counts)
+					})
+				}
+				name := algName + "/" + topoName + "/" + modeName
+				cell(name, workers, counts)
+				if topoName == "ring:3" && modeName == "all-subsets" {
+					// Three owners split a peer's 64 stripes unevenly in
+					// its owner commit (Visited.rank and promote), and
+					// the bound keeps only a prefix of the last layer.
+					cell(name+"/workers:3", 3, []int{1, 3})
+				}
 			}
 		}
 	}

@@ -251,12 +251,47 @@ func (c *ckptReader) i32s(n int) []int32 {
 // corrupted headers allocating absurd buffers.
 const snapLimit = 1 << 31
 
+// hdrField is one integer of a snapshot header, named for the error
+// that reports a mismatch.
+type hdrField struct {
+	name string
+	v    int
+}
+
+// header starts a snapshot stream: the format's magic, the (model,
+// options) hash, then the fields — a checkpoint's and a cluster shard's
+// end with the word width.
+func (c *ckptWriter) header(magic [8]byte, hash [32]byte, fields ...hdrField) {
+	c.bytes(magic[:])
+	c.bytes(hash[:])
+	for _, f := range fields {
+		c.int(f.v)
+	}
+}
+
+// header reads what ckptWriter.header wrote and checks it against the
+// same arguments: what names the format in the errors.
+func (c *ckptReader) header(what string, magic [8]byte, hash [32]byte, fields ...hdrField) error {
+	var got [8]byte
+	var h [32]byte
+	if c.bytes(got[:]); c.err == nil && got != magic {
+		return fmt.Errorf("explore: not a %s (or version drift)", what)
+	}
+	if c.bytes(h[:]); c.err == nil && h != hash {
+		return fmt.Errorf("explore: %s is for a different (model, options) tuple", what)
+	}
+	for _, f := range fields {
+		if v := c.int(); c.err == nil && v != f.v {
+			return fmt.Errorf("explore: %s %s %d, want %d", what, f.name, v, f.v)
+		}
+	}
+	return nil
+}
+
 // writeSnapshot streams the snapshot (arena last) to w.
 func writeSnapshot(w io.Writer, s *snapshot, vs *Visited) error {
 	c := newCkptWriter(w)
-	c.bytes(checkpointMagic[:])
-	c.bytes(s.hash[:])
-	c.int(s.words)
+	c.header(checkpointMagic, s.hash, hdrField{"word width", s.words})
 	if err := c.json(s.res); err != nil {
 		return err
 	}
@@ -312,21 +347,11 @@ func (c *ckptWriter) finishArena(vs *Visited) error {
 // drift or corruption returns an error and the caller starts fresh.
 func readSnapshot(r io.Reader, wantHash [32]byte, words int, vs *Visited) (*snapshot, error) {
 	c := newCkptReader(r)
-	var magic [8]byte
-	c.bytes(magic[:])
-	if c.err == nil && magic != checkpointMagic {
-		return nil, fmt.Errorf("explore: not a checkpoint (or version drift)")
+	if err := c.header("checkpoint", checkpointMagic, wantHash, hdrField{"word width", words}); err != nil {
+		return nil, err
 	}
-	s := &snapshot{}
+	s := &snapshot{hash: wantHash, words: words}
 	s.res = &Result{}
-	c.bytes(s.hash[:])
-	if c.err == nil && s.hash != wantHash {
-		return nil, fmt.Errorf("explore: checkpoint is for a different (model, options) tuple")
-	}
-	s.words = c.int()
-	if c.err == nil && s.words != words {
-		return nil, fmt.Errorf("explore: checkpoint word width %d != codec %d", s.words, words)
-	}
 	if err := c.json(s.res, "result"); err != nil {
 		return nil, err
 	}

@@ -113,8 +113,7 @@ func TestColdCollisionSettles(t *testing.T) {
 			reads := v.ColdReads()
 			base := v.States()
 			for _, p := range tc.props {
-				sh := int32(p.hash & v.smask)
-				v.probeLocked(&v.shards[sh], sh, p.key, p.hash, p.pos, p.parent, true)
+				v.probeLocked(&v.shards[p.hash&v.smask], p.key, p.hash, p.pos, p.parent, true)
 			}
 			if got := v.ColdReads(); got != reads {
 				t.Fatalf("%s, %d owners: the owner's probes read the spill file %d times", tc.name, owners, got-reads)

@@ -140,8 +140,7 @@ func (b *routeBuf) drainInto(vs *Visited) {
 	w := vs.words
 	for r := b.recs; len(r) > 0; r = r[w+3:] {
 		hash := r[w]
-		sh := int32(hash & vs.smask)
-		vs.probeLocked(&vs.shards[sh], sh, r[:w], hash, r[w+1], int32(uint32(r[w+2])), true)
+		vs.probeLocked(&vs.shards[hash&vs.smask], r[:w], hash, r[w+1], int32(uint32(r[w+2])), true)
 	}
 	b.recs = b.recs[:0]
 }
@@ -211,6 +210,6 @@ func (ws *workerState[S]) emit(key []uint64) {
 			ws.routed++
 			return
 		}
-		vs.probeLocked(&vs.shards[sh], sh, key, hash, pos, ws.curID, true)
+		vs.probeLocked(&vs.shards[sh], key, hash, pos, ws.curID, true)
 	}
 }

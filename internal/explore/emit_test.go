@@ -173,9 +173,9 @@ func TestEmitAtCapBypassesFilter(t *testing.T) {
 	if len(fresh) != 2 {
 		t.Fatalf("%d pending entries, want 2", len(fresh))
 	}
-	vs.Promote(fresh[0])
-	vs.Drop(fresh[1])
-	vs.Reset()
+	if _, _, err := vs.commit(1, 1, &TraceLinks{}); err != nil { // promote the first, drop the second
+		t.Fatal(err)
+	}
 
 	ws.beginLayer(0)
 	ws.open(vs, &agg, 0, 0)

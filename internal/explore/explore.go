@@ -833,12 +833,9 @@ func newLocalBackend[S sim.Cloneable[S]](newModel func() *Model[S], opts Options
 // newVisited is the one visited-set constructor: the local backend's
 // set and every shard of a cluster peer are built here, so the memory
 // budget and the I/O routing reach all of them. sharers is how many
-// sets split the arena budget; serial marks a set only one goroutine
-// ever probes (it then logs insertion order, and the commit need not
-// sort).
-func newVisited(words int, opts *Options, serial bool, sharers int) *Visited {
+// sets split the arena budget.
+func newVisited(words int, opts *Options, sharers int) *Visited {
 	vs := NewVisited(words)
-	vs.SetSerial(serial)
 	vs.SetFS(opts.FS)
 	vs.EnableArenaSpill(opts.SpillDir, opts.arenaShare(sharers))
 	return vs
@@ -855,7 +852,7 @@ func (o *Options) arenaShare(n int) int64 {
 }
 
 func (b *localBackend[S]) newVisited() *Visited {
-	return newVisited(b.wss[0].model.Codec.Words, b.opts, len(b.wss) == 1, 1)
+	return newVisited(b.wss[0].model.Codec.Words, b.opts, 1)
 }
 
 // restore resumes from the configured checkpoint, if a usable one
@@ -955,15 +952,27 @@ func (b *localBackend[S]) Seed(room int, links *TraceLinks) (int, bool, error) {
 	if kept, dropped, ok := b.productSeed(room); ok {
 		return kept, dropped, seedProduct(b.vs, &m.Codec, m.InitDomains, kept, links)
 	}
-	seq := uint64(0)
-	m.Inits(func(cfg []S) bool {
-		key := ws0.canonKey(cfg)
-		b.vs.Probe(key, hashWords(key), seq, -1, nil)
-		seq++
-		return room < 0 || b.vs.Pending() <= room
-	})
+	ws0.streamInits(room, func(uint64) *Visited { return b.vs }, b.vs.Pending)
 	kept, pending, err := b.vs.commit(len(b.wss), room, links)
 	return kept, kept < pending, err
+}
+
+// streamInits probes the model's deterministic init stream into the
+// pending sets (pos = stream position, parent −1): each configuration
+// goes to owner's set for its hash, or nowhere when owner returns nil.
+// The stream stops once pending() exceeds room (room < 0: never). The
+// local seed and a cluster peer's seed share it.
+func (ws *workerState[S]) streamInits(room int, owner func(hash uint64) *Visited, pending func() int) {
+	seq := uint64(0)
+	ws.model.Inits(func(cfg []S) bool {
+		key := ws.canonKey(cfg)
+		h := hashWords(key)
+		if vs := owner(h); vs != nil {
+			vs.Probe(key, h, seq, -1, nil)
+		}
+		seq++
+		return room < 0 || pending() <= room
+	})
 }
 
 // productSeed is productCut of the model's init domains under room when

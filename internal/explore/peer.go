@@ -29,11 +29,13 @@ import (
 //     value is proposed for exactly one key by exactly one expansion and
 //     the min-merge under the owning shard's lock is a strict total
 //     order, independent of frame arrival order;
-//   - promotion stays serial: the coordinator merges the per-shard
-//     pos-sorted pending lists (each shard's kept subset is a prefix of
-//     its own list, because the global kept set is a pos prefix) and the
-//     peer promotes in exactly that order, so gids are assigned in the
-//     single-node discovery order;
+//   - promotion goes through the single-node owner commit, split at
+//     the coordinator: PendMeta ranks a shard's pending entries by pos
+//     (Visited.rank), the coordinator merges the shards' ranked lists
+//     and assigns gids to the global kept prefix, and Commit promotes
+//     the shard's share of it (Visited.promote) — a prefix of its own
+//     ranking, because the global kept set is a pos prefix — so gids
+//     follow the single-node discovery order;
 //   - the at-cap decision is layer-global (the coordinator broadcasts
 //     "cluster-wide promoted count >= MaxStates"), matching the
 //     single-node States() check which only moves between layers.
@@ -113,11 +115,11 @@ type PeerEngine interface {
 	// own expansion slice is done; the coordinator calls it once every
 	// peer's Expand has returned.
 	FinishLayer() bool
-	// PendMeta drains a hosted shard's pending entries in deterministic
-	// pos order and returns their promotion metadata.
+	// PendMeta ranks a hosted shard's pending entries in deterministic
+	// pos order and returns their promotion metadata in that order.
 	PendMeta(shard int) ([]PendMeta, error)
-	// Commit promotes the first keep drained entries of the shard (in
-	// the PendMeta order) under the coordinator-assigned gids, drops
+	// Commit promotes the first keep entries the shard's last PendMeta
+	// ranked (in that order) under the coordinator-assigned gids, drops
 	// the rest, and runs the between-layer housekeeping.
 	Commit(shard int, keep int, gids []int32, housekeep bool) error
 	// Keys returns the encoded states of the given gids, which must
@@ -181,9 +183,6 @@ type peerShard struct {
 	// layerFrom is the first local id of the current frontier layer
 	// (the states committed last barrier, expanded this layer).
 	layerFrom int32
-	// drained caches the Drain between PendMeta and Commit so both see
-	// the same order without re-sorting.
-	drained []Fresh
 }
 
 type peerEngine[S sim.Cloneable[S]] struct {
@@ -198,7 +197,7 @@ type peerEngine[S sim.Cloneable[S]] struct {
 	hosted   []int // sorted
 	route    []int // shard -> peer
 	send     func(dst int, frame []byte) error
-	outboxes []*peerOutbox
+	outboxes []*peerOutbox[S]
 
 	capTrunc  atomic.Bool
 	sendFails atomic.Int64
@@ -244,24 +243,17 @@ func NewPeer[S sim.Cloneable[S]](newModel func() *Model[S], opts Options, cfg Pe
 		if _, dup := e.shards[s]; dup {
 			return nil, fmt.Errorf("explore: shard %d hosted twice", s)
 		}
-		e.shards[s] = &peerShard{vs: e.newShardVisited(len(cfg.Hosted))}
+		e.shards[s] = &peerShard{vs: newVisited(e.words, &e.opts, len(cfg.Hosted))}
 	}
 	e.rebuildHosted()
-	e.outboxes = make([]*peerOutbox, opts.Workers)
+	e.outboxes = make([]*peerOutbox[S], opts.Workers)
 	for w := range e.outboxes {
-		ob := &peerOutbox{e: e}
+		ob := &peerOutbox[S]{e: e}
 		ob.init()
 		e.outboxes[w] = ob
 		e.wss[w].cl = &peerHooks{sink: ob.sink, capMiss: ob.capMiss}
 	}
 	return e, nil
-}
-
-// newShardVisited builds one of the hosted shards that split this
-// peer's arena budget. Frames ingest concurrently with the local
-// workers' probes, so the serial fast path is never safe on a peer.
-func (e *peerEngine[S]) newShardVisited(hosted int) *Visited {
-	return newVisited(e.words, &e.opts, false, hosted)
 }
 
 // rebuildHosted re-derives the sorted hosted list after the shard map
@@ -329,28 +321,26 @@ func catchIO(err *error) {
 
 func (e *peerEngine[S]) Seed() (err error) {
 	defer catchIO(&err)
-	ws0 := e.wss[0]
-	seq := uint64(0)
-	ws0.model.Inits(func(cfg []S) bool {
-		key := ws0.canonKey(cfg)
-		h := hashWords(key)
-		if ps, ok := e.shards[ShardOf(h, e.nShards)]; ok {
-			ps.vs.Probe(key, h, seq, -1, nil)
+	room := e.opts.MaxStates
+	if room <= 0 {
+		room = -1
+	}
+	// The single-node stream stops once *global* pending exceeds the
+	// bound; a peer only sees its local count, which trails the global
+	// one, so it stops no earlier — it can only see extra keys whose
+	// stream positions are past the global kept prefix, and the merge
+	// discards exactly those.
+	e.wss[0].streamInits(room, func(h uint64) *Visited {
+		if ps := e.shards[ShardOf(h, e.nShards)]; ps != nil {
+			return ps.vs
 		}
-		seq++
-		if e.opts.MaxStates <= 0 {
-			return true
-		}
-		// The single-node stream stops once *global* pending exceeds the
-		// bound; a peer only sees its local count, which trails the
-		// global one, so it stops no earlier — it can only see extra
-		// keys whose stream positions are past the global kept prefix,
-		// and the merge discards exactly those.
+		return nil
+	}, func() int {
 		pending := 0
 		for _, s := range e.hosted {
 			pending += e.shards[s].vs.Pending()
 		}
-		return pending <= e.opts.MaxStates
+		return pending
 	})
 	return nil
 }
@@ -412,10 +402,18 @@ func (e *peerEngine[S]) PendMeta(shard int) (meta []PendMeta, err error) {
 	if err != nil {
 		return nil, err
 	}
-	ps.drained = ps.vs.Drain()
-	meta = make([]PendMeta, len(ps.drained))
-	for i, f := range ps.drained {
-		meta[i] = PendMeta{Pos: f.Pos, Parent: f.Parent}
+	n, err := ps.vs.rank(len(e.wss))
+	if err != nil {
+		return nil, err
+	}
+	// rank left each run's records carrying their ranks; the entries
+	// still hold their positions.
+	meta = make([]PendMeta, n)
+	for _, run := range ps.vs.runs {
+		for _, r := range run {
+			pe := &ps.vs.shards[r.shard].pend[r.pidx]
+			meta[r.pos] = PendMeta{Pos: pe.pos, Parent: pe.parent}
+		}
 	}
 	return meta, nil
 }
@@ -426,24 +424,13 @@ func (e *peerEngine[S]) Commit(shard int, keep int, gids []int32, housekeep bool
 	if err != nil {
 		return err
 	}
-	if ps.drained == nil {
-		ps.drained = ps.vs.Drain()
-	}
-	if keep != len(gids) || keep > len(ps.drained) {
-		return fmt.Errorf("explore: commit of %d entries (%d gids) does not fit %d pending", keep, len(gids), len(ps.drained))
+	if keep != len(gids) || keep > ps.vs.ranked { // ranked is −1 until PendMeta
+		return fmt.Errorf("explore: commit of %d entries (%d gids) does not fit the %d PendMeta ranked", keep, len(gids), ps.vs.ranked)
 	}
 	oldFrom := ps.layerFrom
 	nBefore := int32(ps.vs.States())
-	for i, f := range ps.drained {
-		if i < keep {
-			ps.vs.Promote(f)
-			ps.gidOf = append(ps.gidOf, gids[i])
-		} else {
-			ps.vs.Drop(f)
-		}
-	}
-	ps.drained = nil
-	ps.vs.Reset()
+	ps.vs.promote(keep, nil)
+	ps.gidOf = append(ps.gidOf, gids...)
 	if housekeep {
 		if err := ps.vs.Housekeep(oldFrom); err != nil {
 			return err
@@ -472,12 +459,11 @@ func (e *peerEngine[S]) Keys(shard int, gids []int32) (keys [][]uint64, err erro
 
 func (e *peerEngine[S]) Rollback() error {
 	for _, s := range e.hosted {
-		ps := e.shards[s]
-		ps.drained = nil
-		for _, f := range ps.vs.Drain() {
-			ps.vs.Drop(f)
+		vs := e.shards[s].vs
+		if _, err := vs.rank(len(e.wss)); err != nil {
+			return err
 		}
-		ps.vs.Reset()
+		vs.promote(0, nil)
 	}
 	e.capTrunc.Store(false)
 	// The successor filters remember what the discarded attempt
@@ -496,6 +482,11 @@ func (e *peerEngine[S]) Rollback() error {
 
 var shardMagic = [8]byte{'C', 'C', 'S', 'H', 'D', '0' + checkpointVersion, '\r', '\n'}
 
+// shardHeader is the header fields of shard's snapshot.
+func (e *peerEngine[S]) shardHeader(shard int) []hdrField {
+	return []hdrField{{"cluster shard count", e.nShards}, {"shard", shard}, {"word width", e.words}}
+}
+
 func (e *peerEngine[S]) SnapshotShard(shard int, w io.Writer) (err error) {
 	defer catchIO(&err)
 	ps, err := e.shard(shard)
@@ -506,11 +497,7 @@ func (e *peerEngine[S]) SnapshotShard(shard int, w io.Writer) (err error) {
 		return fmt.Errorf("explore: shard %d snapshot requested mid-layer (%d pending)", shard, ps.vs.Pending())
 	}
 	c := newCkptWriter(w)
-	c.bytes(shardMagic[:])
-	c.bytes(e.ohash[:])
-	c.int(e.nShards)
-	c.int(shard)
-	c.int(e.words)
+	c.header(shardMagic, e.ohash, e.shardHeader(shard)...)
 	c.int(ps.vs.States())
 	c.i32(ps.layerFrom)
 	for _, g := range ps.gidOf {
@@ -528,24 +515,8 @@ func (e *peerEngine[S]) AdoptShard(shard int, r io.Reader) (err error) {
 		return fmt.Errorf("explore: shard %d out of range [0,%d)", shard, e.nShards)
 	}
 	c := newCkptReader(r)
-	var magic [8]byte
-	c.bytes(magic[:])
-	if c.err == nil && magic != shardMagic {
-		return fmt.Errorf("explore: not a shard snapshot (or version drift)")
-	}
-	var ohash [32]byte
-	c.bytes(ohash[:])
-	if c.err == nil && ohash != e.ohash {
-		return fmt.Errorf("explore: shard snapshot is for a different (model, options) tuple")
-	}
-	if n := c.int(); c.err == nil && n != e.nShards {
-		return fmt.Errorf("explore: shard snapshot from a %d-shard cluster, want %d", n, e.nShards)
-	}
-	if s := c.int(); c.err == nil && s != shard {
-		return fmt.Errorf("explore: snapshot holds shard %d, want %d", s, shard)
-	}
-	if w := c.int(); c.err == nil && w != e.words {
-		return fmt.Errorf("explore: shard snapshot word width %d != codec %d", w, e.words)
+	if err := c.header("shard snapshot", shardMagic, e.ohash, e.shardHeader(shard)...); err != nil {
+		return err
 	}
 	nstates := c.int()
 	layerFrom := c.i32()
@@ -570,7 +541,7 @@ func (e *peerEngine[S]) AdoptShard(shard int, r io.Reader) (err error) {
 	if c.err != nil {
 		return fmt.Errorf("explore: shard snapshot read: %v", c.err)
 	}
-	vs := e.newShardVisited(len(e.hosted) + 1)
+	vs := newVisited(e.words, &e.opts, len(e.hosted)+1)
 	if err := c.restoreArena(vs, nstates, e.words, layerFrom); err != nil {
 		vs.Close()
 		return err
@@ -603,38 +574,32 @@ var frameMagic = [4]byte{'C', 'C', 'F', 'W'}
 // peerOutbox buffers outgoing records for one worker, one frame buffer
 // per destination peer, so expansion never takes a lock to emit a
 // record; frames flush at the record threshold and at expansion end.
-type peerOutbox struct {
-	e interface {
-		outCtx() (nShards int, flushAt int, words int)
-		routeOf(shard int) int
-		localShard(shard int) *peerShard
-		deliver(dst int, frame []byte)
-	}
+type peerOutbox[S sim.Cloneable[S]] struct {
+	e      *peerEngine[S]
 	bufs   [][]byte
 	counts []int
 }
 
-func (ob *peerOutbox) init() {
-	nShards, _, words := ob.e.outCtx()
-	ob.bufs = make([][]byte, nShards)
-	ob.counts = make([]int, nShards)
+func (ob *peerOutbox[S]) init() {
+	ob.bufs = make([][]byte, ob.e.nShards)
+	ob.counts = make([]int, ob.e.nShards)
 	for d := range ob.bufs {
 		buf := make([]byte, 0, 1<<12)
 		buf = append(buf, frameMagic[:]...)
 		buf = append(buf, frameVersion, 0)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(words))
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(ob.e.words))
 		buf = binary.LittleEndian.AppendUint32(buf, 0)
 		ob.bufs[d] = buf
 	}
 }
 
-func (ob *peerOutbox) sink(key []uint64, hash uint64, pos uint64, parent int32) {
+func (ob *peerOutbox[S]) sink(key []uint64, hash uint64, pos uint64, parent int32) {
 	shard := ShardOf(hash, len(ob.bufs))
-	if ps := ob.e.localShard(shard); ps != nil {
+	if ps := ob.e.shards[shard]; ps != nil {
 		ps.vs.Probe(key, hash, pos, parent, nil)
 		return
 	}
-	dst := ob.e.routeOf(shard)
+	dst := ob.e.route[shard]
 	buf := ob.bufs[dst]
 	buf = append(buf, recProbe)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(shard))
@@ -647,12 +612,12 @@ func (ob *peerOutbox) sink(key []uint64, hash uint64, pos uint64, parent int32) 
 	ob.bump(dst)
 }
 
-func (ob *peerOutbox) capMiss(key []uint64, hash uint64) bool {
+func (ob *peerOutbox[S]) capMiss(key []uint64, hash uint64) bool {
 	shard := ShardOf(hash, len(ob.bufs))
-	if ps := ob.e.localShard(shard); ps != nil {
+	if ps := ob.e.shards[shard]; ps != nil {
 		return !ps.vs.Contains(key, hash)
 	}
-	dst := ob.e.routeOf(shard)
+	dst := ob.e.route[shard]
 	buf := ob.bufs[dst]
 	buf = append(buf, recCapCheck)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(shard))
@@ -667,14 +632,14 @@ func (ob *peerOutbox) capMiss(key []uint64, hash uint64) bool {
 	return false
 }
 
-func (ob *peerOutbox) bump(dst int) {
+func (ob *peerOutbox[S]) bump(dst int) {
 	ob.counts[dst]++
-	if _, flushAt, _ := ob.e.outCtx(); ob.counts[dst] >= flushAt {
+	if ob.counts[dst] >= ob.e.flushAt {
 		ob.flush(dst)
 	}
 }
 
-func (ob *peerOutbox) flush(dst int) {
+func (ob *peerOutbox[S]) flush(dst int) {
 	if ob.counts[dst] == 0 {
 		return
 	}
@@ -685,18 +650,12 @@ func (ob *peerOutbox) flush(dst int) {
 	ob.counts[dst] = 0
 }
 
-func (ob *peerOutbox) flushAll() {
+func (ob *peerOutbox[S]) flushAll() {
 	for d := range ob.bufs {
 		ob.flush(d)
 	}
 }
 
-func (e *peerEngine[S]) outCtx() (int, int, int) { return e.nShards, e.flushAt, e.words }
-func (e *peerEngine[S]) routeOf(shard int) int   { return e.route[shard] }
-func (e *peerEngine[S]) localShard(shard int) *peerShard {
-	return e.shards[shard]
-}
-func (e *peerEngine[S]) noteCapTrunc() { e.capTrunc.Store(true) }
 func (e *peerEngine[S]) deliver(dst int, frame []byte) {
 	if e.send == nil {
 		e.sendFails.Add(1)
@@ -756,7 +715,7 @@ func (e *peerEngine[S]) Ingest(frame []byte) (err error) {
 			}
 			p = p[keyBytes:]
 			if !ps.vs.Contains(key, hashWords(key)) {
-				e.noteCapTrunc()
+				e.capTrunc.Store(true)
 			}
 		default:
 			return fmt.Errorf("explore: unknown frontier record kind %d", kind)

@@ -19,13 +19,14 @@ import (
 // Visited is the explorer's concurrent deduplication structure: a
 // power-of-two-sharded open-addressing hash set over fixed-width binary
 // state encodings, backed by a state arena of fixed-size pages keyed by
-// dense state index. A stripe is mutated by one goroutine at a time, by
-// either of two disciplines: Probe takes the stripe's lock (cluster
-// peers, whose workers and frame ingests hit the same stripes
-// concurrently; a streamed seed, the re-probe of a restored pending set
-// and anything else outside a fan-out), and the single-node workers,
-// each owning a range of stripes for the length of a fan-out, call
-// probeLocked on their own stripes with no lock at all (emit.go). A
+// dense state index. A stripe is mutated by one goroutine at a time:
+// Probe takes the stripe's lock (a cluster peer, whose workers and
+// frame ingests hit the same stripes concurrently; a streamed seed, the
+// re-probe of a restored pending set and anything else outside a
+// fan-out), and the single-node workers, each owning a range of stripes
+// for the length of a fan-out, call probeLocked on their own stripes
+// with no lock at all (emit.go). Either way, the set leaves a layer
+// through the one owner commit below. A
 // fresh set can also be loaded whole, without probing (load): a
 // checkpoint's arena, or a product family's seed layer, whose keys are
 // known distinct.
@@ -45,17 +46,19 @@ import (
 //     reads the spill file: a proposal whose hash tag matches a
 //     spilled id (and no hot or pending key) is *deferred* — parked
 //     in the stripe with that cold id, not yet pending.
-//  2. Between layers, the owner commit (commit) first settles the
-//     deferred proposals: each owner sorts its own by cold id and
-//     reads the spill file in a few coalesced ranges (settle), drops
-//     the true duplicates and probes the rest — tag collisions — into
-//     the pending set. Then it promotes the pending entries in
-//     position order: each stripe owner sorts its own entries, a
-//     serial merge ranks the owners' runs, and each owner writes its
-//     entries' encodings into the arena at their ranks — dense ids in
-//     exactly the serial discovery order. Settling changes only when
-//     a collision's pending entry is made, never its least position,
-//     so the ids are those of an immediate compare.
+//  2. Between layers, the owner commit runs in two halves. rank first
+//     settles the deferred proposals: each owner sorts its own by cold
+//     id and reads the spill file in a few coalesced ranges (settle),
+//     drops the true duplicates and probes the rest — tag collisions —
+//     into the pending set. Then each stripe owner sorts its own
+//     pending entries by position and a serial merge ranks the owners'
+//     runs. promote then has each owner write its entries' encodings
+//     into the arena at their ranks — dense ids in exactly the serial
+//     discovery order — up to a bound, tombstoning the rest. commit is
+//     the two back to back; a cluster peer calls them apart, with the
+//     coordinator's bound in between (peer.go). Settling changes only
+//     when a collision's pending entry is made, never its least
+//     position, so the ids are those of an immediate compare.
 //
 // Promoted encodings live only in the arena (slots store the id), so
 // the steady-state cost per state is words*8 bytes of arena plus one
@@ -100,9 +103,10 @@ type Visited struct {
 	pages    [][]uint64
 	nstates  int
 	fam      *family     // the seed's product family, or nil (setFamily)
-	serial   bool        // one goroutine probes: Probe skips the locks, inserts are logged in order
+	serial   bool        // one goroutine probes: Probe skips the stripe locks
 	runs     [][]runRec  // per-owner commit runs and their sort buffers, reused across
 	spare    [][]runRec  // layers (scratch, outside Bytes)
+	ranked   int         // the pending count rank ranked into runs; −1 once promote used it
 	sweeps   []coldSweep // per-owner settle scratch, reused across layers (outside Bytes)
 	drainBuf []Fresh     // reused across Drain calls
 
@@ -119,20 +123,6 @@ type Visited struct {
 	baseID      int32
 	spilled     int64        // payload bytes written to spillFile
 	coldReads   atomic.Int64 // read calls issued against spillFile (ColdReads)
-
-	// order is the serial-mode insertion-order log: with one worker,
-	// pending entries are inserted in exactly the (item, branch) layer
-	// order the commit promotes them in, so the sole owner's run is read
-	// off this log instead of the stripes, and sorted only when a
-	// checkpoint re-probe perturbed it. Parallel runs leave it empty.
-	order []pendRef
-}
-
-// pendRef locates one pending entry: shard index plus the shard-local
-// pending index (both stable until Reset — slot tables may grow, the
-// pend buffers only append).
-type pendRef struct {
-	shard, pidx int32
 }
 
 const (
@@ -205,7 +195,7 @@ type Fresh struct {
 
 // NewVisited builds a set for states of the given word width.
 func NewVisited(words int) *Visited {
-	v := &Visited{words: words, fs: chaos.OS}
+	v := &Visited{words: words, fs: chaos.OS, ranked: -1}
 	v.setTables(64, 0)
 	return v
 }
@@ -394,10 +384,10 @@ func (v *Visited) Bytes() int64 {
 		b += int64(cap(sh.pend)) * int64(unsafe.Sizeof(pendEntry{}))
 	}
 	b += int64(cap(v.drainBuf)) * int64(unsafe.Sizeof(Fresh{}))
-	// The serial insertion-order log, the owner runs and the settle
-	// scratch are deliberately excluded: their shape depends on the
-	// worker count, and StateBytes must be identical at any -j. So are
-	// the stripes' deferred proposals, which every commit empties.
+	// The owner runs and the settle scratch are deliberately excluded:
+	// their shape depends on the worker count, and StateBytes must be
+	// identical at any -j. So are the stripes' deferred proposals,
+	// which every commit empties.
 	return b
 }
 
@@ -415,21 +405,19 @@ func (v *Visited) Probe(key []uint64, hash uint64, pos uint64, parent int32, sel
 			return id
 		}
 	}
-	shIdx := int32(hash & v.smask)
-	sh := &v.shards[shIdx]
+	sh := &v.shards[hash&v.smask]
 	if v.serial {
-		return v.probeLocked(sh, shIdx, key, hash, pos, parent, false)
+		return v.probeLocked(sh, key, hash, pos, parent, false)
 	}
 	sh.mu.Lock()
-	id := v.probeLocked(sh, shIdx, key, hash, pos, parent, false)
+	id := v.probeLocked(sh, key, hash, pos, parent, false)
 	sh.mu.Unlock()
 	return id
 }
 
-// SetSerial marks the set as single-goroutine (one worker): Probe then
-// skips the stripe locks and inserts are logged in order, which lets
-// the commit read its one run off the log instead of sorting. Purely
-// an optimization; results are identical.
+// SetSerial marks the set as probed by one goroutine only: Probe then
+// skips the stripe locks. Purely an optimization; results are
+// identical. bench/ and tests call it.
 func (v *Visited) SetSerial(serial bool) { v.serial = serial }
 
 // coldEqual compares spilled state ref against key, reading through
@@ -453,7 +441,7 @@ func (v *Visited) coldEqual(sh *vshard, ref int32, key []uint64) bool {
 // slot without meeting its key is deferred to the commit's settle,
 // with a negative return. A chain with a second spilled tag match —
 // rare — compares that one on the spot.
-func (v *Visited) probeLocked(sh *vshard, shIdx int32, key []uint64, hash uint64, pos uint64, parent int32, deferCold bool) int32 {
+func (v *Visited) probeLocked(sh *vshard, key []uint64, hash uint64, pos uint64, parent int32, deferCold bool) int32 {
 	tag := int32(hash)
 	_, idx := v.home(tag)
 	mask := uint64(len(sh.slots) - 1)
@@ -474,7 +462,7 @@ func (v *Visited) probeLocked(sh *vshard, shIdx int32, key []uint64, hash uint64
 			} else {
 				sh.filled++
 			}
-			v.insertPending(sh, shIdx, at, key, hash, pos, parent)
+			v.insertPending(sh, at, key, hash, pos, parent)
 			if sh.filled*3 > len(sh.slots)*2 {
 				v.growLocked(sh)
 			}
@@ -603,18 +591,14 @@ func wordsEqual(a, b []uint64) bool {
 	return true
 }
 
-func (v *Visited) insertPending(sh *vshard, shIdx int32, at int, key []uint64, hash uint64, pos uint64, parent int32) {
+func (v *Visited) insertPending(sh *vshard, at int, key []uint64, hash uint64, pos uint64, parent int32) {
 	off := len(sh.keys)
 	sh.keys = append(sh.keys, key...)
 	sh.pend = append(sh.pend, pendEntry{
 		hash: hash, pos: pos, parent: parent, slot: int32(at),
 		key: sh.keys[off : off+v.words : off+v.words],
 	})
-	pidx := int32(len(sh.pend) - 1)
-	sh.slots[at] = vslot{ref: slotPend, pidx: pidx}
-	if v.serial {
-		v.order = append(v.order, pendRef{shard: shIdx, pidx: pidx})
-	}
+	sh.slots[at] = vslot{ref: slotPend, pidx: int32(len(sh.pend) - 1)}
 }
 
 // growLocked doubles a shard's slot table, dropping tombstones. Every
@@ -664,25 +648,14 @@ func (v *Visited) stripes(o, n int) (lo, hi int) {
 }
 
 // ownerRun settles owner o's (of n) deferred proposals, then gathers
-// its pending entries into its run, sorted by position. A sole owner
-// of a set one goroutine probes reads the insertion-order log instead
-// of the stripes: a serial expansion proposes states in ascending
-// (item, branch) position, so the log is already sorted unless a
-// checkpoint restore re-probed its pending snapshot in shard order, or
-// a settle probed a tag collision.
+// its stripes' pending entries into its run, sorted by position.
 func (v *Visited) ownerRun(o, n int) []runRec {
 	v.settle(o, n)
 	run := v.runs[o][:0]
-	if v.serial && n == 1 {
-		for _, pr := range v.order {
-			run = append(run, runRec{v.shards[pr.shard].pend[pr.pidx].pos, pr.shard, pr.pidx})
-		}
-	} else {
-		lo, hi := v.stripes(o, n)
-		for s := lo; s < hi; s++ {
-			for j := range v.shards[s].pend {
-				run = append(run, runRec{v.shards[s].pend[j].pos, int32(s), int32(j)})
-			}
+	lo, hi := v.stripes(o, n)
+	for s := lo; s < hi; s++ {
+		for j := range v.shards[s].pend {
+			run = append(run, runRec{v.shards[s].pend[j].pos, int32(s), int32(j)})
 		}
 	}
 	if !slices.IsSortedFunc(run, byPos) {
@@ -826,7 +799,7 @@ func (v *Visited) settle(o, n int) {
 			rec := v.shards[r.shard].deferred[int(r.pidx)*rw:][:rw]
 			if !wordsEqual(sw.key, rec[:v.words]) {
 				w := rec[v.words:]
-				v.probeLocked(&v.shards[r.shard], r.shard, rec[:v.words], w[0], w[1], int32(w[2]>>32), false)
+				v.probeLocked(&v.shards[r.shard], rec[:v.words], w[0], w[1], int32(w[2]>>32), false)
 			}
 		}
 		i = j
@@ -846,30 +819,54 @@ func (v *Visited) settleAll(owners int) error {
 
 // commit promotes the pending entries in position order under the
 // next dense ids — at most room of them (room < 0: all), the rest
-// become tombstones — and sets their trace links. It returns the
-// promoted and the pending counts, or the failure of a cold read.
-// Between layers only.
-//
-// owners goroutines share the work, each on the stripes it owns during
-// an expansion fan-out (emit.go): every owner settles its deferred
-// proposals and sorts its own entries into a run, a serial merge ranks
-// the runs, and every owner then writes its entries' arena rows, slots
-// and trace links at their ranks (disjoint, so no two owners write the
-// same row) and clears its stripes' pending buffers.
+// become tombstones — and sets their trace links: rank, then promote.
+// It returns the promoted and the pending counts, or the failure of a
+// cold read. Between layers only.
 func (v *Visited) commit(owners, room int, links *TraceLinks) (kept, pending int, err error) {
-	v.setOwners(owners)
-	runs := v.runs
-	if err = forEachWorkerIO(owners, owners, func(_, o int) { v.ownerRun(o, owners) }); err != nil {
+	if pending, err = v.rank(owners); err != nil {
 		return 0, 0, err
 	}
-	pending = rankRuns(runs)
 	kept = pending
 	if room >= 0 {
 		kept = min(kept, room)
 	}
+	v.promote(kept, links)
+	return kept, pending, nil
+}
+
+// rank is the commit's first half. owners goroutines share it, each on
+// the stripes it owns during an expansion fan-out (emit.go): every
+// owner settles its deferred proposals and sorts its own pending
+// entries into a run, then a serial merge ranks the runs. It returns
+// the pending count, or the failure of a cold read. Between layers
+// only; ranking again re-reads the entries' positions, so it may be
+// repeated until promote consumes the ranks.
+func (v *Visited) rank(owners int) (pending int, err error) {
+	v.setOwners(owners)
+	if err = forEachWorkerIO(owners, owners, func(_, o int) { v.ownerRun(o, owners) }); err != nil {
+		return 0, err
+	}
+	v.ranked = rankRuns(v.runs)
+	return v.ranked, nil
+}
+
+// promote is the commit's second half: the pending entries ranked
+// below kept take the next dense ids in rank order — arena rows, slots
+// and, unless links is nil, trace links — and the rest become
+// tombstones. The owners that ranked share the work, each writing its
+// entries at their ranks (disjoint, so no two owners write the same
+// row) and clearing its stripes' pending buffers.
+func (v *Visited) promote(kept int, links *TraceLinks) {
+	if kept > v.ranked {
+		panic("explore: promoting more entries than were ranked")
+	}
+	owners, runs := len(v.runs), v.runs
 	first := int32(v.nstates)
 	v.growArena(v.nstates + kept)
-	link := links.Extend(kept)
+	link := 0
+	if links != nil {
+		link = links.Extend(kept)
+	}
 	par.ForEachWorker(owners, owners, func(_, o int) {
 		for _, r := range runs[o] {
 			sh := &v.shards[r.shard]
@@ -878,7 +875,9 @@ func (v *Visited) commit(owners, room int, links *TraceLinks) (kept, pending int
 				e := &sh.pend[r.pidx]
 				ref = first + int32(rank)
 				copy(v.arenaKey(ref), e.key)
-				links.Set(link+rank, e.parent)
+				if links != nil {
+					links.Set(link+rank, e.parent)
+				}
 			}
 			v.setRef(sh, r.pidx, ref)
 		}
@@ -891,18 +890,17 @@ func (v *Visited) commit(owners, room int, links *TraceLinks) (kept, pending int
 		}
 	})
 	v.nstates += kept
-	v.resetOrder()
-	return kept, pending, nil
+	v.ranked = -1
 }
 
 // Drain collects the pending entries of all shards, sorted by layer
-// position — the deterministic promotion order. It is commit's
-// one-owner run, for callers that settle entry by entry (a cluster
-// peer's shards, which learn their ids from the coordinator). Between
-// layers only, from one goroutine; the returned slice is reused by the
-// next Drain.
+// position — the deterministic promotion order. It is rank's one-owner
+// run, for callers that promote entry by entry (bench/ and tests).
+// Between layers only, from one goroutine; the returned slice is
+// reused by the next Drain.
 func (v *Visited) Drain() []Fresh {
 	v.setOwners(1)
+	v.ranked = -1 // the run holds positions, not ranks
 	run := v.ownerRun(0, 1)
 	out := v.drainBuf[:0]
 	for _, r := range run {
@@ -921,9 +919,9 @@ func (v *Visited) Drain() []Fresh {
 }
 
 // Promote assigns the next dense id to a drained entry, appending its
-// encoding to the arena — commit's per-entry step, for one goroutine
-// between layers. Every drained entry must be either promoted or
-// dropped before the next expansion phase.
+// encoding to the arena — promote's per-entry step, for one goroutine
+// between layers (bench/ and tests). Every drained entry must be
+// promoted before Reset.
 func (v *Visited) Promote(f Fresh) int32 {
 	id := int32(v.nstates)
 	sh := &v.shards[f.shard]
@@ -933,11 +931,6 @@ func (v *Visited) Promote(f Fresh) int32 {
 	v.setRef(sh, f.pidx, id)
 	return id
 }
-
-// Drop discards a drained entry (capacity bound hit): its slot becomes
-// a tombstone, so the state may be proposed — and dropped — again, as
-// under the PR 2 engine's bound.
-func (v *Visited) Drop(f Fresh) { v.setRef(&v.shards[f.shard], f.pidx, slotTomb) }
 
 // setRef settles pending entry pidx of stripe sh as ref (an id or a
 // tombstone). O(1): the entry remembers its current slot (growLocked
@@ -951,14 +944,13 @@ func (v *Visited) setRef(sh *vshard, pidx, ref int32) {
 	s.ref, s.pidx = ref, int32(e.hash)
 }
 
-// Reset clears the pending side after a promotion batch, reusing the
-// buffers. Serial phases only.
+// Reset clears the pending side after a Drain and its Promotes,
+// reusing the buffers (bench/ and tests). Serial phases only.
 func (v *Visited) Reset() {
 	for i := range v.shards {
 		v.shards[i].resetPend()
 		v.shards[i].resetDeferred()
 	}
-	v.resetOrder()
 }
 
 // resetDeferred empties the stripe's deferred proposals, with
@@ -981,14 +973,6 @@ func (sh *vshard) resetPend() {
 	} else {
 		sh.pend = sh.pend[:0]
 		sh.keys = sh.keys[:0]
-	}
-}
-
-func (v *Visited) resetOrder() {
-	if cap(v.order) > 2*len(v.order)+4096 {
-		v.order = nil
-	} else {
-		v.order = v.order[:0]
 	}
 }
 

@@ -262,34 +262,18 @@ func (st *LogStore) load() {
 // and abandoned, so a good prefix still serves and the lost keys are
 // recomputed on demand.
 func (st *LogStore) scanSegment(seq uint64, data []byte) {
-	name := segName(seq)
 	size := int64(len(data))
 	off := int64(0)
 	for off < size {
-		rem := size - off
-		if rem < recHeader {
-			st.droppedScan++
-			break // torn header at EOF
-		}
-		hdr := data[off:]
-		if string(hdr[:recKeyOff]) != recMagic {
-			st.quarantineBytes(fmt.Sprintf("%s@%d", name, off), data[off:], "bad record magic")
+		key, payload, reason := parseFrame(data[off:])
+		if reason != "" {
+			if reason != frameTorn {
+				st.quarantineBytes(fmt.Sprintf("%s@%d", segName(seq), off), data[off:], reason)
+			}
 			st.droppedScan++
 			break
 		}
-		payloadLen := int64(binary.LittleEndian.Uint32(hdr[recLenOff:recSumOff]))
-		total := recHeader + payloadLen
-		if rem < total {
-			st.droppedScan++
-			break // torn payload at EOF
-		}
-		key := hdr[recKeyOff : recKeyOff+32]
-		payload := data[off+recHeader : off+total]
-		if recSum(key, payload) != binary.LittleEndian.Uint64(hdr[recSumOff:recHeader]) {
-			st.quarantineBytes(fmt.Sprintf("%s@%d", name, off), data[off:], "record checksum mismatch")
-			st.droppedScan++
-			break
-		}
+		total := recHeader + int64(len(payload))
 		khex := hex.EncodeToString(key)
 		loc := recLoc{seq: seq, off: off, n: total}
 		if prev, ok := st.index[khex]; ok {
@@ -335,6 +319,32 @@ func (st *LogStore) ensureActiveLocked() error {
 	st.segs[st.activeSeq] = 0
 	st.nextSeq++
 	return nil
+}
+
+// frameTorn is parseFrame's reason for a frame its data ends inside.
+const frameTorn = "record torn at EOF"
+
+// parseFrame parses the record framed at the start of data and returns
+// its raw key and payload, or the reason it does not check out: bad
+// magic or a checksum mismatch is damage, while frameTorn, a frame that
+// data ends inside, is also the expected artifact of a crash
+// mid-append at a segment's end.
+func parseFrame(data []byte) (key, payload []byte, reason string) {
+	if len(data) < recHeader {
+		return nil, nil, frameTorn
+	}
+	if string(data[:recKeyOff]) != recMagic {
+		return nil, nil, "bad record magic"
+	}
+	n := recHeader + int64(binary.LittleEndian.Uint32(data[recLenOff:recSumOff]))
+	if int64(len(data)) < n {
+		return nil, nil, frameTorn
+	}
+	key, payload = data[recKeyOff:recKeyOff+32], data[recHeader:n]
+	if recSum(key, payload) != binary.LittleEndian.Uint64(data[recSumOff:recHeader]) {
+		return nil, nil, "record checksum mismatch"
+	}
+	return key, payload, ""
 }
 
 // encodeRecord frames an entry line under its raw key.
@@ -478,28 +488,21 @@ func (st *LogStore) readRecord(loc recLoc) ([]byte, error) {
 	return buf, nil
 }
 
-// checkRecord validates a framed record against the key it was
-// indexed under; "" means valid, anything else names the damage.
-func checkRecord(khex string, rec []byte) (payload []byte, reason string) {
-	if int64(len(rec)) < recHeader {
-		return nil, "record shorter than header"
+// checkRecord classifies a record read whole from where the index
+// places key khex: first its frame, which must fill rec and carry that
+// key, then the entry it frames (checkEntry). A damaged frame is an
+// entryCorrupt whose reason names the damage.
+func checkRecord(khex string, rec []byte) (entry, entryIssue, string) {
+	key, payload, reason := parseFrame(rec)
+	switch {
+	case reason == frameTorn || reason == "" && recHeader+len(payload) != len(rec):
+		return entry{}, entryCorrupt, "record length mismatch"
+	case reason != "":
+		return entry{}, entryCorrupt, reason
+	case hex.EncodeToString(key) != khex:
+		return entry{}, entryCorrupt, "record key mismatch"
 	}
-	if string(rec[:recKeyOff]) != recMagic {
-		return nil, "bad record magic"
-	}
-	key := rec[recKeyOff : recKeyOff+32]
-	if hex.EncodeToString(key) != khex {
-		return nil, "record key mismatch"
-	}
-	payloadLen := int64(binary.LittleEndian.Uint32(rec[recLenOff:recSumOff]))
-	if recHeader+payloadLen != int64(len(rec)) {
-		return nil, "record length mismatch"
-	}
-	payload = rec[recHeader:]
-	if recSum(key, payload) != binary.LittleEndian.Uint64(rec[recSumOff:recHeader]) {
-		return nil, "record checksum mismatch"
-	}
-	return payload, ""
+	return checkEntry(payload)
 }
 
 // evict drops a damaged record from the index (if it still points at
@@ -549,12 +552,7 @@ func (st *LogStore) fetchAt(khex string, loc recLoc) (entry, bool) {
 		loc = moved
 		rec, err = st.readRecord(loc)
 	}
-	payload, reason := checkRecord(khex, rec)
-	if reason != "" {
-		st.evict(khex, loc, rec, reason)
-		return entry{}, false
-	}
-	e, issue, reason := checkEntry(payload)
+	e, issue, reason := checkRecord(khex, rec)
 	switch issue {
 	case entryCorrupt:
 		st.evict(khex, loc, rec, reason)
@@ -712,14 +710,7 @@ func (st *LogStore) compact() (CompactStats, error) {
 			stats.Dropped++ // unreadable even with retries: not worth failing the compaction
 			continue
 		}
-		payload, reason := checkRecord(khex, rec)
-		var issue entryIssue
-		if reason == "" {
-			_, issue, reason = checkEntry(payload)
-		} else {
-			issue = entryCorrupt
-		}
-		switch issue {
+		switch _, issue, reason := checkRecord(khex, rec); issue {
 		case entryCorrupt:
 			st.quarantineBytes(fmt.Sprintf("%s@%d", segName(loc.seq), loc.off), rec, reason)
 			stats.Dropped++
