@@ -72,9 +72,10 @@ type RunStats struct {
 	// the end of the run (a cluster peer adds its shards' at Close).
 	ArenaSpilledBytes int64
 	// ColdReads counts the read calls issued against the arena spill
-	// file: probes that compare a spilled id on the spot, the commit's
-	// sorted sweeps of deferred proposals, and trace rebuilds (a
-	// cluster peer adds its shards' at Close).
+	// file: the commit's sorted sweeps of deferred proposals, at-cap
+	// membership checks and collision re-probes that compare a spilled
+	// id on the spot, and trace rebuilds (a cluster peer adds its
+	// shards' at Close).
 	ColdReads int64
 	// LocalLookups and LocalHits count the batch pipeline's
 	// local-transition cache: the cacheable processes of every expanded

@@ -27,10 +27,10 @@ import (
 // chunk boundary, where cancellation, checkpoints, Progress and — at the
 // layer's end — the commit and Housekeep see the set exactly as they
 // would had every successor been probed the moment it was derived —
-// except that an owner's probe never reads the spill file: a successor
-// whose hash tag matches a spilled id waits in its stripe, deferred,
-// for the commit (or a checkpoint) to settle it in one sorted sweep.
-// The commit keeps the same ownership: each worker settles, sorts and
+// except that no probe reads the spill file: a successor whose hash tag
+// matches a spilled id (here, or in a peer's sink via Visited.propose)
+// waits in its stripe, deferred, for the commit (or a checkpoint) to
+// settle every stripe's in one sorted sweep. Then each worker sorts and
 // promotes the entries of its own stripes (Visited.commit). With one
 // worker every stripe is its own and no buffer is ever written.
 
@@ -140,7 +140,7 @@ func (b *routeBuf) drainInto(vs *Visited) {
 	w := vs.words
 	for r := b.recs; len(r) > 0; r = r[w+3:] {
 		hash := r[w]
-		vs.probeLocked(&vs.shards[hash&vs.smask], r[:w], hash, r[w+1], int32(uint32(r[w+2])), true)
+		vs.probeLocked(&vs.shards[hash&vs.smask], r[:w], hash, r[w+1], int32(uint32(r[w+2])), deferCold)
 	}
 	b.recs = b.recs[:0]
 }
@@ -210,6 +210,6 @@ func (ws *workerState[S]) emit(key []uint64) {
 			ws.routed++
 			return
 		}
-		vs.probeLocked(&vs.shards[sh], key, hash, pos, ws.curID, true)
+		vs.probeLocked(&vs.shards[sh], key, hash, pos, ws.curID, deferCold)
 	}
 }

@@ -896,7 +896,7 @@ func (b *localBackend[S]) restore() (bool, error) {
 	}
 	b.run.layerState = snap.layerState
 	for _, p := range snap.pending {
-		b.vs.Probe(p.Key, hashWords(p.Key), p.Pos, p.Parent, nil)
+		b.vs.propose(p.Key, hashWords(p.Key), p.Pos, p.Parent)
 	}
 	if b.opts.Stats != nil {
 		b.opts.Stats.ResumedStates = b.vs.States()
@@ -923,7 +923,7 @@ func (b *localBackend[S]) save() error {
 	}
 	// A proposal still deferred on a cold tag match is in no pending
 	// entry yet: settle it, or the snapshot would lose a collision.
-	if err := b.vs.settleAll(len(b.wss)); err != nil {
+	if err := b.vs.settle(); err != nil {
 		return err
 	}
 	snap := &snapshot{
@@ -968,7 +968,7 @@ func (ws *workerState[S]) streamInits(room int, owner func(hash uint64) *Visited
 		key := ws.canonKey(cfg)
 		h := hashWords(key)
 		if vs := owner(h); vs != nil {
-			vs.Probe(key, h, seq, -1, nil)
+			vs.propose(key, h, seq, -1)
 		}
 		seq++
 		return room < 0 || pending() <= room

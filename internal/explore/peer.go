@@ -97,7 +97,7 @@ type PendMeta struct {
 // phases, one at a time; Ingest is called concurrently with Expand
 // (frames arrive while workers expand) and is internally synchronized
 // by the visited set's stripe locks — which is why a peer's workers go
-// through the locked Probe, where the single-node workers own stripes.
+// through the locked propose, where the single-node workers own stripes.
 type PeerEngine interface {
 	// Seed enumerates the model's full deterministic init stream and
 	// probes the configurations owned by a hosted shard (pos = stream
@@ -131,10 +131,10 @@ type PeerEngine interface {
 	// AdoptShard rebuilds a shard this peer does not host from a
 	// SnapshotShard stream — the work-migration path after node loss.
 	AdoptShard(shard int, r io.Reader) error
-	// Rollback discards every hosted shard's pending entries and the
-	// ingested at-cap flag, returning the peer to the last layer
-	// barrier. The arena only mutates at commit, so this is all a
-	// surviving peer needs before a layer is retried.
+	// Rollback discards every hosted shard's pending entries (deferred
+	// ones unread) and the ingested at-cap flag, returning the peer to
+	// the last layer barrier. The arena only mutates at commit, so this
+	// is all a surviving peer needs before a layer is retried.
 	Rollback() error
 	// SetRoute replaces the shard→peer routing table (after adoption).
 	SetRoute(route []int) error
@@ -460,6 +460,9 @@ func (e *peerEngine[S]) Keys(shard int, gids []int32) (keys [][]uint64, err erro
 func (e *peerEngine[S]) Rollback() error {
 	for _, s := range e.hosted {
 		vs := e.shards[s].vs
+		for i := range vs.shards { // the retry proposes them again: no sweep
+			vs.shards[i].resetDeferred()
+		}
 		if _, err := vs.rank(len(e.wss)); err != nil {
 			return err
 		}
@@ -596,7 +599,7 @@ func (ob *peerOutbox[S]) init() {
 func (ob *peerOutbox[S]) sink(key []uint64, hash uint64, pos uint64, parent int32) {
 	shard := ShardOf(hash, len(ob.bufs))
 	if ps := ob.e.shards[shard]; ps != nil {
-		ps.vs.Probe(key, hash, pos, parent, nil)
+		ps.vs.propose(key, hash, pos, parent)
 		return
 	}
 	dst := ob.e.route[shard]
@@ -667,7 +670,7 @@ func (e *peerEngine[S]) deliver(dst int, frame []byte) {
 }
 
 func (e *peerEngine[S]) Ingest(frame []byte) (err error) {
-	defer catchIO(&err) // a probe may read a spilled arena record
+	defer catchIO(&err) // an at-cap check may read a spilled arena record
 	if len(frame) < frameHeaderLen {
 		return fmt.Errorf("explore: short frontier frame (%d bytes)", len(frame))
 	}
@@ -705,7 +708,7 @@ func (e *peerEngine[S]) Ingest(frame []byte) (err error) {
 				key[i] = binary.LittleEndian.Uint64(p[i*8:])
 			}
 			p = p[keyBytes:]
-			ps.vs.Probe(key, hashWords(key), pos, parent, nil)
+			ps.vs.propose(key, hashWords(key), pos, parent)
 		case recCapCheck:
 			if len(p) < keyBytes {
 				return fmt.Errorf("explore: truncated frontier frame (record %d)", rec)

@@ -20,45 +20,42 @@ import (
 // power-of-two-sharded open-addressing hash set over fixed-width binary
 // state encodings, backed by a state arena of fixed-size pages keyed by
 // dense state index. A stripe is mutated by one goroutine at a time:
-// Probe takes the stripe's lock (a cluster peer, whose workers and
-// frame ingests hit the same stripes concurrently; a streamed seed, the
-// re-probe of a restored pending set and anything else outside a
-// fan-out), and the single-node workers, each owning a range of stripes
-// for the length of a fan-out, call probeLocked on their own stripes
-// with no lock at all (emit.go). Either way, the set leaves a layer
-// through the one owner commit below. A
-// fresh set can also be loaded whole, without probing (load): a
-// checkpoint's arena, or a product family's seed layer, whose keys are
-// known distinct.
+// the single-node workers, each owning a range of stripes for the length
+// of a fan-out, call probeLocked on their own stripes with no lock at all
+// (emit.go), and every other producer (a cluster peer's workers and frame
+// ingests, a streamed seed, a restored pending set) calls propose, which
+// takes the stripe's lock. The set leaves a layer through the one owner
+// commit below. A fresh set can also be loaded whole, without probing
+// (load): a checkpoint's arena, or a product family's seed layer, whose
+// keys are known distinct.
 //
 // The BFS uses it in a two-phase rhythm that keeps every report
 // byte-identical at any worker count:
 //
-//  1. During a layer expansion (concurrent), workers Probe each
-//     successor directly: known states answer immediately, unknown
-//     states become *pending* entries. A pending entry remembers the
-//     least (item, branch) layer position that proposed it — a min
-//     merge by whoever holds the stripe, so the surviving parent is
-//     the one a serial loop would have picked regardless of which
-//     worker got there first (and the selection a trace re-derives
-//     from it, that parent's least branch to the state, is the one
-//     that loop would have recorded). A stripe owner's probe never
-//     reads the spill file: a proposal whose hash tag matches a
-//     spilled id (and no hot or pending key) is *deferred* — parked
-//     in the stripe with that cold id, not yet pending.
+//  1. During a layer expansion (concurrent), each successor is probed
+//     directly: known states answer immediately, unknown states become
+//     *pending* entries. A pending entry remembers the least (item,
+//     branch) layer position that proposed it — a min merge by whoever
+//     holds the stripe, so the surviving parent is the one a serial
+//     loop would have picked regardless of which worker got there first
+//     (and the selection a trace re-derives from it, that parent's
+//     least branch to the state, is the one that loop would have
+//     recorded). No production probe reads the spill file: a proposal
+//     whose hash tag matches a spilled id (and no hot or pending key) is
+//     *deferred* — parked in the stripe with that cold id.
 //  2. Between layers, the owner commit runs in two halves. rank first
-//     settles the deferred proposals: each owner sorts its own by cold
-//     id and reads the spill file in a few coalesced ranges (settle),
-//     drops the true duplicates and probes the rest — tag collisions —
-//     into the pending set. Then each stripe owner sorts its own
+//     settles every stripe's deferred proposals in one serial sweep
+//     (settle): the true duplicates are dropped and the tag collisions
+//     probed into the pending set. Then each stripe owner sorts its own
 //     pending entries by position and a serial merge ranks the owners'
 //     runs. promote then has each owner write its entries' encodings
 //     into the arena at their ranks — dense ids in exactly the serial
 //     discovery order — up to a bound, tombstoning the rest. commit is
 //     the two back to back; a cluster peer calls them apart, with the
-//     coordinator's bound in between (peer.go). Settling changes only
-//     when a collision's pending entry is made, never its least
-//     position, so the ids are those of an immediate compare.
+//     coordinator's bound in between (peer.go). A checkpoint settles
+//     first too. Settling changes only when a collision's pending entry
+//     is made, never its least position, so the ids are those of an
+//     immediate compare.
 //
 // Promoted encodings live only in the arena (slots store the id), so
 // the steady-state cost per state is words*8 bytes of arena plus one
@@ -86,9 +83,9 @@ import (
 //     byte budget: ids below the hot watermark (states older than the
 //     previous BFS layer — never the ones the current layer expands)
 //     move to disk, the pages they fill wholly are freed, and they are
-//     read back only when a probe's hash tag matches a cold id — at
-//     the commit's sorted sweep for the owners' probes, on the spot for
-//     Probe and Contains — or when a counterexample trace is rebuilt.
+//     read back only at the commit's sorted sweep, or on the spot where
+//     an answer is due at once: an at-cap membership check (Contains), a
+//     settled collision's re-probe, a trace (Key), and Probe (bench/).
 type Visited struct {
 	words      int
 	shards     []vshard
@@ -102,13 +99,12 @@ type Visited struct {
 	// keeps its spilled rows until the rest of it spills.
 	pages    [][]uint64
 	nstates  int
-	fam      *family     // the seed's product family, or nil (setFamily)
-	serial   bool        // one goroutine probes: Probe skips the stripe locks
-	runs     [][]runRec  // per-owner commit runs and their sort buffers, reused across
-	spare    [][]runRec  // layers (scratch, outside Bytes)
-	ranked   int         // the pending count rank ranked into runs; −1 once promote used it
-	sweeps   []coldSweep // per-owner settle scratch, reused across layers (outside Bytes)
-	drainBuf []Fresh     // reused across Drain calls
+	fam      *family    // the seed's product family, or nil (setFamily)
+	serial   bool       // one goroutine probes: Probe skips the stripe locks
+	runs     [][]runRec // per-owner commit runs and their sort buffers, reused across
+	spare    [][]runRec // layers (scratch, outside Bytes); settle borrows the first
+	ranked   int        // the pending count rank ranked into runs; −1 once promote used it
+	drainBuf []Fresh    // reused across Drain calls
 
 	// Cold-tail spill (optional; see EnableArenaSpill). Ids < baseID
 	// live in spillFile as fixed-width records at offset id*recSize(),
@@ -163,18 +159,10 @@ type vshard struct {
 	keys   []uint64 // backing storage for pending keys
 	cold   []uint64 // scratch for comparing against spilled arena keys
 	raw    []byte   // scratch for spilled-record reads (under the stripe lock)
-	// deferred holds the owner probes parked on a cold tag match until
-	// the commit settles them (settle): words+3 uint64 per record, the
-	// key, its hash, its position and parent<<32 | cold id.
+	// deferred holds the probes parked on a cold tag match until the
+	// commit settles them (settle): words+3 uint64 per record, the key,
+	// its hash, its position and parent<<32 | cold id.
 	deferred []uint64
-}
-
-// rawBuf returns the shard's spilled-record scratch, grown to n bytes.
-func (sh *vshard) rawBuf(n int64) []byte {
-	if int64(cap(sh.raw)) < n {
-		sh.raw = make([]byte, n)
-	}
-	return sh.raw[:n]
 }
 
 type pendEntry struct {
@@ -197,6 +185,7 @@ type Fresh struct {
 func NewVisited(words int) *Visited {
 	v := &Visited{words: words, fs: chaos.OS, ranked: -1}
 	v.setTables(64, 0)
+	v.setOwners(1)
 	return v
 }
 
@@ -366,8 +355,9 @@ func (v *Visited) record(id int32, raw []byte, buf []uint64) error {
 }
 
 // ColdReads reports the read calls issued against the spill file so
-// far: probes that compared a cold id on the spot, the commit's sweep
-// ranges and trace rebuilds.
+// far: the commit's sweep ranges, the reads made on the spot (at-cap
+// membership checks, settled collisions' re-probes, Probe) and trace
+// rebuilds.
 func (v *Visited) ColdReads() int64 { return v.coldReads.Load() }
 
 // Bytes reports the retained in-memory footprint of the dedup
@@ -384,10 +374,9 @@ func (v *Visited) Bytes() int64 {
 		b += int64(cap(sh.pend)) * int64(unsafe.Sizeof(pendEntry{}))
 	}
 	b += int64(cap(v.drainBuf)) * int64(unsafe.Sizeof(Fresh{}))
-	// The owner runs and the settle scratch are deliberately excluded:
-	// their shape depends on the worker count, and StateBytes must be
-	// identical at any -j. So are the stripes' deferred proposals,
-	// which every commit empties.
+	// The owner runs are deliberately excluded: their shape depends on
+	// the worker count, and StateBytes must be identical at any -j. So
+	// are the stripes' deferred proposals, which every commit empties.
 	return b
 }
 
@@ -397,8 +386,11 @@ func (v *Visited) Bytes() int64 {
 // the promoted id (>= 0) when the state is already part of the arena,
 // spilled ids and family members included (Probe compares the first on
 // the spot and computes the second), or a negative value otherwise.
-// sel is ignored: a trace re-derives each
-// step's selection from its parent (layerDriver.trace).
+// sel is ignored: a trace re-derives each step's selection from its
+// parent (layerDriver.trace). Only bench/ (whose visited.probe_cold_ns
+// pass needs a cold hit answered at once) and tests call it; the
+// explorer's producers defer cold tag matches instead (propose,
+// probeLocked).
 func (v *Visited) Probe(key []uint64, hash uint64, pos uint64, parent int32, sel []byte) int32 {
 	if v.fam != nil {
 		if id := v.fam.member(key); id >= 0 {
@@ -407,10 +399,10 @@ func (v *Visited) Probe(key []uint64, hash uint64, pos uint64, parent int32, sel
 	}
 	sh := &v.shards[hash&v.smask]
 	if v.serial {
-		return v.probeLocked(sh, key, hash, pos, parent, false)
+		return v.probeLocked(sh, key, hash, pos, parent, compareCold)
 	}
 	sh.mu.Lock()
-	id := v.probeLocked(sh, key, hash, pos, parent, false)
+	id := v.probeLocked(sh, key, hash, pos, parent, compareCold)
 	sh.mu.Unlock()
 	return id
 }
@@ -420,40 +412,62 @@ func (v *Visited) Probe(key []uint64, hash uint64, pos uint64, parent int32, sel
 // identical. bench/ and tests call it.
 func (v *Visited) SetSerial(serial bool) { v.serial = serial }
 
-// coldEqual compares spilled state ref against key, reading through
-// the shard's cold scratch.
-func (v *Visited) coldEqual(sh *vshard, ref int32, key []uint64) bool {
-	if cap(sh.cold) < v.words {
-		sh.cold = make([]uint64, v.words)
-	}
-	cold := sh.cold[:v.words]
-	if err := v.readCold(ref, cold, sh.rawBuf(v.recSize())); err != nil {
+// propose is probeLocked with deferCold under the stripe's lock, for
+// producers that own no stripe: a cluster peer's workers and frame
+// ingests, a streamed seed, a restored pending set. Its keys are never
+// family members (a peer has none, a streaming seed registers none, and
+// emit filters them out).
+func (v *Visited) propose(key []uint64, hash uint64, pos uint64, parent int32) {
+	sh := &v.shards[hash&v.smask]
+	sh.mu.Lock()
+	v.probeLocked(sh, key, hash, pos, parent, deferCold)
+	sh.mu.Unlock()
+}
+
+// coldEqual compares spilled state id against key, reading its record
+// through the caller's scratch: cold (len words) and raw (len recSize).
+func (v *Visited) coldEqual(id int32, key, cold []uint64, raw []byte) bool {
+	if err := v.readCold(id, cold, raw); err != nil {
 		panic(ioPanic{err})
 	}
 	return wordsEqual(cold, key)
 }
 
+// scratch returns buf resliced to n, or a fresh slice if it is short.
+func scratch[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// probeLocked's cold argument, for spilled ids whose tag matches.
+const (
+	deferCold   int32 = -1 // read none (every production probe)
+	compareCold int32 = -2 // read each on the spot (Probe)
+)
+
 // probeLocked is Probe for a caller that already holds stripe sh — by
 // its lock, or by owning it for the fan-out in flight. A promoted slot
-// is only compared on a 32-bit tag match. With deferCold (a stripe
-// owner's probe, emit.go) the first tag match on a spilled id is not
-// read back: the walk goes on, and a proposal that ends at an empty
-// slot without meeting its key is deferred to the commit's settle,
-// with a negative return. A chain with a second spilled tag match —
-// rare — compares that one on the spot.
-func (v *Visited) probeLocked(sh *vshard, key []uint64, hash uint64, pos uint64, parent int32, deferCold bool) int32 {
+// is only compared on a 32-bit tag match. With deferCold no spilled id
+// is read back: a proposal whose walk ends at an empty slot without
+// meeting its key is deferred to settle under its first spilled tag
+// match, with a negative return. Otherwise each spilled tag match is
+// compared on the spot but cold itself, when it is an id: settle's
+// re-probe of a collision skips the one its sweep compared.
+func (v *Visited) probeLocked(sh *vshard, key []uint64, hash uint64, pos uint64, parent int32, cold int32) int32 {
 	tag := int32(hash)
 	_, idx := v.home(tag)
 	mask := uint64(len(sh.slots) - 1)
 	firstTomb := -1
-	cold := int32(-1)
+	deferTo := int32(-1)
 	for {
 		s := &sh.slots[idx]
 		switch {
 		case s.ref == slotEmpty:
-			if cold >= 0 {
+			if deferTo >= 0 {
 				sh.deferred = append(sh.deferred, key...)
-				sh.deferred = append(sh.deferred, hash, pos, uint64(uint32(parent))<<32|uint64(uint32(cold)))
+				sh.deferred = append(sh.deferred, hash, pos, uint64(uint32(parent))<<32|uint64(uint32(deferTo)))
 				return slotPend
 			}
 			at := int(idx)
@@ -478,10 +492,15 @@ func (v *Visited) probeLocked(sh *vshard, key []uint64, hash uint64, pos uint64,
 				if wordsEqual(v.arenaKey(s.ref), key) {
 					return s.ref
 				}
-			case deferCold && cold < 0:
-				cold = s.ref
-			case v.coldEqual(sh, s.ref, key):
-				return s.ref
+			case cold == deferCold:
+				if deferTo < 0 {
+					deferTo = s.ref
+				}
+			case s.ref != cold:
+				sh.cold, sh.raw = scratch(sh.cold, v.words), scratch(sh.raw, int(v.recSize()))
+				if v.coldEqual(s.ref, key, sh.cold, sh.raw) {
+					return s.ref
+				}
 			}
 		default: // pending
 			e := &sh.pend[s.pidx]
@@ -505,48 +524,31 @@ func (v *Visited) Contains(key []uint64, hash uint64) bool {
 }
 
 // slotted is Contains for a key known to be outside the family: the
-// slot table alone. (Cold arena reads under it go through stack
-// scratch, or a fresh buffer for keys wider than four words: the shard
-// scratch is not safe to share without the stripe lock.)
+// slot table alone, with a spilled tag match compared on the spot.
+// (Its cold reads go through scratch declared where they happen, or a
+// fresh buffer for keys wider than four words: the shard scratch is not
+// safe to share without the stripe lock.)
 func (v *Visited) slotted(key []uint64, hash uint64) bool {
 	tag := int32(hash)
 	shIdx, idx := v.home(tag)
 	sh := &v.shards[shIdx]
 	mask := uint64(len(sh.slots) - 1)
-	var coldArr [4]uint64
-	var rawArr [40]byte // recSize for up to 4 words
 	for {
 		s := &sh.slots[idx]
 		switch {
 		case s.ref == slotEmpty:
 			return false
 		case s.ref == slotTomb:
+		case s.ref >= 0 && s.pidx != tag:
+		case s.ref >= v.baseID:
+			if wordsEqual(v.arenaKey(s.ref), key) {
+				return true
+			}
 		case s.ref >= 0:
-			if s.pidx == tag {
-				if s.ref >= v.baseID {
-					if wordsEqual(v.arenaKey(s.ref), key) {
-						return true
-					}
-				} else {
-					cold := coldArr[:]
-					if v.words > len(coldArr) {
-						cold = make([]uint64, v.words)
-					} else {
-						cold = cold[:v.words]
-					}
-					raw := rawArr[:]
-					if rec := v.recSize(); rec > int64(len(rawArr)) {
-						raw = make([]byte, rec)
-					} else {
-						raw = raw[:rec]
-					}
-					if err := v.readCold(s.ref, cold, raw); err != nil {
-						panic(ioPanic{err})
-					}
-					if wordsEqual(cold, key) {
-						return true
-					}
-				}
+			var coldArr [4]uint64
+			var rawArr [40]byte // recSize for up to 4 words
+			if v.coldEqual(s.ref, key, scratch(coldArr[:], v.words), scratch(rawArr[:], int(v.recSize()))) {
+				return true
 			}
 		default:
 			e := &sh.pend[s.pidx]
@@ -647,10 +649,9 @@ func (v *Visited) stripes(o, n int) (lo, hi int) {
 	return (o*s + n - 1) / n, ((o+1)*s + n - 1) / n
 }
 
-// ownerRun settles owner o's (of n) deferred proposals, then gathers
-// its stripes' pending entries into its run, sorted by position.
+// ownerRun gathers owner o's (of n) stripes' pending entries into its
+// run, sorted by position.
 func (v *Visited) ownerRun(o, n int) []runRec {
-	v.settle(o, n)
 	run := v.runs[o][:0]
 	lo, hi := v.stripes(o, n)
 	for s := lo; s < hi; s++ {
@@ -719,11 +720,10 @@ func rankRuns(runs [][]runRec) int {
 	}
 }
 
-// setOwners sizes the per-owner run and settle buffers for n owners.
+// setOwners sizes the per-owner run buffers for n owners.
 func (v *Visited) setOwners(n int) {
 	if len(v.runs) != n {
 		v.runs, v.spare = make([][]runRec, n), make([][]runRec, n)
-		v.sweeps = make([]coldSweep, n)
 	}
 }
 
@@ -731,59 +731,51 @@ func (v *Visited) setOwners(n int) {
 // most sweepGap bytes of records apart, and at most sweepChunk bytes
 // in all. A gap costs a copy out of the page cache, a split costs a
 // system call; their break-even is a few KiB, and the chunk bounds the
-// per-owner read buffer.
+// read buffer.
 const (
 	sweepGap   = 16 << 10
 	sweepChunk = 128 << 10
 )
 
-// coldSweep is one owner's settle scratch, reused across layers: the
-// spill read buffer and the decoded cold key.
-type coldSweep struct {
-	raw []byte
-	key []uint64
-}
-
-// settle resolves the proposals owner o (of n) deferred on its
-// stripes: sorted by cold id, the spilled records they name are read
-// in ascending ranges — a cold id at most sweepGap bytes past the last
+// settle resolves every stripe's deferred proposals in one serial
+// sweep: sorted by cold id, the spilled records they name are read in
+// ascending ranges — a cold id at most sweepGap bytes past the last
 // joins its read, up to sweepChunk bytes — and a proposal whose key is
 // its record's is a duplicate and vanishes. Any other is a tag
-// collision and is probed again with the spilled ids compared on the
-// spot, under its own position and parent, so the pending set is the
-// one an immediate compare would have built. Corruption or a failed
-// read panics with an ioPanic, like a probe's. The sort borrows the
-// owner's run buffers, which ownerRun fills only afterwards: a
+// collision, probed again after the sweep under its own position and
+// parent with the other spilled tag matches compared on the spot, so
+// the pending set is the one an immediate compare would have built. A
+// failed or corrupt cold read comes back as the error. The sort borrows
+// the first owner's run buffers, which rank fills only afterwards (a
 // proposal is a runRec whose pos is its cold id and whose pidx is its
-// record's index in the stripe's deferred buffer.
-func (v *Visited) settle(o, n int) {
-	lo, hi := v.stripes(o, n)
+// record's index in the stripe's deferred buffer), and the reads go
+// through stripe 0's scratch. Between layers or chunks only.
+func (v *Visited) settle() (err error) {
+	defer catchIO(&err)
 	rw := v.words + 3
-	refs := v.runs[o][:0]
-	for s := lo; s < hi; s++ {
+	refs := v.runs[0][:0]
+	for s := range v.shards {
 		d := v.shards[s].deferred
 		for i := 0; i*rw < len(d); i++ {
 			refs = append(refs, runRec{pos: uint64(uint32(d[i*rw+rw-1])), shard: int32(s), pidx: int32(i)})
 		}
 	}
 	if len(refs) == 0 {
-		return
+		return nil
 	}
-	refs, v.spare[o] = sortRun(refs, v.spare[o])
-	v.runs[o] = refs
-	sw := &v.sweeps[o]
-	rs := v.recSize()
-	sw.key = slices.Grow(sw.key[:0], v.words)[:v.words]
+	refs, v.spare[0] = sortRun(refs, v.spare[0])
+	v.runs[0] = refs
+	sh0, rs := &v.shards[0], v.recSize()
+	sh0.cold = scratch(sh0.cold, v.words)
+	collisions := refs[:0] // overwrites only records already swept
 	for i := 0; i < len(refs); {
 		first, j := int32(refs[i].pos), i+1
 		for j < len(refs) && int64(refs[j].pos-refs[j-1].pos)*rs <= sweepGap && (int64(refs[j].pos)-int64(first)+1)*rs <= sweepChunk {
 			j++
 		}
 		size := (int64(refs[j-1].pos) - int64(first) + 1) * rs
-		if int64(cap(sw.raw)) < size {
-			sw.raw = make([]byte, max(size, min(sweepChunk, 2*int64(cap(sw.raw)))))
-		}
-		raw := sw.raw[:size]
+		sh0.raw = scratch(sh0.raw, int(max(size, sweepChunk)))
+		raw := sh0.raw[:size]
 		if err := v.readSpill(raw, first); err != nil {
 			panic(ioPanic{err})
 		}
@@ -791,30 +783,25 @@ func (v *Visited) settle(o, n int) {
 		for _, r := range refs[i:j] {
 			if id := int32(r.pos); id != decoded {
 				at := int64(id-first) * rs
-				if err := v.record(id, raw[at:at+rs], sw.key); err != nil {
+				if err := v.record(id, raw[at:at+rs], sh0.cold); err != nil {
 					panic(ioPanic{err})
 				}
 				decoded = id
 			}
-			rec := v.shards[r.shard].deferred[int(r.pidx)*rw:][:rw]
-			if !wordsEqual(sw.key, rec[:v.words]) {
-				w := rec[v.words:]
-				v.probeLocked(&v.shards[r.shard], rec[:v.words], w[0], w[1], int32(w[2]>>32), false)
+			if !wordsEqual(sh0.cold, v.shards[r.shard].deferred[int(r.pidx)*rw:][:v.words]) {
+				collisions = append(collisions, r)
 			}
 		}
 		i = j
 	}
-	for s := lo; s < hi; s++ {
+	for _, r := range collisions {
+		rec := v.shards[r.shard].deferred[int(r.pidx)*rw:][:rw]
+		v.probeLocked(&v.shards[r.shard], rec[:v.words], rec[v.words], rec[v.words+1], int32(rec[v.words+2]>>32), int32(r.pos))
+	}
+	for s := range v.shards {
 		v.shards[s].resetDeferred()
 	}
-}
-
-// settleAll resolves every deferred proposal into the pending set
-// (settle on each of owners owners, in parallel), so a snapshot of the
-// pending set taken next misses none. Between chunks only.
-func (v *Visited) settleAll(owners int) error {
-	v.setOwners(owners)
-	return forEachWorkerIO(owners, owners, func(_, o int) { v.settle(o, owners) })
+	return nil
 }
 
 // commit promotes the pending entries in position order under the
@@ -834,18 +821,19 @@ func (v *Visited) commit(owners, room int, links *TraceLinks) (kept, pending int
 	return kept, pending, nil
 }
 
-// rank is the commit's first half. owners goroutines share it, each on
-// the stripes it owns during an expansion fan-out (emit.go): every
-// owner settles its deferred proposals and sorts its own pending
-// entries into a run, then a serial merge ranks the runs. It returns
-// the pending count, or the failure of a cold read. Between layers
-// only; ranking again re-reads the entries' positions, so it may be
-// repeated until promote consumes the ranks.
+// rank is the commit's first half. It settles the deferred proposals
+// (settle), then owners goroutines share it, each on the stripes it
+// owns during an expansion fan-out (emit.go): every owner sorts its own
+// pending entries into a run, and a serial merge ranks the runs. It
+// returns the pending count, or the failure of a cold read. Between
+// layers only; ranking again re-reads the entries' positions, so it may
+// be repeated until promote consumes the ranks.
 func (v *Visited) rank(owners int) (pending int, err error) {
 	v.setOwners(owners)
-	if err = forEachWorkerIO(owners, owners, func(_, o int) { v.ownerRun(o, owners) }); err != nil {
+	if err = v.settle(); err != nil {
 		return 0, err
 	}
+	par.ForEachWorker(owners, owners, func(_, o int) { v.ownerRun(o, owners) })
 	v.ranked = rankRuns(v.runs)
 	return v.ranked, nil
 }
@@ -893,14 +881,17 @@ func (v *Visited) promote(kept int, links *TraceLinks) {
 	v.ranked = -1
 }
 
-// Drain collects the pending entries of all shards, sorted by layer
-// position — the deterministic promotion order. It is rank's one-owner
-// run, for callers that promote entry by entry (bench/ and tests).
-// Between layers only, from one goroutine; the returned slice is
-// reused by the next Drain.
+// Drain settles the deferred proposals, then collects the pending
+// entries of all shards, sorted by layer position — the deterministic
+// promotion order. It is rank's one-owner run, for callers that promote
+// entry by entry (bench/ and tests). Between layers only, from one
+// goroutine; the returned slice is reused by the next Drain.
 func (v *Visited) Drain() []Fresh {
 	v.setOwners(1)
 	v.ranked = -1 // the run holds positions, not ranks
+	if err := v.settle(); err != nil {
+		panic(ioPanic{err})
+	}
 	run := v.ownerRun(0, 1)
 	out := v.drainBuf[:0]
 	for _, r := range run {
@@ -949,7 +940,6 @@ func (v *Visited) setRef(sh *vshard, pidx, ref int32) {
 func (v *Visited) Reset() {
 	for i := range v.shards {
 		v.shards[i].resetPend()
-		v.shards[i].resetDeferred()
 	}
 }
 

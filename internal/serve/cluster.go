@@ -46,6 +46,10 @@ type clusterPeer struct {
 	peers  []string
 	engine explore.PeerEngine
 	snaps  shardSnapshots
+	srv    *Server
+	// stats collects the engine's explorer counters, which it adds as
+	// it closes.
+	stats *explore.RunStats
 
 	// refs counts the open job itself plus every handler inside the
 	// engine; whoever drops the last one closes it. A cancelled
@@ -74,7 +78,8 @@ func (cp *clusterPeer) enter() bool {
 // leave ends an admitted call; the last one out retires the engine and,
 // unless replaced, the snapshots of the shards it hosts (after adoptions
 // every shard of the job) — so nothing written by a call still in
-// flight when close arrived is left behind.
+// flight when close arrived is left behind — and adds the engine's
+// explorer counters to the server's.
 func (cp *clusterPeer) leave() {
 	if cp.refs.Add(-1) != 0 {
 		return
@@ -85,6 +90,9 @@ func (cp *clusterPeer) leave() {
 		}
 	}
 	cp.engine.Close()
+	cp.srv.coldReads.Add(cp.stats.ColdReads)
+	cp.srv.localLookups.Add(cp.stats.LocalLookups)
+	cp.srv.localHits.Add(cp.stats.LocalHits)
 }
 
 // shardSnapshots is one job's cluster.SnapshotStore over the verdict
@@ -207,8 +215,9 @@ func (s *Server) handleClusterOpen(w http.ResponseWriter, req cluster.RPCRequest
 	if workers <= 0 {
 		workers = s.cfg.JobWorkers
 	}
+	stats := &explore.RunStats{}
 	engine, err := campaign.NewPeerEngine(c, campaign.ExecOptions{
-		Workers: workers, MemBudget: s.cfg.MemBudget, SpillDir: s.cfg.SpillDir, FS: s.cfg.FS,
+		Workers: workers, MemBudget: s.cfg.MemBudget, SpillDir: s.cfg.SpillDir, FS: s.cfg.FS, Stats: stats,
 	}, explore.PeerConfig{NShards: req.NShards, Hosted: []int{req.Self}, Self: req.Self})
 	if err != nil {
 		s.clusterError(w, http.StatusBadRequest, "%v", err)
@@ -216,7 +225,7 @@ func (s *Server) handleClusterOpen(w http.ResponseWriter, req cluster.RPCRequest
 	}
 	cp := &clusterPeer{
 		job: req.Job, self: req.Self, peers: req.Peers, engine: engine,
-		snaps: shardSnapshots{st: s.cfg.Store, job: req.Job},
+		snaps: shardSnapshots{st: s.cfg.Store, job: req.Job}, srv: s, stats: stats,
 	}
 	cp.refs.Store(1)
 	engine.SetSender(func(dst int, frame []byte) error { return cp.sendFrame(dst, frame) })

@@ -27,7 +27,7 @@ func (c *closeCounter) Close()        { c.closes++ }
 // never under it — and admits no call afterwards.
 func TestClusterCloseWaitsForCalls(t *testing.T) {
 	eng := &closeCounter{}
-	cp := &clusterPeer{engine: eng}
+	cp := &clusterPeer{engine: eng, srv: &Server{}, stats: &explore.RunStats{}}
 	cp.refs.Store(1) // as handleClusterOpen leaves it
 	if !cp.enter() {
 		t.Fatal("open job refused a call")

@@ -74,6 +74,53 @@ func TestClusterHTTPEndToEnd(t *testing.T) {
 	}
 }
 
+// TestClusterHTTPPeerCounters runs the battery's spilling cell
+// (cc2/ring:4/cc/central, 30,000 states) over three servers held to a
+// 16 KiB budget: the verdict matches a single node's, and the peers'
+// explorer counters reach /metrics once the job closes — their shards
+// spilled, so their sweeps read the spill file, and their workers
+// looked processes up in the local-transition cache.
+func TestClusterHTTPPeerCounters(t *testing.T) {
+	dir := t.TempDir()
+	peers := make([]string, 3)
+	servers := make([]*httptest.Server, 3)
+	for i := range peers {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := serve.New(serve.Config{Store: st, Jobs: 1, JobWorkers: 1, MemBudget: 16 << 10, SpillDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[i] = httptest.NewServer(s)
+		t.Cleanup(servers[i].Close)
+		peers[i] = servers[i].URL
+	}
+	spec := store.JobSpec{Alg: "cc2", Topo: "ring:4", Daemon: "central", Init: "cc", MaxStates: 30_000}
+	want, err := campaign.ExecuteOpts(context.Background(), spec, campaign.ExecOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := campaign.ExecuteOpts(context.Background(), spec, campaign.ExecOptions{Workers: 2, Peers: peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := json.Marshal(want)
+	gotJSON, _ := json.Marshal(got)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("cluster verdict under a memory budget differs from single-node:\n%s\nvs\n%s", gotJSON, wantJSON)
+	}
+	var reads, lookups float64
+	for _, sv := range servers {
+		reads += metric(t, sv, "ccserve_explore_cold_reads_total")
+		lookups += metric(t, sv, "ccserve_explore_local_cache_lookups_total")
+	}
+	if reads == 0 || lookups == 0 {
+		t.Fatalf("the peers report %g cold reads and %g local-cache lookups, want both above 0", reads, lookups)
+	}
+}
+
 // TestClusterHTTPPeerLoss is TestClusterHTTPEndToEnd with a peer lost
 // mid-layer: at depth 2 peer 1 starts refusing cluster traffic — frames
 // from its siblings at once, its own expansion's answer after the
