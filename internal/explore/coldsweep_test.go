@@ -111,7 +111,7 @@ func TestColdCollisionSettles(t *testing.T) {
 		probe func(v *Visited, p prop)
 	}{
 		{"owner", func(v *Visited, p prop) {
-			v.probeLocked(&v.shards[p.hash&v.smask], p.key, p.hash, p.pos, p.parent, deferCold)
+			v.probeStripe(&v.shards[p.hash&v.smask], p.key, p.hash, p.pos, p.parent, deferCold)
 		}},
 		{"propose", func(v *Visited, p prop) { v.propose(p.key, p.hash, p.pos, p.parent) }},
 	}

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/par"
 	"repro/internal/sim"
@@ -13,26 +14,24 @@ import (
 // cluster peer, at any worker count:
 //
 //	emit → a kept init of the seed's family: a duplicate, nothing else
-//	     → at cap: read-only membership check, nothing else
+//	     → at cap: read-only membership check (maybe remote), nothing else
 //	     → filter: drop an exact re-proposal (succFilter)
-//	     → cluster peer: peerHooks.sink (local shard or outbox frame)
-//	     → one node: probe the stripe if this worker owns it, else
-//	       buffer the successor for the stripe's owner (routeBuf)
+//	     → cluster peer, a shard it does not host: an outbox frame
+//	     → probe the stripe if this worker owns it, else buffer the
+//	       successor for the stripe's owner (routeBuf)
 //
-// On one node no stripe lock is taken. The stripes of the visited set
-// are split into contiguous ranges, one per worker; during an expansion
-// fan-out a worker mutates only its own stripes, and after the fan-out's
-// barrier a second fan-out lets every owner drain the buffers addressed
-// to it (localBackend.expandChunk). Buffers are therefore empty at every
-// chunk boundary, where cancellation, checkpoints, Progress and — at the
-// layer's end — the commit and Housekeep see the set exactly as they
-// would had every successor been probed the moment it was derived —
-// except that no probe reads the spill file: a successor whose hash tag
-// matches a spilled id (here, or in a peer's sink via Visited.propose)
-// waits in its stripe, deferred, for the commit (or a checkpoint) to
-// settle every stripe's in one sorted sweep. Then each worker sorts and
-// promotes the entries of its own stripes (Visited.commit). With one
-// worker every stripe is its own and no buffer is ever written.
+// No stripe lock is taken. The stripes of a node's one visited set, or
+// of each shard a cluster peer hosts, are split into contiguous ranges,
+// one per worker (Visited.owner); during an expansion fan-out a worker
+// mutates only its own stripes, and after the fan-out's barrier every
+// owner drains the buffers addressed to it (fanOut) — on a peer also the
+// frame records Ingest queued for it meanwhile. Buffers are therefore
+// empty at every barrier, where cancellation, checkpoints, Progress and
+// the commit see the set as if every successor had been probed the
+// moment it was derived — except that no probe reads the spill file: a
+// successor whose hash tag matches a spilled id waits in its stripe,
+// deferred, for the commit (or a checkpoint) to settle every stripe's in
+// one sorted sweep. With one worker no route buffer is ever written.
 
 // filterEntries is the slot count of a worker's successor filter (a
 // power of two). 4,096 slots recognise about 70% of the probes of a
@@ -120,38 +119,85 @@ func (ws *workerState[S]) beginLayer(width int) {
 	}
 }
 
-// routeBuf holds the successors one worker derived for stripes another
-// worker owns, until that owner drains them.
+// routeBuf holds successors for one owner's stripes until it drains them:
+// another worker's, or the probe records a cluster peer ingested.
 type routeBuf struct {
-	// recs holds words+3 uint64 per record: the key, its hash, its
-	// position and its parent.
+	// recs holds words+3 uint64 per record: the key's hash, its
+	// position, its set's index<<32 | its parent, then the key.
 	recs []uint64
 }
 
-func (b *routeBuf) add(key []uint64, hash, pos uint64, parent int32) {
-	b.recs = append(b.recs, key...)
-	b.recs = append(b.recs, hash, pos, uint64(uint32(parent)))
+func (b *routeBuf) add(key []uint64, hash, pos uint64, parent int32, set int) {
+	b.recs = append(append(b.recs, hash, pos, uint64(set)<<32|uint64(uint32(parent))), key...)
 }
 
-// drainInto probes every buffered record into vs. Called by the owner of
-// the records' stripes, after the barrier that ended the writer's
-// fan-out.
-func (b *routeBuf) drainInto(vs *Visited) {
-	w := vs.words
-	for r := b.recs; len(r) > 0; r = r[w+3:] {
-		hash := r[w]
-		vs.probeLocked(&vs.shards[hash&vs.smask], r[:w], hash, r[w+1], int32(uint32(r[w+2])), deferCold)
+// drainInto probes every buffered record into its set, sets[index]: by
+// the records' owner after a fan-out's barrier, or in a serial phase.
+func (b *routeBuf) drainInto(sets []*Visited) {
+	for r := b.recs; len(r) > 0; {
+		vs, hash := sets[r[2]>>32], r[0]
+		vs.probeStripe(&vs.shards[hash&vs.smask], r[3:3+vs.words], hash, r[1], int32(uint32(r[2])), deferCold)
+		r = r[3+vs.words:]
 	}
 	b.recs = b.recs[:0]
 }
 
-// shareStripes makes the workers co-owners of one visited set: worker i
-// of n owns the stripes s with s·n/len(stripes) = i.
+// shareStripes makes the workers co-owners of the visited sets they
+// write: worker i of n owns the stripes Visited.owner gives i.
 func shareStripes[S sim.Cloneable[S]](wss []*workerState[S]) {
 	for i, ws := range wss {
 		ws.self, ws.owners = i, len(wss)
 		ws.route = par.PrivateSlice[routeBuf](len(wss))
 	}
+}
+
+// fanOut is the expansion fan-out of both backends (a node's layer chunk,
+// a peer's hosted shard): it expands items 0 … size−1 on the workers,
+// which pull them off a shared cursor. A worker whose route buffers
+// reach routeFlushRecords ends the fan-out: the workers stop after the
+// item in hand, every owner drains the buffers addressed to it into
+// sets, and its inbox unless inbox is nil, and the fan-out resumes at
+// the cursor. On return every route buffer is empty.
+func fanOut[S sim.Cloneable[S]](wss []*workerState[S], size int, sets []*Visited, item func(ws *workerState[S], i int), inbox func(owner int)) error {
+	n := len(wss)
+	var cursor atomic.Int64
+	var full atomic.Bool
+	for lo := 0; lo < size; lo = min(int(cursor.Load()), size) {
+		cursor.Store(int64(lo))
+		full.Store(false)
+		// n loops over n "items": the item index, not the goroutine
+		// index, names the worker state — one goroutine may run two
+		// loops back to back, never two goroutines one loop.
+		if err := forEachWorkerIO(n, n, func(_, w int) {
+			ws := wss[w]
+			for !full.Load() {
+				i := int(cursor.Add(1)) - 1
+				if i >= size {
+					return
+				}
+				item(ws, i)
+				if ws.routed >= routeFlushRecords {
+					full.Store(true)
+				}
+			}
+		}); err != nil {
+			return err
+		}
+		if err := forEachWorkerIO(n, n, func(_, owner int) {
+			for _, ws := range wss {
+				ws.route[owner].drainInto(sets)
+			}
+			if inbox != nil {
+				inbox(owner)
+			}
+		}); err != nil {
+			return err
+		}
+		for _, ws := range wss {
+			ws.routed = 0
+		}
+	}
+	return nil
 }
 
 // open points the emit context at the expansion of state id, item
@@ -187,29 +233,32 @@ func (ws *workerState[S]) emit(key []uint64) {
 		return
 	}
 	hash := hashWords(key)
+	set, parent := 0, ws.curID
+	if ws.cl != nil { // the set of the successor's shard, nil on another peer
+		set, parent = ShardOf(hash, len(ws.cl.sets)), ws.cl.parent
+		vs = ws.cl.sets[set]
+	}
 	switch {
 	case ws.curAtCap:
 		// Never through the filter: a key it remembers forwarding may be
 		// one the bound then dropped, and must still count as a miss.
-		miss := false
-		if ws.cl != nil {
-			miss = ws.cl.capMiss(key, hash)
-		} else {
-			miss = !vs.slotted(key, hash)
-		}
-		if miss {
+		// Another peer's shard answers a membership query and folds a
+		// miss into its own FinishLayer flag: truncation is a
+		// layer-global OR, so where the bit lands cannot show.
+		if vs == nil {
+			ws.cl.frame(recCapCheck, set, key, 0, 0)
+		} else if !vs.slotted(key, hash) {
 			ws.curAgg.Truncated = true
 		}
 	case ws.filter != nil && ws.filter.seen(key, hash, pos):
-	case ws.cl != nil:
-		ws.cl.sink(key, hash, pos, ws.cl.parent)
+	case vs == nil:
+		ws.cl.frame(recProbe, set, key, pos, parent)
 	default:
-		sh := int32(hash & vs.smask)
-		if o := int(sh) * ws.owners >> vs.shardShift; o != ws.self {
-			ws.route[o].add(key, hash, pos, ws.curID)
+		if o := vs.owner(hash, ws.owners); o != ws.self {
+			ws.route[o].add(key, hash, pos, parent, set)
 			ws.routed++
 			return
 		}
-		vs.probeLocked(&vs.shards[sh], key, hash, pos, ws.curID, deferCold)
+		vs.probeStripe(&vs.shards[hash&vs.smask], key, hash, pos, parent, deferCold)
 	}
 }

@@ -230,7 +230,7 @@ func TestRouteBufferHandOff(t *testing.T) {
 	}
 	for owner := range wss {
 		for _, ws := range wss {
-			ws.route[owner].drainInto(vs)
+			ws.route[owner].drainInto([]*Visited{vs})
 		}
 	}
 	fresh := vs.Drain()

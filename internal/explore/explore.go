@@ -52,7 +52,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/chaos"
 	"repro/internal/par"
@@ -389,22 +388,20 @@ type workerState[S sim.Cloneable[S]] struct {
 	curClean      bool
 
 	// The successor hand-off (emit.go): the exact re-proposal filter, and
-	// on the local backend the worker's place among the owners of the
-	// visited stripes with its per-owner buffers of foreign successors.
-	// The zero values — no filter, sole owner — are a complete state: a
-	// worker state built on its own probes every successor itself.
+	// the worker's place among the owners of the visited stripes with its
+	// per-owner buffers of foreign successors. The zero values — no
+	// filter, sole owner — are a complete state: a worker state built on
+	// its own probes every successor itself.
 	filter *succFilter
 	self   int
 	owners int
 	route  []routeBuf
 	routed int // records buffered in route since the last drain
 
-	// cl, when non-nil, diverts successor handling to a cluster peer:
-	// the at-cap decision and the parent identity become layer-global
-	// values owned by the coordinator, and the probe/membership calls
-	// route by state-hash shard (possibly to a remote peer's outbox)
-	// instead of into the single local visited set. nil on every
-	// single-node path, so the hot loop pays one predictable branch.
+	// cl, when non-nil, makes the worker a cluster peer's: the at-cap
+	// decision and the parent become layer-global values owned by the
+	// coordinator, and a successor goes to its state-hash shard's set or
+	// to a remote peer's outbox. nil on every single-node path.
 	cl *peerHooks
 }
 
@@ -419,13 +416,12 @@ type peerHooks struct {
 	// parent is the global id (gid) of the item being expanded; probes
 	// record it in place of the shard-local id.
 	parent int32
-	// sink replaces vs.Probe: route the successor to its owning shard
-	// (a local probe or a remote-frontier outbox record).
-	sink func(key []uint64, hash uint64, pos uint64, parent int32)
-	// capMiss replaces the at-cap !vs.Contains check; a remote-owned
-	// key is shipped as a membership query and the owner folds the
-	// answer into its own layer report, so this returns false for it.
-	capMiss func(key []uint64, hash uint64) bool
+	// sets holds, per shard, its set if this peer hosts it, else nil;
+	// the peer's workers co-own the stripes of every hosted set.
+	sets []*Visited
+	// frame ships a successor for a shard this peer does not host to
+	// the peer that does (peerOutbox.frame).
+	frame func(kind byte, shard int, key []uint64, pos uint64, parent int32)
 }
 
 func newWorkerState[S sim.Cloneable[S]](m *Model[S], opts *Options) *workerState[S] {
@@ -807,11 +803,6 @@ type localBackend[S sim.Cloneable[S]] struct {
 	ohash [32]byte
 
 	expandedSince int // states expanded since the last periodic snapshot
-
-	// The cursor of the chunk fan-out in flight, and the flag a worker
-	// raises to end it early when its route buffers are full.
-	cursor    atomic.Int64
-	routeFull atomic.Bool
 }
 
 // newLocalBackend builds the backend and its layer driver: one worker
@@ -1087,9 +1078,9 @@ func procTables[S any](c *Codec[S], doms [][]S) [][]uint64 {
 
 // Expand implements LayerBackend (phase A: concurrent, chunked): walk
 // the layer's unexpanded ids a chunk at a time and fan each chunk
-// across the workers; workers hash successors and probe or route them
-// into the sharded set as they go, accumulating order-insensitive
-// statistics per worker.
+// across the workers (fanOut); workers hash successors and probe or
+// route them into the sharded set as they go, accumulating
+// order-insensitive statistics per worker.
 func (b *localBackend[S]) Expand(ctx context.Context, depth int, first int32, rep *LayerReport) error {
 	opts, vs, run := b.opts, b.vs, b.run
 	for _, ws := range b.wss {
@@ -1124,14 +1115,17 @@ func (b *localBackend[S]) Expand(ctx context.Context, depth int, first int32, re
 			}
 			b.expandedSince = 0
 		}
-		n := min(run.width-run.done, exploreChunk)
-		if err := b.expandChunk(first+int32(run.done), n, depth); err != nil {
+		n, base, from := min(run.width-run.done, exploreChunk), run.done, first+int32(run.done)
+		if err := fanOut(b.wss, n, []*Visited{vs}, func(ws *workerState[S], i int) {
+			ws.expand(vs, &ws.rep, from+int32(i), base+i, depth)
+		}, nil); err != nil {
 			return err
 		}
 		run.done += n
 		b.expandedSince += n
 		for _, ws := range b.wss {
 			rep.Merge(&ws.rep)
+			ws.rep = LayerReport{Viols: ws.rep.Viols[:0]}
 		}
 		if opts.Progress != nil {
 			// Between chunks the workers are quiesced (ForEachWorker is
@@ -1143,55 +1137,6 @@ func (b *localBackend[S]) Expand(ctx context.Context, depth int, first int32, re
 				Depth:       depth,
 				Transitions: run.res.Transitions + rep.Transitions,
 			})
-		}
-	}
-	return nil
-}
-
-// expandChunk expands the size consecutive states from, from+1, …
-// (layer items run.done, run.done+1, …) into the workers' report
-// slots. Workers pull items off a shared cursor; a worker whose route
-// buffers reach routeFlushRecords ends the fan-out, every owner drains
-// the buffers addressed to it in a second fan-out, and the first
-// resumes where it stopped — so on return every successor of the chunk
-// is in the visited set and every buffer is empty. Items are handed
-// out in order and a worker finishes the one it holds, so a stopped
-// fan-out has completed exactly the items below the cursor.
-func (b *localBackend[S]) expandChunk(from int32, size, depth int) error {
-	vs, base, n := b.vs, b.run.done, len(b.wss)
-	for _, ws := range b.wss {
-		ws.rep = LayerReport{Viols: ws.rep.Viols[:0]}
-	}
-	for lo := 0; lo < size; lo = min(int(b.cursor.Load()), size) {
-		b.cursor.Store(int64(lo))
-		b.routeFull.Store(false)
-		// n loops over n "items": the item index, not the goroutine
-		// index, names the worker state — one goroutine may run two
-		// loops back to back, never two goroutines one loop.
-		if err := forEachWorkerIO(n, n, func(_, w int) {
-			ws := b.wss[w]
-			for !b.routeFull.Load() {
-				i := int(b.cursor.Add(1)) - 1
-				if i >= size {
-					return
-				}
-				ws.expand(vs, &ws.rep, from+int32(i), base+i, depth)
-				if ws.routed >= routeFlushRecords {
-					b.routeFull.Store(true)
-				}
-			}
-		}); err != nil {
-			return err
-		}
-		if err := forEachWorkerIO(n, n, func(_, owner int) {
-			for _, ws := range b.wss {
-				ws.route[owner].drainInto(vs)
-			}
-		}); err != nil {
-			return err
-		}
-		for _, ws := range b.wss {
-			ws.routed = 0
 		}
 	}
 	return nil

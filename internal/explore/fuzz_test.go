@@ -350,7 +350,9 @@ func normalizeB(cfg []baseline.BState) []baseline.BState {
 
 // FuzzVisitedSet: the concurrent sharded set must be linearizable
 // against a map oracle under the explorer's phase discipline —
-// concurrent probes, then the owner commit. The oracle resolves
+// concurrent probes, each by its stripe's owner (the rest buffered for
+// the owner and drained after a barrier, as emit does), then the owner
+// commit. The oracle resolves
 // duplicate proposals by minimum position, sorts each layer's pending
 // entries by it, promotes the first room and drops the rest, exactly
 // the determinism contract the BFS relies on; the commit splits the
@@ -443,32 +445,56 @@ func FuzzVisitedSet(f *testing.F) {
 				kept = min(kept, room)
 			}
 
-			// Concurrent probes, striped over 4 goroutines per set; odd
-			// goroutines walk their items backwards.
-			var wg sync.WaitGroup
+			// Concurrent probes under emit's discipline: 4 goroutines per
+			// set each own a range of stripes, probe the keys of their own
+			// and buffer the rest for their owners, who drain them after
+			// the barrier; odd goroutines walk their items backwards.
+			const probers = 4
 			for _, vs := range sets {
-				for g := 0; g < 4; g++ {
-					wg.Add(1)
-					go func(vs *Visited, g int) {
-						defer wg.Done()
-						var items []int
-						for i := g; i < len(ops); i += 4 {
-							items = append(items, i)
-						}
-						if g%2 == 1 {
-							slices.Reverse(items)
-						}
-						for _, i := range items {
-							b := ops[i]
-							for j := 0; j < fan; j++ {
-								key := keyOf(b, j)
-								vs.Probe(key[:], hashWords(key[:]), posOf(i, j), parentOf(b), nil)
+				bufs := make([][probers]routeBuf, probers) // [writer][owner]
+				each := func(body func(g int)) {
+					var wg sync.WaitGroup
+					for g := 0; g < probers; g++ {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							body(g)
+						}()
+					}
+					wg.Wait()
+				}
+				each(func(g int) {
+					var items []int
+					for i := g; i < len(ops); i += probers {
+						items = append(items, i)
+					}
+					if g%2 == 1 {
+						slices.Reverse(items)
+					}
+					for _, i := range items {
+						b := ops[i]
+						for j := 0; j < fan; j++ {
+							key := keyOf(b, j)
+							hash := hashWords(key[:])
+							if o := vs.owner(hash, probers); o != g {
+								bufs[g][o].add(key[:], hash, posOf(i, j), parentOf(b), 0)
+								continue
 							}
+							vs.probeStripe(&vs.shards[hash&vs.smask], key[:], hash, posOf(i, j), parentOf(b), deferCold)
 						}
-					}(vs, g)
+					}
+				})
+				each(func(o int) {
+					for g := range bufs {
+						bufs[g][o].drainInto([]*Visited{vs})
+					}
+				})
+				// A proposal deferred on a spilled tag match is settled
+				// before the census, as the commit settles it first.
+				if err := vs.settle(); err != nil {
+					t.Fatal(err)
 				}
 			}
-			wg.Wait()
 
 			// The owner commit: every pending entry's slot must end up
 			// holding its oracle id, or a tombstone past the bound.

@@ -58,7 +58,8 @@ func TestLocalCacheHitCopiedAtLookup(t *testing.T) {
 	}
 	plain.local, plain.lkern = nil, nil
 	var got []uint64
-	sink := &peerHooks{sink: func(key []uint64, _, _ uint64, _ int32) { got = append(got, key...) }}
+	// One shard, hosted nowhere: every successor reaches the sink.
+	sink := &peerHooks{sets: make([]*Visited, 1), frame: func(_ byte, _ int, key []uint64, _ uint64, _ int32) { got = append(got, key...) }}
 	cached.cl, plain.cl = sink, sink
 
 	vs, ids := seedLayer(cached.model)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/bits"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/chaos"
@@ -27,8 +28,11 @@ import (
 //   - every successor still carries pos = item<<32|branch with item the
 //     *global* layer index (gid − firstGid of the layer), so each pos
 //     value is proposed for exactly one key by exactly one expansion and
-//     the min-merge under the owning shard's lock is a strict total
-//     order, independent of frame arrival order;
+//     the min-merge in the owning shard is a strict total order,
+//     independent of frame arrival order;
+//   - a hosted shard is written as a node writes its one set, by the
+//     stripes' owners (emit.go); an ingested probe record waits in the
+//     owner's inbox until it drains it at a barrier, or PendMeta does;
 //   - promotion goes through the single-node owner commit, split at
 //     the coordinator: PendMeta ranks a shard's pending entries by pos
 //     (Visited.rank), the coordinator merges the shards' ranked lists
@@ -95,9 +99,7 @@ type PendMeta struct {
 // PeerEngine is the coordinator-facing surface of one cluster peer. All
 // methods except Ingest are called from the coordinator's serial
 // phases, one at a time; Ingest is called concurrently with Expand
-// (frames arrive while workers expand) and is internally synchronized
-// by the visited set's stripe locks — which is why a peer's workers go
-// through the locked propose, where the single-node workers own stripes.
+// and with itself, and only queues records for the stripes' owners.
 type PeerEngine interface {
 	// Seed enumerates the model's full deterministic init stream and
 	// probes the configurations owned by a hosted shard (pos = stream
@@ -132,9 +134,10 @@ type PeerEngine interface {
 	// SnapshotShard stream — the work-migration path after node loss.
 	AdoptShard(shard int, r io.Reader) error
 	// Rollback discards every hosted shard's pending entries (deferred
-	// ones unread) and the ingested at-cap flag, returning the peer to
-	// the last layer barrier. The arena only mutates at commit, so this
-	// is all a surviving peer needs before a layer is retried.
+	// ones unread), the queued frame records and the ingested at-cap
+	// flag: the peer is back at the last layer barrier. The arena only
+	// mutates at commit, so this is all a surviving peer needs before a
+	// layer is retried.
 	Rollback() error
 	// SetRoute replaces the shard→peer routing table (after adoption).
 	SetRoute(route []int) error
@@ -145,10 +148,11 @@ type PeerEngine interface {
 	// SendFailures (the coordinator rolls the layer back), never a
 	// wrong result.
 	SetSender(send func(dst int, frame []byte) error)
-	// Ingest applies one frame from a remote peer: probe records enter
-	// the owning shard's pending set (the pos min-merge makes arrival
-	// order irrelevant), membership queries fold into the FinishLayer
-	// flag.
+	// Ingest applies one frame from a remote peer, all of it or nothing
+	// (with an error that fails the send). Probe records queue until
+	// their stripes' owners probe them (the pos min-merge makes arrival
+	// order irrelevant); membership queries are answered at once, since
+	// nothing inserts in an at-cap layer, and fold into FinishLayer.
 	Ingest(frame []byte) error
 	// Hosted returns the sorted shard ids this peer currently hosts.
 	Hosted() []int
@@ -185,6 +189,14 @@ type peerShard struct {
 	layerFrom int32
 }
 
+// ownerBox is one stripe owner's inbox: the probe records Ingest queued
+// for its stripes of any hosted shard. A mutex per owner lets the owners
+// drain in parallel, and Ingest waits only on the one it queues for.
+type ownerBox struct {
+	mu sync.Mutex
+	routeBuf
+}
+
 type peerEngine[S sim.Cloneable[S]] struct {
 	opts     Options
 	wss      []*workerState[S]
@@ -194,10 +206,12 @@ type peerEngine[S sim.Cloneable[S]] struct {
 	words    int
 	ohash    [32]byte
 	shards   map[int]*peerShard
-	hosted   []int // sorted
-	route    []int // shard -> peer
+	sets     []*Visited // per shard: its set if hosted, else nil (peerHooks.sets)
+	hosted   []int      // sorted
+	route    []int      // shard -> peer
 	send     func(dst int, frame []byte) error
 	outboxes []*peerOutbox[S]
+	inbox    []ownerBox // per stripe owner
 
 	capTrunc  atomic.Bool
 	sendFails atomic.Int64
@@ -224,6 +238,7 @@ func NewPeer[S sim.Cloneable[S]](newModel func() *Model[S], opts Options, cfg Pe
 		self:    cfg.Self,
 		flushAt: cfg.FlushRecords,
 		shards:  make(map[int]*peerShard),
+		sets:    make([]*Visited, cfg.NShards),
 		route:   make([]int, cfg.NShards),
 	}
 	for s := range e.route {
@@ -233,6 +248,8 @@ func NewPeer[S sim.Cloneable[S]](newModel func() *Model[S], opts Options, cfg Pe
 	for i := range e.wss {
 		e.wss[i] = newWorkerState(newModel(), &e.opts)
 	}
+	shareStripes(e.wss)
+	e.inbox = make([]ownerBox, len(e.wss))
 	m0 := e.wss[0].model
 	e.words = m0.Codec.Words
 	e.ohash = optionsHash(m0.Name, e.words, m0.Prog.NumProcs, &e.opts)
@@ -251,23 +268,22 @@ func NewPeer[S sim.Cloneable[S]](newModel func() *Model[S], opts Options, cfg Pe
 		ob := &peerOutbox[S]{e: e}
 		ob.init()
 		e.outboxes[w] = ob
-		e.wss[w].cl = &peerHooks{sink: ob.sink, capMiss: ob.capMiss}
+		e.wss[w].cl = &peerHooks{sets: e.sets, frame: ob.frame}
 	}
 	return e, nil
 }
 
-// rebuildHosted re-derives the sorted hosted list after the shard map
-// changed and re-splits the peer's arena budget between its shards: an
-// adopter's own shards give up part of their share to the newcomer.
+// rebuildHosted re-derives the sorted hosted list and sets after the
+// shard map changed and re-splits the peer's arena budget between its
+// shards: an adopter's own shards give up part of their share.
 func (e *peerEngine[S]) rebuildHosted() {
 	e.hosted = e.hosted[:0]
-	for s := range e.shards {
+	for s, ps := range e.shards {
 		e.hosted = append(e.hosted, s)
+		e.sets[s] = ps.vs
+		ps.vs.EnableArenaSpill(e.opts.SpillDir, e.opts.arenaShare(len(e.shards)))
 	}
 	slices.Sort(e.hosted)
-	for _, ps := range e.shards {
-		ps.vs.EnableArenaSpill(e.opts.SpillDir, e.opts.arenaShare(len(e.hosted)))
-	}
 }
 
 func (e *peerEngine[S]) Hosted() []int { return slices.Clone(e.hosted) }
@@ -304,6 +320,7 @@ func (e *peerEngine[S]) Close() {
 		ps.vs.Close()
 	}
 	e.shards = map[int]*peerShard{}
+	clear(e.sets)
 	e.hosted = nil
 }
 
@@ -331,10 +348,7 @@ func (e *peerEngine[S]) Seed() (err error) {
 	// stream positions are past the global kept prefix, and the merge
 	// discards exactly those.
 	e.wss[0].streamInits(room, func(h uint64) *Visited {
-		if ps := e.shards[ShardOf(h, e.nShards)]; ps != nil {
-			return ps.vs
-		}
-		return nil
+		return e.sets[ShardOf(h, e.nShards)]
 	}, func() int {
 		pending := 0
 		for _, s := range e.hosted {
@@ -345,43 +359,50 @@ func (e *peerEngine[S]) Seed() (err error) {
 	return nil
 }
 
-type layerItem struct {
-	vs  *Visited
-	lid int32
-	gid int32
-}
-
+// Expand walks each hosted shard's layer range through the node's
+// fanOut, with item = gid − firstGid and parent = gid.
 func (e *peerEngine[S]) Expand(depth int, firstGid int32, atCap bool) (rep *LayerReport, err error) {
 	e.sendFails.Store(0)
-	var items []layerItem
+	width := 0
 	for _, s := range e.hosted {
-		ps := e.shards[s]
-		for lid := ps.layerFrom; lid < int32(ps.vs.States()); lid++ {
-			items = append(items, layerItem{vs: ps.vs, lid: lid, gid: ps.gidOf[lid]})
-		}
+		width += e.shards[s].vs.States() - int(e.shards[s].layerFrom)
 	}
 	for _, ws := range e.wss {
 		ws.rep = LayerReport{}
-		ws.beginLayer(len(items))
-	}
-	expandErr := forEachWorkerIO(len(items), len(e.wss), func(w, i int) {
-		it := items[i]
-		ws := e.wss[w]
 		ws.cl.atCap = atCap
-		ws.cl.parent = it.gid
-		ws.expand(it.vs, &ws.rep, it.lid, int(it.gid-firstGid), depth)
-	})
+		ws.beginLayer(width)
+	}
+	for _, s := range e.hosted {
+		ps := e.shards[s]
+		err = fanOut(e.wss, ps.vs.States()-int(ps.layerFrom), e.sets, func(ws *workerState[S], i int) {
+			lid := ps.layerFrom + int32(i)
+			ws.cl.parent = ps.gidOf[lid]
+			ws.expand(ps.vs, &ws.rep, lid, int(ws.cl.parent-firstGid), depth)
+		}, e.drain)
+		if err != nil {
+			break
+		}
+	}
 	for _, ob := range e.outboxes {
 		ob.flushAll()
 	}
-	if expandErr != nil {
-		return nil, expandErr
+	if err != nil {
+		return nil, err
 	}
 	rep = &LayerReport{SendFailures: int(e.sendFails.Load())}
 	for _, ws := range e.wss {
 		rep.Merge(&ws.rep)
 	}
 	return rep, nil
+}
+
+// drain probes owner o's queued records into their sets: by o at a
+// fan-out barrier, or in a serial phase.
+func (e *peerEngine[S]) drain(o int) {
+	b := &e.inbox[o]
+	b.mu.Lock()
+	b.drainInto(e.sets)
+	b.mu.Unlock()
 }
 
 func (e *peerEngine[S]) FinishLayer() bool {
@@ -401,6 +422,10 @@ func (e *peerEngine[S]) PendMeta(shard int) (meta []PendMeta, err error) {
 	ps, err := e.shard(shard)
 	if err != nil {
 		return nil, err
+	}
+	for o := range e.inbox { // the records no barrier drained; keep no slack
+		e.drain(o)
+		e.inbox[o].recs = nil
 	}
 	n, err := ps.vs.rank(len(e.wss))
 	if err != nil {
@@ -467,6 +492,9 @@ func (e *peerEngine[S]) Rollback() error {
 			return err
 		}
 		vs.promote(0, nil)
+	}
+	for o := range e.inbox {
+		e.inbox[o].recs = nil
 	}
 	e.capTrunc.Store(false)
 	// The successor filters remember what the discarded attempt
@@ -596,48 +624,21 @@ func (ob *peerOutbox[S]) init() {
 	}
 }
 
-func (ob *peerOutbox[S]) sink(key []uint64, hash uint64, pos uint64, parent int32) {
-	shard := ShardOf(hash, len(ob.bufs))
-	if ps := ob.e.shards[shard]; ps != nil {
-		ps.vs.propose(key, hash, pos, parent)
-		return
-	}
+// frame appends a record for shard, which another peer hosts, to that
+// peer's frame: a probe, or at cap (recCapCheck) a membership query.
+func (ob *peerOutbox[S]) frame(kind byte, shard int, key []uint64, pos uint64, parent int32) {
 	dst := ob.e.route[shard]
-	buf := ob.bufs[dst]
-	buf = append(buf, recProbe)
+	buf := append(ob.bufs[dst], kind)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(shard))
-	buf = binary.LittleEndian.AppendUint64(buf, pos)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(parent))
+	if kind == recProbe {
+		buf = binary.LittleEndian.AppendUint64(buf, pos)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(parent))
+	}
 	for _, w := range key {
 		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
 	ob.bufs[dst] = buf
-	ob.bump(dst)
-}
-
-func (ob *peerOutbox[S]) capMiss(key []uint64, hash uint64) bool {
-	shard := ShardOf(hash, len(ob.bufs))
-	if ps := ob.e.shards[shard]; ps != nil {
-		return !ps.vs.Contains(key, hash)
-	}
-	dst := ob.e.route[shard]
-	buf := ob.bufs[dst]
-	buf = append(buf, recCapCheck)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(shard))
-	for _, w := range key {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
-	}
-	ob.bufs[dst] = buf
-	ob.bump(dst)
-	// The owner answers the membership question and folds a miss into
-	// its own FinishLayer flag; truncation is a layer-global OR, so
-	// where the bit lands cannot show in the result.
-	return false
-}
-
-func (ob *peerOutbox[S]) bump(dst int) {
-	ob.counts[dst]++
-	if ob.counts[dst] >= ob.e.flushAt {
+	if ob.counts[dst]++; ob.counts[dst] >= ob.e.flushAt {
 		ob.flush(dst)
 	}
 }
@@ -671,6 +672,29 @@ func (e *peerEngine[S]) deliver(dst int, frame []byte) {
 
 func (e *peerEngine[S]) Ingest(frame []byte) (err error) {
 	defer catchIO(&err) // an at-cap check may read a spilled arena record
+	if err := e.records(frame, nil); err != nil {
+		return err
+	}
+	return e.records(frame, func(kind byte, shard int, key []uint64, pos uint64, parent int32) {
+		vs, hash := e.sets[shard], hashWords(key)
+		if kind == recCapCheck {
+			if !vs.Contains(key, hash) {
+				e.capTrunc.Store(true)
+			}
+			return
+		}
+		b := &e.inbox[vs.owner(hash, len(e.inbox))]
+		b.mu.Lock()
+		b.add(key, hash, pos, parent, shard)
+		b.mu.Unlock()
+	})
+}
+
+// records checks a frontier frame — its header, and that every record is
+// complete, of a known kind and for a hosted shard — and passes each
+// record to apply, unless apply is nil. Ingest checks a frame whole
+// before it applies any of it.
+func (e *peerEngine[S]) records(frame []byte, apply func(kind byte, shard int, key []uint64, pos uint64, parent int32)) error {
 	if len(frame) < frameHeaderLen {
 		return fmt.Errorf("explore: short frontier frame (%d bytes)", len(frame))
 	}
@@ -684,45 +708,37 @@ func (e *peerEngine[S]) Ingest(frame []byte) (err error) {
 	count := int(binary.LittleEndian.Uint32(frame[8:frameHeaderLen]))
 	p := frame[frameHeaderLen:]
 	key := make([]uint64, e.words)
-	keyBytes := 8 * e.words
 	for rec := 0; rec < count; rec++ {
 		if len(p) < 5 {
 			return fmt.Errorf("explore: truncated frontier frame (record %d)", rec)
 		}
-		kind := p[0]
-		shard := int(binary.LittleEndian.Uint32(p[1:5]))
-		p = p[5:]
-		ps, ok := e.shards[shard]
-		if !ok {
+		kind, shard := p[0], int(binary.LittleEndian.Uint32(p[1:5]))
+		if shard >= e.nShards || e.sets[shard] == nil {
 			return fmt.Errorf("explore: frame for shard %d, which peer %d does not host (stale route?)", shard, e.self)
 		}
+		head := 5
 		switch kind {
 		case recProbe:
-			if len(p) < 12+keyBytes {
-				return fmt.Errorf("explore: truncated frontier frame (record %d)", rec)
-			}
-			pos := binary.LittleEndian.Uint64(p[:8])
-			parent := int32(binary.LittleEndian.Uint32(p[8:12]))
-			p = p[12:]
-			for i := range key {
-				key[i] = binary.LittleEndian.Uint64(p[i*8:])
-			}
-			p = p[keyBytes:]
-			ps.vs.propose(key, hashWords(key), pos, parent)
+			head += 12
 		case recCapCheck:
-			if len(p) < keyBytes {
-				return fmt.Errorf("explore: truncated frontier frame (record %d)", rec)
-			}
-			for i := range key {
-				key[i] = binary.LittleEndian.Uint64(p[i*8:])
-			}
-			p = p[keyBytes:]
-			if !ps.vs.Contains(key, hashWords(key)) {
-				e.capTrunc.Store(true)
-			}
 		default:
 			return fmt.Errorf("explore: unknown frontier record kind %d", kind)
 		}
+		if len(p) < head+8*e.words {
+			return fmt.Errorf("explore: truncated frontier frame (record %d)", rec)
+		}
+		if apply != nil {
+			var pos uint64
+			var parent int32
+			if kind == recProbe {
+				pos, parent = binary.LittleEndian.Uint64(p[5:]), int32(binary.LittleEndian.Uint32(p[13:]))
+			}
+			for i := range key {
+				key[i] = binary.LittleEndian.Uint64(p[head+8*i:])
+			}
+			apply(kind, shard, key, pos, parent)
+		}
+		p = p[head+8*e.words:]
 	}
 	if len(p) != 0 {
 		return fmt.Errorf("explore: %d trailing bytes after frontier frame", len(p))

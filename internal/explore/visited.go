@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -16,27 +15,25 @@ import (
 	"repro/internal/par"
 )
 
-// Visited is the explorer's concurrent deduplication structure: a
+// Visited is the explorer's deduplication structure: a
 // power-of-two-sharded open-addressing hash set over fixed-width binary
 // state encodings, backed by a state arena of fixed-size pages keyed by
-// dense state index. A stripe is mutated by one goroutine at a time:
-// the single-node workers, each owning a range of stripes for the length
-// of a fan-out, call probeLocked on their own stripes with no lock at all
-// (emit.go), and every other producer (a cluster peer's workers and frame
-// ingests, a streamed seed, a restored pending set) calls propose, which
-// takes the stripe's lock. The set leaves a layer through the one owner
-// commit below. A fresh set can also be loaded whole, without probing
-// (load): a checkpoint's arena, or a product family's seed layer, whose
-// keys are known distinct.
+// dense state index. It has one write discipline and no lock: during an
+// expansion fan-out a stripe is written only by the worker that owns it
+// (owner; emit.go), on one node or a cluster peer, and between fan-outs
+// by one goroutine (propose, Probe). The set leaves a layer through the
+// one owner commit below. A fresh set can also be loaded whole, without
+// probing (load): a checkpoint's arena, or a product family's seed
+// layer, whose keys are known distinct.
 //
 // The BFS uses it in a two-phase rhythm that keeps every report
 // byte-identical at any worker count:
 //
 //  1. During a layer expansion (concurrent), each successor is probed
-//     directly: known states answer immediately, unknown states become
-//     *pending* entries. A pending entry remembers the least (item,
-//     branch) layer position that proposed it — a min merge by whoever
-//     holds the stripe, so the surviving parent is the one a serial
+//     by its stripe's owner: known states answer immediately, unknown
+//     states become *pending* entries. A pending entry remembers the
+//     least (item, branch) layer position that proposed it — a min merge
+//     by the stripe's owner, so the surviving parent is the one a serial
 //     loop would have picked regardless of which worker got there first
 //     (and the selection a trace re-derives from it, that parent's
 //     least branch to the state, is the one that loop would have
@@ -100,7 +97,6 @@ type Visited struct {
 	pages    [][]uint64
 	nstates  int
 	fam      *family    // the seed's product family, or nil (setFamily)
-	serial   bool       // one goroutine probes: Probe skips the stripe locks
 	runs     [][]runRec // per-owner commit runs and their sort buffers, reused across
 	spare    [][]runRec // layers (scratch, outside Bytes); settle borrows the first
 	ranked   int        // the pending count rank ranked into runs; −1 once promote used it
@@ -152,13 +148,12 @@ type vslot struct {
 }
 
 type vshard struct {
-	mu     sync.Mutex
 	slots  []vslot
 	filled int // non-empty slots, tombstones included (probe-chain load)
 	pend   []pendEntry
 	keys   []uint64 // backing storage for pending keys
 	cold   []uint64 // scratch for comparing against spilled arena keys
-	raw    []byte   // scratch for spilled-record reads (under the stripe lock)
+	raw    []byte   // scratch for spilled-record reads
 	// deferred holds the probes parked on a cold tag match until the
 	// commit settles them (settle): words+3 uint64 per record, the key,
 	// its hash, its position and parent<<32 | cold id.
@@ -169,7 +164,7 @@ type pendEntry struct {
 	hash   uint64
 	pos    uint64 // least (item, branch) proposing this state
 	parent int32
-	slot   int32    // current slot index in the shard's table (growLocked updates it)
+	slot   int32    // current slot index in the shard's table (grow updates it)
 	key    []uint64 // aliases vshard.keys
 }
 
@@ -257,8 +252,7 @@ func (v *Visited) SetFS(fsys chaos.FS) {
 func (v *Visited) recSize() int64 { return int64(v.words)*8 + 8 }
 
 // fnv64a is the record checksum (FNV-64a over the payload bytes),
-// inlined — the hash/fnv interface allocates a hasher per call, and the
-// spill read path runs under the probe stripe lock.
+// inlined — the hash/fnv interface allocates a hasher per call.
 func fnv64a(b []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range b {
@@ -387,41 +381,33 @@ func (v *Visited) Bytes() int64 {
 // spilled ids and family members included (Probe compares the first on
 // the spot and computes the second), or a negative value otherwise.
 // sel is ignored: a trace re-derives each step's selection from its
-// parent (layerDriver.trace). Only bench/ (whose visited.probe_cold_ns
-// pass needs a cold hit answered at once) and tests call it; the
-// explorer's producers defer cold tag matches instead (propose,
-// probeLocked).
+// parent (layerDriver.trace). Serial phases only. Only bench/ (whose
+// visited.probe_cold_ns pass needs a cold hit answered at once) and
+// tests call it; the explorer defers cold tag matches (probeStripe).
 func (v *Visited) Probe(key []uint64, hash uint64, pos uint64, parent int32, sel []byte) int32 {
 	if v.fam != nil {
 		if id := v.fam.member(key); id >= 0 {
 			return id
 		}
 	}
-	sh := &v.shards[hash&v.smask]
-	if v.serial {
-		return v.probeLocked(sh, key, hash, pos, parent, compareCold)
-	}
-	sh.mu.Lock()
-	id := v.probeLocked(sh, key, hash, pos, parent, compareCold)
-	sh.mu.Unlock()
-	return id
+	return v.probeStripe(&v.shards[hash&v.smask], key, hash, pos, parent, compareCold)
 }
 
-// SetSerial marks the set as probed by one goroutine only: Probe then
-// skips the stripe locks. Purely an optimization; results are
-// identical. bench/ and tests call it.
-func (v *Visited) SetSerial(serial bool) { v.serial = serial }
+// SetSerial is a no-op, kept for bench/, which calls it: the set has no
+// lock to skip, and Probe is serial already.
+func (v *Visited) SetSerial(bool) {}
 
-// propose is probeLocked with deferCold under the stripe's lock, for
-// producers that own no stripe: a cluster peer's workers and frame
-// ingests, a streamed seed, a restored pending set. Its keys are never
-// family members (a peer has none, a streaming seed registers none, and
-// emit filters them out).
+// propose is probeStripe with deferCold for a serial phase, which holds
+// every stripe: a streamed seed and a restored pending set. Its keys are
+// never family members (a streaming seed registers none).
 func (v *Visited) propose(key []uint64, hash uint64, pos uint64, parent int32) {
-	sh := &v.shards[hash&v.smask]
-	sh.mu.Lock()
-	v.probeLocked(sh, key, hash, pos, parent, deferCold)
-	sh.mu.Unlock()
+	v.probeStripe(&v.shards[hash&v.smask], key, hash, pos, parent, deferCold)
+}
+
+// owner returns which of n stripe owners owns hash's stripe: owner o
+// holds the stripes s with s·n/len(shards) = o (stripes).
+func (v *Visited) owner(hash uint64, n int) int {
+	return int(hash&v.smask) * n >> v.shardShift
 }
 
 // coldEqual compares spilled state id against key, reading its record
@@ -441,21 +427,21 @@ func scratch[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// probeLocked's cold argument, for spilled ids whose tag matches.
+// probeStripe's cold argument, for spilled ids whose tag matches.
 const (
 	deferCold   int32 = -1 // read none (every production probe)
 	compareCold int32 = -2 // read each on the spot (Probe)
 )
 
-// probeLocked is Probe for a caller that already holds stripe sh — by
-// its lock, or by owning it for the fan-out in flight. A promoted slot
+// probeStripe is Probe for a caller that holds stripe sh — by owning it
+// for the fan-out in flight, or by running in a serial phase. A promoted slot
 // is only compared on a 32-bit tag match. With deferCold no spilled id
 // is read back: a proposal whose walk ends at an empty slot without
 // meeting its key is deferred to settle under its first spilled tag
 // match, with a negative return. Otherwise each spilled tag match is
 // compared on the spot but cold itself, when it is an id: settle's
 // re-probe of a collision skips the one its sweep compared.
-func (v *Visited) probeLocked(sh *vshard, key []uint64, hash uint64, pos uint64, parent int32, cold int32) int32 {
+func (v *Visited) probeStripe(sh *vshard, key []uint64, hash uint64, pos uint64, parent int32, cold int32) int32 {
 	tag := int32(hash)
 	_, idx := v.home(tag)
 	mask := uint64(len(sh.slots) - 1)
@@ -478,7 +464,7 @@ func (v *Visited) probeLocked(sh *vshard, key []uint64, hash uint64, pos uint64,
 			}
 			v.insertPending(sh, at, key, hash, pos, parent)
 			if sh.filled*3 > len(sh.slots)*2 {
-				v.growLocked(sh)
+				v.grow(sh)
 			}
 			return slotPend
 		case s.ref == slotTomb:
@@ -517,8 +503,8 @@ func (v *Visited) probeLocked(sh *vshard, key []uint64, hash uint64, pos uint64,
 
 // Contains reports whether key is already known (promoted or pending)
 // without inserting. The explorer calls it only in layers where the
-// state bound is already exhausted — no worker inserts then, so the
-// lock-free read is race-free.
+// state bound is already exhausted — nothing inserts then, so any
+// number of goroutines may read at once.
 func (v *Visited) Contains(key []uint64, hash uint64) bool {
 	return v.fam != nil && v.fam.member(key) >= 0 || v.slotted(key, hash)
 }
@@ -526,8 +512,8 @@ func (v *Visited) Contains(key []uint64, hash uint64) bool {
 // slotted is Contains for a key known to be outside the family: the
 // slot table alone, with a spilled tag match compared on the spot.
 // (Its cold reads go through scratch declared where they happen, or a
-// fresh buffer for keys wider than four words: the shard scratch is not
-// safe to share without the stripe lock.)
+// fresh buffer for keys wider than four words: concurrent readers may
+// share a stripe, so they cannot share its scratch.)
 func (v *Visited) slotted(key []uint64, hash uint64) bool {
 	tag := int32(hash)
 	shIdx, idx := v.home(tag)
@@ -603,10 +589,10 @@ func (v *Visited) insertPending(sh *vshard, at int, key []uint64, hash uint64, p
 	sh.slots[at] = vslot{ref: slotPend, pidx: int32(len(sh.pend) - 1)}
 }
 
-// growLocked doubles a shard's slot table, dropping tombstones. Every
+// grow doubles a shard's slot table, dropping tombstones. Every
 // slot is re-placed from its tag (a pending slot's is its entry's hash),
 // so no key is read — a spilled one included.
-func (v *Visited) growLocked(sh *vshard) {
+func (v *Visited) grow(sh *vshard) {
 	old := sh.slots
 	sh.slots = emptySlots(2 * len(old))
 	sh.filled = 0
@@ -643,7 +629,7 @@ type runRec struct {
 func byPos(a, b runRec) int { return cmp.Compare(a.pos, b.pos) }
 
 // stripes returns the stripes [lo, hi) that owner o of n owns: those
-// with s·n/len(shards) = o, the rule emit routes successors by.
+// with s·n/len(shards) = o, the rule owner routes successors by.
 func (v *Visited) stripes(o, n int) (lo, hi int) {
 	s := len(v.shards)
 	return (o*s + n - 1) / n, ((o+1)*s + n - 1) / n
@@ -796,7 +782,7 @@ func (v *Visited) settle() (err error) {
 	}
 	for _, r := range collisions {
 		rec := v.shards[r.shard].deferred[int(r.pidx)*rw:][:rw]
-		v.probeLocked(&v.shards[r.shard], rec[:v.words], rec[v.words], rec[v.words+1], int32(rec[v.words+2]>>32), int32(r.pos))
+		v.probeStripe(&v.shards[r.shard], rec[:v.words], rec[v.words], rec[v.words+1], int32(rec[v.words+2]>>32), int32(r.pos))
 	}
 	for s := range v.shards {
 		v.shards[s].resetDeferred()
@@ -924,7 +910,7 @@ func (v *Visited) Promote(f Fresh) int32 {
 }
 
 // setRef settles pending entry pidx of stripe sh as ref (an id or a
-// tombstone). O(1): the entry remembers its current slot (growLocked
+// tombstone). O(1): the entry remembers its current slot (grow
 // keeps it current), so settling does not re-walk the probe chain.
 func (v *Visited) setRef(sh *vshard, pidx, ref int32) {
 	e := &sh.pend[pidx]
@@ -1013,7 +999,7 @@ func (v *Visited) restoreSlot(id, tag int32) {
 	sh.slots[idx] = vslot{ref: id, pidx: tag}
 	sh.filled++
 	if sh.filled*3 > len(sh.slots)*2 {
-		v.growLocked(sh)
+		v.grow(sh)
 	}
 }
 

@@ -90,9 +90,7 @@ func (cp *clusterPeer) leave() {
 		}
 	}
 	cp.engine.Close()
-	cp.srv.coldReads.Add(cp.stats.ColdReads)
-	cp.srv.localLookups.Add(cp.stats.LocalLookups)
-	cp.srv.localHits.Add(cp.stats.LocalHits)
+	cp.srv.addExploreStats(cp.stats)
 }
 
 // shardSnapshots is one job's cluster.SnapshotStore over the verdict

@@ -780,15 +780,7 @@ func (s *Server) run(j *job) {
 		raw, _ = json.Marshal(res)
 	}
 
-	s.checkpointsWritten.Add(int64(eo.Stats.CheckpointsWritten))
-	s.checkpointErrors.Add(int64(eo.Stats.CheckpointErrors))
-	s.statesResumed.Add(int64(eo.Stats.ResumedStates))
-	s.coldReads.Add(eo.Stats.ColdReads)
-	s.localLookups.Add(eo.Stats.LocalLookups)
-	s.localHits.Add(eo.Stats.LocalHits)
-	for i, sec := range [...]float64{eo.Stats.SeedSeconds, eo.Stats.ExpandSeconds, eo.Stats.CommitSeconds} {
-		s.phaseNanos[i].Add(int64(sec * 1e9))
-	}
+	s.addExploreStats(eo.Stats)
 	if eo.Stats.ResumedStates > 0 {
 		s.jobsResumed.Add(1)
 	}
@@ -844,6 +836,22 @@ func (s *Server) run(j *job) {
 			extra = fmt.Sprintf(", resumed from %d states", eo.Stats.ResumedStates)
 		}
 		s.logf("job %s done: %s in %v (%d states%s)", j.key[:12], res.Verdict(), elapsed.Round(time.Millisecond), res.States, extra)
+	}
+}
+
+// addExploreStats adds one exploration's explorer counters to the
+// server's: a job's (run), or a cluster engine's as it closes
+// (clusterPeer.leave), whose phase clocks stay zero — the coordinator's
+// layer driver runs them.
+func (s *Server) addExploreStats(st *explore.RunStats) {
+	s.checkpointsWritten.Add(int64(st.CheckpointsWritten))
+	s.checkpointErrors.Add(int64(st.CheckpointErrors))
+	s.statesResumed.Add(int64(st.ResumedStates))
+	s.coldReads.Add(st.ColdReads)
+	s.localLookups.Add(st.LocalLookups)
+	s.localHits.Add(st.LocalHits)
+	for i, sec := range [...]float64{st.SeedSeconds, st.ExpandSeconds, st.CommitSeconds} {
+		s.phaseNanos[i].Add(int64(sec * 1e9))
 	}
 }
 
