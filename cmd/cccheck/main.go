@@ -147,7 +147,6 @@ func main() {
 		workers   = flag.Int("j", 0, "worker-pool width (0 = GOMAXPROCS)")
 		expSpec   = flag.String("exp", "", "paper mode: comma list of experiment IDs, 'all' (the default) or 'list' to print the registry")
 		quick     = flag.Bool("quick", false, "paper mode: reduced sizes (smoke run)")
-		peersSpec = flag.String("peers", "", "exhaustive mode: distribute each job across this comma-separated list of ccserve peer base URLs (one visited-set shard per peer; the peers must share one -cache directory); the verdict is byte-identical to a single-node run by the cluster differential battery's contract")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -201,25 +200,11 @@ func main() {
 		}
 		fsys = chaos.NewFaultFS(nil, faults)
 	}
-	var peers []string
-	if *peersSpec != "" {
-		if *mode != "exhaustive" {
-			fatalf("-peers applies to -mode exhaustive only (current mode: %s)", *mode)
-		}
-		for _, p := range strings.Split(*peersSpec, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peers = append(peers, strings.TrimRight(p, "/"))
-			}
-		}
-		if len(peers) == 0 {
-			fatalf("-peers lists no usable URLs")
-		}
-	}
 	exec := execConfig{
 		cacheDir: *cacheDir,
 		ExecOptions: campaign.ExecOptions{
 			MemBudget: budget, SpillDir: *spillDir, FS: fsys,
-			CheckpointEvery: *ckptEvery, Peers: peers,
+			CheckpointEvery: *ckptEvery,
 		},
 	}
 
@@ -277,11 +262,9 @@ func (e *execConfig) openStore() store.Interface {
 	st.SetLog(func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "cccheck: "+format+"\n", args...)
 	})
-	if e.CheckpointEvery >= 0 && len(e.Peers) == 0 {
+	if e.CheckpointEvery >= 0 {
 		// In-flight snapshots: an interrupted job resumes mid-exploration
-		// on the next run (0 = snapshot on interruption only). A
-		// distributed job recovers from the peers' per-shard barrier
-		// snapshots in the shared store instead.
+		// on the next run (0 = snapshot on interruption only).
 		e.Checkpoints = st
 	}
 	return st
@@ -291,7 +274,7 @@ func (e *execConfig) openStore() store.Interface {
 
 // execConfig carries the cache location and the result-irrelevant
 // execution knobs (out-of-core budget, checkpoint cadence, fault
-// injector, peers) from the flags to the modes. CheckpointEvery holds
+// injector) from the flags to the modes. CheckpointEvery holds
 // the raw flag value: negative means disabled, and openStore leaves
 // Checkpoints nil.
 type execConfig struct {

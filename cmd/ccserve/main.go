@@ -51,12 +51,6 @@
 // -cache — exits 4 with a message naming the lock. It is the choice for
 // a server that owns its cache.
 //
-// Any ccserve can be a peer of a distributed check: a cccheck -peers
-// coordinator opens the job over /v1/cluster/rpc with the peer list it
-// drives, one visited-set shard per peer. The peers must share one
-// -cache directory so shard snapshots can migrate on node loss — which
-// makes that directory a dir-layout one.
-//
 // Concurrency: at most -jobs explorations run at once, each with
 // -job-workers explorer goroutines (default: jobs × workers ≈
 // GOMAXPROCS), so any number of concurrent clients shares a bounded
@@ -114,7 +108,7 @@ func main() {
 		jobTimeout = flag.Duration("job-timeout", time.Hour, "per-job wall-clock budget: a job past it fails (checkpoint saved; resubmit to resume); 0 = no timeout")
 		maxInFl    = flag.Int("max-inflight", 512, "concurrently-handled API requests before shedding with 429 + Retry-After (negative = unlimited; /healthz, /readyz, /metrics are exempt)")
 		gossipSelf = flag.String("gossip-self", "", "this node's advertised base URL for verdict gossip (required with -gossip-peers; e.g. http://a:8344)")
-		gossipPeer = flag.String("gossip-peers", "", "comma-separated base URLs of peers to gossip committed verdicts with (own -cache per peer, unlike the peers of a cccheck -peers cluster): a job completed anywhere becomes a store hit fleet-wide; every ingested entry is checksum-verified and corrupt ones are quarantined, never served")
+		gossipPeer = flag.String("gossip-peers", "", "comma-separated base URLs of peers to gossip committed verdicts with (own -cache per peer): a job completed anywhere becomes a store hit fleet-wide; every ingested entry is checksum-verified and corrupt ones are quarantined, never served")
 		gossipInt  = flag.Duration("gossip-interval", 5*time.Second, "anti-entropy cadence: how often to pull each gossip peer's commit log and retry failed fetches")
 		quiet      = flag.Bool("quiet", false, "suppress per-job log lines")
 	)

@@ -317,8 +317,8 @@ func (o Outcome) Failure() error {
 
 // Cell is the one lifecycle of a content-addressed cell, shared by
 // cccheck, campaigns, the MC experiment and ccserve: serve the verdict
-// from the store on a hit; otherwise explore it (locally or across
-// eo.Peers), persist it, and retry recoverable failures (transient
+// from the store on a hit; otherwise explore it, persist it, and retry
+// recoverable failures (transient
 // I/O, quarantined corruption) within eo.Retries — a fresh attempt
 // resumes from the cell's checkpoint if one was saved, rebuilds all
 // spill scratch and converges to the same verdict. Cancellation is not

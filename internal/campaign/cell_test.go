@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"net/http/httptest"
 	"os"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/chaos"
-	"repro/internal/serve"
 	"repro/internal/store"
 )
 
@@ -24,28 +22,6 @@ func cleanRaw(t *testing.T, spec store.JobSpec) []byte {
 		t.Fatalf("reference cell not clean: %+v", out)
 	}
 	return out.Raw
-}
-
-// clusterPeers boots n in-process ccserve peers sharing one store
-// directory and returns their base URLs.
-func clusterPeers(t *testing.T, n int) []string {
-	t.Helper()
-	dir := t.TempDir()
-	peers := make([]string, n)
-	for i := range peers {
-		st, err := store.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := serve.New(serve.Config{Store: st, Jobs: 1, JobWorkers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(s)
-		t.Cleanup(ts.Close)
-		peers[i] = ts.URL
-	}
-	return peers
 }
 
 // TestCellOutcomes pins the one cell lifecycle every caller shares —
@@ -166,30 +142,14 @@ func TestCellOutcomes(t *testing.T) {
 			},
 		},
 		{
-			// The coordinator-side plumbing (spec marshalling, transport
-			// dial, result normalization); the deep grid lives in
-			// internal/cluster's differential battery and internal/serve's
-			// end-to-end test.
-			name: "peers dispatch to the cluster path", spec: small,
+			// An exploration that fails — here its spill file cannot be
+			// written — fails the cell loudly, with no entry left.
+			name: "explore failure fails the cell", spec: small,
 			arrange: func(t *testing.T, _ store.Interface, _ *chaos.FaultFS) (context.Context, campaign.ExecOptions) {
-				return context.Background(), campaign.ExecOptions{Peers: clusterPeers(t, 2)}
-			},
-			check: func(t *testing.T, _ store.Interface, out campaign.Outcome, want []byte) {
-				if out.Status != campaign.StatusDone || out.Failure() != nil {
-					t.Fatalf("distributed cell not clean: %+v", out)
+				return context.Background(), campaign.ExecOptions{
+					MemBudget: 1, SpillDir: t.TempDir(), RetryBackoff: time.Millisecond,
+					FS: chaos.NewFaultFS(nil, chaos.Faults{WriteErr: 1, Permanent: 1}),
 				}
-				if !bytes.Equal(out.Raw, want) {
-					t.Fatal("cluster entry differs from the single-node entry")
-				}
-			},
-		},
-		{
-			// An unreachable peer fails the dial loudly instead of
-			// degrading to a partial cluster.
-			name: "unreachable peer fails the cell", spec: small,
-			arrange: func(t *testing.T, _ store.Interface, _ *chaos.FaultFS) (context.Context, campaign.ExecOptions) {
-				peers := append(clusterPeers(t, 1), "http://127.0.0.1:1")
-				return context.Background(), campaign.ExecOptions{Peers: peers, RetryBackoff: time.Millisecond}
 			},
 			check: func(t *testing.T, st store.Interface, out campaign.Outcome, _ []byte) {
 				if out.Status != campaign.StatusFailed || out.Err == nil || out.PersistErr != nil {

@@ -18,14 +18,12 @@ package campaign
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/chaos"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/hypergraph"
@@ -143,8 +141,6 @@ type checkedFactory struct {
 	hasSyms     bool
 	whySymEmpty string
 	run         func(ctx context.Context, opts explore.Options) (*explore.Result, error)
-	runCluster  func(ctx context.Context, opts explore.Options, tr cluster.Transport) (*explore.Result, error)
-	newPeer     func(opts explore.Options, cfg explore.PeerConfig) (explore.PeerEngine, error)
 }
 
 func newFactoryChecked(c store.JobSpec, h *hypergraph.H) (*checkedFactory, error) {
@@ -175,8 +171,8 @@ func newFactoryChecked(c store.JobSpec, h *hypergraph.H) (*checkedFactory, error
 		"dining does not (its fork orientation and request tie-break read the committee index order)"), nil
 }
 
-// checked erases a model factory's state type behind the three ways a
-// job can run it.
+// checked erases a model factory's state type behind the way a job
+// runs it.
 func checked[S sim.Cloneable[S]](factory func() *explore.Model[S], whySymEmpty string) *checkedFactory {
 	return &checkedFactory{
 		hasSyms:     factory().Syms != nil,
@@ -184,34 +180,19 @@ func checked[S sim.Cloneable[S]](factory func() *explore.Model[S], whySymEmpty s
 		run: func(ctx context.Context, opts explore.Options) (*explore.Result, error) {
 			return explore.ExploreCtx(ctx, factory, opts)
 		},
-		runCluster: func(ctx context.Context, opts explore.Options, tr cluster.Transport) (*explore.Result, error) {
-			return cluster.Run(ctx, factory, opts, tr)
-		},
-		newPeer: func(opts explore.Options, cfg explore.PeerConfig) (explore.PeerEngine, error) {
-			return explore.NewPeer(factory, opts, cfg)
-		},
 	}
 }
 
 // ExecOptions parameterize one job execution beyond the spec. Every
 // field is result-irrelevant: the verdict bytes are a pure function of
-// the canonical spec at any worker count, memory budget, checkpoint
-// cadence or cluster size, which is what makes the cache (and resuming)
-// sound.
+// the canonical spec at any worker count, memory budget or checkpoint
+// cadence, which is what makes the cache (and resuming) sound.
 type ExecOptions struct {
 	// Workers is the explorer pool width for this job (0 = 1: campaign
 	// and server schedulers parallelize across jobs, so each job
 	// defaults to one worker; pass par.Workers for a lone interactive
 	// run).
 	Workers int
-	// Peers, when non-empty, distributes the job across these ccserve
-	// peers (base URLs) instead of exploring in this process: the spec
-	// is forwarded to every peer verbatim, each peer owns one
-	// contiguous shard of the state-hash space, and shard snapshots
-	// land in the peers' (shared) verdict store so a lost peer's work
-	// migrates instead of restarting. The single-node checkpoint
-	// (Checkpoints) does not apply.
-	Peers []string
 	// Checkpoints, if non-nil, enables checkpoint/restore through this
 	// store: the job resumes from an existing snapshot under its
 	// content key, persists one every CheckpointEvery expanded states
@@ -256,8 +237,7 @@ type ExecOptions struct {
 var ErrInterrupted = explore.ErrInterrupted
 
 // jobOptions maps a canonical spec plus execution options onto the
-// explorer's option set — the one translation every execution path
-// (single-node, cluster coordinator, cluster peer) must share, or
+// explorer's option set — the one translation every caller shares, or
 // their verdicts could legally diverge.
 func jobOptions(c store.JobSpec, o ExecOptions) explore.Options {
 	mode, _ := selectionMode(c.Daemon)
@@ -290,20 +270,6 @@ func jobOptions(c store.JobSpec, o ExecOptions) explore.Options {
 	return opts
 }
 
-// NewPeerEngine builds the peer half of a distributed exploration for
-// one job spec: the model factory and option translation are exactly
-// ExecuteOpts', so a cluster of these engines is checking the same
-// problem a single node would. ccserve's /v1/cluster tier calls this
-// when a coordinator opens a job on it.
-func NewPeerEngine(spec store.JobSpec, o ExecOptions, cfg explore.PeerConfig) (explore.PeerEngine, error) {
-	c := spec.Canonical()
-	factory, err := prepare(c)
-	if err != nil {
-		return nil, err
-	}
-	return factory.newPeer(jobOptions(c, o), cfg)
-}
-
 // Execute runs one job to completion and returns its result (see
 // ExecuteOpts; this is the no-frills form the tests and bench/
 // exercise).
@@ -311,15 +277,13 @@ func Execute(spec store.JobSpec, workers int) (*explore.Result, error) {
 	return ExecuteOpts(context.Background(), spec, ExecOptions{Workers: workers})
 }
 
-// ExecuteOpts runs one job under a context — in this process, with
-// optional checkpoint/restore and an out-of-core memory budget, or
-// across o.Peers when set; the two are byte-identical by the cluster
-// differential battery's contract. On cancellation it returns an error
-// wrapping ErrInterrupted (snapshot saved when o.Checkpoints is set).
-// On success the result's StateBytes is zeroed: it measures this
-// process's retained footprint — different between resumed/fresh,
-// spilled/in-memory and local/distributed runs of the same job — and
-// the persisted verdict must be byte-identical across all of them.
+// ExecuteOpts runs one job under a context, with optional
+// checkpoint/restore and an out-of-core memory budget. On cancellation
+// it returns an error wrapping ErrInterrupted (snapshot saved when
+// o.Checkpoints is set). On success the result's StateBytes is zeroed:
+// it measures this process's retained footprint — different between
+// resumed/fresh and spilled/in-memory runs of the same job — and the
+// persisted verdict must be byte-identical across all of them.
 func ExecuteOpts(ctx context.Context, spec store.JobSpec, o ExecOptions) (*explore.Result, error) {
 	c := spec.Canonical()
 	factory, err := prepare(c)
@@ -327,29 +291,12 @@ func ExecuteOpts(ctx context.Context, spec store.JobSpec, o ExecOptions) (*explo
 		return nil, err
 	}
 	opts := jobOptions(c, o)
-	run := factory.run
 	var ckpt *store.Checkpoint
-	switch {
-	case len(o.Peers) > 0:
-		raw, err := json.Marshal(c)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: marshal spec: %w", err)
-		}
-		tr, err := cluster.DialHTTP(ctx, cluster.HTTPConfig{
-			Peers: o.Peers, Job: c.Key(), Spec: raw, Workers: o.Workers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer tr.Close()
-		run = func(ctx context.Context, opts explore.Options) (*explore.Result, error) {
-			return factory.runCluster(ctx, opts, tr)
-		}
-	case o.Checkpoints != nil:
+	if o.Checkpoints != nil {
 		ckpt = o.Checkpoints.Checkpoint(c.Key())
 		opts.Checkpoint = ckpt
 	}
-	res, err := run(ctx, opts)
+	res, err := factory.run(ctx, opts)
 	if err != nil {
 		return res, err
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
-	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/explore"
@@ -19,10 +18,9 @@ import (
 // The cluster differential battery: cluster.Run over a Local transport
 // must reproduce the single-node engine byte-for-byte — marshalled
 // reports including counterexample traces — at every peer count, on
-// every algorithm × topology × daemon-branching cell, and after
-// injected mid-layer peer loss with shard adoption. This is the proof
-// that partitioning the visited set and shipping frontiers over the
-// wire changed the deployment shape of the checker and nothing else.
+// every algorithm × topology × daemon-branching cell. This is the proof
+// that partitioning the visited set and shipping frontiers between
+// peers changed the deployment shape of the checker and nothing else.
 //
 // CI runs the ring:3 shard of this battery under -race
 // (TestClusterDifferentialBattery/.*ring:3.* — see
@@ -54,9 +52,9 @@ func oracleJSON[S sim.Cloneable[S]](t *testing.T, factory func() *explore.Model[
 
 // runCluster assembles npeers in-process peer engines (one shard each,
 // deliberately tiny frame batches so every cell exercises multi-frame
-// traffic), runs the coordinator over a Local transport with the given
-// loss plan, and returns the marshalled report.
-func runCluster[S sim.Cloneable[S]](t *testing.T, factory func() *explore.Model[S], opts explore.Options, npeers int, loss []chaos.PeerLoss) []byte {
+// traffic), runs the coordinator over a Local transport, and returns
+// the marshalled report.
+func runCluster[S sim.Cloneable[S]](t *testing.T, factory func() *explore.Model[S], opts explore.Options, npeers int) []byte {
 	t.Helper()
 	engines := make([]explore.PeerEngine, npeers)
 	for p := 0; p < npeers; p++ {
@@ -71,7 +69,6 @@ func runCluster[S sim.Cloneable[S]](t *testing.T, factory func() *explore.Model[
 	tr := cluster.NewLocal(cluster.LocalConfig{
 		Engines:   engines,
 		Snapshots: cluster.NewMemSnapshots(),
-		Loss:      loss,
 	})
 	defer tr.Close()
 	res, err := cluster.Run(context.Background(), factory, opts, tr)
@@ -92,7 +89,7 @@ func assertClusterGrid[S sim.Cloneable[S]](t *testing.T, factory func() *explore
 	ref := oracleJSON(t, factory, opts)
 	for _, n := range counts {
 		t.Run(fmt.Sprintf("peers:%d", n), func(t *testing.T) {
-			got := runCluster(t, factory, opts, n, nil)
+			got := runCluster(t, factory, opts, n)
 			if !bytes.Equal(got, ref) {
 				t.Fatalf("cluster report at %d peers differs from single-node:\n%s\nvs\n%s", n, got, ref)
 			}
@@ -210,7 +207,7 @@ func TestClusterDifferentialBattery(t *testing.T) {
 		t.Parallel()
 		factory := mustCC(t, core.CC2, hypergraph.CommitteeRing(4), explore.CCOptions{Init: explore.InitCC})
 		ref := oracleJSON(t, factory, ring4Opts)
-		got, spilled := runClusterSpilling(t, factory, ring4Opts, 3, nil)
+		got, spilled := runClusterSpilling(t, factory, ring4Opts, 3)
 		if !bytes.Equal(got, ref) {
 			t.Fatalf("cluster report under a memory budget differs from single-node:\n%s\nvs\n%s", got, ref)
 		}
@@ -235,11 +232,11 @@ var ring4Opts = explore.Options{
 // together read the spill file at most twice as often as one worker
 // of a single node under the same budget (on the ring:4 cell, 678
 // against 663; comparing each cold tag match on the spot took 5,686).
-func runClusterSpilling[S sim.Cloneable[S]](t *testing.T, factory func() *explore.Model[S], opts explore.Options, npeers int, loss []chaos.PeerLoss) ([]byte, int64) {
+func runClusterSpilling[S sim.Cloneable[S]](t *testing.T, factory func() *explore.Model[S], opts explore.Options, npeers int) ([]byte, int64) {
 	t.Helper()
 	stats := &explore.RunStats{}
 	opts.MemBudget, opts.SpillDir, opts.Stats = 16<<10, t.TempDir(), stats
-	got := runCluster(t, factory, opts, npeers, loss)
+	got := runCluster(t, factory, opts, npeers)
 	// The layer driver clocks the coordinator's phases as it does a
 	// single node's.
 	if stats.ExpandSeconds <= 0 || stats.CommitSeconds <= 0 {
@@ -278,95 +275,5 @@ func TestClusterMutations(t *testing.T) {
 			}
 			assertClusterGrid(t, factory, opts, []int{1, 2, 3})
 		})
-	}
-}
-
-// TestClusterPeerLossAdoption is the fault-tolerance half of the
-// battery: peers are killed mid-layer (after delivering a bounded
-// number of frontier frames — the half-sent shape of a real process
-// kill), their shards are adopted from barrier snapshots by the
-// survivors, the layer is retried, and the final report must still be
-// byte-identical to single-node.
-func TestClusterPeerLossAdoption(t *testing.T) {
-	factory := mustCC(t, core.CC2, hypergraph.CommitteeRing(3), explore.CCOptions{Init: explore.InitCCFull})
-	opts := explore.Options{
-		Mode: sim.SelectCentral, MaxStates: 12_000, Workers: 2,
-		CheckDeadlock: true, CheckClosure: true,
-	}
-	ref := oracleJSON(t, factory, opts)
-	for _, tc := range []struct {
-		name  string
-		peers int
-		loss  []chaos.PeerLoss
-	}{
-		{"kill1@1+2frames/3peers", 3, []chaos.PeerLoss{{Peer: 1, Depth: 1, FramesBeforeDeath: 2}}},
-		{"kill1@1,kill2@2/3peers", 3, []chaos.PeerLoss{
-			{Peer: 1, Depth: 1, FramesBeforeDeath: 0},
-			{Peer: 2, Depth: 2, FramesBeforeDeath: 3},
-		}},
-		{"kill0@2+1frame/2peers", 2, []chaos.PeerLoss{{Peer: 0, Depth: 2, FramesBeforeDeath: 1}}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			got := runCluster(t, factory, opts, tc.peers, tc.loss)
-			if !bytes.Equal(got, ref) {
-				t.Fatalf("post-adoption cluster report differs from single-node:\n%s\nvs\n%s", got, ref)
-			}
-		})
-	}
-
-	// Adoption under a memory budget: the adopted shard restores an
-	// arena whose cold prefix goes straight back to disk, and the
-	// survivors roll back over spilled prefixes of their own.
-	t.Run("kill1@3+2frames/3peers/mem-budget", func(t *testing.T) {
-		factory := mustCC(t, core.CC2, hypergraph.CommitteeRing(4), explore.CCOptions{Init: explore.InitCC})
-		ref := oracleJSON(t, factory, ring4Opts)
-		got, spilled := runClusterSpilling(t, factory, ring4Opts, 3, []chaos.PeerLoss{{Peer: 1, Depth: 3, FramesBeforeDeath: 2}})
-		if !bytes.Equal(got, ref) {
-			t.Fatalf("post-adoption cluster report under a memory budget differs from single-node:\n%s\nvs\n%s", got, ref)
-		}
-		if spilled == 0 {
-			t.Fatal("no arena bytes spilled: MemBudget is not reaching the shards")
-		}
-	})
-
-	// Violations through adoption: the kill lands while a mutated run
-	// is producing counterexamples, so the retried layer's traces are
-	// rebuilt across migrated shards.
-	t.Run("kill-during-violations", func(t *testing.T) {
-		mf := mustCC(t, core.CC2, hypergraph.CommitteeRing(3), explore.CCOptions{Init: explore.InitLegit, Mutation: explore.MutationLeaveEarly})
-		mo := explore.Options{
-			Mode: sim.SelectCentral, CheckDeadlock: true, MaxViolations: 3, Workers: 2,
-		}
-		mref := oracleJSON(t, mf, mo)
-		got := runCluster(t, mf, mo, 3, []chaos.PeerLoss{{Peer: 2, Depth: 1, FramesBeforeDeath: 1}})
-		if !bytes.Equal(got, mref) {
-			t.Fatalf("mutated post-adoption report differs from single-node:\n%s\nvs\n%s", got, mref)
-		}
-	})
-}
-
-// TestClusterAllPeersLost: losing every peer must surface a classified
-// error, never a wrong verdict.
-func TestClusterAllPeersLost(t *testing.T) {
-	factory := mustCC(t, core.CC2, hypergraph.CommitteeRing(3), explore.CCOptions{Init: explore.InitCC})
-	opts := explore.Options{Mode: sim.SelectCentral, MaxStates: 4_000, CheckDeadlock: true}
-	engines := make([]explore.PeerEngine, 2)
-	for p := range engines {
-		e, err := explore.NewPeer(factory, opts, explore.PeerConfig{NShards: 2, Hosted: []int{p}, Self: p, FlushRecords: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[p] = e
-	}
-	tr := cluster.NewLocal(cluster.LocalConfig{
-		Engines:   engines,
-		Snapshots: cluster.NewMemSnapshots(),
-		Loss: []chaos.PeerLoss{
-			{Peer: 0, Depth: 1}, {Peer: 1, Depth: 1},
-		},
-	})
-	defer tr.Close()
-	if _, err := cluster.Run(context.Background(), factory, opts, tr); err == nil {
-		t.Fatal("expected an error after losing every peer, got a verdict")
 	}
 }

@@ -32,10 +32,10 @@ func TestWorkerFlagAliases(t *testing.T) {
 		// Removed with the thing they configured: the -cache layout is
 		// detected from the directory (only ccserve, which may own a
 		// single-writer log cache, can still name one for a fresh
-		// directory), and a coordinator's open request carries the peer
-		// list.
+		// directory), and no command runs a distributed check.
 		{"cccheck", []string{"-store-engine", "log"}, 2, "flag provided but not defined"},
 		{"ccserve", []string{"-peers", "http://127.0.0.1:1"}, 2, "flag provided but not defined"},
+		{"cccheck", []string{"-peers", "http://127.0.0.1:1"}, 2, "flag provided but not defined"},
 
 		// Removed because nothing reached them: the random-scenario
 		// harness is ccsim's (-runs, -steps, and scenario:N for -max-n),

@@ -69,13 +69,13 @@ type RunStats struct {
 	FrontierSpillSegments int
 	FrontierSpilledBytes  int64
 	// ArenaSpilledBytes is the visited-arena bytes resident on disk at
-	// the end of the run (a cluster peer adds its shards' at Close).
+	// the end of the run (a cluster peer adds its shard's at Close).
 	ArenaSpilledBytes int64
 	// ColdReads counts the read calls issued against the arena spill
 	// file: the commit's sorted sweeps of deferred proposals, at-cap
 	// membership checks and collision re-probes that compare a spilled
 	// id on the spot, and trace rebuilds (a cluster peer adds its
-	// shards' at Close).
+	// shard's at Close).
 	ColdReads int64
 	// LocalLookups and LocalHits count the batch pipeline's
 	// local-transition cache: the cacheable processes of every expanded
@@ -252,39 +252,27 @@ func (c *ckptReader) i32s(n int) []int32 {
 // corrupted headers allocating absurd buffers.
 const snapLimit = 1 << 31
 
-// hdrField is one integer of a snapshot header, named for the error
-// that reports a mismatch.
-type hdrField struct {
-	name string
-	v    int
-}
-
-// header starts a snapshot stream: the format's magic, the (model,
-// options) hash, then the fields — a checkpoint's and a cluster shard's
-// end with the word width.
-func (c *ckptWriter) header(magic [8]byte, hash [32]byte, fields ...hdrField) {
-	c.bytes(magic[:])
+// header starts a checkpoint stream: the format's magic, the (model,
+// options) hash, then the word width.
+func (c *ckptWriter) header(hash [32]byte, words int) {
+	c.bytes(checkpointMagic[:])
 	c.bytes(hash[:])
-	for _, f := range fields {
-		c.int(f.v)
-	}
+	c.int(words)
 }
 
 // header reads what ckptWriter.header wrote and checks it against the
-// same arguments: what names the format in the errors.
-func (c *ckptReader) header(what string, magic [8]byte, hash [32]byte, fields ...hdrField) error {
+// same arguments.
+func (c *ckptReader) header(hash [32]byte, words int) error {
 	var got [8]byte
 	var h [32]byte
-	if c.bytes(got[:]); c.err == nil && got != magic {
-		return fmt.Errorf("explore: not a %s (or version drift)", what)
+	if c.bytes(got[:]); c.err == nil && got != checkpointMagic {
+		return fmt.Errorf("explore: not a checkpoint (or version drift)")
 	}
 	if c.bytes(h[:]); c.err == nil && h != hash {
-		return fmt.Errorf("explore: %s is for a different (model, options) tuple", what)
+		return fmt.Errorf("explore: checkpoint is for a different (model, options) tuple")
 	}
-	for _, f := range fields {
-		if v := c.int(); c.err == nil && v != f.v {
-			return fmt.Errorf("explore: %s %s %d, want %d", what, f.name, v, f.v)
-		}
+	if v := c.int(); c.err == nil && v != words {
+		return fmt.Errorf("explore: checkpoint word width %d, want %d", v, words)
 	}
 	return nil
 }
@@ -292,7 +280,7 @@ func (c *ckptReader) header(what string, magic [8]byte, hash [32]byte, fields ..
 // writeSnapshot streams the snapshot (arena last) to w.
 func writeSnapshot(w io.Writer, s *snapshot, vs *Visited) error {
 	c := newCkptWriter(w)
-	c.header(checkpointMagic, s.hash, hdrField{"word width", s.words})
+	c.header(s.hash, s.words)
 	if err := c.json(s.res); err != nil {
 		return err
 	}
@@ -348,7 +336,7 @@ func (c *ckptWriter) finishArena(vs *Visited) error {
 // drift or corruption returns an error and the caller starts fresh.
 func readSnapshot(r io.Reader, wantHash [32]byte, words int, vs *Visited) (*snapshot, error) {
 	c := newCkptReader(r)
-	if err := c.header("checkpoint", checkpointMagic, wantHash, hdrField{"word width", words}); err != nil {
+	if err := c.header(wantHash, words); err != nil {
 		return nil, err
 	}
 	s := &snapshot{hash: wantHash, words: words}

@@ -5,10 +5,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/hypergraph"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -311,93 +309,4 @@ func TestCheckpointKeepsDeferredCollision(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestPeerRollbackSweepsNothing drives two identical peers, each the
-// one shard of cc2/ring:4/cc/central under a 16 KiB budget, layer by
-// layer as a coordinator would, until a layer's expansion leaves cold
-// candidates deferred. One peer then rolls the layer back: the retry
-// derives every proposal again, so the deferred ones go unread and its
-// ColdReads does not move. Its retried layer must then rank exactly
-// what the other peer's single attempt ranks.
-func TestPeerRollbackSweepsNothing(t *testing.T) {
-	factory := mustCC(t, core.CC2, hypergraph.CommitteeRing(4), CCOptions{Init: InitCC})
-	opts := Options{
-		Mode: sim.SelectCentral, Workers: 2, MemBudget: 16 << 10, SpillDir: t.TempDir(),
-		CheckDeadlock: true, CheckClosure: true,
-	}
-	var peers [2]*peerEngine[core.State]
-	for i := range peers {
-		e, err := NewPeer(factory, opts, PeerConfig{NShards: 1, Hosted: []int{0}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		peers[i] = e.(*peerEngine[core.State])
-		if err := e.Seed(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One shard: a state's gid is its local id.
-	commit := func(e *peerEngine[core.State], housekeep bool) {
-		meta, err := e.PendMeta(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gids := make([]int32, len(meta))
-		for i := range gids {
-			gids[i] = int32(e.States() + i)
-		}
-		if err := e.Commit(0, len(gids), gids, housekeep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	expand := func(e *peerEngine[core.State], depth int) {
-		if _, err := e.Expand(depth, e.shards[0].layerFrom, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, e := range peers {
-		commit(e, false)
-	}
-	vs := peers[0].shards[0].vs
-	for depth := 0; vs.States() > int(peers[0].shards[0].layerFrom); depth++ {
-		for _, e := range peers {
-			expand(e, depth)
-		}
-		deferred := 0
-		for i := range vs.shards {
-			deferred += len(vs.shards[i].deferred) / (vs.words + 3)
-		}
-		if deferred == 0 {
-			for _, e := range peers {
-				commit(e, true)
-			}
-			continue
-		}
-		reads := vs.ColdReads()
-		if err := peers[0].Rollback(); err != nil {
-			t.Fatal(err)
-		}
-		if got := vs.ColdReads(); got != reads {
-			t.Fatalf("layer %d: rolling back %d deferred proposals read the spill file %d times", depth, deferred, got-reads)
-		}
-		if vs.Pending() != 0 {
-			t.Fatalf("layer %d: %d pending entries survive the rollback", depth, vs.Pending())
-		}
-		expand(peers[0], depth)
-		got, err := peers[0].PendMeta(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := peers[1].PendMeta(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("layer %d: the retried layer ranks %d entries, the single attempt %d, or in another order", depth, len(got), len(want))
-		}
-		return
-	}
-	t.Fatal("no layer deferred a cold candidate: the test exercised nothing")
 }

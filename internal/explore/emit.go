@@ -16,12 +16,12 @@ import (
 //	emit → a kept init of the seed's family: a duplicate, nothing else
 //	     → at cap: read-only membership check (maybe remote), nothing else
 //	     → filter: drop an exact re-proposal (succFilter)
-//	     → cluster peer, a shard it does not host: an outbox frame
+//	     → cluster peer, another peer's shard: an outbox frame
 //	     → probe the stripe if this worker owns it, else buffer the
 //	       successor for the stripe's owner (routeBuf)
 //
 // No stripe lock is taken. The stripes of a node's one visited set, or
-// of each shard a cluster peer hosts, are split into contiguous ranges,
+// of the one shard a cluster peer hosts, are split into contiguous ranges,
 // one per worker (Visited.owner); during an expansion fan-out a worker
 // mutates only its own stripes, and after the fan-out's barrier every
 // owner drains the buffers addressed to it (fanOut) — on a peer also the
@@ -63,22 +63,20 @@ const routeFlushRecords = 4096
 //     consulted. So in any layer that does consult it, every key
 //     forwarded in an earlier layer has been promoted, and a probe for a
 //     promoted key is a pure lookup.
-//  2. The key was forwarded in the current attempt of the current layer
-//     from a smaller position. The pending entry's min-merge keeps the
-//     least position, so the later proposal would be discarded. The
-//     stored position is compared, never assumed monotone: a peer that
-//     hosts several shards walks its items shard by shard.
+//  2. The key was forwarded in the current layer from a smaller
+//     position. The pending entry's min-merge keeps the least position,
+//     so the later proposal would be discarded. The stored position is
+//     compared, never assumed monotone.
 //
 // Anything else — a miss, an evicted slot, a re-proposal from a smaller
-// position — is forwarded and recorded. A layer attempt that is rolled
-// back (cluster retry) invalidates its entries; a restored checkpoint
-// starts with no filter at all.
+// position — is forwarded and recorded. A restored checkpoint starts
+// with no filter at all.
 type succFilter struct {
 	words int
 	shift uint   // slot = hash >> shift
-	tag   uint64 // the current layer attempt, ≥ 1; 0 marks an empty slot
+	tag   uint64 // the current layer, ≥ 1; 0 marks an empty slot
 	// tab holds words+2 uint64 per slot: the key, the least position
-	// forwarded in layer attempt tag, and that tag.
+	// forwarded in layer tag, and that tag.
 	tab []uint64
 }
 
@@ -107,7 +105,7 @@ func (f *succFilter) seen(key []uint64, hash, pos uint64) bool {
 	return false
 }
 
-// beginLayer opens a layer attempt of the given width (items this
+// beginLayer opens a layer of the given width (items this
 // engine will expand). The filter is allocated at the first layer wider
 // than it: a millisecond exploration never pays for the table.
 func (ws *workerState[S]) beginLayer(width int) {
@@ -123,21 +121,20 @@ func (ws *workerState[S]) beginLayer(width int) {
 // another worker's, or the probe records a cluster peer ingested.
 type routeBuf struct {
 	// recs holds words+3 uint64 per record: the key's hash, its
-	// position, its set's index<<32 | its parent, then the key.
+	// position, its parent, then the key.
 	recs []uint64
 }
 
-func (b *routeBuf) add(key []uint64, hash, pos uint64, parent int32, set int) {
-	b.recs = append(append(b.recs, hash, pos, uint64(set)<<32|uint64(uint32(parent))), key...)
+func (b *routeBuf) add(key []uint64, hash, pos uint64, parent int32) {
+	b.recs = append(append(b.recs, hash, pos, uint64(uint32(parent))), key...)
 }
 
-// drainInto probes every buffered record into its set, sets[index]: by
-// the records' owner after a fan-out's barrier, or in a serial phase.
-func (b *routeBuf) drainInto(sets []*Visited) {
-	for r := b.recs; len(r) > 0; {
-		vs, hash := sets[r[2]>>32], r[0]
+// drainInto probes every buffered record into vs: by the records' owner
+// after a fan-out's barrier, or in a serial phase.
+func (b *routeBuf) drainInto(vs *Visited) {
+	for r := b.recs; len(r) > 0; r = r[3+vs.words:] {
+		hash := r[0]
 		vs.probeStripe(&vs.shards[hash&vs.smask], r[3:3+vs.words], hash, r[1], int32(uint32(r[2])), deferCold)
-		r = r[3+vs.words:]
 	}
 	b.recs = b.recs[:0]
 }
@@ -152,13 +149,13 @@ func shareStripes[S sim.Cloneable[S]](wss []*workerState[S]) {
 }
 
 // fanOut is the expansion fan-out of both backends (a node's layer chunk,
-// a peer's hosted shard): it expands items 0 … size−1 on the workers,
-// which pull them off a shared cursor. A worker whose route buffers
-// reach routeFlushRecords ends the fan-out: the workers stop after the
-// item in hand, every owner drains the buffers addressed to it into
-// sets, and its inbox unless inbox is nil, and the fan-out resumes at
-// the cursor. On return every route buffer is empty.
-func fanOut[S sim.Cloneable[S]](wss []*workerState[S], size int, sets []*Visited, item func(ws *workerState[S], i int), inbox func(owner int)) error {
+// a peer's layer): it expands items 0 … size−1 on the workers, which
+// pull them off a shared cursor. A worker whose route buffers reach
+// routeFlushRecords ends the fan-out: the workers stop after the item in
+// hand, every owner drains the buffers addressed to it into vs, and its
+// inbox unless inbox is nil, and the fan-out resumes at the cursor. On
+// return every route buffer is empty.
+func fanOut[S sim.Cloneable[S]](wss []*workerState[S], size int, vs *Visited, item func(ws *workerState[S], i int), inbox func(owner int)) error {
 	n := len(wss)
 	var cursor atomic.Int64
 	var full atomic.Bool
@@ -185,7 +182,7 @@ func fanOut[S sim.Cloneable[S]](wss []*workerState[S], size int, sets []*Visited
 		}
 		if err := forEachWorkerIO(n, n, func(_, owner int) {
 			for _, ws := range wss {
-				ws.route[owner].drainInto(sets)
+				ws.route[owner].drainInto(vs)
 			}
 			if inbox != nil {
 				inbox(owner)
@@ -233,10 +230,12 @@ func (ws *workerState[S]) emit(key []uint64) {
 		return
 	}
 	hash := hashWords(key)
-	set, parent := 0, ws.curID
-	if ws.cl != nil { // the set of the successor's shard, nil on another peer
-		set, parent = ShardOf(hash, len(ws.cl.sets)), ws.cl.parent
-		vs = ws.cl.sets[set]
+	parent, remote := ws.curID, -1 // remote: the successor's shard on another peer
+	if ws.cl != nil {
+		parent = ws.cl.parent
+		if s := ShardOf(hash, ws.cl.shards); s != ws.cl.self {
+			remote = s
+		}
 	}
 	switch {
 	case ws.curAtCap:
@@ -245,17 +244,17 @@ func (ws *workerState[S]) emit(key []uint64) {
 		// Another peer's shard answers a membership query and folds a
 		// miss into its own FinishLayer flag: truncation is a
 		// layer-global OR, so where the bit lands cannot show.
-		if vs == nil {
-			ws.cl.frame(recCapCheck, set, key, 0, 0)
+		if remote >= 0 {
+			ws.cl.frame(recCapCheck, remote, key, 0, 0)
 		} else if !vs.slotted(key, hash) {
 			ws.curAgg.Truncated = true
 		}
 	case ws.filter != nil && ws.filter.seen(key, hash, pos):
-	case vs == nil:
-		ws.cl.frame(recProbe, set, key, pos, parent)
+	case remote >= 0:
+		ws.cl.frame(recProbe, remote, key, pos, parent)
 	default:
 		if o := vs.owner(hash, ws.owners); o != ws.self {
-			ws.route[o].add(key, hash, pos, parent, set)
+			ws.route[o].add(key, hash, pos, parent)
 			ws.routed++
 			return
 		}

@@ -400,8 +400,8 @@ type workerState[S sim.Cloneable[S]] struct {
 
 	// cl, when non-nil, makes the worker a cluster peer's: the at-cap
 	// decision and the parent become layer-global values owned by the
-	// coordinator, and a successor goes to its state-hash shard's set or
-	// to a remote peer's outbox. nil on every single-node path.
+	// coordinator, and a successor of another peer's shard goes to that
+	// peer's outbox. nil on every single-node path.
 	cl *peerHooks
 }
 
@@ -416,12 +416,12 @@ type peerHooks struct {
 	// parent is the global id (gid) of the item being expanded; probes
 	// record it in place of the shard-local id.
 	parent int32
-	// sets holds, per shard, its set if this peer hosts it, else nil;
-	// the peer's workers co-own the stripes of every hosted set.
-	sets []*Visited
-	// frame ships a successor for a shard this peer does not host to
-	// the peer that does (peerOutbox.frame).
-	frame func(kind byte, shard int, key []uint64, pos uint64, parent int32)
+	// shards is the cluster's shard count and self this peer's shard:
+	// a successor of any other shard is shipped to the peer that hosts
+	// it (frame, peerOutbox.frame); the rest go to the set being
+	// expanded, the peer's one set.
+	shards, self int
+	frame        func(kind byte, shard int, key []uint64, pos uint64, parent int32)
 }
 
 func newWorkerState[S sim.Cloneable[S]](m *Model[S], opts *Options) *workerState[S] {
@@ -822,28 +822,22 @@ func newLocalBackend[S sim.Cloneable[S]](newModel func() *Model[S], opts Options
 }
 
 // newVisited is the one visited-set constructor: the local backend's
-// set and every shard of a cluster peer are built here, so the memory
-// budget and the I/O routing reach all of them. sharers is how many
-// sets split the arena budget.
-func newVisited(words int, opts *Options, sharers int) *Visited {
+// set and a cluster peer's shard are built here, so the memory budget
+// and the I/O routing reach both. The arena gets half of MemBudget (0 =
+// never spill); the slot tables and the pending set live in the rest.
+func newVisited(words int, opts *Options) *Visited {
 	vs := NewVisited(words)
 	vs.SetFS(opts.FS)
-	vs.EnableArenaSpill(opts.SpillDir, opts.arenaShare(sharers))
+	budget := int64(0)
+	if opts.MemBudget > 0 {
+		budget = max(opts.MemBudget/2, 1)
+	}
+	vs.EnableArenaSpill(opts.SpillDir, budget)
 	return vs
 }
 
-// arenaShare is the visited-arena budget of one of n sets sharing
-// MemBudget (0 = never spill): the arena gets half — the slot tables
-// and the pending set live in the rest — split evenly.
-func (o *Options) arenaShare(n int) int64 {
-	if o.MemBudget <= 0 {
-		return 0
-	}
-	return max(o.MemBudget/2/int64(n), 1)
-}
-
 func (b *localBackend[S]) newVisited() *Visited {
-	return newVisited(b.wss[0].model.Codec.Words, b.opts, 1)
+	return newVisited(b.wss[0].model.Codec.Words, b.opts)
 }
 
 // restore resumes from the configured checkpoint, if a usable one
@@ -1116,7 +1110,7 @@ func (b *localBackend[S]) Expand(ctx context.Context, depth int, first int32, re
 			b.expandedSince = 0
 		}
 		n, base, from := min(run.width-run.done, exploreChunk), run.done, first+int32(run.done)
-		if err := fanOut(b.wss, n, []*Visited{vs}, func(ws *workerState[S], i int) {
+		if err := fanOut(b.wss, n, vs, func(ws *workerState[S], i int) {
 			ws.expand(vs, &ws.rep, from+int32(i), base+i, depth)
 		}, nil); err != nil {
 			return err

@@ -477,7 +477,7 @@ func FuzzVisitedSet(f *testing.F) {
 							key := keyOf(b, j)
 							hash := hashWords(key[:])
 							if o := vs.owner(hash, probers); o != g {
-								bufs[g][o].add(key[:], hash, posOf(i, j), parentOf(b), 0)
+								bufs[g][o].add(key[:], hash, posOf(i, j), parentOf(b))
 								continue
 							}
 							vs.probeStripe(&vs.shards[hash&vs.smask], key[:], hash, posOf(i, j), parentOf(b), deferCold)
@@ -486,7 +486,7 @@ func FuzzVisitedSet(f *testing.F) {
 				})
 				each(func(o int) {
 					for g := range bufs {
-						bufs[g][o].drainInto([]*Visited{vs})
+						bufs[g][o].drainInto(vs)
 					}
 				})
 				// A proposal deferred on a spilled tag match is settled

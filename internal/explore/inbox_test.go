@@ -13,10 +13,10 @@ import (
 
 // A cluster peer's frames wait for the stripes' owners: Ingest checks a
 // frame whole, queues its probe records in the shard's inbox, and the
-// owners probe them at their next barrier (or PendMeta does); Rollback
-// drops what is queued. These tests drive peer 0 of two — hosting shard
-// 0 of cc2/ring:4/cc/central — through its seed layer's expansion as a
-// coordinator would, and compare it with a twin peer.
+// owners probe them at their next barrier (or PendMeta does). These
+// tests drive peer 0 of two — hosting shard 0 of cc2/ring:4/cc/central —
+// through its seed layer's expansion as a coordinator would, and
+// compare it with a twin peer.
 
 // frameRec is one probe record of a hand-built frontier frame.
 type frameRec struct {
@@ -115,11 +115,11 @@ func TestPeerIngestWaitsForOwners(t *testing.T) {
 			return nil
 		}
 		ingested = true
-		before := e.shards[0].vs.Pending()
+		before := e.vs.Pending()
 		if err := e.Ingest(frame); err != nil {
 			t.Error(err)
 		}
-		if got := e.shards[0].vs.Pending(); got != before {
+		if got := e.vs.Pending(); got != before {
 			t.Errorf("ingesting mid-expansion moved the pending count %d → %d before the barrier", before, got)
 		}
 		return nil
@@ -132,7 +132,7 @@ func TestPeerIngestWaitsForOwners(t *testing.T) {
 	if !ingested {
 		t.Fatal("the expansion sent no frame: the test ingested nothing")
 	}
-	if got, want := e.shards[0].vs.Pending(), twin.shards[0].vs.Pending()+len(recs); got != want {
+	if got, want := e.vs.Pending(), twin.vs.Pending()+len(recs); got != want {
 		t.Fatalf("after the expansion the shard holds %d pending entries, want the twin's %d plus the frame's %d", got, want-len(recs), len(recs))
 	}
 	if err := twin.Ingest(frame); err != nil {
@@ -146,35 +146,6 @@ func TestPeerIngestWaitsForOwners(t *testing.T) {
 		if !slices.Contains(got, PendMeta{Pos: r.pos, Parent: r.parent}) {
 			t.Fatalf("the ranked entries miss the frame's record at pos %#x", r.pos)
 		}
-	}
-}
-
-// TestPeerRollbackDropsQueued ingests a frame after the expansion, so its
-// records wait in the inbox, then rolls the layer back and retries it:
-// the retry must rank exactly what a twin ranks that never received the
-// frame.
-func TestPeerRollbackDropsQueued(t *testing.T) {
-	e, twin := inboxPeer(t, 2, 0), inboxPeer(t, 2, 0)
-	for _, p := range []*peerEngine[core.State]{e, twin} {
-		if _, err := p.Expand(0, 0, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := e.shards[0].vs.Pending()
-	if err := e.Ingest(buildFrame(e.words, inboxRecs(t, e, 3)...)); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.shards[0].vs.Pending(); got != before {
-		t.Fatalf("a frame ingested after the expansion moved the pending count %d → %d: nothing is queued", before, got)
-	}
-	if err := e.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Expand(0, 0, false); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := pendMeta(t, e), pendMeta(t, twin); !slices.Equal(got, want) {
-		t.Fatalf("the retried layer ranks %d entries, the twin %d, or in another order", len(got), len(want))
 	}
 }
 
@@ -199,12 +170,12 @@ func TestPeerIngestRefusesWholeFrame(t *testing.T) {
 		{"truncated", string(whole[:len(whole)-3]), "truncated frontier frame (record 1)"},
 		{"foreign shard", string(buildFrame(e.words, recs[0], foreign)), "frame for shard 1, which peer 0 does not host"},
 	} {
-		before := e.shards[0].vs.Pending()
+		before := e.vs.Pending()
 		err := e.Ingest([]byte(tc.frame))
 		if err == nil || !strings.Contains(err.Error(), tc.err) {
 			t.Fatalf("%s: Ingest returned %v, want %q", tc.name, err, tc.err)
 		}
-		if got := e.shards[0].vs.Pending(); got != before {
+		if got := e.vs.Pending(); got != before {
 			t.Fatalf("%s: the refused frame moved the pending count %d → %d", tc.name, before, got)
 		}
 	}

@@ -42,13 +42,12 @@ type LayerViol struct {
 // identical at any worker or peer count and nothing per-item is
 // allocated on the hot path.
 type LayerReport struct {
-	Deadlocks    int         `json:"deadlocks"`
-	Transitions  int64       `json:"transitions"`
-	MaxEnabled   int         `json:"maxEnabled"`
-	Truncated    bool        `json:"truncated"`
-	Incorrect    bool        `json:"incorrect"`
-	Viols        []LayerViol `json:"viols,omitempty"`
-	SendFailures int         `json:"sendFailures,omitempty"`
+	Deadlocks   int         `json:"deadlocks"`
+	Transitions int64       `json:"transitions"`
+	MaxEnabled  int         `json:"maxEnabled"`
+	Truncated   bool        `json:"truncated"`
+	Incorrect   bool        `json:"incorrect"`
+	Viols       []LayerViol `json:"viols,omitempty"`
 }
 
 // Merge folds o into r. Sums, maxima and ORs commute and violations
@@ -61,7 +60,6 @@ func (r *LayerReport) Merge(o *LayerReport) {
 	r.Truncated = r.Truncated || o.Truncated
 	r.Incorrect = r.Incorrect || o.Incorrect
 	r.Viols = append(r.Viols, o.Viols...)
-	r.SendFailures += o.SendFailures
 }
 
 // LayerBackend is where the states of a layer-synchronous exploration

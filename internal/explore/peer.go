@@ -2,8 +2,8 @@ package explore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"math/bits"
 	"slices"
 	"sync"
@@ -14,13 +14,14 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the peer half of the distributed checker: a PeerEngine
-// hosts a subset of the hash-range shards of the global visited set and
-// expands its slice of each BFS layer, shipping successors it does not
-// own to the owning peer as binary frontier frames. The other half — the
-// coordinator that drives the layer barriers, merges the per-shard
-// pending metadata into the global promotion order and assigns dense
-// global ids (gids) — lives in internal/cluster.
+// This file is the peer half of the in-process cluster checker that
+// bench/'s cluster-local3 workload runs: a PeerEngine hosts one hash-range
+// shard of the global visited set, its own, and expands its slice of each
+// BFS layer, shipping successors it does not own to the owning peer as
+// binary frontier frames. The other half — the coordinator that drives
+// the layer barriers, merges the per-shard pending metadata into the
+// global promotion order and assigns dense global ids (gids) — lives in
+// internal/cluster.
 //
 // Determinism carries over from the single-node engine unchanged,
 // because nothing that decides the result moves:
@@ -30,11 +31,11 @@ import (
 //     value is proposed for exactly one key by exactly one expansion and
 //     the min-merge in the owning shard is a strict total order,
 //     independent of frame arrival order;
-//   - a hosted shard is written as a node writes its one set, by the
-//     stripes' owners (emit.go); an ingested probe record waits in the
-//     owner's inbox until it drains it at a barrier, or PendMeta does;
+//   - the shard is written as a node writes its one set, by the stripes'
+//     owners (emit.go); an ingested probe record waits in the owner's
+//     inbox until it drains it at a barrier, or PendMeta does;
 //   - promotion goes through the single-node owner commit, split at
-//     the coordinator: PendMeta ranks a shard's pending entries by pos
+//     the coordinator: PendMeta ranks the shard's pending entries by pos
 //     (Visited.rank), the coordinator merges the shards' ranked lists
 //     and assigns gids to the global kept prefix, and Commit promotes
 //     the shard's share of it (Visited.promote) — a prefix of its own
@@ -44,18 +45,13 @@ import (
 //     "cluster-wide promoted count >= MaxStates"), matching the
 //     single-node States() check which only moves between layers.
 //
-// A shard — not a peer — is the unit of recovery: SnapshotShard writes a
-// checkpoint-format image of one shard at a layer barrier, and
-// AdoptShard rebuilds it on any surviving peer, which is what lets the
-// cluster tolerate node loss mid-layer (survivors roll their pending
-// state back to the barrier; the arena only mutates at commit time, so
-// no snapshot restore is needed for them).
+// A peer is not fault-tolerant: a failed frame send fails its Expand,
+// and the coordinator fails the run.
 
 // ShardOf maps a state hash to its owning shard: the high word of
 // hash×n, which is monotone in hash — shard s owns the contiguous hash
-// range [s·2⁶⁴/n, (s+1)·2⁶⁴/n). The shard count is fixed at cluster
-// start (one per initial peer); node loss moves whole shards to
-// adopters instead of re-hashing.
+// range [s·2⁶⁴/n, (s+1)·2⁶⁴/n). A cluster has one shard per peer, and
+// peer s hosts shard s.
 func ShardOf(hash uint64, n int) int {
 	hi, _ := bits.Mul64(hash, uint64(n))
 	return int(hi)
@@ -100,16 +96,18 @@ type PendMeta struct {
 // methods except Ingest are called from the coordinator's serial
 // phases, one at a time; Ingest is called concurrently with Expand
 // and with itself, and only queues records for the stripes' owners.
+// The shard arguments name the peer's own shard, the only one it hosts.
 type PeerEngine interface {
 	// Seed enumerates the model's full deterministic init stream and
-	// probes the configurations owned by a hosted shard (pos = stream
+	// probes the configurations the peer's shard owns (pos = stream
 	// position, parent −1), stopping early once the local pending count
 	// exceeds MaxStates — provably past the global kept prefix.
 	Seed() error
 	// Expand expands this peer's slice of the current layer: every
-	// state promoted into a hosted shard at the last commit. firstGid
+	// state promoted into its shard at the last commit. firstGid
 	// anchors the global item numbering (item = gid − firstGid); atCap
-	// is the coordinator's layer-global state-bound decision.
+	// is the coordinator's layer-global state-bound decision. A frame
+	// that could not be sent fails it.
 	Expand(depth int, firstGid int32, atCap bool) (*LayerReport, error)
 	// FinishLayer returns (and clears) the truncation flag accumulated
 	// from ingested at-cap membership queries. Separate from Expand's
@@ -117,36 +115,20 @@ type PeerEngine interface {
 	// own expansion slice is done; the coordinator calls it once every
 	// peer's Expand has returned.
 	FinishLayer() bool
-	// PendMeta ranks a hosted shard's pending entries in deterministic
-	// pos order and returns their promotion metadata in that order.
+	// PendMeta ranks the shard's pending entries in deterministic pos
+	// order and returns their promotion metadata in that order.
 	PendMeta(shard int) ([]PendMeta, error)
 	// Commit promotes the first keep entries the shard's last PendMeta
 	// ranked (in that order) under the coordinator-assigned gids, drops
 	// the rest, and runs the between-layer housekeeping.
 	Commit(shard int, keep int, gids []int32, housekeep bool) error
 	// Keys returns the encoded states of the given gids, which must
-	// have been committed to the given hosted shard (trace rebuilding).
+	// have been committed to the shard (trace rebuilding).
 	Keys(shard int, gids []int32) ([][]uint64, error)
-	// SnapshotShard streams a restorable image of one hosted shard.
-	// Only legal at a layer barrier (no pending entries).
-	SnapshotShard(shard int, w io.Writer) error
-	// AdoptShard rebuilds a shard this peer does not host from a
-	// SnapshotShard stream — the work-migration path after node loss.
-	AdoptShard(shard int, r io.Reader) error
-	// Rollback discards every hosted shard's pending entries (deferred
-	// ones unread), the queued frame records and the ingested at-cap
-	// flag: the peer is back at the last layer barrier. The arena only
-	// mutates at commit, so this is all a surviving peer needs before a
-	// layer is retried.
-	Rollback() error
-	// SetRoute replaces the shard→peer routing table (after adoption).
-	SetRoute(route []int) error
 	// SetSender installs the frame transport: send must deliver the
 	// frame to peer dst's Ingest before returning, may be called
 	// concurrently from multiple workers, and must not retain the
-	// frame. A send error is absorbed into the layer report's
-	// SendFailures (the coordinator rolls the layer back), never a
-	// wrong result.
+	// frame.
 	SetSender(send func(dst int, frame []byte) error)
 	// Ingest applies one frame from a remote peer, all of it or nothing
 	// (with an error that fails the send). Probe records queue until
@@ -154,22 +136,19 @@ type PeerEngine interface {
 	// order irrelevant); membership queries are answered at once, since
 	// nothing inserts in an at-cap layer, and fold into FinishLayer.
 	Ingest(frame []byte) error
-	// Hosted returns the sorted shard ids this peer currently hosts.
-	Hosted() []int
-	// States returns the promoted-state count across hosted shards.
-	States() int
-	// Close releases the hosted shards' resources.
+	// Close releases the shard's resources.
 	Close()
 }
 
 // PeerConfig places one engine inside a cluster.
 type PeerConfig struct {
-	// NShards is the cluster-wide shard count (fixed at start).
+	// NShards is the cluster-wide shard count, one per peer.
 	NShards int
-	// Hosted lists the shards this peer owns initially.
+	// Hosted must be []int{Self}: a peer hosts its own shard and no
+	// other. The field stays because bench/'s cluster workload sets it.
 	Hosted []int
-	// Self is this peer's index (frames it emits carry it implicitly
-	// via the sender; a peer never sends to itself).
+	// Self is this peer's index and its shard's (frames it emits carry
+	// it implicitly via the sender; a peer never sends to itself).
 	Self int
 	// FlushRecords caps the records buffered per (worker, destination)
 	// outbox before a frame is flushed mid-expansion (0 = 512). Tests
@@ -177,21 +156,9 @@ type PeerConfig struct {
 	FlushRecords int
 }
 
-// peerShard is one hosted slice of the global visited set.
-type peerShard struct {
-	vs *Visited
-	// gidOf maps this shard's dense local ids to their global ids.
-	// Strictly increasing: within a commit the kept entries arrive in
-	// global promotion order, and across commits gids only grow.
-	gidOf []int32
-	// layerFrom is the first local id of the current frontier layer
-	// (the states committed last barrier, expanded this layer).
-	layerFrom int32
-}
-
 // ownerBox is one stripe owner's inbox: the probe records Ingest queued
-// for its stripes of any hosted shard. A mutex per owner lets the owners
-// drain in parallel, and Ingest waits only on the one it queues for.
+// for its stripes. A mutex per owner lets the owners drain in parallel,
+// and Ingest waits only on the one it queues for.
 type ownerBox struct {
 	mu sync.Mutex
 	routeBuf
@@ -204,23 +171,29 @@ type peerEngine[S sim.Cloneable[S]] struct {
 	self     int
 	flushAt  int
 	words    int
-	ohash    [32]byte
-	shards   map[int]*peerShard
-	sets     []*Visited // per shard: its set if hosted, else nil (peerHooks.sets)
-	hosted   []int      // sorted
-	route    []int      // shard -> peer
+	vs       *Visited // shard self of the global visited set
 	send     func(dst int, frame []byte) error
 	outboxes []*peerOutbox[S]
 	inbox    []ownerBox // per stripe owner
 
-	capTrunc  atomic.Bool
-	sendFails atomic.Int64
+	// gidOf maps the shard's dense local ids to their global ids.
+	// Strictly increasing: within a commit the kept entries arrive in
+	// global promotion order, and across commits gids only grow.
+	gidOf []int32
+	// layerFrom is the first local id of the current frontier layer
+	// (the states committed last barrier, expanded this layer).
+	layerFrom int32
+
+	capTrunc atomic.Bool
+	// sendErr is the layer's first failed frame send, which fails its
+	// Expand; later sends are skipped.
+	sendErr atomic.Pointer[error]
 }
 
-// NewPeer builds a shard-hosting engine for one cluster peer. newModel
-// and opts must be identical on every peer (and on the coordinator);
-// opts is normalized with Defaulted, and Workers sizes this peer's
-// expansion pool.
+// NewPeer builds the engine of cluster peer cfg.Self, which hosts shard
+// cfg.Self. newModel and opts must be identical on every peer (and on
+// the coordinator); opts is normalized with Defaulted, and Workers sizes
+// this peer's expansion pool.
 func NewPeer[S sim.Cloneable[S]](newModel func() *Model[S], opts Options, cfg PeerConfig) (PeerEngine, error) {
 	opts = opts.Defaulted()
 	if cfg.NShards < 1 {
@@ -228,6 +201,9 @@ func NewPeer[S sim.Cloneable[S]](newModel func() *Model[S], opts Options, cfg Pe
 	}
 	if cfg.Self < 0 || cfg.Self >= cfg.NShards {
 		return nil, fmt.Errorf("explore: peer index %d out of range [0,%d)", cfg.Self, cfg.NShards)
+	}
+	if !slices.Equal(cfg.Hosted, []int{cfg.Self}) {
+		return nil, fmt.Errorf("explore: peer %d hosts shards %v: a peer hosts its own shard, [%d], and no other", cfg.Self, cfg.Hosted, cfg.Self)
 	}
 	if cfg.FlushRecords <= 0 {
 		cfg.FlushRecords = 512
@@ -237,12 +213,6 @@ func NewPeer[S sim.Cloneable[S]](newModel func() *Model[S], opts Options, cfg Pe
 		nShards: cfg.NShards,
 		self:    cfg.Self,
 		flushAt: cfg.FlushRecords,
-		shards:  make(map[int]*peerShard),
-		sets:    make([]*Visited, cfg.NShards),
-		route:   make([]int, cfg.NShards),
-	}
-	for s := range e.route {
-		e.route[s] = s // identity while peers == shards
 	}
 	e.wss = make([]*workerState[S], opts.Workers)
 	for i := range e.wss {
@@ -250,78 +220,29 @@ func NewPeer[S sim.Cloneable[S]](newModel func() *Model[S], opts Options, cfg Pe
 	}
 	shareStripes(e.wss)
 	e.inbox = make([]ownerBox, len(e.wss))
-	m0 := e.wss[0].model
-	e.words = m0.Codec.Words
-	e.ohash = optionsHash(m0.Name, e.words, m0.Prog.NumProcs, &e.opts)
-	for _, s := range cfg.Hosted {
-		if s < 0 || s >= cfg.NShards {
-			return nil, fmt.Errorf("explore: hosted shard %d out of range [0,%d)", s, cfg.NShards)
-		}
-		if _, dup := e.shards[s]; dup {
-			return nil, fmt.Errorf("explore: shard %d hosted twice", s)
-		}
-		e.shards[s] = &peerShard{vs: newVisited(e.words, &e.opts, len(cfg.Hosted))}
-	}
-	e.rebuildHosted()
+	e.words = e.wss[0].model.Codec.Words
+	e.vs = newVisited(e.words, &e.opts)
 	e.outboxes = make([]*peerOutbox[S], opts.Workers)
 	for w := range e.outboxes {
 		ob := &peerOutbox[S]{e: e}
 		ob.init()
 		e.outboxes[w] = ob
-		e.wss[w].cl = &peerHooks{sets: e.sets, frame: ob.frame}
+		e.wss[w].cl = &peerHooks{shards: e.nShards, self: e.self, frame: ob.frame}
 	}
 	return e, nil
 }
 
-// rebuildHosted re-derives the sorted hosted list and sets after the
-// shard map changed and re-splits the peer's arena budget between its
-// shards: an adopter's own shards give up part of their share.
-func (e *peerEngine[S]) rebuildHosted() {
-	e.hosted = e.hosted[:0]
-	for s, ps := range e.shards {
-		e.hosted = append(e.hosted, s)
-		e.sets[s] = ps.vs
-		ps.vs.EnableArenaSpill(e.opts.SpillDir, e.opts.arenaShare(len(e.shards)))
-	}
-	slices.Sort(e.hosted)
-}
-
-func (e *peerEngine[S]) Hosted() []int { return slices.Clone(e.hosted) }
-
-func (e *peerEngine[S]) States() int {
-	n := 0
-	for _, s := range e.hosted {
-		n += e.shards[s].vs.States()
-	}
-	return n
-}
-
 func (e *peerEngine[S]) SetSender(send func(dst int, frame []byte) error) { e.send = send }
-
-func (e *peerEngine[S]) SetRoute(route []int) error {
-	if len(route) != e.nShards {
-		return fmt.Errorf("explore: route length %d != %d shards", len(route), e.nShards)
-	}
-	e.route = slices.Clone(route)
-	return nil
-}
 
 func (e *peerEngine[S]) Close() {
 	if st := e.opts.Stats; st != nil {
 		lookups, hits := localCounts(e.wss)
 		st.LocalLookups += lookups
 		st.LocalHits += hits
+		st.ArenaSpilledBytes += e.vs.SpilledBytes()
+		st.ColdReads += e.vs.ColdReads()
 	}
-	for _, ps := range e.shards {
-		if e.opts.Stats != nil {
-			e.opts.Stats.ArenaSpilledBytes += ps.vs.SpilledBytes()
-			e.opts.Stats.ColdReads += ps.vs.ColdReads()
-		}
-		ps.vs.Close()
-	}
-	e.shards = map[int]*peerShard{}
-	clear(e.sets)
-	e.hosted = nil
+	e.vs.Close()
 }
 
 // catchIO converts the arena's ioPanic escape hatch into an error on
@@ -348,60 +269,51 @@ func (e *peerEngine[S]) Seed() (err error) {
 	// stream positions are past the global kept prefix, and the merge
 	// discards exactly those.
 	e.wss[0].streamInits(room, func(h uint64) *Visited {
-		return e.sets[ShardOf(h, e.nShards)]
-	}, func() int {
-		pending := 0
-		for _, s := range e.hosted {
-			pending += e.shards[s].vs.Pending()
+		if ShardOf(h, e.nShards) != e.self {
+			return nil
 		}
-		return pending
-	})
+		return e.vs
+	}, e.vs.Pending)
 	return nil
 }
 
-// Expand walks each hosted shard's layer range through the node's
-// fanOut, with item = gid − firstGid and parent = gid.
+// Expand walks the shard's layer range through the node's fanOut, with
+// item = gid − firstGid and parent = gid.
 func (e *peerEngine[S]) Expand(depth int, firstGid int32, atCap bool) (rep *LayerReport, err error) {
-	e.sendFails.Store(0)
-	width := 0
-	for _, s := range e.hosted {
-		width += e.shards[s].vs.States() - int(e.shards[s].layerFrom)
-	}
+	e.sendErr.Store(nil)
+	width := e.vs.States() - int(e.layerFrom)
 	for _, ws := range e.wss {
 		ws.rep = LayerReport{}
 		ws.cl.atCap = atCap
 		ws.beginLayer(width)
 	}
-	for _, s := range e.hosted {
-		ps := e.shards[s]
-		err = fanOut(e.wss, ps.vs.States()-int(ps.layerFrom), e.sets, func(ws *workerState[S], i int) {
-			lid := ps.layerFrom + int32(i)
-			ws.cl.parent = ps.gidOf[lid]
-			ws.expand(ps.vs, &ws.rep, lid, int(ws.cl.parent-firstGid), depth)
-		}, e.drain)
-		if err != nil {
-			break
-		}
-	}
+	err = fanOut(e.wss, width, e.vs, func(ws *workerState[S], i int) {
+		lid := e.layerFrom + int32(i)
+		ws.cl.parent = e.gidOf[lid]
+		ws.expand(e.vs, &ws.rep, lid, int(ws.cl.parent-firstGid), depth)
+	}, e.drain)
 	for _, ob := range e.outboxes {
 		ob.flushAll()
+	}
+	if p := e.sendErr.Load(); err == nil && p != nil {
+		err = *p
 	}
 	if err != nil {
 		return nil, err
 	}
-	rep = &LayerReport{SendFailures: int(e.sendFails.Load())}
+	rep = &LayerReport{}
 	for _, ws := range e.wss {
 		rep.Merge(&ws.rep)
 	}
 	return rep, nil
 }
 
-// drain probes owner o's queued records into their sets: by o at a
+// drain probes owner o's queued records into the shard: by o at a
 // fan-out barrier, or in a serial phase.
 func (e *peerEngine[S]) drain(o int) {
 	b := &e.inbox[o]
 	b.mu.Lock()
-	b.drainInto(e.sets)
+	b.drainInto(e.vs)
 	b.mu.Unlock()
 }
 
@@ -409,34 +321,33 @@ func (e *peerEngine[S]) FinishLayer() bool {
 	return e.capTrunc.Swap(false)
 }
 
-func (e *peerEngine[S]) shard(s int) (*peerShard, error) {
-	ps, ok := e.shards[s]
-	if !ok {
-		return nil, fmt.Errorf("explore: shard %d is not hosted by peer %d", s, e.self)
+// own checks that shard is the one this peer hosts.
+func (e *peerEngine[S]) own(shard int) error {
+	if shard != e.self {
+		return fmt.Errorf("explore: shard %d is not hosted by peer %d", shard, e.self)
 	}
-	return ps, nil
+	return nil
 }
 
 func (e *peerEngine[S]) PendMeta(shard int) (meta []PendMeta, err error) {
 	defer catchIO(&err)
-	ps, err := e.shard(shard)
-	if err != nil {
+	if err := e.own(shard); err != nil {
 		return nil, err
 	}
 	for o := range e.inbox { // the records no barrier drained; keep no slack
 		e.drain(o)
 		e.inbox[o].recs = nil
 	}
-	n, err := ps.vs.rank(len(e.wss))
+	n, err := e.vs.rank(len(e.wss))
 	if err != nil {
 		return nil, err
 	}
 	// rank left each run's records carrying their ranks; the entries
 	// still hold their positions.
 	meta = make([]PendMeta, n)
-	for _, run := range ps.vs.runs {
+	for _, run := range e.vs.runs {
 		for _, r := range run {
-			pe := &ps.vs.shards[r.shard].pend[r.pidx]
+			pe := &e.vs.shards[r.shard].pend[r.pidx]
 			meta[r.pos] = PendMeta{Pos: pe.pos, Parent: pe.parent}
 		}
 	}
@@ -445,141 +356,39 @@ func (e *peerEngine[S]) PendMeta(shard int) (meta []PendMeta, err error) {
 
 func (e *peerEngine[S]) Commit(shard int, keep int, gids []int32, housekeep bool) (err error) {
 	defer catchIO(&err)
-	ps, err := e.shard(shard)
-	if err != nil {
+	if err := e.own(shard); err != nil {
 		return err
 	}
-	if keep != len(gids) || keep > ps.vs.ranked { // ranked is −1 until PendMeta
-		return fmt.Errorf("explore: commit of %d entries (%d gids) does not fit the %d PendMeta ranked", keep, len(gids), ps.vs.ranked)
+	if keep != len(gids) || keep > e.vs.ranked { // ranked is −1 until PendMeta
+		return fmt.Errorf("explore: commit of %d entries (%d gids) does not fit the %d PendMeta ranked", keep, len(gids), e.vs.ranked)
 	}
-	oldFrom := ps.layerFrom
-	nBefore := int32(ps.vs.States())
-	ps.vs.promote(keep, nil)
-	ps.gidOf = append(ps.gidOf, gids...)
+	oldFrom := e.layerFrom
+	nBefore := int32(e.vs.States())
+	e.vs.promote(keep, nil)
+	e.gidOf = append(e.gidOf, gids...)
 	if housekeep {
-		if err := ps.vs.Housekeep(oldFrom); err != nil {
+		if err := e.vs.Housekeep(oldFrom); err != nil {
 			return err
 		}
 	}
-	ps.layerFrom = nBefore
+	e.layerFrom = nBefore
 	return nil
 }
 
 func (e *peerEngine[S]) Keys(shard int, gids []int32) (keys [][]uint64, err error) {
 	defer catchIO(&err)
-	ps, err := e.shard(shard)
-	if err != nil {
+	if err := e.own(shard); err != nil {
 		return nil, err
 	}
 	keys = make([][]uint64, len(gids))
 	for i, g := range gids {
-		lid, ok := slices.BinarySearch(ps.gidOf, g)
+		lid, ok := slices.BinarySearch(e.gidOf, g)
 		if !ok {
 			return nil, fmt.Errorf("explore: gid %d is not committed to shard %d", g, shard)
 		}
-		keys[i] = copyWords(ps.vs.Key(int32(lid)))
+		keys[i] = copyWords(e.vs.Key(int32(lid)))
 	}
 	return keys, nil
-}
-
-func (e *peerEngine[S]) Rollback() error {
-	for _, s := range e.hosted {
-		vs := e.shards[s].vs
-		for i := range vs.shards { // the retry proposes them again: no sweep
-			vs.shards[i].resetDeferred()
-		}
-		if _, err := vs.rank(len(e.wss)); err != nil {
-			return err
-		}
-		vs.promote(0, nil)
-	}
-	for o := range e.inbox {
-		e.inbox[o].recs = nil
-	}
-	e.capTrunc.Store(false)
-	// The successor filters remember what the discarded attempt
-	// forwarded; consulted by the retry they would swallow proposals the
-	// pending sets no longer hold. A rollback is rare, so the entries of
-	// committed layers (still valid) go with them.
-	for _, ws := range e.wss {
-		if ws.filter != nil {
-			clear(ws.filter.tab)
-		}
-	}
-	return nil
-}
-
-// --- shard snapshots (the unit of work migration) ------------------------------
-
-var shardMagic = [8]byte{'C', 'C', 'S', 'H', 'D', '0' + checkpointVersion, '\r', '\n'}
-
-// shardHeader is the header fields of shard's snapshot.
-func (e *peerEngine[S]) shardHeader(shard int) []hdrField {
-	return []hdrField{{"cluster shard count", e.nShards}, {"shard", shard}, {"word width", e.words}}
-}
-
-func (e *peerEngine[S]) SnapshotShard(shard int, w io.Writer) (err error) {
-	defer catchIO(&err)
-	ps, err := e.shard(shard)
-	if err != nil {
-		return err
-	}
-	if ps.vs.Pending() != 0 {
-		return fmt.Errorf("explore: shard %d snapshot requested mid-layer (%d pending)", shard, ps.vs.Pending())
-	}
-	c := newCkptWriter(w)
-	c.header(shardMagic, e.ohash, e.shardHeader(shard)...)
-	c.int(ps.vs.States())
-	c.i32(ps.layerFrom)
-	for _, g := range ps.gidOf {
-		c.i32(g)
-	}
-	return c.finishArena(ps.vs)
-}
-
-func (e *peerEngine[S]) AdoptShard(shard int, r io.Reader) (err error) {
-	defer catchIO(&err)
-	if _, hosted := e.shards[shard]; hosted {
-		return fmt.Errorf("explore: shard %d is already hosted by peer %d", shard, e.self)
-	}
-	if shard < 0 || shard >= e.nShards {
-		return fmt.Errorf("explore: shard %d out of range [0,%d)", shard, e.nShards)
-	}
-	c := newCkptReader(r)
-	if err := c.header("shard snapshot", shardMagic, e.ohash, e.shardHeader(shard)...); err != nil {
-		return err
-	}
-	nstates := c.int()
-	layerFrom := c.i32()
-	if c.err == nil && (nstates < 0 || nstates > snapLimit/8/e.words) {
-		return fmt.Errorf("explore: shard snapshot state count %d out of range", nstates)
-	}
-	if c.err == nil && (layerFrom < 0 || int(layerFrom) > nstates) {
-		return fmt.Errorf("explore: shard snapshot layer start %d out of range", layerFrom)
-	}
-	var gidOf []int32
-	if c.err == nil {
-		gidOf = make([]int32, nstates)
-		prev := int32(-1)
-		for i := range gidOf {
-			gidOf[i] = c.i32()
-			if c.err == nil && gidOf[i] <= prev {
-				return fmt.Errorf("explore: shard snapshot gid table is not increasing")
-			}
-			prev = gidOf[i]
-		}
-	}
-	if c.err != nil {
-		return fmt.Errorf("explore: shard snapshot read: %v", c.err)
-	}
-	vs := newVisited(e.words, &e.opts, len(e.hosted)+1)
-	if err := c.restoreArena(vs, nstates, e.words, layerFrom); err != nil {
-		vs.Close()
-		return err
-	}
-	e.shards[shard] = &peerShard{vs: vs, gidOf: gidOf, layerFrom: layerFrom}
-	e.rebuildHosted()
-	return nil
 }
 
 // --- frontier frames -----------------------------------------------------------
@@ -624,12 +433,11 @@ func (ob *peerOutbox[S]) init() {
 	}
 }
 
-// frame appends a record for shard, which another peer hosts, to that
+// frame appends a record for shard dst, which peer dst hosts, to that
 // peer's frame: a probe, or at cap (recCapCheck) a membership query.
-func (ob *peerOutbox[S]) frame(kind byte, shard int, key []uint64, pos uint64, parent int32) {
-	dst := ob.e.route[shard]
+func (ob *peerOutbox[S]) frame(kind byte, dst int, key []uint64, pos uint64, parent int32) {
 	buf := append(ob.bufs[dst], kind)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(shard))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(dst))
 	if kind == recProbe {
 		buf = binary.LittleEndian.AppendUint64(buf, pos)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(parent))
@@ -661,40 +469,46 @@ func (ob *peerOutbox[S]) flushAll() {
 }
 
 func (e *peerEngine[S]) deliver(dst int, frame []byte) {
-	if e.send == nil {
-		e.sendFails.Add(1)
+	if e.sendErr.Load() != nil {
 		return
 	}
-	if err := e.send(dst, frame); err != nil {
-		e.sendFails.Add(1)
+	err := errNoSender
+	if e.send != nil {
+		err = e.send(dst, frame)
+	}
+	if err != nil {
+		err = fmt.Errorf("explore: peer %d: frame to peer %d: %w", e.self, dst, err)
+		e.sendErr.CompareAndSwap(nil, &err)
 	}
 }
+
+var errNoSender = errors.New("no frame sender installed")
 
 func (e *peerEngine[S]) Ingest(frame []byte) (err error) {
 	defer catchIO(&err) // an at-cap check may read a spilled arena record
 	if err := e.records(frame, nil); err != nil {
 		return err
 	}
-	return e.records(frame, func(kind byte, shard int, key []uint64, pos uint64, parent int32) {
-		vs, hash := e.sets[shard], hashWords(key)
+	return e.records(frame, func(kind byte, key []uint64, pos uint64, parent int32) {
+		hash := hashWords(key)
 		if kind == recCapCheck {
-			if !vs.Contains(key, hash) {
+			if !e.vs.Contains(key, hash) {
 				e.capTrunc.Store(true)
 			}
 			return
 		}
-		b := &e.inbox[vs.owner(hash, len(e.inbox))]
+		b := &e.inbox[e.vs.owner(hash, len(e.inbox))]
 		b.mu.Lock()
-		b.add(key, hash, pos, parent, shard)
+		b.add(key, hash, pos, parent)
 		b.mu.Unlock()
 	})
 }
 
 // records checks a frontier frame — its header, and that every record is
-// complete, of a known kind and for a hosted shard — and passes each
+// complete, of a known kind and for this peer's shard — and passes each
 // record to apply, unless apply is nil. Ingest checks a frame whole
 // before it applies any of it.
-func (e *peerEngine[S]) records(frame []byte, apply func(kind byte, shard int, key []uint64, pos uint64, parent int32)) error {
+func (e *peerEngine[S]) records(frame []byte, apply func(kind byte, key []uint64, pos uint64, parent int32)) error {
 	if len(frame) < frameHeaderLen {
 		return fmt.Errorf("explore: short frontier frame (%d bytes)", len(frame))
 	}
@@ -713,8 +527,8 @@ func (e *peerEngine[S]) records(frame []byte, apply func(kind byte, shard int, k
 			return fmt.Errorf("explore: truncated frontier frame (record %d)", rec)
 		}
 		kind, shard := p[0], int(binary.LittleEndian.Uint32(p[1:5]))
-		if shard >= e.nShards || e.sets[shard] == nil {
-			return fmt.Errorf("explore: frame for shard %d, which peer %d does not host (stale route?)", shard, e.self)
+		if shard != e.self {
+			return fmt.Errorf("explore: frame for shard %d, which peer %d does not host", shard, e.self)
 		}
 		head := 5
 		switch kind {
@@ -736,7 +550,7 @@ func (e *peerEngine[S]) records(frame []byte, apply func(kind byte, shard int, k
 			for i := range key {
 				key[i] = binary.LittleEndian.Uint64(p[head+8*i:])
 			}
-			apply(kind, shard, key, pos, parent)
+			apply(kind, key, pos, parent)
 		}
 		p = p[head+8*e.words:]
 	}

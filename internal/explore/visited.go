@@ -231,9 +231,7 @@ func (v *Visited) home(tag int32) (shIdx int32, idx uint64) {
 // EnableArenaSpill activates the cold-tail spill: once the in-memory
 // arena exceeds budget bytes, Housekeep moves everything below its hot
 // watermark to a temp file under dir ("" = the system temp dir).
-// budget <= 0 turns the spill off. Serial phases only; calling it again
-// re-budgets a live set from its next Housekeep on (a cluster peer
-// re-splits its budget when it adopts a shard).
+// budget <= 0 turns the spill off. Serial phases only.
 func (v *Visited) EnableArenaSpill(dir string, budget int64) {
 	v.spillDir, v.arenaBudget = dir, budget
 }

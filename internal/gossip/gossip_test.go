@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/explore"
 	"repro/internal/gossip"
 	"repro/internal/store"
@@ -18,8 +17,8 @@ import (
 
 // peer is one gossip node behind a real HTTP listener, with fault
 // injection taps the chaos battery flips: down refuses every request
-// (a dead process), frameBudget arms a chaos.PeerLoss-shaped death
-// (serve N more requests, then go dark), corruptEntries flips a byte
+// (a dead process), frameBudget arms a bounded death (serve N more
+// requests, then go dark), corruptEntries flips a byte
 // in every /entry transfer (a peer with a damaged disk or a hostile
 // middlebox).
 type peer struct {
@@ -74,10 +73,10 @@ func (p *peer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	node.ServeHTTP(w, r)
 }
 
-// kill arms a chaos.PeerLoss against the peer: FramesBeforeDeath more
-// gossip requests are served, then every call fails until revive.
-func (p *peer) kill(loss chaos.PeerLoss) {
-	p.frameBudget.Store(int64(loss.FramesBeforeDeath))
+// kill arms a death against the peer: framesBeforeDeath more gossip
+// requests are served, then every call fails until revive.
+func (p *peer) kill(framesBeforeDeath int) {
+	p.frameBudget.Store(int64(framesBeforeDeath))
 	p.armed.Store(true)
 }
 
@@ -300,16 +299,12 @@ func TestGossipCorruptIngestQuarantines(t *testing.T) {
 }
 
 // TestGossipPeerLossConverges is the peer-death half of the chaos
-// battery, parameterized by chaos.PeerLoss: peer 1 dies after a
-// bounded number of served gossip frames, the survivors keep
-// exchanging verdicts, and once the peer returns the whole fleet
-// converges byte-identically with nothing quarantined.
+// battery: peer 1 dies after a bounded number (3) of served gossip
+// frames, the survivors keep exchanging verdicts, and once the peer
+// returns the whole fleet converges byte-identically with nothing
+// quarantined.
 func TestGossipPeerLossConverges(t *testing.T) {
-	losses, err := chaos.ParsePeerLoss("1@0+3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loss := losses[0]
+	const dead = 1
 
 	peers := newFleet(t, 3, nil)
 	var specs []store.JobSpec
@@ -317,7 +312,7 @@ func TestGossipPeerLossConverges(t *testing.T) {
 		specs = append(specs, seedSpec(i))
 		commit(t, peers[0], specs[i])
 	}
-	peers[loss.Peer].kill(loss)
+	peers[dead].kill(3)
 
 	// The survivors converge with each other regardless of the death.
 	survivors := []*peer{peers[0], peers[2]}
@@ -329,14 +324,14 @@ func TestGossipPeerLossConverges(t *testing.T) {
 		commit(t, peers[2], specs[i])
 	}
 	converge(t, survivors, len(specs))
-	if peers[loss.Peer].st.Len() == int(len(specs)) {
+	if peers[dead].st.Len() == int(len(specs)) {
 		t.Fatal("dead peer somehow fully converged")
 	}
 	// Its neighbors recorded the failures.
 	var failures int64
 	for _, p := range survivors {
 		for _, lv := range p.node.StatusView().Neighbors {
-			if lv.Neighbor == peers[loss.Peer].url {
+			if lv.Neighbor == peers[dead].url {
 				failures += lv.Failures
 			}
 		}
@@ -346,7 +341,7 @@ func TestGossipPeerLossConverges(t *testing.T) {
 	}
 
 	// Resurrection: the fleet converges, byte-identically, clean.
-	peers[loss.Peer].revive()
+	peers[dead].revive()
 	converge(t, peers, len(specs))
 	for _, s := range specs {
 		identical(t, peers, s)

@@ -126,8 +126,7 @@ type Config struct {
 	// (default 15s).
 	BreakerCooldown time.Duration
 	// Gossip, when non-nil, mounts the verdict gossip plane under
-	// /v1/gossip/ (exempt from load shedding, like the cluster tier)
-	// and announces every locally committed verdict to the node's
+	// /v1/gossip/ (exempt from load shedding) and announces every locally committed verdict to the node's
 	// neighbors. Wire the node's OnIngest to GossipIngested so
 	// gossiped verdicts resolve local watchers.
 	Gossip *gossip.Node
@@ -205,9 +204,6 @@ type Server struct {
 	// to, so a finishing job can fan its cell event out.
 	cellCampaigns map[string][]string
 
-	clusterMu   sync.Mutex // guards clusterJobs
-	clusterJobs map[string]*clusterPeer
-
 	// Counters and gauges, each rendered by one metricsTable row.
 	// queued and running change only under mu, so the MaxQueue
 	// admission check in submit is exact; readers load them lock-free.
@@ -216,9 +212,7 @@ type Server struct {
 	interrupted, shed, jobsTimedOut, badRequests                     atomic.Int64
 	cacheHits, cacheMisses, statesExplored, exploreNanos             atomic.Int64
 	checkpointsWritten, checkpointErrors, jobsResumed, statesResumed atomic.Int64
-	queries, compactions, clusterOpens, clusterAdoptions             atomic.Int64
-	clusterFramesIn, clusterFrameBytes, clusterErrors, coldReads     atomic.Int64
-	localLookups, localHits                                          atomic.Int64
+	queries, compactions, coldReads, localLookups, localHits         atomic.Int64
 	// phaseNanos is the explorer's wall time in the layer driver's
 	// seed, expand and commit phases (explore.RunStats).
 	phaseNanos [3]atomic.Int64
@@ -272,7 +266,6 @@ func New(cfg Config) (*Server, error) {
 		jobs:          map[string]*job{},
 		campaigns:     map[string]*camp{},
 		cellCampaigns: map[string][]string{},
-		clusterJobs:   map[string]*clusterPeer{},
 	}
 	s.breaker.logf = s.logf
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmitJob)
@@ -287,9 +280,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/verdicts", s.handleListVerdicts)
 	s.mux.HandleFunc("GET /v1/store/stats", s.handleStoreStats)
 	s.mux.HandleFunc("POST /v1/store/compact", s.handleStoreCompact)
-	s.mux.HandleFunc("POST /v1/cluster/rpc", s.handleClusterRPC)
-	s.mux.HandleFunc("POST /v1/cluster/frontier", s.handleClusterFrontier)
-	s.mux.HandleFunc("GET /v1/cluster/status", s.handleClusterStatus)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -307,13 +297,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.cfg.Gossip.ServeHTTP(ew, r)
 		return
 	case p == "/healthz", p == "/readyz", p == "/metrics",
-		strings.HasPrefix(p, "/v1/cluster/"), strings.HasPrefix(p, "/v1/gossip/"),
+		strings.HasPrefix(p, "/v1/gossip/"),
 		strings.HasPrefix(p, "/v1/") && strings.HasSuffix(p, "/watch"):
 		// Exempt from load shedding and the latency histogram.
 		// Observability stays reachable however overloaded the API is.
-		// Peers are a closed, operator-sized population, and a shed frame
-		// or barrier RPC would force a whole distributed layer retry
-		// (without a gossip node, gossip paths get the enveloped 404).
+		// Gossip peers are a closed, operator-sized population (without
+		// a gossip node, gossip paths get the enveloped 404).
 		// A watch stream is held open for a job's lifetime, so it would
 		// starve the in-flight cap and swamp the histogram; per-subscriber
 		// queues with slow-consumer eviction bound its cost instead.
@@ -780,8 +769,16 @@ func (s *Server) run(j *job) {
 		raw, _ = json.Marshal(res)
 	}
 
-	s.addExploreStats(eo.Stats)
-	if eo.Stats.ResumedStates > 0 {
+	s.checkpointsWritten.Add(int64(stats.CheckpointsWritten))
+	s.checkpointErrors.Add(int64(stats.CheckpointErrors))
+	s.statesResumed.Add(int64(stats.ResumedStates))
+	s.coldReads.Add(stats.ColdReads)
+	s.localLookups.Add(stats.LocalLookups)
+	s.localHits.Add(stats.LocalHits)
+	for i, sec := range [...]float64{stats.SeedSeconds, stats.ExpandSeconds, stats.CommitSeconds} {
+		s.phaseNanos[i].Add(int64(sec * 1e9))
+	}
+	if stats.ResumedStates > 0 {
 		s.jobsResumed.Add(1)
 	}
 	s.mu.Lock()
@@ -836,22 +833,6 @@ func (s *Server) run(j *job) {
 			extra = fmt.Sprintf(", resumed from %d states", eo.Stats.ResumedStates)
 		}
 		s.logf("job %s done: %s in %v (%d states%s)", j.key[:12], res.Verdict(), elapsed.Round(time.Millisecond), res.States, extra)
-	}
-}
-
-// addExploreStats adds one exploration's explorer counters to the
-// server's: a job's (run), or a cluster engine's as it closes
-// (clusterPeer.leave), whose phase clocks stay zero — the coordinator's
-// layer driver runs them.
-func (s *Server) addExploreStats(st *explore.RunStats) {
-	s.checkpointsWritten.Add(int64(st.CheckpointsWritten))
-	s.checkpointErrors.Add(int64(st.CheckpointErrors))
-	s.statesResumed.Add(int64(st.ResumedStates))
-	s.coldReads.Add(st.ColdReads)
-	s.localLookups.Add(st.LocalLookups)
-	s.localHits.Add(st.LocalHits)
-	for i, sec := range [...]float64{st.SeedSeconds, st.ExpandSeconds, st.CommitSeconds} {
-		s.phaseNanos[i].Add(int64(sec * 1e9))
 	}
 }
 
@@ -1129,16 +1110,6 @@ var metricsTable = []struct {
 	{"ccserve_bad_requests_total", func(s *Server) any { return s.badRequests.Load() }},
 	{"ccserve_queries_total", func(s *Server) any { return s.queries.Load() }},
 	{"ccserve_compactions_total", func(s *Server) any { return s.compactions.Load() }},
-	{"ccserve_cluster_jobs_open", func(s *Server) any {
-		s.clusterMu.Lock()
-		defer s.clusterMu.Unlock()
-		return len(s.clusterJobs)
-	}},
-	{"ccserve_cluster_opens_total", func(s *Server) any { return s.clusterOpens.Load() }},
-	{"ccserve_cluster_frames_in_total", func(s *Server) any { return s.clusterFramesIn.Load() }},
-	{"ccserve_cluster_frame_bytes_total", func(s *Server) any { return s.clusterFrameBytes.Load() }},
-	{"ccserve_cluster_adoptions_total", func(s *Server) any { return s.clusterAdoptions.Load() }},
-	{"ccserve_cluster_errors_total", func(s *Server) any { return s.clusterErrors.Load() }},
 	{"ccserve_worker_slots", func(s *Server) any { return cap(s.sem) }},
 	{"ccserve_job_workers", func(s *Server) any { return s.cfg.JobWorkers }},
 	// The push plane: watch streams, broker fan-out, verdict gossip.

@@ -896,3 +896,30 @@ func TestHTTPErrorSurface(t *testing.T) {
 		waitDone(t, ts.URL, id)
 	}
 }
+
+// TestClusterRoutesRemoved: the distributed-check routes are gone, so
+// each gets the enveloped 404 of any unknown route.
+func TestClusterRoutesRemoved(t *testing.T) {
+	ts := newTestServer(t, t.TempDir())
+	for _, r := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/cluster/rpc"},
+		{http.MethodPost, "/v1/cluster/frontier"},
+		{http.MethodGet, "/v1/cluster/status"},
+	} {
+		req, err := http.NewRequest(r.method, ts.URL+r.path, strings.NewReader(`{"op":"open","job":"j"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		name := r.method + " " + r.path
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: got %d (%s), want 404", name, resp.StatusCode, raw)
+		}
+		wantEnvelope(t, name, raw, "not_found")
+	}
+}

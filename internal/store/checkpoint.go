@@ -3,7 +3,6 @@ package store
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"io/fs"
 	"path/filepath"
@@ -39,18 +38,11 @@ func (b *base) Checkpoint(key string) *Checkpoint {
 	return &Checkpoint{b: b, path: b.checkpointPath(key)}
 }
 
-// ShardSnapshotKey is the checkpoint key under which a cluster peer
-// persists one shard's snapshot — derived from the job's content key,
-// so concurrent cluster jobs never collide and the snapshot lives and
-// dies with its job: the hosting peer deletes it when the job closes,
-// and GCCheckpoints sweeps a crashed run's leftovers once the job has
-// a verdict.
-func ShardSnapshotKey(job string, shard int) string {
-	return fmt.Sprintf("%s-shard%d", job, shard)
-}
-
 // checkpointJob maps a checkpoint key back to the job whose verdict
-// supersedes it: the key itself, or the job part of a ShardSnapshotKey.
+// supersedes it: the key itself, or the job part of a legacy
+// "<job>-shard<N>" key. Distributed checks once snapshotted each shard
+// under such a key; none writes one now, but a cache written then may
+// still hold them, and GCCheckpoints sweeps them with their job.
 func checkpointJob(key string) string {
 	if i := strings.LastIndex(key, "-shard"); i >= 0 {
 		if _, err := strconv.ParseUint(key[i+len("-shard"):], 10, 31); err == nil {

@@ -106,12 +106,11 @@ func TestGCCheckpoints(t *testing.T) {
 	live := st.Checkpoint(liveKey)
 	payload(live, t, "still running")
 
-	// Cluster shard snapshots follow their job: a crashed coordinator's
-	// leftovers go once the job has a verdict, and never before — a
-	// peer sharing the directory may be mid-job.
-	orphanShard := st.Checkpoint(store.ShardSnapshotKey(doneSpec.Key(), 2))
+	// Legacy cluster shard snapshots, "<job>-shard<N>", follow their
+	// job: they go once the job has a verdict, and never before.
+	orphanShard := st.Checkpoint(doneSpec.Key() + "-shard2")
 	payload(orphanShard, t, "orphaned shard")
-	liveShard := st.Checkpoint(store.ShardSnapshotKey(liveKey, 0))
+	liveShard := st.Checkpoint(liveKey + "-shard0")
 	payload(liveShard, t, "shard of a running job")
 
 	// An abandoned temp file from a crashed Save.
