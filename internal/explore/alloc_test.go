@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -23,19 +22,30 @@ import (
 // process looks up, and with the table shrunk to 64 entries it has
 // stopped growing by the end of the BFS, so the measured expansions —
 // of states spread over the whole space, each twice — both hit and
-// miss.
+// miss. disjoint:2,2 runs the same under symmetry reduction, so canon
+// — decoding each successor key, encoding its block-swapped image and
+// keeping the lesser — is held to the same contract.
 func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
-		n     int
+		name  string
+		h     *hypergraph.H
 		init  InitMode
+		sym   bool
 		local bool
-	}{{3, InitCCFull, false}, {4, InitCC, true}} {
-		t.Run(fmt.Sprintf("ring:%d", tc.n), func(t *testing.T) {
+	}{
+		{"ring:3", hypergraph.CommitteeRing(3), InitCCFull, false, false},
+		{"ring:4", hypergraph.CommitteeRing(4), InitCC, false, true},
+		{"disjoint:2,2/symmetry", hypergraph.DisjointCommittees(2, 2), InitCC, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			shrinkLocal(t, 64)
-			factory := mustCC(t, core.CC2, hypergraph.CommitteeRing(tc.n), CCOptions{Init: tc.init})
+			factory := mustCC(t, core.CC2, tc.h, CCOptions{Init: tc.init})
 			m := factory()
-			opts := &Options{Mode: sim.SelectAllSubsets, CheckDeadlock: true, CheckClosure: true}
+			opts := &Options{Mode: sim.SelectAllSubsets, CheckDeadlock: true, CheckClosure: true, Symmetry: tc.sym}
 			ws := newWorkerState(m, opts)
+			if (ws.syms != nil) != tc.sym {
+				t.Fatalf("automorphisms in use: %v, want %v", ws.syms != nil, tc.sym)
+			}
 			if ws.bkern == nil {
 				t.Fatal("batch pipeline not engaged for the CC model")
 			}

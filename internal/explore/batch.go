@@ -16,10 +16,11 @@ import (
 // in one columnar Eval, applies each enabled process's body exactly once
 // per expanded state, and then enumerates daemon selections as bitmasks
 // (sim.MaskSuccessors), assembling each successor key by patching the
-// pre-encoded per-process payloads into the parent encoding. The
-// transition checks run against merged views — selected processes read
-// their recorded post state, the rest the parent columns — so no
-// successor configuration is ever materialized. Under all-subsets they
+// pre-encoded per-process payloads into the parent encoding (canon then
+// reduces it under symmetry). The transition checks run against merged
+// views — selected processes read their recorded post state, the rest
+// the parent columns — so they never materialize a successor
+// configuration. Under all-subsets they
 // are first judged once per neighbourhood projection (projectChecks),
 // and the per-selection loops run only where that pass found a
 // possible violation.
@@ -164,6 +165,7 @@ func (ws *workerState[S]) batchSel(selMask uint64) bool {
 		p := bits.TrailingZeros64(sm)
 		patchWords(key, m.Codec.ProcOff[p], m.Codec.ProcBits[p], ws.payload[p])
 	}
+	key = ws.canon(key)
 	ws.emit(key)
 
 	// Incremental transition checks against the merged view: only

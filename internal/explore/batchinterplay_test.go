@@ -2,7 +2,7 @@ package explore
 
 // The batch-pipeline interplay battery: the columnar expansion path
 // against every engine feature that could knock it off the fast path
-// — symmetry reduction (which must fall back to scalar, exactly),
+// — symmetry reduction (whose orbit keys it must canonicalise exactly),
 // out-of-core spill with checkpoint/resume tortures landing mid-cell,
 // and a disk that fails a slice of all operations. The invariant
 // throughout is the PR's contract: report bytes identical to the
@@ -12,36 +12,42 @@ package explore
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/hypergraph"
 	"repro/internal/sim"
 )
 
-// TestBatchSymmetryFallback pins the eligibility rule: a model that
-// declares automorphisms, explored with -symmetry, must NOT engage
-// the batch kernel (canonicalization needs the decoded successor,
-// which the batch path never materializes per selection), and the
-// reduced run must stay byte-identical whether or not batch is
-// nominally enabled. The full batch run is then held against the
-// reduced run the usual way: same verdict, orbit-consistent totals.
-func TestBatchSymmetryFallback(t *testing.T) {
+// TestBatchSymmetryEngages pins symmetry reduction on the batch
+// pipeline: a model that declares automorphisms, explored with
+// Symmetry, engages the batch kernel (canon reduces each patched
+// successor key to its orbit's least encoding), and the reduced run is
+// byte-identical to the scalar one under DisableBatch. The full run is
+// then held against the reduced run the usual way: same verdict,
+// orbit-consistent totals.
+func TestBatchSymmetryEngages(t *testing.T) {
 	factory := mustCC(t, core.CC2, hypergraph.DisjointCommittees(2, 2), CCOptions{Init: InitCC})
 	m := factory()
 	if len(m.Syms) == 0 {
-		t.Fatal("disjoint:2,2 declared no block symmetry; the fallback has nothing to test")
+		t.Fatal("disjoint:2,2 declared no block symmetry; the reduction has nothing to test")
 	}
 	sym := Options{Mode: sim.SelectCentral, CheckDeadlock: true, CheckClosure: true, Symmetry: true}
-	if ws := newWorkerState(m, &sym); ws.bkern != nil {
-		t.Fatal("batch kernel engaged under symmetry reduction")
+	if ws := newWorkerState(m, &sym); ws.bkern == nil {
+		t.Fatal("batch kernel did not engage under symmetry reduction")
 	}
-	plain := sym
-	plain.Symmetry = false
-	if ws := newWorkerState(m, &plain); ws.bkern == nil {
-		t.Fatal("batch kernel did not engage without symmetry; eligibility became too strict")
+	ring, err := Baseline(baseline.TokenRing, hypergraph.CommitteeRing(4), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rm := ring(); len(rm.Syms) == 0 {
+		t.Fatal("token-ring ring:4 declared no rotations")
+	} else if ws := newWorkerState(rm, &sym); ws.bkern == nil {
+		t.Fatal("batch kernel did not engage on token-ring under symmetry reduction")
 	}
 
 	red := Explore(factory, sym)
@@ -53,6 +59,8 @@ func TestBatchSymmetryFallback(t *testing.T) {
 	if got, want := normJSON(t, Explore(factory, symScalar)), normJSON(t, red); !bytes.Equal(got, want) {
 		t.Fatalf("reduced run changed under DisableBatch:\n%s\nvs\n%s", got, want)
 	}
+	plain := sym
+	plain.Symmetry = false
 	full := Explore(factory, plain)
 	if full.Verdict() != red.Verdict() || full.Ok() != red.Ok() {
 		t.Fatalf("verdicts diverged:\n  full:    %s\n  reduced: %s", full.Summary(), red.Summary())
@@ -60,6 +68,79 @@ func TestBatchSymmetryFallback(t *testing.T) {
 	if red.States >= full.States || full.States > 2*red.States {
 		t.Fatalf("orbit-inconsistent totals: reduced %d, full %d, group order 2", red.States, full.States)
 	}
+	// The seed is reduced too. InitCC gives each two-process block 36
+	// configurations and the swap fixes the 36 inits whose blocks agree,
+	// so by Burnside the 36² inits fall into (36² + 36) / 2 orbits.
+	if full.Inits != 36*36 || red.Inits != (36*36+36)/2 {
+		t.Fatalf("inits: reduced %d, full %d, want %d and %d", red.Inits, full.Inits, (36*36+36)/2, 36*36)
+	}
+}
+
+// TestSymmetryBatchDifferential is the differential battery's symmetric
+// leg: on every symmetric cell the batch pipeline at one and three
+// workers must report byte for byte what the scalar path
+// (DisableBatch) reports at one worker — orbit counts, depths,
+// violations and their orbit-representative trace keys. Two more runs
+// of one cell take the batch path out of core: with the arena spilled
+// under a 16 KiB budget, and killed and resumed from checkpoints.
+func TestSymmetryBatchDifferential(t *testing.T) {
+	modes := []sim.SelectionMode{sim.SelectCentral, sim.SelectSynchronous, sim.SelectAllSubsets}
+	check := func(t *testing.T, run func(t *testing.T, o Options) []byte, opts Options) {
+		o := opts
+		o.Workers, o.DisableBatch = 1, true
+		want := run(t, o)
+		for _, workers := range []int{1, 3} {
+			o.Workers, o.DisableBatch = workers, false
+			if got := run(t, o); !bytes.Equal(got, want) {
+				t.Fatalf("batch at %d workers differs from the scalar path:\n%s\nvs\n%s", workers, got, want)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		n    int
+		mode sim.SelectionMode
+	}{{3, modes[0]}, {3, modes[1]}, {3, modes[2]}, {4, modes[0]}} {
+		t.Run(fmt.Sprintf("token-ring/ring:%d/%s", tc.n, tc.mode), func(t *testing.T) {
+			factory, err := Baseline(baseline.TokenRing, hypergraph.CommitteeRing(tc.n), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(t *testing.T, o Options) []byte { return normJSON(t, Explore(factory, o)) }
+			check(t, run, Options{Mode: tc.mode, CheckDeadlock: true, Symmetry: true})
+		})
+	}
+	factory := mustCC(t, core.CC2, hypergraph.DisjointCommittees(2, 2), CCOptions{Init: InitCC})
+	run := func(t *testing.T, o Options) []byte { return normJSON(t, Explore(factory, o)) }
+	for _, mode := range modes {
+		t.Run("cc2/disjoint:2,2/"+mode.String(), func(t *testing.T) {
+			check(t, run, Options{Mode: mode, CheckDeadlock: true, CheckClosure: true,
+				CheckConvergence: mode == sim.SelectSynchronous, Symmetry: true})
+		})
+	}
+
+	opts := Options{Mode: sim.SelectCentral, CheckDeadlock: true, CheckClosure: true, Symmetry: true,
+		CheckpointEvery: 512}
+	want := run(t, opts)
+	t.Run("spilled", func(t *testing.T) {
+		o := opts
+		var stats RunStats
+		o.Workers, o.MemBudget, o.SpillDir, o.Stats = 3, 1<<14, t.TempDir(), &stats
+		if got := run(t, o); !bytes.Equal(got, want) {
+			t.Fatalf("spilled run diverges:\n%s\nvs\n%s", got, want)
+		}
+		if stats.ArenaSpilledBytes == 0 {
+			t.Fatal("the arena did not spill under a 16 KiB budget")
+		}
+	})
+	t.Run("resumed", func(t *testing.T) {
+		res, kills := resumeUntilDone(t, factory, opts, &memCheckpointer{}, rand.New(rand.NewSource(5)))
+		if kills == 0 {
+			t.Fatal("the run was never interrupted")
+		}
+		if got := normJSON(t, res); !bytes.Equal(got, want) {
+			t.Fatalf("resumed run (%d interruptions) diverges:\n%s\nvs\n%s", kills, got, want)
+		}
+	})
 }
 
 // TestBatchSpillCheckpointTorture kills the batch pipeline at random

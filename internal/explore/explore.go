@@ -123,8 +123,8 @@ type Model[S sim.Cloneable[S]] struct {
 	// single-goroutine scratch. The kernel must reproduce the scalar
 	// guard semantics of Prog exactly (the differential battery checks
 	// this); the pipeline additionally requires Codec.EncodeProc and at
-	// most 64 processes, and is skipped under symmetry reduction, so a
-	// declared Kernel is only an enablement, never an obligation.
+	// most 64 processes, so a declared Kernel is only an enablement,
+	// never an obligation.
 	Kernel func() sim.BatchKernel[S]
 }
 
@@ -315,13 +315,17 @@ type workerState[S sim.Cloneable[S]] struct {
 	rep LayerReport
 
 	cfg     []S      // decode buffer for the expanded configuration
-	enc     []uint64 // encode scratch (canonical key after canonKey)
+	enc     []uint64 // successor-key scratch, before canon
 	baseEnc []uint64 // encoding of the configuration being expanded
-	symCfg  []S      // symmetry-image scratch
-	symEnc  []uint64
 	succ    sim.SuccScratch[S]
 	was, is []bool // meets vectors
 	correct []bool
+
+	// syms is Model.Syms under Options.Symmetry, else nil; the rest is
+	// canon's own scratch (decoded key, image, image key, least key).
+	syms           []func(dst, src []S)
+	symCfg, symImg []S
+	symEnc, symMin []uint64
 
 	// Incremental-check scratch: per-successor epoch marks over edges
 	// (meets recomputation) and processes (Correct recomputation).
@@ -434,7 +438,9 @@ func newWorkerState[S sim.Cloneable[S]](m *Model[S], opts *Options) *workerState
 		enc:      par.PrivateSlice[uint64](m.Codec.Words),
 		baseEnc:  par.PrivateSlice[uint64](m.Codec.Words),
 		symCfg:   par.PrivateSlice[S](n),
+		symImg:   par.PrivateSlice[S](n),
 		symEnc:   par.PrivateSlice[uint64](m.Codec.Words),
+		symMin:   par.PrivateSlice[uint64](m.Codec.Words),
 		edgeMark: par.PrivateSlice[uint64](m.Probe.H.M()),
 		procMark: par.PrivateSlice[uint64](n),
 		payEpoch: par.PrivateSlice[uint64](n),
@@ -443,12 +449,13 @@ func newWorkerState[S sim.Cloneable[S]](m *Model[S], opts *Options) *workerState
 		is:       par.PrivateSlice[bool](m.Probe.H.M()),
 		correct:  par.PrivateSlice[bool](n),
 	}
+	if opts.Symmetry {
+		ws.syms = m.Syms
+	}
 	// Batch-pipeline eligibility: a declared kernel, incremental
-	// encoding (successor keys are assembled by patching), an enabled
-	// set that fits a word, and no symmetry canonicalization (which must
-	// encode whole orbit images per successor).
-	if m.Kernel != nil && m.Codec.EncodeProc != nil && n <= 64 &&
-		!(opts.Symmetry && len(m.Syms) > 0) && !opts.DisableBatch {
+	// encoding (successor keys are assembled by patching), and an
+	// enabled set that fits a word.
+	if m.Kernel != nil && m.Codec.EncodeProc != nil && n <= 64 && !opts.DisableBatch {
 		k := m.Kernel()
 		if be, ok := k.(batchEval[S]); ok {
 			ws.bkern = be
@@ -504,23 +511,30 @@ func newWorkerState[S sim.Cloneable[S]](m *Model[S], opts *Options) *workerState
 	return ws
 }
 
-// canonKey encodes cfg, canonicalized to the least encoding in its
-// automorphism orbit when symmetry reduction is active. The returned
-// slice is worker scratch, valid until the next call.
-func (ws *workerState[S]) canonKey(cfg []S) []uint64 {
-	m := ws.model
-	m.Codec.Encode(ws.enc, cfg)
-	if !ws.opts.Symmetry {
-		return ws.enc
+// canon returns the least encoding in key's automorphism orbit, the
+// key every path stores, probes and compares under symmetry reduction.
+// Without automorphisms it is key itself, for one inlined branch;
+// otherwise orbitMin's result is its own scratch (key is only read),
+// valid until the next call.
+func (ws *workerState[S]) canon(key []uint64) []uint64 {
+	if ws.syms == nil {
+		return key
 	}
-	for _, sym := range m.Syms {
-		sym(ws.symCfg, cfg)
-		m.Codec.Encode(ws.symEnc, ws.symCfg)
-		if wordsLess(ws.symEnc, ws.enc) {
-			ws.enc, ws.symEnc = ws.symEnc, ws.enc
+	return ws.orbitMin(key)
+}
+
+func (ws *workerState[S]) orbitMin(key []uint64) []uint64 {
+	m := ws.model
+	m.Codec.Decode(ws.symCfg, key)
+	least := key
+	for _, sym := range ws.syms {
+		sym(ws.symImg, ws.symCfg)
+		m.Codec.Encode(ws.symEnc, ws.symImg)
+		if wordsLess(ws.symEnc, least) {
+			least = append(ws.symMin[:0], ws.symEnc...)
 		}
 	}
-	return ws.enc
+	return least
 }
 
 // selectionTo re-derives a trace step: the first selection, in
@@ -532,7 +546,8 @@ func (ws *workerState[S]) selectionTo(from, to []uint64) (found []int) {
 	m := ws.model
 	m.Codec.Decode(ws.cfg, from)
 	sim.SuccessorsBuf(m.Prog, ws.cfg, ws.opts.Mode, ws.rng, ws.opts.MaxBranch, &ws.succ, func(sel []int, nxt []S) bool {
-		if wordsEqual(ws.canonKey(nxt), to) {
+		m.Codec.Encode(ws.enc, nxt)
+		if wordsEqual(ws.canon(ws.enc), to) {
 			found = copySel(sel)
 		}
 		return found == nil
@@ -591,18 +606,14 @@ func (ws *workerState[S]) expand(vs *Visited, agg *LayerReport, id int32, item, 
 	}
 
 	// Successor keys are built by patching only the selected processes'
-	// blocks into the parent's encoding when the codec supports it (and
-	// symmetry canonicalization, which must encode whole orbit images,
-	// is off).
-	patch := m.Codec.EncodeProc != nil && !(opts.Symmetry && len(m.Syms) > 0)
-	if patch {
-		copy(ws.baseEnc, vs.Key(id))
-		ws.stateEpoch++
-	}
+	// blocks into the parent's encoding when the codec supports it.
+	copy(ws.baseEnc, vs.Key(id))
+	ws.stateEpoch++
 	enabled, branches := sim.SuccessorsBuf(m.Prog, cfg, opts.Mode, ws.rng, opts.MaxBranch, &ws.succ, func(sel []int, nxt []S) bool {
-		var key []uint64
-		if patch {
-			key = ws.enc
+		key := ws.enc
+		if m.Codec.EncodeProc == nil {
+			m.Codec.Encode(key, nxt)
+		} else {
 			copy(key, ws.baseEnc)
 			for _, p := range sel {
 				if ws.payEpoch[p] != ws.stateEpoch {
@@ -611,9 +622,8 @@ func (ws *workerState[S]) expand(vs *Visited, agg *LayerReport, id int32, item, 
 				}
 				patchWords(key, m.Codec.ProcOff[p], m.Codec.ProcBits[p], ws.payload[p])
 			}
-		} else {
-			key = ws.canonKey(nxt)
 		}
+		key = ws.canon(key)
 		ws.emit(key)
 
 		// Incremental transition checks: a successor differs from cfg
@@ -950,7 +960,8 @@ func (b *localBackend[S]) Seed(room int, links *TraceLinks) (int, bool, error) {
 func (ws *workerState[S]) streamInits(room int, owner func(hash uint64) *Visited, pending func() int) {
 	seq := uint64(0)
 	ws.model.Inits(func(cfg []S) bool {
-		key := ws.canonKey(cfg)
+		ws.model.Codec.Encode(ws.enc, cfg)
+		key := ws.canon(ws.enc)
 		h := hashWords(key)
 		if vs := owner(h); vs != nil {
 			vs.propose(key, h, seq, -1)
@@ -1187,7 +1198,8 @@ func Replay[S sim.Cloneable[S]](m *Model[S], v Violation, symmetry bool) error {
 	for i := 1; i < len(v.Trace); i++ {
 		step := v.Trace[i]
 		sim.Apply(m.Prog, cur, nxt, step.Sel, rng)
-		got := ws.canonKey(nxt)
+		m.Codec.Encode(ws.enc, nxt)
+		got := ws.canon(ws.enc)
 		for w := range got {
 			if got[w] != step.Key[w] {
 				return fmt.Errorf("explore: step %d of the trace does not replay: applying %v diverges from the recorded state", i, step.Sel)

@@ -274,25 +274,6 @@ func permuteBlocks(k int, fn func(p []int)) {
 	}
 }
 
-// ccRingRotationSyms builds the (unsound!) rotation maps for a CC model
-// on a committee ring. Never declared on a Model: it exists so the
-// asymmetry-witness test can demonstrate that the rotation fails
-// equivariance — i.e. that refusing -symmetry for CC rings is a
-// theorem, not a limitation of the implementation.
-func ccRingRotationSyms(alg *core.Alg) []func(dst, src []core.State) {
-	gv, ge, ok := ringRotationPerms(alg.H)
-	if !ok {
-		return nil
-	}
-	var syms []func(dst, src []core.State)
-	vp, ep := gv, ge
-	for !isIdentity(vp) {
-		syms = append(syms, ccPermSym(alg, vp, ep))
-		vp, ep = composePerm(gv, vp), composePerm(ge, ep)
-	}
-	return syms
-}
-
 // CheckEquivariance verifies that every declared automorphism of the
 // model commutes with the successor relation at cfg: the encoded
 // successor set of π(cfg) must equal the π-image of the encoded

@@ -259,3 +259,54 @@ func TestFrameVersionDrift(t *testing.T) {
 		t.Fatalf("current frame probed %v (%v), want one entry at pos 7", meta, err)
 	}
 }
+
+// TestSelectionToCanonicalises pins trace re-derivation under symmetry
+// reduction: a trace holds orbit representatives, so the selection to a
+// step is the first whose successor reduces to the step's key, not one
+// whose raw successor equals it. On disjoint:2,2 every init successor
+// that is not its own representative is looked up by its representative.
+func TestSelectionToCanonicalises(t *testing.T) {
+	m := mustCC(t, core.CC2, hypergraph.DisjointCommittees(2, 2), CCOptions{Init: InitCC})()
+	ws := newWorkerState(m, &Options{Mode: sim.SelectCentral, Symmetry: true})
+	var sc sim.SuccScratch[core.State]
+	from := make([]uint64, m.Codec.Words)
+	raw := make([]uint64, m.Codec.Words)
+	canonOf := func(cfg []core.State) []uint64 {
+		m.Codec.Encode(raw, cfg)
+		return copyWords(ws.canon(raw))
+	}
+	// firstTo is the selection selectionTo must return: the first, in
+	// expansion order, whose successor reduces to to.
+	firstTo := func(cfg []core.State, to []uint64) (first []int) {
+		sim.SuccessorsBuf(m.Prog, cfg, sim.SelectCentral, nil, 0, &sc, func(sel []int, nxt []core.State) bool {
+			if wordsEqual(canonOf(nxt), to) {
+				first = copySel(sel)
+			}
+			return first == nil
+		})
+		return first
+	}
+	checked := 0
+	m.Inits(func(cfg []core.State) bool {
+		m.Codec.Encode(from, cfg)
+		var tos [][]uint64
+		sim.SuccessorsBuf(m.Prog, cfg, sim.SelectCentral, nil, 0, &sc, func(sel []int, nxt []core.State) bool {
+			m.Codec.Encode(raw, nxt)
+			if to := copyWords(ws.canon(raw)); !wordsEqual(raw, to) {
+				tos = append(tos, to)
+			}
+			return true
+		})
+		for _, to := range tos {
+			want := firstTo(cfg, to)
+			if got := ws.selectionTo(from, to); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("selectionTo found %v, want %v: the first selection to the representative", got, want)
+			}
+			checked++
+		}
+		return checked < 200
+	})
+	if checked == 0 {
+		t.Fatal("no init successor differs from its representative; the check is vacuous")
+	}
+}
