@@ -124,7 +124,7 @@ import (
 func main() {
 	var (
 		algName   = flag.String("alg", "cc2", "algorithm: cc1 | cc2 | cc3 | dining | token-ring (campaign mode: comma list)")
-		topo      = flag.String("topo", "ring:3", "topology spec (see internal/hypergraph.Parse; campaign mode: comma list)")
+		topo      = flag.String("topo", "ring:3", "topology spec (see internal/hypergraph.Parse; campaign mode: comma list); the explorer takes at most 64 processes (a baseline's n+m), 64 committees and 64 bits per process, ccsim simulates any size")
 		mode      = flag.String("mode", "exhaustive", "exhaustive | campaign | query | paper")
 		daemons   = flag.String("daemon", "", "comma list of central | synchronous | all (default all three)")
 		initMode  = flag.String("init", "", "initial-configuration family: legit | cc | cc-full | random (default cc-full for CC, legit for the baselines; campaign mode: comma list)")

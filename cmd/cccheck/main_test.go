@@ -143,6 +143,7 @@ func TestCCCheckFlagErrors(t *testing.T) {
 		{[]string{"-topo", "ring:0"}, "needs n >= 3"},
 		{[]string{"-topo", "disjoint:0,1"}, "invalid topology"},
 		{[]string{"-topo", "blob:4"}, "unknown topology"},
+		{[]string{"-topo", "ring:65"}, "65 processes (at most 64 processes, 64 committees and 64 bits per process"},
 		{[]string{"-alg", "dining", "-init", "cc"}, "only -init legit"},
 		{[]string{"positional"}, "unexpected arguments"},
 		{[]string{"-daemon", "central,"}, "empty element"},

@@ -43,6 +43,12 @@ func Inits() []string { return []string{"legit", "cc", "cc-full", "random"} }
 
 var ccVariants = map[string]core.Variant{"cc1": core.CC1, "cc2": core.CC2, "cc3": core.CC3}
 
+var baselineKinds = map[string]baseline.Kind{"dining": baseline.Dining, "token-ring": baseline.TokenRing}
+
+// baselineDisc is the voluntary-discussion length every baseline job
+// explores with.
+const baselineDisc = 1
+
 func selectionMode(daemon string) (sim.SelectionMode, bool) {
 	switch daemon {
 	case "central":
@@ -112,7 +118,7 @@ func check(c store.JobSpec) (*hypergraph.H, error) {
 		if c.Mutation != "" {
 			return nil, fmt.Errorf("campaign: -mutate applies to the CC algorithms only, not %s", c.Alg)
 		}
-		err = explore.CheckBaseline(h)
+		err = explore.CheckBaseline(baselineKinds[c.Alg], h, baselineDisc)
 	} else {
 		err = explore.CheckCC(h, c.Mutation)
 	}
@@ -159,11 +165,7 @@ func newFactoryChecked(c store.JobSpec, h *hypergraph.H) (*checkedFactory, error
 			"so nontrivial rotations are not automorphisms of CC ∘ TC on connected topologies; -symmetry is exact "+
 			"for CC only on block-symmetric disjoint:K,S topologies with a non-random init family"), nil
 	}
-	kind := baseline.Dining
-	if c.Alg == "token-ring" {
-		kind = baseline.TokenRing
-	}
-	factory, err := explore.Baseline(kind, h, 1)
+	factory, err := explore.Baseline(baselineKinds[c.Alg], h, baselineDisc)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %v", err)
 	}

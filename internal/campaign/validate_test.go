@@ -32,9 +32,11 @@ func checkValidateMatchesPrepare(t *testing.T, spec store.JobSpec) {
 }
 
 // TestValidateMatchesPrepare crosses every algorithm with
-// deterministic, random and custom topologies (on both sides of the
-// 250 codec bound), every init family, valid and unknown mutations,
-// and -symmetry on and off.
+// deterministic, random and custom topologies (on both sides of each
+// bound of the explorer's size rule: 64 CC processes at ring:64/65, 64
+// CC committees at complete:11/12, 64 baseline processes at
+// ring:32/33, a 64-bit dining block at star:22/23), every init family,
+// valid and unknown mutations, and -symmetry on and off.
 func TestValidateMatchesPrepare(t *testing.T) {
 	algs := append(campaign.Algs(), "", "cc9")
 	topos := []string{
@@ -42,6 +44,7 @@ func TestValidateMatchesPrepare(t *testing.T) {
 		"ring:250", "ring:251", "ring:125", "ring:126", "complete:22", "complete:23",
 		"kuniform:6,4,3", "mixed:6,5,3", "bipartite:2,3,4,3", "density:6,50,3", "scenario:8",
 		"custom:{0,1};{1,2,3}", "custom:{0,1};{1,250}", "custom:",
+		"ring:64", "ring:65", "complete:11", "complete:12", "ring:32", "ring:33", "star:22", "star:23",
 		"", "ring:", "ring:0", "disjoint:0,1", "blob:3", "kuniform:3,2,9",
 	}
 	inits := append(campaign.Inits(), "", "bogus")

@@ -21,7 +21,6 @@ type baseLayout struct {
 	procs    []baseProcLayout
 	procOff  []int
 	procBits []int
-	incr     bool // every block ≤ 64 bits: incremental encoding available
 	words    int
 }
 
@@ -37,7 +36,7 @@ type baseProcLayout struct {
 // carries per-conflict-neighbor fork vectors (the token ring's agents
 // keep them nil, which encode asserts).
 func newBaseLayout(h *hypergraph.H, disc int, forks bool) *baseLayout {
-	l := &baseLayout{h: h, disc: disc, procs: make([]baseProcLayout, h.N()+h.M()), incr: true}
+	l := &baseLayout{h: h, disc: disc, procs: make([]baseProcLayout, h.N()+h.M())}
 	conflicts := h.ConflictGraph()
 	bits := 0
 	l.procOff = make([]int, len(l.procs))
@@ -57,9 +56,6 @@ func newBaseLayout(h *hypergraph.H, disc int, forks bool) *baseLayout {
 			}
 			pb = 2 + 2 + 3*pl.nconfl
 		}
-		if pb > 64 {
-			l.incr = false
-		}
 		l.procOff[p] = bits
 		l.procBits[p] = pb
 		bits += pb
@@ -71,9 +67,8 @@ func newBaseLayout(h *hypergraph.H, disc int, forks bool) *baseLayout {
 	return l
 }
 
-// encodeProc packs process p's field block (dining agents with more
-// than 20 conflict neighbors exceed 64 bits; l.incr is then false and
-// this must not be used).
+// encodeProc packs process p's field block into one 64-bit payload
+// (CheckBaseline refuses a layout with a wider block).
 func (l *baseLayout) encodeProc(cfg []baseline.BState, p int) uint64 {
 	s := &cfg[p]
 	pl := &l.procs[p]
@@ -107,35 +102,9 @@ func (l *baseLayout) encodeProc(cfg []baseline.BState, p int) uint64 {
 }
 
 func (l *baseLayout) encode(dst []uint64, cfg []baseline.BState) {
-	if l.incr {
-		w := newBitWriter(dst)
-		for p := range cfg {
-			w.put(l.encodeProc(cfg, p), l.procBits[p])
-		}
-		w.flush()
-		return
-	}
-	// Wide-block fallback (dining agents beyond 20 conflict neighbors).
 	w := newBitWriter(dst)
 	for p := range cfg {
-		s := &cfg[p]
-		pl := &l.procs[p]
-		if !pl.comm {
-			w.put(l.encodeProc(cfg, p), l.procBits[p])
-			continue
-		}
-		if s.Club != -1 || s.Age != 0 || s.S != 0 {
-			panic(fmt.Sprintf("explore: committee agent %d holds professor state", p))
-		}
-		w.put(fieldVal(int(s.Phase), 0, 4, "phase", p), 2)
-		w.put(boolBit(s.HasTok), 1)
-		w.put(boolBit(s.Handing), 1)
-		if len(s.Fork) != pl.nconfl {
-			panic(fmt.Sprintf("explore: committee agent %d has %d fork slots, want %d", p, len(s.Fork), pl.nconfl))
-		}
-		for i := 0; i < pl.nconfl; i++ {
-			w.put(boolBit(s.Fork[i])|boolBit(s.Dirty[i])<<1|boolBit(s.Asked[i])<<2, 3)
-		}
+		w.put(l.encodeProc(cfg, p), l.procBits[p])
 	}
 	w.flush()
 }
@@ -181,13 +150,12 @@ func (l *baseLayout) decode(cfg []baseline.BState, src []uint64) {
 }
 
 func baseCodec(l *baseLayout) Codec[baseline.BState] {
-	c := Codec[baseline.BState]{
-		Words:  l.words,
-		Encode: l.encode,
-		Decode: l.decode,
+	return Codec[baseline.BState]{
+		Words:      l.words,
+		Encode:     l.encode,
+		Decode:     l.decode,
+		ProcOff:    l.procOff,
+		ProcBits:   l.procBits,
+		EncodeProc: l.encodeProc,
 	}
-	if l.incr {
-		c.ProcOff, c.ProcBits, c.EncodeProc = l.procOff, l.procBits, l.encodeProc
-	}
-	return c
 }

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/baseline"
@@ -25,7 +26,7 @@ import (
 // fork orientation and request tie-break read the committee index order
 // (see symmetry.go).
 func Baseline(kind baseline.Kind, h *hypergraph.H, disc int) (func() *Model[baseline.BState], error) {
-	if err := CheckBaseline(h); err != nil {
+	if err := CheckBaseline(kind, h, disc); err != nil {
 		return nil, err
 	}
 	name := fmt.Sprintf("%s/%s", kind, h)
@@ -38,19 +39,6 @@ func Baseline(kind baseline.Kind, h *hypergraph.H, disc int) (func() *Model[base
 		a := baseline.New(kind, h, disc)
 		prog := a.Program()
 		n := prog.NumProcs
-		// Batch kernel: the generic scalar kernel — no columnar
-		// speedups, but the same bulk apply-once/patch-per-selection
-		// expansion structure, which keeps the baselines in the batch
-		// differential battery. Requires the incremental codec (every
-		// per-process block ≤ 64 bits) and an enabled set that fits a
-		// word; kernels are per-worker scratch, so each gets a fresh
-		// program.
-		var kernel func() sim.BatchKernel[baseline.BState]
-		if layout.incr && n <= 64 {
-			kernel = func() sim.BatchKernel[baseline.BState] {
-				return sim.NewProgramKernel(baseline.New(kind, h, disc).Program())
-			}
-		}
 		return &Model[baseline.BState]{
 			Name:  name,
 			Prog:  prog,
@@ -65,18 +53,27 @@ func Baseline(kind baseline.Kind, h *hypergraph.H, disc int) (func() *Model[base
 			},
 			Render: func(cfg []baseline.BState) string { return renderBase(a, cfg) },
 			Syms:   syms,
-			Kernel: kernel,
+			// The generic scalar kernel: no columnar speedups, but the
+			// same bulk apply-once/patch-per-selection expansion. Kernels
+			// are per-worker scratch, so each gets a fresh program.
+			Kernel: func() sim.BatchKernel[baseline.BState] {
+				return sim.NewProgramKernel(baseline.New(kind, h, disc).Program())
+			},
 		}
 	}, nil
 }
 
-// CheckBaseline reports what Baseline rejects about a topology without
-// building a model: the state codec's size bound.
-func CheckBaseline(h *hypergraph.H) error {
-	if h.N()+h.M() > 250 {
-		return fmt.Errorf("explore: topology too large for the state codec (n+m=%d; max 250)", h.N()+h.M())
+// CheckBaseline reports what Baseline rejects about a baseline of kind
+// over h with voluntary discussions of length disc, without building a
+// model: the explorer's size rule (checkWord) over the n+m processes
+// (professors and committee agents) and the widest codec block. A
+// dining agent spends three bits per conflicting committee, so one with
+// more than 20 is too wide.
+func CheckBaseline(kind baseline.Kind, h *hypergraph.H, disc int) error {
+	if err := checkWord(h.N()+h.M(), h.M(), 0); err != nil {
+		return err
 	}
-	return nil
+	return checkWord(0, 0, slices.Max(newBaseLayout(h, disc, kind == baseline.Dining).procBits))
 }
 
 func renderBase(a *baseline.Alg, cfg []baseline.BState) string {

@@ -180,38 +180,14 @@ func (ws *workerState[S]) batchSel(selMask uint64) bool {
 	bk.SetSelection(selMask)
 	eff := selMask &^ neutral
 	ws.changed = ws.changed[:0]
-	if ws.edgeMaskOf != nil {
-		var cand uint64
-		for sm := eff; sm != 0; sm &= sm - 1 {
-			cand |= ws.edgeMaskOf[bits.TrailingZeros64(sm)]
-		}
-		for cm := cand & ws.curCanViolate; cm != 0; cm &= cm - 1 { // ascending committee order
-			e := bits.TrailingZeros64(cm)
-			if bk.PostMeets(e) != ws.was[e] {
-				ws.changed = append(ws.changed, e)
-			}
-		}
-	} else {
-		ws.epoch++
-		for sm := eff; sm != 0; sm &= sm - 1 {
-			p := bits.TrailingZeros64(sm)
-			if p >= h.N() {
-				continue
-			}
-			for _, e := range h.EdgesOf(p) {
-				if ws.edgeMark[e] != ws.epoch {
-					ws.edgeMark[e] = ws.epoch
-					if bk.PostMeets(e) != ws.was[e] {
-						ws.changed = append(ws.changed, e)
-					}
-				}
-			}
-		}
-		ch := ws.changed
-		for i := 1; i < len(ch); i++ { // ascending committee order
-			for j := i; j > 0 && ch[j] < ch[j-1]; j-- {
-				ch[j], ch[j-1] = ch[j-1], ch[j]
-			}
+	var cand uint64
+	for sm := eff; sm != 0; sm &= sm - 1 {
+		cand |= ws.edgeMaskOf[bits.TrailingZeros64(sm)]
+	}
+	for cm := cand & ws.curCanViolate; cm != 0; cm &= cm - 1 { // ascending committee order
+		e := bits.TrailingZeros64(cm)
+		if bk.PostMeets(e) != ws.was[e] {
+			ws.changed = append(ws.changed, e)
 		}
 	}
 	var sel []int // lazily materialized, shared by this selection's violations
@@ -337,33 +313,29 @@ const maxProjWidth = 12
 func (ws *workerState[S]) projectChecks(effAll uint64, correctPrev []bool) (canViolate uint64, clean bool) {
 	m := ws.model
 	bk := ws.bkern
-	canViolate = ^uint64(0)
-	if ws.memberMask != nil {
-		canViolate = 0
-		for e, members := range ws.memberMask {
-			nb := members & effAll
-			if nb == 0 {
-				continue
+	for e, members := range ws.memberMask {
+		nb := members & effAll
+		if nb == 0 {
+			continue
+		}
+		was := ws.was[e]
+		parentOK := true
+		for _, q := range m.Probe.H.Edge(e) {
+			if was && !m.Probe.Done(ws.cfg, q) || !was && !m.Probe.Waiting(ws.cfg, q) {
+				parentOK = false
+				break
 			}
-			was := ws.was[e]
-			parentOK := true
-			for _, q := range m.Probe.H.Edge(e) {
-				if was && !m.Probe.Done(ws.cfg, q) || !was && !m.Probe.Waiting(ws.cfg, q) {
-					parentOK = false
-					break
-				}
-			}
-			if parentOK {
-				continue
-			}
-			flips := bits.OnesCount64(nb) > maxProjWidth
-			for sub := nb; sub != 0 && !flips; sub = (sub - 1) & nb {
-				bk.SetSelection(sub)
-				flips = bk.PostMeets(e) != was
-			}
-			if flips {
-				canViolate |= 1 << uint(e)
-			}
+		}
+		if parentOK {
+			continue
+		}
+		flips := bits.OnesCount64(nb) > maxProjWidth
+		for sub := nb; sub != 0 && !flips; sub = (sub - 1) & nb {
+			bk.SetSelection(sub)
+			flips = bk.PostMeets(e) != was
+		}
+		if flips {
+			canViolate |= 1 << uint(e)
 		}
 	}
 	if correctPrev == nil || !ws.opts.CheckClosure || ws.opts.CheckConvergence || ws.depMask == nil {
@@ -422,7 +394,7 @@ func (ws *workerState[S]) expandBatch(vs *Visited, agg *LayerReport, id int32, i
 	for e := 0; e < mEdges; e++ {
 		we := bk.EdgeMeets(e)
 		ws.was[e] = we
-		if we && e < 64 {
+		if we {
 			wasMask |= 1 << uint(e)
 		}
 	}
@@ -430,18 +402,12 @@ func (ws *workerState[S]) expandBatch(vs *Visited, agg *LayerReport, id int32, i
 	// committees, so with the precomputed conflict masks one word-AND per
 	// meeting edge decides whether the exact (allocating, message-
 	// formatting) scan can find anything.
-	clash := ws.conflict == nil
-	if !clash {
-		for mm := wasMask; mm != 0; mm &= mm - 1 {
-			if ws.conflict[bits.TrailingZeros64(mm)]&wasMask != 0 {
-				clash = true
-				break
+	for mm := wasMask; mm != 0; mm &= mm - 1 {
+		if ws.conflict[bits.TrailingZeros64(mm)]&wasMask != 0 {
+			for _, v := range spec.ExclusionViolationsMeets(m.Probe, ws.was, depth, nil) {
+				ws.batchViol(LayerViol{Kind: v.Kind, Msg: v.Msg})
 			}
-		}
-	}
-	if clash {
-		for _, v := range spec.ExclusionViolationsMeets(m.Probe, ws.was, depth, nil) {
-			ws.batchViol(LayerViol{Kind: v.Kind, Msg: v.Msg})
+			break
 		}
 	}
 	var correctPrev []bool

@@ -105,7 +105,7 @@ func boolBit(b bool) uint64 {
 }
 
 // encodeProc packs process p's field block into one 64-bit payload
-// (worst case 63 bits at the 250-process cap — checked in newCCLayout).
+// (at most 51 bits within CheckCC's size rule — asserted in newCCLayout).
 func (l *ccLayout) encodeProc(cfg []core.State, p int) uint64 {
 	s := &cfg[p]
 	pl := &l.procs[p]

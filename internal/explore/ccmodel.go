@@ -153,11 +153,12 @@ func CC(variant core.Variant, h *hypergraph.H, opts CCOptions) (func() *Model[co
 }
 
 // CheckCC reports what CC rejects about a topology and a mutation name
-// without building a model: the state codec's size bound and an
-// unknown mutation.
+// without building a model: the explorer's size rule (checkWord) and an
+// unknown mutation. Within 64 processes and 64 committees a CC process
+// block is at most 51 bits, so only the two counts are tested.
 func CheckCC(h *hypergraph.H, mutation string) error {
-	if h.N() > 250 || h.M() > 250 {
-		return fmt.Errorf("explore: topology too large for the state codec (n=%d, m=%d; max 250)", h.N(), h.M())
+	if err := checkWord(h.N(), h.M(), 0); err != nil {
+		return err
 	}
 	if mutation != "" && !slices.Contains(Mutations(), mutation) {
 		return unknownMutation(mutation)
@@ -172,9 +173,6 @@ func CheckCC(h *hypergraph.H, mutation string) error {
 // program — its action-name validation would also reject skip-stab
 // outright).
 func ccKernel(variant core.Variant, h *hypergraph.H, opts CCOptions) func() sim.BatchKernel[core.State] {
-	if h.N() > 64 {
-		return nil
-	}
 	return func() sim.BatchKernel[core.State] {
 		alg, prog := newCCProg(variant, h)
 		if opts.Mutation != "" {

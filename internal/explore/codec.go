@@ -22,16 +22,38 @@ type Codec[S any] struct {
 	// storage where possible.
 	Decode func(cfg []S, src []uint64)
 
-	// Incremental encoding, available when every process's field block
-	// fits in one 64-bit payload: ProcOff/ProcBits locate process p's
-	// block and EncodeProc packs it. The explorer then encodes a
-	// successor by patching only the selected processes' blocks into a
-	// copy of the parent's encoding instead of re-encoding all n — the
-	// codec-side twin of the incremental transition checks. nil
-	// EncodeProc falls back to full Encode per successor.
+	// Incremental encoding: ProcOff/ProcBits locate process p's block
+	// (at most 64 bits, see checkWord) and EncodeProc packs it. The
+	// explorer then encodes a successor by patching only the selected
+	// processes' blocks into a copy of the parent's encoding instead of
+	// re-encoding all n — the codec-side twin of the incremental
+	// transition checks. The batch pipeline requires it; the scalar
+	// path falls back to full Encode per successor when EncodeProc is
+	// nil.
 	ProcOff    []int
 	ProcBits   []int
 	EncodeProc func(cfg []S, p int) uint64
+}
+
+// checkWord is the explorer's size rule. The batch pipeline holds a
+// state's enabled processes and its meeting committees in one 64-bit
+// mask each, and patches a successor key one 64-bit process block at a
+// time, so a model with more than 64 processes, more than 64
+// committees or a wider block is refused before it is built. The
+// simulator has no such bound.
+func checkWord(procs, committees, block int) error {
+	var what string
+	switch {
+	case procs > 64:
+		what = fmt.Sprintf("%d processes", procs)
+	case committees > 64:
+		what = fmt.Sprintf("%d committees", committees)
+	case block > 64:
+		what = fmt.Sprintf("a %d-bit process block", block)
+	default:
+		return nil
+	}
+	return fmt.Errorf("explore: model too wide for the explorer: %s (at most 64 processes, 64 committees and 64 bits per process; ccsim simulates any size)", what)
 }
 
 // patchWords overwrites the width-bit field at bit offset off with

@@ -143,10 +143,49 @@ func assertTinyFilter[S sim.Cloneable[S]](t *testing.T, factory func() *Model[S]
 	}
 }
 
+// assertEngages holds a cell's model to the batch pipeline: every worker
+// state built for it runs expandBatch unless DisableBatch asks for the
+// scalar reference leg, with and without symmetry reduction.
+func assertEngages[S sim.Cloneable[S]](t *testing.T, factory func() *Model[S], opts Options) {
+	t.Helper()
+	for _, sym := range []bool{false, true} {
+		for _, scalar := range []bool{false, true} {
+			o := opts
+			o.Symmetry, o.DisableBatch = sym, scalar
+			if batch := newWorkerState(factory(), &o).bkern != nil; batch == scalar {
+				t.Fatalf("symmetry=%v DisableBatch=%v: batch pipeline engaged = %v", sym, scalar, batch)
+			}
+		}
+	}
+}
+
+// cellLeg selects what a battery cell's body runs.
+type cellLeg int
+
+const (
+	legThreeWay   cellLeg = iota // assertThreeWay
+	legTinyFilter                // assertTinyFilter
+	legEngages                   // assertEngages
+)
+
+// runLeg runs leg on a cell's model and returns the batch result of the
+// three-way leg (nil for the others).
+func runLeg[S sim.Cloneable[S]](t *testing.T, leg cellLeg, factory func() *Model[S], opts Options) *Result {
+	t.Helper()
+	switch leg {
+	case legTinyFilter:
+		assertTinyFilter(t, factory, opts)
+	case legEngages:
+		assertEngages(t, factory, opts)
+	default:
+		return assertThreeWay(t, factory, opts)
+	}
+	return nil
+}
+
 // batteryCells enumerates the battery: add receives each cell's name,
-// whether -short skips it, and its body — assertThreeWay, or
-// assertTinyFilter when tiny is set.
-func batteryCells(add func(name string, heavy bool, run func(t *testing.T, tiny bool))) {
+// whether -short skips it, and its body, which runs the leg it is given.
+func batteryCells(add func(name string, heavy bool, run func(t *testing.T, leg cellLeg))) {
 	variants := map[string]core.Variant{"cc1": core.CC1, "cc2": core.CC2, "cc3": core.CC3}
 	topos := map[string]func() *hypergraph.H{
 		"ring:3":    func() *hypergraph.H { return hypergraph.CommitteeRing(3) },
@@ -208,7 +247,7 @@ func batteryCells(add func(name string, heavy bool, run func(t *testing.T, tiny 
 		for topoName, mkH := range topos {
 			for modeName, mode := range modes {
 				heavy := topoName == "triples:3" || modeName == "all-subsets"
-				add(kind.String()+"/"+topoName+"/"+modeName, heavy, func(t *testing.T, tiny bool) {
+				add(kind.String()+"/"+topoName+"/"+modeName, heavy, func(t *testing.T, leg cellLeg) {
 					factory, err := Baseline(kind, mkH(), 1)
 					if err != nil {
 						t.Fatal(err)
@@ -216,12 +255,8 @@ func batteryCells(add func(name string, heavy bool, run func(t *testing.T, tiny 
 					opts := Options{
 						Mode: mode, MaxStates: 60_000, MaxViolations: 2, CheckDeadlock: true,
 					}
-					if tiny {
-						assertTinyFilter(t, factory, opts)
-						return
-					}
-					a := assertThreeWay(t, factory, opts)
-					if kind == baseline.Dining && topoName == "ring:3" && modeName == "central" && a.Deadlocks == 0 {
+					a := runLeg(t, leg, factory, opts)
+					if a != nil && kind == baseline.Dining && topoName == "ring:3" && modeName == "central" && a.Deadlocks == 0 {
 						t.Fatal("pinned dining deadlock on ring:3 disappeared from both engines")
 					}
 				})
@@ -231,8 +266,8 @@ func batteryCells(add func(name string, heavy bool, run func(t *testing.T, tiny 
 }
 
 // ccCell is the body of a CC battery cell.
-func ccCell(variant core.Variant, mkH func() *hypergraph.H, init InitMode, mode sim.SelectionMode, maxStates int) func(t *testing.T, tiny bool) {
-	return func(t *testing.T, tiny bool) {
+func ccCell(variant core.Variant, mkH func() *hypergraph.H, init InitMode, mode sim.SelectionMode, maxStates int) func(t *testing.T, leg cellLeg) {
+	return func(t *testing.T, leg cellLeg) {
 		factory := mustCC(t, variant, mkH(), CCOptions{Init: init})
 		opts := Options{
 			Mode: mode, MaxStates: maxStates,
@@ -241,23 +276,29 @@ func ccCell(variant core.Variant, mkH func() *hypergraph.H, init InitMode, mode 
 		if mode == sim.SelectSynchronous {
 			opts.CheckConvergence = true
 		}
-		if tiny {
-			assertTinyFilter(t, factory, opts)
-			return
-		}
-		assertThreeWay(t, factory, opts)
+		runLeg(t, leg, factory, opts)
 	}
 }
 
 func TestDifferentialBattery(t *testing.T) {
-	batteryCells(func(name string, heavy bool, run func(t *testing.T, tiny bool)) {
+	batteryCells(func(name string, heavy bool, run func(t *testing.T, leg cellLeg)) {
 		t.Run(name, func(t *testing.T) {
 			if heavy && testing.Short() {
 				t.Skip("heavy cell: skipped in -short")
 			}
 			t.Parallel() // cells share no state; reports are identical at any width
-			run(t, false)
+			run(t, legThreeWay)
 		})
+	})
+}
+
+// TestBatchEngagesEveryCell: every model of every battery cell, heavy
+// ones included (no cell is explored here), is expanded by the batch
+// pipeline unless DisableBatch is set — the size rule left no model
+// that a production path would send to the scalar expansion.
+func TestBatchEngagesEveryCell(t *testing.T) {
+	batteryCells(func(name string, _ bool, run func(t *testing.T, leg cellLeg)) {
+		t.Run(name, func(t *testing.T) { run(t, legEngages) })
 	})
 }
 
@@ -269,12 +310,12 @@ func TestDifferentialBattery(t *testing.T) {
 // with the move its whole key determines, so neither capacity may show
 // in a single byte. Serial — the capacities are package variables.
 func TestDifferentialBatteryTinyFilter(t *testing.T) {
-	batteryCells(func(name string, heavy bool, run func(t *testing.T, tiny bool)) {
+	batteryCells(func(name string, heavy bool, run func(t *testing.T, leg cellLeg)) {
 		t.Run(name, func(t *testing.T) {
 			if heavy && testing.Short() {
 				t.Skip("heavy cell: skipped in -short")
 			}
-			run(t, true)
+			run(t, legTinyFilter)
 		})
 	})
 }
@@ -329,13 +370,34 @@ type plainKernel[S sim.Cloneable[S]] struct{ sim.BatchKernel[S] }
 // walk joint submasks of a neighbourhood, not only singletons, or the
 // initial state reads as clean and its violations go missing.
 func TestClosureNeedsJointMove(t *testing.T) {
+	factory := jointMoveCC(t)
+	if _, ok := newWorkerState(factory(), &Options{}).bkern.(*genericChecker[core.State]); !ok {
+		t.Fatal("the wrapped kernel did not run through genericChecker")
+	}
+	opts := Options{Mode: sim.SelectAllSubsets, CheckClosure: true, MaxViolations: 6}
+	res := assertThreeWay(t, factory, opts)
+	if len(res.Violations) == 0 {
+		t.Fatal("no closure violation found")
+	}
+	for _, v := range res.Violations {
+		last := v.Trace[len(v.Trace)-1]
+		if v.Kind != KindClosure || v.Depth != 1 || len(last.Sel) < 2 {
+			t.Fatalf("want only joint-move closure violations out of the initial state, got %s (selection %v)", v, last.Sel)
+		}
+	}
+}
+
+// jointMoveCC is TestClosureNeedsJointMove's model: CC1 on ring:4 from
+// the legitimate configuration, with a Correct that no single move
+// breaks and two moves in one neighbourhood do.
+func jointMoveCC(t *testing.T) func() *Model[core.State] {
 	h := hypergraph.CommitteeRing(4)
 	cc := mustCC(t, core.CC1, h, CCOptions{Init: InitLegit})
 	deps := make([][]int, h.N())
 	for p := range deps {
 		deps[p] = append(append([]int(nil), h.Neighbors(p)...), p)
 	}
-	factory := func() *Model[core.State] {
+	return func() *Model[core.State] {
 		m := cc()
 		kernel := m.Kernel
 		m.Kernel = func() sim.BatchKernel[core.State] { return plainKernel[core.State]{kernel()} }
@@ -350,20 +412,6 @@ func TestClosureNeedsJointMove(t *testing.T) {
 			return looking <= 1
 		}
 		return m
-	}
-	if _, ok := newWorkerState(factory(), &Options{}).bkern.(*genericChecker[core.State]); !ok {
-		t.Fatal("the wrapped kernel did not run through genericChecker")
-	}
-	opts := Options{Mode: sim.SelectAllSubsets, CheckClosure: true, MaxViolations: 6}
-	res := assertThreeWay(t, factory, opts)
-	if len(res.Violations) == 0 {
-		t.Fatal("no closure violation found")
-	}
-	for _, v := range res.Violations {
-		last := v.Trace[len(v.Trace)-1]
-		if v.Kind != KindClosure || v.Depth != 1 || len(last.Sel) < 2 {
-			t.Fatalf("want only joint-move closure violations out of the initial state, got %s (selection %v)", v, last.Sel)
-		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/hypergraph"
 	"repro/internal/sim"
@@ -94,6 +95,54 @@ func TestEmptyFrontier(t *testing.T) {
 	}
 	if !res.Ok() || res.Truncated || res.Verdict() != "verified" {
 		t.Fatalf("empty frontier verdict: %s", res.Summary())
+	}
+}
+
+// TestWordLimitEdge: the explorer's size rule on both sides of each of
+// its bounds. The model at a bound is explored by the batch pipeline
+// (its keys run to dozens of words) and matches the scalar path and the
+// oracle on a bounded run; the model one step past it is refused with
+// the rule's message, naming the bound it broke.
+func TestWordLimitEdge(t *testing.T) {
+	type build func(t *testing.T, h *hypergraph.H) error
+	cc := func(t *testing.T, h *hypergraph.H) error {
+		factory, err := CC(core.CC2, h, CCOptions{Init: InitLegit})
+		if err == nil {
+			assertEngages(t, factory, Options{})
+			assertKinds(t, factory, Options{Mode: sim.SelectCentral, MaxStates: 200, CheckDeadlock: true, CheckClosure: true})
+		}
+		return err
+	}
+	base := func(kind baseline.Kind) build {
+		return func(t *testing.T, h *hypergraph.H) error {
+			factory, err := Baseline(kind, h, 1)
+			if err == nil {
+				assertEngages(t, factory, Options{})
+				assertKinds(t, factory, Options{Mode: sim.SelectCentral, MaxStates: 200, CheckDeadlock: true})
+			}
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		build   build
+		in, out *hypergraph.H
+		what    string
+	}{
+		{"cc processes", cc, hypergraph.CommitteeRing(64), hypergraph.CommitteeRing(65), "65 processes"},
+		{"cc committees", cc, hypergraph.CompletePairs(11), hypergraph.CompletePairs(12), "66 committees"},
+		{"baseline processes", base(baseline.TokenRing), hypergraph.CommitteeRing(32), hypergraph.CommitteeRing(33), "66 processes"},
+		{"dining block", base(baseline.Dining), hypergraph.Star(22), hypergraph.Star(23), "a 67-bit process block"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.build(t, tc.in); err != nil {
+				t.Fatalf("%s refused: %v", tc.in, err)
+			}
+			err := tc.build(t, tc.out)
+			if err == nil || !strings.Contains(err.Error(), tc.what) || !strings.Contains(err.Error(), "at most 64 processes, 64 committees and 64 bits per process") {
+				t.Fatalf("%s: got %v, want the size rule naming %s", tc.out, err, tc.what)
+			}
+		})
 	}
 }
 

@@ -118,13 +118,15 @@ type Model[S sim.Cloneable[S]] struct {
 	// incremental step engine uses. nil falls back to recomputing all.
 	Deps func(p int) []int
 	// Kernel, if non-nil, returns a fresh sim.BatchKernel for the
-	// model's program, switching expansion to the batch/SoA pipeline
-	// (see batch.go). Called once per worker — a kernel is
-	// single-goroutine scratch. The kernel must reproduce the scalar
-	// guard semantics of Prog exactly (the differential battery checks
-	// this); the pipeline additionally requires Codec.EncodeProc and at
-	// most 64 processes, so a declared Kernel is only an enablement,
-	// never an obligation.
+	// model's program, and the model is expanded by the batch/SoA
+	// pipeline (see batch.go) unless Options.DisableBatch is set.
+	// Called once per worker — a kernel is single-goroutine scratch. The
+	// kernel must reproduce the scalar guard semantics of Prog exactly
+	// (the differential battery checks this), and the model must fit the
+	// explorer's word (checkWord) with Codec.EncodeProc set. CC and
+	// Baseline always declare one and refuse wider topologies, so every
+	// production model is batch-expanded; only test models without a
+	// kernel take the scalar path.
 	Kernel func() sim.BatchKernel[S]
 }
 
@@ -168,8 +170,10 @@ type Options struct {
 	// DisableBatch forces the scalar expansion path even when the model
 	// declares a batch kernel. Result-irrelevant — the batch pipeline is
 	// byte-identical by contract — so, like MemBudget, it is not part of
-	// a job's content key or checkpoint identity; the differential
-	// battery uses it to pit the two paths against each other.
+	// a job's content key or checkpoint identity. It is the reference
+	// leg only: the differential battery pits the two paths against each
+	// other with it, and the benchmark's batch_vs_scalar ratio reads it;
+	// no production path sets it.
 	DisableBatch bool
 
 	// MemBudget bounds the in-memory footprint of the visited set
@@ -351,19 +355,17 @@ type workerState[S sim.Cloneable[S]] struct {
 	lkern localKernel[S]
 	// changed collects, per selection, the committees whose meets status
 	// differs from the parent's — the only edges the event check must
-	// judge. conflict[e] is the bitmask of committees conflicting with e
-	// (nil when the edge count exceeds a word): a state needs the full
-	// exclusion scan only if some meeting edge's conflict mask intersects
-	// the meets mask.
+	// judge. conflict[e] is the bitmask of committees conflicting with e:
+	// a state needs the full exclusion scan only if some meeting edge's
+	// conflict mask intersects the meets mask.
 	changed  []int
 	conflict []uint64
 
-	// Mask-form topology for the per-branch fast path (nil when the edge
-	// count exceeds a word): edgeMaskOf[p] is the committees incident to
-	// p, memberMask[e] the members of e. depMask[p] is the closed Correct
-	// dependency neighborhood of p (Model.Deps) and readMask[p] its
-	// transpose, the processes whose state Correct(p) may read (nil
-	// without Deps).
+	// Mask-form topology for the per-branch checks: edgeMaskOf[p] is the
+	// committees incident to p, memberMask[e] the members of e.
+	// depMask[p] is the closed Correct dependency neighborhood of p
+	// (Model.Deps) and readMask[p] its transpose, the processes whose
+	// state Correct(p) may read (nil without Deps).
 	edgeMaskOf []uint64
 	memberMask []uint64
 	depMask    []uint64
@@ -452,10 +454,11 @@ func newWorkerState[S sim.Cloneable[S]](m *Model[S], opts *Options) *workerState
 	if opts.Symmetry {
 		ws.syms = m.Syms
 	}
-	// Batch-pipeline eligibility: a declared kernel, incremental
-	// encoding (successor keys are assembled by patching), and an
-	// enabled set that fits a word.
-	if m.Kernel != nil && m.Codec.EncodeProc != nil && n <= 64 && !opts.DisableBatch {
+	if m.Kernel != nil && !opts.DisableBatch {
+		mEdges := m.Probe.H.M()
+		if m.Codec.EncodeProc == nil || checkWord(n, mEdges, 0) != nil {
+			panic(fmt.Sprintf("explore: %s declares a batch kernel but is too wide for it or has no EncodeProc", m.Name))
+		}
 		k := m.Kernel()
 		if be, ok := k.(batchEval[S]); ok {
 			ws.bkern = be
@@ -469,32 +472,29 @@ func newWorkerState[S sim.Cloneable[S]](m *Model[S], opts *Options) *workerState
 		}
 		ws.selCB = ws.batchSel
 		ws.post = par.PrivateSlice[S](n)
-		mEdges := m.Probe.H.M()
 		ws.changed = par.PrivateSlice[int](mEdges)[:0]
-		if mEdges <= 64 {
-			ws.conflict = par.PrivateSlice[uint64](mEdges)
-			for e := 0; e < mEdges; e++ {
-				for f := 0; f < mEdges; f++ {
-					if f != e && m.Probe.H.Edge(e).Conflicts(m.Probe.H.Edge(f)) {
-						ws.conflict[e] |= 1 << uint(f)
-					}
+		ws.conflict = par.PrivateSlice[uint64](mEdges)
+		for e := 0; e < mEdges; e++ {
+			for f := 0; f < mEdges; f++ {
+				if f != e && m.Probe.H.Edge(e).Conflicts(m.Probe.H.Edge(f)) {
+					ws.conflict[e] |= 1 << uint(f)
 				}
 			}
-			ws.memberMask = par.PrivateSlice[uint64](mEdges)
-			ws.edgeMaskOf = par.PrivateSlice[uint64](n)
-			for e := 0; e < mEdges; e++ {
-				for _, q := range m.Probe.H.Edge(e) {
-					ws.memberMask[e] |= 1 << uint(q)
-				}
+		}
+		ws.memberMask = par.PrivateSlice[uint64](mEdges)
+		ws.edgeMaskOf = par.PrivateSlice[uint64](n)
+		for e := 0; e < mEdges; e++ {
+			for _, q := range m.Probe.H.Edge(e) {
+				ws.memberMask[e] |= 1 << uint(q)
 			}
-			// Processes beyond the professor range (the baselines'
-			// committee agents) keep a zero mask: Probe.Meets reads
-			// member states only, so their moves touch no committee —
-			// the same skip the scalar path applies.
-			for p := 0; p < n && p < m.Probe.H.N(); p++ {
-				for _, e := range m.Probe.H.EdgesOf(p) {
-					ws.edgeMaskOf[p] |= 1 << uint(e)
-				}
+		}
+		// Processes beyond the professor range (the baselines'
+		// committee agents) keep a zero mask: Probe.Meets reads member
+		// states only, so their moves touch no committee — the same skip
+		// the scalar path applies.
+		for p := 0; p < n && p < m.Probe.H.N(); p++ {
+			for _, e := range m.Probe.H.EdgesOf(p) {
+				ws.edgeMaskOf[p] |= 1 << uint(e)
 			}
 		}
 		if m.Deps != nil {

@@ -100,13 +100,11 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			if !wordsEqual(bEnc, bEnc2) {
 				t.Fatalf("baseline re-encoding differs at step %d", i)
 			}
-			if bl.incr {
-				for p := range bcfg {
-					patchWords(bEnc2, bl.procOff[p], bl.procBits[p], bl.encodeProc(bcfg, p))
-				}
-				if !wordsEqual(bEnc, bEnc2) {
-					t.Fatal("baseline patch encoding diverges from full encoding")
-				}
+			for p := range bcfg {
+				patchWords(bEnc2, bl.procOff[p], bl.procBits[p], bl.encodeProc(bcfg, p))
+			}
+			if !wordsEqual(bEnc, bEnc2) {
+				t.Fatal("baseline patch encoding diverges from full encoding")
 			}
 			if eng.Step() == nil {
 				break
@@ -135,9 +133,6 @@ func FuzzBatchGuards(f *testing.F) {
 	f.Add(int64(3), byte(3), byte(1), byte(0)) // leader ids on Figure 1 under CC2
 	f.Fuzz(func(t *testing.T, seed int64, topoByte, variantByte, fault byte) {
 		h := fuzzTopo(topoByte)
-		if h.N() > 64 {
-			t.Skip("batch path requires n <= 64")
-		}
 		variant := []core.Variant{core.CC1, core.CC2, core.CC3}[variantByte%3]
 		alg, prog := newCCProg(variant, h)
 		k := core.NewKernel(alg, prog)
@@ -243,9 +238,6 @@ func FuzzBatchDecode(f *testing.F) {
 	f.Add(int64(-11), byte(19), byte(0))
 	f.Fuzz(func(t *testing.T, seed int64, topoByte, variantByte byte) {
 		h := fuzzTopo(topoByte)
-		if h.N() > 64 {
-			t.Skip("batch path requires n <= 64")
-		}
 		variant := []core.Variant{core.CC1, core.CC2, core.CC3}[variantByte%3]
 		alg, prog := newCCProg(variant, h)
 		k := core.NewKernel(alg, prog)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/chaos"
 	"repro/internal/serve"
 	"repro/internal/store"
@@ -528,6 +529,33 @@ func TestValidation(t *testing.T) {
 		if code != http.StatusNotFound {
 			t.Errorf("%s: %d, want 404", path, code)
 		}
+	}
+}
+
+// TestValidationWordLimit: a model past the explorer's size rule is the
+// enveloped 400, carrying the message campaign.Validate gives for it.
+func TestValidationWordLimit(t *testing.T) {
+	ts := newTestServer(t, t.TempDir())
+	spec := store.JobSpec{Alg: "cc2", Topo: "ring:65", Daemon: "central", Init: "legit"}
+	want := campaign.Validate(spec)
+	if want == nil || !strings.Contains(want.Error(), "65 processes") {
+		t.Fatalf("campaign.Validate(%+v) = %v, want the size rule", spec, want)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"alg":"cc2","topo":"ring:65"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("ring:65: %d %s", resp.StatusCode, raw)
+	}
+	wantEnvelope(t, "ring:65", raw, "bad_request")
+	var env struct {
+		Error string `json:"error"`
+	}
+	if json.Unmarshal(raw, &env) != nil || env.Error != want.Error() {
+		t.Fatalf("ring:65: error %q, want %q", env.Error, want)
 	}
 }
 
