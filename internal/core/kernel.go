@@ -31,7 +31,9 @@ import (
 //
 // Beyond sim.BatchKernel, the kernel implements the explorer's extended
 // checker interface (see internal/explore): cached EdgeMeets/Correct
-// vectors for the parent configuration, and merged-view PostMeets/
+// vectors for the parent configuration (judged by Eval, or installed by
+// SetParent from the explorer's local-transition cache without reading
+// the configuration), and merged-view PostMeets/
 // PostCorrect/SpecNeutral for successor configurations, which read the
 // recorded post-state S/P columns for selected processes and the parent
 // columns for the rest — the batch counterpart of re-evaluating the spec
@@ -201,11 +203,13 @@ func (k *Kernel) Eval(cfg []State) uint64 { return k.EvalHits(cfg, 0, nil) }
 // moves: every p in hit takes acts[p] (an action index, or -1) instead
 // of walking its guards. The columns, the per-edge predicates and
 // Correct are still computed for every process, since the explorer's
-// spec checks read them. The explorer's local-transition cache is the
-// caller: with the eager environment and core.ChooseFirst, p's move is
-// a function of the states of p and its G_H neighbours (the program's
-// Locality), so a move recorded for the same neighbourhood is the move
-// the guards would choose.
+// spec checks read them; a caller that knows those too for every
+// process skips the configuration altogether (SetParent). The
+// explorer's local-transition cache is the caller: with the eager
+// environment and core.ChooseFirst, p's move is a function of the
+// states of p and its G_H neighbours (the program's Locality), so a
+// move recorded for the same neighbourhood is the move the guards
+// would choose.
 func (k *Kernel) EvalHits(cfg []State, hit uint64, acts []int) uint64 {
 	if k.n > 64 {
 		panic(fmt.Sprintf("core: Kernel.Eval over %d processes (max 64)", k.n))
@@ -613,20 +617,50 @@ func (k *Kernel) Apply(cfg []State, p int, next *State) {
 	k.postP[p] = int32(next.P)
 }
 
+// packSP packs S and P into one 16-bit word: S in the high byte, P as
+// an 8-bit two's complement. The explorer, the only caller, refuses
+// models of more than 64 committees, so every edge index fits.
+func packSP(s Status, ptr int32) uint16 { return uint16(s)<<8 | uint16(uint8(ptr)) }
+
+func unpackSP(w uint16) (Status, int32) { return Status(w >> 8), int32(int8(w)) }
+
 // Post returns the successor S/P fields the last Apply of p recorded,
-// packed into one word for SetPost: S in the high half, P as a 16-bit
-// two's complement (edge indices stay below 2^15; the explorer's codec
-// caps them at 250).
-func (k *Kernel) Post(p int) uint32 {
-	return uint32(k.postS[p])<<16 | uint32(uint16(k.postP[p]))
-}
+// packed into one word for SetPost.
+func (k *Kernel) Post(p int) uint16 { return packSP(k.postS[p], k.postP[p]) }
 
 // SetPost records p's successor S/P fields from a word Post returned
 // for the same move, in place of applying p's body, so the merged
 // Post* reads and SpecNeutral see p as Apply would have left it.
-func (k *Kernel) SetPost(p int, post uint32) {
-	k.postS[p] = Status(post >> 16)
-	k.postP[p] = int32(int16(post))
+func (k *Kernel) SetPost(p int, post uint16) { k.postS[p], k.postP[p] = unpackSP(post) }
+
+// Pre returns p's S/P fields in the configuration of the last Eval, in
+// Post's packing.
+func (k *Kernel) Pre(p int) uint16 { return packSP(k.colS[p], k.colP[p]) }
+
+// SetParent stands in for Eval when the caller knows, for every
+// process p, its S/P fields pre[p] (Pre's packing), Correct(p) (bit p
+// of correct) and its move acts[p], and for every committee e its
+// EdgeMeets value (bit e of meets): it installs them and returns the
+// enabled set, with no configuration read. What it leaves stale — the
+// T/L/token columns and the other per-edge predicates — only the guard
+// walk reads, and a process whose move is known walks no guard; the
+// spec reads (EdgeMeets, Correct, Waiting, Done, SpecNeutral, Post*)
+// all answer from what it installs.
+func (k *Kernel) SetParent(pre []uint16, correct, meets uint64, acts []int) uint64 {
+	var enabled uint64
+	for p := 0; p < k.n; p++ {
+		k.colS[p], k.colP[p] = unpackSP(pre[p])
+		k.correct[p] = correct>>uint(p)&1 != 0
+		a := acts[p]
+		k.acts[p] = a
+		if a >= 0 {
+			enabled |= uint64(1) << p
+		}
+	}
+	for e := 0; e < k.m; e++ {
+		k.meets[e] = meets>>uint(e)&1 != 0
+	}
+	return enabled
 }
 
 // --- Explorer checker interface ----------------------------------------------
@@ -637,6 +671,15 @@ func (k *Kernel) EdgeMeets(e int) bool { return k.meets[e] }
 
 // Correct reports Correct(p) in the configuration of the last Eval.
 func (k *Kernel) Correct(p int) bool { return k.correct[p] }
+
+// Waiting reports the spec probe's Waiting(p) — S_p ∈ {looking,
+// waiting} (Alg.WaitingAbstract) — in the configuration of the last
+// Eval or SetParent.
+func (k *Kernel) Waiting(p int) bool { return k.colS[p] == Looking || k.colS[p] == Waiting }
+
+// Done reports the spec probe's Done(p) — S_p = done — in the
+// configuration of the last Eval or SetParent.
+func (k *Kernel) Done(p int) bool { return k.colS[p] == Done }
 
 // SetSelection installs the selection mask the merged Post* reads
 // resolve against: selected processes read their recorded post state,

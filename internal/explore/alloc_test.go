@@ -22,8 +22,9 @@ import (
 // process looks up, and with the table shrunk to 64 entries it has
 // stopped growing by the end of the BFS, so the measured expansions —
 // of states spread over the whole space, each twice — both hit and
-// miss. disjoint:2,2 runs the same under symmetry reduction, so canon
-// — decoding each successor key, encoding its block-swapped image and
+// miss, and some hit at every process and skip the decode.
+// disjoint:2,2 runs the same under symmetry reduction, so canon —
+// decoding each successor key, encoding its block-swapped image and
 // keeping the lesser — is held to the same contract.
 func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
@@ -86,9 +87,9 @@ func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 
 			// Steady state: every successor is known. Zero allocations,
 			// on cache hits and misses alike.
-			var lookups, hits int64
+			var lookups, hits, allHits int64
 			if tc.local {
-				lookups, hits = ws.local.lookups, ws.local.hits
+				lookups, hits, allHits = ws.local.lookups, ws.local.hits, ws.local.allHits
 			}
 			next, again := int32(0), false
 			stride := int32(vs.States()/101) | 1
@@ -102,9 +103,12 @@ func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 				t.Fatalf("steady-state batch expansion allocates %v times per state, want 0", allocs)
 			}
 			if tc.local {
-				lookups, hits = ws.local.lookups-lookups, ws.local.hits-hits
+				lookups, hits, allHits = ws.local.lookups-lookups, ws.local.hits-hits, ws.local.allHits-allHits
 				if hits == 0 || hits == lookups {
 					t.Fatalf("measured expansions: %d hits of %d lookups, want both hits and misses", hits, lookups)
+				}
+				if allHits == 0 {
+					t.Fatal("no measured expansion skipped the decode (every process a hit)")
 				}
 			}
 		})

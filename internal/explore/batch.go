@@ -44,6 +44,12 @@ type batchEval[S sim.Cloneable[S]] interface {
 	// Correct reports Model.Correct(cfg, p) for the configuration of
 	// the last Eval.
 	Correct(p int) bool
+	// Waiting and Done report spec.Probe.Waiting(cfg, p) and
+	// Probe.Done(cfg, p) for the configuration of the last Eval: the
+	// parent reads of the event checks, which an expansion that skips
+	// the decode (localKernel.SetParent) can only make here.
+	Waiting(p int) bool
+	Done(p int) bool
 	// SetSelection installs the selection the Post* reads resolve
 	// against: selected processes read their post state (as recorded by
 	// Apply), the rest the parent configuration. mask may be any subset
@@ -103,6 +109,10 @@ func (g *genericChecker[S]) Correct(p int) bool {
 	return g.m.Correct != nil && g.m.Correct(g.cfg, p)
 }
 
+func (g *genericChecker[S]) Waiting(p int) bool { return g.m.Probe.Waiting(g.cfg, p) }
+
+func (g *genericChecker[S]) Done(p int) bool { return g.m.Probe.Done(g.cfg, p) }
+
 func (g *genericChecker[S]) SetSelection(mask uint64) {
 	for diff := mask ^ g.prevMask; diff != 0; diff &= diff - 1 {
 		p := bits.TrailingZeros64(diff)
@@ -149,7 +159,6 @@ func (ws *workerState[S]) batchSel(selMask uint64) bool {
 	m := ws.model
 	opts := ws.opts
 	bk := ws.bkern
-	cfg := ws.cfg
 	h := m.Probe.H
 	neutral := ws.curNeutral
 	correctPrev := ws.curCorrectPrev
@@ -166,7 +175,7 @@ func (ws *workerState[S]) batchSel(selMask uint64) bool {
 		patchWords(key, m.Codec.ProcOff[p], m.Codec.ProcBits[p], ws.payload[p])
 	}
 	key = ws.canon(key)
-	ws.emit(key)
+	ws.emit(key, ws.curOut&^selMask == 0)
 
 	// Incremental transition checks against the merged view: only
 	// committees incident to a selected, spec-visible, non-neutral
@@ -195,7 +204,7 @@ func (ws *workerState[S]) batchSel(selMask uint64) bool {
 		edge := h.Edge(e)
 		if !ws.was[e] { // convened
 			for _, q := range edge {
-				if !m.Probe.Waiting(cfg, q) {
+				if !bk.Waiting(q) {
 					if sel == nil {
 						sel = selFromMask(selMask)
 					}
@@ -206,7 +215,7 @@ func (ws *workerState[S]) batchSel(selMask uint64) bool {
 			}
 		} else { // terminated
 			for _, q := range edge {
-				if !m.Probe.Done(cfg, q) {
+				if !bk.Done(q) {
 					if sel == nil {
 						sel = selFromMask(selMask)
 					}
@@ -321,7 +330,7 @@ func (ws *workerState[S]) projectChecks(effAll uint64, correctPrev []bool) (canV
 		was := ws.was[e]
 		parentOK := true
 		for _, q := range m.Probe.H.Edge(e) {
-			if was && !m.Probe.Done(ws.cfg, q) || !was && !m.Probe.Waiting(ws.cfg, q) {
+			if was && !bk.Done(q) || !was && !bk.Waiting(q) {
 				parentOK = false
 				break
 			}
@@ -360,8 +369,9 @@ func (ws *workerState[S]) projectChecks(effAll uint64, correctPrev []bool) (canV
 }
 
 // expandBatch is expand through the batch pipeline: one kernel Eval for
-// the whole enabled set, one body application and one block encoding per
-// enabled process, under all-subsets one projection pass, and
+// the whole enabled set (none, and no decode, when the local-transition
+// cache knows every process), one body application and one block
+// encoding per enabled process, under all-subsets one projection pass, and
 // per-selection work reduced to key patching, the visited probe, and
 // incremental merged-view spec checks. Every observable — keys,
 // discovery positions, truncation, violation messages — matches expand
@@ -372,17 +382,40 @@ func (ws *workerState[S]) expandBatch(vs *Visited, agg *LayerReport, id int32, i
 	bk := ws.bkern
 	ws.open(vs, agg, id, item)
 	parent := vs.Key(id)
-	m.Codec.Decode(ws.cfg, parent)
 	cfg := ws.cfg
 
 	// The processes whose move the local-transition cache knows take it
 	// (their payload and SpecNeutral bit included) instead of choosing.
+	// A state whose every process hits is not decoded at all: the table
+	// holds every parent column and vector the kernel's reads need, and
+	// cfg stays stale (nothing below reads it when no process misses).
+	lc := ws.local
 	var enabledMask, hit, neutral uint64
-	if lc := ws.local; lc != nil {
+	if lc != nil {
 		hit, neutral = lc.lookup(parent, ws.payload)
+	}
+	switch {
+	case lc != nil && lc.skipDecode && hit == lc.cacheable:
+		enabledMask = setParent(lc, ws.lkern)
+	case lc != nil:
+		m.Codec.Decode(cfg, parent)
 		enabledMask = ws.lkern.EvalHits(cfg, hit, lc.act)
-	} else {
+	default:
+		m.Codec.Decode(cfg, parent)
 		enabledMask = bk.Eval(cfg)
+	}
+
+	// The out mask: the processes whose block is in no init of the
+	// seed's family. A selection that leaves one of them out cannot
+	// make a kept init, so its successor skips the family's member test.
+	// The cache knows the bit of every hit.
+	ws.curOut = 0
+	if fam := vs.fam; fam != nil {
+		all := uint64(1)<<uint(m.Prog.NumProcs) - 1
+		ws.curOut = fam.outside(parent, all&^hit)
+		if lc != nil {
+			ws.curOut |= lc.out
+		}
 	}
 
 	// State properties from the kernel's cached vectors (the batch
@@ -435,7 +468,7 @@ func (ws *workerState[S]) expandBatch(vs *Visited, agg *LayerReport, id int32, i
 	for rest := enabledMask; rest != 0; rest &= rest - 1 {
 		p := bits.TrailingZeros64(rest)
 		if hit>>uint(p)&1 != 0 {
-			ws.lkern.SetPost(p, ws.local.post[p])
+			ws.lkern.SetPost(p, lc.post[p])
 			continue
 		}
 		ws.post[p] = cfg[p].Clone()
@@ -445,8 +478,8 @@ func (ws *workerState[S]) expandBatch(vs *Visited, agg *LayerReport, id int32, i
 			neutral |= 1 << uint(p)
 		}
 	}
-	if ws.local != nil {
-		fillLocal(ws.local, ws.lkern, hit, neutral, ws.payload)
+	if lc != nil {
+		fillLocal(lc, ws.lkern, hit, neutral, ws.curOut, ws.payload)
 	}
 	ws.curCanViolate, ws.curClean = ^uint64(0), false
 	if opts.Mode == sim.SelectAllSubsets {

@@ -41,9 +41,9 @@ var filterEntries = 1 << 12
 
 // routeFlushRecords bounds the successors a worker buffers for other
 // owners: a fan-out stops handing out items once a worker holds this
-// many (overshooting by at most the item in hand), the owners drain, and
-// the fan-out resumes — so the buffers are sized by this constant, not
-// by the width of the layer.
+// many (overshooting by at most the run of items in hand), the owners
+// drain, and the fan-out resumes — so the buffers are sized by this
+// constant, not by the width of the layer.
 const routeFlushRecords = 4096
 
 // succFilter is a worker's direct-mapped memo of the successors it has
@@ -148,13 +148,18 @@ func shareStripes[S sim.Cloneable[S]](wss []*workerState[S]) {
 	}
 }
 
+// fanRun is how many consecutive items a worker claims off fanOut's
+// cursor at a time: the cursor and the full flag are shared atomics, so
+// a claim per item costs a contended cache line per state.
+const fanRun = 32
+
 // fanOut is the expansion fan-out of both backends (a node's layer chunk,
 // a peer's layer): it expands items 0 … size−1 on the workers, which
-// pull them off a shared cursor. A worker whose route buffers reach
-// routeFlushRecords ends the fan-out: the workers stop after the item in
-// hand, every owner drains the buffers addressed to it into vs, and its
-// inbox unless inbox is nil, and the fan-out resumes at the cursor. On
-// return every route buffer is empty.
+// claim runs of fanRun of them off a shared cursor. A worker whose route
+// buffers reach routeFlushRecords ends the fan-out: the workers stop
+// after the run in hand, every owner drains the buffers addressed to it
+// into vs, and its inbox unless inbox is nil, and the fan-out resumes at
+// the cursor. On return every route buffer is empty.
 func fanOut[S sim.Cloneable[S]](wss []*workerState[S], size int, vs *Visited, item func(ws *workerState[S], i int), inbox func(owner int)) error {
 	n := len(wss)
 	var cursor atomic.Int64
@@ -168,11 +173,13 @@ func fanOut[S sim.Cloneable[S]](wss []*workerState[S], size int, vs *Visited, it
 		if err := forEachWorkerIO(n, n, func(_, w int) {
 			ws := wss[w]
 			for !full.Load() {
-				i := int(cursor.Add(1)) - 1
+				i := int(cursor.Add(fanRun)) - fanRun
 				if i >= size {
 					return
 				}
-				item(ws, i)
+				for end := min(i+fanRun, size); i < end; i++ {
+					item(ws, i)
+				}
 				if ws.routed >= routeFlushRecords {
 					full.Store(true)
 				}
@@ -220,11 +227,14 @@ func (ws *workerState[S]) open(vs *Visited, agg *LayerReport, id int32, item int
 // emit hands the next successor of the expansion in flight (see open) to
 // the visited set. Its branch index — the pending min-merge's tie-break
 // under one parent — is what lets a trace re-derive the selection.
-func (ws *workerState[S]) emit(key []uint64) {
+// mayInit false says the caller knows key is no kept init of the seed's
+// family: a block it left as the parent had it is in no init (see
+// expandBatch's out mask).
+func (ws *workerState[S]) emit(key []uint64, mayInit bool) {
 	vs := ws.curVS
 	pos := uint64(ws.curItem)<<32 | uint64(ws.curBranch)
 	ws.curBranch++
-	if vs.fam != nil && vs.fam.member(key) >= 0 {
+	if mayInit && vs.fam != nil && vs.fam.member(key) >= 0 {
 		// A kept init of the seed's family: a depth-0 duplicate, known
 		// without a hash, at the cap or not.
 		return

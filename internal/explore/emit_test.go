@@ -143,7 +143,7 @@ func TestEmitSmallerPositionWinsMerge(t *testing.T) {
 		item int
 	}{{70, 5}, {30, 2}, {90, 9}} {
 		ws.open(vs, &agg, e.id, e.item)
-		ws.emit(key)
+		ws.emit(key, true)
 	}
 	fresh := vs.Drain()
 	if len(fresh) != 1 {
@@ -167,8 +167,8 @@ func TestEmitAtCapBypassesFilter(t *testing.T) {
 	kept[0], dropped[0] = 1, 2
 	var agg LayerReport
 	ws.open(vs, &agg, -1, 0)
-	ws.emit(kept)
-	ws.emit(dropped)
+	ws.emit(kept, true)
+	ws.emit(dropped, true)
 	fresh := vs.Drain()
 	if len(fresh) != 2 {
 		t.Fatalf("%d pending entries, want 2", len(fresh))
@@ -182,11 +182,11 @@ func TestEmitAtCapBypassesFilter(t *testing.T) {
 	if !ws.curAtCap {
 		t.Fatal("layer after the bound was hit is not at cap")
 	}
-	ws.emit(kept)
+	ws.emit(kept, true)
 	if agg.Truncated {
 		t.Fatal("a promoted key reported as a miss")
 	}
-	ws.emit(dropped)
+	ws.emit(dropped, true)
 	if !agg.Truncated {
 		t.Fatal("the dropped key was swallowed: the at-cap path consulted the filter")
 	}
@@ -223,7 +223,7 @@ func TestRouteBufferHandOff(t *testing.T) {
 	for w, ws := range wss {
 		foreign := keys[1-w]
 		ws.open(vs, &agg, int32(10+w), w)
-		ws.emit(foreign)
+		ws.emit(foreign, true)
 		if ws.routed != 1 || vs.Contains(foreign, hashWords(foreign)) {
 			t.Fatalf("worker %d probed a stripe it does not own (routed %d)", w, ws.routed)
 		}

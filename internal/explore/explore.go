@@ -387,6 +387,7 @@ type workerState[S sim.Cloneable[S]] struct {
 	curBranch      int
 	curAtCap       bool
 	curNeutral     uint64
+	curOut         uint64 // processes whose block is in no init (expandBatch)
 	curCorrectPrev []bool
 	// curCanViolate and curClean are the projection pass's verdict on
 	// the state in flight (see projectChecks).
@@ -624,7 +625,7 @@ func (ws *workerState[S]) expand(vs *Visited, agg *LayerReport, id int32, item, 
 			}
 		}
 		key = ws.canon(key)
-		ws.emit(key)
+		ws.emit(key, true)
 
 		// Incremental transition checks: a successor differs from cfg
 		// only at the selected processes, so only committees incident to

@@ -125,6 +125,23 @@ func (f *family) member(key []uint64) int32 {
 	return int32(id)
 }
 
+// outside returns the processes of procs whose block in key is in no
+// init (not in their digit table). A successor keeps every block its
+// selection leaves out, so one with such a block unselected is no
+// member, and the batch pipeline skips member for it.
+func (f *family) outside(key []uint64, procs uint64) uint64 {
+	var out uint64
+	for rest := procs; rest != 0; rest &= rest - 1 {
+		q := bits.TrailingZeros64(rest)
+		p := &f.procs[len(f.procs)-1-q] // most significant digit first
+		r := bitReader{src: key, bit: p.off}
+		if p.digit(r.get(p.bits)) < 0 {
+			out |= 1 << uint(q)
+		}
+	}
+	return out
+}
+
 // len is the number of members, the ids [0, len) (0 for a nil family).
 func (f *family) len() int {
 	if f == nil {

@@ -1,9 +1,11 @@
 package explore
 
 import (
+	"math/bits"
 	"slices"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/hypergraph"
 	"repro/internal/sim"
@@ -111,6 +113,51 @@ func TestLocalCacheLookups(t *testing.T) {
 			t.Fatalf("ring:%d looked up %d times, want %d per state over %d states", tc.n, st.LocalLookups, tc.n, res.States)
 		case tc.want && st.LocalHits*3 < st.LocalLookups*2:
 			t.Fatalf("ring:%d: %d hits of %d lookups, want at least two thirds", tc.n, st.LocalHits, st.LocalLookups)
+		}
+	}
+}
+
+// expandedAllHit returns how many states the workers of b expanded
+// through the local-transition cache, and how many of those skipped
+// the decode because every process hit.
+func expandedAllHit[S sim.Cloneable[S]](wss []*workerState[S]) (expanded, allHits int64) {
+	for _, ws := range wss {
+		if lc := ws.local; lc != nil {
+			expanded += lc.lookups / int64(bits.OnesCount64(lc.cacheable))
+			allHits += lc.allHits
+		}
+	}
+	return expanded, allHits
+}
+
+// TestAllHitPathEngages pins who skips the decode. CC2 on ring:4 from
+// every CC-layer fault under the central daemon, at one worker, expands
+// states on both paths: every process a hit (no decode) and some process
+// a miss. ring:3, where no process looks up, and the baselines, whose
+// generic kernels serve no cache, always decode.
+func TestAllHitPathEngages(t *testing.T) {
+	opts := Options{Mode: sim.SelectCentral, CheckDeadlock: true, CheckClosure: true, Workers: 1}
+	for _, tc := range []struct {
+		n    int
+		want bool
+	}{{4, true}, {3, false}} {
+		b, res := runBackend(t, mustCC(t, core.CC2, hypergraph.CommitteeRing(tc.n), CCOptions{Init: InitCC}), opts)
+		expanded, allHits := expandedAllHit(b.wss)
+		switch {
+		case !tc.want && allHits != 0:
+			t.Fatalf("ring:%d: %d states skipped the decode, want none", tc.n, allHits)
+		case tc.want && (expanded != int64(res.States) || allHits == 0 || allHits == expanded):
+			t.Fatalf("ring:%d: %d of %d expanded states (%d states) skipped the decode, want some but not all", tc.n, allHits, expanded, res.States)
+		}
+	}
+	for _, kind := range []baseline.Kind{baseline.Dining, baseline.TokenRing} {
+		factory, err := Baseline(kind, hypergraph.CommitteeRing(4), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := newWorkerState(factory(), &opts)
+		if ws.bkern == nil || ws.local != nil {
+			t.Fatalf("%s: batch kernel %v, cache %v: want a batch kernel and no cache", kind, ws.bkern != nil, ws.local != nil)
 		}
 	}
 }
